@@ -10,7 +10,7 @@ import numpy as np
 
 from fermigauss.configs import FockConfig
 from fermigauss.linalg import SingularBlockError
-from fermigauss.overlaps import overlap, overlap_epsilon, overlap_magnitude_cp
+from fermigauss.overlaps import overlap, overlap_magnitude_cp
 from fermigauss.quadratic import QuadraticGenerator, bbd_normal, cp_scan, transfer_of
 
 a = np.pi / 2
@@ -38,10 +38,11 @@ bra = ket = FockConfig((0, 0, 0))
 res = overlap(gen, bra, ket)
 print(f"<000|F|000> at a = pi/2 should be cos(pi/2) = 0")
 print("auto-dispatched method:", res.method)
+print("routes tried:", [(e["route"], e["accepted"]) for e in res.route])
 print("value:", res.value)
 print("convergence diagnostic:", res.diagnostics["eps_disagreement"], "\n")
 
-res = overlap_epsilon(gen, FockConfig((1, 1, 0)), FockConfig((0, 0, 0)))
+res = overlap(gen, FockConfig((1, 1, 0)), FockConfig((0, 0, 0)), method="epsilon")
 print("<110|F|000> regularized:", res.value, " (closed form cos(a)-1 = -1)")
 
 mag = overlap_magnitude_cp(t, FockConfig((1, 1, 0)), FockConfig((0, 0, 0)))

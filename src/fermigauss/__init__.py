@@ -2,7 +2,7 @@
 
 Submodules
 ----------
-``linalg``      matrix exponential/logarithm, Pfaffian, block LDU
+``linalg``      matrix exponential/logarithm, Pfaffian, condition estimates
 ``quadratic``   generators, transfer matrices, factorizations, permutations
 ``linearpart``  ancilla embedding, five-factor form, single-mode closed forms
 ``overlaps``    configuration-basis matrix elements and pair states
@@ -22,7 +22,6 @@ _EXPORTS = {
     "pfaffian": "linalg",
     "mat_exp": "linalg",
     "mat_log": "linalg",
-    "block_ldu": "linalg",
     "SingularBlockError": "linalg",
     "MatrixLogBranchError": "linalg",
     "QuadraticGenerator": "quadratic",
@@ -40,12 +39,10 @@ _EXPORTS = {
     "generalized_bbd": "linearpart",
     "factor_orderings": "linearpart",
     "conjugate_modes": "linearpart",
-    "project_config": "linearpart",
     "compose_linear": "linearpart",
     "OverlapResult": "overlaps",
     "overlap": "overlaps",
     "state_overlap": "overlaps",
-    "overlap_epsilon": "overlaps",
     "overlap_magnitude_cp": "overlaps",
     "generalized_overlap": "overlaps",
     "pair_state_amplitude": "overlaps",

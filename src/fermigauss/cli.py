@@ -33,13 +33,7 @@ from .linearpart import (
     compose_linear,
     generalized_bbd,
 )
-from .overlaps import (
-    EPS_SCHEDULE,
-    EPS_SEED,
-    generalized_overlap,
-    overlap_magnitude_cp,
-    state_overlap,
-)
+from .overlaps import EPS_SCHEDULE, EPS_SEED, generalized_overlap, state_overlap
 from .quadratic import (
     QuadraticGenerator,
     bbd_antinormal,
@@ -320,35 +314,13 @@ def cmd_overlap(args) -> int:
         op2 = LinearGaussianOp.zero(op1.L)
     bra = parse_bits(args.bra, op1.L, "--bra")
     ket = parse_bits(args.ket, op1.L, "--ket")
-    method = "auto"
-    if args.epsilon:
-        method = "epsilon"
-    if args.cp_magnitude:
-        method = "cp-magnitude"
-    quadratic = op1.is_quadratic and op2.is_quadratic
+    method = "cp-magnitude" if args.cp_magnitude else "epsilon" if args.epsilon else "auto"
     try:
-        if quadratic:
-            g1 = QuadraticGenerator(op1.m)
-            g2 = QuadraticGenerator(op2.m)
-            if method == "cp-magnitude":
-                from .overlaps import compose_bra_ket
-                res = overlap_magnitude_cp(
-                    compose_bra_ket(transfer_of(g2), transfer_of(g1)), bra, ket)
-            elif method == "epsilon":
-                from .overlaps import _epsilon_extrapolate, pair_kernel
-                m2dag = g2.m.conj().T
-
-                def value_at(eps, g):
-                    return pair_kernel(g1.m + eps * g.m, m2dag).element(bra, ket)
-
-                res = _epsilon_extrapolate(value_at, op1.L, EPS_SCHEDULE, args.seed)
-            else:
-                res = state_overlap(g1, g2, bra, ket, eps_seed=args.seed)
+        if op1.is_quadratic and op2.is_quadratic:
+            res = state_overlap(QuadraticGenerator(op1.m), QuadraticGenerator(op2.m), bra, ket,
+                                method=method, eps_seed=args.seed)
         else:
-            res = generalized_overlap(op1, op2, bra, ket,
-                                      method={"auto": "auto", "epsilon": "epsilon",
-                                              "cp-magnitude": "auto"}[method],
-                                      eps_seed=args.seed)
+            res = generalized_overlap(op1, op2, bra, ket, method=method, eps_seed=args.seed)
     except SingularBlockError as exc:
         raise CliError(EXIT_SINGULAR, str(exc))
     except LinalgError as exc:
@@ -364,7 +336,7 @@ def cmd_overlap(args) -> int:
     report = base_report("overlap", inputs,
                          args={"bra": str(bra), "ket": str(ket)},
                          method=res.method, sign_certain=res.sign_certain,
-                         diagnostics=diagnostics, results=results)
+                         route=res.route, diagnostics=diagnostics, results=results)
     emit(report, args.output)
     return EXIT_OK
 

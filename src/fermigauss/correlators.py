@@ -29,12 +29,7 @@ import numpy as np
 from .configs import FockConfig, apply_mode
 from .linalg import RCOND_TOL, SingularBlockError, mat_exp
 from .linearpart import LinearGaussianOp, embed
-from .overlaps import (
-    EPS_SCHEDULE,
-    EPS_SEED,
-    _epsilon_extrapolate,
-    pair_kernel,
-)
+from .overlaps import EPS_SCHEDULE, EPS_SEED, _dispatch, pair_kernel
 from .quadratic import QuadraticGenerator, j_matrix
 
 #: relative threshold below which the normalizing overlap counts as zero
@@ -116,6 +111,8 @@ class _Engine:
     def __init__(self, m1: np.ndarray, m2dag, rcond_tol: float = RCOND_TOL):
         self.L = m1.shape[0] // 2
         self.kern = pair_kernel(m1, m2dag, rcond_tol)
+        self.rcond = self.kern.rcond
+        self.sign_certain = self.kern.sign_certain
         self.t1 = mat_exp(m1)
         j = j_matrix(self.L)
         self.t1inv = j @ self.t1.T @ j
@@ -281,8 +278,9 @@ class CorrelatorContext:
         self.rcond_tol = rcond_tol
         self.eps_schedule = eps_schedule
         self.eps_seed = eps_seed
-        self._quad: _Engine | None | str = "unset"
-        self._ext: _Engine | None | str = "unset"
+        # unperturbed engine per sector (False: quadratic, True: extended),
+        # or the SingularBlockError that building it raised
+        self._engines: dict = {}
 
     @property
     def L(self) -> int:
@@ -292,47 +290,33 @@ class CorrelatorContext:
     def quadratic(self) -> bool:
         return self.op1.is_quadratic and self.op2.is_quadratic
 
-    # -- engines ------------------------------------------------------
+    def _engine(self, extended: bool, delta, rcond_tol: float) -> _Engine:
+        op1 = self.op1 if delta is None else LinearGaussianOp(
+            self.op1.m + delta, self.op1.u, self.op1.v)
+        if extended:
+            return _Engine(embed(op1).m, embed(self.op2).m.conj().T, rcond_tol)
+        return _Engine(op1.m, self.op2.m.conj().T, rcond_tol)
 
-    def _quad_engine(self):
-        if self._quad == "unset":
-            try:
-                self._quad = _Engine(self.op1.m, self.op2.m.conj().T, self.rcond_tol)
-            except SingularBlockError:
-                self._quad = None
-        return self._quad
+    def _eval(self, fn, extended: bool = False) -> complex:
+        """``fn(engine)`` through the overlap rescue chain, quadratic or
+        ancilla-extended.  The magnitude route is left out: correlators
+        need the sign."""
+        def kernel_at(delta, tol):
+            if delta is not None:
+                return self._engine(extended, delta, tol)
+            if extended not in self._engines:
+                try:
+                    self._engines[extended] = self._engine(extended, None, tol)
+                except SingularBlockError as exc:
+                    self._engines[extended] = exc
+            engine = self._engines[extended]
+            if isinstance(engine, SingularBlockError):
+                raise engine.with_traceback(None)
+            return engine
 
-    def _ext_engine(self):
-        if self._ext == "unset":
-            try:
-                self._ext = _Engine(embed(self.op1).m, embed(self.op2).m.conj().T,
-                                    self.rcond_tol)
-            except SingularBlockError:
-                self._ext = None
-        return self._ext
-
-    def _eval_quadratic(self, fn) -> complex:
-        engine = self._quad_engine()
-        if engine is not None:
-            return fn(engine)
-        m2dag = self.op2.m.conj().T
-
-        def value_at(eps, g):
-            return fn(_Engine(self.op1.m + eps * g.m, m2dag, self.rcond_tol))
-
-        return _epsilon_extrapolate(value_at, self.L, self.eps_schedule, self.eps_seed).value
-
-    def _eval_extended(self, fn) -> complex:
-        engine = self._ext_engine()
-        if engine is not None:
-            return fn(engine)
-        m2dag = embed(self.op2).m.conj().T
-
-        def value_at(eps, g):
-            op_eps = LinearGaussianOp(self.op1.m + eps * g.m, self.op1.u, self.op1.v)
-            return fn(_Engine(embed(op_eps).m, m2dag, self.rcond_tol))
-
-        return _epsilon_extrapolate(value_at, self.L, self.eps_schedule, self.eps_seed).value
+        return _dispatch(kernel_at, fn, self.L, cp=None, method="auto",
+                         rcond_tol=self.rcond_tol, eps_schedule=self.eps_schedule,
+                         eps_seed=self.eps_seed).value
 
     def _require_quadratic(self):
         if not self.quadratic:
@@ -348,7 +332,7 @@ def overlap_value(ctx: CorrelatorContext) -> complex:
     ctx._require_quadratic()
     if ctx.bra.parity != ctx.ket.parity:
         return complex(0.0)
-    return ctx._eval_quadratic(lambda e: e.element(ctx.bra.bits, ctx.ket.bits))
+    return ctx._eval(lambda e: e.element(ctx.bra.bits, ctx.ket.bits))
 
 
 def one_point(ctx: CorrelatorContext, op: ModeOp) -> complex:
@@ -356,7 +340,7 @@ def one_point(ctx: CorrelatorContext, op: ModeOp) -> complex:
     ctx._require_quadratic()
     if ctx.bra.parity == ctx.ket.parity:
         return complex(0.0)
-    return ctx._eval_quadratic(lambda e: e.one_point(op, ctx.bra.bits, ctx.ket.bits))
+    return ctx._eval(lambda e: e.one_point(op, ctx.bra.bits, ctx.ket.bits))
 
 
 def two_point(ctx: CorrelatorContext, op_a: ModeOp, op_b: ModeOp) -> complex:
@@ -364,7 +348,7 @@ def two_point(ctx: CorrelatorContext, op_a: ModeOp, op_b: ModeOp) -> complex:
     ctx._require_quadratic()
     if ctx.bra.parity != ctx.ket.parity:
         return complex(0.0)
-    return ctx._eval_quadratic(lambda e: e.two_point(op_a, op_b, ctx.bra.bits, ctx.ket.bits))
+    return ctx._eval(lambda e: e.two_point(op_a, op_b, ctx.bra.bits, ctx.ket.bits))
 
 
 def n_point(ctx: CorrelatorContext, ops) -> complex:
@@ -382,7 +366,7 @@ def n_point(ctx: CorrelatorContext, ops) -> complex:
     ctx._require_quadratic()
     if (ctx.ket.n_occupied + len(ops)) % 2 != ctx.bra.n_occupied % 2:
         return complex(0.0)
-    return ctx._eval_quadratic(lambda e: e.n_point(ops, ctx.bra.bits, ctx.ket.bits))
+    return ctx._eval(lambda e: e.n_point(ops, ctx.bra.bits, ctx.ket.bits))
 
 
 # -- linear-sector correlators ------------------------------------------
@@ -399,7 +383,7 @@ def _extended_data(ctx: CorrelatorContext, ops):
 def generalized_overlap_value(ctx: CorrelatorContext) -> complex:
     """Overlap of the two states through the ancilla embedding (any parities)."""
     bra_bits, ket_bits, _ = _extended_data(ctx, ())
-    return ctx._eval_extended(lambda e: e.element(bra_bits, ket_bits))
+    return ctx._eval(lambda e: e.element(bra_bits, ket_bits), extended=True)
 
 
 def generalized_expectation(ctx: CorrelatorContext, ops) -> complex:
@@ -414,12 +398,14 @@ def generalized_expectation(ctx: CorrelatorContext, ops) -> complex:
     ops = tuple(ops)
     bra_bits, ket_bits, shifted = _extended_data(ctx, ops)
     if len(ops) % 2 == 0:
-        return ctx._eval_extended(lambda e: e.string_element(shifted, bra_bits, ket_bits))
+        return ctx._eval(lambda e: e.string_element(shifted, bra_bits, ket_bits),
+                         extended=True)
     plus = (ModeOp(1, True),) + shifted
     minus = (ModeOp(1, False),) + shifted
-    return ctx._eval_extended(
+    return ctx._eval(
         lambda e: e.string_element(plus, bra_bits, ket_bits)
-        - e.string_element(minus, bra_bits, ket_bits)
+        - e.string_element(minus, bra_bits, ket_bits),
+        extended=True,
     )
 
 

@@ -1,7 +1,8 @@
 """Dense complex linear-algebra kernels.
 
-Matrix exponential/logarithm, Pfaffian of skew-symmetric matrices and
-the block LDU factorization used by the Gaussian-operator machinery.
+Matrix exponential/logarithm, Pfaffian of skew-symmetric matrices,
+reciprocal condition estimates and determinant square roots used by the
+Gaussian-operator machinery.
 All routines work on plain ``numpy`` arrays of complex doubles.
 """
 
@@ -142,59 +143,6 @@ def pfaffian(a: np.ndarray, tol: float = SKEW_TOL) -> complex:
         m[k + 2:, k + 2:] += np.outer(tau, w) - np.outer(w, tau)
     result *= m[n - 2, n - 1]
     return complex(result) if swaps % 2 == 0 else -complex(result)
-
-
-def block_ldu(t: np.ndarray, pivot: str = "lower", rcond_tol: float = RCOND_TOL):
-    """Block LDU factorization of an even-dimensional matrix.
-
-    Splits ``t`` into L x L quadrants ``[[t11, t12], [t21, t22]]`` and
-    returns three full-size factors ``(outer_left, diagonal, outer_right)``
-    whose product reproduces ``t``:
-
-    * ``pivot="lower"`` (t22 invertible)::
-
-          [[I, t12 t22^-1], [0, I]] . [[t11 - t12 t22^-1 t21, 0], [0, t22]]
-              . [[I, 0], [t22^-1 t21, I]]
-
-    * ``pivot="upper"`` (t11 invertible)::
-
-          [[I, 0], [t21 t11^-1, I]] . [[t11, 0], [0, t22 - t21 t11^-1 t12]]
-              . [[I, t11^-1 t12], [0, I]]
-
-    Raises
-    ------
-    SingularBlockError
-        If the chosen pivot block has reciprocal condition below ``rcond_tol``.
-    """
-    t = _as_square(t)
-    n = t.shape[0]
-    if n % 2:
-        raise ValueError(f"matrix dimension must be even, got {n}")
-    L = n // 2
-    t11, t12 = t[:L, :L], t[:L, L:]
-    t21, t22 = t[L:, :L], t[L:, L:]
-    eye = np.eye(L, dtype=complex)
-    if pivot == "lower":
-        rc = rcond_estimate(t22)
-        if rc < rcond_tol:
-            raise SingularBlockError("lower-right block not invertible", rc)
-        x = np.linalg.solve(t22.T, t12.T).T  # t12 t22^-1
-        z = np.linalg.solve(t22, t21)        # t22^-1 t21
-        outer_left = np.block([[eye, x], [np.zeros((L, L)), eye]])
-        diag = np.block([[t11 - x @ t21, np.zeros((L, L))], [np.zeros((L, L)), t22]])
-        outer_right = np.block([[eye, np.zeros((L, L))], [z, eye]])
-    elif pivot == "upper":
-        rc = rcond_estimate(t11)
-        if rc < rcond_tol:
-            raise SingularBlockError("upper-left block not invertible", rc)
-        x = np.linalg.solve(t11.T, t21.T).T  # t21 t11^-1
-        z = np.linalg.solve(t11, t12)        # t11^-1 t12
-        outer_left = np.block([[eye, np.zeros((L, L))], [x, eye]])
-        diag = np.block([[t11, np.zeros((L, L))], [np.zeros((L, L)), t22 - x @ t12]])
-        outer_right = np.block([[eye, z], [np.zeros((L, L)), eye]])
-    else:
-        raise ValueError(f"pivot must be 'lower' or 'upper', got {pivot!r}")
-    return outer_left, diag, outer_right
 
 
 def sqrt_det_via_log(a: np.ndarray):

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configs import FockConfig
 from .linalg import (
     RCOND_TOL,
     SKEW_TOL,
@@ -474,31 +473,3 @@ def conjugate_modes(op: LinearGaussianOp) -> NonlinearTransform:
         b[mu] = -4.0 * np.outer(t21_stack, row_c)
         b_bar[mu] = -4.0 * np.outer(t21_stack, row_cd)
     return NonlinearTransform(tp, b, b_bar, shift, parts)
-
-
-# ---------------------------------------------------------------------------
-# projection bookkeeping
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ProjectedConfig:
-    """Symmetric-ancilla image of a configuration in the extended space."""
-
-    components: tuple[FockConfig, FockConfig]
-    weight: float
-
-    @property
-    def ancilla_empty(self) -> FockConfig:
-        return self.components[0]
-
-    @property
-    def ancilla_occupied(self) -> FockConfig:
-        return self.components[1]
-
-
-def project_config(cfg: FockConfig) -> ProjectedConfig:
-    """``|I>  ->  (|0,I> + |1,I>)/sqrt(2)`` as an index pair with weight."""
-    return ProjectedConfig(
-        (cfg.with_ancilla(0), cfg.with_ancilla(1)),
-        1.0 / np.sqrt(2.0),
-    )

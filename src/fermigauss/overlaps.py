@@ -14,7 +14,9 @@ the empty ones), both in increasing order.
 When T22 is singular two rescue routes exist: an analytic continuation
 in a small admissible perturbation of the generator (signed value,
 Richardson-extrapolated), and the particle-hole permutation route which
-recovers the magnitude only.
+recovers the magnitude only.  One dispatcher runs the chain Pfaffian ->
+continuation -> permutation for every public overlap function and records
+each attempt in the result's ``route``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .quadratic import (
     QuadraticGenerator,
     TransferMatrix,
     cp_apply_transfer,
-    cp_scan,
+    cp_suggestions,
     random_generator,
     transfer_of,
 )
@@ -57,6 +59,13 @@ class ExtrapolationError(LinalgError):
     """The perturbative fallback did not converge; magnitude via the
     particle-hole permutation route is still available."""
 
+    def __init__(self, disagreement: float):
+        super().__init__(
+            f"epsilon extrapolation disagreement {disagreement:.3e} > {EPS_AGREE_TOL:.1e}; "
+            "consider the cp-magnitude route"
+        )
+        self.disagreement = disagreement
+
 
 @dataclass
 class OverlapResult:
@@ -64,13 +73,16 @@ class OverlapResult:
 
     ``method`` is one of ``"pfaffian"``, ``"epsilon-regularized"`` or
     ``"cp-magnitude"``; ``sign_certain`` is False only for the last one,
-    whose value is a magnitude.
+    whose value is a magnitude.  ``route`` lists the attempts of the rescue
+    chain that produced the value (see :func:`_dispatch`); it is empty for
+    an exact parity zero.
     """
 
     value: complex
     method: str
     sign_certain: bool = True
     diagnostics: dict = field(default_factory=dict)
+    route: list = field(default_factory=list)
 
 
 class OverlapKernel:
@@ -82,13 +94,14 @@ class OverlapKernel:
     parts are dropped to keep the Pfaffian input exactly antisymmetric.
 
     The prefactor det(T22)^(1/2) carries a physical sign.  When the caller
-    can supply a path from the identity (i.e. it knows the generators), it
-    should pass the continuity-tracked value via ``prefactor``; built from
-    a bare transfer matrix, the kernel trusts the principal log branch.
+    knows the generators it passes ``path``, a holomorphic ``s -> T22(s)``
+    running from the identity at s = 0 to ``t.t22`` at s = 1, and the branch
+    is fixed by continuity along it; built from a bare transfer matrix, the
+    kernel trusts the principal log branch.  Either runs only after the
+    rcond check has passed, so rejecting a singular block costs one SVD.
     """
 
-    def __init__(self, t: TransferMatrix, rcond_tol: float = RCOND_TOL,
-                 prefactor: tuple[complex, bool] | None = None):
+    def __init__(self, t: TransferMatrix, rcond_tol: float = RCOND_TOL, path=None):
         self.L = t.L
         self.rcond = rcond_estimate(t.t22)
         if self.rcond < rcond_tol:
@@ -99,9 +112,8 @@ class OverlapKernel:
         z = 0.5 * (z - z.T)
         exp_y = np.linalg.inv(t.t22.T)
         self.pairing = np.block([[x, exp_y], [-exp_y.T, z]])
-        if prefactor is None:
-            prefactor = sqrt_det_via_log(t.t22)
-        self.prefactor, self.sign_certain = prefactor
+        self.prefactor, self.sign_certain = (
+            sqrt_det_via_log(t.t22) if path is None else sqrt_det_continuous(path))
 
     def element(self, bra: FockConfig, ket: FockConfig) -> complex:
         """<J| F |I>; exact zero on parity mismatch."""
@@ -142,9 +154,8 @@ def pair_kernel(m1: np.ndarray, m2dag: np.ndarray | None = None,
             t = mat_exp(s * m2dag) @ t
         return t
 
-    kern = OverlapKernel(TransferMatrix(prod_at(1.0)), rcond_tol,
-                         prefactor=sqrt_det_continuous(lambda s: prod_at(s)[half:, half:]))
-    return kern
+    return OverlapKernel(TransferMatrix(prod_at(1.0)), rcond_tol,
+                         path=lambda s: prod_at(s)[half:, half:])
 
 
 def compose_bra_ket(op2, op1) -> TransferMatrix:
@@ -155,6 +166,104 @@ def compose_bra_ket(op2, op1) -> TransferMatrix:
     t1 = op1 if isinstance(op1, TransferMatrix) else transfer_of(op1)
     t2 = op2 if isinstance(op2, TransferMatrix) else transfer_of(op2)
     return TransferMatrix(t2.t.conj().T @ t1.t)
+
+
+# ---------------------------------------------------------------------------
+# the rescue chain
+# ---------------------------------------------------------------------------
+
+#: the routes in the order ``method="auto"`` tries them
+ROUTES = ("pfaffian", "epsilon", "cp-magnitude")
+
+
+def _dispatch(kernel_at, evaluate, L: int | None, cp, *, method: str,
+              rcond_tol: float, eps_schedule, eps_seed: int) -> OverlapResult:
+    """Run the rescue chain pfaffian -> epsilon -> cp-magnitude.
+
+    ``kernel_at(delta, rcond_tol)`` builds the kernel (anything with
+    ``rcond`` and ``sign_certain`` attributes) of the ket-side generator
+    shifted by the matrix ``delta``, unshifted for ``delta=None``, and
+    ``evaluate(kernel)`` turns a kernel into the value.  ``L`` is the site
+    count of that generator, or None when only a transfer matrix is known,
+    which rules out the epsilon route.  ``cp()`` returns the transfer and
+    the two configurations of the magnitude route; ``cp=None`` rules that
+    route out for callers that need a signed value.
+
+    ``method="auto"`` tries the available routes in order and accepts the
+    Pfaffian only with a certain sign; a route name forces that route
+    alone, which then accepts whatever sign it finds.  Every attempt is
+    recorded in the result's ``route``: the route name, whether it was
+    accepted, on rejection the ``reason``, and the diagnostics that decided
+    it.  When every route fails, the last route's error is raised with the
+    same list attached as ``.route``.
+    """
+    available = {"pfaffian": True, "epsilon": L is not None, "cp-magnitude": cp is not None}
+    if method == "auto":
+        names = [name for name in ROUTES if available[name]]
+    elif available.get(method):
+        names = [method]
+    elif method in available:
+        raise ValueError(f"method {method!r} needs the composed generator, not just T")
+    else:
+        raise ValueError(f"unknown method {method!r}; expected 'auto' or one of {ROUTES}")
+    route: list[dict] = []
+    for name in names:
+        try:
+            if name == "pfaffian":
+                kern = kernel_at(None, rcond_tol)
+                why = {"rcond": kern.rcond, "sign_certain": kern.sign_certain}
+                if not kern.sign_certain and len(names) > 1:
+                    route.append({"route": name, "accepted": False,
+                                  "reason": "sign_certain", **why})
+                    continue
+                res = OverlapResult(evaluate(kern), "pfaffian", kern.sign_certain,
+                                    {"rcond": kern.rcond})
+            elif name == "epsilon":
+                res = _epsilon_extrapolate(
+                    lambda eps, g: evaluate(kernel_at(eps * g.m, rcond_tol)),
+                    L, eps_schedule, eps_seed)
+                why = {"eps_disagreement": res.diagnostics["eps_disagreement"]}
+            else:
+                res = overlap_magnitude_cp(*cp(), rcond_tol=rcond_tol)
+                why = {"cp_sites": res.diagnostics["cp_sites"], "rcond": res.diagnostics["rcond"]}
+        except (SingularBlockError, ExtrapolationError) as exc:
+            if isinstance(exc, ExtrapolationError):
+                d = exc.disagreement
+                why = {"reason": "eps_disagreement",
+                       "eps_disagreement": float(d) if np.isfinite(d) else None}
+            elif name == "cp-magnitude":
+                why = {"reason": "cp_sites", "cp_sites": None}
+            else:
+                why = {"reason": "rcond", "rcond": exc.rcond}
+            route.append({"route": name, "accepted": False, **why})
+            if name == names[-1]:
+                exc.route = route
+                raise
+            continue
+        route.append({"route": name, "accepted": True, **why})
+        res.route = route
+        return res
+
+
+def _quadratic_overlap(m1, m2dag, transfer, bra: FockConfig, ket: FockConfig,
+                       **options) -> OverlapResult:
+    """<J| exp(M2^dag) exp(M1) |I> through the rescue chain.
+
+    ``transfer()`` gives the composed transfer matrix.  ``m1`` is None when
+    only that transfer is known: the sign then comes from the principal
+    branch and the epsilon route is unavailable.
+    """
+    if (bra.n_occupied + ket.n_occupied) % 2:
+        return OverlapResult(complex(0.0), "pfaffian", True, {"parity_zero": True})
+    if m1 is None:
+        def kernel_at(delta, tol):
+            return OverlapKernel(transfer(), tol)
+    else:
+        def kernel_at(delta, tol):
+            return pair_kernel(m1 if delta is None else m1 + delta, m2dag, tol)
+    return _dispatch(kernel_at, lambda k: k.element(bra, ket),
+                     None if m1 is None else m1.shape[0] // 2,
+                     lambda: (transfer(), bra, ket), **options)
 
 
 def overlap(composed, bra: FockConfig, ket: FockConfig, *,
@@ -170,81 +279,45 @@ def overlap(composed, bra: FockConfig, ket: FockConfig, *,
     (requires the generator) and finally to the permutation magnitude.
     Forced methods: ``"pfaffian"``, ``"epsilon"``, ``"cp-magnitude"``.
     """
-    t = _as_transfer(composed)
-    if (bra.n_occupied + ket.n_occupied) % 2:
-        return OverlapResult(complex(0.0), "pfaffian", True, {"parity_zero": True})
-    if method in ("auto", "pfaffian"):
-        try:
-            if isinstance(composed, QuadraticGenerator):
-                kern = pair_kernel(composed.m, None, rcond_tol)
-            else:
-                kern = OverlapKernel(t, rcond_tol)
-            if kern.sign_certain or method == "pfaffian":
-                return OverlapResult(
-                    kern.element(bra, ket), "pfaffian", kern.sign_certain,
-                    {"rcond": kern.rcond},
-                )
-        except SingularBlockError:
-            if method == "pfaffian":
-                raise
-    if method in ("auto", "epsilon"):
-        if not isinstance(composed, QuadraticGenerator):
-            if method == "epsilon":
-                raise ValueError("epsilon fallback needs the composed generator, not just T")
-        else:
-            try:
-                return overlap_epsilon(composed, bra, ket,
-                                       schedule=eps_schedule, seed=eps_seed)
-            except ExtrapolationError:
-                if method == "epsilon":
-                    raise
-    return overlap_magnitude_cp(t, bra, ket, rcond_tol=rcond_tol)
+    if isinstance(composed, QuadraticGenerator):
+        m1, transfer = composed.m, (lambda: transfer_of(composed))
+    else:
+        t = _as_transfer(composed)
+        m1, transfer = None, (lambda: t)
+    return _quadratic_overlap(m1, None, transfer, bra, ket, method=method,
+                              rcond_tol=rcond_tol, eps_schedule=eps_schedule,
+                              eps_seed=eps_seed)
 
 
-def state_overlap(op1, op2, bra: FockConfig, ket: FockConfig, **kwargs) -> OverlapResult:
+def state_overlap(op1, op2, bra: FockConfig, ket: FockConfig, *,
+                  method: str = "auto",
+                  rcond_tol: float = RCOND_TOL,
+                  eps_schedule=EPS_SCHEDULE,
+                  eps_seed: int = EPS_SEED) -> OverlapResult:
     """<M2(J)|M1(I)> for two quadratic operators (generators or transfers).
 
-    Composes at the transfer level; the perturbative fallback, when needed,
-    perturbs the ket-side generator.
+    Takes the same methods as :func:`overlap`.  The sign is tracked and the
+    perturbative fallback, which perturbs the ket-side generator, is
+    available only when both generators are known.
     """
-    rcond_tol = kwargs.get("rcond_tol", RCOND_TOL)
-    if (bra.n_occupied + ket.n_occupied) % 2:
-        return OverlapResult(complex(0.0), "pfaffian", True, {"parity_zero": True})
-    gens_known = isinstance(op1, QuadraticGenerator) and isinstance(op2, QuadraticGenerator)
-    t1 = op1 if isinstance(op1, TransferMatrix) else transfer_of(op1)
-    t2 = op2 if isinstance(op2, TransferMatrix) else transfer_of(op2)
-    t = compose_bra_ket(t2, t1)
-    try:
-        if gens_known:
-            kern = pair_kernel(op1.m, op2.m.conj().T, rcond_tol)
-        else:
-            kern = OverlapKernel(t, rcond_tol)
-        if kern.sign_certain:
-            return OverlapResult(kern.element(bra, ket), "pfaffian", True,
-                                 {"rcond": kern.rcond})
-    except SingularBlockError:
-        pass
-    if gens_known:
-        m2dag = op2.m.conj().T
-
-        def value_at(eps, gen):
-            return pair_kernel(op1.m + eps * gen.m, m2dag).element(bra, ket)
-
-        try:
-            return _epsilon_extrapolate(value_at, op1.L,
-                                        kwargs.get("eps_schedule", EPS_SCHEDULE),
-                                        kwargs.get("eps_seed", EPS_SEED))
-        except ExtrapolationError:
-            pass
-    return overlap_magnitude_cp(t, bra, ket)
+    if isinstance(op1, QuadraticGenerator) and isinstance(op2, QuadraticGenerator):
+        m1, m2dag = op1.m, op2.m.conj().T
+    else:
+        m1 = m2dag = None
+    return _quadratic_overlap(m1, m2dag, lambda: compose_bra_ket(op2, op1), bra, ket,
+                              method=method, rcond_tol=rcond_tol,
+                              eps_schedule=eps_schedule, eps_seed=eps_seed)
 
 
 def _epsilon_extrapolate(value_at, L: int, schedule, seed: int) -> OverlapResult:
     """Quadratic Richardson extrapolation of ``value_at(eps, G)`` to eps -> 0.
 
-    The stated two-point schedule is augmented with one halved point; the
-    convergence diagnostic compares the linear extrapolations of successive
-    pairs and fails loudly when they disagree beyond EPS_AGREE_TOL.
+    G is a fixed random admissible generator drawn from ``seed`` (recorded
+    in the diagnostics), which generically restores the invertibility of
+    T22.  The stated two-point schedule is augmented with one halved point;
+    the convergence diagnostic compares the linear extrapolations of
+    successive pairs and fails loudly when they disagree beyond
+    EPS_AGREE_TOL.
     """
     g = random_generator(L, seed, scale=1.0)
     e1, e2 = float(schedule[0]), float(schedule[1])
@@ -266,52 +339,32 @@ def _epsilon_extrapolate(value_at, L: int, schedule, seed: int) -> OverlapResult
         "eps_disagreement": disagreement,
     }
     if disagreement > EPS_AGREE_TOL:
-        raise ExtrapolationError(
-            f"epsilon extrapolation disagreement {disagreement:.3e} > {EPS_AGREE_TOL:.1e}; "
-            "consider the cp-magnitude route"
-        )
+        raise ExtrapolationError(disagreement)
     return OverlapResult(val, "epsilon-regularized", True, diagnostics)
-
-
-def overlap_epsilon(gen: QuadraticGenerator, bra: FockConfig, ket: FockConfig, *,
-                    schedule=EPS_SCHEDULE, seed: int = EPS_SEED) -> OverlapResult:
-    """Overlap by analytic continuation in M + eps G.
-
-    G is a fixed random admissible generator drawn from ``seed`` (recorded
-    in the diagnostics), which generically restores the invertibility of
-    T22; the value is Richardson-extrapolated to eps -> 0.
-    """
-    if (bra.n_occupied + ket.n_occupied) % 2:
-        return OverlapResult(complex(0.0), "epsilon-regularized", True, {"parity_zero": True})
-
-    def value_at(eps, g):
-        return pair_kernel(gen.m + eps * g.m, None).element(bra, ket)
-
-    return _epsilon_extrapolate(value_at, gen.L, schedule, seed)
 
 
 def overlap_magnitude_cp(composed, bra: FockConfig, ket: FockConfig, *,
                          rcond_tol: float = RCOND_TOL) -> OverlapResult:
     """|<J| F |I>| through a particle-hole permutation.
 
-    Applies the smallest site subset S that makes the permuted T22
-    invertible, exchanges occupations 0 <-> 1 on S in both configurations
-    and evaluates the permuted overlap.  The sign is genuinely ambiguous in
-    this picture, so the magnitude is returned with ``sign_certain=False``.
+    Applies the first site subset S, in :func:`cp_scan` order, that makes
+    the permuted T22 invertible (the search stops there), exchanges
+    occupations 0 <-> 1 on S in both configurations and evaluates the
+    permuted overlap.  The sign is genuinely ambiguous in this picture, so
+    the magnitude is returned with ``sign_certain=False``.
     """
     t = _as_transfer(composed)
-    for entry in cp_scan(t, rcond_tol):
-        if entry.t22_invertible:
-            sites = entry.sites
-            tt = cp_apply_transfer(t, sites)
-            kern = OverlapKernel(tt, rcond_tol)
-            val = kern.element(bra.flipped(sites), ket.flipped(sites))
-            return OverlapResult(
-                complex(abs(val)), "cp-magnitude", False,
-                {"cp_sites": sites, "rcond": kern.rcond},
-            )
-    raise SingularBlockError(
-        "no site subset restores invertibility; unsupported instance", 0.0
+    found = cp_suggestions(t, rcond_tol, limit=1)
+    if not found:
+        raise SingularBlockError(
+            "no site subset restores invertibility; unsupported instance", 0.0
+        )
+    sites = found[0]
+    kern = OverlapKernel(cp_apply_transfer(t, sites), rcond_tol)
+    val = kern.element(bra.flipped(sites), ket.flipped(sites))
+    return OverlapResult(
+        complex(abs(val)), "cp-magnitude", False,
+        {"cp_sites": sites, "rcond": kern.rcond},
     )
 
 
@@ -319,55 +372,36 @@ def overlap_magnitude_cp(composed, bra: FockConfig, ket: FockConfig, *,
 # overlaps of states generated by operators with linear parts
 # ---------------------------------------------------------------------------
 
-def extended_bra_ket(op1: LinearGaussianOp, op2: LinearGaussianOp,
-                     bra: FockConfig, ket: FockConfig):
-    """Embedded transfer and ancilla-extended configurations for
-    <(M2,u2,v2)(J) | (M1,u1,v1)(I)>.
-
-    The bra ancilla is always empty; the ket ancilla carries the parity
-    mismatch of the two configurations (linear parts break particle-number
-    parity, which the ancilla absorbs).
-    """
-    if not (op1.L == op2.L == bra.L == ket.L):
-        raise ValueError("inconsistent site counts")
-    t = compose_bra_ket(transfer_of(embed(op2)), transfer_of(embed(op1)))
-    anc = 0 if bra.parity == ket.parity else 1
-    return t, bra.with_ancilla(0), ket.with_ancilla(anc)
-
-
 def generalized_overlap(op1: LinearGaussianOp, op2: LinearGaussianOp,
                         bra: FockConfig, ket: FockConfig, *,
                         method: str = "auto",
+                        rcond_tol: float = RCOND_TOL,
                         eps_schedule=EPS_SCHEDULE,
                         eps_seed: int = EPS_SEED) -> OverlapResult:
     """<(M2,u2,v2)(J) | (M1,u1,v1)(I)> via the ancilla embedding.
 
-    There is no parity short-circuit here: opposite-parity overlaps are
-    generally nonzero once linear terms are present (they vanish again,
-    through the Pfaffian, when u = v = 0).
+    Takes the same methods as :func:`overlap`.  The bra ancilla is always
+    empty; the ket ancilla carries the parity mismatch of the two
+    configurations.  There is no parity short-circuit here: opposite-parity
+    overlaps are generally nonzero once linear terms are present (they
+    vanish again, through the Pfaffian, when u = v = 0).
     """
-    t, bra_e, ket_e = extended_bra_ket(op1, op2, bra, ket)
-    m2dag_e = embed(op2).m.conj().T
-    if method in ("auto", "pfaffian"):
-        try:
-            kern = pair_kernel(embed(op1).m, m2dag_e)
-            if kern.sign_certain or method == "pfaffian":
-                return OverlapResult(kern.element(bra_e, ket_e), "pfaffian",
-                                     kern.sign_certain, {"rcond": kern.rcond})
-        except SingularBlockError:
-            if method == "pfaffian":
-                raise
-    if method in ("auto", "epsilon"):
-        def value_at(eps, g):
-            op_eps = LinearGaussianOp(op1.m + eps * g.m, op1.u, op1.v)
-            return pair_kernel(embed(op_eps).m, m2dag_e).element(bra_e, ket_e)
+    if not (op1.L == op2.L == bra.L == ket.L):
+        raise ValueError("inconsistent site counts")
+    bra_e = bra.with_ancilla(0)
+    ket_e = ket.with_ancilla(0 if bra.parity == ket.parity else 1)
+    m2dag = embed(op2).m.conj().T
 
-        try:
-            return _epsilon_extrapolate(value_at, op1.L, eps_schedule, eps_seed)
-        except ExtrapolationError:
-            if method == "epsilon":
-                raise
-    return overlap_magnitude_cp(t, bra_e, ket_e)
+    def kernel_at(delta, tol):
+        op = op1 if delta is None else LinearGaussianOp(op1.m + delta, op1.u, op1.v)
+        return pair_kernel(embed(op).m, m2dag, tol)
+
+    def cp():
+        return compose_bra_ket(embed(op2), embed(op1)), bra_e, ket_e
+
+    return _dispatch(kernel_at, lambda k: k.element(bra_e, ket_e), op1.L, cp,
+                     method=method, rcond_tol=rcond_tol,
+                     eps_schedule=eps_schedule, eps_seed=eps_seed)
 
 
 # ---------------------------------------------------------------------------

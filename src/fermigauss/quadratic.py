@@ -15,7 +15,7 @@ factorizations when a diagonal block of ``T`` is singular.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -33,6 +33,8 @@ from .linalg import (
 
 #: relative tolerance on T J T^T = J at construction
 J_ORTHO_TOL = 1e-10
+#: largest L for which the particle-hole scan enumerates every site subset
+CP_EXHAUSTIVE_MAX = 20
 
 
 def j_matrix(L: int) -> np.ndarray:
@@ -201,13 +203,6 @@ class FactoredGaussian:
     sign_certain: bool = True
     rcond: float = 1.0
 
-    def x_canonical(self) -> np.ndarray:
-        """Antisymmetrized accessor (X - X^T)/2 for display."""
-        return 0.5 * (self.x - self.x.T)
-
-    def z_canonical(self) -> np.ndarray:
-        return 0.5 * (self.z - self.z.T)
-
 
 def bbd_normal(t: TransferMatrix, rcond_tol: float = RCOND_TOL) -> FactoredGaussian:
     """Factorization with the creation-pair factor on the left (requires T22 invertible)."""
@@ -292,10 +287,18 @@ def cp_transform(gen: QuadraticGenerator, sites) -> CPTransformed:
     return CPTransformed(QuadraticGenerator(pi @ gen.m @ pi), sites, pi)
 
 
+def _cp_index(L: int, sites) -> np.ndarray:
+    """Row/column order of Pi T Pi: index j-1 and L+j-1 exchanged for j in ``sites``."""
+    idx = np.arange(2 * L)
+    for j in sites:
+        idx[[j - 1, L + j - 1]] = idx[[L + j - 1, j - 1]]
+    return idx
+
+
 def cp_apply_transfer(t: TransferMatrix, sites) -> TransferMatrix:
     """Transfer matrix of the permuted operator, Pi T Pi (exact)."""
-    pi = cp_matrix(t.L, sites)
-    return TransferMatrix(pi @ t.t @ pi)
+    idx = _cp_index(t.L, validate_sites(sites, t.L))
+    return TransferMatrix(t.t[np.ix_(idx, idx)])
 
 
 @dataclass(frozen=True)
@@ -307,14 +310,45 @@ class CPScanEntry:
     t11_invertible: bool
 
 
-def _scan_entry(t: TransferMatrix, sites, rcond_tol: float) -> CPScanEntry:
-    tt = cp_apply_transfer(t, sites)
-    r22 = rcond_estimate(tt.t22)
-    r11 = rcond_estimate(tt.t11)
-    return CPScanEntry(tuple(sites), r22, r11, r22 >= rcond_tol, r11 >= rcond_tol)
+def _cp_entries(t: TransferMatrix, rcond_tol: float, max_exhaustive: int):
+    """Lazily yield the entries of :func:`cp_scan`, in its order.
+
+    The permuted diagonal blocks are read off ``t`` by index permutation,
+    which is exact, so no permuted transfer matrix is built.
+    """
+    L = t.L
+
+    def entry(sites) -> CPScanEntry:
+        idx = _cp_index(L, sites)
+        r22 = rcond_estimate(t.t[np.ix_(idx[L:], idx[L:])])
+        r11 = rcond_estimate(t.t[np.ix_(idx[:L], idx[:L])])
+        return CPScanEntry(tuple(sites), r22, r11, r22 >= rcond_tol, r11 >= rcond_tol)
+
+    if L <= max_exhaustive:
+        for size in range(L + 1):
+            for sites in combinations(range(1, L + 1), size):
+                yield entry(sites)
+        return
+    # greedy mode
+    last = entry(())
+    yield last
+    current: tuple[int, ...] = ()
+    best = max(last.rcond_t22, last.rcond_t11)
+    while not (last.t22_invertible or last.t11_invertible):
+        candidates = [entry(tuple(sorted(current + (s,))))
+                      for s in range(1, L + 1) if s not in current]
+        if not candidates:
+            return
+        last = max(candidates, key=lambda e: max(e.rcond_t22, e.rcond_t11))
+        if max(last.rcond_t22, last.rcond_t11) <= best:
+            return
+        best = max(last.rcond_t22, last.rcond_t11)
+        current = last.sites
+        yield last
 
 
-def cp_scan(t: TransferMatrix, rcond_tol: float = RCOND_TOL, max_exhaustive: int = 20):
+def cp_scan(t: TransferMatrix, rcond_tol: float = RCOND_TOL,
+            max_exhaustive: int = CP_EXHAUSTIVE_MAX):
     """Invertibility report for every site subset (exhaustive for L <= 20).
 
     Entries are ordered by subset size, then lexicographically.  Above the
@@ -326,38 +360,14 @@ def cp_scan(t: TransferMatrix, rcond_tol: float = RCOND_TOL, max_exhaustive: int
     restores invertibility, the decomposition simply does not exist in any
     particle-hole picture.
     """
-    L = t.L
-    if L <= max_exhaustive:
-        entries = []
-        for size in range(L + 1):
-            for sites in combinations(range(1, L + 1), size):
-                entries.append(_scan_entry(t, sites, rcond_tol))
-        return entries
-    # greedy mode
-    entries = [_scan_entry(t, (), rcond_tol)]
-    current: tuple[int, ...] = ()
-    best = max(entries[0].rcond_t22, entries[0].rcond_t11)
-    while not (entries[-1].t22_invertible or entries[-1].t11_invertible):
-        candidates = [
-            _scan_entry(t, tuple(sorted(current + (s,))), rcond_tol)
-            for s in range(1, L + 1)
-            if s not in current
-        ]
-        if not candidates:
-            break
-        nxt = max(candidates, key=lambda e: max(e.rcond_t22, e.rcond_t11))
-        if max(nxt.rcond_t22, nxt.rcond_t11) <= best:
-            break
-        best = max(nxt.rcond_t22, nxt.rcond_t11)
-        current = nxt.sites
-        entries.append(nxt)
-    return entries
+    return list(_cp_entries(t, rcond_tol, max_exhaustive))
 
 
 def cp_suggestions(t: TransferMatrix, rcond_tol: float = RCOND_TOL, limit: int = 6):
-    """Smallest site subsets whose permuted T22 is invertible."""
-    out = [e.sites for e in cp_scan(t, rcond_tol) if e.t22_invertible]
-    return out[:limit]
+    """The first ``limit`` site subsets, in :func:`cp_scan` order, whose
+    permuted T22 is invertible; the search stops once they are found."""
+    restoring = (e.sites for e in _cp_entries(t, rcond_tol, CP_EXHAUSTIVE_MAX) if e.t22_invertible)
+    return list(islice(restoring, limit))
 
 
 def random_generator(L: int, seed, scale: float = 1.0) -> QuadraticGenerator:

@@ -122,6 +122,8 @@ def test_overlap_epsilon_on_singular(singular_op_file, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["method"] == "epsilon-regularized"
+    assert [(e["route"], e["accepted"]) for e in doc["route"]] == \
+        [("pfaffian", False), ("epsilon", True)]
     assert abs(complex(*doc["results"]["value"])) < 1e-6  # cos(pi/2) = 0
 
 
@@ -132,6 +134,22 @@ def test_overlap_cp_magnitude(singular_op_file, capsys):
     doc = json.loads(out)
     assert doc["method"] == "cp-magnitude" and doc["sign_certain"] is False
     assert abs(complex(*doc["results"]["value"]) - 1.0) < 1e-9  # |cos - 1| at pi/2
+
+
+def test_overlap_cp_magnitude_with_linear_parts(linear_op_file, capsys):
+    code, out, _ = run(capsys, "overlap", "--op", linear_op_file, "--bra", "10",
+                       "--ket", "00", "--cp-magnitude", "--verify")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["method"] == "cp-magnitude" and doc["sign_certain"] is False
+    assert [e["route"] for e in doc["route"]] == ["cp-magnitude"]
+    assert doc["results"]["oracle_deviation"] < 1e-10
+
+
+def test_overlap_exhausted_rescue_chain_exit_code(tmp_path, capsys):
+    op = write_operator(tmp_path / "large.json", random_generator(8, 0, scale=30).m)
+    code, _, err = run(capsys, "overlap", "--op", op, "--bra", "0" * 8, "--ket", "0" * 8)
+    assert code == 2 and "no site subset" in err
 
 
 def test_correlate_trivial(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fermigauss import overlaps
 from fermigauss.configs import FockConfig
 from fermigauss.correlators import (
     CorrelatorContext,
@@ -195,6 +196,30 @@ class TestNPoint:
             n_point(ctx, ops)
         assert err.value.n_factors == 2
         assert np.isfinite(err.value.unnormalized)
+
+
+    def test_epsilon_route_at_singular_point(self, oracle, monkeypatch):
+        # at a = pi/2 the composed T22 is singular for every configuration
+        # pair, so each value below comes from the perturbative route
+        calls = []
+        orig = overlaps._epsilon_extrapolate
+        monkeypatch.setattr(overlaps, "_epsilon_extrapolate",
+                            lambda *a: calls.append(a) or orig(*a))
+        orc = oracle(3)
+        gen = QuadraticGenerator(worked_example_m(np.pi / 2))
+        cases = [
+            ("100", "101", "cd1"),
+            ("001", "001", "c2 cd3"),
+            ("010", "010", "c1 cd2 c3 cd3"),
+        ]
+        for bra, ket, string in cases:
+            ctx = CorrelatorContext(gen, QuadraticGenerator.zero(3),
+                                    FockConfig.from_string(bra), FockConfig.from_string(ket))
+            ops = parse_mode_string(string)
+            ref = oracle_value(ctx, ops, orc)
+            assert abs(ref) > 0.5
+            assert abs(n_point(ctx, ops) - ref) < 1e-8
+        assert len(calls) == len(cases)
 
 
 class TestGeneralized:

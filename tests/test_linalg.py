@@ -3,9 +3,7 @@ import pytest
 
 from fermigauss.linalg import (
     MatrixLogBranchError,
-    SingularBlockError,
     SkewSymmetryError,
-    block_ldu,
     mat_exp,
     mat_log,
     pfaffian,
@@ -141,22 +139,8 @@ class TestPfaffian:
 
 
 class TestBlockLDU:
-    def test_identity(self):
-        lo, d, up = block_ldu(np.eye(6))
-        for f in (lo, d, up):
-            assert np.array_equal(f, np.eye(6))
-
-    @pytest.mark.parametrize("pivot", ["lower", "upper"])
-    def test_worked_example_reassembly(self, pivot):
-        t = worked_example_t(0.7)
-        lo, d, up = block_ldu(t, pivot=pivot)
-        assert np.max(np.abs(lo @ d @ up - t)) < 1e-12
-
-    def test_singular_pivot(self):
-        t = worked_example_t(np.pi / 2)
-        with pytest.raises(SingularBlockError) as err:
-            block_ldu(t, pivot="lower")
-        assert err.value.rcond < 1e-12
+    """The pivot-block invertibility test of the block LDU factorizations
+    (``bbd_normal``/``bbd_antinormal``, the overlap kernel, the cp scan)."""
 
     def test_rcond_estimate(self):
         assert rcond_estimate(np.eye(3)) == pytest.approx(1.0)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fermigauss import fock
-from fermigauss.configs import FockConfig
 from fermigauss.linearpart import (
     LinearGaussianOp,
     SINGLE_MODE_ORDERS,
@@ -13,7 +12,6 @@ from fermigauss.linearpart import (
     factor_orderings,
     factors_as_ops,
     generalized_bbd,
-    project_config,
     single_mode_factor_matrix,
     single_mode_op,
     split_extended_transfer,
@@ -289,10 +287,3 @@ class TestComposeLinear:
         res = compose_linear(op, op)
         assert not res.generator_available and res.op is None
 
-
-def test_project_config():
-    cfg = FockConfig((0, 1, 1))
-    pc = project_config(cfg)
-    assert pc.weight == pytest.approx(1 / np.sqrt(2))
-    assert pc.ancilla_empty.bits == (0, 0, 1, 1)
-    assert pc.ancilla_occupied.bits == (1, 0, 1, 1)

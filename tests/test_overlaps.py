@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
+from fermigauss import overlaps
 from fermigauss.configs import FockConfig
-from fermigauss.linalg import SingularBlockError, pfaffian
+from fermigauss.linalg import SingularBlockError, mat_exp, pfaffian
 from fermigauss.linearpart import LinearGaussianOp, single_mode_op
 from fermigauss.overlaps import (
+    ROUTES,
     OverlapKernel,
     compose_bra_ket,
     generalized_overlap,
     grassmann_reduced_pfaffian,
     overlap,
-    overlap_epsilon,
     overlap_magnitude_cp,
     pair_kernel,
     pair_state_amplitude,
@@ -110,15 +111,15 @@ class TestSingularFallbacks:
         gen = QuadraticGenerator(worked_example_m(0.7))
         bra, ket = FockConfig((0, 0, 0)), FockConfig((1, 1, 0))
         direct = overlap(gen, bra, ket)
-        eps = overlap_epsilon(gen, bra, ket)
+        eps = overlap(gen, bra, ket, method="epsilon")
         assert direct.method == "pfaffian"
         assert abs(direct.value - eps.value) < 1e-8
 
     def test_epsilon_schedule_refinement(self):
         gen = QuadraticGenerator(worked_example_m(np.pi / 2))
         bra = ket = FockConfig((0, 0, 0))
-        coarse = overlap_epsilon(gen, bra, ket, schedule=(1e-4, 5e-5))
-        fine = overlap_epsilon(gen, bra, ket, schedule=(5e-5, 2.5e-5))
+        coarse = overlap(gen, bra, ket, method="epsilon", eps_schedule=(1e-4, 5e-5))
+        fine = overlap(gen, bra, ket, method="epsilon", eps_schedule=(5e-5, 2.5e-5))
         assert abs(coarse.value - fine.value) < 1e-7
         assert coarse.diagnostics["eps_seed"] == fine.diagnostics["eps_seed"]
 
@@ -168,7 +169,7 @@ class TestSingularFallbacks:
         bra, ket = FockConfig((0, 0, 0)), FockConfig((1, 0, 1))
         vals = {
             "pfaffian": overlap(gen, bra, ket).value,
-            "epsilon": overlap_epsilon(gen, bra, ket).value,
+            "epsilon": overlap(gen, bra, ket, method="epsilon").value,
             "cp": overlap_magnitude_cp(transfer_of(gen), bra, ket).value,
         }
         assert abs(vals["pfaffian"] - vals["epsilon"]) < 1e-7
@@ -294,3 +295,57 @@ def test_no_restoring_subset_raises():
     t = transfer_of(g)
     with pytest.raises(SingularBlockError):
         overlap_magnitude_cp(t, FockConfig((0, 0)), FockConfig((0, 0)), rcond_tol=2.0)
+
+
+def rejected_everywhere(err) -> bool:
+    return ([e["route"] for e in err.value.route] == list(ROUTES)
+            and not any(e["accepted"] for e in err.value.route))
+
+
+class TestRescueChain:
+    def test_route_records_each_attempt(self):
+        gen = QuadraticGenerator(worked_example_m(np.pi / 2))
+        vac = FockConfig.vacuum(3)
+        res = overlap(gen, vac, vac)
+        assert [(e["route"], e["accepted"]) for e in res.route] == \
+            [("pfaffian", False), ("epsilon", True)]
+        assert res.route[0]["reason"] == "rcond" and res.route[0]["rcond"] < 1e-12
+        assert res.route[1]["eps_disagreement"] == res.diagnostics["eps_disagreement"]
+        regular = overlap(QuadraticGenerator(worked_example_m(0.7)), vac, vac)
+        assert regular.route == [{"route": "pfaffian", "accepted": True,
+                                  "rcond": regular.diagnostics["rcond"], "sign_certain": True}]
+
+    def test_rcond_tol_held_on_every_route(self):
+        gen = QuadraticGenerator(worked_example_m(np.pi / 2))
+        vac = FockConfig.vacuum(3)
+        with pytest.raises(SingularBlockError) as err:
+            overlap(gen, vac, vac, rcond_tol=2.0)
+        assert rejected_everywhere(err)
+        with pytest.raises(SingularBlockError) as err:
+            state_overlap(gen, QuadraticGenerator.zero(3), vac, vac, rcond_tol=2.0)
+        assert rejected_everywhere(err)
+
+    def test_no_exception_escapes_epsilon_route(self):
+        # every perturbed kernel of this large-norm operator fails the
+        # relative rcond test; the chain must still reach the cp route
+        g = random_generator(8, 0, scale=30)
+        vac = FockConfig.vacuum(8)
+        with pytest.raises(SingularBlockError) as err:
+            state_overlap(g, QuadraticGenerator.zero(8), vac, vac)
+        assert rejected_everywhere(err)
+        assert err.value.route[1]["reason"] == "rcond"
+
+    def test_forced_pfaffian_rejects_before_sign_tracking(self, monkeypatch):
+        calls = []
+
+        def counting(a):
+            calls.append(a)
+            return mat_exp(a)
+
+        monkeypatch.setattr(overlaps, "mat_exp", counting)
+        gen = QuadraticGenerator(worked_example_m(np.pi / 2))
+        vac = FockConfig.vacuum(3)
+        with pytest.raises(SingularBlockError) as err:
+            overlap(gen, vac, vac, method="pfaffian")
+        assert len(calls) == 1
+        assert [e["route"] for e in err.value.route] == ["pfaffian"]

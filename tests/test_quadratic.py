@@ -13,6 +13,7 @@ from fermigauss.quadratic import (
     cp_apply_transfer,
     cp_matrix,
     cp_scan,
+    cp_suggestions,
     cp_transform,
     j_matrix,
     random_generator,
@@ -204,6 +205,16 @@ def pair_rotation_generator(L: int, a: float, sites=(1, 2)) -> QuadraticGenerato
     return QuadraticGenerator(m)
 
 
+def rotation_plus_sector(L: int, rng) -> QuadraticGenerator:
+    """Direct sum of a singular two-site rotation and a generic sector."""
+    g_good = random_generator(L, rng, 0.3)
+    mask = np.zeros((2 * L, 2 * L))
+    for blk_r in (0, L):
+        for blk_c in (0, L):
+            mask[blk_r + 2: blk_r + L, blk_c + 2: blk_c + L] = 1.0
+    return QuadraticGenerator(pair_rotation_generator(L, np.pi / 2).m + g_good.m * mask)
+
+
 class TestCanonicalPermutations:
     def test_empty_subset_is_identity(self):
         g = random_generator(3, 51, 0.5)
@@ -249,16 +260,7 @@ class TestCanonicalPermutations:
         assert fac.prefactor == pytest.approx(1.0, abs=1e-12)
 
     def test_engineered_rank_deficiency_restored(self):
-        # direct sum of a singular two-site rotation and a generic sector
-        rng = np.random.default_rng(53)
-        g_bad = pair_rotation_generator(4, np.pi / 2, sites=(1, 2))
-        g_good = random_generator(4, rng, 0.3)
-        mask = np.zeros((8, 8))
-        for blk_r in (0, 4):
-            for blk_c in (0, 4):
-                mask[blk_r + 2: blk_r + 4, blk_c + 2: blk_c + 4] = 1.0
-        g = QuadraticGenerator(g_bad.m + g_good.m * mask)
-        t = transfer_of(g)
+        t = transfer_of(rotation_plus_sector(4, np.random.default_rng(53)))
         from fermigauss.linalg import rcond_estimate
         assert rcond_estimate(t.t22) < 1e-12
         restoring = [e for e in cp_scan(t) if e.t22_invertible]
@@ -266,6 +268,15 @@ class TestCanonicalPermutations:
         best = restoring[0]
         tt = cp_apply_transfer(t, best.sites)
         assert rcond_estimate(tt.t22) >= 1e-12
+
+    def test_greedy_scan_restores_t22(self):
+        # above the exhaustive cap the scan adds one site per step
+        t = transfer_of(rotation_plus_sector(21, np.random.default_rng(57)))
+        entries = cp_scan(t)
+        assert entries[0].sites == () and not entries[0].t22_invertible
+        assert entries[-1].t22_invertible and len(entries[-1].sites) == 1
+        assert all(len(e.sites) == k for k, e in enumerate(entries))
+        assert cp_suggestions(t) == [entries[-1].sites]
 
     def test_transform_consistent_with_transfer(self):
         g = random_generator(3, 54, 0.6)
