@@ -258,8 +258,9 @@ class CorrelatorContext:
     ``op1`` generates the ket state from configuration ``ket``; ``op2`` the
     bra state from ``bra``.  Both may carry linear parts; the purely
     quadratic formulas demand both be quadratic.  When the composed T22 is
-    singular, evaluations transparently switch to the perturbative
-    continuation of the ket-side generator.
+    singular, or the sign of its det(T22)^(1/2) cannot be tracked,
+    evaluations transparently switch to the perturbative continuation of
+    the ket-side generator.
     """
 
     def __init__(self, op1, op2, bra: FockConfig, ket: FockConfig, *,
@@ -281,6 +282,8 @@ class CorrelatorContext:
         # unperturbed engine per sector (False: quadratic, True: extended),
         # or the SingularBlockError that building it raised
         self._engines: dict = {}
+        # bra-side adjoint generator per sector
+        self._m2dag: dict = {}
 
     @property
     def L(self) -> int:
@@ -293,9 +296,11 @@ class CorrelatorContext:
     def _engine(self, extended: bool, delta, rcond_tol: float) -> _Engine:
         op1 = self.op1 if delta is None else LinearGaussianOp(
             self.op1.m + delta, self.op1.u, self.op1.v)
-        if extended:
-            return _Engine(embed(op1).m, embed(self.op2).m.conj().T, rcond_tol)
-        return _Engine(op1.m, self.op2.m.conj().T, rcond_tol)
+        if extended not in self._m2dag:
+            op2 = embed(self.op2) if extended else self.op2
+            self._m2dag[extended] = op2.m.conj().T
+        m1 = embed(op1).m if extended else op1.m
+        return _Engine(m1, self._m2dag[extended], rcond_tol)
 
     def _eval(self, fn, extended: bool = False) -> complex:
         """``fn(engine)`` through the overlap rescue chain, quadratic or

@@ -21,6 +21,7 @@ each attempt in the result's ``route``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -249,12 +250,13 @@ def _quadratic_overlap(m1, m2dag, transfer, bra: FockConfig, ket: FockConfig,
                        **options) -> OverlapResult:
     """<J| exp(M2^dag) exp(M1) |I> through the rescue chain.
 
-    ``transfer()`` gives the composed transfer matrix.  ``m1`` is None when
+    ``transfer()`` gives the composed transfer matrix; it runs at most once.  ``m1`` is None when
     only that transfer is known: the sign then comes from the principal
     branch and the epsilon route is unavailable.
     """
     if (bra.n_occupied + ket.n_occupied) % 2:
         return OverlapResult(complex(0.0), "pfaffian", True, {"parity_zero": True})
+    transfer = functools.cache(transfer)
     if m1 is None:
         def kernel_at(delta, tol):
             return OverlapKernel(transfer(), tol)
@@ -375,12 +377,11 @@ def overlap_magnitude_cp(composed, bra: FockConfig, ket: FockConfig, *,
 def generalized_overlap(op1: LinearGaussianOp, op2: LinearGaussianOp,
                         bra: FockConfig, ket: FockConfig, *,
                         method: str = "auto",
-                        rcond_tol: float = RCOND_TOL,
                         eps_schedule=EPS_SCHEDULE,
                         eps_seed: int = EPS_SEED) -> OverlapResult:
     """<(M2,u2,v2)(J) | (M1,u1,v1)(I)> via the ancilla embedding.
 
-    Takes the same methods as :func:`overlap`.  The bra ancilla is always
+    Takes the same methods as :func:`overlap`, at the default rcond_tol.  The bra ancilla is always
     empty; the ket ancilla carries the parity mismatch of the two
     configurations.  There is no parity short-circuit here: opposite-parity
     overlaps are generally nonzero once linear terms are present (they
@@ -400,7 +401,7 @@ def generalized_overlap(op1: LinearGaussianOp, op2: LinearGaussianOp,
         return compose_bra_ket(embed(op2), embed(op1)), bra_e, ket_e
 
     return _dispatch(kernel_at, lambda k: k.element(bra_e, ket_e), op1.L, cp,
-                     method=method, rcond_tol=rcond_tol,
+                     method=method, rcond_tol=RCOND_TOL,
                      eps_schedule=eps_schedule, eps_seed=eps_seed)
 
 

@@ -221,6 +221,29 @@ class TestNPoint:
             assert abs(n_point(ctx, ops) - ref) < 1e-8
         assert len(calls) == len(cases)
 
+    def test_uncertain_sign_takes_epsilon_route(self, oracle, monkeypatch):
+        # a Pfaffian prefactor whose sign cannot be tracked is rejected, as
+        # in overlap(); the value then comes from the perturbative route
+        calls = []
+        orig_eps = overlaps._epsilon_extrapolate
+        orig_sqrt = overlaps.sqrt_det_continuous
+        monkeypatch.setattr(overlaps, "_epsilon_extrapolate",
+                            lambda *a: calls.append(a) or orig_eps(*a))
+        monkeypatch.setattr(overlaps, "sqrt_det_continuous",
+                            lambda path: (orig_sqrt(path)[0], False))
+        rng = np.random.default_rng(907)
+        orc = oracle(3)
+        ctx = quad_ctx(rng, 3, bra=FockConfig.from_string("110"),
+                       ket=FockConfig.from_string("011"))
+        strings = ("c1 cd2", "cd1 c3")
+        for string in strings:
+            ops = parse_mode_string(string)
+            ref = oracle_value(ctx, ops, orc)
+            assert abs(ref) > 0.1
+            assert abs(n_point(ctx, ops) - ref) < 1e-8
+        assert len(calls) == len(strings)
+        assert ctx._engines[False].sign_certain is False  # built once, kept
+
 
 class TestGeneralized:
     def test_reduces_to_quadratic_path(self):
