@@ -471,9 +471,9 @@ def cmd_verify(args) -> int:
     record("admissibility", skew_defect(
         np.block([[np.zeros((L, L)), np.eye(L)], [np.eye(L), np.zeros((L, L))]]) @ op.m), 1e-10)
 
-    gen = QuadraticGenerator(op.m) if op.is_quadratic else None
-    t = transfer_of(QuadraticGenerator(op.m)) if op.is_quadratic else None
     if op.is_quadratic:
+        gen = QuadraticGenerator(op.m)
+        t = transfer_of(gen)
         record("transfer_j_orthogonality", t.j_defect(), 1e-10)
         record("transfer_det_unimodular", abs(abs(np.linalg.det(t.t)) - 1.0), 1e-8)
 
@@ -487,7 +487,6 @@ def cmd_verify(args) -> int:
         record("matrix_elements_vs_oracle", dev, 1e-9)
 
         try:
-            fac = bbd_normal(t)
             ops_f = factors_as_ops(
                 generalized_bbd(LinearGaussianOp.quadratic(gen)))
             prod = np.eye(dim, dtype=complex)

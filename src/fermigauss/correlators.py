@@ -6,9 +6,9 @@ acting with the resulting bare operators on the configuration (with the
 usual string signs) and applying the Pfaffian overlap formula to the
 modified configuration.  Higher even-point functions reduce to the
 Pfaffian of the matrix of two-point values divided by the overlap once
-per extra pair; odd-point functions with opposite-parity configurations
-are rewritten by pulling one mode operator out of the ket configuration
-through the inverse transfer matrix.
+per extra pair; odd-point functions, whose configurations have opposite
+parities, are expanded the same way as a whole string, which never
+divides by an overlap.
 
 With linear terms present, every string maps into the ancilla-extended
 space: products of substituted operators collapse pairwise, so an even
@@ -27,10 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .configs import FockConfig, apply_mode
-from .linalg import RCOND_TOL, SingularBlockError, mat_exp
+from .linalg import RCOND_TOL, SingularBlockError, mat_exp, pfaffian
 from .linearpart import LinearGaussianOp, embed
 from .overlaps import EPS_SCHEDULE, EPS_SEED, _dispatch, pair_kernel
-from .quadratic import QuadraticGenerator, j_matrix
+from .quadratic import QuadraticGenerator
 
 #: relative threshold below which the normalizing overlap counts as zero
 ZERO_OVERLAP_TOL = 1e-13
@@ -114,8 +114,6 @@ class _Engine:
         self.rcond = self.kern.rcond
         self.sign_certain = self.kern.sign_certain
         self.t1 = mat_exp(m1)
-        j = j_matrix(self.L)
-        self.t1inv = j @ self.t1.T @ j
         self._elements: dict = {}
         self._two_points: dict = {}
 
@@ -132,16 +130,8 @@ class _Engine:
         return self.t1[r, : self.L], self.t1[r, self.L:]
 
     def one_point(self, op: ModeOp, bra_bits, ket_bits) -> complex:
-        cc, cd = self._coeff_rows(op)
-        total = complex(0.0)
-        for k in range(self.L):
-            for dag, coeff in ((False, cc[k]), (True, cd[k])):
-                if coeff == 0.0:
-                    continue
-                s, nb = apply_mode(ket_bits, k + 1, dag)
-                if s:
-                    total += coeff * s * self.element(bra_bits, nb)
-        return total
+        """The length-1 case of :meth:`string_element`."""
+        return self.string_element((op,), bra_bits, ket_bits)
 
     def two_point(self, op_a: ModeOp, op_b: ModeOp, bra_bits, ket_bits) -> complex:
         key = (op_a, op_b, bra_bits, ket_bits)
@@ -183,7 +173,6 @@ class _Engine:
         return self._odd_reduction(ops, bra_bits, ket_bits)
 
     def _wick_even(self, ops, bra_bits, ket_bits) -> complex:
-        from .linalg import pfaffian
         n = len(ops)
         g = np.zeros((n, n), dtype=complex)
         for a in range(n):
@@ -236,20 +225,10 @@ class _Engine:
         return expand(len(ops), ket_bits)
 
     def _odd_reduction(self, ops, bra_bits, ket_bits) -> complex:
-        # pull one mode operator out of the ket configuration at site 1:
-        # |I> = c1^dag |I'> when occupied, |I> = c1 |I'> when empty (sign +1)
-        occupied = bool(ket_bits[0])
-        new_bits = (1 - ket_bits[0],) + ket_bits[1:]
-        row = self.t1inv[self.L if occupied else 0, :]
-        total = complex(0.0)
-        for j in range(self.L):
-            if row[j] != 0.0:
-                total += row[j] * self.n_point(
-                    tuple(ops) + (ModeOp(j + 1, False),), bra_bits, new_bits)
-            if row[self.L + j] != 0.0:
-                total += row[self.L + j] * self.n_point(
-                    tuple(ops) + (ModeOp(j + 1, True),), bra_bits, new_bits)
-        return total
+        """Odd strings of length 3 or more: :meth:`string_element`, which
+        never divides by an overlap.  ``bench/tracing.py`` times this method
+        and :meth:`one_point` by name."""
+        return self.string_element(ops, bra_bits, ket_bits)
 
 
 class CorrelatorContext:
@@ -360,9 +339,9 @@ def n_point(ctx: CorrelatorContext, ops) -> complex:
     """Wick evaluation of an arbitrary operator string (quadratic sector).
 
     Even same-parity strings: Pfaffian of the two-point matrix divided by
-    the overlap once per extra pair.  Odd opposite-parity strings: one mode
-    operator is pulled out of the ket configuration through exp(-M1) and
-    the even machinery applies.  Parity-forbidden strings are exact zeros.
+    the overlap once per extra pair.  Odd opposite-parity strings: direct
+    expansion of the whole string through the ket-side transfer matrix,
+    with no normalization.  Parity-forbidden strings are exact zeros.
 
     Raises :class:`ZeroOverlapError` when the normalization would divide
     by a vanishing overlap; the unnormalized pairing sum rides along.

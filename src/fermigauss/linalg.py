@@ -67,15 +67,20 @@ def mat_log(t: np.ndarray) -> np.ndarray:
     t = _as_square(t)
     if t.size == 0:
         return t.copy()
-    eigs = np.linalg.eigvals(t)
+    _check_principal_branch(np.linalg.eigvals(t))
+    out = scipy.linalg.logm(t)
+    return np.asarray(out, dtype=complex)
+
+
+def _check_principal_branch(eigs: np.ndarray) -> None:
+    """Raise :class:`MatrixLogBranchError` unless every eigenvalue lies off
+    the closed negative real axis, where the principal branch is defined."""
     scale = max(1.0, float(np.max(np.abs(eigs))))
     for lam in eigs:
         if abs(lam) <= 1e-14 * scale:
             raise MatrixLogBranchError(f"matrix is singular (eigenvalue {lam})")
         if lam.real < 0 and abs(lam.imag) <= 1e-12 * abs(lam):
             raise MatrixLogBranchError(f"eigenvalue {lam} on the negative real axis")
-    out = scipy.linalg.logm(t)
-    return np.asarray(out, dtype=complex)
 
 
 def rcond_estimate(a: np.ndarray) -> float:
@@ -146,44 +151,49 @@ def pfaffian(a: np.ndarray, tol: float = SKEW_TOL) -> complex:
 
 
 def sqrt_det_via_log(a: np.ndarray):
-    """det(a)^(1/2) with the branch fixed by the principal matrix logarithm.
+    """det(a)^(1/2) on the branch of the principal matrix logarithm.
 
     Returns ``(value, sign_certain)``.  When the principal log exists the
-    value is ``exp(tr log(a) / 2)`` and the sign is determined; otherwise
-    falls back to the principal square root of the scalar determinant,
-    flagged as sign-ambiguous.  Note the principal branch need not be the
-    physically continuous one; use :func:`sqrt_det_continuous` when a path
-    from the identity is available.
+    value is ``exp(tr log(a) / 2)``, computed as the product of the
+    principal square roots of the eigenvalues, and the sign is determined;
+    otherwise falls back to the principal square root of the scalar
+    determinant, flagged as sign-ambiguous.  Note the principal branch need
+    not be the physically continuous one; use :func:`sqrt_det_continuous`
+    when a path from the identity is available.
     """
     a = _as_square(a)
     if a.shape[0] == 0:
         return complex(1.0), True
+    eigs = np.linalg.eigvals(a)
     try:
-        return complex(np.exp(0.5 * np.trace(mat_log(a)))), True
+        _check_principal_branch(eigs)
     except MatrixLogBranchError:
-        det = complex(np.linalg.det(a))
-        return complex(np.sqrt(det)), False
+        return complex(np.sqrt(np.prod(eigs))), False
+    return complex(np.prod(np.sqrt(eigs))), True
 
 
-def sqrt_det_continuous(mat_at, steps: int = 12, max_refine: int = 5):
-    """det(mat_at(1))^(1/2), branch fixed by continuity from mat_at(0) = I.
+def sqrt_det_continuous(mat_at, end, steps: int = 12, max_refine: int = 5):
+    """det(end)^(1/2), branch fixed by continuity from mat_at(0) = I to mat_at(1) = end.
 
-    ``mat_at`` must be holomorphic in its complex argument.  The argument
-    of the determinant is accumulated along a path from 0 to 1; when the
-    determinant nearly vanishes on the real segment, slight complex
-    detours are tried (zeros of a holomorphic function are isolated).
-    Returns ``(value, sign_certain)``; falls back to the principal-branch
-    value, flagged uncertain, if no path resolves the winding.
+    ``mat_at`` must be holomorphic in its complex argument; it is evaluated
+    at interior path points only, since the determinant is 1 at s = 0 and
+    det(end) at s = 1.  The argument of the determinant is accumulated along
+    a path from 0 to 1; when the determinant nearly vanishes on the real
+    segment, slight complex detours are tried (zeros of a holomorphic
+    function are isolated).  Returns ``(value, sign_certain)``; falls back
+    to the principal-branch value of ``end``, flagged uncertain, if no path
+    resolves the winding.
     """
-    target = complex(np.linalg.det(np.asarray(mat_at(1.0), dtype=complex)))
+    end = np.asarray(end, dtype=complex)
+    target = complex(np.linalg.det(end))
     for bulge in (0.0, 0.03, 0.11, 0.31):
         n = steps
         for _ in range(max_refine):
             taus = np.linspace(0.0, 1.0, n + 1)
             svals = taus + 1j * bulge * taus * (1.0 - taus)
-            dets = np.array([
-                np.linalg.det(np.asarray(mat_at(s), dtype=complex)) for s in svals
-            ])
+            dets = np.array([1.0] + [
+                np.linalg.det(np.asarray(mat_at(s), dtype=complex)) for s in svals[1:-1]
+            ] + [target])
             if np.min(np.abs(dets)) <= 1e-13 * max(1.0, abs(target)):
                 break  # path runs (nearly) through a zero; take a detour
             incs = np.angle(dets[1:] / dets[:-1])
@@ -191,4 +201,4 @@ def sqrt_det_continuous(mat_at, steps: int = 12, max_refine: int = 5):
                 arg = float(np.sum(incs))
                 return complex(np.sqrt(abs(target)) * np.exp(0.5j * arg)), True
             n *= 2
-    return sqrt_det_via_log(np.asarray(mat_at(1.0), dtype=complex))
+    return sqrt_det_via_log(end)

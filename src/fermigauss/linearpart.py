@@ -19,23 +19,17 @@ transformation describing ``F^-1 c F`` (linear + quadratic + constant).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    RCOND_TOL,
-    SKEW_TOL,
-    MatrixLogBranchError,
-    SingularBlockError,
-    mat_log,
-    rcond_estimate,
-    skew_defect,
-    sqrt_det_via_log,
-)
+from .linalg import RCOND_TOL, SKEW_TOL, MatrixLogBranchError, mat_log
 from .quadratic import (
     QuadraticGenerator,
     TransferMatrix,
+    _normal_factors,
+    _principal_y,
     admissibility_defect,
     transfer_of,
 )
@@ -253,30 +247,25 @@ class GeneralizedFactored:
     z: np.ndarray
     p: np.ndarray
     prefactor: complex
-    y: np.ndarray | None = None
     sign_certain: bool = True
     rcond: float = 1.0
+
+    y = functools.cached_property(_principal_y)
 
 
 def generalized_bbd_from_transfer(tp: TransferMatrix,
                                   rcond_tol: float = RCOND_TOL) -> GeneralizedFactored:
-    """Five-factor data from an (already composed) extended transfer matrix."""
+    """Five-factor data from an (already composed) extended transfer matrix.
+
+    The normal factorization of the physical blocks, with the rank-one
+    corrections of the linear factors subtracted from X and Z.
+    """
     parts = split_extended_transfer(tp)
-    t22 = parts.q22
-    rc = rcond_estimate(t22)
-    if rc < rcond_tol:
-        raise SingularBlockError("embedded T22 not invertible", rc)
-    p = np.linalg.solve(t22, parts.t4)
-    q = np.linalg.solve(t22.T, parts.t2)  # row vector t2^T T22^-1, stored as 1-D
-    x = np.linalg.solve(t22.T, parts.q12.T).T - np.outer(q, q)
-    z = np.linalg.solve(t22, parts.q21) - np.outer(p, p)
-    exp_y = np.linalg.inv(t22.T)
-    try:
-        y = -mat_log(t22.T)
-    except MatrixLogBranchError:
-        y = None
-    prefactor, sign_certain = sqrt_det_via_log(t22)
-    return GeneralizedFactored(q, x, exp_y, z, p, prefactor, y, sign_certain, rc)
+    fac = _normal_factors(parts.q12, parts.q21, parts.q22, rcond_tol)
+    q = fac.exp_y @ parts.t2      # row vector t2^T T22^-1, stored as 1-D
+    p = fac.exp_y.T @ parts.t4    # T22^-1 t4
+    return GeneralizedFactored(q, fac.x - np.outer(q, q), fac.exp_y, fac.z - np.outer(p, p), p,
+                               fac.prefactor, fac.sign_certain, fac.rcond)
 
 
 def generalized_bbd(op: LinearGaussianOp, rcond_tol: float = RCOND_TOL) -> GeneralizedFactored:

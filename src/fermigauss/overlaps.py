@@ -34,14 +34,13 @@ from .linalg import (
     check_skew,
     mat_exp,
     pfaffian,
-    rcond_estimate,
     sqrt_det_continuous,
-    sqrt_det_via_log,
 )
 from .linearpart import LinearGaussianOp, embed
 from .quadratic import (
     QuadraticGenerator,
     TransferMatrix,
+    _normal_factors,
     cp_apply_transfer,
     cp_suggestions,
     random_generator,
@@ -104,17 +103,14 @@ class OverlapKernel:
 
     def __init__(self, t: TransferMatrix, rcond_tol: float = RCOND_TOL, path=None):
         self.L = t.L
-        self.rcond = rcond_estimate(t.t22)
-        if self.rcond < rcond_tol:
-            raise SingularBlockError("T22 not invertible", self.rcond)
-        x = np.linalg.solve(t.t22.T, t.t12.T).T
-        z = np.linalg.solve(t.t22, t.t21)
-        x = 0.5 * (x - x.T)
-        z = 0.5 * (z - z.T)
-        exp_y = np.linalg.inv(t.t22.T)
-        self.pairing = np.block([[x, exp_y], [-exp_y.T, z]])
+        fac = _normal_factors(t.t12, t.t21, t.t22, rcond_tol)
+        self.rcond = fac.rcond
+        x = 0.5 * (fac.x - fac.x.T)
+        z = 0.5 * (fac.z - fac.z.T)
+        self.pairing = np.block([[x, fac.exp_y], [-fac.exp_y.T, z]])
         self.prefactor, self.sign_certain = (
-            sqrt_det_via_log(t.t22) if path is None else sqrt_det_continuous(path))
+            (fac.prefactor, fac.sign_certain) if path is None
+            else sqrt_det_continuous(path, t.t22))
 
     def element(self, bra: FockConfig, ket: FockConfig) -> complex:
         """<J| F |I>; exact zero on parity mismatch."""

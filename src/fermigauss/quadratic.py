@@ -14,7 +14,8 @@ factorizations when a diagonal block of ``T`` is singular.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass, replace
 from itertools import combinations, islice
 
 import numpy as np
@@ -177,6 +178,20 @@ def compose_generators(g1: QuadraticGenerator, g2: QuadraticGenerator) -> Compos
     return ComposeResult(t, QuadraticGenerator(m), True)
 
 
+def _principal_y(fac) -> np.ndarray | None:
+    """Y = log(e^Y) on the principal branch, computed on first access.
+
+    None exactly when ``sign_certain`` is False or the principal log of
+    ``exp_y`` does not exist.
+    """
+    if not fac.sign_certain:
+        return None
+    try:
+        return mat_log(fac.exp_y)
+    except MatrixLogBranchError:
+        return None
+
+
 @dataclass(frozen=True)
 class FactoredGaussian:
     """Three-factor decomposition of a quadratic Gaussian operator.
@@ -199,43 +214,43 @@ class FactoredGaussian:
     exp_y: np.ndarray
     z: np.ndarray
     prefactor: complex
-    y: np.ndarray | None = None
     sign_certain: bool = True
     rcond: float = 1.0
+
+    y = functools.cached_property(_principal_y)
+
+
+def _normal_factors(t12: np.ndarray, t21: np.ndarray, t22: np.ndarray,
+                    rcond_tol: float) -> FactoredGaussian:
+    """Normal-ordered factor data of the blocks of a transfer matrix.
+
+    The one place that inverts the pivot block: X = T12 T22^-1,
+    Z = T22^-1 T21, exp(Y) = T22^-T and exp(-tr Y / 2) = det(T22)^(1/2)
+    on the principal branch.
+    """
+    rc = rcond_estimate(t22)
+    if rc < rcond_tol:
+        raise SingularBlockError("pivot block not invertible; try a canonical permutation", rc)
+    x = np.linalg.solve(t22.T, t12.T).T
+    z = np.linalg.solve(t22, t21)
+    exp_y = np.linalg.inv(t22.T)
+    prefactor, sign_certain = sqrt_det_via_log(t22)
+    return FactoredGaussian("normal", x, exp_y, z, prefactor, sign_certain, rc)
 
 
 def bbd_normal(t: TransferMatrix, rcond_tol: float = RCOND_TOL) -> FactoredGaussian:
     """Factorization with the creation-pair factor on the left (requires T22 invertible)."""
-    rc = rcond_estimate(t.t22)
-    if rc < rcond_tol:
-        raise SingularBlockError("T22 not invertible; try a canonical permutation", rc)
-    x = np.linalg.solve(t.t22.T, t.t12.T).T
-    z = np.linalg.solve(t.t22, t.t21)
-    exp_y = np.linalg.inv(t.t22.T)
-    try:
-        y = -mat_log(t.t22.T)
-    except MatrixLogBranchError:
-        y = None
-    # exp(-tr Y / 2) = det(T22)^(1/2); sign fixed by the principal log of T22
-    prefactor, sign_certain = sqrt_det_via_log(t.t22)
-    return FactoredGaussian("normal", x, exp_y, z, prefactor, y, sign_certain, rc)
+    return _normal_factors(t.t12, t.t21, t.t22, rcond_tol)
 
 
 def bbd_antinormal(t: TransferMatrix, rcond_tol: float = RCOND_TOL) -> FactoredGaussian:
-    """Factorization with the annihilation-pair factor on the left (requires T11 invertible)."""
-    rc = rcond_estimate(t.t11)
-    if rc < rcond_tol:
-        raise SingularBlockError("T11 not invertible; try a canonical permutation", rc)
-    x = np.linalg.solve(t.t11.T, t.t21.T).T
-    z = np.linalg.solve(t.t11, t.t12)
-    exp_y = t.t11.copy()
-    try:
-        y = mat_log(t.t11)
-    except MatrixLogBranchError:
-        y = None
-    # exp(-tr Y / 2) = det(T11)^(-1/2)
-    inv_pref, sign_certain = sqrt_det_via_log(t.t11)
-    return FactoredGaussian("antinormal", x, exp_y, z, 1.0 / inv_pref, y, sign_certain, rc)
+    """Factorization with the annihilation-pair factor on the left (requires T11 invertible).
+
+    This is the normal factorization of J T J, whose pivot block is T11;
+    the middle factor is exp(Y) = T11 and the prefactor det(T11)^(-1/2).
+    """
+    fac = _normal_factors(t.t21, t.t12, t.t11, rcond_tol)
+    return replace(fac, ordering="antinormal", exp_y=t.t11.copy(), prefactor=1.0 / fac.prefactor)
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,16 @@ class TestNPoint:
         assert err.value.n_factors == 2
         assert np.isfinite(err.value.unnormalized)
 
+    def test_odd_string_needs_no_normalization(self, oracle):
+        # <000|F|110> = 0 in the analytic example, but an odd string between
+        # 000 and 010 has a finite value and no overlap to divide by
+        gen = QuadraticGenerator(worked_example_m(0.7))
+        ctx = CorrelatorContext(gen, QuadraticGenerator.zero(3),
+                                FockConfig.from_string("000"), FockConfig.from_string("010"))
+        ops = parse_mode_string("c1 cd1 c2")
+        ref = oracle_value(ctx, ops, oracle(3))
+        assert abs(ref) > 0.5
+        assert abs(n_point(ctx, ops) - ref) < 1e-9
 
     def test_epsilon_route_at_singular_point(self, oracle, monkeypatch):
         # at a = pi/2 the composed T22 is singular for every configuration
@@ -230,7 +240,7 @@ class TestNPoint:
         monkeypatch.setattr(overlaps, "_epsilon_extrapolate",
                             lambda *a: calls.append(a) or orig_eps(*a))
         monkeypatch.setattr(overlaps, "sqrt_det_continuous",
-                            lambda path: (orig_sqrt(path)[0], False))
+                            lambda path, end: (orig_sqrt(path, end)[0], False))
         rng = np.random.default_rng(907)
         orc = oracle(3)
         ctx = quad_ctx(rng, 3, bra=FockConfig.from_string("110"),

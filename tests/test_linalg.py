@@ -157,7 +157,8 @@ class TestSqrtDet:
         # along s -> exp(2.4 i pi s) the determinant winds past the cut, so
         # the principal square root (+exp(0.2 i pi)) is off by a sign
         k = 2.4j * np.pi
-        val, certain = sqrt_det_continuous(lambda s: np.array([[np.exp(k * s)]]))
+        val, certain = sqrt_det_continuous(lambda s: np.array([[np.exp(k * s)]]),
+                                           np.array([[np.exp(k)]]))
         assert certain
         assert val == pytest.approx(np.exp(1.2j * np.pi), rel=1e-9)
         principal, _ = sqrt_det_via_log(np.array([[np.exp(k)]]))
@@ -166,6 +167,7 @@ class TestSqrtDet:
     def test_continuous_detours_around_zero(self):
         # det vanishes at s = 1/2 on the real path
         val, certain = sqrt_det_continuous(
-            lambda s: np.array([[1.0 - 2.0 * s, 0.0], [0.0, 1.0]], dtype=complex))
+            lambda s: np.array([[1.0 - 2.0 * s, 0.0], [0.0, 1.0]], dtype=complex),
+            np.diag([-1.0, 1.0]))
         assert certain
         assert abs(val ** 2 - (-1.0)) < 1e-9
