@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .configs import FockConfig, apply_mode
-from .linalg import RCOND_TOL, SingularBlockError, mat_exp, pfaffian
+from .linalg import RCOND_TOL, SingularBlockError, pfaffian
 from .linearpart import LinearGaussianOp, embed
-from .overlaps import EPS_SCHEDULE, EPS_SEED, _dispatch, pair_kernel
+from .overlaps import EPS_SCHEDULE, EPS_SEED, _dispatch, _pair_kernel
 from .quadratic import QuadraticGenerator
 
 #: relative threshold below which the normalizing overlap counts as zero
@@ -110,10 +110,9 @@ class _Engine:
 
     def __init__(self, m1: np.ndarray, m2dag, rcond_tol: float = RCOND_TOL):
         self.L = m1.shape[0] // 2
-        self.kern = pair_kernel(m1, m2dag, rcond_tol)
+        self.kern, self.t1 = _pair_kernel(m1, m2dag, rcond_tol)
         self.rcond = self.kern.rcond
         self.sign_certain = self.kern.sign_certain
-        self.t1 = mat_exp(m1)
         self._elements: dict = {}
         self._two_points: dict = {}
 

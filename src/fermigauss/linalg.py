@@ -183,19 +183,31 @@ def sqrt_det_continuous(mat_at, end, steps: int = 12, max_refine: int = 5):
     function are isolated).  Returns ``(value, sign_certain)``; falls back
     to the principal-branch value of ``end``, flagged uncertain, if no path
     resolves the winding.
+
+    Points are evaluated one at a time, in path order, with one ``mat_at``
+    call each, and a path is abandoned at its first (near-)zero.  Since the
+    zero test is relative to max(1, |det(end)|) and every path contains the
+    endpoints, |det(end)| >= 1e13 or <= 1e-13 abandons every path before
+    any point is evaluated.
     """
     end = np.asarray(end, dtype=complex)
     target = complex(np.linalg.det(end))
+    floor = 1e-13 * max(1.0, abs(target))
+    if min(1.0, abs(target)) <= floor:
+        return sqrt_det_via_log(end)
     for bulge in (0.0, 0.03, 0.11, 0.31):
         n = steps
         for _ in range(max_refine):
             taus = np.linspace(0.0, 1.0, n + 1)
             svals = taus + 1j * bulge * taus * (1.0 - taus)
-            dets = np.array([1.0] + [
-                np.linalg.det(np.asarray(mat_at(s), dtype=complex)) for s in svals[1:-1]
-            ] + [target])
-            if np.min(np.abs(dets)) <= 1e-13 * max(1.0, abs(target)):
+            dets = [1.0]
+            for s in svals[1:-1]:
+                dets.append(np.linalg.det(np.asarray(mat_at(s), dtype=complex)))
+                if abs(dets[-1]) <= floor:
+                    break
+            if abs(dets[-1]) <= floor:
                 break  # path runs (nearly) through a zero; take a detour
+            dets = np.array(dets + [target])
             incs = np.angle(dets[1:] / dets[:-1])
             if np.max(np.abs(incs)) < 1.2:
                 arg = float(np.sum(incs))

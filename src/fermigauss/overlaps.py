@@ -103,14 +103,13 @@ class OverlapKernel:
 
     def __init__(self, t: TransferMatrix, rcond_tol: float = RCOND_TOL, path=None):
         self.L = t.L
-        fac = _normal_factors(t.t12, t.t21, t.t22, rcond_tol)
+        det_root = None if path is None else (lambda t22: sqrt_det_continuous(path, t22))
+        fac = _normal_factors(t.t12, t.t21, t.t22, rcond_tol, det_root)
         self.rcond = fac.rcond
         x = 0.5 * (fac.x - fac.x.T)
         z = 0.5 * (fac.z - fac.z.T)
         self.pairing = np.block([[x, fac.exp_y], [-fac.exp_y.T, z]])
-        self.prefactor, self.sign_certain = (
-            (fac.prefactor, fac.sign_certain) if path is None
-            else sqrt_det_continuous(path, t.t22))
+        self.prefactor, self.sign_certain = fac.prefactor, fac.sign_certain
 
     def element(self, bra: FockConfig, ket: FockConfig) -> complex:
         """<J| F |I>; exact zero on parity mismatch."""
@@ -134,6 +133,55 @@ def _as_transfer(composed) -> TransferMatrix:
     raise TypeError(f"expected QuadraticGenerator or TransferMatrix, got {type(composed)}")
 
 
+class _ProductPath:
+    """The continuity path ``s -> T22(s)`` of exp(s M2^dag) exp(s M1).
+
+    A real point is reached from the last one evaluated by one step,
+    e^{(s+h)M} = e^{hM} e^{sM}, carrying only what reaches T22: the right
+    L columns of e^{sM1} and the bottom L rows of e^{sM2^dag}.  The step
+    exponentials are cached for one step length (up to rounding) at a time,
+    so an equally spaced grid costs one ``mat_exp`` per factor; a point
+    whose real part does not increase begins a new path at the identity.
+    Complex points (the detours) are exponentiated directly.
+    """
+
+    def __init__(self, m1: np.ndarray, m2dag: np.ndarray | None):
+        self.m1, self.m2dag = m1, m2dag
+        self.half = m1.shape[0] // 2
+        self._s = None      # last real point; None after a complex one
+        self._right = self._bottom = None   # None stands for the identity
+        self._step = None   # (h, e^{h M1}, e^{h M2^dag})
+
+    def _step_exp(self, h: float):
+        if self._step is None or abs(h - self._step[0]) > 1e-12 * h:
+            e2 = None if self.m2dag is None else mat_exp(h * self.m2dag)
+            self._step = (h, mat_exp(h * self.m1), e2)
+        return self._step[1:]
+
+    def __call__(self, s: complex) -> np.ndarray:
+        s, half = complex(s), self.half
+        if s.imag != 0.0:
+            self._s = None
+            right = mat_exp(s * self.m1)[:, half:]
+            return right[half:] if self.m2dag is None else mat_exp(s * self.m2dag)[half:] @ right
+        if self._s is None or s.real <= self._s:
+            self._s, self._right, self._bottom = 0.0, None, None
+        e1, e2 = self._step_exp(s.real - self._s)
+        self._s = s.real
+        self._right = e1[:, half:] if self._right is None else e1 @ self._right
+        if e2 is None:
+            return self._right[half:]
+        self._bottom = e2[half:] if self._bottom is None else self._bottom @ e2
+        return self._bottom @ self._right
+
+
+def _pair_kernel(m1: np.ndarray, m2dag: np.ndarray | None, rcond_tol: float):
+    """:func:`pair_kernel` together with exp(M1), the ket-side transfer."""
+    t1 = mat_exp(m1)
+    t = t1 if m2dag is None else mat_exp(m2dag) @ t1
+    return OverlapKernel(TransferMatrix(t), rcond_tol, path=_ProductPath(m1, m2dag)), t1
+
+
 def pair_kernel(m1: np.ndarray, m2dag: np.ndarray | None = None,
                 rcond_tol: float = RCOND_TOL) -> OverlapKernel:
     """Kernel for <J| exp(M2^dag) exp(M1) |I> with a continuity-tracked sign.
@@ -143,16 +191,7 @@ def pair_kernel(m1: np.ndarray, m2dag: np.ndarray | None = None,
     s -> exp(s M2^dag) exp(s M1) from the identity, which is holomorphic
     in s and therefore admits complex detours around determinant zeros.
     """
-    half = m1.shape[0] // 2
-
-    def prod_at(s: complex) -> np.ndarray:
-        t = mat_exp(s * m1)
-        if m2dag is not None:
-            t = mat_exp(s * m2dag) @ t
-        return t
-
-    return OverlapKernel(TransferMatrix(prod_at(1.0)), rcond_tol,
-                         path=lambda s: prod_at(s)[half:, half:])
+    return _pair_kernel(m1, m2dag, rcond_tol)[0]
 
 
 def compose_bra_ket(op2, op1) -> TransferMatrix:

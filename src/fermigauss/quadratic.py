@@ -221,12 +221,14 @@ class FactoredGaussian:
 
 
 def _normal_factors(t12: np.ndarray, t21: np.ndarray, t22: np.ndarray,
-                    rcond_tol: float) -> FactoredGaussian:
+                    rcond_tol: float, det_root=None) -> FactoredGaussian:
     """Normal-ordered factor data of the blocks of a transfer matrix.
 
     The one place that inverts the pivot block: X = T12 T22^-1,
-    Z = T22^-1 T21, exp(Y) = T22^-T and exp(-tr Y / 2) = det(T22)^(1/2)
-    on the principal branch.
+    Z = T22^-1 T21, exp(Y) = T22^-T and exp(-tr Y / 2) = det(T22)^(1/2).
+    ``det_root(t22)`` returns that root and its sign certainty; the default
+    is the principal branch, :func:`sqrt_det_via_log`.  It runs only after
+    the rcond test has passed.
     """
     rc = rcond_estimate(t22)
     if rc < rcond_tol:
@@ -234,7 +236,7 @@ def _normal_factors(t12: np.ndarray, t21: np.ndarray, t22: np.ndarray,
     x = np.linalg.solve(t22.T, t12.T).T
     z = np.linalg.solve(t22, t21)
     exp_y = np.linalg.inv(t22.T)
-    prefactor, sign_certain = sqrt_det_via_log(t22)
+    prefactor, sign_certain = (det_root or sqrt_det_via_log)(t22)
     return FactoredGaussian("normal", x, exp_y, z, prefactor, sign_certain, rc)
 
 
@@ -325,21 +327,27 @@ class CPScanEntry:
     t11_invertible: bool
 
 
-def _cp_entries(t: TransferMatrix, rcond_tol: float, max_exhaustive: int):
+def _cp_entries(t: TransferMatrix, rcond_tol: float, max_exhaustive: int,
+                with_t11: bool = True):
     """Lazily yield the entries of :func:`cp_scan`, in its order.
 
     The permuted diagonal blocks are read off ``t`` by index permutation,
-    which is exact, so no permuted transfer matrix is built.
+    which is exact, so no permuted transfer matrix is built.  With
+    ``with_t11=False`` the exhaustive mode skips the T11 condition
+    (reported as nan, not invertible); the greedy mode ranks by both
+    blocks regardless.
     """
     L = t.L
+    exhaustive = L <= max_exhaustive
 
     def entry(sites) -> CPScanEntry:
         idx = _cp_index(L, sites)
         r22 = rcond_estimate(t.t[np.ix_(idx[L:], idx[L:])])
-        r11 = rcond_estimate(t.t[np.ix_(idx[:L], idx[:L])])
+        r11 = (rcond_estimate(t.t[np.ix_(idx[:L], idx[:L])]) if with_t11 or not exhaustive
+               else float("nan"))
         return CPScanEntry(tuple(sites), r22, r11, r22 >= rcond_tol, r11 >= rcond_tol)
 
-    if L <= max_exhaustive:
+    if exhaustive:
         for size in range(L + 1):
             for sites in combinations(range(1, L + 1), size):
                 yield entry(sites)
@@ -381,7 +389,8 @@ def cp_scan(t: TransferMatrix, rcond_tol: float = RCOND_TOL,
 def cp_suggestions(t: TransferMatrix, rcond_tol: float = RCOND_TOL, limit: int = 6):
     """The first ``limit`` site subsets, in :func:`cp_scan` order, whose
     permuted T22 is invertible; the search stops once they are found."""
-    restoring = (e.sites for e in _cp_entries(t, rcond_tol, CP_EXHAUSTIVE_MAX) if e.t22_invertible)
+    entries = _cp_entries(t, rcond_tol, CP_EXHAUSTIVE_MAX, with_t11=False)
+    restoring = (e.sites for e in entries if e.t22_invertible)
     return list(islice(restoring, limit))
 
 

@@ -77,11 +77,32 @@ class TestCounts:
         assert rel_close(scipy.linalg.expm(y), fac.exp_y, 1e-10)
 
     def test_pair_kernel_expm_count(self, monkeypatch):
+        # 2 for the transfer at s = 1, 2 for the one step of the 12-step grid
         calls = count_calls(monkeypatch, "mat_exp")
         kern = pair_kernel(random_generator(16, 1, 0.6).m,
                            random_generator(16, 2, 0.6).m.conj().T)
         assert kern.sign_certain
-        assert len(calls) == 24
+        assert len(calls) == 4
+
+    def test_engine_reuses_kernel_exponential(self, monkeypatch):
+        m1 = random_generator(16, 1, 0.6).m
+        m2dag = random_generator(16, 2, 0.6).m.conj().T
+        calls = count_calls(monkeypatch, "mat_exp")
+        pair_kernel(m1, m2dag)
+        n_kernel = len(calls)
+        engine = correlators._Engine(m1, m2dag)
+        assert len(calls) == 2 * n_kernel
+        assert np.array_equal(engine.t1, scipy.linalg.expm(m1))
+
+    @pytest.mark.parametrize("seed, scale, roots", [(22, 10.0, 1), (1, 0.6, 0)])
+    def test_path_kernel_principal_root_only_as_fallback(self, monkeypatch, seed, scale, roots):
+        # |det T22| = 2.7e13 for seed 22: no continuity path, one principal root
+        m = random_generator(4, seed, scale).m
+        big = abs(np.linalg.det(scipy.linalg.expm(m)[4:, 4:])) >= 1e13
+        assert big == (roots == 1)
+        calls = count_calls(monkeypatch, "sqrt_det_via_log")
+        pair_kernel(m)
+        assert len(calls) == roots
 
 
 class TestProperties:

@@ -278,6 +278,21 @@ class TestCanonicalPermutations:
         assert all(len(e.sites) == k for k, e in enumerate(entries))
         assert cp_suggestions(t) == [entries[-1].sites]
 
+    @pytest.mark.parametrize("seed, limit", [(53, 1), (53, 6), (58, 6)])
+    def test_exhaustive_suggestions_read_t22_only(self, monkeypatch, seed, limit):
+        # one rcond estimate per subset visited, up to the limit-th restoring one
+        from fermigauss import linalg, quadratic
+        t = transfer_of(rotation_plus_sector(4, np.random.default_rng(seed)))
+        entries = cp_scan(t)
+        restoring = [k for k, e in enumerate(entries) if e.t22_invertible]
+        visited = restoring[limit - 1] + 1 if len(restoring) >= limit else len(entries)
+        calls = []
+        monkeypatch.setattr(quadratic, "rcond_estimate",
+                            lambda a: calls.append(a) or linalg.rcond_estimate(a))
+        found = cp_suggestions(t, limit=limit)
+        assert found == [entries[k].sites for k in restoring[:limit]]
+        assert len(calls) == visited
+
     def test_transform_consistent_with_transfer(self):
         g = random_generator(3, 54, 0.6)
         sites = (2, 3)
