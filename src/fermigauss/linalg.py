@@ -37,21 +37,30 @@ class SkewSymmetryError(LinalgError):
     """Input violates antisymmetry beyond tolerance."""
 
 
-def _as_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+def _as_square(a: np.ndarray, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """``a`` as a finite complex square matrix, or a (k, n, n) stack of them."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {a.shape}")
+    if a.ndim != 2 + stack or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"{name} must be {'a stack of square matrices' if stack else 'square'}, "
+                         f"got shape {a.shape}")
     if a.size and not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
 
 def mat_exp(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a square complex matrix (Pade scaling-and-squaring)."""
+    """Matrix exponential of a square complex matrix (Pade scaling-and-squaring).
+
+    Raises :class:`LinalgError` when the result overflows.
+    """
     a = _as_square(a)
     if a.size == 0:
         return a.copy()
-    return scipy.linalg.expm(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = scipy.linalg.expm(a)
+    if not np.all(np.isfinite(out)):
+        raise LinalgError("matrix exponential overflows")
+    return out
 
 
 def mat_log(t: np.ndarray) -> np.ndarray:
@@ -83,15 +92,22 @@ def _check_principal_branch(eigs: np.ndarray) -> None:
             raise MatrixLogBranchError(f"eigenvalue {lam} on the negative real axis")
 
 
-def rcond_estimate(a: np.ndarray) -> float:
-    """Reciprocal 2-norm condition estimate; empty matrices count as perfectly conditioned."""
-    a = _as_square(a)
+def rcond_estimate(a: np.ndarray):
+    """Reciprocal 2-norm condition estimate, sigma_min / sigma_max.
+
+    A square matrix gives a float; a (k, n, n) stack gives a length-k
+    array, from one batched SVD.  Empty matrices count as perfectly
+    conditioned (1.0) and the zero matrix as singular (0.0).
+    """
+    stack = np.ndim(a) == 3
+    a = _as_square(a, stack=stack)
     if a.size == 0:
-        return 1.0
+        return np.ones(len(a)) if stack else 1.0
     s = np.linalg.svd(a, compute_uv=False)
-    if s[0] == 0.0:
-        return 0.0
-    return float(s[-1] / s[0])
+    if not stack:
+        return float(s[-1] / s[0]) if s[0] != 0.0 else 0.0
+    top = s[:, 0]
+    return np.divide(s[:, -1], top, out=np.zeros_like(top), where=top != 0.0)
 
 
 def skew_defect(a: np.ndarray) -> float:

@@ -152,6 +152,13 @@ def test_overlap_exhausted_rescue_chain_exit_code(tmp_path, capsys):
     assert code == 2 and "no site subset" in err
 
 
+def test_overlap_overflow_exit_code(tmp_path, capsys):
+    op = write_operator(tmp_path / "huge.json", random_generator(4, 1, scale=1000).m)
+    code, out, err = run(capsys, "overlap", "--op", op, "--bra", "0" * 4, "--ket", "0" * 4)
+    assert code == 5 and out == ""
+    assert err.startswith("error:") and "overflows" in err
+
+
 def test_correlate_trivial(tmp_path, capsys):
     op = write_operator(tmp_path / "zero.json", np.zeros((4, 4)))
     code, out, _ = run(capsys, "correlate", "--op", op, "--bra", "00", "--ket", "00",

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fermigauss.linalg import (
+    LinalgError,
     MatrixLogBranchError,
     SkewSymmetryError,
     mat_exp,
@@ -28,6 +29,10 @@ class TestMatExp:
     def test_zero_gives_identity(self):
         for n in (1, 3, 5):
             assert np.array_equal(mat_exp(np.zeros((n, n))), np.eye(n))
+
+    def test_overflow_raises(self):
+        with pytest.raises(LinalgError, match="overflows"):
+            mat_exp(np.diag([800.0, 0.0]))
 
     def test_worked_example_closed_form(self):
         for a in (0.3, 0.7, 1.2):
@@ -146,6 +151,26 @@ class TestBlockLDU:
         assert rcond_estimate(np.eye(3)) == pytest.approx(1.0)
         assert rcond_estimate(np.zeros((0, 0))) == 1.0
         assert rcond_estimate(np.diag([1.0, 0.0])) == 0.0
+
+    def test_rcond_estimate_stack(self):
+        rng = np.random.default_rng(61)
+        stack = rng.standard_normal((7, 5, 5)) + 1j * rng.standard_normal((7, 5, 5))
+        stack[3] = 0.0
+        got = rcond_estimate(stack)
+        assert got.shape == (7,) and got[3] == 0.0
+        assert np.array_equal(got, [rcond_estimate(a) for a in stack])
+        assert rcond_estimate(np.zeros((0, 5, 5))).shape == (0,)
+        assert np.array_equal(rcond_estimate(np.zeros((3, 0, 0))), np.ones(3))
+        assert isinstance(rcond_estimate(stack[0]), float)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rcond_estimate_rejects_non_finite(self, bad):
+        stack = np.ones((2, 3, 3), dtype=complex)
+        stack[1, 2, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            rcond_estimate(stack)
+        with pytest.raises(ValueError, match="non-finite"):
+            rcond_estimate(stack[1])
 
 
 class TestSqrtDet:

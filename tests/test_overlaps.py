@@ -3,7 +3,7 @@ import pytest
 
 from fermigauss import overlaps
 from fermigauss.configs import FockConfig
-from fermigauss.linalg import SingularBlockError, mat_exp, pfaffian
+from fermigauss.linalg import LinalgError, SingularBlockError, mat_exp, pfaffian
 from fermigauss.linearpart import LinearGaussianOp, single_mode_op
 from fermigauss.overlaps import (
     ROUTES,
@@ -334,6 +334,12 @@ class TestRescueChain:
             state_overlap(g, QuadraticGenerator.zero(8), vac, vac)
         assert rejected_everywhere(err)
         assert err.value.route[1]["reason"] == "rcond"
+
+    def test_overflowing_exponential_is_a_numerical_failure(self):
+        g = random_generator(4, 1, scale=1000)
+        vac = FockConfig.vacuum(4)
+        with pytest.raises(LinalgError, match="overflows"):
+            state_overlap(g, QuadraticGenerator.zero(4), vac, vac)
 
     def test_forced_pfaffian_rejects_before_sign_tracking(self, monkeypatch):
         calls = []

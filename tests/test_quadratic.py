@@ -1,11 +1,16 @@
+import math
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from fermigauss.linalg import MatrixLogBranchError, SingularBlockError
+from fermigauss.linalg import MatrixLogBranchError, SingularBlockError, rcond_estimate
 from fermigauss.quadratic import (
     CPScanEntry,
     QuadraticGenerator,
     TransferMatrix,
+    _cp_entries,
+    _cp_index,
     bbd_antinormal,
     bbd_normal,
     compose_generators,
@@ -215,6 +220,88 @@ def rotation_plus_sector(L: int, rng) -> QuadraticGenerator:
     return QuadraticGenerator(pair_rotation_generator(L, np.pi / 2).m + g_good.m * mask)
 
 
+def reference_scan(t: TransferMatrix, rcond_tol: float, max_exhaustive: int) -> list:
+    """The cp scan evaluated subset by subset: one ``_cp_index`` permutation
+    and one scalar rcond estimate per block."""
+    L = t.L
+
+    def entry(sites):
+        idx = _cp_index(L, sites)
+        r22 = rcond_estimate(t.t[np.ix_(idx[L:], idx[L:])])
+        r11 = rcond_estimate(t.t[np.ix_(idx[:L], idx[:L])])
+        return CPScanEntry(sites, r22, r11, r22 >= rcond_tol, r11 >= rcond_tol)
+
+    def score(e):
+        return max(e.rcond_t22, e.rcond_t11)
+
+    if L <= max_exhaustive:
+        return [entry(s) for size in range(L + 1) for s in combinations(range(1, L + 1), size)]
+    out = [entry(())]
+    while not (out[-1].t22_invertible or out[-1].t11_invertible):
+        current = out[-1].sites
+        candidates = [entry(tuple(sorted(current + (s,))))
+                      for s in range(1, L + 1) if s not in current]
+        if not candidates or score(max(candidates, key=score)) <= score(out[-1]):
+            break
+        out.append(max(candidates, key=score))
+    return out
+
+
+SCAN_CASES = [(L, kind) for L in range(9) for kind in ("random", "singular", "large")
+              if kind != "singular" or L >= 2]
+
+
+class TestBatchedScanMatchesReference:
+    """The batched scan against the per-subset reference, bit for bit."""
+
+    @staticmethod
+    def transfer(L: int, kind: str) -> TransferMatrix:
+        rng = np.random.default_rng([L, 60])
+        if kind == "singular":
+            return transfer_of(rotation_plus_sector(L, rng))
+        return transfer_of(random_generator(L, rng, 20.0 if kind == "large" else 1.0))
+
+    @pytest.mark.parametrize("max_exhaustive", [20, 0])
+    @pytest.mark.parametrize("L, kind", SCAN_CASES)
+    def test_entries(self, L, kind, max_exhaustive):
+        t = self.transfer(L, kind)
+        ref = reference_scan(t, 1e-12, max_exhaustive)
+        got = list(_cp_entries(t, 1e-12, max_exhaustive))
+        assert [e.sites for e in got] == [e.sites for e in ref]
+        assert [(e.t22_invertible, e.t11_invertible) for e in got] == \
+            [(e.t22_invertible, e.t11_invertible) for e in ref]
+        for block in ("rcond_t22", "rcond_t11"):
+            assert np.array_equal([getattr(e, block) for e in got],
+                                  [getattr(e, block) for e in ref])
+
+    @pytest.mark.parametrize("max_exhaustive", [20, 0])
+    @pytest.mark.parametrize("L, kind", SCAN_CASES)
+    def test_suggestions(self, monkeypatch, L, kind, max_exhaustive):
+        from fermigauss import quadratic
+        t = self.transfer(L, kind)
+        restoring = [e.sites for e in reference_scan(t, 1e-12, max_exhaustive) if e.t22_invertible]
+        monkeypatch.setattr(quadratic, "CP_EXHAUSTIVE_MAX", max_exhaustive)
+        for limit in range(1, 7):
+            assert cp_suggestions(t, limit=limit) == restoring[:limit]
+
+    def test_chunked_size_classes(self, monkeypatch):
+        # a size class longer than CP_CHUNK is split in order, and a search
+        # that stops early pays for the rest of its chunk only
+        from fermigauss import linalg, quadratic
+        t = self.transfer(6, "singular")
+        calls = []
+        monkeypatch.setattr(quadratic, "CP_CHUNK", 4)
+        monkeypatch.setattr(quadratic, "rcond_estimate",
+                            lambda a: calls.append(len(a)) or linalg.rcond_estimate(a))
+        assert list(_cp_entries(t, 1e-12, 20)) == reference_scan(t, 1e-12, 20)
+        classes = [math.comb(6, size) for size in range(7)]
+        chunks = [n for c in classes for n in [4] * (c // 4) + [c % 4] * (c % 4 > 0)]
+        assert calls[::2] == calls[1::2] == chunks
+        calls.clear()
+        assert cp_suggestions(t, limit=1) == [(1,)]
+        assert calls == [1, 4]
+
+
 class TestCanonicalPermutations:
     def test_empty_subset_is_identity(self):
         g = random_generator(3, 51, 0.5)
@@ -278,20 +365,45 @@ class TestCanonicalPermutations:
         assert all(len(e.sites) == k for k, e in enumerate(entries))
         assert cp_suggestions(t) == [entries[-1].sites]
 
-    @pytest.mark.parametrize("seed, limit", [(53, 1), (53, 6), (58, 6)])
-    def test_exhaustive_suggestions_read_t22_only(self, monkeypatch, seed, limit):
-        # one rcond estimate per subset visited, up to the limit-th restoring one
+    @pytest.mark.parametrize("seed, limit, classes", [
+        pytest.param(53, 1, 2, id="53-1"),
+        pytest.param(53, 6, 3, id="53-6"),
+        pytest.param(58, 6, 3, id="58-6"),
+    ])
+    def test_exhaustive_suggestions_read_t22_only(self, monkeypatch, seed, limit, classes):
+        # one stacked T22 estimate per subset-size class, up to the class of
+        # the limit-th restoring subset; no T11 block is read
         from fermigauss import linalg, quadratic
         t = transfer_of(rotation_plus_sector(4, np.random.default_rng(seed)))
         entries = cp_scan(t)
         restoring = [k for k, e in enumerate(entries) if e.t22_invertible]
-        visited = restoring[limit - 1] + 1 if len(restoring) >= limit else len(entries)
+        assert len(entries[restoring[limit - 1]].sites) == classes - 1
         calls = []
         monkeypatch.setattr(quadratic, "rcond_estimate",
                             lambda a: calls.append(a) or linalg.rcond_estimate(a))
         found = cp_suggestions(t, limit=limit)
         assert found == [entries[k].sites for k in restoring[:limit]]
-        assert len(calls) == visited
+        assert [len(a) for a in calls] == [math.comb(4, size) for size in range(classes)]
+        visited = [e.sites for e in entries if len(e.sites) < classes]
+        t22 = [t.t[np.ix_(idx[4:], idx[4:])] for idx in (_cp_index(4, s) for s in visited)]
+        assert np.array_equal(np.concatenate(calls), np.array(t22))
+
+    def test_scan_one_stacked_estimate_per_class(self, monkeypatch):
+        from fermigauss import linalg, quadratic
+        t = transfer_of(random_generator(10, 59, 0.8))
+        calls = []
+        monkeypatch.setattr(quadratic, "rcond_estimate",
+                            lambda a: calls.append(a) or linalg.rcond_estimate(a))
+        entries = cp_scan(t)
+        assert len(entries) == 2 ** 10
+        assert len(calls) == 22
+        assert [len(a) for a in calls[::2]] == [math.comb(10, size) for size in range(11)]
+
+    def test_transfer_rejects_nan(self):
+        t = np.eye(4, dtype=complex)
+        t[0, 0] = np.nan
+        with pytest.raises(ValueError):
+            TransferMatrix(t)
 
     def test_transform_consistent_with_transfer(self):
         g = random_generator(3, 54, 0.6)
