@@ -564,8 +564,17 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with the parse/validation code, not argparse's 2,
+    which here means a singular block."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise CliError(EXIT_PARSE, f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fermigauss",
         description="Factorizations, overlaps and correlators of fermionic "
                     "Gaussian operators with linear terms.",
@@ -592,8 +601,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op2", help="bra-side operator file (default: identity)")
     p.add_argument("--bra", required=True)
     p.add_argument("--ket", required=True)
-    p.add_argument("--epsilon", action="store_true", help="force the perturbative route")
-    p.add_argument("--cp-magnitude", action="store_true", help="force the magnitude route")
+    route = p.add_mutually_exclusive_group()
+    route.add_argument("--epsilon", action="store_true", help="force the perturbative route")
+    route.add_argument("--cp-magnitude", action="store_true", help="force the magnitude route")
     p.add_argument("--verify", action="store_true", help="also run the dense oracle")
     p.add_argument("--seed", type=int, default=EPS_SEED)
     p.add_argument("--output")
@@ -634,9 +644,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")

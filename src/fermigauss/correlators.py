@@ -1,22 +1,23 @@
 """Expectation values of operator strings between Gaussian states.
 
-For quadratic operators the one- and two-point functions are evaluated by
-expanding each string operator through the ket-side transfer matrix,
-acting with the resulting bare operators on the configuration (with the
-usual string signs) and applying the Pfaffian overlap formula to the
-modified configuration.  Higher even-point functions reduce to the
-Pfaffian of the matrix of two-point values divided by the overlap once
-per extra pair; odd-point functions, whose configurations have opposite
-parities, are expanded the same way as a whole string, which never
-divides by an overlap.
+Every value outside the Wick route comes from one expansion,
+``_Engine.string_element``: each string operator is conjugated through
+the ket-side transfer matrix into its coefficient rows over the bare
+modes, the bare operators act on the configuration (with the usual string
+signs), and the Pfaffian overlap formula is applied to each modified
+configuration.  Even quadratic-sector strings of length 4 or more instead
+take the Pfaffian of the matrix of two-point values, divided by the
+overlap once per extra pair; every other string, odd ones included, is
+expanded whole and never divides by an overlap.
 
 With linear terms present, every string maps into the ancilla-extended
 space: products of substituted operators collapse pairwise, so an even
 string passes through unchanged while an odd string acquires a single
-leftmost ``c0^dag - c0`` factor.  The generalized Wick expansion -- all
-pairings plus at most one singleton, each factor a one- or two-point
-value -- follows from the extended-space pairing sum and is exposed both
-as a theorem check and as a term table.
+leftmost ``c0^dag - c0`` factor, which enters the expansion as one
+operator.  The generalized Wick expansion -- all pairings plus at most
+one singleton, each factor a one- or two-point value -- follows from the
+extended-space pairing sum and is exposed both as a theorem check and as
+a term table.
 """
 
 from __future__ import annotations
@@ -42,6 +43,10 @@ class ModeOp:
 
     site: int
     dagger: bool
+
+    def __post_init__(self):
+        if self.site < 1:
+            raise ValueError(f"mode sites are 1-based, got {self.site}")
 
     def __str__(self) -> str:
         return f"c{'d' if self.dagger else ''}{self.site}"
@@ -105,7 +110,8 @@ class _Engine:
 
     Holds the overlap kernel of ``exp(m2dag) exp(m1)`` together with the
     ket-side transfer matrix (for conjugating string operators) and value
-    caches keyed by configuration bits.
+    caches keyed by configuration bits.  Callers pass parity-allowed
+    strings only.
     """
 
     def __init__(self, m1: np.ndarray, m2dag, rcond_tol: float = RCOND_TOL):
@@ -125,42 +131,13 @@ class _Engine:
         return val
 
     def _coeff_rows(self, op: ModeOp):
+        """The coefficients of ``op`` conjugated through the ket-side transfer:
+        ``F op = (sum_j cc_j c_j + cd_j c_j^dag) F`` gives ``(cc, cd)``."""
         r = op.site - 1 + (self.L if op.dagger else 0)
         return self.t1[r, : self.L], self.t1[r, self.L:]
 
-    def one_point(self, op: ModeOp, bra_bits, ket_bits) -> complex:
-        """The length-1 case of :meth:`string_element`."""
-        return self.string_element((op,), bra_bits, ket_bits)
-
-    def two_point(self, op_a: ModeOp, op_b: ModeOp, bra_bits, ket_bits) -> complex:
-        key = (op_a, op_b, bra_bits, ket_bits)
-        cached = self._two_points.get(key)
-        if cached is not None:
-            return cached
-        ca, da = self._coeff_rows(op_a)
-        cb, db = self._coeff_rows(op_b)
-        total = complex(0.0)
-        for l in range(self.L):
-            for dag_b, coeff_b in ((False, cb[l]), (True, db[l])):
-                if coeff_b == 0.0:
-                    continue
-                s2, mid = apply_mode(ket_bits, l + 1, dag_b)
-                if not s2:
-                    continue
-                for k in range(self.L):
-                    for dag_a, coeff_a in ((False, ca[k]), (True, da[k])):
-                        if coeff_a == 0.0:
-                            continue
-                        s1, nb = apply_mode(mid, k + 1, dag_a)
-                        if s1:
-                            total += coeff_a * coeff_b * s1 * s2 * self.element(bra_bits, nb)
-        self._two_points[key] = total
-        return total
-
     def n_point(self, ops, bra_bits, ket_bits) -> complex:
         n = len(ops)
-        if (sum(ket_bits) + n + sum(bra_bits)) % 2:
-            return complex(0.0)
         if n == 0:
             return self.element(bra_bits, ket_bits)
         if n == 1:
@@ -171,7 +148,21 @@ class _Engine:
             return self._wick_even(ops, bra_bits, ket_bits)
         return self._odd_reduction(ops, bra_bits, ket_bits)
 
+    def one_point(self, op: ModeOp, bra_bits, ket_bits) -> complex:
+        return self.string_element((self._coeff_rows(op),), bra_bits, ket_bits)
+
+    def two_point(self, op_a: ModeOp, op_b: ModeOp, bra_bits, ket_bits) -> complex:
+        """Cached, since :meth:`_wick_even` reuses each pair across strings."""
+        key = (op_a, op_b, bra_bits, ket_bits)
+        val = self._two_points.get(key)
+        if val is None:
+            rows = (self._coeff_rows(op_a), self._coeff_rows(op_b))
+            val = self._two_points[key] = self.string_element(rows, bra_bits, ket_bits)
+        return val
+
     def _wick_even(self, ops, bra_bits, ket_bits) -> complex:
+        """Even strings of length 4 or more: Pfaffian of the two-point
+        matrix over the overlap once per extra pair."""
         n = len(ops)
         g = np.zeros((n, n), dtype=complex)
         for a in range(n):
@@ -181,25 +172,28 @@ class _Engine:
                 g[b, a] = -val
         pairing_sum = pfaffian(g)
         n_pairs = n // 2
-        if n_pairs == 1:
-            return pairing_sum
         ovl = self.element(bra_bits, ket_bits)
         scale = max(1.0, float(np.max(np.abs(g))))
         if abs(ovl) < ZERO_OVERLAP_TOL * scale:
             raise ZeroOverlapError(pairing_sum, n_pairs, ovl)
         return pairing_sum / ovl ** (n_pairs - 1)
 
-    def string_element(self, ops, bra_bits, ket_bits) -> complex:
+    def _odd_reduction(self, ops, bra_bits, ket_bits) -> complex:
+        """Odd strings of length 3 or more: :meth:`string_element`, which
+        never divides by an overlap."""
+        return self.string_element([self._coeff_rows(op) for op in ops], bra_bits, ket_bits)
+
+    def string_element(self, rows, bra_bits, ket_bits) -> complex:
         """<J| F phi_1 ... phi_n |I> by direct expansion, no normalization.
 
-        Conjugates the rightmost operator through the ket-side transfer and
-        recurses on the prefix with a modified ket configuration, memoized
-        on (prefix length, configuration).  Unlike the Wick route this never
-        divides by an overlap, so it stays exact at superselection points.
+        ``rows[k]`` holds the coefficient rows ``(cc, cd)`` of phi_{k+1}
+        (see :meth:`_coeff_rows`), so any linear combination of mode
+        operators is one operator.  Expands the rightmost operator into
+        bare modes acting on the ket configuration and recurses on the
+        prefix, memoized on (prefix length, configuration).  Unlike the
+        Wick route this never divides by an overlap, so it stays exact at
+        superselection points.
         """
-        ops = tuple(ops)
-        if (sum(ket_bits) + len(ops) + sum(bra_bits)) % 2:
-            return complex(0.0)
         memo: dict = {}
 
         def expand(k: int, bits) -> complex:
@@ -209,7 +203,7 @@ class _Engine:
             val = memo.get(key)
             if val is not None:
                 return val
-            cc, cd = self._coeff_rows(ops[k - 1])
+            cc, cd = rows[k - 1]
             total = complex(0.0)
             for j in range(self.L):
                 for dag, coeff in ((False, cc[j]), (True, cd[j])):
@@ -221,13 +215,7 @@ class _Engine:
             memo[key] = total
             return total
 
-        return expand(len(ops), ket_bits)
-
-    def _odd_reduction(self, ops, bra_bits, ket_bits) -> complex:
-        """Odd strings of length 3 or more: :meth:`string_element`, which
-        never divides by an overlap.  ``bench/tracing.py`` times this method
-        and :meth:`one_point` by name."""
-        return self.string_element(ops, bra_bits, ket_bits)
+        return expand(len(rows), ket_bits)
 
 
 class CorrelatorContext:
@@ -257,8 +245,15 @@ class CorrelatorContext:
         self.rcond_tol = rcond_tol
         self.eps_schedule = eps_schedule
         self.eps_seed = eps_seed
-        # unperturbed engine per sector (False: quadratic, True: extended),
-        # or the SingularBlockError that building it raised
+        self.quadratic = op1.is_quadratic and op2.is_quadratic
+        # configurations in the ancilla-extended space: the ket's ancilla
+        # makes the two parities equal
+        anc = 0 if bra.parity == ket.parity else 1
+        self._extended_bits = ((0,) + bra.bits, (anc,) + ket.bits)
+        # engine per (sector, perturbation), or the SingularBlockError that
+        # building it raised; the sector is False (quadratic) or True
+        # (extended), the perturbation None or the bytes of the shift of
+        # the ket-side generator
         self._engines: dict = {}
         # bra-side adjoint generator per sector
         self._m2dag: dict = {}
@@ -266,10 +261,6 @@ class CorrelatorContext:
     @property
     def L(self) -> int:
         return self.op1.L
-
-    @property
-    def quadratic(self) -> bool:
-        return self.op1.is_quadratic and self.op2.is_quadratic
 
     def _engine(self, extended: bool, delta, rcond_tol: float) -> _Engine:
         op1 = self.op1 if delta is None else LinearGaussianOp(
@@ -285,14 +276,13 @@ class CorrelatorContext:
         ancilla-extended.  The magnitude route is left out: correlators
         need the sign."""
         def kernel_at(delta, tol):
-            if delta is not None:
-                return self._engine(extended, delta, tol)
-            if extended not in self._engines:
+            key = (extended, None if delta is None else delta.tobytes())
+            if key not in self._engines:
                 try:
-                    self._engines[extended] = self._engine(extended, None, tol)
+                    self._engines[key] = self._engine(extended, delta, tol)
                 except SingularBlockError as exc:
-                    self._engines[extended] = exc
-            engine = self._engines[extended]
+                    self._engines[key] = exc
+            engine = self._engines[key]
             if isinstance(engine, SingularBlockError):
                 raise engine.with_traceback(None)
             return engine
@@ -301,10 +291,12 @@ class CorrelatorContext:
                          rcond_tol=self.rcond_tol, eps_schedule=self.eps_schedule,
                          eps_seed=self.eps_seed).value
 
-    def _require_quadratic(self):
-        if not self.quadratic:
-            raise ValueError("this formula requires purely quadratic operators (u = v = 0); "
-                             "use generalized_expectation instead")
+    def _checked(self, ops) -> tuple:
+        ops = tuple(ops)
+        for op in ops:
+            if op.site > self.L:
+                raise ValueError(f"operator {op} acts outside sites 1..{self.L}")
+        return ops
 
 
 # -- quadratic-sector correlators --------------------------------------
@@ -312,42 +304,36 @@ class CorrelatorContext:
 
 def overlap_value(ctx: CorrelatorContext) -> complex:
     """<M2(J)|M1(I)> for the context's state pair (quadratic sector)."""
-    ctx._require_quadratic()
-    if ctx.bra.parity != ctx.ket.parity:
-        return complex(0.0)
-    return ctx._eval(lambda e: e.element(ctx.bra.bits, ctx.ket.bits))
+    return n_point(ctx, ())
 
 
 def one_point(ctx: CorrelatorContext, op: ModeOp) -> complex:
     """<J, M2| phi |M1, I>; exactly zero for equal-parity configurations."""
-    ctx._require_quadratic()
-    if ctx.bra.parity == ctx.ket.parity:
-        return complex(0.0)
-    return ctx._eval(lambda e: e.one_point(op, ctx.bra.bits, ctx.ket.bits))
+    return n_point(ctx, (op,))
 
 
 def two_point(ctx: CorrelatorContext, op_a: ModeOp, op_b: ModeOp) -> complex:
     """<J, M2| phi_a phi_b |M1, I>; exactly zero for opposite parities."""
-    ctx._require_quadratic()
-    if ctx.bra.parity != ctx.ket.parity:
-        return complex(0.0)
-    return ctx._eval(lambda e: e.two_point(op_a, op_b, ctx.bra.bits, ctx.ket.bits))
+    return n_point(ctx, (op_a, op_b))
 
 
 def n_point(ctx: CorrelatorContext, ops) -> complex:
     """Wick evaluation of an arbitrary operator string (quadratic sector).
 
-    Even same-parity strings: Pfaffian of the two-point matrix divided by
-    the overlap once per extra pair.  Odd opposite-parity strings: direct
-    expansion of the whole string through the ket-side transfer matrix,
-    with no normalization.  Parity-forbidden strings are exact zeros.
+    Even same-parity strings of length 4 or more: Pfaffian of the
+    two-point matrix divided by the overlap once per extra pair.  Every
+    other string: direct expansion of the whole string through the
+    ket-side transfer matrix, with no normalization.  Parity-forbidden
+    strings are exact zeros.
 
     Raises :class:`ZeroOverlapError` when the normalization would divide
     by a vanishing overlap; the unnormalized pairing sum rides along.
     """
-    ops = tuple(ops)
-    ctx._require_quadratic()
-    if (ctx.ket.n_occupied + len(ops)) % 2 != ctx.bra.n_occupied % 2:
+    ops = ctx._checked(ops)
+    if not ctx.quadratic:
+        raise ValueError("this formula requires purely quadratic operators (u = v = 0); "
+                         "use generalized_expectation instead")
+    if (ctx.ket.n_occupied + len(ops) + ctx.bra.n_occupied) % 2:
         return complex(0.0)
     return ctx._eval(lambda e: e.n_point(ops, ctx.bra.bits, ctx.ket.bits))
 
@@ -355,18 +341,9 @@ def n_point(ctx: CorrelatorContext, ops) -> complex:
 # -- linear-sector correlators ------------------------------------------
 
 
-def _extended_data(ctx: CorrelatorContext, ops):
-    bra_bits = (0,) + ctx.bra.bits
-    anc = 0 if ctx.bra.parity == ctx.ket.parity else 1
-    ket_bits = (anc,) + ctx.ket.bits
-    shifted = tuple(op.shifted(1) for op in ops)
-    return bra_bits, ket_bits, shifted
-
-
 def generalized_overlap_value(ctx: CorrelatorContext) -> complex:
     """Overlap of the two states through the ancilla embedding (any parities)."""
-    bra_bits, ket_bits, _ = _extended_data(ctx, ())
-    return ctx._eval(lambda e: e.element(bra_bits, ket_bits), extended=True)
+    return generalized_expectation(ctx, ())
 
 
 def generalized_expectation(ctx: CorrelatorContext, ops) -> complex:
@@ -374,22 +351,22 @@ def generalized_expectation(ctx: CorrelatorContext, ops) -> complex:
 
     The string is mapped into the ancilla-extended space: even strings pass
     through unchanged (substituted operators collapse pairwise), odd strings
-    acquire one leftmost ``c0^dag - c0`` factor.  The extended string element
-    is then evaluated by direct expansion, which never normalizes by an
-    overlap and therefore survives superselection points (u = v = 0 limits).
+    acquire one leftmost ``c0^dag - c0`` factor, expanded as one operator.
+    The extended string element is then evaluated by direct expansion,
+    which never normalizes by an overlap and therefore survives
+    superselection points (u = v = 0 limits).
     """
-    ops = tuple(ops)
-    bra_bits, ket_bits, shifted = _extended_data(ctx, ops)
-    if len(ops) % 2 == 0:
-        return ctx._eval(lambda e: e.string_element(shifted, bra_bits, ket_bits),
-                         extended=True)
-    plus = (ModeOp(1, True),) + shifted
-    minus = (ModeOp(1, False),) + shifted
-    return ctx._eval(
-        lambda e: e.string_element(plus, bra_bits, ket_bits)
-        - e.string_element(minus, bra_bits, ket_bits),
-        extended=True,
-    )
+    shifted = tuple(op.shifted(1) for op in ctx._checked(ops))
+    bra_bits, ket_bits = ctx._extended_bits
+
+    def value(e: _Engine) -> complex:
+        rows = [e._coeff_rows(op) for op in shifted]
+        if len(shifted) % 2:
+            (pc, pd), (mc, md) = e._coeff_rows(ModeOp(1, True)), e._coeff_rows(ModeOp(1, False))
+            rows.insert(0, (pc - mc, pd - md))
+        return e.string_element(rows, bra_bits, ket_bits)
+
+    return ctx._eval(value, extended=True)
 
 
 @dataclass(frozen=True)
@@ -418,7 +395,7 @@ def generalized_wick_expansion(ctx: CorrelatorContext, ops):
     the generalized Wick theorem against :func:`generalized_expectation`
     and exposes the term table.
     """
-    ops = tuple(ops)
+    ops = ctx._checked(ops)
     n = len(ops)
     ovl = generalized_overlap_value(ctx)
     if n == 0:

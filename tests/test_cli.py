@@ -244,3 +244,33 @@ def test_parse_errors(tmp_path, capsys):
     op = write_operator(tmp_path / "tiny.json", np.zeros((2, 2)))
     code, _, _ = run(capsys, "overlap", "--op", op, "--bra", "00", "--ket", "0")
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["overlap", "--op", "x.json", "--ket", "0"],
+    ["overlap", "--op", "x.json", "--bra", "0", "--ket", "0", "--no-such-flag"],
+    ["decompose", "--input", "x.json", "--form", "sideways"],
+    ["correlate", "--op", "x.json", "--bra", "0", "--ket", "0", "--string", "c1", "--seed", "one"],
+    ["no-such-command"],
+    [],
+])
+def test_usage_errors_exit_with_the_parse_code(argv, capsys):
+    # exit 2 is the singular-block code; argparse's own usage exit must not reach it
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == "" and "usage:" in err
+
+
+def test_route_flags_are_exclusive(singular_op_file, capsys):
+    code, out, err = run(capsys, "overlap", "--op", singular_op_file, "--bra", "100",
+                         "--ket", "101", "--epsilon", "--cp-magnitude")
+    assert code == 3 and out == ""
+    assert "not allowed with" in err
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_zero(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([flag])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out

@@ -1,7 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fermigauss import overlaps
+from fermigauss import correlators, overlaps
 from fermigauss.configs import FockConfig
 from fermigauss.correlators import (
     CorrelatorContext,
@@ -22,7 +26,18 @@ from fermigauss.linalg import pfaffian
 from fermigauss.linearpart import LinearGaussianOp
 from fermigauss.quadratic import QuadraticGenerator, random_generator
 
-from conftest import random_config, random_linear_op, worked_example_m
+from conftest import Oracle, random_config, random_linear_op, worked_example_m
+
+PROPERTY = settings(derandomize=True, deadline=None)
+cached_oracle = functools.cache(Oracle)
+
+
+@st.composite
+def string_cases(draw):
+    """(L, seed, linear, ops): one context and one string of length 0-5."""
+    L = draw(st.integers(1, 4))
+    ops = draw(st.lists(st.builds(ModeOp, st.integers(1, L), st.booleans()), max_size=5))
+    return L, draw(st.integers(0, 2 ** 32 - 1)), draw(st.booleans()), tuple(ops)
 
 
 def rand_string(rng, L, n):
@@ -119,6 +134,15 @@ class TestTwoPoint:
                         a, b = ModeOp(i, di), ModeOp(j, dj)
                         assert abs(two_point(ctx, a, b)
                                    - oracle_value(ctx, (a, b), orc)) < 1e-9
+
+    def test_is_string_element_of_its_rows(self):
+        rng = np.random.default_rng(220)
+        e = correlators._Engine(random_generator(3, rng, 0.6).m,
+                                random_generator(3, rng, 0.6).m.conj().T)
+        bra, ket = (1, 0, 1), (0, 1, 1)
+        for a, b in ((ModeOp(1, True), ModeOp(3, False)), (ModeOp(2, False), ModeOp(2, True))):
+            rows = (e._coeff_rows(a), e._coeff_rows(b))
+            assert e.two_point(a, b, bra, ket) == e.string_element(rows, bra, ket)
 
 
 class TestNPoint:
@@ -252,22 +276,81 @@ class TestNPoint:
             assert abs(ref) > 0.1
             assert abs(n_point(ctx, ops) - ref) < 1e-8
         assert len(calls) == len(strings)
-        assert ctx._engines[False].sign_certain is False  # built once, kept
+        assert ctx._engines[(False, None)].sign_certain is False  # built once, kept
+
+    def test_epsilon_route_builds_each_engine_once(self, oracle, monkeypatch):
+        # k values of a singular context: the unperturbed engine plus one per
+        # epsilon of the schedule, however many values are asked for
+        builds = []
+        orig = correlators._Engine.__init__
+        monkeypatch.setattr(correlators._Engine, "__init__",
+                            lambda self, *a: builds.append(a) or orig(self, *a))
+        orc = oracle(3)
+        ctx = CorrelatorContext(QuadraticGenerator(worked_example_m(np.pi / 2)),
+                                QuadraticGenerator.zero(3),
+                                FockConfig.from_string("001"), FockConfig.from_string("001"))
+        strings = ("c2 cd3", "cd2 c2", "c1 cd1", "c3 cd3 c2 cd2")
+        for string in strings:
+            ops = parse_mode_string(string)
+            assert abs(n_point(ctx, ops) - oracle_value(ctx, ops, orc)) < 1e-8
+        assert len(builds) == 1 + 3
+
+
+class TestSites:
+    def test_mode_sites_are_one_based(self):
+        for site in (0, -1):
+            with pytest.raises(ValueError):
+                ModeOp(site, True)
+
+    def test_sites_beyond_L_are_rejected(self):
+        rng = np.random.default_rng(221)
+        L = 3
+        quad = quad_ctx(rng, L, bra=FockConfig((1, 0, 0)), ket=FockConfig((1, 1, 0)))
+        lin = CorrelatorContext(random_linear_op(rng, L), random_linear_op(rng, L),
+                                FockConfig((1, 0, 0)), FockConfig((1, 1, 0)))
+        beyond = ModeOp(L + 1, False)
+        for call in (lambda: one_point(quad, beyond),
+                     lambda: n_point(quad, (ModeOp(1, True), beyond)),
+                     lambda: generalized_expectation(lin, (beyond,)),
+                     lambda: generalized_expectation(lin, (ModeOp(1, True), beyond)),
+                     lambda: generalized_wick_expansion(lin, (ModeOp(2, True), beyond))):
+            with pytest.raises(ValueError, match="outside sites"):
+                call()
 
 
 class TestGeneralized:
-    def test_reduces_to_quadratic_path(self):
-        rng = np.random.default_rng(211)
-        for _ in range(6):
-            L = int(rng.integers(1, 4))
-            ctx = quad_ctx(rng, L, 0.5)
-            for n in range(6):
-                ops = rand_string(rng, L, n)
-                try:
-                    direct = n_point(ctx, ops)
-                except ZeroOverlapError:
-                    continue
-                assert abs(generalized_expectation(ctx, ops) - direct) < 1e-11
+    @PROPERTY
+    @given(string_cases())
+    def test_reduces_to_quadratic_path(self, case):
+        # every value agrees with the dense oracle, and on quadratic operators
+        # the extended-space expansion reduces to the quadratic-sector path
+        L, seed, linear, ops = case
+        rng = np.random.default_rng(seed)
+        ops_of = (random_linear_op if linear
+                  else lambda r, n, scale: random_generator(n, r, scale))
+        ctx = CorrelatorContext(ops_of(rng, L, 0.5), ops_of(rng, L, 0.5),
+                                random_config(rng, L), random_config(rng, L))
+        val = generalized_expectation(ctx, ops)
+        assert abs(val - oracle_value(ctx, ops, cached_oracle(L))) < 1e-8
+        if linear:
+            return
+        try:
+            direct = n_point(ctx, ops)
+        except ZeroOverlapError:
+            return
+        assert abs(val - direct) < 1e-11
+
+    def test_odd_string_is_expanded_once(self, monkeypatch):
+        # the leading c0^dag - c0 of an odd string is one operator of the expansion
+        calls = []
+        orig = correlators._Engine.string_element
+        monkeypatch.setattr(correlators._Engine, "string_element",
+                            lambda self, *a: calls.append(a) or orig(self, *a))
+        rng = np.random.default_rng(219)
+        ctx = CorrelatorContext(random_linear_op(rng, 3, 0.5), random_linear_op(rng, 3, 0.5),
+                                FockConfig((1, 0, 0)), FockConfig((0, 1, 1)))
+        generalized_expectation(ctx, parse_mode_string("c1 cd2 c3"))
+        assert len(calls) == 1 and len(calls[0][0]) == 4
 
     def test_single_mode_annihilator(self, oracle):
         orc = oracle(1)
