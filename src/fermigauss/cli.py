@@ -14,6 +14,7 @@ Exit codes: 0 ok, 2 singular block, 3 parse/validation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import sys
@@ -573,7 +574,9 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(EXIT_PARSE, f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(
         prog="fermigauss",
         description="Factorizations, overlaps and correlators of fermionic "

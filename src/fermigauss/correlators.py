@@ -114,9 +114,10 @@ class _Engine:
     strings only.
     """
 
-    def __init__(self, m1: np.ndarray, m2dag, rcond_tol: float = RCOND_TOL):
-        self.L = m1.shape[0] // 2
-        self.kern, self.t1 = _pair_kernel(m1, m2dag, rcond_tol)
+    def __init__(self, g1: QuadraticGenerator, g2: QuadraticGenerator,
+                 rcond_tol: float = RCOND_TOL):
+        self.L = g1.L
+        self.kern, self.t1 = _pair_kernel(g1, g2, rcond_tol)
         self.rcond = self.kern.rcond
         self.sign_certain = self.kern.sign_certain
         self._elements: dict = {}
@@ -232,6 +233,12 @@ class CorrelatorContext:
     def __init__(self, op1, op2, bra: FockConfig, ket: FockConfig, *,
                  rcond_tol: float = RCOND_TOL,
                  eps_schedule=EPS_SCHEDULE, eps_seed: int = EPS_SEED):
+        # (ket, bra) generators per sector, False (quadratic) or True
+        # (extended); generators given for the quadratic sector are kept,
+        # so their cached exponentials serve every context built on them
+        self._gens: dict = {}
+        if isinstance(op1, QuadraticGenerator) and isinstance(op2, QuadraticGenerator):
+            self._gens[False] = (op1, op2)
         if isinstance(op1, QuadraticGenerator):
             op1 = LinearGaussianOp.quadratic(op1)
         if isinstance(op2, QuadraticGenerator):
@@ -255,21 +262,19 @@ class CorrelatorContext:
         # (extended), the perturbation None or the bytes of the shift of
         # the ket-side generator
         self._engines: dict = {}
-        # bra-side adjoint generator per sector
-        self._m2dag: dict = {}
 
     @property
     def L(self) -> int:
         return self.op1.L
 
     def _engine(self, extended: bool, delta, rcond_tol: float) -> _Engine:
-        op1 = self.op1 if delta is None else LinearGaussianOp(
-            self.op1.m + delta, self.op1.u, self.op1.v)
-        if extended not in self._m2dag:
-            op2 = embed(self.op2) if extended else self.op2
-            self._m2dag[extended] = op2.m.conj().T
-        m1 = embed(op1).m if extended else op1.m
-        return _Engine(m1, self._m2dag[extended], rcond_tol)
+        wrap = embed if extended else (lambda op: QuadraticGenerator(op.m))
+        if extended not in self._gens:
+            self._gens[extended] = (wrap(self.op1), wrap(self.op2))
+        g1, g2 = self._gens[extended]
+        if delta is not None:
+            g1 = wrap(LinearGaussianOp(self.op1.m + delta, self.op1.u, self.op1.v))
+        return _Engine(g1, g2, rcond_tol)
 
     def _eval(self, fn, extended: bool = False) -> complex:
         """``fn(engine)`` through the overlap rescue chain, quadratic or

@@ -175,11 +175,14 @@ class _ProductPath:
         return self._bottom @ self._right
 
 
-def _pair_kernel(m1: np.ndarray, m2dag: np.ndarray | None, rcond_tol: float):
-    """:func:`pair_kernel` together with exp(M1), the ket-side transfer."""
-    t1 = mat_exp(m1)
-    t = t1 if m2dag is None else mat_exp(m2dag) @ t1
-    return OverlapKernel(TransferMatrix(t), rcond_tol, path=_ProductPath(m1, m2dag)), t1
+def _pair_kernel(g1: QuadraticGenerator, g2: QuadraticGenerator | None, rcond_tol: float):
+    """:func:`pair_kernel` of the ket generator ``g1`` and the bra generator
+    ``g2`` (None for the identity), together with exp(M1), the ket-side
+    transfer.  Both exponentials are the ones cached on the generators."""
+    t1 = g1._exp
+    t = t1 if g2 is None else g2._exp_dagger @ t1
+    m2dag = None if g2 is None else g2.m.conj().T
+    return OverlapKernel(TransferMatrix(t), rcond_tol, path=_ProductPath(g1.m, m2dag)), t1
 
 
 def pair_kernel(m1: np.ndarray, m2dag: np.ndarray | None = None,
@@ -187,11 +190,13 @@ def pair_kernel(m1: np.ndarray, m2dag: np.ndarray | None = None,
     """Kernel for <J| exp(M2^dag) exp(M1) |I> with a continuity-tracked sign.
 
     ``m2dag`` is the adjoint generator matrix (None for an identity bra
-    operator).  The det(T22)^(1/2) branch is fixed by following the path
+    operator); both are validated as :class:`QuadraticGenerator` matrices.
+    The det(T22)^(1/2) branch is fixed by following the path
     s -> exp(s M2^dag) exp(s M1) from the identity, which is holomorphic
     in s and therefore admits complex detours around determinant zeros.
     """
-    return _pair_kernel(m1, m2dag, rcond_tol)[0]
+    g2 = None if m2dag is None else QuadraticGenerator(np.asarray(m2dag).conj().T)
+    return _pair_kernel(QuadraticGenerator(m1), g2, rcond_tol)[0]
 
 
 def compose_bra_ket(op2, op1) -> TransferMatrix:
@@ -281,25 +286,28 @@ def _dispatch(kernel_at, evaluate, L: int | None, cp, *, method: str,
         return res
 
 
-def _quadratic_overlap(m1, m2dag, transfer, bra: FockConfig, ket: FockConfig,
+def _quadratic_overlap(g1, g2, transfer, bra: FockConfig, ket: FockConfig,
                        **options) -> OverlapResult:
     """<J| exp(M2^dag) exp(M1) |I> through the rescue chain.
 
-    ``transfer()`` gives the composed transfer matrix; it runs at most once.  ``m1`` is None when
-    only that transfer is known: the sign then comes from the principal
-    branch and the epsilon route is unavailable.
+    ``g1`` and ``g2`` are the ket and bra generators (``g2`` None for the
+    identity).  ``transfer()`` gives the composed transfer matrix; it runs
+    at most once.  ``g1`` is None when only that transfer is known: the
+    sign then comes from the principal branch and the epsilon route is
+    unavailable.
     """
     if (bra.n_occupied + ket.n_occupied) % 2:
         return OverlapResult(complex(0.0), "pfaffian", True, {"parity_zero": True})
     transfer = functools.cache(transfer)
-    if m1 is None:
+    if g1 is None:
         def kernel_at(delta, tol):
             return OverlapKernel(transfer(), tol)
     else:
         def kernel_at(delta, tol):
-            return pair_kernel(m1 if delta is None else m1 + delta, m2dag, tol)
+            g = g1 if delta is None else QuadraticGenerator(g1.m + delta)
+            return _pair_kernel(g, g2, tol)[0]
     return _dispatch(kernel_at, lambda k: k.element(bra, ket),
-                     None if m1 is None else m1.shape[0] // 2,
+                     None if g1 is None else g1.L,
                      lambda: (transfer(), bra, ket), **options)
 
 
@@ -317,11 +325,11 @@ def overlap(composed, bra: FockConfig, ket: FockConfig, *,
     Forced methods: ``"pfaffian"``, ``"epsilon"``, ``"cp-magnitude"``.
     """
     if isinstance(composed, QuadraticGenerator):
-        m1, transfer = composed.m, (lambda: transfer_of(composed))
+        g1, transfer = composed, (lambda: transfer_of(composed))
     else:
         t = _as_transfer(composed)
-        m1, transfer = None, (lambda: t)
-    return _quadratic_overlap(m1, None, transfer, bra, ket, method=method,
+        g1, transfer = None, (lambda: t)
+    return _quadratic_overlap(g1, None, transfer, bra, ket, method=method,
                               rcond_tol=rcond_tol, eps_schedule=eps_schedule,
                               eps_seed=eps_seed)
 
@@ -338,10 +346,10 @@ def state_overlap(op1, op2, bra: FockConfig, ket: FockConfig, *,
     available only when both generators are known.
     """
     if isinstance(op1, QuadraticGenerator) and isinstance(op2, QuadraticGenerator):
-        m1, m2dag = op1.m, op2.m.conj().T
+        g1, g2 = op1, op2
     else:
-        m1 = m2dag = None
-    return _quadratic_overlap(m1, m2dag, lambda: compose_bra_ket(op2, op1), bra, ket,
+        g1 = g2 = None
+    return _quadratic_overlap(g1, g2, lambda: compose_bra_ket(op2, op1), bra, ket,
                               method=method, rcond_tol=rcond_tol,
                               eps_schedule=eps_schedule, eps_seed=eps_seed)
 
@@ -426,14 +434,14 @@ def generalized_overlap(op1: LinearGaussianOp, op2: LinearGaussianOp,
         raise ValueError("inconsistent site counts")
     bra_e = bra.with_ancilla(0)
     ket_e = ket.with_ancilla(0 if bra.parity == ket.parity else 1)
-    m2dag = embed(op2).m.conj().T
+    g1, g2 = embed(op1), embed(op2)
 
     def kernel_at(delta, tol):
-        op = op1 if delta is None else LinearGaussianOp(op1.m + delta, op1.u, op1.v)
-        return pair_kernel(embed(op).m, m2dag, tol)
+        g = g1 if delta is None else embed(LinearGaussianOp(op1.m + delta, op1.u, op1.v))
+        return _pair_kernel(g, g2, tol)[0]
 
     def cp():
-        return compose_bra_ket(embed(op2), embed(op1)), bra_e, ket_e
+        return compose_bra_ket(g2, g1), bra_e, ket_e
 
     return _dispatch(kernel_at, lambda k: k.element(bra_e, ket_e), op1.L, cp,
                      method=method, rcond_tol=RCOND_TOL,

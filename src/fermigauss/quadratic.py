@@ -10,6 +10,13 @@ This module provides composition, the two normal-ordering factorizations
 (pairing factor / number factor / pairing factor, in either ordering) and
 the particle-hole "canonical permutation" transforms that restore the
 factorizations when a diagonal block of ``T`` is singular.
+
+A :class:`QuadraticGenerator` holds a read-only view of its M and
+exponentiates it on first use: ``exp(M)`` (which :func:`transfer_of`
+wraps) and ``exp(M^dag)`` (the bra side of an overlap) are each computed
+once per generator object and cached on it, read-only.  A generator
+that recurs across many overlaps therefore costs one ``mat_exp`` per
+side.
 """
 
 from __future__ import annotations
@@ -47,16 +54,32 @@ def j_matrix(L: int) -> np.ndarray:
     return np.block([[zero, eye], [eye, zero]])
 
 
+def _j_perm(L: int) -> np.ndarray:
+    """The permutation of J: ``J A = A[perm]`` and ``A J = A[:, perm]``, exactly."""
+    return np.concatenate([np.arange(L, 2 * L), np.arange(L)])
+
+
 def admissibility_defect(m: np.ndarray) -> float:
     """Relative antisymmetry defect of ``J M``."""
     m = np.asarray(m, dtype=complex)
-    L = m.shape[0] // 2
-    return skew_defect(j_matrix(L) @ m)
+    return skew_defect(m[_j_perm(m.shape[0] // 2)])
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``; the data is shared, not copied."""
+    a = a.view()
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
 class QuadraticGenerator:
-    """Generator matrix M of a purely quadratic Gaussian operator."""
+    """Generator matrix M of a purely quadratic Gaussian operator.
+
+    ``m`` is a read-only view of the array passed in, not a copy, so the
+    caller must not mutate that array afterwards.  exp(M) and exp(M^dag)
+    are computed on first use and cached on the instance, read-only.
+    """
 
     m: np.ndarray
 
@@ -69,7 +92,23 @@ class QuadraticGenerator:
         d = admissibility_defect(m)
         if d > SKEW_TOL:
             raise ValueError(f"J.M is not antisymmetric (defect {d:.3e})")
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "m", _read_only(m))
+
+    @functools.cached_property
+    def _exp(self) -> np.ndarray:
+        """exp(M), the ket-side transfer; not checked for J-orthogonality."""
+        return _read_only(mat_exp(self.m))
+
+    @functools.cached_property
+    def _exp_dagger(self) -> np.ndarray:
+        """exp(M^dag), the bra side of an overlap.  Exponentiated as such:
+        exp(M)^dag differs from it at rounding level."""
+        return _read_only(mat_exp(self.m.conj().T))
+
+    @functools.cached_property
+    def _transfer(self) -> "TransferMatrix":
+        """exp(M) as a J-checked transfer matrix: what :func:`transfer_of` returns."""
+        return TransferMatrix(self._exp)
 
     @property
     def L(self) -> int:
@@ -104,9 +143,8 @@ class TransferMatrix:
         if t.size == 0:
             return 0.0
         L = t.shape[0] // 2
-        j = j_matrix(L)
         scale = max(1.0, float(np.max(np.abs(t))) ** 2)
-        return float(np.max(np.abs(t @ j @ t.T - j))) / scale
+        return float(np.max(np.abs(t[:, _j_perm(L)] @ t.T - j_matrix(L)))) / scale
 
     @property
     def L(self) -> int:
@@ -146,8 +184,8 @@ class TransferMatrix:
 
 
 def transfer_of(gen: QuadraticGenerator) -> TransferMatrix:
-    """T = exp(M).  J-orthogonality is re-verified on the result."""
-    return TransferMatrix(mat_exp(gen.m))
+    """T = exp(M), cached on ``gen``.  J-orthogonality is re-verified on the result."""
+    return gen._transfer
 
 
 def compose_transfers(t1: TransferMatrix, t2: TransferMatrix) -> TransferMatrix:
@@ -331,44 +369,63 @@ class CPScanEntry:
     t11_invertible: bool
 
 
-def _cp_entries(t: TransferMatrix, rcond_tol: float, max_exhaustive: int,
-                with_t11: bool = True):
-    """Lazily yield the entries of :func:`cp_scan`, in its order.
+def _t22_rows(L: int, subsets) -> np.ndarray:
+    """Row (and column) indices into T of the permuted T22 block of each subset.
 
-    Subsets are evaluated in batches of equal size.  A batch's permuted
-    diagonal blocks are gathered from ``t`` in one indexing step, which is
-    exact, so no permuted transfer matrix is built, and each block goes
-    through one stacked :func:`rcond_estimate`.  The exhaustive mode
-    batches every subset-size class in chunks of at most
-    :data:`CP_CHUNK` subsets, so a consumer that stops early has paid for
-    the rest of the current chunk only; the greedy mode batches the
-    candidates of each step.  With ``with_t11=False`` the exhaustive mode
-    skips the T11 condition (reported as nan, not invertible); the greedy
-    mode ranks by both blocks regardless.
+    Row i of Pi T Pi is row i + L of T when site i + 1 is swapped, and vice
+    versa, so ``(rows + L) % (2 L)`` are those of the permuted T11 block,
+    which are also the T22 indices of the complementary subset.
+    """
+    swapped = np.zeros((len(subsets), L), dtype=bool)
+    swapped[np.arange(len(subsets))[:, None], np.array(subsets, dtype=np.intp) - 1] = True
+    return np.arange(L) + L * ~swapped
+
+
+def _rconds(t: TransferMatrix, rows: np.ndarray) -> list[float]:
+    """One stacked :func:`rcond_estimate` of the blocks ``t[rows_k, rows_k]``."""
+    return rcond_estimate(t.t[rows[:, :, None], rows[:, None, :]]).tolist()
+
+
+def _exhaustive_t22(t: TransferMatrix):
+    """Lazily yield ``(sites, rcond of the permuted T22)`` for every site
+    subset, in :func:`cp_scan` order.
+
+    Every subset-size class goes through one stacked estimate, in chunks
+    of at most :data:`CP_CHUNK` subsets, so a consumer that stops early has
+    paid for the rest of the current chunk only.
     """
     L = t.L
-    exhaustive = L <= max_exhaustive
-    base = np.arange(L)
+    for size in range(L + 1):
+        subsets = combinations(range(1, L + 1), size)
+        while chunk := list(islice(subsets, CP_CHUNK)):
+            yield from zip(chunk, _rconds(t, _t22_rows(L, chunk)))
 
-    def rconds(rows: np.ndarray) -> list[float]:
-        return rcond_estimate(t.t[rows[:, :, None], rows[:, None, :]]).tolist()
 
-    def batch(subsets: list[tuple[int, ...]], t11: bool = True) -> list[CPScanEntry]:
-        # row i of Pi T Pi is row i + L of T when site i + 1 is swapped, and vice versa
-        swapped = np.zeros((len(subsets), L), dtype=bool)
-        swapped[np.arange(len(subsets))[:, None], np.array(subsets, dtype=np.intp) - 1] = True
-        r22 = rconds(base + L * ~swapped)
-        r11 = rconds(base + L * swapped) if t11 else [float("nan")] * len(subsets)
+def _cp_entries(t: TransferMatrix, rcond_tol: float, max_exhaustive: int):
+    """Yield the entries of :func:`cp_scan`, in its order.
+
+    No permuted transfer matrix is built: each permuted diagonal block is
+    gathered from ``t`` in one indexing step, which is exact.  The
+    exhaustive mode estimates every permuted T22 block first and reads
+    T11 off the complement: in scan order (by size, then lexicographic)
+    the complement of the k-th of the 2^L subsets is the k-th from the
+    end.  The greedy mode batches the candidates of each step, both
+    blocks.
+    """
+    L = t.L
+    if L <= max_exhaustive:
+        sites, r22 = zip(*_exhaustive_t22(t))
+        for s, a, b in zip(sites, r22, r22[::-1]):
+            yield CPScanEntry(s, a, b, a >= rcond_tol, b >= rcond_tol)
+        return
+
+    def batch(subsets: list[tuple[int, ...]]) -> list[CPScanEntry]:
+        rows = _t22_rows(L, subsets)
+        r22 = _rconds(t, rows)
+        r11 = _rconds(t, (rows + L) % (2 * L))
         return [CPScanEntry(s, a, b, a >= rcond_tol, b >= rcond_tol)
                 for s, a, b in zip(subsets, r22, r11)]
 
-    if exhaustive:
-        for size in range(L + 1):
-            subsets = combinations(range(1, L + 1), size)
-            while chunk := list(islice(subsets, CP_CHUNK)):
-                yield from batch(chunk, with_t11)
-        return
-    # greedy mode
     last = batch([()])[0]
     yield last
     best = max(last.rcond_t22, last.rcond_t11)
@@ -394,9 +451,11 @@ def cp_scan(t: TransferMatrix, rcond_tol: float = RCOND_TOL,
     block conditions (the first such site on ties), reporting each step,
     until either block is invertible or no site improves that condition.
 
-    Each subset-size class costs one stacked SVD per block, in chunks of
-    at most :data:`CP_CHUNK` subsets (each greedy step one per block); the
-    entries equal those of a subset-by-subset evaluation bit for bit.
+    The exhaustive scan costs one stacked SVD per subset-size class, in
+    chunks of at most :data:`CP_CHUNK` subsets, since the permuted T11 of a
+    subset is the permuted T22 of its complement; each greedy step costs
+    one per block.  The entries equal those of a subset-by-subset
+    evaluation bit for bit.
 
     There is no decision procedure here beyond enumeration: when no subset
     restores invertibility, the decomposition simply does not exist in any
@@ -407,9 +466,13 @@ def cp_scan(t: TransferMatrix, rcond_tol: float = RCOND_TOL,
 
 def cp_suggestions(t: TransferMatrix, rcond_tol: float = RCOND_TOL, limit: int = 6):
     """The first ``limit`` site subsets, in :func:`cp_scan` order, whose
-    permuted T22 is invertible; the search stops once they are found."""
-    entries = _cp_entries(t, rcond_tol, CP_EXHAUSTIVE_MAX, with_t11=False)
-    restoring = (e.sites for e in entries if e.t22_invertible)
+    permuted T22 is invertible; the search stops once they are found, and
+    the exhaustive search reads no T11 block."""
+    if t.L <= CP_EXHAUSTIVE_MAX:
+        restoring = (s for s, r22 in _exhaustive_t22(t) if r22 >= rcond_tol)
+    else:
+        entries = _cp_entries(t, rcond_tol, CP_EXHAUSTIVE_MAX)
+        restoring = (e.sites for e in entries if e.t22_invertible)
     return list(islice(restoring, limit))
 
 

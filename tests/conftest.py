@@ -1,9 +1,14 @@
-"""Shared fixtures: the analytic L=3 example and random-instance helpers."""
+"""Shared fixtures: the analytic L=3 example, random-instance helpers and
+the kernel-call counter of the count gates."""
+
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
 
-from fermigauss import fock
+import fermigauss
+from fermigauss import fock, linalg
 from fermigauss.configs import FockConfig
 from fermigauss.linearpart import LinearGaussianOp
 from fermigauss.quadratic import QuadraticGenerator, random_generator
@@ -115,3 +120,32 @@ def oracle():
         return _ORACLES[L]
 
     return get
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(name)`` records every call of ``linalg.<name>`` made
+    from a fermigauss module and returns the list of argument tuples.
+
+    Every submodule is imported first and patched where it bound the
+    function by name, so a call counts wherever it moves; the dense oracle
+    ``fock`` is left alone, so checking against it adds no counts.
+    """
+    modules = [importlib.import_module(f"fermigauss.{info.name}")
+               for info in pkgutil.iter_modules(fermigauss.__path__) if info.name != "fock"]
+
+    def install(name: str) -> list:
+        orig = getattr(linalg, name)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return orig(*args, **kwargs)
+
+        for mod in modules:
+            for key, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, key, counting)
+        return calls
+
+    return install

@@ -274,3 +274,25 @@ def test_help_and_version_exit_zero(flag, capsys):
         main([flag])
     assert exc.value.code == 0
     assert capsys.readouterr().out
+
+
+def test_parser_is_built_once_and_reused(op_file, capsys):
+    # back-to-back calls with different subcommands share one parser and
+    # keep no state from each other
+    from fermigauss.cli import build_parser
+    assert build_parser() is build_parser()
+    code, out, _ = run(capsys, "cp-scan", "--op", op_file)
+    assert code == 0 and json.loads(out)["command"] == "cp-scan"
+    code, out, _ = run(capsys, "overlap", "--op", op_file, "--bra", "000", "--ket", "000")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["command"] == "overlap" and "cp_sites" not in doc["diagnostics"]
+    assert abs(complex(*doc["results"]["value"]) - np.cos(0.7)) < 1e-12
+    assert run(capsys, "overlap", "--op", op_file)[0] == 3
+    for flag in ("--help", "--version"):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
+    code, out, _ = run(capsys, "decompose", "--input", op_file)
+    assert code == 0 and json.loads(out)["command"] == "decompose"

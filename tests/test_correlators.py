@@ -137,8 +137,7 @@ class TestTwoPoint:
 
     def test_is_string_element_of_its_rows(self):
         rng = np.random.default_rng(220)
-        e = correlators._Engine(random_generator(3, rng, 0.6).m,
-                                random_generator(3, rng, 0.6).m.conj().T)
+        e = correlators._Engine(random_generator(3, rng, 0.6), random_generator(3, rng, 0.6))
         bra, ket = (1, 0, 1), (0, 1, 1)
         for a, b in ((ModeOp(1, True), ModeOp(3, False)), (ModeOp(2, False), ModeOp(2, True))):
             rows = (e._coeff_rows(a), e._coeff_rows(b))
@@ -294,6 +293,25 @@ class TestNPoint:
             ops = parse_mode_string(string)
             assert abs(n_point(ctx, ops) - oracle_value(ctx, ops, orc)) < 1e-8
         assert len(builds) == 1 + 3
+
+
+    def test_epsilon_route_keeps_the_given_generators(self, oracle, count_calls):
+        # contexts keep the quadratic generators they were given, so the
+        # singular ket generator is exponentiated once across two contexts;
+        # only the perturbed generators of the epsilon route are new
+        orc = oracle(3)
+        gen, bra_gen = QuadraticGenerator(worked_example_m(np.pi / 2)), QuadraticGenerator.zero(3)
+        calls = count_calls("mat_exp")
+        for bra, ket, string in (("001", "001", "c2 cd3"), ("100", "101", "cd1")):
+            ctx = CorrelatorContext(gen, bra_gen, FockConfig.from_string(bra),
+                                    FockConfig.from_string(ket))
+            ops = parse_mode_string(string)
+            ref = oracle_value(ctx, ops, orc)
+            assert abs(ref) > 0.5
+            assert abs(n_point(ctx, ops) - ref) < 1e-8
+            assert ctx._gens[False][0] is gen and ctx._gens[False][1] is bra_gen
+            assert [key[1] is None for key in ctx._engines] == [True, False, False, False]
+        assert sum(np.array_equal(a, gen.m) for (a,) in calls) == 1
 
 
 class TestSites:

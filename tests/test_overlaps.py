@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from fermigauss import overlaps
 from fermigauss.configs import FockConfig
-from fermigauss.linalg import LinalgError, SingularBlockError, mat_exp, pfaffian
+from fermigauss.linalg import LinalgError, SingularBlockError, pfaffian
 from fermigauss.linearpart import LinearGaussianOp, single_mode_op
 from fermigauss.overlaps import (
     ROUTES,
@@ -341,14 +340,8 @@ class TestRescueChain:
         with pytest.raises(LinalgError, match="overflows"):
             state_overlap(g, QuadraticGenerator.zero(4), vac, vac)
 
-    def test_forced_pfaffian_rejects_before_sign_tracking(self, monkeypatch):
-        calls = []
-
-        def counting(a):
-            calls.append(a)
-            return mat_exp(a)
-
-        monkeypatch.setattr(overlaps, "mat_exp", counting)
+    def test_forced_pfaffian_rejects_before_sign_tracking(self, count_calls):
+        calls = count_calls("mat_exp")
         gen = QuadraticGenerator(worked_example_m(np.pi / 2))
         vac = FockConfig.vacuum(3)
         with pytest.raises(SingularBlockError) as err:

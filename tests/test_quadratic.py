@@ -4,13 +4,14 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from fermigauss.linalg import MatrixLogBranchError, SingularBlockError, rcond_estimate
+from fermigauss.linalg import MatrixLogBranchError, SingularBlockError, rcond_estimate, skew_defect
 from fermigauss.quadratic import (
     CPScanEntry,
     QuadraticGenerator,
     TransferMatrix,
     _cp_entries,
     _cp_index,
+    admissibility_defect,
     bbd_antinormal,
     bbd_normal,
     compose_generators,
@@ -95,6 +96,26 @@ class TestTransfer:
     def test_inverse(self):
         t = transfer_of(random_generator(3, 23, 0.7))
         assert np.max(np.abs(t.inverse().t @ t.t - np.eye(6))) < 1e-12
+
+    @pytest.mark.parametrize("L", [1, 4, 16])
+    def test_j_checks_equal_the_matmul_form(self, L):
+        # J is applied by indexing, which is exact: both defects equal the
+        # products with the permutation matrix, and a nan stays a nan
+        j = j_matrix(L)
+        g = random_generator(L, 24 + L, 3.0)
+        t = transfer_of(g).t.copy()
+        m = g.m.copy()
+        bad_t, bad_m = t.copy(), m.copy()
+        bad_t[-1, 0] = bad_m[-1, 0] = np.nan
+        for a in (t, bad_t):
+            scale = max(1.0, float(np.max(np.abs(a))) ** 2)
+            ref = float(np.max(np.abs(a @ j @ a.T - j))) / scale
+            assert np.array_equal(TransferMatrix._defect(a), ref, equal_nan=True)
+        for a in (m, bad_m):
+            assert np.array_equal(admissibility_defect(a), skew_defect(j @ a), equal_nan=True)
+        assert np.isnan(TransferMatrix._defect(bad_t))
+        with pytest.raises(ValueError, match="nan"):
+            TransferMatrix(bad_t)
 
 
 class TestCompose:
@@ -284,22 +305,20 @@ class TestBatchedScanMatchesReference:
         for limit in range(1, 7):
             assert cp_suggestions(t, limit=limit) == restoring[:limit]
 
-    def test_chunked_size_classes(self, monkeypatch):
+    def test_chunked_size_classes(self, monkeypatch, count_calls):
         # a size class longer than CP_CHUNK is split in order, and a search
         # that stops early pays for the rest of its chunk only
-        from fermigauss import linalg, quadratic
+        from fermigauss import quadratic
         t = self.transfer(6, "singular")
-        calls = []
+        calls = count_calls("rcond_estimate")
         monkeypatch.setattr(quadratic, "CP_CHUNK", 4)
-        monkeypatch.setattr(quadratic, "rcond_estimate",
-                            lambda a: calls.append(len(a)) or linalg.rcond_estimate(a))
         assert list(_cp_entries(t, 1e-12, 20)) == reference_scan(t, 1e-12, 20)
         classes = [math.comb(6, size) for size in range(7)]
         chunks = [n for c in classes for n in [4] * (c // 4) + [c % 4] * (c % 4 > 0)]
-        assert calls[::2] == calls[1::2] == chunks
+        assert [len(a) for (a,) in calls] == chunks
         calls.clear()
         assert cp_suggestions(t, limit=1) == [(1,)]
-        assert calls == [1, 4]
+        assert [len(a) for (a,) in calls] == [1, 4]
 
 
 class TestCanonicalPermutations:
@@ -370,34 +389,29 @@ class TestCanonicalPermutations:
         pytest.param(53, 6, 3, id="53-6"),
         pytest.param(58, 6, 3, id="58-6"),
     ])
-    def test_exhaustive_suggestions_read_t22_only(self, monkeypatch, seed, limit, classes):
+    def test_exhaustive_suggestions_read_t22_only(self, count_calls, seed, limit, classes):
         # one stacked T22 estimate per subset-size class, up to the class of
         # the limit-th restoring subset; no T11 block is read
-        from fermigauss import linalg, quadratic
         t = transfer_of(rotation_plus_sector(4, np.random.default_rng(seed)))
         entries = cp_scan(t)
         restoring = [k for k, e in enumerate(entries) if e.t22_invertible]
         assert len(entries[restoring[limit - 1]].sites) == classes - 1
-        calls = []
-        monkeypatch.setattr(quadratic, "rcond_estimate",
-                            lambda a: calls.append(a) or linalg.rcond_estimate(a))
+        calls = count_calls("rcond_estimate")
         found = cp_suggestions(t, limit=limit)
         assert found == [entries[k].sites for k in restoring[:limit]]
-        assert [len(a) for a in calls] == [math.comb(4, size) for size in range(classes)]
+        assert [len(a) for (a,) in calls] == [math.comb(4, size) for size in range(classes)]
         visited = [e.sites for e in entries if len(e.sites) < classes]
         t22 = [t.t[np.ix_(idx[4:], idx[4:])] for idx in (_cp_index(4, s) for s in visited)]
-        assert np.array_equal(np.concatenate(calls), np.array(t22))
+        assert np.array_equal(np.concatenate([a for (a,) in calls]), np.array(t22))
 
-    def test_scan_one_stacked_estimate_per_class(self, monkeypatch):
-        from fermigauss import linalg, quadratic
+    def test_scan_one_stacked_estimate_per_class(self, count_calls):
+        # T11 of a subset is read off the T22 estimate of its complement
         t = transfer_of(random_generator(10, 59, 0.8))
-        calls = []
-        monkeypatch.setattr(quadratic, "rcond_estimate",
-                            lambda a: calls.append(a) or linalg.rcond_estimate(a))
+        calls = count_calls("rcond_estimate")
         entries = cp_scan(t)
         assert len(entries) == 2 ** 10
-        assert len(calls) == 22
-        assert [len(a) for a in calls[::2]] == [math.comb(10, size) for size in range(11)]
+        assert len(calls) == 11
+        assert [len(a) for (a,) in calls] == [math.comb(10, size) for size in range(11)]
 
     def test_transfer_rejects_nan(self):
         t = np.eye(4, dtype=complex)
