@@ -16,6 +16,8 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import json
+import math
 import os
 import sys
 
@@ -64,29 +66,22 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 
 def _fmt_float(x: float) -> str:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise CliError(EXIT_NUMERICAL, f"non-finite value {x} in report")
-    return format(float(x), ".17g")
+    return format(x, ".17g")
 
 
-def dump_report(obj, indent: int = 0) -> str:
-    """Serialize a report to JSON text with 17-significant-digit floats."""
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{pad}  "{k}": {dump_report(v, indent + 1)}' for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        rendered = [dump_report(v, indent + 1) for v in seq]
-        if all(not isinstance(v, (dict, list, tuple)) for v in seq) and sum(map(len, rendered)) < 72:
-            return "[" + ", ".join(rendered) + "]"
-        return "[\n" + ",\n".join(f"{pad}  {r}" for r in rendered) + "\n" + pad + "]"
+def _dump_scalar(obj) -> str:
+    """One JSON scalar.  A report is mostly built-in floats, bools and ints,
+    so their exact types are tested first; everything else, numpy scalars
+    included, takes the isinstance chain."""
+    cls = type(obj)
+    if cls is float:
+        return _fmt_float(obj)
+    if cls is bool:
+        return "true" if obj else "false"
+    if cls is int:
+        return str(obj)
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
@@ -96,9 +91,34 @@ def dump_report(obj, indent: int = 0) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, str):
-        import json as _json
-        return _json.dumps(obj)
+        return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj)} in report")
+
+
+def dump_report(obj, indent: int = 0) -> str:
+    """Serialize a report to JSON text with 17-significant-digit floats.
+
+    A list of scalars whose items render to fewer than 72 characters in
+    total stays on one line."""
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f'{pad}  "{k}": {dump_report(v, indent + 1)}' for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if any(isinstance(v, (dict, list, tuple)) for v in obj):
+            rendered = [dump_report(v, indent + 1) for v in obj]
+        else:
+            rendered = [_dump_scalar(v) for v in obj]
+            if sum(map(len, rendered)) < 72:
+                return "[" + ", ".join(rendered) + "]"
+        return "[\n" + ",\n".join(f"{pad}  {r}" for r in rendered) + "\n" + pad + "]"
+    return _dump_scalar(obj)
 
 
 def as_pair(z) -> list:
@@ -127,8 +147,6 @@ def _pairs_to_complex(data, shape, what: str) -> np.ndarray:
 
 
 def load_operator(path: str) -> tuple[LinearGaussianOp, dict]:
-    import json
-
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -474,6 +492,7 @@ def cmd_verify(args) -> int:
 
     if op.is_quadratic:
         gen = QuadraticGenerator(op.m)
+        zero = QuadraticGenerator.zero(L)   # one object, so exp(0) is computed once
         t = transfer_of(gen)
         record("transfer_j_orthogonality", t.j_defect(), 1e-10)
         record("transfer_det_unimodular", abs(abs(np.linalg.det(t.t)) - 1.0), 1e-8)
@@ -482,7 +501,7 @@ def cmd_verify(args) -> int:
         dev = 0.0
         for bra in configs:
             for ket in configs:
-                val = state_overlap(gen, QuadraticGenerator.zero(L), bra, ket).value
+                val = state_overlap(gen, zero, bra, ket).value
                 ref = fock.dense_element(f_dense, bra, ket, modes=modes)
                 dev = max(dev, abs(val - ref))
         record("matrix_elements_vs_oracle", dev, 1e-9)
@@ -501,8 +520,7 @@ def cmd_verify(args) -> int:
         # the Wick normalization never divides by an accidental zero
         flat = int(np.argmax(np.abs(f_dense)))
         bj, ki = divmod(flat, dim)
-        ctx = CorrelatorContext(gen, QuadraticGenerator.zero(L),
-                                configs[bj], configs[ki])
+        ctx = CorrelatorContext(gen, zero, configs[bj], configs[ki])
         dev = 0.0
         note = None
         for n in (1, 2, 3, 4):

@@ -235,7 +235,9 @@ class CorrelatorContext:
                  eps_schedule=EPS_SCHEDULE, eps_seed: int = EPS_SEED):
         # (ket, bra) generators per sector, False (quadratic) or True
         # (extended); generators given for the quadratic sector are kept,
-        # so their cached exponentials serve every context built on them
+        # and the extended sector's come from ``embed``, which caches them
+        # on the operators, so their exponentials serve every context
+        # built on the same objects
         self._gens: dict = {}
         if isinstance(op1, QuadraticGenerator) and isinstance(op2, QuadraticGenerator):
             self._gens[False] = (op1, op2)

@@ -8,6 +8,11 @@ enlarged generator acts on L+1 sites and all quadratic machinery applies;
 physics on the original chain is recovered on the subspace spanned by the
 symmetric ancilla combinations ``(|0,n> + |1,n>)/sqrt(2)``.
 
+A :class:`LinearGaussianOp` holds read-only views of (M, u, v) and builds
+its enlarged generator on first use: :func:`embed` returns that one
+:class:`QuadraticGenerator` on every call, so its cached ``exp(M')`` and
+``exp(M'^dag)`` are computed once per operator object.
+
 Provided here: the embedding, the five-factor factorization
 
     F = exp(q.c^dag) exp((1/2) c^dag X c^dag) exp(c^dag Y c - tr(Y)/2)
@@ -30,6 +35,7 @@ from .quadratic import (
     TransferMatrix,
     _normal_factors,
     _principal_y,
+    _read_only,
     admissibility_defect,
     transfer_of,
 )
@@ -38,65 +44,8 @@ from .quadratic import (
 STRUCTURE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class LinearGaussianOp:
-    """Gaussian operator data (M, u, v).
-
-    The exponent is ``(1/2)(c^dag, c) M (c, c^dag)^T + u^dag c^dag + v^T c``,
-    i.e. ``conj(u_j)`` multiplies ``c_j^dag`` and ``v_j`` multiplies ``c_j``.
-    """
-
-    m: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.m, dtype=complex)
-        L = m.shape[0] // 2
-        u = np.zeros(L, dtype=complex) if self.u is None else np.asarray(self.u, dtype=complex)
-        v = np.zeros(L, dtype=complex) if self.v is None else np.asarray(self.v, dtype=complex)
-        if m.ndim != 2 or m.shape != (2 * L, 2 * L):
-            raise ValueError(f"M must be 2L x 2L, got {m.shape}")
-        if u.shape != (L,) or v.shape != (L,):
-            raise ValueError(f"u, v must have length {L}, got {u.shape}, {v.shape}")
-        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-            raise ValueError("non-finite entries in (M, u, v)")
-        d = admissibility_defect(m)
-        if d > SKEW_TOL:
-            raise ValueError(f"J.M is not antisymmetric (defect {d:.3e})")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-
-    @classmethod
-    def quadratic(cls, gen: QuadraticGenerator) -> "LinearGaussianOp":
-        return cls(gen.m, None, None)
-
-    @classmethod
-    def zero(cls, L: int) -> "LinearGaussianOp":
-        return cls(np.zeros((2 * L, 2 * L), dtype=complex), None, None)
-
-    @property
-    def L(self) -> int:
-        return self.m.shape[0] // 2
-
-    @property
-    def is_quadratic(self) -> bool:
-        return not (np.any(self.u) or np.any(self.v))
-
-    def dagger(self) -> "LinearGaussianOp":
-        """Adjoint operator: (M, u, v) -> (M^dag, v, u)."""
-        return LinearGaussianOp(self.m.conj().T, self.v.copy(), self.u.copy())
-
-
-def embed(op: LinearGaussianOp) -> QuadraticGenerator:
-    """Enlarged generator M' on L+1 sites (ancilla first).
-
-    Index order is ``(c0^dag, c1^dag, ..., cL^dag, c0, c1, ..., cL)`` on rows
-    and the matching ``(c0, ..., cL, c0^dag, ..., cL^dag)`` on columns.  The
-    linear coefficient vectors sit on the ancilla border rows/columns; for
-    u = v = 0 the borders vanish and the quadratic blocks reproduce M.
-    """
+def _embedding(op: "LinearGaussianOp") -> QuadraticGenerator:
+    """The enlarged generator M' of ``op``; :func:`embed` documents its layout."""
     L = op.L
     n = L + 1
     mp = np.zeros((2 * n, 2 * n), dtype=complex)
@@ -118,6 +67,78 @@ def embed(op: LinearGaussianOp) -> QuadraticGenerator:
     mp[n + 1:, n] = -op.v
     mp[n + 1:, n + 1:] = m22
     return QuadraticGenerator(mp)
+
+
+@dataclass(frozen=True)
+class LinearGaussianOp:
+    """Gaussian operator data (M, u, v).
+
+    The exponent is ``(1/2)(c^dag, c) M (c, c^dag)^T + u^dag c^dag + v^T c``,
+    i.e. ``conj(u_j)`` multiplies ``c_j^dag`` and ``v_j`` multiplies ``c_j``.
+
+    ``m``, ``u`` and ``v`` are read-only views of the arrays passed in, not
+    copies, so the caller must not mutate those arrays afterwards.  The
+    enlarged generator (see :func:`embed`) is built on first use and cached
+    on the instance, together with its exponentials.
+    """
+
+    m: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+
+    def __post_init__(self):
+        m = np.asarray(self.m, dtype=complex)
+        L = m.shape[0] // 2
+        u = np.zeros(L, dtype=complex) if self.u is None else np.asarray(self.u, dtype=complex)
+        v = np.zeros(L, dtype=complex) if self.v is None else np.asarray(self.v, dtype=complex)
+        if m.ndim != 2 or m.shape != (2 * L, 2 * L):
+            raise ValueError(f"M must be 2L x 2L, got {m.shape}")
+        if u.shape != (L,) or v.shape != (L,):
+            raise ValueError(f"u, v must have length {L}, got {u.shape}, {v.shape}")
+        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+            raise ValueError("non-finite entries in (M, u, v)")
+        d = admissibility_defect(m)
+        if d > SKEW_TOL:
+            raise ValueError(f"J.M is not antisymmetric (defect {d:.3e})")
+        object.__setattr__(self, "m", _read_only(m))
+        object.__setattr__(self, "u", _read_only(u))
+        object.__setattr__(self, "v", _read_only(v))
+
+    _embedded = functools.cached_property(_embedding)
+
+    @classmethod
+    def quadratic(cls, gen: QuadraticGenerator) -> "LinearGaussianOp":
+        return cls(gen.m, None, None)
+
+    @classmethod
+    def zero(cls, L: int) -> "LinearGaussianOp":
+        return cls(np.zeros((2 * L, 2 * L), dtype=complex), None, None)
+
+    @property
+    def L(self) -> int:
+        return self.m.shape[0] // 2
+
+    @property
+    def is_quadratic(self) -> bool:
+        return not (np.any(self.u) or np.any(self.v))
+
+    def dagger(self) -> "LinearGaussianOp":
+        """Adjoint operator: (M, u, v) -> (M^dag, v, u)."""
+        return LinearGaussianOp(self.m.conj().T, self.v, self.u)
+
+
+def embed(op: LinearGaussianOp) -> QuadraticGenerator:
+    """Enlarged generator M' on L+1 sites (ancilla first), cached on ``op``.
+
+    Index order is ``(c0^dag, c1^dag, ..., cL^dag, c0, c1, ..., cL)`` on rows
+    and the matching ``(c0, ..., cL, c0^dag, ..., cL^dag)`` on columns.  The
+    linear coefficient vectors sit on the ancilla border rows/columns; for
+    u = v = 0 the borders vanish and the quadratic blocks reproduce M.
+    The generator is built on the first call and the same object is
+    returned on every later one, so exp(M') and exp(M'^dag) are computed
+    once per operator object.
+    """
+    return op._embedded
 
 
 def extract_op(gen: QuadraticGenerator, tol: float = STRUCTURE_TOL) -> LinearGaussianOp:

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from fermigauss.cli import main
-from fermigauss.quadratic import random_generator
+from fermigauss import cli
+from fermigauss.cli import CliError, main
+from fermigauss.overlaps import state_overlap
+from fermigauss.quadratic import QuadraticGenerator, random_generator
 
 from conftest import worked_example_m
 
@@ -296,3 +298,154 @@ def test_parser_is_built_once_and_reused(op_file, capsys):
         assert capsys.readouterr().out
     code, out, _ = run(capsys, "decompose", "--input", op_file)
     assert code == 0 and json.loads(out)["command"] == "decompose"
+
+
+def reference_dump_report(obj, indent: int = 0) -> str:
+    """The report serializer as written before its scalar fast paths; the
+    current one must reproduce it byte for byte."""
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f'{pad}  "{k}": {reference_dump_report(v, indent + 1)}' for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        seq = list(obj)
+        if not seq:
+            return "[]"
+        rendered = [reference_dump_report(v, indent + 1) for v in seq]
+        if all(not isinstance(v, (dict, list, tuple)) for v in seq) and sum(map(len, rendered)) < 72:
+            return "[" + ", ".join(rendered) + "]"
+        return "[\n" + ",\n".join(f"{pad}  {r}" for r in rendered) + "\n" + pad + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if not np.isfinite(x):
+            raise CliError(cli.EXIT_NUMERICAL, f"non-finite value {x} in report")
+        return format(x, ".17g")
+    if obj is None:
+        return "null"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    raise TypeError(f"cannot serialize {type(obj)} in report")
+
+
+def serialized(dump, obj):
+    """``dump(obj)``, or the type, message and exit code of what it raised."""
+    try:
+        return dump(obj)
+    except (CliError, TypeError) as exc:
+        return type(exc), str(exc), getattr(exc, "code", None)
+
+
+def report_corpus(tmp_path, capsys, monkeypatch) -> list:
+    """Every document the CLI serializes while running each subcommand at
+    L = 2-4, plus the L=10 cp-scan report."""
+    docs = []
+    dump = cli.dump_report
+
+    def recording(obj, indent=0):
+        if indent == 0:
+            docs.append(obj)
+        return dump(obj, indent)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "dump_report", recording)
+        run_corpus(tmp_path)
+    capsys.readouterr()
+    return docs
+
+
+def run_corpus(tmp_path) -> None:
+    for L in (2, 3, 4):
+        rng = np.random.default_rng(L)
+        quad = write_operator(tmp_path / f"q{L}.json", random_generator(L, rng, 0.5).m)
+        lin = write_operator(tmp_path / f"l{L}.json", random_generator(L, rng, 0.5).m,
+                             u=0.3 * rng.standard_normal(L), v=0.3j * rng.standard_normal(L))
+        sing = write_operator(tmp_path / f"s{L}.json",
+                              worked_example_m(np.pi / 2) if L == 3 else np.zeros((2 * L, 2 * L)))
+        bra, ket, odd = "1" * L, "1" + "0" * (L - 1), "0" * L
+        string = "c1 cd2 c2" if L > 1 else "c1"
+        runs = [
+            ("decompose", "--input", quad, "--form", "normal"),
+            ("decompose", "--input", quad, "--form", "antinormal"),
+            ("decompose", "--input", lin, "--form", "generalized"),
+            ("decompose", "--input", sing, "--form", "normal", "--cp", "1"),
+            ("decompose", "--input", sing, "--form", "normal", "--epsilon"),
+            ("compose", "--inputs", quad, quad, "--output", str(tmp_path / "c.json")),
+            ("compose", "--inputs", lin, quad, "--output", str(tmp_path / "c.json")),
+            ("overlap", "--op", quad, "--op2", quad, "--bra", bra, "--ket", odd, "--verify"),
+            ("overlap", "--op", lin, "--bra", bra, "--ket", ket, "--verify"),
+            ("overlap", "--op", sing, "--bra", ket, "--ket", ket, "--epsilon"),
+            ("overlap", "--op", quad, "--bra", ket, "--ket", ket, "--cp-magnitude"),
+            ("correlate", "--op", quad, "--bra", odd, "--ket", odd, "--string", "c1 cd1",
+             "--verify"),
+            ("correlate", "--op", lin, "--op2", lin, "--bra", bra, "--ket", odd,
+             "--string", string, "--expand", "--verify"),
+            ("wick", "--op", lin, "--bra", bra, "--ket", ket, "--string", string),
+            ("cp-scan", "--op", quad),
+            ("verify", "--op", quad),
+            ("verify", "--op", lin),
+        ]
+        for argv in runs:
+            code = main(list(argv))
+            assert code in (0, 2, 4), argv
+    big = write_operator(tmp_path / "q10.json", random_generator(10, 3, 0.5).m)
+    assert main(["cp-scan", "--op", big]) == 0
+
+
+class TestReportSerializer:
+    def test_reports_byte_identical_to_reference(self, tmp_path, capsys, monkeypatch):
+        docs = report_corpus(tmp_path, capsys, monkeypatch)
+        commands = {d.get("command") for d in docs}
+        assert commands >= {"decompose", "compose", "overlap", "correlate", "cp-scan", "verify"}
+        assert len(docs[-1]["results"]["entries"]) == 2 ** 10
+        for doc in docs:
+            assert cli.dump_report(doc) == reference_dump_report(doc)
+
+    @pytest.mark.parametrize("obj", [
+        {"f": np.float64(0.1), "i": np.int64(-3), "t": True, "n": False, "z": None,
+         "g": np.float32(1.5), "k": 7, "x": -0.0, "big": 1e300, "tiny": 5e-324},
+        ["quote \" backslash \\ newline \n tab \t", "unicode \u00e9 \u2020", ""],
+        (1, 2.5, "x", None, True, np.int64(3)),
+        {}, [], (), {"a": {}, "b": [], "c": [[], {}, [1, [2, (3, 4)]]]},
+        [7] * 71, [7] * 72, ["a" * 69], ["a" * 70], [np.float64(1.25)] * 3,
+        [1, np.bool_(True)], {"v": 1 + 2j}, [float("nan")], {"a": [1.0, np.float64(np.inf)]},
+        [-np.inf], [[1.0, 2.0], float("nan"), object()],
+    ])
+    def test_edge_cases_match_reference(self, obj):
+        assert serialized(cli.dump_report, obj) == serialized(reference_dump_report, obj)
+
+    def test_scalar_list_width(self):
+        assert "\n" not in cli.dump_report([7] * 71)
+        assert "\n" in cli.dump_report([7] * 72)
+
+    @pytest.mark.parametrize("value", [float("nan"), np.float64(np.inf), -np.inf])
+    def test_non_finite_float_is_a_numerical_failure(self, value):
+        with pytest.raises(CliError) as exc:
+            cli.dump_report({"results": {"value": [1.0, value]}})
+        assert exc.value.code == cli.EXIT_NUMERICAL
+
+
+def test_verify_builds_one_zero_generator(tmp_path, capsys, monkeypatch, count_calls):
+    # the element loop used to pass a fresh zero generator for every element;
+    # reusing one object changes no byte of the report
+    op = write_operator(tmp_path / "op4.json", random_generator(4, 12, 0.5).m)
+    calls = count_calls("mat_exp")
+    assert main(["verify", "--op", op, "--seed", "3"]) == 0
+    after, n_after = capsys.readouterr().out, len(calls)
+    calls.clear()
+    monkeypatch.setattr(cli, "state_overlap", lambda g1, g2, bra, ket, **kw: state_overlap(
+        g1, QuadraticGenerator.zero(g2.L), bra, ket, **kw))
+    assert main(["verify", "--op", op, "--seed", "3"]) == 0
+    before, n_before = capsys.readouterr().out, len(calls)
+    assert after == before
+    assert json.loads(after)["results"]["all_passed"]
+    # before: one exp(0^dag) per parity-allowed element and one for the
+    # correlator context; after: one in all
+    assert n_before - n_after == 4 ** 4 // 2

@@ -14,10 +14,23 @@ from hypothesis import strategies as st
 
 from fermigauss import correlators
 from fermigauss.configs import FockConfig
-from fermigauss.correlators import CorrelatorContext, ModeOp, n_point
+from fermigauss.correlators import CorrelatorContext, ModeOp, generalized_expectation, n_point
 from fermigauss.linalg import sqrt_det_via_log
-from fermigauss.linearpart import LinearGaussianOp, generalized_bbd
-from fermigauss.overlaps import OverlapKernel, compose_bra_ket, overlap, pair_kernel, state_overlap
+from fermigauss.linearpart import (
+    LinearGaussianOp,
+    compose_linear,
+    conjugate_modes,
+    embed,
+    generalized_bbd,
+)
+from fermigauss.overlaps import (
+    OverlapKernel,
+    compose_bra_ket,
+    generalized_overlap,
+    overlap,
+    pair_kernel,
+    state_overlap,
+)
 from fermigauss.quadratic import (
     QuadraticGenerator,
     bbd_antinormal,
@@ -27,7 +40,7 @@ from fermigauss.quadratic import (
     transfer_of,
 )
 
-from conftest import random_linear_op
+from conftest import all_configs, random_linear_op, worked_example_m
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -139,6 +152,84 @@ class TestGeneratorExponentials:
         outputs(g1, g2)
         cached = outputs(g1, g2)
         fresh = outputs(*(QuadraticGenerator(m) for m in ms))
+        assert cached[:5] == fresh[:5]
+        for a, b in zip(cached[5:], fresh[5:]):
+            assert np.array_equal(a, b)
+
+
+class TestEmbeddedExponentials:
+    """An operator with linear parts builds its ancilla generator once, so
+    exp(M') and exp(M'^dag) are computed once per operator object."""
+
+    def test_each_side_exponentiated_once(self, count_calls):
+        rng = np.random.default_rng(17)
+        ops = [random_linear_op(rng, 3) for _ in range(4)]
+        bra, ket = FockConfig.from_string("110"), FockConfig.from_string("011")
+        calls = count_calls("mat_exp")
+        for op1, op2 in permutations(ops, 2):
+            assert generalized_overlap(op1, op2, bra, ket).method == "pfaffian"
+        gens = [embed(op) for op in ops]
+        assert exact_exponentials(calls, gens) == 2 * len(ops)
+        calls.clear()
+        generalized_overlap(ops[0], ops[1], ket, bra)
+        for op in ops:
+            generalized_bbd(op)
+        assert exact_exponentials(calls, gens) == 0
+
+    def test_embedding_cached_and_data_read_only(self):
+        rng = np.random.default_rng(18)
+        m = random_generator(3, rng, 0.6).m.copy()
+        u, v = (rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(2))
+        op = LinearGaussianOp(m, u, v)
+        assert embed(op) is embed(op)
+        for a, given_array in ((op.m, m), (op.u, u), (op.v, v)):
+            assert np.shares_memory(a, given_array) and given_array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+
+    def test_contexts_share_the_embedding(self, count_calls):
+        rng = np.random.default_rng(19)
+        op1, op2 = random_linear_op(rng, 3), random_linear_op(rng, 3)
+        calls = count_calls("mat_exp")
+        for bra, ket in (("100", "011"), ("010", "110")):
+            ctx = CorrelatorContext(op1, op2, FockConfig.from_string(bra),
+                                    FockConfig.from_string(ket))
+            generalized_expectation(ctx, (ModeOp(1, True), ModeOp(3, False)))
+        # exp(M1') for the ket side and exp(M2'^dag) for the bra side
+        assert exact_exponentials(calls, [embed(op1), embed(op2)]) == 2
+
+    def test_epsilon_route_keeps_only_the_own_embedding(self, oracle):
+        orc = oracle(3)
+        op = LinearGaussianOp(worked_example_m(np.pi / 2), None, None)
+        zero = LinearGaussianOp.zero(3)
+        f = orc.gaussian(op)
+        bra, ket = FockConfig.from_string("110"), FockConfig.from_string("011")
+        res = generalized_overlap(op, zero, bra, ket)
+        assert res.method == "epsilon-regularized"
+        assert abs(res.value - orc.element(f, bra, ket)) < 1e-8
+        assert set(vars(op)) == {"m", "u", "v", "_embedded"}
+        fresh = embed(LinearGaussianOp(op.m, op.u, op.v))
+        assert np.array_equal(embed(op).m, fresh.m)
+
+    def test_cached_call_equals_fresh_call(self):
+        rng = np.random.default_rng(20)
+        data = [random_linear_op(rng, 4, 0.8) for _ in range(2)]
+        configs = all_configs(4)
+        bra, ket = configs[5], configs[6]
+
+        def outputs(op1, op2):
+            res = generalized_overlap(op1, op2, bra, ket)
+            fac = generalized_bbd(op1)
+            ctx = CorrelatorContext(op1, op2, bra, ket)
+            return (res.value, res.method, res.sign_certain, fac.prefactor,
+                    generalized_expectation(ctx, (ModeOp(2, True),)),
+                    fac.x, fac.z, fac.q, fac.p, compose_linear(op1, op2).transfer.t,
+                    conjugate_modes(op2).tp)
+
+        op1, op2 = (LinearGaussianOp(d.m, d.u, d.v) for d in data)
+        outputs(op1, op2)
+        cached = outputs(op1, op2)
+        fresh = outputs(*(LinearGaussianOp(d.m, d.u, d.v) for d in data))
         assert cached[:5] == fresh[:5]
         for a, b in zip(cached[5:], fresh[5:]):
             assert np.array_equal(a, b)

@@ -33,6 +33,12 @@ from conftest import (
     worked_example_elements,
     worked_example_m,
 )
+from test_quadratic import rotation_plus_sector
+
+EPSILON_SIGN_DEFECT = (
+    "ROADMAP item 5: each perturbed kernel takes its sign from the continuity path, "
+    "which misses the double zero of det T22(s) within epsilon of s = 1, so the "
+    "extrapolated value has the wrong sign and is flagged certain")
 
 
 class TestQuadraticOverlap:
@@ -121,6 +127,27 @@ class TestSingularFallbacks:
         fine = overlap(gen, bra, ket, method="epsilon", eps_schedule=(5e-5, 2.5e-5))
         assert abs(coarse.value - fine.value) < 1e-7
         assert coarse.diagnostics["eps_seed"] == fine.diagnostics["eps_seed"]
+
+    @pytest.mark.parametrize("L", [2, 4] + [
+        pytest.param(L, marks=pytest.mark.xfail(strict=True, reason=EPSILON_SIGN_DEFECT))
+        for L in (3, 5, 6, 7)])
+    def test_epsilon_sign_matches_oracle(self, L, oracle):
+        # a singular two-site rotation plus a generic sector, identity bra
+        # operator, vacuum ket: every nonzero element takes the epsilon route
+        gen = rotation_plus_sector(L, np.random.default_rng(0))
+        orc = oracle(L)
+        f = orc.gaussian(gen)
+        vac = FockConfig.vacuum(L)
+        nonzero = 0
+        for bra in all_configs(L):
+            ref = orc.element(f, bra, vac)
+            if abs(ref) < 1e-9:
+                continue
+            nonzero += 1
+            res = state_overlap(gen, QuadraticGenerator.zero(L), bra, vac)
+            assert res.method == "epsilon-regularized" and res.sign_certain
+            assert abs(res.value - ref) <= 1e-8 * max(1.0, abs(ref))
+        assert nonzero > 0
 
     def test_cp_magnitude_matches_regular_overlap(self):
         rng = np.random.default_rng(111)
