@@ -66,6 +66,10 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
 def mat_log(t: np.ndarray) -> np.ndarray:
     """Principal matrix logarithm.
 
+    Deterministic: ``scipy.linalg.logm`` estimates a norm from numpy's
+    global random stream, so it runs under a fixed seed, and the caller's
+    stream is restored afterwards, unadvanced.
+
     Raises
     ------
     MatrixLogBranchError
@@ -77,7 +81,12 @@ def mat_log(t: np.ndarray) -> np.ndarray:
     if t.size == 0:
         return t.copy()
     _check_principal_branch(np.linalg.eigvals(t))
-    out = scipy.linalg.logm(t)
+    state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        out = scipy.linalg.logm(t)
+    finally:
+        np.random.set_state(state)
     return np.asarray(out, dtype=complex)
 
 

@@ -321,7 +321,7 @@ def factors_as_ops(f: GeneralizedFactored):
 @dataclass(frozen=True)
 class LinearComposeResult:
     transfer: TransferMatrix          # extended (L+1)-site transfer
-    op: LinearGaussianOp | None       # composed (M, u, v) when the log branch exists
+    op: LinearGaussianOp | None       # composed (M, u, v) when a valid principal log exists
     generator_available: bool
 
 
@@ -329,7 +329,10 @@ def compose_linear(op1: LinearGaussianOp, op2: LinearGaussianOp) -> LinearCompos
     """Product F_1 F_2 through the embedding: exp(M1') exp(M2') = exp(M').
 
     The extended transfer product is exact; the composed (M, u, v) is
-    recovered from the principal log of the product when it exists.
+    recovered from the principal log of the product when it exists and
+    passes the checks of :class:`QuadraticGenerator` and
+    :class:`LinearGaussianOp`; a log accurate only to about 1e-10 or worse
+    can fail them, and then no generator is returned either.
     """
     if op1.L != op2.L:
         raise ValueError(f"site counts differ: {op1.L} vs {op2.L}")
@@ -340,7 +343,11 @@ def compose_linear(op1: LinearGaussianOp, op2: LinearGaussianOp) -> LinearCompos
         mp = mat_log(tp.t)
     except MatrixLogBranchError:
         return LinearComposeResult(tp, None, False)
-    return LinearComposeResult(tp, extract_op(QuadraticGenerator(mp)), True)
+    try:
+        op = extract_op(QuadraticGenerator(mp))
+    except ValueError:
+        return LinearComposeResult(tp, None, False)
+    return LinearComposeResult(tp, op, True)
 
 
 # ---------------------------------------------------------------------------

@@ -136,26 +136,30 @@ def _as_transfer(composed) -> TransferMatrix:
 class _ProductPath:
     """The continuity path ``s -> T22(s)`` of exp(s M2^dag) exp(s M1).
 
-    A real point is reached from the last one evaluated by one step,
-    e^{(s+h)M} = e^{hM} e^{sM}, carrying only what reaches T22: the right
-    L columns of e^{sM1} and the bottom L rows of e^{sM2^dag}.  The step
-    exponentials are cached for one step length (up to rounding) at a time,
-    so an equally spaced grid costs one ``mat_exp`` per factor; a point
-    whose real part does not increase begins a new path at the identity.
-    Complex points (the detours) are exponentiated directly.
+    ``g1`` and ``g2`` are the ket and bra generators (``g2`` None for the
+    identity).  A real point is reached from the last one evaluated by one
+    step, e^{(s+h)M} = e^{hM} e^{sM}, carrying only what reaches T22: the
+    right L columns of e^{sM1} and the bottom L rows of e^{sM2^dag}.  A step
+    within rounding of the current one reuses it; a new step length is
+    taken from the generators, which cache its exponentials, so an equally
+    spaced grid costs one ``mat_exp`` per generator and side the first time
+    and none after.  A point whose real part does not increase begins a new
+    path at the identity.  Complex points (the detours) are exponentiated
+    directly.
     """
 
-    def __init__(self, m1: np.ndarray, m2dag: np.ndarray | None):
-        self.m1, self.m2dag = m1, m2dag
-        self.half = m1.shape[0] // 2
+    def __init__(self, g1: QuadraticGenerator, g2: QuadraticGenerator | None):
+        self.g1, self.g2 = g1, g2
+        self.m1, self.m2dag = g1.m, None if g2 is None else g2.m.conj().T
+        self.half = g1.L
         self._s = None      # last real point; None after a complex one
         self._right = self._bottom = None   # None stands for the identity
         self._step = None   # (h, e^{h M1}, e^{h M2^dag})
 
     def _step_exp(self, h: float):
         if self._step is None or abs(h - self._step[0]) > 1e-12 * h:
-            e2 = None if self.m2dag is None else mat_exp(h * self.m2dag)
-            self._step = (h, mat_exp(h * self.m1), e2)
+            e2 = None if self.g2 is None else self.g2._step_exp(h, True)
+            self._step = (h, self.g1._step_exp(h, False), e2)
         return self._step[1:]
 
     def __call__(self, s: complex) -> np.ndarray:
@@ -181,8 +185,7 @@ def _pair_kernel(g1: QuadraticGenerator, g2: QuadraticGenerator | None, rcond_to
     transfer.  Both exponentials are the ones cached on the generators."""
     t1 = g1._exp
     t = t1 if g2 is None else g2._exp_dagger @ t1
-    m2dag = None if g2 is None else g2.m.conj().T
-    return OverlapKernel(TransferMatrix(t), rcond_tol, path=_ProductPath(g1.m, m2dag)), t1
+    return OverlapKernel(TransferMatrix(t), rcond_tol, path=_ProductPath(g1, g2)), t1
 
 
 def pair_kernel(m1: np.ndarray, m2dag: np.ndarray | None = None,

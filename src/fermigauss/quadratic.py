@@ -14,9 +14,11 @@ factorizations when a diagonal block of ``T`` is singular.
 A :class:`QuadraticGenerator` holds a read-only view of its M and
 exponentiates it on first use: ``exp(M)`` (which :func:`transfer_of`
 wraps) and ``exp(M^dag)`` (the bra side of an overlap) are each computed
-once per generator object and cached on it, read-only.  A generator
-that recurs across many overlaps therefore costs one ``mat_exp`` per
-side.
+once per generator object and cached on it, read-only.  So are the steps
+``exp(h M)`` and ``exp(h M^dag)`` of the sign-continuity path, once per
+side and exact step length h.  A generator that recurs across many
+overlaps therefore costs one ``mat_exp`` per side and quantity, and a
+2L x 2L complex matrix of memory for each.
 """
 
 from __future__ import annotations
@@ -77,8 +79,9 @@ class QuadraticGenerator:
     """Generator matrix M of a purely quadratic Gaussian operator.
 
     ``m`` is a read-only view of the array passed in, not a copy, so the
-    caller must not mutate that array afterwards.  exp(M) and exp(M^dag)
-    are computed on first use and cached on the instance, read-only.
+    caller must not mutate that array afterwards.  exp(M), exp(M^dag) and
+    the continuity steps exp(h M), exp(h M^dag) are computed on first use
+    and cached on the instance, read-only.
     """
 
     m: np.ndarray
@@ -104,6 +107,15 @@ class QuadraticGenerator:
         """exp(M^dag), the bra side of an overlap.  Exponentiated as such:
         exp(M)^dag differs from it at rounding level."""
         return _read_only(mat_exp(self.m.conj().T))
+
+    def _step_exp(self, h: float, dagger: bool) -> np.ndarray:
+        """exp(h M), or exp(h M^dag) for the bra side: one step of the
+        continuity path.  Cached per exact ``(h, dagger)``, read-only."""
+        steps = self.__dict__.setdefault("_steps", {})
+        key = (h, dagger)
+        if key not in steps:
+            steps[key] = _read_only(mat_exp(h * (self.m.conj().T if dagger else self.m)))
+        return steps[key]
 
     @functools.cached_property
     def _transfer(self) -> "TransferMatrix":

@@ -82,6 +82,12 @@ def random_linear_op(rng, L: int, scale: float = 0.5) -> LinearGaussianOp:
     return LinearGaussianOp(g.m, u, v)
 
 
+def compose_pair(L: int, seed: int) -> tuple:
+    """The operators (a, b) of the ``compose_linear`` checks: scale 0.5, then 1.5."""
+    rng = np.random.default_rng(1000 * L + seed)
+    return random_linear_op(rng, L, 0.5), random_linear_op(rng, L, 1.5)
+
+
 def random_skew(rng, n: int, scale: float = 1.0) -> np.ndarray:
     a = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     return 0.5 * (a - a.T)

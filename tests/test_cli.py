@@ -8,7 +8,7 @@ from fermigauss.cli import CliError, main
 from fermigauss.overlaps import state_overlap
 from fermigauss.quadratic import QuadraticGenerator, random_generator
 
-from conftest import worked_example_m
+from conftest import compose_pair, worked_example_m
 
 
 def write_operator(path, m, u=None, v=None):
@@ -221,6 +221,36 @@ def test_compose_roundtrip(tmp_path, op_file, capsys):
                        "--bra", "000", "--ket", "000", "--verify")
     assert code == 0
     assert json.loads(out)["results"]["oracle_deviation"] < 1e-10
+
+
+def write_linear(path, op):
+    return write_operator(path, op.m, op.u, op.v)
+
+
+def test_compose_inadmissible_log(tmp_path, capsys):
+    b = write_linear(tmp_path / "b.json", compose_pair(2, 1)[1])
+    out_path = tmp_path / "composed.json"
+    code, out, _ = run(capsys, "compose", "--inputs", b, b, "--output", str(out_path))
+    assert code == 0
+    assert json.loads(out)["results"]["generator_available"] is False
+    assert json.loads(out_path.read_text())["results"]["generator_available"] is False
+
+
+def test_compose_files_byte_identical(tmp_path, capsys):
+    files = [write_linear(tmp_path / f"{k}.json", op) for k, op in enumerate(compose_pair(6, 1))]
+    outputs = []
+    caller_state = np.random.get_state()
+    try:
+        for k in range(4):
+            np.random.seed(k)  # whatever the caller's global stream holds
+            out_path = tmp_path / f"composed{k}.json"
+            assert main(["compose", "--inputs", *files, "--output", str(out_path)]) == 0
+            outputs.append(out_path.read_bytes())
+    finally:
+        np.random.set_state(caller_state)
+    capsys.readouterr()
+    assert json.loads(outputs[0])["L"] == 6
+    assert len(set(outputs)) == 1
 
 
 def test_verify_subcommand(op_file, linear_op_file, capsys):
@@ -446,6 +476,6 @@ def test_verify_builds_one_zero_generator(tmp_path, capsys, monkeypatch, count_c
     before, n_before = capsys.readouterr().out, len(calls)
     assert after == before
     assert json.loads(after)["results"]["all_passed"]
-    # before: one exp(0^dag) per parity-allowed element and one for the
-    # correlator context; after: one in all
-    assert n_before - n_after == 4 ** 4 // 2
+    # before: per parity-allowed element, one exp(0^dag) and one continuity
+    # step exp(h 0^dag), each on a fresh zero generator; after: one of each
+    assert n_before - n_after == 4 ** 4

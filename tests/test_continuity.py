@@ -70,7 +70,8 @@ class TestSteppingPath:
     def test_matches_direct_exponentials(self, pair):
         m1, m2dag = generators(*pair)
         L = pair[0]
-        path = _ProductPath(m1, m2dag)
+        g2 = None if m2dag is None else QuadraticGenerator(m2dag.conj().T)
+        path = _ProductPath(QuadraticGenerator(m1), g2)
         # the order sqrt_det_continuous visits them in: a grid, its
         # refinement (a new path from the identity), then a detour
         for s in np.concatenate([grid(12), grid(24), grid(12, bulge=0.11)]):

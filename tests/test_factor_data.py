@@ -235,6 +235,104 @@ class TestEmbeddedExponentials:
             assert np.array_equal(a, b)
 
 
+#: the step lengths of the continuity grids of 12, 24, ..., 192 steps
+STEPS = [np.linspace(0.0, 1.0, n + 1)[1] for n in (12, 24, 48, 96, 192)]
+
+
+def step_exponentials(calls, gens) -> dict:
+    """Per (generator index, dagger): the ``mat_exp`` calls whose argument is
+    h M or h M^dag of ``gens`` for a continuity step length h."""
+    found: dict = {}
+    for (a,) in calls:
+        for i, g in enumerate(gens):
+            for dagger, m in ((False, g.m), (True, g.m.conj().T)):
+                if any(np.array_equal(a, h * m) for h in STEPS):
+                    found[i, dagger] = found.get((i, dagger), 0) + 1
+    return found
+
+
+def t22_det(g1, g2) -> float:
+    t = scipy.linalg.expm(g2.m.conj().T) @ scipy.linalg.expm(g1.m)
+    return abs(np.linalg.det(t[g1.L:, g1.L:]))
+
+
+class TestStepExponentials:
+    """The continuity path's step exponentials exp(hM) and exp(hM^dag) are
+    computed once per generator object, side and step length."""
+
+    once = {(i, dagger): 1 for i in range(4) for dagger in (False, True)}
+
+    def test_each_step_exponentiated_once(self, count_calls):
+        gens = [random_generator(6, seed, 0.6) for seed in range(4)]
+        bra, ket = FockConfig.from_string("110100"), FockConfig.from_string("011010")
+        calls = count_calls("mat_exp")
+        for g1, g2 in permutations(gens, 2):
+            assert t22_det(g1, g2) < 1e13  # the path runs
+            assert state_overlap(g1, g2, bra, ket).method == "pfaffian"
+        assert step_exponentials(calls, gens) == self.once
+        calls.clear()
+        state_overlap(gens[0], gens[1], ket, bra)
+        assert calls == []
+
+    def test_embedded_step_exponentiated_once(self, count_calls):
+        rng = np.random.default_rng(17)
+        ops = [random_linear_op(rng, 3) for _ in range(4)]
+        bra, ket = FockConfig.from_string("110"), FockConfig.from_string("011")
+        calls = count_calls("mat_exp")
+        for op1, op2 in permutations(ops, 2):
+            assert t22_det(embed(op1), embed(op2)) < 1e13
+            assert generalized_overlap(op1, op2, bra, ket).method == "pfaffian"
+        assert step_exponentials(calls, [embed(op) for op in ops]) == self.once
+        calls.clear()
+        generalized_overlap(ops[0], ops[1], ket, bra)
+        assert calls == []
+
+    def test_cached_steps_read_only(self):
+        g1, g2 = random_generator(4, 1, 0.6), random_generator(4, 2, 0.6)
+        state_overlap(g1, g2, FockConfig.from_string("1100"), FockConfig.from_string("0110"))
+        for g, dagger in ((g1, False), (g2, True)):
+            step = g._step_exp(STEPS[0], dagger)
+            assert g._step_exp(STEPS[0], dagger) is step
+            assert set(vars(g)["_steps"]) == {(STEPS[0], dagger)}
+            with pytest.raises(ValueError, match="read-only"):
+                step[0, 0] = 1.0
+
+    def test_cached_call_equals_fresh_call(self):
+        ms = [random_generator(6, seed, 0.6).m for seed in (3, 4)]
+        bra, ket = FockConfig.from_string("101100"), FockConfig.from_string("000110")
+        ops = (ModeOp(2, True), ModeOp(5, False))
+
+        def outputs(g1, g2):
+            res = state_overlap(g1, g2, bra, ket)
+            kern = correlators._Engine(g1, g2).kern
+            return (res.value, res.method, res.sign_certain, res.diagnostics,
+                    overlap(g1, bra, ket).value, overlap(g2, ket, bra).value,
+                    n_point(CorrelatorContext(g1, g2, bra, ket), ops),
+                    kern.prefactor, kern.sign_certain, kern.pairing)
+
+        g1, g2 = (QuadraticGenerator(m) for m in ms)
+        outputs(g1, g2)
+        assert vars(g1)["_steps"] and vars(g2)["_steps"]
+        cached = outputs(g1, g2)
+        fresh = outputs(*(QuadraticGenerator(m) for m in ms))
+        assert cached[:-1] == fresh[:-1]
+        assert np.array_equal(cached[-1], fresh[-1])
+
+    def test_epsilon_route_matches_oracle(self, oracle):
+        orc = oracle(3)
+        g, zero = QuadraticGenerator(worked_example_m(np.pi / 2)), QuadraticGenerator.zero(3)
+        bra, ket = FockConfig.from_string("110"), FockConfig.from_string("011")
+        ref = orc.element(orc.gaussian(g), bra, ket)
+        first = state_overlap(g, zero, bra, ket)
+        assert first.method == "epsilon-regularized"
+        assert abs(first.value - ref) < 1e-8
+        # the fixed bra side serves the perturbed kets from its own cache;
+        # the unperturbed ket is rejected before its path runs
+        assert vars(zero)["_steps"] and "_steps" not in vars(g)
+        again = state_overlap(g, zero, bra, ket)
+        assert (again.value, again.diagnostics) == (first.value, first.diagnostics)
+
+
 class TestProperties:
     @PROPERTY
     @given(generators)

@@ -80,6 +80,16 @@ class TestMatLog:
         assert abs(gen[0, 1] + th) < 1e-12 and abs(gen[1, 0] - th) < 1e-12
         assert abs(gen[0, 0]) < 1e-12
 
+    def test_leaves_the_global_random_stream_alone(self):
+        a = 0.3 * random_skew(np.random.default_rng(4), 12)
+        t = mat_exp(a)
+        before = np.random.get_state()
+        logs = [mat_log(t) for _ in range(5)]
+        after = np.random.get_state()
+        assert before[0] == after[0] and before[2:] == after[2:]
+        assert np.array_equal(before[1], after[1])
+        assert all(np.array_equal(g, logs[0]) for g in logs)
+
     def test_branch_and_singular_errors(self):
         with pytest.raises(MatrixLogBranchError):
             mat_log(np.diag([-1.0, 2.0]))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fermigauss import fock
+from fermigauss.linalg import SKEW_TOL, mat_log
 from fermigauss.linearpart import (
     LinearGaussianOp,
     SINGLE_MODE_ORDERS,
@@ -16,9 +17,15 @@ from fermigauss.linearpart import (
     single_mode_op,
     split_extended_transfer,
 )
-from fermigauss.quadratic import QuadraticGenerator, bbd_normal, random_generator, transfer_of
+from fermigauss.quadratic import (
+    QuadraticGenerator,
+    admissibility_defect,
+    bbd_normal,
+    random_generator,
+    transfer_of,
+)
 
-from conftest import all_configs, random_linear_op
+from conftest import all_configs, compose_pair, random_linear_op
 
 
 def dense_op(op: LinearGaussianOp, orc) -> np.ndarray:
@@ -286,4 +293,36 @@ class TestComposeLinear:
         op = LinearGaussianOp.quadratic(QuadraticGenerator(worked_example_m(np.pi / 2)))
         res = compose_linear(op, op)
         assert not res.generator_available and res.op is None
+
+    @pytest.mark.parametrize("L, seed", [(2, 1), (3, 2), (4, 0), (4, 2),
+                                         (5, 1), (5, 2), (6, 1), (6, 2)])
+    def test_inadmissible_log_flagged(self, L, seed):
+        # the principal log of the product exists but is admissible only to
+        # 1e-10..1e-6, so no generator can be built from it
+        b = compose_pair(L, seed)[1]
+        res = compose_linear(b, b)
+        assert not res.generator_available and res.op is None
+        t = transfer_of(embed(b)).t
+        assert np.array_equal(res.transfer.t, t @ t)
+        assert admissibility_defect(mat_log(res.transfer.t)) > SKEW_TOL
+
+    @pytest.mark.parametrize("L, scale, seed", [(1, 1.5, 18), (2, 2.5, 10)])
+    def test_inadmissible_extracted_block_flagged(self, L, scale, seed):
+        # the log passes at the scale of M' but its M block, at its own
+        # smaller scale, does not
+        b = random_linear_op(np.random.default_rng(seed), L, scale)
+        res = compose_linear(b, b)
+        assert not res.generator_available and res.op is None
+        mp, n = mat_log(res.transfer.t), L + 1
+        block = np.block([[mp[1:n, 1:n], mp[1:n, n + 1:]], [mp[n + 1:, 1:n], mp[n + 1:, n + 1:]]])
+        assert admissibility_defect(mp) <= SKEW_TOL < admissibility_defect(block)
+
+    @pytest.mark.parametrize("L, seed", [(4, 2), (6, 1), (6, 2)])
+    def test_deterministic(self, L, seed):
+        a, b = compose_pair(L, seed)
+        patterns = set()
+        for _ in range(20):
+            res = compose_linear(a, b)
+            patterns.add(tuple(x.tobytes() for x in (res.op.m, res.op.u, res.op.v)))
+        assert len(patterns) == 1
 
