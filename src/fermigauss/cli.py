@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .configs import FockConfig
-from .linalg import LinalgError, SingularBlockError, skew_defect
+from .linalg import LinalgError, SingularBlockError
 from .linearpart import (
     LinearGaussianOp,
     compose_linear,
@@ -39,6 +39,7 @@ from .linearpart import (
 from .overlaps import EPS_SCHEDULE, EPS_SEED, generalized_overlap, state_overlap
 from .quadratic import (
     QuadraticGenerator,
+    admissibility_defect,
     bbd_antinormal,
     bbd_normal,
     cp_scan,
@@ -487,8 +488,7 @@ def cmd_verify(args) -> int:
             entry["note"] = note
         checks.append(entry)
 
-    record("admissibility", skew_defect(
-        np.block([[np.zeros((L, L)), np.eye(L)], [np.eye(L), np.zeros((L, L))]]) @ op.m), 1e-10)
+    record("admissibility", admissibility_defect(op.m), 1e-10)
 
     if op.is_quadratic:
         gen = QuadraticGenerator(op.m)

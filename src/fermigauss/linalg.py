@@ -94,11 +94,15 @@ def _check_principal_branch(eigs: np.ndarray) -> None:
     """Raise :class:`MatrixLogBranchError` unless every eigenvalue lies off
     the closed negative real axis, where the principal branch is defined."""
     scale = max(1.0, float(np.max(np.abs(eigs))))
-    for lam in eigs:
-        if abs(lam) <= 1e-14 * scale:
-            raise MatrixLogBranchError(f"matrix is singular (eigenvalue {lam})")
-        if lam.real < 0 and abs(lam.imag) <= 1e-12 * abs(lam):
-            raise MatrixLogBranchError(f"eigenvalue {lam} on the negative real axis")
+    # np.hypot rounds like the scalar abs(lam); np.abs of an array may not
+    mag = np.hypot(eigs.real, eigs.imag)
+    singular = mag <= 1e-14 * scale
+    bad = singular | ((eigs.real < 0) & (np.abs(eigs.imag) <= 1e-12 * mag))
+    if bad.any():
+        i = int(np.argmax(bad))   # the first offending eigenvalue
+        if singular[i]:
+            raise MatrixLogBranchError(f"matrix is singular (eigenvalue {eigs[i]})")
+        raise MatrixLogBranchError(f"eigenvalue {eigs[i]} on the negative real axis")
 
 
 def rcond_estimate(a: np.ndarray):
@@ -157,20 +161,28 @@ def pfaffian(a: np.ndarray, tol: float = SKEW_TOL) -> complex:
     swaps = 0
     result = complex(1.0)
     for k in range(0, n - 2, 2):
-        col = np.abs(m[k + 1:, k])
-        piv = k + 1 + int(np.argmax(col))
-        if col[piv - k - 1] == 0.0:
+        # step k reads only m[k:, k:], so the interchange skips the rest
+        piv = k + 1 + int(np.abs(m[k + 1:, k]).argmax())
+        if m[piv, k] == 0.0:
             return complex(0.0)
         if piv != k + 1:
-            m[[k + 1, piv], :] = m[[piv, k + 1], :]
-            m[:, [k + 1, piv]] = m[:, [piv, k + 1]]
+            row = m[k + 1, k:].copy()
+            m[k + 1, k:] = m[piv, k:]
+            m[piv, k:] = row
+            col = m[k:, k + 1].copy()
+            m[k:, k + 1] = m[k:, piv]
+            m[k:, piv] = col
             swaps += 1
         result *= m[k, k + 1]
         # congruence by a unit elementary transform: Pfaffian-invariant,
-        # eliminates column k below the pivot row
+        # eliminates column k below the pivot row.  The rank-2 term is
+        # outer(tau, w) - outer(w, tau), formed product by product; it is
+        # not t - t.T, since complex products need not commute bitwise.
         tau = m[k + 2:, k] / m[k + 1, k]
         w = m[k + 2:, k + 1]
-        m[k + 2:, k + 2:] += np.outer(tau, w) - np.outer(w, tau)
+        t = tau[:, None] * w
+        t -= w[:, None] * tau
+        m[k + 2:, k + 2:] += t
     result *= m[n - 2, n - 1]
     return complex(result) if swaps % 2 == 0 else -complex(result)
 

@@ -33,6 +33,7 @@ from .linalg import RCOND_TOL, SKEW_TOL, MatrixLogBranchError, mat_log
 from .quadratic import (
     QuadraticGenerator,
     TransferMatrix,
+    _factors_once,
     _normal_factors,
     _principal_y,
     _read_only,
@@ -279,18 +280,29 @@ def generalized_bbd_from_transfer(tp: TransferMatrix,
     """Five-factor data from an (already composed) extended transfer matrix.
 
     The normal factorization of the physical blocks, with the rank-one
-    corrections of the linear factors subtracted from X and Z.
+    corrections of the linear factors subtracted from X and Z.  Computed
+    once per transfer object, like :func:`~fermigauss.quadratic.bbd_normal`:
+    the result is cached on ``tp`` and returned, with read-only arrays, on
+    every later call that ``rcond_tol`` accepts.
     """
-    parts = split_extended_transfer(tp)
-    fac = _normal_factors(parts.q12, parts.q21, parts.q22, rcond_tol)
-    q = fac.exp_y @ parts.t2      # row vector t2^T T22^-1, stored as 1-D
-    p = fac.exp_y.T @ parts.t4    # T22^-1 t4
-    return GeneralizedFactored(q, fac.x - np.outer(q, q), fac.exp_y, fac.z - np.outer(p, p), p,
-                               fac.prefactor, fac.sign_certain, fac.rcond)
+    def factorize(tol):
+        parts = split_extended_transfer(tp)
+        fac = _normal_factors(parts.q12, parts.q21, parts.q22, tol)
+        q = fac.exp_y @ parts.t2      # row vector t2^T T22^-1, stored as 1-D
+        p = fac.exp_y.T @ parts.t4    # T22^-1 t4
+        arrays = (q, fac.x - np.outer(q, q), fac.exp_y, fac.z - np.outer(p, p), p)
+        return GeneralizedFactored(*map(_read_only, arrays),
+                                   fac.prefactor, fac.sign_certain, fac.rcond)
+
+    return _factors_once(tp, "_generalized", rcond_tol, factorize)
 
 
 def generalized_bbd(op: LinearGaussianOp, rcond_tol: float = RCOND_TOL) -> GeneralizedFactored:
-    """Five-factor decomposition of a single operator (M, u, v)."""
+    """Five-factor decomposition of a single operator (M, u, v).
+
+    The embedded transfer is one object per operator, so this is computed
+    once per operator object and the same result is returned after.
+    """
     return generalized_bbd_from_transfer(transfer_of(embed(op)), rcond_tol)
 
 

@@ -106,9 +106,13 @@ class OverlapKernel:
         det_root = None if path is None else (lambda t22: sqrt_det_continuous(path, t22))
         fac = _normal_factors(t.t12, t.t21, t.t22, rcond_tol, det_root)
         self.rcond = fac.rcond
-        x = 0.5 * (fac.x - fac.x.T)
-        z = 0.5 * (fac.z - fac.z.T)
-        self.pairing = np.block([[x, fac.exp_y], [-fac.exp_y.T, z]])
+        L = self.L
+        pairing = np.empty((2 * L, 2 * L), dtype=complex)
+        pairing[:L, :L] = 0.5 * (fac.x - fac.x.T)
+        pairing[:L, L:] = fac.exp_y
+        pairing[L:, :L] = -fac.exp_y.T
+        pairing[L:, L:] = 0.5 * (fac.z - fac.z.T)
+        self.pairing = pairing
         self.prefactor, self.sign_certain = fac.prefactor, fac.sign_certain
 
     def element(self, bra: FockConfig, ket: FockConfig) -> complex:

@@ -19,6 +19,14 @@ once per generator object and cached on it, read-only.  So are the steps
 side and exact step length h.  A generator that recurs across many
 overlaps therefore costs one ``mat_exp`` per side and quantity, and a
 2L x 2L complex matrix of memory for each.
+
+A :class:`TransferMatrix` holds a read-only view of its T and keeps its
+normal factor data the same way: :func:`bbd_normal` (and, for an
+embedded transfer, :func:`~fermigauss.linearpart.generalized_bbd`)
+factorizes it on the first call that succeeds and returns that result,
+with read-only arrays, on every later call; each call's ``rcond_tol`` is
+still checked.  That is three L x L complex matrices per factorized
+transfer.
 """
 
 from __future__ import annotations
@@ -137,7 +145,14 @@ class QuadraticGenerator:
 
 @dataclass(frozen=True)
 class TransferMatrix:
-    """Transfer matrix ``T = exp(M)`` with certified J-orthogonality."""
+    """Transfer matrix ``T = exp(M)`` with certified J-orthogonality.
+
+    ``t`` is a read-only view of the array passed in, not a copy, so the
+    caller must not mutate that array afterwards.  The normal factor data
+    of :func:`bbd_normal` and of
+    :func:`~fermigauss.linearpart.generalized_bbd_from_transfer` is
+    computed on first success and cached on the instance, read-only.
+    """
 
     t: np.ndarray
 
@@ -148,15 +163,18 @@ class TransferMatrix:
         d = self._defect(t)
         if not d <= J_ORTHO_TOL:  # also rejects nan
             raise ValueError(f"T J T^T = J violated (defect {d:.3e}); malformed input")
-        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "t", _read_only(t))
 
     @staticmethod
     def _defect(t: np.ndarray) -> float:
+        """max |T J T^T - J| relative to max(1, max|T|^2)."""
         if t.size == 0:
             return 0.0
-        L = t.shape[0] // 2
+        perm = _j_perm(t.shape[0] // 2)
         scale = max(1.0, float(np.max(np.abs(t))) ** 2)
-        return float(np.max(np.abs(t[:, _j_perm(L)] @ t.T - j_matrix(L)))) / scale
+        d = t[:, perm] @ t.T
+        d[np.arange(len(perm)), perm] -= 1.0
+        return float(np.max(np.abs(d))) / scale
 
     @property
     def L(self) -> int:
@@ -241,7 +259,7 @@ def _principal_y(fac) -> np.ndarray | None:
     if not fac.sign_certain:
         return None
     try:
-        return mat_log(fac.exp_y)
+        return _read_only(mat_log(fac.exp_y))
     except MatrixLogBranchError:
         return None
 
@@ -274,6 +292,12 @@ class FactoredGaussian:
     y = functools.cached_property(_principal_y)
 
 
+def _check_pivot(rc: float, rcond_tol: float) -> None:
+    """Reject a pivot block whose rcond estimate ``rc`` is below ``rcond_tol``."""
+    if rc < rcond_tol:
+        raise SingularBlockError("pivot block not invertible; try a canonical permutation", rc)
+
+
 def _normal_factors(t12: np.ndarray, t21: np.ndarray, t22: np.ndarray,
                     rcond_tol: float, det_root=None) -> FactoredGaussian:
     """Normal-ordered factor data of the blocks of a transfer matrix.
@@ -285,8 +309,7 @@ def _normal_factors(t12: np.ndarray, t21: np.ndarray, t22: np.ndarray,
     the rcond test has passed.
     """
     rc = rcond_estimate(t22)
-    if rc < rcond_tol:
-        raise SingularBlockError("pivot block not invertible; try a canonical permutation", rc)
+    _check_pivot(rc, rcond_tol)
     x = np.linalg.solve(t22.T, t12.T).T
     z = np.linalg.solve(t22, t21)
     exp_y = np.linalg.inv(t22.T)
@@ -294,9 +317,35 @@ def _normal_factors(t12: np.ndarray, t21: np.ndarray, t22: np.ndarray,
     return FactoredGaussian("normal", x, exp_y, z, prefactor, sign_certain, rc)
 
 
+def _factors_once(t: TransferMatrix, key: str, rcond_tol: float, factorize):
+    """The factor data ``factorize(rcond_tol)`` of ``t``, cached on ``t`` under ``key``.
+
+    Only a success is cached, so a block rejected at one tolerance is
+    tried again at the next.  A cached result is checked against each
+    call's ``rcond_tol`` and rejected with the same error as a fresh
+    factorization would raise.
+    """
+    fac = t.__dict__.get(key)
+    if fac is None:
+        fac = t.__dict__[key] = factorize(rcond_tol)
+    else:
+        _check_pivot(fac.rcond, rcond_tol)
+    return fac
+
+
 def bbd_normal(t: TransferMatrix, rcond_tol: float = RCOND_TOL) -> FactoredGaussian:
-    """Factorization with the creation-pair factor on the left (requires T22 invertible)."""
-    return _normal_factors(t.t12, t.t21, t.t22, rcond_tol)
+    """Factorization with the creation-pair factor on the left (requires T22 invertible).
+
+    Computed once per transfer object: the result is cached on ``t`` and
+    the same object, with read-only arrays, is returned on every later
+    call that ``rcond_tol`` accepts.
+    """
+    def factorize(tol):
+        fac = _normal_factors(t.t12, t.t21, t.t22, tol)
+        return replace(fac, x=_read_only(fac.x), exp_y=_read_only(fac.exp_y),
+                       z=_read_only(fac.z))
+
+    return _factors_once(t, "_normal", rcond_tol, factorize)
 
 
 def bbd_antinormal(t: TransferMatrix, rcond_tol: float = RCOND_TOL) -> FactoredGaussian:

@@ -5,6 +5,7 @@ import pytest
 
 from fermigauss import cli
 from fermigauss.cli import CliError, main
+from fermigauss.linalg import skew_defect
 from fermigauss.overlaps import state_overlap
 from fermigauss.quadratic import QuadraticGenerator, random_generator
 
@@ -479,3 +480,19 @@ def test_verify_builds_one_zero_generator(tmp_path, capsys, monkeypatch, count_c
     # before: per parity-allowed element, one exp(0^dag) and one continuity
     # step exp(h 0^dag), each on a fresh zero generator; after: one of each
     assert n_before - n_after == 4 ** 4
+
+
+@pytest.mark.parametrize("linear", [False, True])
+def test_verify_admissibility_equals_the_j_product(tmp_path, capsys, linear):
+    # the check permutes the rows of M instead of multiplying by J; the
+    # reported deviation is that of J M, bit for bit
+    # (rounding-level noise, so that the deviation is not exactly zero)
+    rng = np.random.default_rng(81)
+    m = random_generator(4, rng, 0.7).m + 1e-13 * rng.standard_normal((8, 8))
+    uv = 0.3 * (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))) if linear else ()
+    op = write_operator(tmp_path / "op4.json", m, *uv)
+    code, out, _ = run(capsys, "verify", "--op", op)
+    assert code == 0
+    check, = (c for c in json.loads(out)["results"]["checks"] if c["check"] == "admissibility")
+    eye, zero = np.eye(4), np.zeros((4, 4))
+    assert check["max_deviation"] == skew_defect(np.block([[zero, eye], [eye, zero]]) @ m) > 0.0

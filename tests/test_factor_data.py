@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from fermigauss import correlators
 from fermigauss.configs import FockConfig
 from fermigauss.correlators import CorrelatorContext, ModeOp, generalized_expectation, n_point
-from fermigauss.linalg import sqrt_det_via_log
+from fermigauss.linalg import SingularBlockError, sqrt_det_via_log
 from fermigauss.linearpart import (
     LinearGaussianOp,
     compose_linear,
@@ -33,6 +33,7 @@ from fermigauss.overlaps import (
 )
 from fermigauss.quadratic import (
     QuadraticGenerator,
+    TransferMatrix,
     bbd_antinormal,
     bbd_normal,
     cp_apply_transfer,
@@ -233,6 +234,118 @@ class TestEmbeddedExponentials:
         assert cached[:5] == fresh[:5]
         for a, b in zip(cached[5:], fresh[5:]):
             assert np.array_equal(a, b)
+
+
+def factor_arrays(fac) -> list:
+    """The arrays of a factorization, ``y`` included (after it is computed)."""
+    names = ("q", "x", "exp_y", "z", "p", "y")
+    return [getattr(fac, name) for name in names if getattr(fac, name, None) is not None]
+
+
+FACTORIZATIONS = {
+    "bbd_normal": (lambda rng: transfer_of(random_generator(5, rng, 0.8)), bbd_normal),
+    "generalized_bbd": (lambda rng: random_linear_op(rng, 5, 0.8), generalized_bbd),
+}
+
+
+class TestFactorData:
+    """``bbd_normal`` and ``generalized_bbd`` factorize once per transfer object."""
+
+    @pytest.mark.parametrize("name", FACTORIZATIONS)
+    def test_same_object_on_every_call(self, name):
+        make, factorize = FACTORIZATIONS[name]
+        src = make(np.random.default_rng(71))
+        assert factorize(src) is factorize(src)
+
+    @pytest.mark.parametrize("name", FACTORIZATIONS)
+    def test_repeated_call_computes_nothing(self, count_calls, name):
+        make, factorize = FACTORIZATIONS[name]
+        src = make(np.random.default_rng(72))
+        rconds, roots = count_calls("rcond_estimate"), count_calls("sqrt_det_via_log")
+        factorize(src)
+        assert (len(rconds), len(roots)) == (1, 1)
+        rconds.clear()
+        roots.clear()
+        factorize(src)
+        factorize(src, rcond_tol=1e-3)
+        assert rconds == [] and roots == []
+
+    @pytest.mark.parametrize("name", FACTORIZATIONS)
+    def test_cached_equals_fresh(self, name):
+        make, factorize = FACTORIZATIONS[name]
+        src = make(np.random.default_rng(73))
+        factorize(src)
+        cached = factorize(src)
+        if isinstance(src, TransferMatrix):
+            fresh = factorize(TransferMatrix(src.t.copy()))
+        else:
+            fresh = factorize(LinearGaussianOp(src.m.copy(), src.u.copy(), src.v.copy()))
+        assert fresh is not cached
+        assert (cached.prefactor, cached.sign_certain, cached.rcond) == \
+            (fresh.prefactor, fresh.sign_certain, fresh.rcond)
+        for a, b in zip(factor_arrays(cached), factor_arrays(fresh), strict=True):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("name", FACTORIZATIONS)
+    def test_arrays_read_only_views(self, name):
+        make, factorize = FACTORIZATIONS[name]
+        fac = factorize(make(np.random.default_rng(74)))
+        assert fac.y is not None
+        arrays = factor_arrays(fac)
+        assert len(arrays) == (6 if name == "generalized_bbd" else 4)
+        for a in arrays:
+            # a view of the computed array, not a copy of it
+            assert a.base is not None and np.shares_memory(a, a.base)
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+
+    def test_transfer_is_a_read_only_view(self):
+        t = scipy.linalg.expm(random_generator(3, 75, 0.6).m)
+        tm = TransferMatrix(t)
+        assert np.shares_memory(tm.t, t) and t.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            tm.t[0, 0] = 1.0
+
+    def test_tolerance_checked_on_every_call(self, count_calls):
+        t = transfer_of(random_generator(5, 76, 0.8))
+        strict = 1.5 * bbd_normal(TransferMatrix(t.t.copy())).rcond
+        # rejected first: nothing is cached, and the error is the usual one
+        with pytest.raises(SingularBlockError) as first:
+            bbd_normal(t, rcond_tol=strict)
+        assert "_normal" not in vars(t)
+        fac = bbd_normal(t)
+        rconds = count_calls("rcond_estimate")
+        with pytest.raises(SingularBlockError) as again:
+            bbd_normal(t, rcond_tol=strict)
+        assert str(again.value) == str(first.value)
+        assert again.value.rcond == first.value.rcond == fac.rcond
+        assert bbd_normal(t, rcond_tol=0.5 * fac.rcond) is fac
+        assert rconds == []
+
+    def test_generalized_tolerance_checked_on_every_call(self):
+        op = random_linear_op(np.random.default_rng(77), 4, 0.8)
+        fac = generalized_bbd(op)
+        with pytest.raises(SingularBlockError) as exc:
+            generalized_bbd(op, rcond_tol=1.5 * fac.rcond)
+        assert exc.value.rcond == fac.rcond
+        assert generalized_bbd(op, rcond_tol=0.5 * fac.rcond) is fac
+
+    @pytest.mark.parametrize("name", FACTORIZATIONS)
+    def test_singular_block_raises_every_time(self, count_calls, name):
+        # a pi/2 pair rotation on sites 1, 2 of L = 3: T22 is singular
+        g = QuadraticGenerator(worked_example_m(np.pi / 2))
+        src = transfer_of(g) if name == "bbd_normal" else LinearGaussianOp.quadratic(g)
+        t = src if name == "bbd_normal" else transfer_of(embed(src))
+        factorize = FACTORIZATIONS[name][1]
+        rconds = count_calls("rcond_estimate")
+        errors = []
+        for _ in range(2):
+            with pytest.raises(SingularBlockError) as exc:
+                factorize(src)
+            errors.append((str(exc.value), exc.value.rcond))
+        assert errors[0] == errors[1]
+        assert len(rconds) == 2   # a rejection is not cached
+        assert not {"_normal", "_generalized"} & set(vars(t))
 
 
 #: the step lengths of the continuity grids of 12, 24, ..., 192 steps

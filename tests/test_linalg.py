@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermigauss.linalg import (
     LinalgError,
     MatrixLogBranchError,
     SkewSymmetryError,
+    _check_principal_branch,
+    check_skew,
     mat_exp,
     mat_log,
     pfaffian,
@@ -12,6 +16,7 @@ from fermigauss.linalg import (
     sqrt_det_continuous,
     sqrt_det_via_log,
 )
+from fermigauss.quadratic import TransferMatrix, j_matrix, random_generator, transfer_of
 
 from conftest import worked_example_m, worked_example_t, random_skew
 
@@ -206,3 +211,154 @@ class TestSqrtDet:
             np.diag([-1.0, 1.0]))
         assert certain
         assert abs(val ** 2 - (-1.0)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# bit identity with the straightforward forms of the kernels
+# ---------------------------------------------------------------------------
+
+def reference_pfaffian(a: np.ndarray) -> tuple[complex, int]:
+    """Parlett-Reid as first written (full-width fancy-index interchanges,
+    two ``np.outer`` calls): the Pfaffian and the number of interchanges."""
+    a = check_skew(a)
+    n = a.shape[0]
+    if n == 0:
+        return complex(1.0), 0
+    if n % 2:
+        return complex(0.0), 0
+    m = 0.5 * (a - a.T)
+    swaps = 0
+    result = complex(1.0)
+    for k in range(0, n - 2, 2):
+        col = np.abs(m[k + 1:, k])
+        piv = k + 1 + int(np.argmax(col))
+        if col[piv - k - 1] == 0.0:
+            return complex(0.0), swaps
+        if piv != k + 1:
+            m[[k + 1, piv], :] = m[[piv, k + 1], :]
+            m[:, [k + 1, piv]] = m[:, [piv, k + 1]]
+            swaps += 1
+        result *= m[k, k + 1]
+        tau = m[k + 2:, k] / m[k + 1, k]
+        w = m[k + 2:, k + 1]
+        m[k + 2:, k + 2:] += np.outer(tau, w) - np.outer(w, tau)
+    result *= m[n - 2, n - 1]
+    return (complex(result) if swaps % 2 == 0 else -complex(result)), swaps
+
+
+def paired_skew(rng, n: int, pairs, scale: float) -> np.ndarray:
+    """Unit pairing on ``pairs`` plus 1e-3 noise, times ``scale``: elimination
+    takes each pair's partner as the pivot, the noise only rounds."""
+    a = 1e-3 * random_skew(rng, n)
+    for i, j in pairs:
+        a[i, j] += 1.0
+        a[j, i] -= 1.0
+    return scale * a
+
+
+def pivot_case(kind: str, n: int, seed: int, scale: float) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "no-swap":          # pivot (k+1, k) at every step
+        return paired_skew(rng, n, [(k, k + 1) for k in range(0, n - 1, 2)], scale)
+    if kind == "swap-every-step":  # partner of row k sits in the last row at every step
+        pairs = [(0, n - 1)] + [(k - 1, k) for k in range(2, n - 1, 2)] if n > 2 else []
+        return paired_skew(rng, n, pairs, scale)
+    a = random_skew(rng, n, scale)
+    if kind == "zero-columns" and n:
+        for j in rng.choice(n, size=1 + n // 8, replace=False):
+            a[:, j] = a[j, :] = 0.0
+    return a
+
+
+PIVOT_KINDS = ("random", "zero-columns", "no-swap", "swap-every-step")
+
+
+class TestPfaffianBitIdentity:
+    """The lean elimination loop returns exactly what the straightforward one does."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.integers(0, 96), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(PIVOT_KINDS), st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_equals_reference(self, n, seed, kind, scale):
+        a = pivot_case(kind, n, seed, scale)
+        ref, swaps = reference_pfaffian(a)
+        assert pfaffian(a) == ref
+        if kind == "no-swap":
+            assert swaps == 0
+        elif kind == "swap-every-step" and n % 2 == 0:
+            assert swaps == max(0, n // 2 - 1)
+
+    @pytest.mark.parametrize("n", [4, 10, 33, 64, 96])
+    @pytest.mark.parametrize("kind", PIVOT_KINDS)
+    def test_grid_corners(self, n, kind):
+        a = pivot_case(kind, n, n, 1.0)
+        assert pfaffian(a) == reference_pfaffian(a)[0]
+        if kind == "zero-columns":
+            assert pfaffian(a) == 0.0
+
+
+def reference_j_defect(t: np.ndarray) -> float:
+    """max |T J T^T - J| / max(1, max|T|^2) with J formed as a matrix."""
+    if t.size == 0:
+        return 0.0
+    L = t.shape[0] // 2
+    perm = np.concatenate([np.arange(L, 2 * L), np.arange(L)])
+    scale = max(1.0, float(np.max(np.abs(t))) ** 2)
+    return float(np.max(np.abs(t[:, perm] @ t.T - j_matrix(L)))) / scale
+
+
+class TestJDefectBitIdentity:
+    @pytest.mark.parametrize("L", [0, 1, 2, 5, 16, 33])
+    @pytest.mark.parametrize("scale", [0.3, 3.0])
+    def test_equals_reference(self, L, scale):
+        rng = np.random.default_rng(L)
+        t = np.asarray(transfer_of(random_generator(L, rng, scale)).t)
+        for noise in (0.0, 1e-12, 1e-6, 1.0):
+            u = t + noise * (rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape))
+            assert TransferMatrix._defect(u) == reference_j_defect(u)
+
+    def test_non_finite(self):
+        t = np.eye(4, dtype=complex)
+        t[1, 2] = np.nan
+        assert np.isnan(TransferMatrix._defect(t)) and np.isnan(reference_j_defect(t))
+
+
+def reference_branch_check(eigs: np.ndarray) -> None:
+    """The principal-branch test eigenvalue by eigenvalue."""
+    scale = max(1.0, float(np.max(np.abs(eigs))))
+    for lam in eigs:
+        if abs(lam) <= 1e-14 * scale:
+            raise MatrixLogBranchError(f"matrix is singular (eigenvalue {lam})")
+        if lam.real < 0 and abs(lam.imag) <= 1e-12 * abs(lam):
+            raise MatrixLogBranchError(f"eigenvalue {lam} on the negative real axis")
+
+
+def raised(check, eigs):
+    try:
+        check(eigs)
+    except Exception as exc:  # noqa: BLE001 - the type is part of the comparison
+        return type(exc), str(exc)
+    return None
+
+
+class TestPrincipalBranchBitIdentity:
+    @pytest.mark.parametrize("eigs", [
+        [2.0, 1e-20, -3.0, 0.5j],            # singular first
+        [2.0, -3.0 + 1e-15j, 0.0, 1.0],      # negative axis first, a singular one later
+        [1.0, 1e-30 + 1e-30j, -1.0],         # both kinds, the singular one first
+        [-4.0, 1.0],                         # negative axis only
+        [1e3, 1e-12, -1e-12 + 1e-30j],       # tiny relative to the largest eigenvalue
+        [1.0 + 1j, -1.0 + 1e-3j, 2.0],       # nothing offends
+        [0.5, -9.626681429324232e-15 - 2.7068440402623796e-15j],  # |lam| exactly at 1e-14
+    ])
+    def test_same_type_and_message(self, eigs):
+        eigs = np.asarray(eigs, dtype=complex)
+        assert raised(_check_principal_branch, eigs) == raised(reference_branch_check, eigs)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
+    def test_random_spectra(self, n, seed):
+        rng = np.random.default_rng(seed)
+        eigs = rng.standard_normal(n) + 1j * rng.standard_normal(n) * rng.choice([0.0, 1e-13, 1.0], n)
+        eigs *= rng.choice([1.0, 1e-15, 1e-20], n)
+        assert raised(_check_principal_branch, eigs) == raised(reference_branch_check, eigs)
