@@ -3,12 +3,14 @@
 Every value outside the Wick route comes from one expansion,
 ``_Engine.string_element``: each string operator is conjugated through
 the ket-side transfer matrix into its coefficient rows over the bare
-modes, the bare operators act on the configuration (with the usual string
-signs), and the Pfaffian overlap formula is applied to each modified
-configuration.  Even quadratic-sector strings of length 4 or more instead
-take the Pfaffian of the matrix of two-point values, divided by the
-overlap once per extra pair; every other string, odd ones included, is
-expanded whole and never divides by an overlap.
+modes, and the amplitudes of the configurations reached from the ket are
+pushed forward through those rows (with the usual string signs).  The
+Pfaffian overlap formula then gives the matrix element of each reached
+configuration; the ones not yet cached are evaluated together, one
+stacked Pfaffian per submatrix order.  Even quadratic-sector strings of
+length 4 or more instead take the Pfaffian of the matrix of two-point
+values, divided by the overlap once per extra pair; every other string,
+odd ones included, is expanded whole and never divides by an overlap.
 
 With linear terms present, every string maps into the ancilla-extended
 space: products of substituted operators collapse pairwise, so an even
@@ -27,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configs import FockConfig, apply_mode
-from .linalg import RCOND_TOL, SingularBlockError, pfaffian
+from .configs import FockConfig
+from .linalg import RCOND_TOL, SingularBlockError, _pfaffian_exact
 from .linearpart import LinearGaussianOp, embed
 from .overlaps import EPS_SCHEDULE, EPS_SEED, _dispatch, _pair_kernel
 from .quadratic import QuadraticGenerator
@@ -163,7 +165,8 @@ class _Engine:
 
     def _wick_even(self, ops, bra_bits, ket_bits) -> complex:
         """Even strings of length 4 or more: Pfaffian of the two-point
-        matrix over the overlap once per extra pair."""
+        matrix, exactly antisymmetric as built, over the overlap once per
+        extra pair."""
         n = len(ops)
         g = np.zeros((n, n), dtype=complex)
         for a in range(n):
@@ -171,7 +174,7 @@ class _Engine:
                 val = self.two_point(ops[a], ops[b], bra_bits, ket_bits)
                 g[a, b] = val
                 g[b, a] = -val
-        pairing_sum = pfaffian(g)
+        pairing_sum = _pfaffian_exact(g)
         n_pairs = n // 2
         ovl = self.element(bra_bits, ket_bits)
         scale = max(1.0, float(np.max(np.abs(g))))
@@ -189,34 +192,41 @@ class _Engine:
 
         ``rows[k]`` holds the coefficient rows ``(cc, cd)`` of phi_{k+1}
         (see :meth:`_coeff_rows`), so any linear combination of mode
-        operators is one operator.  Expands the rightmost operator into
-        bare modes acting on the ket configuration and recurses on the
-        prefix, memoized on (prefix length, configuration).  Unlike the
-        Wick route this never divides by an overlap, so it stays exact at
-        superselection points.
+        operators is one operator.  A forward expansion: the amplitudes of
+        the configurations reached from the ket are pushed through the
+        operators from right to left, each bare mode acting with its
+        string sign.  Every element <J|F|config> the value needs is then
+        known before any is evaluated, and the ones missing from the
+        element cache are filled in by one stacked Pfaffian per matrix
+        order.  Unlike the Wick route this never divides by an overlap, so
+        it stays exact at superselection points.
         """
-        memo: dict = {}
-
-        def expand(k: int, bits) -> complex:
-            if k == 0:
-                return self.element(bra_bits, bits)
-            key = (k, bits)
-            val = memo.get(key)
-            if val is not None:
-                return val
-            cc, cd = rows[k - 1]
-            total = complex(0.0)
-            for j in range(self.L):
-                for dag, coeff in ((False, cc[j]), (True, cd[j])):
-                    if coeff == 0.0:
-                        continue
-                    s, nb = apply_mode(bits, j + 1, dag)
-                    if s:
-                        total += coeff * s * expand(k - 1, nb)
-            memo[key] = total
-            return total
-
-        return expand(len(rows), ket_bits)
+        level = {ket_bits: 1.0}
+        for cc, cd in reversed(rows):
+            # by occupation: c_j^dag acts on an empty site, c_j on an occupied one
+            acting = (cd.tolist(), cc.tolist())
+            nxt: dict = {}
+            for bits, amp in level.items():
+                odd = False
+                for j, occ in enumerate(bits):
+                    coeff = acting[occ][j]
+                    if coeff != 0.0:
+                        nb = bits[:j] + (1 - occ,) + bits[j + 1:]
+                        term = -amp * coeff if odd else amp * coeff
+                        nxt[nb] = nxt.get(nb, 0.0) + term
+                    if occ:
+                        odd = not odd
+            level = nxt
+        cache = self._elements
+        missing = [bits for bits in level if (bra_bits, bits) not in cache]
+        if missing:
+            vals = self.kern.elements([(bra_bits, bits) for bits in missing])
+            for bits, val in zip(missing, vals):
+                cache[(bra_bits, bits)] = val
+        total = complex(0.0)
+        for bits, amp in level.items():
+            total += amp * cache[(bra_bits, bits)]
+        return total
 
 
 class CorrelatorContext:

@@ -140,24 +140,65 @@ def check_skew(a: np.ndarray, tol: float = SKEW_TOL, name: str = "matrix") -> np
     return a
 
 
-def pfaffian(a: np.ndarray, tol: float = SKEW_TOL) -> complex:
-    """Pfaffian of a complex antisymmetric matrix.
+def pfaffian(a: np.ndarray, tol: float = SKEW_TOL):
+    """Pfaffian of a complex antisymmetric matrix, or of each member of a stack.
 
     Uses skew-symmetric tridiagonalization (Parlett-Reid elimination) with
     partial pivoting.  Row/column interchanges flip the result's sign; that
     parity is tracked as an exact integer, never through a determinant.
 
+    A square matrix gives a complex; a (k, n, n) stack gives a length-k
+    complex array, each member pivoting on its own.  Stacked values agree
+    with the one-matrix loop to rounding, not bit for bit, except for a
+    stack of one, which runs that loop.  The whole input is checked for
+    antisymmetry (:class:`SkewSymmetryError`), and its rounding-level
+    symmetric part is dropped.
+
     Conventions: ``pf`` of the empty matrix is 1 and of any odd-dimensional
     matrix is 0, which keeps the overlap formulas uniform over all removal
     sets (the vacuum-to-vacuum case empties the matrix entirely).
     """
-    a = check_skew(a, tol=tol)
-    n = a.shape[0]
+    if np.ndim(a) != 3:
+        a = check_skew(a, tol=tol)
+        return _pfaffian_exact(0.5 * (a - a.T))  # exact antisymmetrization of rounding dust
+    a = _as_square(a, stack=True)
+    if a.size:
+        at = a.transpose(0, 2, 1)
+        scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
+        defect = np.abs(a + at).max(axis=(1, 2)) / scale
+        if np.any(defect > tol):
+            i = int(np.argmax(defect > tol))
+            raise SkewSymmetryError(f"stack member {i} is not antisymmetric "
+                                    f"(defect {defect[i]:.3e} > {tol:.1e})")
+        a = 0.5 * (a - at)
+    return _pfaffian_exact(a)
+
+
+def _pfaffian_exact(m: np.ndarray):
+    """:func:`pfaffian` of a writable complex matrix or (k, n, n) stack that
+    is exactly antisymmetric, ``m == -m.T`` bit for bit, with no check.
+
+    Such input is what ``0.5 * (a - a.T)`` would return unchanged, so the
+    result equals the checked entry's bit for bit.  ``m`` is overwritten.
+    """
+    if m.ndim == 3:
+        k, n = m.shape[0], m.shape[-1]
+        if k == 0 or n == 0 or n % 2:
+            return np.full(k, 1.0 if n == 0 else 0.0, dtype=complex)
+        if k == 1:
+            return np.array([_pfaffian_one(m[0])])
+        return _pfaffian_stack(m)
+    n = m.shape[0]
     if n == 0:
         return complex(1.0)
     if n % 2:
         return complex(0.0)
-    m = 0.5 * (a - a.T)  # exact antisymmetrization of rounding dust
+    return _pfaffian_one(m)
+
+
+def _pfaffian_one(m: np.ndarray) -> complex:
+    """Parlett-Reid on one even-order matrix, in place."""
+    n = m.shape[0]
     swaps = 0
     result = complex(1.0)
     for k in range(0, n - 2, 2):
@@ -185,6 +226,47 @@ def pfaffian(a: np.ndarray, tol: float = SKEW_TOL) -> complex:
         m[k + 2:, k + 2:] += t
     result *= m[n - 2, n - 1]
     return complex(result) if swaps % 2 == 0 else -complex(result)
+
+
+def _pfaffian_stack(m: np.ndarray) -> np.ndarray:
+    """Parlett-Reid on a (k, n, n) stack of even order, in place.
+
+    The steps of :func:`_pfaffian_one`, each member with its own pivot.  A
+    member whose pivot is exactly zero has the value 0 and leaves the
+    working stack, so it takes no further update.
+    """
+    n = m.shape[-1]
+    out = np.zeros(len(m), dtype=complex)
+    members = np.arange(len(m))          # original index of each working member
+    result = np.ones(len(m), dtype=complex)
+    swaps = np.zeros(len(m), dtype=np.intp)
+    for k in range(0, n - 2, 2):
+        piv = k + 1 + np.abs(m[:, k + 1:, k]).argmax(axis=1)
+        live = m[np.arange(len(m)), piv, k] != 0.0
+        if not live.all():
+            if not live.any():
+                return out
+            m, piv, members = m[live], piv[live], members[live]
+            result, swaps = result[live], swaps[live]
+        sel = np.flatnonzero(piv != k + 1)
+        if len(sel):
+            p = piv[sel]
+            row = m[sel, k + 1, k:]
+            m[sel, k + 1, k:] = m[sel, p, k:]
+            m[sel, p, k:] = row
+            col = m[sel, k:, k + 1]
+            m[sel, k:, k + 1] = m[sel, k:, p]
+            m[sel, k:, p] = col
+            swaps[sel] += 1
+        result *= m[:, k, k + 1]
+        tau = m[:, k + 2:, k] / m[:, k + 1, k, None]
+        w = m[:, k + 2:, k + 1]
+        t = tau[:, :, None] * w[:, None, :]
+        t -= w[:, :, None] * tau[:, None, :]
+        m[:, k + 2:, k + 2:] += t
+    result *= m[:, n - 2, n - 1]
+    out[members] = np.where(swaps % 2, -result, result)
+    return out
 
 
 def sqrt_det_via_log(a: np.ndarray):

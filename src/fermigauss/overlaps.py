@@ -31,6 +31,7 @@ from .linalg import (
     RCOND_TOL,
     LinalgError,
     SingularBlockError,
+    _pfaffian_exact,
     check_skew,
     mat_exp,
     pfaffian,
@@ -41,6 +42,7 @@ from .quadratic import (
     QuadraticGenerator,
     TransferMatrix,
     _normal_factors,
+    bbd_normal,
     cp_apply_transfer,
     cp_suggestions,
     random_generator,
@@ -53,6 +55,9 @@ EPS_SCHEDULE = (1e-4, 5e-5)
 EPS_SEED = 20240817
 #: maximum relative disagreement between successive extrapolations
 EPS_AGREE_TOL = 1e-6
+#: complex entries (1 MB) of one stack of restricted pairing matrices in
+#: :meth:`OverlapKernel.elements`, which bounds its working memory
+STACK_ENTRIES = 1 << 16
 
 
 class ExtrapolationError(LinalgError):
@@ -89,22 +94,29 @@ class OverlapKernel:
     """Pfaffian evaluation engine for one composed transfer matrix.
 
     Precomputes the antisymmetric pairing matrix and the scalar prefactor;
-    ``element`` then evaluates any configuration pair.  X and Z enter only
-    through the quadratic forms, so their (tiny, rounding-level) symmetric
-    parts are dropped to keep the Pfaffian input exactly antisymmetric.
+    ``element`` then evaluates any configuration pair, and ``elements``
+    many pairs at once.  X and Z enter only through the quadratic forms,
+    so their (tiny, rounding-level) symmetric parts are dropped: the
+    pairing matrix is exactly antisymmetric, and its restrictions go to
+    the Pfaffian without a check.
 
     The prefactor det(T22)^(1/2) carries a physical sign.  When the caller
     knows the generators it passes ``path``, a holomorphic ``s -> T22(s)``
     running from the identity at s = 0 to ``t.t22`` at s = 1, and the branch
     is fixed by continuity along it; built from a bare transfer matrix, the
-    kernel trusts the principal log branch.  Either runs only after the
-    rcond check has passed, so rejecting a singular block costs one SVD.
+    kernel trusts the principal log branch and reads the factor data that
+    :func:`~fermigauss.quadratic.bbd_normal` keeps on ``t``.  Either runs
+    only after the rcond check has passed, so rejecting a singular block
+    costs one SVD.
     """
 
     def __init__(self, t: TransferMatrix, rcond_tol: float = RCOND_TOL, path=None):
         self.L = t.L
-        det_root = None if path is None else (lambda t22: sqrt_det_continuous(path, t22))
-        fac = _normal_factors(t.t12, t.t21, t.t22, rcond_tol, det_root)
+        if path is None:
+            fac = bbd_normal(t, rcond_tol)
+        else:
+            fac = _normal_factors(t.t12, t.t21, t.t22, rcond_tol,
+                                  lambda t22: sqrt_det_continuous(path, t22))
         self.rcond = fac.rcond
         L = self.L
         pairing = np.empty((2 * L, 2 * L), dtype=complex)
@@ -117,16 +129,42 @@ class OverlapKernel:
 
     def element(self, bra: FockConfig, ket: FockConfig) -> complex:
         """<J| F |I>; exact zero on parity mismatch."""
-        if bra.L != self.L or ket.L != self.L:
-            raise ValueError("configuration length does not match operator size")
-        n_i = ket.n_occupied
-        n_j = bra.n_occupied
-        if (n_i + n_j) % 2:
-            return complex(0.0)
-        keep = [j - 1 for j in bra.occupied] + [self.L + i - 1 for i in ket.occupied]
-        sub = self.pairing[np.ix_(keep, keep)]
-        sign = -1.0 if (n_i * (n_i + 1) // 2 + n_i * n_j) % 2 else 1.0
-        return sign * self.prefactor * pfaffian(sub)
+        return self.elements([(bra.bits, ket.bits)])[0]
+
+    def elements(self, pairs) -> list[complex]:
+        """<J| F |I> for many ``(bra bits, ket bits)`` pairs.
+
+        The restricted pairing matrices of one order are gathered in one
+        fancy-index step and go to one stacked Pfaffian; an order with more
+        than :data:`STACK_ENTRIES` matrix entries goes in chunks of at most
+        that many.  A parity-forbidden pair gives an exact zero; an empty
+        restriction gives the prefactor.
+        """
+        L = self.L
+        out = [complex(0.0)] * len(pairs)
+        by_order: dict = {}      # order -> (positions, keep lists, signs)
+        for pos, (bra_bits, ket_bits) in enumerate(pairs):
+            if len(bra_bits) != L or len(ket_bits) != L:
+                raise ValueError("configuration length does not match operator size")
+            keep = [j for j, b in enumerate(bra_bits) if b]
+            n_j = len(keep)
+            keep += [L + i for i, b in enumerate(ket_bits) if b]
+            n_i = len(keep) - n_j
+            if (n_i + n_j) % 2:
+                continue
+            group = by_order.setdefault(len(keep), ([], [], []))
+            group[0].append(pos)
+            group[1].append(keep)
+            group[2].append(-1.0 if (n_i * (n_i + 1) // 2 + n_i * n_j) % 2 else 1.0)
+        for order, (positions, keeps, signs) in by_order.items():
+            idx = np.array(keeps, dtype=np.intp).reshape(len(keeps), order)
+            step = max(1, STACK_ENTRIES // max(1, order * order))
+            pfs = []
+            for part in (idx[lo:lo + step] for lo in range(0, len(idx), step)):
+                pfs += _pfaffian_exact(self.pairing[part[:, :, None], part[:, None, :]]).tolist()
+            for pos, sign, pf in zip(positions, signs, pfs):
+                out[pos] = sign * self.prefactor * pf
+        return out
 
 
 def _as_transfer(composed) -> TransferMatrix:

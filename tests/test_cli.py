@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -496,3 +499,27 @@ def test_verify_admissibility_equals_the_j_product(tmp_path, capsys, linear):
     check, = (c for c in json.loads(out)["results"]["checks"] if c["check"] == "admissibility")
     eye, zero = np.eye(4), np.zeros((4, 4))
     assert check["max_deviation"] == skew_defect(np.block([[zero, eye], [eye, zero]]) @ m) > 0.0
+
+
+def test_correlator_reports_independent_of_hash_seed(tmp_path):
+    # the expansion iterates dicts of configurations: two interpreters with
+    # different string hashing must still write the same bytes
+    rng = np.random.default_rng(31)
+    op = write_operator(tmp_path / "lin4.json", random_generator(4, rng, 0.5).m,
+                        u=0.4 * rng.standard_normal(4) + 0.2j, v=0.3j * rng.standard_normal(4))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for command in (["correlate", "--expand"], ["wick"]):
+        reports = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"{command[0]}{hash_seed}.json"
+            argv = [*command, "--op", op, "--bra", "1010", "--ket", "0111",
+                    "--string", "cd1 c2 c4", "--output", str(out)]
+            subprocess.run([sys.executable, "-c",
+                            "import sys; from fermigauss.cli import main; sys.exit(main())", *argv],
+                           env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
+                           check=True, capture_output=True)
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        doc = json.loads(reports[0])
+        assert doc["method"] == "ancilla-extended" and len(doc["results"]["terms"]) == 3

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermigauss import correlators, overlaps
-from fermigauss.configs import FockConfig
+from fermigauss.configs import FockConfig, apply_mode
 from fermigauss.correlators import (
     CorrelatorContext,
     ModeOp,
@@ -26,7 +26,7 @@ from fermigauss.linalg import pfaffian
 from fermigauss.linearpart import LinearGaussianOp
 from fermigauss.quadratic import QuadraticGenerator, random_generator
 
-from conftest import Oracle, random_config, random_linear_op, worked_example_m
+from conftest import Oracle, all_configs, random_config, random_linear_op, worked_example_m
 
 PROPERTY = settings(derandomize=True, deadline=None)
 cached_oracle = functools.cache(Oracle)
@@ -476,3 +476,127 @@ def test_context_validation():
                             FockConfig((0, 0)), FockConfig((0, 0)))
     with pytest.raises(ValueError):
         n_point(ctx, ())
+
+
+def recursive_string_element(engine, rows, bra_bits, ket_bits) -> complex:
+    """The memoized recursion that the forward expansion replaced: the
+    rightmost operator acts on the ket, and the prefix recurses on each
+    configuration it reaches, one ``_Engine.element`` at a time."""
+    memo: dict = {}
+
+    def expand(k: int, bits) -> complex:
+        if k == 0:
+            return engine.element(bra_bits, bits)
+        if (k, bits) in memo:
+            return memo[k, bits]
+        cc, cd = rows[k - 1]
+        total = complex(0.0)
+        for j in range(engine.L):
+            for dag, coeff in ((False, cc[j]), (True, cd[j])):
+                if coeff == 0.0:
+                    continue
+                s, nb = apply_mode(bits, j + 1, dag)
+                if s:
+                    total += coeff * s * expand(k - 1, nb)
+        memo[k, bits] = total
+        return total
+
+    return expand(len(rows), ket_bits)
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except ZeroOverlapError as exc:
+        return exc.unnormalized, "guard"
+
+
+def expansion_contexts():
+    """(ket op, bra op, bra, ket) per case: random quadratic and linear
+    operators, and a singular pi/2 rotation whose values take the epsilon
+    route in both sectors."""
+    rng = np.random.default_rng(240)
+    cases = []
+    for L in (2, 3, 4):
+        for _ in range(2):
+            cases.append((random_generator(L, rng, 0.6), random_generator(L, rng, 0.6),
+                          random_config(rng, L), random_config(rng, L)))
+            cases.append((random_linear_op(rng, L), random_linear_op(rng, L),
+                          random_config(rng, L), random_config(rng, L)))
+    gen = QuadraticGenerator(worked_example_m(np.pi / 2))
+    for bra, ket in (("001", "001"), ("010", "010"), ("100", "101")):
+        cases.append((gen, QuadraticGenerator.zero(3),
+                      FockConfig.from_string(bra), FockConfig.from_string(ket)))
+    return cases
+
+
+class TestForwardExpansion:
+    """``string_element`` pushes amplitudes forward and evaluates the elements
+    it reaches in one stacked Pfaffian per order."""
+
+    @pytest.mark.parametrize("case", range(len(expansion_contexts())))
+    def test_matches_memoized_recursion(self, case, monkeypatch):
+        op1, op2, bra, ket = expansion_contexts()[case]
+        rng = np.random.default_rng(241 + case)
+        strings = [rand_string(rng, ket.L, n) for n in (1, 2, 3, 4, 5) for _ in range(2)]
+        quadratic = isinstance(op1, QuadraticGenerator)
+
+        def values():
+            ctx = CorrelatorContext(op1, op2, bra, ket)
+            out = [outcome(lambda: generalized_expectation(ctx, ops)) for ops in strings]
+            if quadratic:
+                out += [outcome(lambda: n_point(ctx, ops)) for ops in strings]
+            return out
+
+        forward = values()
+        monkeypatch.setattr(correlators._Engine, "string_element", recursive_string_element)
+        recursive = values()
+        for got, ref in zip(forward, recursive, strict=True):
+            if isinstance(ref, tuple):
+                assert isinstance(got, tuple)
+                got, ref = got[0], ref[0]
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
+    def test_kernel_batch_equals_element(self, L):
+        rng = np.random.default_rng(250 + L)
+        kern = overlaps.pair_kernel(random_generator(L, rng, 0.6).m,
+                                    random_generator(L, rng, 0.6).m.conj().T)
+        configs = all_configs(L)
+        pairs = [(b.bits, k.bits) for b in configs for k in configs]
+        batch = kern.elements(pairs)
+        for (bra, ket), got in zip(pairs, batch, strict=True):
+            ref = kern.element(FockConfig(bra), FockConfig(ket))
+            if (sum(bra) + sum(ket)) % 2:
+                assert got == ref == 0.0
+            else:
+                assert ref != 0.0 and abs(got - ref) <= 1e-13 * abs(ref)
+        assert kern.elements([((0,) * L, (0,) * L)]) == [kern.prefactor]
+        assert kern.elements([]) == []
+
+    def test_kernel_batch_in_chunks(self, count_calls, monkeypatch):
+        # a small stack budget splits one order over several stacked calls
+        rng = np.random.default_rng(256)
+        kern = overlaps.pair_kernel(random_generator(5, rng, 0.6).m)
+        pairs = [((1, 1, 0, 0, 0), k.bits) for k in all_configs(5)]
+        whole = kern.elements(pairs)
+        monkeypatch.setattr(overlaps, "STACK_ENTRIES", 3 * 16)
+        stacked = count_calls("_pfaffian_exact")
+        chunked = kern.elements(pairs)
+        assert all(abs(a - b) <= 1e-14 * abs(b) for a, b in zip(chunked, whole, strict=True))
+        # 16 even kets: 1 of order 2, 10 of order 4 (in chunks of 3), 5 of order 6 (of 1)
+        assert sorted(len(m) for (m,) in stacked) == [1] * 7 + [3] * 3
+
+    def test_first_value_one_stacked_call_per_order(self, count_calls):
+        rng = np.random.default_rng(260)
+        ctx = quad_ctx(rng, 8, bra=FockConfig.from_string("10100000"),
+                       ket=FockConfig.from_string("01010000"))
+        stacked, single = count_calls("_pfaffian_exact"), count_calls("pfaffian")
+        two_point(ctx, ModeOp(1, True), ModeOp(3, False))
+        assert single == []
+        assert all(m.ndim == 3 for (m,) in stacked)
+        # the bra's 2 particles plus 0, 2 or 4 for the configurations reached
+        assert sorted(m.shape[-1] for (m,) in stacked) == [2, 4, 6]
+        stacked.clear()
+        two_point(ctx, ModeOp(5, False), ModeOp(8, True))
+        assert stacked == [] and single == []

@@ -503,3 +503,34 @@ class TestProperties:
                     generalized_bbd(LinearGaussianOp.quadratic(gen))):
             assert not fac.sign_certain
             assert fac.y is None
+
+
+class TestBareTransferKernel:
+    """A kernel of a bare transfer reads the factor data ``bbd_normal`` keeps on it."""
+
+    def test_overlaps_factorize_once(self, count_calls):
+        t = transfer_of(random_generator(16, 78, 0.6))
+        rng = np.random.default_rng(78)
+        bits = rng.integers(0, 2, (5, 2, 16))
+        bits[:, 1, -1] ^= bits.sum(axis=(1, 2)) % 2   # even total: a nonzero element
+        pairs = [(FockConfig(tuple(b)), FockConfig(tuple(k))) for b, k in bits]
+        fresh = [overlap(TransferMatrix(t.t.copy()), b, k) for b, k in pairs]
+        rconds = count_calls("rcond_estimate")
+        cached = [overlap(t, b, k) for b, k in pairs]
+        assert len(rconds) == 1
+        assert [(r.value, r.method, r.sign_certain) for r in cached] == \
+            [(r.value, r.method, r.sign_certain) for r in fresh]
+        assert all(r.value != 0.0 for r in cached)
+
+    def test_rejected_block_raises_every_time(self):
+        t = transfer_of(QuadraticGenerator(worked_example_m(np.pi / 2)))
+        vac = FockConfig.vacuum(3)
+        errors = []
+        for _ in range(3):
+            with pytest.raises(SingularBlockError) as exc:
+                OverlapKernel(t)
+            errors.append((type(exc.value), str(exc.value), exc.value.rcond))
+            with pytest.raises(SingularBlockError) as exc:
+                overlap(t, vac, vac, method="pfaffian")
+            errors.append((type(exc.value), str(exc.value), exc.value.rcond))
+        assert len(set(errors)) == 1

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from fermigauss.linalg import (
     MatrixLogBranchError,
     SkewSymmetryError,
     _check_principal_branch,
+    _pfaffian_exact,
     check_skew,
     mat_exp,
     mat_log,
@@ -16,9 +19,11 @@ from fermigauss.linalg import (
     sqrt_det_continuous,
     sqrt_det_via_log,
 )
+from fermigauss.linearpart import embed
+from fermigauss.overlaps import OverlapKernel, _pair_kernel
 from fermigauss.quadratic import TransferMatrix, j_matrix, random_generator, transfer_of
 
-from conftest import worked_example_m, worked_example_t, random_skew
+from conftest import random_linear_op, random_skew, worked_example_m, worked_example_t
 
 
 def taylor_exp(a: np.ndarray, terms: int = 60) -> np.ndarray:
@@ -362,3 +367,82 @@ class TestPrincipalBranchBitIdentity:
         eigs = rng.standard_normal(n) + 1j * rng.standard_normal(n) * rng.choice([0.0, 1e-13, 1.0], n)
         eigs *= rng.choice([1.0, 1e-15, 1e-20], n)
         assert raised(_check_principal_branch, eigs) == raised(reference_branch_check, eigs)
+
+
+def zero_pivot_stack(n: int, size: int, seed: int, scale: float) -> np.ndarray:
+    """``size`` random antisymmetric matrices; member i > 0 has a zero row and
+    column at an even position 2s, so its elimination meets an exactly zero
+    pivot at step s (rows at even positions are never interchanged earlier)."""
+    rng = np.random.default_rng(seed)
+    a = np.array([random_skew(rng, n, scale) for _ in range(size)]).reshape(size, n, n)
+    if n >= 2:
+        for i in range(1, size):
+            j = 2 * int(rng.integers(0, n // 2))
+            a[i, j, :] = a[i, :, j] = 0.0
+    return a
+
+
+class TestPfaffianStack:
+    """A (k, n, n) stack: one Parlett-Reid run, each member pivoting on its own."""
+
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    @given(st.integers(0, 40), st.integers(1, 6), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_agrees_with_one_at_a_time(self, n, size, seed, scale):
+        a = zero_pivot_stack(n, size, seed, scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stacked = pfaffian(a)
+        assert stacked.shape == (size,) and stacked.dtype == complex
+        for member, got in zip(a, stacked):
+            ref = pfaffian(member)
+            if ref == 0.0:
+                assert got == 0.0
+            else:
+                assert abs(got - ref) <= 1e-14 * abs(ref)
+        if n % 2 == 0 and n >= 2:
+            assert np.all(stacked[1:] == 0.0)   # every zero-pivot member
+        if size == 1:
+            assert stacked[0] == pfaffian(a[0])   # a stack of one runs the same loop
+
+    def test_conventions(self):
+        assert np.array_equal(pfaffian(np.zeros((3, 0, 0))), np.ones(3))
+        assert np.array_equal(pfaffian(np.zeros((2, 5, 5))), np.zeros(2))
+        assert pfaffian(np.zeros((0, 4, 4))).shape == (0,)
+
+    def test_input_left_alone(self):
+        a = zero_pivot_stack(8, 4, 11, 1.0)
+        before = a.copy()
+        pfaffian(a)
+        assert np.array_equal(a, before)
+
+    def test_rejects_one_non_antisymmetric_member(self):
+        a = zero_pivot_stack(6, 5, 12, 1.0)
+        a[3, 0, 1] += 1e-6
+        with pytest.raises(SkewSymmetryError, match="member 3"):
+            pfaffian(a)
+        with pytest.raises(ValueError):
+            pfaffian(np.zeros((2, 3, 4)))
+
+
+class TestExactEntry:
+    """Kernel pairing matrices are antisymmetric bit for bit, so the unchecked
+    entry returns what the checked one does."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1), st.booleans())
+    def test_pairing_matrix_and_restrictions(self, L, seed, linear):
+        rng = np.random.default_rng(seed)
+        if linear:
+            g1, g2 = embed(random_linear_op(rng, L)), embed(random_linear_op(rng, L))
+        else:
+            g1, g2 = random_generator(L, rng, 0.6), random_generator(L, rng, 0.6)
+        kernels = [_pair_kernel(g1, g2, 0.0)[0], OverlapKernel(transfer_of(g1), 0.0)]
+        for kern in kernels:
+            p = kern.pairing
+            assert np.array_equal(p, -p.T)
+            n = p.shape[0]
+            for _ in range(8):
+                keep = np.flatnonzero(rng.integers(0, 2, n))
+                sub = p[np.ix_(keep, keep)]
+                assert _pfaffian_exact(sub.copy()) == pfaffian(sub)
