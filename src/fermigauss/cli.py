@@ -140,7 +140,10 @@ def vector_pairs(v: np.ndarray) -> list:
 # ---------------------------------------------------------------------------
 
 def _pairs_to_complex(data, shape, what: str) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CliError(EXIT_PARSE, f"{what} must be nested arrays of [re, im] numbers: {exc}")
     if arr.shape != shape + (2,):
         raise CliError(EXIT_PARSE, f"{what} must have shape {shape} of [re, im] pairs, "
                                    f"got {arr.shape}")
@@ -158,15 +161,15 @@ def load_operator(path: str) -> tuple[LinearGaussianOp, dict]:
         raise CliError(EXIT_PARSE, f"{path}: invalid JSON: {exc}")
     if not isinstance(doc, dict) or "L" not in doc or "M" not in doc:
         raise CliError(EXIT_PARSE, f"{path}: operator file needs fields 'L' and 'M'")
-    L = int(doc["L"])
-    if L < 1:
-        raise CliError(EXIT_PARSE, f"{path}: L must be positive")
-    m = _pairs_to_complex(doc["M"], (2 * L, 2 * L), "M")
-    u = _pairs_to_complex(doc["u"], (L,), "u") if doc.get("u") is not None else None
-    v = _pairs_to_complex(doc["v"], (L,), "v") if doc.get("v") is not None else None
     try:
+        L = int(doc["L"])
+        if L < 1:
+            raise CliError(EXIT_PARSE, f"{path}: L must be positive")
+        m = _pairs_to_complex(doc["M"], (2 * L, 2 * L), "M")
+        u = _pairs_to_complex(doc["u"], (L,), "u") if doc.get("u") is not None else None
+        v = _pairs_to_complex(doc["v"], (L,), "v") if doc.get("v") is not None else None
         op = LinearGaussianOp(m, u, v)
-    except ValueError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CliError(EXIT_PARSE, f"{path}: {exc}")
     digest = {"path": path, "sha256": hashlib.sha256(raw).hexdigest()}
     return op, digest
@@ -314,26 +317,37 @@ def cmd_compose(args) -> int:
     return EXIT_OK
 
 
-def _oracle_overlap(op1, op2, bra, ket) -> complex:
-    from . import fock
-
-    modes = fock.mode_operators(op1.L)
-    f1 = fock.dense_gaussian(op1.m, op1.u, op1.v, modes=modes)
-    f2 = fock.dense_gaussian(op2.m, op2.u, op2.v, modes=modes)
-    dim = f1.shape[0]
-    return fock.dense_expectation(f2, np.eye(dim), f1, bra, ket, modes=modes)
-
-
-def cmd_overlap(args) -> int:
+def _load_sandwich(args):
+    """The ket operator, the bra operator (the identity without ``--op2``),
+    their input digests and the two configurations of <bra| F2^dag ... F1 |ket>."""
     op1, d1 = load_operator(args.op)
     inputs = {"op": d1}
     if args.op2:
         op2, d2 = load_operator(args.op2)
         inputs["op2"] = d2
+        if op2.L != op1.L:
+            raise CliError(EXIT_PARSE, f"site counts differ: {op1.L} vs {op2.L}")
     else:
         op2 = LinearGaussianOp.zero(op1.L)
-    bra = parse_bits(args.bra, op1.L, "--bra")
-    ket = parse_bits(args.ket, op1.L, "--ket")
+    return op1, op2, inputs, parse_bits(args.bra, op1.L, "--bra"), parse_bits(args.ket, op1.L, "--ket")
+
+
+def _oracle_value(op1, op2, ops, bra, ket) -> complex:
+    """<bra| F2^dag A F1 |ket> by the dense oracle, A the product of the mode
+    operators ``ops`` (the identity for none), for ``--verify``."""
+    from . import fock
+
+    if op1.L > fock.MAX_SITES_DENSE:
+        raise CliError(EXIT_PARSE, f"--verify capped at L={fock.MAX_SITES_DENSE}, got L={op1.L}")
+    modes = fock.mode_operators(op1.L)
+    f1 = fock.dense_gaussian(op1.m, op1.u, op1.v, modes=modes)
+    f2 = fock.dense_gaussian(op2.m, op2.u, op2.v, modes=modes)
+    a = fock.mode_string_matrix([(o.site, o.dagger) for o in ops], modes)
+    return fock.dense_expectation(f2, a, f1, bra, ket, modes=modes)
+
+
+def cmd_overlap(args) -> int:
+    op1, op2, inputs, bra, ket = _load_sandwich(args)
     method = "cp-magnitude" if args.cp_magnitude else "epsilon" if args.epsilon else "auto"
     try:
         if op1.is_quadratic and op2.is_quadratic:
@@ -349,7 +363,7 @@ def cmd_overlap(args) -> int:
     diagnostics["seed"] = args.seed
     results = {"value": as_pair(res.value)}
     if args.verify:
-        ref = _oracle_overlap(op1, op2, bra, ket)
+        ref = _oracle_value(op1, op2, (), bra, ket)
         dev = abs(res.value - ref) if res.sign_certain else abs(abs(res.value) - abs(ref))
         results["oracle"] = as_pair(ref)
         results["oracle_deviation"] = float(dev)
@@ -371,15 +385,7 @@ def cmd_correlate(args) -> int:
         parse_mode_string,
     )
 
-    op1, d1 = load_operator(args.op)
-    inputs = {"op": d1}
-    if args.op2:
-        op2, d2 = load_operator(args.op2)
-        inputs["op2"] = d2
-    else:
-        op2 = LinearGaussianOp.zero(op1.L)
-    bra = parse_bits(args.bra, op1.L, "--bra")
-    ket = parse_bits(args.ket, op1.L, "--ket")
+    op1, op2, inputs, bra, ket = _load_sandwich(args)
     try:
         ops = parse_mode_string(args.string)
     except ValueError as exc:
@@ -422,13 +428,7 @@ def cmd_correlate(args) -> int:
     except SingularBlockError as exc:
         raise CliError(EXIT_SINGULAR, str(exc))
     if args.verify:
-        from . import fock
-
-        modes = fock.mode_operators(op1.L)
-        f1 = fock.dense_gaussian(op1.m, op1.u, op1.v, modes=modes)
-        f2 = fock.dense_gaussian(op2.m, op2.u, op2.v, modes=modes)
-        a = fock.mode_string_matrix([(o.site, o.dagger) for o in ops], modes)
-        ref = fock.dense_expectation(f2, a, f1, bra, ket, modes=modes)
+        ref = _oracle_value(op1, op2, ops, bra, ket)
         results["oracle"] = as_pair(ref)
         results["oracle_deviation"] = float(abs(value - ref))
     report = base_report("correlate", inputs,
@@ -472,9 +472,9 @@ def cmd_verify(args) -> int:
 
     op, digest = load_operator(args.op)
     L = op.L
-    if L > args.max_sites:
-        raise CliError(EXIT_PARSE,
-                       f"verify capped at --max-sites {args.max_sites}, operator has L={L}")
+    cap = min(args.max_sites, fock.MAX_SITES_DENSE)
+    if L > cap:
+        raise CliError(EXIT_PARSE, f"verify capped at L={cap} (--max-sites, dense oracle), got L={L}")
     rng = np.random.default_rng(args.seed)
     modes = fock.mode_operators(L)
     dim = 2 ** L
@@ -601,6 +601,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "Gaussian operators with linear terms.",
     )
     parser.add_argument("--version", action="version", version=f"fermigauss {__version__}")
+
+    def seed(text: str) -> int:
+        if int(text) < 0:
+            raise argparse.ArgumentTypeError(f"invalid seed {text!r}: must be non-negative")
+        return int(text)
+
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", help="factor an operator into normal-ordered exponentials")
@@ -626,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument("--epsilon", action="store_true", help="force the perturbative route")
     route.add_argument("--cp-magnitude", action="store_true", help="force the magnitude route")
     p.add_argument("--verify", action="store_true", help="also run the dense oracle")
-    p.add_argument("--seed", type=int, default=EPS_SEED)
+    p.add_argument("--seed", type=seed, default=EPS_SEED)
     p.add_argument("--output")
     p.set_defaults(func=cmd_overlap)
 
@@ -645,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--expand", action="store_true",
                            help="include the pairing/singleton term table")
         p.add_argument("--verify", action="store_true")
-        p.add_argument("--seed", type=int, default=EPS_SEED)
+        p.add_argument("--seed", type=seed, default=EPS_SEED)
         p.add_argument("--output")
         p.set_defaults(func=cmd_correlate)
 
@@ -657,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="oracle-equivalence suite on one operator")
     p.add_argument("--op", required=True)
     p.add_argument("--max-sites", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--output")
     p.set_defaults(func=cmd_verify)
 

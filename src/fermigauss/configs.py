@@ -71,34 +71,3 @@ class FockConfig:
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits)
 
-
-def apply_mode(bits: tuple[int, ...], site: int, dagger: bool):
-    """Act with a bare mode operator on a configuration.
-
-    Returns ``(sign, new_bits)`` for ``c_site`` (``dagger=False``) or
-    ``c_site^dag`` (``dagger=True``) acting on the state labelled by
-    ``bits``; returns ``(0, None)`` when the action annihilates it.
-    The sign is the usual string factor (-1)**(occupations left of site).
-    """
-    j = site - 1
-    occ = bits[j]
-    if dagger == bool(occ):
-        return 0, None
-    sign = -1 if sum(bits[:j]) % 2 else 1
-    new_bits = bits[:j] + (1 - occ,) + bits[j + 1:]
-    return sign, new_bits
-
-
-def apply_mode_string(bits: tuple[int, ...], ops):
-    """Act with a product of bare mode operators, rightmost first.
-
-    ``ops`` is a sequence of ``(site, dagger)`` pairs in operator order
-    (leftmost factor first).  Returns ``(sign, new_bits)`` or ``(0, None)``.
-    """
-    sign = 1
-    for site, dagger in reversed(list(ops)):
-        s, bits = apply_mode(bits, site, dagger)
-        if s == 0:
-            return 0, None
-        sign *= s
-    return sign, bits

@@ -429,20 +429,6 @@ def single_mode_op(a: complex, b: complex, d: complex) -> LinearGaussianOp:
     return LinearGaussianOp(m, np.array([np.conj(a)]), np.array([b]))
 
 
-def single_mode_factor_matrix(factors: SingleModeFactors) -> np.ndarray:
-    """Dense 2x2 product of the three factors (ordered left to right)."""
-    al, be, ga = factors.alpha, factors.beta, factors.gamma
-    mats = {
-        "A": np.array([[1.0, 0.0], [al, 1.0]], dtype=complex),
-        "B": np.array([[1.0, be], [0.0, 1.0]], dtype=complex),
-        "D": np.array([[np.exp(-ga / 2.0), 0.0], [0.0, np.exp(ga / 2.0)]], dtype=complex),
-    }
-    out = np.eye(2, dtype=complex)
-    for name in factors.order:
-        out = out @ mats[name]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # nonlinear canonical transformation
 # ---------------------------------------------------------------------------

@@ -222,26 +222,19 @@ class _ProductPath:
 
 
 def _pair_kernel(g1: QuadraticGenerator, g2: QuadraticGenerator | None, rcond_tol: float):
-    """:func:`pair_kernel` of the ket generator ``g1`` and the bra generator
-    ``g2`` (None for the identity), together with exp(M1), the ket-side
-    transfer.  Both exponentials are the ones cached on the generators."""
+    """Kernel for <J| exp(M2^dag) exp(M1) |I> with a continuity-tracked sign,
+    together with exp(M1), the ket-side transfer.
+
+    ``g1`` is the ket generator M1 and ``g2`` the bra generator M2 (None for
+    an identity bra operator).  The det(T22)^(1/2) branch is fixed by
+    following the path s -> exp(s M2^dag) exp(s M1) from the identity, which
+    is holomorphic in s and therefore admits complex detours around
+    determinant zeros.  Both exponentials are the ones cached on the
+    generators.
+    """
     t1 = g1._exp
     t = t1 if g2 is None else g2._exp_dagger @ t1
     return OverlapKernel(TransferMatrix(t), rcond_tol, path=_ProductPath(g1, g2)), t1
-
-
-def pair_kernel(m1: np.ndarray, m2dag: np.ndarray | None = None,
-                rcond_tol: float = RCOND_TOL) -> OverlapKernel:
-    """Kernel for <J| exp(M2^dag) exp(M1) |I> with a continuity-tracked sign.
-
-    ``m2dag`` is the adjoint generator matrix (None for an identity bra
-    operator); both are validated as :class:`QuadraticGenerator` matrices.
-    The det(T22)^(1/2) branch is fixed by following the path
-    s -> exp(s M2^dag) exp(s M1) from the identity, which is holomorphic
-    in s and therefore admits complex detours around determinant zeros.
-    """
-    g2 = None if m2dag is None else QuadraticGenerator(np.asarray(m2dag).conj().T)
-    return _pair_kernel(QuadraticGenerator(m1), g2, rcond_tol)[0]
 
 
 def compose_bra_ket(op2, op1) -> TransferMatrix:
@@ -543,36 +536,3 @@ def pair_state_norm(r: np.ndarray, u) -> float:
         raise LinalgError(f"norm determinant not positive real: {det}")
     return float(np.sqrt(det.real))
 
-
-# ---------------------------------------------------------------------------
-# full Grassmann-integral cross-check
-# ---------------------------------------------------------------------------
-
-def grassmann_pairing_matrix(x: np.ndarray, exp_y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The intermediate 6L x 6L antisymmetric matrix of the coherent-state
-    integral, before the integration over auxiliary variable pairs.
-
-    Its Pfaffian with the corresponding row/column removals must coincide
-    with the reduced 2L x 2L form; this is exercised as a property test,
-    the production path always uses the reduced matrix.
-    """
-    L = x.shape[0]
-    eye = np.eye(L, dtype=complex)
-    o = np.zeros((L, L), dtype=complex)
-    return np.block([
-        [x, eye, o, o, o, o],
-        [-eye, o, eye, o, o, o],
-        [o, -eye, o, exp_y, o, o],
-        [o, o, -exp_y.T, o, eye, o],
-        [o, o, o, -eye, o, eye],
-        [o, o, o, o, -eye, z],
-    ])
-
-
-def grassmann_reduced_pfaffian(x, exp_y, z, bra: FockConfig, ket: FockConfig) -> complex:
-    """pf of the 6L x 6L matrix with rows/cols J0 and 5L + I0 removed."""
-    L = x.shape[0]
-    big = grassmann_pairing_matrix(x, exp_y, z)
-    keep = [j - 1 for j in bra.occupied] + list(range(L, 5 * L)) \
-        + [5 * L + i - 1 for i in ket.occupied]
-    return pfaffian(big[np.ix_(keep, keep)])

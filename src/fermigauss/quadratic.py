@@ -57,13 +57,6 @@ CP_EXHAUSTIVE_MAX = 20
 CP_CHUNK = 1024
 
 
-def j_matrix(L: int) -> np.ndarray:
-    """The off-diagonal block identity ``[[0, I], [I, 0]]``."""
-    eye = np.eye(L)
-    zero = np.zeros((L, L))
-    return np.block([[zero, eye], [eye, zero]])
-
-
 def _j_perm(L: int) -> np.ndarray:
     """The permutation of J: ``J A = A[perm]`` and ``A J = A[:, perm]``, exactly."""
     return np.concatenate([np.arange(L, 2 * L), np.arange(L)])
@@ -198,12 +191,6 @@ class TransferMatrix:
 
     def j_defect(self) -> float:
         return self._defect(self.t)
-
-    def inverse(self) -> "TransferMatrix":
-        """T^-1 = J T^T J, exact consequence of J-orthogonality."""
-        L = self.L
-        j = j_matrix(L)
-        return TransferMatrix(j @ self.t.T @ j)
 
     def dagger(self) -> "TransferMatrix":
         return TransferMatrix(self.t.conj().T)

@@ -1,5 +1,6 @@
-"""Shared fixtures: the analytic L=3 example, random-instance helpers and
-the kernel-call counter of the count gates."""
+"""Shared fixtures: the analytic L=3 example, random-instance helpers,
+dense checks that the library itself does not need, and the kernel-call
+counter of the count gates."""
 
 import importlib
 import pkgutil
@@ -10,7 +11,9 @@ import pytest
 import fermigauss
 from fermigauss import fock, linalg
 from fermigauss.configs import FockConfig
-from fermigauss.linearpart import LinearGaussianOp
+from fermigauss.linalg import RCOND_TOL
+from fermigauss.linearpart import LinearGaussianOp, SingleModeFactors
+from fermigauss.overlaps import OverlapKernel, _pair_kernel
 from fermigauss.quadratic import QuadraticGenerator, random_generator
 
 
@@ -91,6 +94,37 @@ def compose_pair(L: int, seed: int) -> tuple:
 def random_skew(rng, n: int, scale: float = 1.0) -> np.ndarray:
     a = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     return 0.5 * (a - a.T)
+
+
+def j_matrix(L: int) -> np.ndarray:
+    """The off-diagonal block identity ``[[0, I], [I, 0]]``."""
+    eye = np.eye(L)
+    zero = np.zeros((L, L))
+    return np.block([[zero, eye], [eye, zero]])
+
+
+def pair_kernel(m1: np.ndarray, m2dag: np.ndarray | None = None) -> OverlapKernel:
+    """Kernel for <J| exp(M2^dag) exp(M1) |I> from generator matrices.
+
+    ``m2dag`` is the adjoint bra generator (None for the identity); both
+    are validated as :class:`QuadraticGenerator` matrices.
+    """
+    g2 = None if m2dag is None else QuadraticGenerator(np.asarray(m2dag).conj().T)
+    return _pair_kernel(QuadraticGenerator(m1), g2, RCOND_TOL)[0]
+
+
+def single_mode_factor_matrix(factors: SingleModeFactors) -> np.ndarray:
+    """Dense 2x2 product of the three single-mode factors (ordered left to right)."""
+    al, be, ga = factors.alpha, factors.beta, factors.gamma
+    mats = {
+        "A": np.array([[1.0, 0.0], [al, 1.0]], dtype=complex),
+        "B": np.array([[1.0, be], [0.0, 1.0]], dtype=complex),
+        "D": np.array([[np.exp(-ga / 2.0), 0.0], [0.0, np.exp(ga / 2.0)]], dtype=complex),
+    }
+    out = np.eye(2, dtype=complex)
+    for name in factors.order:
+        out = out @ mats[name]
+    return out
 
 
 class Oracle:

@@ -27,7 +27,6 @@ from fermigauss.linearpart import (
     factor_orderings,
     factors_as_ops,
     generalized_bbd,
-    single_mode_factor_matrix,
     single_mode_op,
     split_extended_transfer,
 )
@@ -46,6 +45,7 @@ from conftest import (
     random_config,
     random_linear_op,
     random_skew,
+    single_mode_factor_matrix,
     table_bits,
     worked_example_elements,
     worked_example_m,

@@ -280,6 +280,22 @@ def test_parse_errors(tmp_path, capsys):
     op = write_operator(tmp_path / "tiny.json", np.zeros((2, 2)))
     code, _, _ = run(capsys, "overlap", "--op", op, "--bra", "00", "--ket", "0")
     assert code == 3
+    # a non-numeric L, a ragged M and a non-numeric M entry
+    zero_m = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+    for name, doc, needle in [
+        ("l.json", {"L": "two", "M": zero_m}, "'two'"),
+        ("ragged.json", {"L": 1, "M": [[[0, 0], [0, 0]], [[0, 0]]]}, "M must be"),
+        ("entry.json", {"L": 1, "M": [[[0, 0], [0, 0]], [[0, 0], ["a", 0]]]}, "M must be"),
+    ]:
+        (tmp_path / name).write_text(json.dumps(doc))
+        code, out, err = run(capsys, "overlap", "--op", str(tmp_path / name), "--bra", "0",
+                             "--ket", "0")
+        assert code == 3 and out == "" and needle in err, name
+    # bra and ket operators on different site counts
+    op2 = write_operator(tmp_path / "two.json", np.zeros((4, 4)))
+    for cmd in (["overlap"], ["correlate", "--string", "c1"]):
+        code, out, err = run(capsys, *cmd, "--op", op, "--op2", op2, "--bra", "0", "--ket", "0")
+        assert code == 3 and out == "" and "site counts differ" in err, cmd
 
 
 @pytest.mark.parametrize("argv", [
@@ -287,6 +303,8 @@ def test_parse_errors(tmp_path, capsys):
     ["overlap", "--op", "x.json", "--bra", "0", "--ket", "0", "--no-such-flag"],
     ["decompose", "--input", "x.json", "--form", "sideways"],
     ["correlate", "--op", "x.json", "--bra", "0", "--ket", "0", "--string", "c1", "--seed", "one"],
+    ["overlap", "--op", "x.json", "--bra", "0", "--ket", "0", "--epsilon", "--seed", "-1"],
+    ["verify", "--op", "x.json", "--seed", "-1"],
     ["no-such-command"],
     [],
 ])
@@ -295,6 +313,25 @@ def test_usage_errors_exit_with_the_parse_code(argv, capsys):
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == "" and "usage:" in err
+
+
+def test_verify_above_the_dense_cap_exits_before_the_oracle(tmp_path, capsys, monkeypatch):
+    from fermigauss import fock
+
+    def no_modes(L):
+        raise AssertionError(f"oracle modes built at L={L}")
+
+    monkeypatch.setattr(fock, "mode_operators", no_modes)
+    L = fock.MAX_SITES_DENSE + 1
+    op = write_operator(tmp_path / "big.json", np.zeros((2 * L, 2 * L)))
+    vac = "0" * L
+    for argv in [
+        ("overlap", "--op", op, "--bra", vac, "--ket", vac, "--verify"),
+        ("correlate", "--op", op, "--bra", vac, "--ket", vac, "--string", "c1 cd1", "--verify"),
+        ("verify", "--op", op, "--max-sites", str(L)),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and f"capped at L={L - 1}" in err, argv
 
 
 def test_route_flags_are_exclusive(singular_op_file, capsys):

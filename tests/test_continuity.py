@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from fermigauss import fock
 from fermigauss.configs import FockConfig
 from fermigauss.linalg import sqrt_det_continuous
-from fermigauss.overlaps import _ProductPath, pair_kernel, state_overlap
+from fermigauss.overlaps import _ProductPath, state_overlap
 from fermigauss.quadratic import QuadraticGenerator, random_generator
+
+from conftest import pair_kernel
 
 PROPERTY = settings(derandomize=True, deadline=None)
 

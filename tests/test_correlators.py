@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermigauss import correlators, overlaps
-from fermigauss.configs import FockConfig, apply_mode
+from fermigauss.configs import FockConfig
 from fermigauss.correlators import (
     CorrelatorContext,
     ModeOp,
@@ -26,7 +26,14 @@ from fermigauss.linalg import pfaffian
 from fermigauss.linearpart import LinearGaussianOp
 from fermigauss.quadratic import QuadraticGenerator, random_generator
 
-from conftest import Oracle, all_configs, random_config, random_linear_op, worked_example_m
+from conftest import (
+    Oracle,
+    all_configs,
+    pair_kernel,
+    random_config,
+    random_linear_op,
+    worked_example_m,
+)
 
 PROPERTY = settings(derandomize=True, deadline=None)
 cached_oracle = functools.cache(Oracle)
@@ -478,6 +485,24 @@ def test_context_validation():
         n_point(ctx, ())
 
 
+def apply_mode(bits: tuple[int, ...], site: int, dagger: bool):
+    """``(sign, new_bits)`` of ``c_site`` (or ``c_site^dag``) acting on the
+    configuration ``bits``, or ``(0, None)`` when it annihilates it.  The
+    sign is the string factor (-1)**(occupations left of site)."""
+    j = site - 1
+    occ = bits[j]
+    if dagger == bool(occ):
+        return 0, None
+    sign = -1 if sum(bits[:j]) % 2 else 1
+    return sign, bits[:j] + (1 - occ,) + bits[j + 1:]
+
+
+def test_apply_mode_signs():
+    assert apply_mode((1, 0, 1), 1, False) == (1, (0, 0, 1))
+    assert apply_mode((1, 0, 1), 3, False) == (-1, (1, 0, 0))
+    assert apply_mode((1, 0, 1), 2, False) == (0, None)
+
+
 def recursive_string_element(engine, rows, bra_bits, ket_bits) -> complex:
     """The memoized recursion that the forward expansion replaced: the
     rightmost operator acts on the ket, and the prefix recurses on each
@@ -560,8 +585,8 @@ class TestForwardExpansion:
     @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
     def test_kernel_batch_equals_element(self, L):
         rng = np.random.default_rng(250 + L)
-        kern = overlaps.pair_kernel(random_generator(L, rng, 0.6).m,
-                                    random_generator(L, rng, 0.6).m.conj().T)
+        kern = pair_kernel(random_generator(L, rng, 0.6).m,
+                           random_generator(L, rng, 0.6).m.conj().T)
         configs = all_configs(L)
         pairs = [(b.bits, k.bits) for b in configs for k in configs]
         batch = kern.elements(pairs)
@@ -577,7 +602,7 @@ class TestForwardExpansion:
     def test_kernel_batch_in_chunks(self, count_calls, monkeypatch):
         # a small stack budget splits one order over several stacked calls
         rng = np.random.default_rng(256)
-        kern = overlaps.pair_kernel(random_generator(5, rng, 0.6).m)
+        kern = pair_kernel(random_generator(5, rng, 0.6).m)
         pairs = [((1, 1, 0, 0, 0), k.bits) for k in all_configs(5)]
         whole = kern.elements(pairs)
         monkeypatch.setattr(overlaps, "STACK_ENTRIES", 3 * 16)

@@ -28,7 +28,6 @@ from fermigauss.overlaps import (
     compose_bra_ket,
     generalized_overlap,
     overlap,
-    pair_kernel,
     state_overlap,
 )
 from fermigauss.quadratic import (
@@ -41,7 +40,7 @@ from fermigauss.quadratic import (
     transfer_of,
 )
 
-from conftest import all_configs, random_linear_op, worked_example_m
+from conftest import all_configs, pair_kernel, random_linear_op, worked_example_m
 
 PROPERTY = settings(derandomize=True, deadline=None)
 

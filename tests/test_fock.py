@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fermigauss import fock
-from fermigauss.configs import FockConfig, apply_mode, apply_mode_string
+from fermigauss.configs import FockConfig
 from fermigauss.linearpart import embed
 from fermigauss.quadratic import random_generator, transfer_of
 
@@ -133,17 +133,6 @@ def test_substituted_operator_action_table(L):
                     target = fock.config_state(
                         cfg.flipped([j]).with_ancilla(1 - e), modes)
                     assert np.max(np.abs(out - sgn * target)) < 1e-14
-
-
-def test_apply_mode_signs():
-    # bare-operator bookkeeping used by the correlator expansion
-    assert apply_mode((1, 0, 1), 1, False) == (1, (0, 0, 1))
-    assert apply_mode((1, 0, 1), 3, False) == (-1, (1, 0, 0))
-    assert apply_mode((1, 0, 1), 2, False) == (0, None)
-    # c_k c_k^dag on an empty site: total sign +1, configuration unchanged
-    assert apply_mode_string((0, 1), [(1, False), (1, True)]) == (1, (0, 1))
-    # c_k^dag c_k on an occupied site likewise
-    assert apply_mode_string((1, 1), [(2, True), (2, False)]) == (1, (1, 1))
 
 
 def test_size_guards():

@@ -21,9 +21,9 @@ from fermigauss.linalg import (
 )
 from fermigauss.linearpart import embed
 from fermigauss.overlaps import OverlapKernel, _pair_kernel
-from fermigauss.quadratic import TransferMatrix, j_matrix, random_generator, transfer_of
+from fermigauss.quadratic import TransferMatrix, random_generator, transfer_of
 
-from conftest import random_linear_op, random_skew, worked_example_m, worked_example_t
+from conftest import j_matrix, random_linear_op, random_skew, worked_example_m, worked_example_t
 
 
 def taylor_exp(a: np.ndarray, terms: int = 60) -> np.ndarray:

@@ -13,7 +13,6 @@ from fermigauss.linearpart import (
     factor_orderings,
     factors_as_ops,
     generalized_bbd,
-    single_mode_factor_matrix,
     single_mode_op,
     split_extended_transfer,
 )
@@ -25,7 +24,7 @@ from fermigauss.quadratic import (
     transfer_of,
 )
 
-from conftest import all_configs, compose_pair, random_linear_op
+from conftest import all_configs, compose_pair, random_linear_op, single_mode_factor_matrix
 
 
 def dense_op(op: LinearGaussianOp, orc) -> np.ndarray:

@@ -9,10 +9,8 @@ from fermigauss.overlaps import (
     OverlapKernel,
     compose_bra_ket,
     generalized_overlap,
-    grassmann_reduced_pfaffian,
     overlap,
     overlap_magnitude_cp,
-    pair_kernel,
     pair_state_amplitude,
     pair_state_norm,
     state_overlap,
@@ -26,6 +24,7 @@ from fermigauss.quadratic import (
 
 from conftest import (
     all_configs,
+    pair_kernel,
     random_config,
     random_linear_op,
     random_skew,
@@ -287,7 +286,35 @@ class TestPairStates:
         assert abs(pair_state_norm(r, u) - ref) < 1e-9 * max(1.0, ref)
 
 
+def grassmann_pairing_matrix(x: np.ndarray, exp_y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The intermediate 6L x 6L antisymmetric matrix of the coherent-state
+    integral, before the integration over auxiliary variable pairs."""
+    L = x.shape[0]
+    eye = np.eye(L, dtype=complex)
+    o = np.zeros((L, L), dtype=complex)
+    return np.block([
+        [x, eye, o, o, o, o],
+        [-eye, o, eye, o, o, o],
+        [o, -eye, o, exp_y, o, o],
+        [o, o, -exp_y.T, o, eye, o],
+        [o, o, o, -eye, o, eye],
+        [o, o, o, o, -eye, z],
+    ])
+
+
+def grassmann_reduced_pfaffian(x, exp_y, z, bra: FockConfig, ket: FockConfig) -> complex:
+    """pf of the 6L x 6L matrix with rows/cols J0 and 5L + I0 removed."""
+    L = x.shape[0]
+    big = grassmann_pairing_matrix(x, exp_y, z)
+    keep = [j - 1 for j in bra.occupied] + list(range(L, 5 * L)) \
+        + [5 * L + i - 1 for i in ket.occupied]
+    return pfaffian(big[np.ix_(keep, keep)])
+
+
 class TestGrassmannCrossCheck:
+    """The full coherent-state integral reduces to the 2L x 2L pairing matrix
+    that the library evaluates."""
+
     @pytest.mark.parametrize("L", [1, 2, 3])
     def test_full_matrix_reduces(self, L):
         rng = np.random.default_rng(141 + L)
