@@ -33,7 +33,7 @@ from .configs import FockConfig
 from .linalg import RCOND_TOL, SingularBlockError, _pfaffian_exact
 from .linearpart import LinearGaussianOp, embed
 from .overlaps import EPS_SCHEDULE, EPS_SEED, _dispatch, _pair_kernel
-from .quadratic import QuadraticGenerator
+from .quadratic import QuadraticGenerator, transfer_of
 
 #: relative threshold below which the normalizing overlap counts as zero
 ZERO_OVERLAP_TOL = 1e-13
@@ -110,7 +110,7 @@ def pairings_with_sign(indices):
 class _Engine:
     """Formula evaluation for one composed pair of quadratic generators.
 
-    Holds the overlap kernel of ``exp(m2dag) exp(m1)`` together with the
+    Holds the overlap kernel of ``exp(M2)^dag exp(M1)`` together with the
     ket-side transfer matrix (for conjugating string operators) and value
     caches keyed by configuration bits.  Callers pass parity-allowed
     strings only.
@@ -119,7 +119,8 @@ class _Engine:
     def __init__(self, g1: QuadraticGenerator, g2: QuadraticGenerator,
                  rcond_tol: float = RCOND_TOL):
         self.L = g1.L
-        self.kern, self.t1 = _pair_kernel(g1, g2, rcond_tol)
+        self.kern = _pair_kernel(g1, g2, rcond_tol)
+        self.t1 = transfer_of(g1).t
         self.rcond = self.kern.rcond
         self.sign_certain = self.kern.sign_certain
         self._elements: dict = {}

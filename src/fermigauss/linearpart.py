@@ -38,6 +38,7 @@ from .quadratic import (
     _principal_y,
     _read_only,
     admissibility_defect,
+    compose_transfers,
     transfer_of,
 )
 
@@ -350,7 +351,7 @@ def compose_linear(op1: LinearGaussianOp, op2: LinearGaussianOp) -> LinearCompos
         raise ValueError(f"site counts differ: {op1.L} vs {op2.L}")
     t1 = transfer_of(embed(op1))
     t2 = transfer_of(embed(op2))
-    tp = TransferMatrix(t1.t @ t2.t)
+    tp = compose_transfers(t1, t2)
     try:
         mp = mat_log(tp.t)
     except MatrixLogBranchError:

@@ -179,66 +179,62 @@ class _ProductPath:
     """The continuity path ``s -> T22(s)`` of exp(s M2^dag) exp(s M1).
 
     ``g1`` and ``g2`` are the ket and bra generators (``g2`` None for the
-    identity).  A real point is reached from the last one evaluated by one
-    step, e^{(s+h)M} = e^{hM} e^{sM}, carrying only what reaches T22: the
-    right L columns of e^{sM1} and the bottom L rows of e^{sM2^dag}.  A step
-    within rounding of the current one reuses it; a new step length is
-    taken from the generators, which cache its exponentials, so an equally
-    spaced grid costs one ``mat_exp`` per generator and side the first time
-    and none after.  A point whose real part does not increase begins a new
-    path at the identity.  Complex points (the detours) are exponentiated
-    directly.
+    identity).  Only the right L columns C(s) of exp(s M) reach T22, and
+    exp(s M2^dag) = exp(conj(s) M2)^dag, so T22(s) = C2(conj(s))^dag C1(s):
+    both generators are stepped alike.  A real point is reached from the
+    last one evaluated by one step, C(s+h) = e^{hM} C(s).  A step within
+    rounding of the current one reuses it; a new step length is taken from
+    the generators, which cache its exponentials, so an equally spaced grid
+    costs one ``mat_exp`` per generator the first time and none after.  A
+    point whose real part does not increase begins a new path at the
+    identity.  Complex points (the detours) are exponentiated directly.
     """
 
     def __init__(self, g1: QuadraticGenerator, g2: QuadraticGenerator | None):
-        self.g1, self.g2 = g1, g2
-        self.m1, self.m2dag = g1.m, None if g2 is None else g2.m.conj().T
+        self.gens = [g1] if g2 is None else [g1, g2]
         self.half = g1.L
         self._s = None      # last real point; None after a complex one
-        self._right = self._bottom = None   # None stands for the identity
-        self._step = None   # (h, e^{h M1}, e^{h M2^dag})
+        self._cols = None   # C(s) per generator; None stands for the identity
+        self._step = None   # (h, e^{hM} per generator)
 
     def _step_exp(self, h: float):
         if self._step is None or abs(h - self._step[0]) > 1e-12 * h:
-            e2 = None if self.g2 is None else self.g2._step_exp(h, True)
-            self._step = (h, self.g1._step_exp(h, False), e2)
-        return self._step[1:]
+            self._step = (h, [g._step_exp(h) for g in self.gens])
+        return self._step[1]
 
     def __call__(self, s: complex) -> np.ndarray:
         s, half = complex(s), self.half
         if s.imag != 0.0:
             self._s = None
-            right = mat_exp(s * self.m1)[:, half:]
-            return right[half:] if self.m2dag is None else mat_exp(s * self.m2dag)[half:] @ right
-        if self._s is None or s.real <= self._s:
-            self._s, self._right, self._bottom = 0.0, None, None
-        e1, e2 = self._step_exp(s.real - self._s)
-        self._s = s.real
-        self._right = e1[:, half:] if self._right is None else e1 @ self._right
-        if e2 is None:
-            return self._right[half:]
-        self._bottom = e2[half:] if self._bottom is None else self._bottom @ e2
-        return self._bottom @ self._right
+            cols = [mat_exp(z * g.m)[:, half:] for z, g in zip((s, s.conjugate()), self.gens)]
+        else:
+            if self._s is None or s.real <= self._s:
+                self._s, self._cols = 0.0, [None] * len(self.gens)
+            steps = self._step_exp(s.real - self._s)
+            self._s = s.real
+            self._cols = cols = [e[:, half:] if c is None else e @ c
+                                 for e, c in zip(steps, self._cols)]
+        return cols[0][half:] if len(cols) == 1 else cols[1].conj().T @ cols[0]
 
 
-def _pair_kernel(g1: QuadraticGenerator, g2: QuadraticGenerator | None, rcond_tol: float):
-    """Kernel for <J| exp(M2^dag) exp(M1) |I> with a continuity-tracked sign,
-    together with exp(M1), the ket-side transfer.
+def _pair_kernel(g1: QuadraticGenerator, g2: QuadraticGenerator | None,
+                 rcond_tol: float) -> OverlapKernel:
+    """Kernel for <J| exp(M2^dag) exp(M1) |I> with a continuity-tracked sign.
 
     ``g1`` is the ket generator M1 and ``g2`` the bra generator M2 (None for
-    an identity bra operator).  The det(T22)^(1/2) branch is fixed by
-    following the path s -> exp(s M2^dag) exp(s M1) from the identity, which
-    is holomorphic in s and therefore admits complex detours around
-    determinant zeros.  Both exponentials are the ones cached on the
-    generators.
+    an identity bra operator).  The product is :func:`compose_bra_ket` of
+    the transfers cached on the generators, exp(M2)^dag exp(M1).  The
+    det(T22)^(1/2) branch is fixed by following the path
+    s -> exp(s M2^dag) exp(s M1) from the identity, which is holomorphic in
+    s and therefore admits complex detours around determinant zeros.
     """
-    t1 = g1._exp
-    t = t1 if g2 is None else g2._exp_dagger @ t1
-    return OverlapKernel(TransferMatrix(t), rcond_tol, path=_ProductPath(g1, g2)), t1
+    t = transfer_of(g1) if g2 is None else compose_bra_ket(g2, g1)
+    return OverlapKernel(t, rcond_tol, path=_ProductPath(g1, g2))
 
 
 def compose_bra_ket(op2, op1) -> TransferMatrix:
-    """Transfer matrix of e^(M2^dag) e^(M1), i.e. of <M2(J)| ... |M1(I)>.
+    """Transfer matrix of e^(M2^dag) e^(M1), i.e. of <M2(J)| ... |M1(I)>,
+    as T2^dag T1: the bra side is the adjoint of its own transfer.
 
     Works at the transfer level only, so it never hits a log-branch failure.
     """
@@ -343,7 +339,7 @@ def _quadratic_overlap(g1, g2, transfer, bra: FockConfig, ket: FockConfig,
     else:
         def kernel_at(delta, tol):
             g = g1 if delta is None else QuadraticGenerator(g1.m + delta)
-            return _pair_kernel(g, g2, tol)[0]
+            return _pair_kernel(g, g2, tol)
     return _dispatch(kernel_at, lambda k: k.element(bra, ket),
                      None if g1 is None else g1.L,
                      lambda: (transfer(), bra, ket), **options)
@@ -476,7 +472,7 @@ def generalized_overlap(op1: LinearGaussianOp, op2: LinearGaussianOp,
 
     def kernel_at(delta, tol):
         g = g1 if delta is None else embed(LinearGaussianOp(op1.m + delta, op1.u, op1.v))
-        return _pair_kernel(g, g2, tol)[0]
+        return _pair_kernel(g, g2, tol)
 
     def cp():
         return compose_bra_ket(g2, g1), bra_e, ket_e

@@ -12,13 +12,13 @@ the particle-hole "canonical permutation" transforms that restore the
 factorizations when a diagonal block of ``T`` is singular.
 
 A :class:`QuadraticGenerator` holds a read-only view of its M and
-exponentiates it on first use: ``exp(M)`` (which :func:`transfer_of`
-wraps) and ``exp(M^dag)`` (the bra side of an overlap) are each computed
-once per generator object and cached on it, read-only.  So are the steps
-``exp(h M)`` and ``exp(h M^dag)`` of the sign-continuity path, once per
-side and exact step length h.  A generator that recurs across many
-overlaps therefore costs one ``mat_exp`` per side and quantity, and a
-2L x 2L complex matrix of memory for each.
+exponentiates it on first use: ``exp(M)``, the transfer matrix that
+:func:`transfer_of` returns, is computed once per generator object and
+cached on it, read-only.  So are the steps ``exp(h M)`` of the
+sign-continuity path, once per exact step length h.  The bra side of an
+overlap needs no exponential of its own: its transfer is ``exp(M)^dag``.
+A generator that recurs across many overlaps therefore costs one
+``mat_exp`` per quantity, and a 2L x 2L complex matrix of memory for each.
 
 A :class:`TransferMatrix` holds a read-only view of its T and keeps its
 normal factor data the same way: :func:`bbd_normal` (and, for an
@@ -32,6 +32,7 @@ transfer.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 from itertools import combinations, islice
 
@@ -40,6 +41,7 @@ import numpy as np
 from .linalg import (
     RCOND_TOL,
     SKEW_TOL,
+    LinalgError,
     MatrixLogBranchError,
     SingularBlockError,
     mat_exp,
@@ -80,9 +82,9 @@ class QuadraticGenerator:
     """Generator matrix M of a purely quadratic Gaussian operator.
 
     ``m`` is a read-only view of the array passed in, not a copy, so the
-    caller must not mutate that array afterwards.  exp(M), exp(M^dag) and
-    the continuity steps exp(h M), exp(h M^dag) are computed on first use
-    and cached on the instance, read-only.
+    caller must not mutate that array afterwards.  exp(M) and the
+    continuity steps exp(h M) are computed on first use and cached on the
+    instance, read-only; the bra side of an overlap takes their adjoints.
     """
 
     m: np.ndarray
@@ -98,30 +100,17 @@ class QuadraticGenerator:
             raise ValueError(f"J.M is not antisymmetric (defect {d:.3e})")
         object.__setattr__(self, "m", _read_only(m))
 
-    @functools.cached_property
-    def _exp(self) -> np.ndarray:
-        """exp(M), the ket-side transfer; not checked for J-orthogonality."""
-        return _read_only(mat_exp(self.m))
-
-    @functools.cached_property
-    def _exp_dagger(self) -> np.ndarray:
-        """exp(M^dag), the bra side of an overlap.  Exponentiated as such:
-        exp(M)^dag differs from it at rounding level."""
-        return _read_only(mat_exp(self.m.conj().T))
-
-    def _step_exp(self, h: float, dagger: bool) -> np.ndarray:
-        """exp(h M), or exp(h M^dag) for the bra side: one step of the
-        continuity path.  Cached per exact ``(h, dagger)``, read-only."""
+    def _step_exp(self, h: float) -> np.ndarray:
+        """exp(h M), one step of the continuity path.  Cached per exact h, read-only."""
         steps = self.__dict__.setdefault("_steps", {})
-        key = (h, dagger)
-        if key not in steps:
-            steps[key] = _read_only(mat_exp(h * (self.m.conj().T if dagger else self.m)))
-        return steps[key]
+        if h not in steps:
+            steps[h] = _read_only(mat_exp(h * self.m))
+        return steps[h]
 
     @functools.cached_property
     def _transfer(self) -> "TransferMatrix":
         """exp(M) as a J-checked transfer matrix: what :func:`transfer_of` returns."""
-        return TransferMatrix(self._exp)
+        return TransferMatrix(mat_exp(self.m))
 
     @property
     def L(self) -> int:
@@ -160,14 +149,26 @@ class TransferMatrix:
 
     @staticmethod
     def _defect(t: np.ndarray) -> float:
-        """max |T J T^T - J| relative to max(1, max|T|^2)."""
+        """max |T J T^T - J| relative to max(1, max|T|^2).
+
+        Raises :class:`LinalgError` when a finite T takes either quantity
+        beyond the float range, so that the check cannot be made.
+        """
         if t.size == 0:
             return 0.0
         perm = _j_perm(t.shape[0] // 2)
-        scale = max(1.0, float(np.max(np.abs(t))) ** 2)
-        d = t[:, perm] @ t.T
+        big = float(np.max(np.abs(t)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = t[:, perm] @ t.T
         d[np.arange(len(perm)), perm] -= 1.0
-        return float(np.max(np.abs(d))) / scale
+        defect = float(np.max(np.abs(d)))
+        try:
+            scale = max(1.0, big ** 2)
+        except OverflowError:
+            scale = math.inf
+        if math.isfinite(big) and not (math.isfinite(scale) and math.isfinite(defect)):
+            raise LinalgError(f"J-orthogonality check overflows (max|T| = {big:.3e})")
+        return defect / scale
 
     @property
     def L(self) -> int:

@@ -110,7 +110,7 @@ def pair_kernel(m1: np.ndarray, m2dag: np.ndarray | None = None) -> OverlapKerne
     are validated as :class:`QuadraticGenerator` matrices.
     """
     g2 = None if m2dag is None else QuadraticGenerator(np.asarray(m2dag).conj().T)
-    return _pair_kernel(QuadraticGenerator(m1), g2, RCOND_TOL)[0]
+    return _pair_kernel(QuadraticGenerator(m1), g2, RCOND_TOL)
 
 
 def single_mode_factor_matrix(factors: SingleModeFactors) -> np.ndarray:

@@ -5,7 +5,6 @@ Tolerances are pinned here and nowhere else.
 """
 
 import numpy as np
-import pytest
 
 from fermigauss import fock
 from fermigauss.configs import FockConfig

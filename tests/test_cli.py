@@ -165,6 +165,15 @@ def test_overlap_overflow_exit_code(tmp_path, capsys):
     assert err.startswith("error:") and "overflows" in err
 
 
+def test_overlap_j_check_overflow_exit_code(tmp_path, capsys):
+    # finite factors (max entries 5e120 and 2.4e84) whose product's J-check overflows
+    op = write_operator(tmp_path / "a.json", random_generator(2, 2, 150).m)
+    op2 = write_operator(tmp_path / "b.json", random_generator(2, 102, 150).m)
+    code, out, err = run(capsys, "overlap", "--op", op, "--op2", op2, "--bra", "00", "--ket", "00")
+    assert code == 5 and out == ""
+    assert err.startswith("error:") and "J-orthogonality check overflows" in err
+
+
 def test_correlate_trivial(tmp_path, capsys):
     op = write_operator(tmp_path / "zero.json", np.zeros((4, 4)))
     code, out, _ = run(capsys, "correlate", "--op", op, "--bra", "00", "--ket", "00",

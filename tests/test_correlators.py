@@ -10,7 +10,6 @@ from fermigauss.configs import FockConfig
 from fermigauss.correlators import (
     CorrelatorContext,
     ModeOp,
-    WickTerm,
     ZeroOverlapError,
     generalized_expectation,
     generalized_overlap_value,

@@ -69,3 +69,26 @@ def test_oracle_imports_only_configs_and_linalg():
     # the formula modules
     tree = ast.parse((PACKAGE / "fock.py").read_text())
     assert package_imports(tree) == {"fermigauss.configs", "fermigauss.linalg"}
+
+
+def unused_imports(tree) -> list:
+    """The names a module imports but never reads; ``__future__`` aside."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+def test_no_unused_imports():
+    # no lint step runs in CI, so this stands in for one
+    found = {
+        str(path.relative_to(ROOT)): names
+        for folder in (PACKAGE, ROOT / "tests", ROOT / "demos")
+        for path in sorted(folder.glob("*.py"))
+        if (names := unused_imports(ast.parse(path.read_text())))
+    }
+    assert found == {}

@@ -108,21 +108,39 @@ class TestCounts:
 
 
 def exact_exponentials(calls, gens) -> int:
-    """The ``mat_exp`` calls whose argument is an unscaled M or M^dag of ``gens``."""
-    mats = [g.m for g in gens] + [g.m.conj().T for g in gens]
-    return sum(any(np.array_equal(a, m) for m in mats) for (a,) in calls)
+    """The ``mat_exp`` calls whose argument is an unscaled M of ``gens``."""
+    return sum(any(np.array_equal(a, g.m) for g in gens) for (a,) in calls)
+
+
+def adjoint_exponentials(calls, gens) -> int:
+    """The ``mat_exp`` calls whose argument is c M^dag of ``gens`` for any
+    scalar c != 0: no bra side is exponentiated as such."""
+    found = 0
+    for (a,) in calls:
+        for g in gens:
+            mdag = g.m.conj().T
+            k = np.unravel_index(np.argmax(np.abs(mdag)), mdag.shape)
+            c = a[k] / mdag[k] if a.shape == mdag.shape else 0.0
+            if c != 0.0 and rel_close(a, c * mdag, 1e-12):
+                found += 1
+    return found
 
 
 class TestGeneratorExponentials:
-    """exp(M) and exp(M^dag) are computed once per generator object."""
+    """exp(M) is computed once per generator object and serves it on
+    either side of an overlap; no exp(M^dag) is taken."""
 
     def test_each_side_exponentiated_once(self, count_calls):
         gens = [random_generator(6, seed, 0.6) for seed in range(4)]
+        # no M of these is itself a multiple of some M^dag
+        assert not adjoint_exponentials([(g.m,) for g in gens], gens)
         bra, ket = FockConfig.from_string("110100"), FockConfig.from_string("011010")
         calls = count_calls("mat_exp")
         for g1, g2 in permutations(gens, 2):
             assert state_overlap(g1, g2, bra, ket).method == "pfaffian"
-        assert exact_exponentials(calls, gens) == 2 * len(gens)
+            n_point(CorrelatorContext(g1, g2, bra, ket), (ModeOp(1, True), ModeOp(4, False)))
+        assert exact_exponentials(calls, gens) == len(gens)
+        assert adjoint_exponentials(calls, gens) == 0
         calls.clear()
         state_overlap(gens[0], gens[1], ket, bra)
         assert exact_exponentials(calls, gens) == 0
@@ -133,7 +151,10 @@ class TestGeneratorExponentials:
         assert np.shares_memory(g.m, m) and m.flags.writeable
         t = transfer_of(g)
         assert transfer_of(g) is t
-        for a in (g.m, t.t, g._exp_dagger):
+        state_overlap(g, g, FockConfig.from_string("110"), FockConfig.from_string("011"))
+        # exp(M) lives only in the cached transfer; the rest are path steps
+        assert set(vars(g)) == {"m", "_transfer", "_steps"}
+        for a in (g.m, t.t):
             with pytest.raises(ValueError, match="read-only"):
                 a[0, 0] = 1.0
 
@@ -159,7 +180,7 @@ class TestGeneratorExponentials:
 
 class TestEmbeddedExponentials:
     """An operator with linear parts builds its ancilla generator once, so
-    exp(M') and exp(M'^dag) are computed once per operator object."""
+    exp(M') is computed once per operator object, on either side."""
 
     def test_each_side_exponentiated_once(self, count_calls):
         rng = np.random.default_rng(17)
@@ -168,8 +189,10 @@ class TestEmbeddedExponentials:
         calls = count_calls("mat_exp")
         for op1, op2 in permutations(ops, 2):
             assert generalized_overlap(op1, op2, bra, ket).method == "pfaffian"
+            generalized_expectation(CorrelatorContext(op1, op2, bra, ket), (ModeOp(2, True),))
         gens = [embed(op) for op in ops]
-        assert exact_exponentials(calls, gens) == 2 * len(ops)
+        assert exact_exponentials(calls, gens) == len(ops)
+        assert adjoint_exponentials(calls, gens) == 0
         calls.clear()
         generalized_overlap(ops[0], ops[1], ket, bra)
         for op in ops:
@@ -195,7 +218,7 @@ class TestEmbeddedExponentials:
             ctx = CorrelatorContext(op1, op2, FockConfig.from_string(bra),
                                     FockConfig.from_string(ket))
             generalized_expectation(ctx, (ModeOp(1, True), ModeOp(3, False)))
-        # exp(M1') for the ket side and exp(M2'^dag) for the bra side
+        # exp(M1') for the ket side and exp(M2') for the bra side
         assert exact_exponentials(calls, [embed(op1), embed(op2)]) == 2
 
     def test_epsilon_route_keeps_only_the_own_embedding(self, oracle):
@@ -352,14 +375,13 @@ STEPS = [np.linspace(0.0, 1.0, n + 1)[1] for n in (12, 24, 48, 96, 192)]
 
 
 def step_exponentials(calls, gens) -> dict:
-    """Per (generator index, dagger): the ``mat_exp`` calls whose argument is
-    h M or h M^dag of ``gens`` for a continuity step length h."""
+    """Per generator index: the ``mat_exp`` calls whose argument is h M of
+    ``gens`` for a continuity step length h."""
     found: dict = {}
     for (a,) in calls:
         for i, g in enumerate(gens):
-            for dagger, m in ((False, g.m), (True, g.m.conj().T)):
-                if any(np.array_equal(a, h * m) for h in STEPS):
-                    found[i, dagger] = found.get((i, dagger), 0) + 1
+            if any(np.array_equal(a, h * g.m) for h in STEPS):
+                found[i] = found.get(i, 0) + 1
     return found
 
 
@@ -369,10 +391,11 @@ def t22_det(g1, g2) -> float:
 
 
 class TestStepExponentials:
-    """The continuity path's step exponentials exp(hM) and exp(hM^dag) are
-    computed once per generator object, side and step length."""
+    """The continuity path's step exponentials exp(hM) are computed once
+    per generator object and step length, and serve either side; no
+    exp(hM^dag) is taken."""
 
-    once = {(i, dagger): 1 for i in range(4) for dagger in (False, True)}
+    once = {i: 1 for i in range(4)}
 
     def test_each_step_exponentiated_once(self, count_calls):
         gens = [random_generator(6, seed, 0.6) for seed in range(4)]
@@ -382,6 +405,7 @@ class TestStepExponentials:
             assert t22_det(g1, g2) < 1e13  # the path runs
             assert state_overlap(g1, g2, bra, ket).method == "pfaffian"
         assert step_exponentials(calls, gens) == self.once
+        assert adjoint_exponentials(calls, gens) == 0
         calls.clear()
         state_overlap(gens[0], gens[1], ket, bra)
         assert calls == []
@@ -394,7 +418,9 @@ class TestStepExponentials:
         for op1, op2 in permutations(ops, 2):
             assert t22_det(embed(op1), embed(op2)) < 1e13
             assert generalized_overlap(op1, op2, bra, ket).method == "pfaffian"
-        assert step_exponentials(calls, [embed(op) for op in ops]) == self.once
+        gens = [embed(op) for op in ops]
+        assert step_exponentials(calls, gens) == self.once
+        assert adjoint_exponentials(calls, gens) == 0
         calls.clear()
         generalized_overlap(ops[0], ops[1], ket, bra)
         assert calls == []
@@ -402,10 +428,10 @@ class TestStepExponentials:
     def test_cached_steps_read_only(self):
         g1, g2 = random_generator(4, 1, 0.6), random_generator(4, 2, 0.6)
         state_overlap(g1, g2, FockConfig.from_string("1100"), FockConfig.from_string("0110"))
-        for g, dagger in ((g1, False), (g2, True)):
-            step = g._step_exp(STEPS[0], dagger)
-            assert g._step_exp(STEPS[0], dagger) is step
-            assert set(vars(g)["_steps"]) == {(STEPS[0], dagger)}
+        for g in (g1, g2):
+            step = g._step_exp(STEPS[0])
+            assert g._step_exp(STEPS[0]) is step
+            assert set(vars(g)["_steps"]) == {STEPS[0]}
             with pytest.raises(ValueError, match="read-only"):
                 step[0, 0] = 1.0
 

@@ -327,6 +327,12 @@ class TestJDefectBitIdentity:
         t[1, 2] = np.nan
         assert np.isnan(TransferMatrix._defect(t)) and np.isnan(reference_j_defect(t))
 
+    @pytest.mark.parametrize("entry", [1e154, 2e154])
+    def test_beyond_float_range(self, entry):
+        # finite T whose T J T^T (at 1e154) or max|T|^2 (at 2e154) overflows
+        with pytest.raises(LinalgError, match="J-orthogonality check overflows"):
+            TransferMatrix._defect(np.full((4, 4), entry, dtype=complex))
+
 
 def reference_branch_check(eigs: np.ndarray) -> None:
     """The principal-branch test eigenvalue by eigenvalue."""
@@ -437,7 +443,7 @@ class TestExactEntry:
             g1, g2 = embed(random_linear_op(rng, L)), embed(random_linear_op(rng, L))
         else:
             g1, g2 = random_generator(L, rng, 0.6), random_generator(L, rng, 0.6)
-        kernels = [_pair_kernel(g1, g2, 0.0)[0], OverlapKernel(transfer_of(g1), 0.0)]
+        kernels = [_pair_kernel(g1, g2, 0.0), OverlapKernel(transfer_of(g1), 0.0)]
         for kern in kernels:
             p = kern.pairing
             assert np.array_equal(p, -p.T)

@@ -3,7 +3,7 @@ import pytest
 
 from fermigauss.configs import FockConfig
 from fermigauss.linalg import LinalgError, SingularBlockError, pfaffian
-from fermigauss.linearpart import LinearGaussianOp, single_mode_op
+from fermigauss.linearpart import LinearGaussianOp
 from fermigauss.overlaps import (
     ROUTES,
     OverlapKernel,

@@ -4,7 +4,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from fermigauss.linalg import MatrixLogBranchError, SingularBlockError, rcond_estimate, skew_defect
+from fermigauss.configs import FockConfig
+from fermigauss.linalg import LinalgError, SingularBlockError, rcond_estimate, skew_defect
+from fermigauss.linearpart import LinearGaussianOp, compose_linear
+from fermigauss.overlaps import state_overlap
 from fermigauss.quadratic import (
     CPScanEntry,
     QuadraticGenerator,
@@ -25,7 +28,7 @@ from fermigauss.quadratic import (
     transfer_of,
 )
 
-from conftest import all_configs, j_matrix, worked_example_m, worked_example_t
+from conftest import j_matrix, worked_example_m, worked_example_t
 
 
 def factored_dense(fac, oracle_obj):
@@ -151,6 +154,20 @@ class TestCompose:
         g = QuadraticGenerator(worked_example_m(np.pi / 2))
         res = compose_generators(g, g)
         assert not res.generator_available and res.generator is None
+
+    def test_j_check_overflow_raises_linalg_error(self):
+        # finite factors (max entries 5e120 and 2.4e84) whose product's
+        # J-check leaves the float range
+        g1, g2 = random_generator(2, 2, 150), random_generator(2, 102, 150)
+        t1, t2 = transfer_of(g1), transfer_of(g2)
+        vac = FockConfig.vacuum(2)
+        calls = (lambda: compose_transfers(t1, t2), lambda: compose_generators(g1, g2),
+                 lambda: compose_linear(LinearGaussianOp.quadratic(g1),
+                                        LinearGaussianOp.quadratic(g2)),
+                 lambda: state_overlap(g1, g2, vac, vac))
+        for call in calls:
+            with pytest.raises(LinalgError, match="J-orthogonality check overflows"):
+                call()
 
 
 class TestFactorizations:
