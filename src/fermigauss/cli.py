@@ -352,15 +352,13 @@ def cmd_overlap(args) -> int:
     try:
         if op1.is_quadratic and op2.is_quadratic:
             res = state_overlap(QuadraticGenerator(op1.m), QuadraticGenerator(op2.m), bra, ket,
-                                method=method, eps_seed=args.seed)
+                                method=method)
         else:
-            res = generalized_overlap(op1, op2, bra, ket, method=method, eps_seed=args.seed)
+            res = generalized_overlap(op1, op2, bra, ket, method=method)
     except SingularBlockError as exc:
         raise CliError(EXIT_SINGULAR, str(exc))
     except LinalgError as exc:
         raise CliError(EXIT_NUMERICAL, str(exc))
-    diagnostics = dict(res.diagnostics)
-    diagnostics["seed"] = args.seed
     results = {"value": as_pair(res.value)}
     if args.verify:
         ref = _oracle_value(op1, op2, (), bra, ket)
@@ -370,7 +368,7 @@ def cmd_overlap(args) -> int:
     report = base_report("overlap", inputs,
                          args={"bra": str(bra), "ket": str(ket)},
                          method=res.method, sign_certain=res.sign_certain,
-                         route=res.route, diagnostics=diagnostics, results=results)
+                         route=res.route, diagnostics=res.diagnostics, results=results)
     emit(report, args.output)
     return EXIT_OK
 
@@ -392,7 +390,7 @@ def cmd_correlate(args) -> int:
         raise CliError(EXIT_PARSE, str(exc))
     if any(op.site > op1.L for op in ops):
         raise CliError(EXIT_PARSE, f"operator site out of range 1..{op1.L}")
-    ctx = CorrelatorContext(op1, op2, bra, ket, eps_seed=args.seed)
+    ctx = CorrelatorContext(op1, op2, bra, ket)
     results: dict = {"string": [str(o) for o in ops]}
     try:
         if ctx.quadratic:
@@ -434,7 +432,7 @@ def cmd_correlate(args) -> int:
     report = base_report("correlate", inputs,
                          args={"bra": str(bra), "ket": str(ket), "string": args.string},
                          method=method, sign_certain=True,
-                         diagnostics={"seed": args.seed}, results=results)
+                         diagnostics={}, results=results)
     emit(report, args.output)
     return EXIT_OK
 
@@ -632,7 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument("--epsilon", action="store_true", help="force the perturbative route")
     route.add_argument("--cp-magnitude", action="store_true", help="force the magnitude route")
     p.add_argument("--verify", action="store_true", help="also run the dense oracle")
-    p.add_argument("--seed", type=seed, default=EPS_SEED)
     p.add_argument("--output")
     p.set_defaults(func=cmd_overlap)
 
@@ -651,7 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--expand", action="store_true",
                            help="include the pairing/singleton term table")
         p.add_argument("--verify", action="store_true")
-        p.add_argument("--seed", type=seed, default=EPS_SEED)
         p.add_argument("--output")
         p.set_defaults(func=cmd_correlate)
 

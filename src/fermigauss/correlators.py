@@ -30,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .configs import FockConfig
-from .linalg import RCOND_TOL, SingularBlockError, _pfaffian_exact
+from .linalg import SingularBlockError, _pfaffian_exact
 from .linearpart import LinearGaussianOp, embed
-from .overlaps import EPS_SCHEDULE, EPS_SEED, _dispatch, _pair_kernel
+from .overlaps import _dispatch, _pair_kernel
 from .quadratic import QuadraticGenerator, transfer_of
 
 #: relative threshold below which the normalizing overlap counts as zero
@@ -116,10 +116,9 @@ class _Engine:
     strings only.
     """
 
-    def __init__(self, g1: QuadraticGenerator, g2: QuadraticGenerator,
-                 rcond_tol: float = RCOND_TOL):
+    def __init__(self, g1: QuadraticGenerator, g2: QuadraticGenerator):
         self.L = g1.L
-        self.kern = _pair_kernel(g1, g2, rcond_tol)
+        self.kern = _pair_kernel(g1, g2)
         self.t1 = transfer_of(g1).t
         self.rcond = self.kern.rcond
         self.sign_certain = self.kern.sign_certain
@@ -241,9 +240,7 @@ class CorrelatorContext:
     the ket-side generator.
     """
 
-    def __init__(self, op1, op2, bra: FockConfig, ket: FockConfig, *,
-                 rcond_tol: float = RCOND_TOL,
-                 eps_schedule=EPS_SCHEDULE, eps_seed: int = EPS_SEED):
+    def __init__(self, op1, op2, bra: FockConfig, ket: FockConfig):
         # (ket, bra) generators per sector, False (quadratic) or True
         # (extended); generators given for the quadratic sector are kept,
         # and the extended sector's come from ``embed``, which caches them
@@ -262,9 +259,6 @@ class CorrelatorContext:
         self.op2 = op2
         self.bra = bra
         self.ket = ket
-        self.rcond_tol = rcond_tol
-        self.eps_schedule = eps_schedule
-        self.eps_seed = eps_seed
         self.quadratic = op1.is_quadratic and op2.is_quadratic
         # configurations in the ancilla-extended space: the ket's ancilla
         # makes the two parities equal
@@ -280,24 +274,24 @@ class CorrelatorContext:
     def L(self) -> int:
         return self.op1.L
 
-    def _engine(self, extended: bool, delta, rcond_tol: float) -> _Engine:
+    def _engine(self, extended: bool, delta) -> _Engine:
         wrap = embed if extended else (lambda op: QuadraticGenerator(op.m))
         if extended not in self._gens:
             self._gens[extended] = (wrap(self.op1), wrap(self.op2))
         g1, g2 = self._gens[extended]
         if delta is not None:
             g1 = wrap(LinearGaussianOp(self.op1.m + delta, self.op1.u, self.op1.v))
-        return _Engine(g1, g2, rcond_tol)
+        return _Engine(g1, g2)
 
     def _eval(self, fn, extended: bool = False) -> complex:
         """``fn(engine)`` through the overlap rescue chain, quadratic or
         ancilla-extended.  The magnitude route is left out: correlators
         need the sign."""
-        def kernel_at(delta, tol):
+        def kernel_at(delta):
             key = (extended, None if delta is None else delta.tobytes())
             if key not in self._engines:
                 try:
-                    self._engines[key] = self._engine(extended, delta, tol)
+                    self._engines[key] = self._engine(extended, delta)
                 except SingularBlockError as exc:
                     self._engines[key] = exc
             engine = self._engines[key]
@@ -305,9 +299,7 @@ class CorrelatorContext:
                 raise engine.with_traceback(None)
             return engine
 
-        return _dispatch(kernel_at, fn, self.L, cp=None, method="auto",
-                         rcond_tol=self.rcond_tol, eps_schedule=self.eps_schedule,
-                         eps_seed=self.eps_seed).value
+        return _dispatch(kernel_at, fn, self.L, cp=None, method="auto").value
 
     def _checked(self, ops) -> tuple:
         ops = tuple(ops)

@@ -13,8 +13,6 @@ import scipy.linalg
 
 #: relative tolerance for the skew-symmetry check, w.r.t. the max-norm
 SKEW_TOL = 1e-10
-#: reciprocal-condition threshold below which a block counts as singular
-RCOND_TOL = 1e-12
 
 
 class LinalgError(Exception):
@@ -132,15 +130,15 @@ def skew_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(a + a.T))) / scale
 
 
-def check_skew(a: np.ndarray, tol: float = SKEW_TOL, name: str = "matrix") -> np.ndarray:
+def check_skew(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     a = _as_square(a, name)
     d = skew_defect(a)
-    if d > tol:
-        raise SkewSymmetryError(f"{name} is not antisymmetric (defect {d:.3e} > {tol:.1e})")
+    if d > SKEW_TOL:
+        raise SkewSymmetryError(f"{name} is not antisymmetric (defect {d:.3e} > {SKEW_TOL:.1e})")
     return a
 
 
-def pfaffian(a: np.ndarray, tol: float = SKEW_TOL):
+def pfaffian(a: np.ndarray):
     """Pfaffian of a complex antisymmetric matrix, or of each member of a stack.
 
     Uses skew-symmetric tridiagonalization (Parlett-Reid elimination) with
@@ -159,17 +157,17 @@ def pfaffian(a: np.ndarray, tol: float = SKEW_TOL):
     sets (the vacuum-to-vacuum case empties the matrix entirely).
     """
     if np.ndim(a) != 3:
-        a = check_skew(a, tol=tol)
+        a = check_skew(a)
         return _pfaffian_exact(0.5 * (a - a.T))  # exact antisymmetrization of rounding dust
     a = _as_square(a, stack=True)
     if a.size:
         at = a.transpose(0, 2, 1)
         scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
         defect = np.abs(a + at).max(axis=(1, 2)) / scale
-        if np.any(defect > tol):
-            i = int(np.argmax(defect > tol))
+        if np.any(defect > SKEW_TOL):
+            i = int(np.argmax(defect > SKEW_TOL))
             raise SkewSymmetryError(f"stack member {i} is not antisymmetric "
-                                    f"(defect {defect[i]:.3e} > {tol:.1e})")
+                                    f"(defect {defect[i]:.3e} > {SKEW_TOL:.1e})")
         a = 0.5 * (a - at)
     return _pfaffian_exact(a)
 
@@ -291,7 +289,7 @@ def sqrt_det_via_log(a: np.ndarray):
     return complex(np.prod(np.sqrt(eigs))), True
 
 
-def sqrt_det_continuous(mat_at, end, steps: int = 12, max_refine: int = 5):
+def sqrt_det_continuous(mat_at, end):
     """det(end)^(1/2), branch fixed by continuity from mat_at(0) = I to mat_at(1) = end.
 
     ``mat_at`` must be holomorphic in its complex argument; it is evaluated
@@ -301,7 +299,8 @@ def sqrt_det_continuous(mat_at, end, steps: int = 12, max_refine: int = 5):
     segment, slight complex detours are tried (zeros of a holomorphic
     function are isolated).  Returns ``(value, sign_certain)``; falls back
     to the principal-branch value of ``end``, flagged uncertain, if no path
-    resolves the winding.
+    resolves the winding.  Each path starts with 12 steps and doubles them,
+    at most four times, while some step turns the argument by 1.2 or more.
 
     Points are evaluated one at a time, in path order, with one ``mat_at``
     call each, and a path is abandoned at its first (near-)zero.  Since the
@@ -315,8 +314,8 @@ def sqrt_det_continuous(mat_at, end, steps: int = 12, max_refine: int = 5):
     if min(1.0, abs(target)) <= floor:
         return sqrt_det_via_log(end)
     for bulge in (0.0, 0.03, 0.11, 0.31):
-        n = steps
-        for _ in range(max_refine):
+        n = 12
+        for _ in range(5):
             taus = np.linspace(0.0, 1.0, n + 1)
             svals = taus + 1j * bulge * taus * (1.0 - taus)
             dets = [1.0]

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RCOND_TOL, SKEW_TOL, MatrixLogBranchError, mat_log
+from .linalg import SKEW_TOL, MatrixLogBranchError, mat_log
 from .quadratic import (
     QuadraticGenerator,
     TransferMatrix,
@@ -143,11 +143,11 @@ def embed(op: LinearGaussianOp) -> QuadraticGenerator:
     return op._embedded
 
 
-def extract_op(gen: QuadraticGenerator, tol: float = STRUCTURE_TOL) -> LinearGaussianOp:
+def extract_op(gen: QuadraticGenerator) -> LinearGaussianOp:
     """Inverse of :func:`embed`: read (M, u, v) off an enlarged generator.
 
     The border vectors occur twice with opposite signs; they are averaged
-    and their mutual consistency is enforced to ``tol``.
+    and their mutual consistency is enforced to :data:`STRUCTURE_TOL`.
     """
     n = gen.L
     L = n - 1
@@ -160,10 +160,10 @@ def extract_op(gen: QuadraticGenerator, tol: float = STRUCTURE_TOL) -> LinearGau
         (mp[1:n, 0], -mp[1:n, n]),          # u* on columns
     ]
     for a, b in pairs:
-        if np.max(np.abs(a - b), initial=0.0) > tol * scale:
+        if np.max(np.abs(a - b), initial=0.0) > STRUCTURE_TOL * scale:
             raise ValueError("enlarged generator lacks the ancilla border redundancy")
     corners = np.array([mp[0, 0], mp[0, n], mp[n, 0], mp[n, n]])
-    if np.max(np.abs(corners)) > tol * scale:
+    if np.max(np.abs(corners)) > STRUCTURE_TOL * scale:
         raise ValueError("enlarged generator has nonzero ancilla corners")
     v = 0.25 * (mp[0, 1:n] - mp[n, 1:n]) + 0.25 * (mp[n + 1:, 0] - mp[n + 1:, n])
     uc = 0.25 * (mp[0, n + 1:] - mp[n, n + 1:]) + 0.25 * (mp[1:n, 0] - mp[1:n, n])
@@ -180,7 +180,7 @@ class ExtendedTransferParts:
 
     The extended ``T' = exp(M')`` carries each border vector and the corner
     scalar in several redundant positions; they are averaged here and the
-    mutual consistency defect is recorded (and bounded by ``tol``).
+    mutual consistency defect is recorded (and bounded by :data:`STRUCTURE_TOL`).
     """
 
     t11_scalar: complex
@@ -212,7 +212,7 @@ class ExtendedTransferParts:
         return self.t_quad[self.L:, self.L:]
 
 
-def split_extended_transfer(tp: TransferMatrix, tol: float = STRUCTURE_TOL) -> ExtendedTransferParts:
+def split_extended_transfer(tp: TransferMatrix) -> ExtendedTransferParts:
     """Extract the corner scalar, border vectors and physical blocks of T'.
 
     Expected layout (rows = images of (c0, c, c0^dag, c^dag)):
@@ -239,7 +239,7 @@ def split_extended_transfer(tp: TransferMatrix, tol: float = STRUCTURE_TOL) -> E
     t3, d3 = avg([t[1:n, 0], -t[1:n, n]])
     t4, d4 = avg([t[n + 1:, 0], -t[n + 1:, n]])
     defect = max(d0, d1, d2, d3, d4) / scale
-    if defect > tol:
+    if defect > STRUCTURE_TOL:
         raise ValueError(
             f"extended transfer lacks the corner/border redundancy (defect {defect:.3e})"
         )
@@ -276,35 +276,34 @@ class GeneralizedFactored:
     y = functools.cached_property(_principal_y)
 
 
-def generalized_bbd_from_transfer(tp: TransferMatrix,
-                                  rcond_tol: float = RCOND_TOL) -> GeneralizedFactored:
+def generalized_bbd_from_transfer(tp: TransferMatrix) -> GeneralizedFactored:
     """Five-factor data from an (already composed) extended transfer matrix.
 
     The normal factorization of the physical blocks, with the rank-one
     corrections of the linear factors subtracted from X and Z.  Computed
     once per transfer object, like :func:`~fermigauss.quadratic.bbd_normal`:
-    the result is cached on ``tp`` and returned, with read-only arrays, on
-    every later call that ``rcond_tol`` accepts.
+    the result of the first call that succeeds is cached on ``tp`` and
+    returned, with read-only arrays, on every later call.
     """
-    def factorize(tol):
+    def factorize():
         parts = split_extended_transfer(tp)
-        fac = _normal_factors(parts.q12, parts.q21, parts.q22, tol)
+        fac = _normal_factors(parts.q12, parts.q21, parts.q22)
         q = fac.exp_y @ parts.t2      # row vector t2^T T22^-1, stored as 1-D
         p = fac.exp_y.T @ parts.t4    # T22^-1 t4
         arrays = (q, fac.x - np.outer(q, q), fac.exp_y, fac.z - np.outer(p, p), p)
         return GeneralizedFactored(*map(_read_only, arrays),
                                    fac.prefactor, fac.sign_certain, fac.rcond)
 
-    return _factors_once(tp, "_generalized", rcond_tol, factorize)
+    return _factors_once(tp, "_generalized", factorize)
 
 
-def generalized_bbd(op: LinearGaussianOp, rcond_tol: float = RCOND_TOL) -> GeneralizedFactored:
+def generalized_bbd(op: LinearGaussianOp) -> GeneralizedFactored:
     """Five-factor decomposition of a single operator (M, u, v).
 
     The embedded transfer is one object per operator, so this is computed
     once per operator object and the same result is returned after.
     """
-    return generalized_bbd_from_transfer(transfer_of(embed(op)), rcond_tol)
+    return generalized_bbd_from_transfer(transfer_of(embed(op)))
 
 
 def factors_as_ops(f: GeneralizedFactored):

@@ -28,7 +28,6 @@ import numpy as np
 
 from .configs import FockConfig
 from .linalg import (
-    RCOND_TOL,
     LinalgError,
     SingularBlockError,
     _pfaffian_exact,
@@ -49,9 +48,9 @@ from .quadratic import (
     transfer_of,
 )
 
-#: default perturbation schedule for the analytic-continuation fallback
+#: perturbation schedule of the analytic-continuation fallback
 EPS_SCHEDULE = (1e-4, 5e-5)
-#: default seed of the recorded random perturbation direction
+#: seed of the recorded random perturbation direction
 EPS_SEED = 20240817
 #: maximum relative disagreement between successive extrapolations
 EPS_AGREE_TOL = 1e-6
@@ -110,12 +109,12 @@ class OverlapKernel:
     costs one SVD.
     """
 
-    def __init__(self, t: TransferMatrix, rcond_tol: float = RCOND_TOL, path=None):
+    def __init__(self, t: TransferMatrix, path=None):
         self.L = t.L
         if path is None:
-            fac = bbd_normal(t, rcond_tol)
+            fac = bbd_normal(t)
         else:
-            fac = _normal_factors(t.t12, t.t21, t.t22, rcond_tol,
+            fac = _normal_factors(t.t12, t.t21, t.t22,
                                   lambda t22: sqrt_det_continuous(path, t22))
         self.rcond = fac.rcond
         L = self.L
@@ -217,8 +216,7 @@ class _ProductPath:
         return cols[0][half:] if len(cols) == 1 else cols[1].conj().T @ cols[0]
 
 
-def _pair_kernel(g1: QuadraticGenerator, g2: QuadraticGenerator | None,
-                 rcond_tol: float) -> OverlapKernel:
+def _pair_kernel(g1: QuadraticGenerator, g2: QuadraticGenerator | None) -> OverlapKernel:
     """Kernel for <J| exp(M2^dag) exp(M1) |I> with a continuity-tracked sign.
 
     ``g1`` is the ket generator M1 and ``g2`` the bra generator M2 (None for
@@ -229,7 +227,7 @@ def _pair_kernel(g1: QuadraticGenerator, g2: QuadraticGenerator | None,
     s and therefore admits complex detours around determinant zeros.
     """
     t = transfer_of(g1) if g2 is None else compose_bra_ket(g2, g1)
-    return OverlapKernel(t, rcond_tol, path=_ProductPath(g1, g2))
+    return OverlapKernel(t, path=_ProductPath(g1, g2))
 
 
 def compose_bra_ket(op2, op1) -> TransferMatrix:
@@ -251,12 +249,11 @@ def compose_bra_ket(op2, op1) -> TransferMatrix:
 ROUTES = ("pfaffian", "epsilon", "cp-magnitude")
 
 
-def _dispatch(kernel_at, evaluate, L: int | None, cp, *, method: str,
-              rcond_tol: float, eps_schedule, eps_seed: int) -> OverlapResult:
+def _dispatch(kernel_at, evaluate, L: int | None, cp, *, method: str) -> OverlapResult:
     """Run the rescue chain pfaffian -> epsilon -> cp-magnitude.
 
-    ``kernel_at(delta, rcond_tol)`` builds the kernel (anything with
-    ``rcond`` and ``sign_certain`` attributes) of the ket-side generator
+    ``kernel_at(delta)`` builds the kernel (anything with ``rcond`` and
+    ``sign_certain`` attributes) of the ket-side generator
     shifted by the matrix ``delta``, unshifted for ``delta=None``, and
     ``evaluate(kernel)`` turns a kernel into the value.  ``L`` is the site
     count of that generator, or None when only a transfer matrix is known,
@@ -269,8 +266,10 @@ def _dispatch(kernel_at, evaluate, L: int | None, cp, *, method: str,
     alone, which then accepts whatever sign it finds.  Every attempt is
     recorded in the result's ``route``: the route name, whether it was
     accepted, on rejection the ``reason``, and the diagnostics that decided
-    it.  When every route fails, the last route's error is raised with the
-    same list attached as ``.route``.
+    it.  Any :class:`LinalgError` rejects its route; one that is neither a
+    singular block nor a failed extrapolation has the reason
+    ``"numerical"`` and its ``message``.  When every route fails, the last
+    route's error is raised with the same list attached as ``.route``.
     """
     available = {"pfaffian": True, "epsilon": L is not None, "cp-magnitude": cp is not None}
     if method == "auto":
@@ -285,7 +284,7 @@ def _dispatch(kernel_at, evaluate, L: int | None, cp, *, method: str,
     for name in names:
         try:
             if name == "pfaffian":
-                kern = kernel_at(None, rcond_tol)
+                kern = kernel_at(None)
                 why = {"rcond": kern.rcond, "sign_certain": kern.sign_certain}
                 if not kern.sign_certain and len(names) > 1:
                     route.append({"route": name, "accepted": False,
@@ -294,18 +293,18 @@ def _dispatch(kernel_at, evaluate, L: int | None, cp, *, method: str,
                 res = OverlapResult(evaluate(kern), "pfaffian", kern.sign_certain,
                                     {"rcond": kern.rcond})
             elif name == "epsilon":
-                res = _epsilon_extrapolate(
-                    lambda eps, g: evaluate(kernel_at(eps * g.m, rcond_tol)),
-                    L, eps_schedule, eps_seed)
+                res = _epsilon_extrapolate(lambda eps, g: evaluate(kernel_at(eps * g.m)), L)
                 why = {"eps_disagreement": res.diagnostics["eps_disagreement"]}
             else:
-                res = overlap_magnitude_cp(*cp(), rcond_tol=rcond_tol)
+                res = overlap_magnitude_cp(*cp())
                 why = {"cp_sites": res.diagnostics["cp_sites"], "rcond": res.diagnostics["rcond"]}
-        except (SingularBlockError, ExtrapolationError) as exc:
+        except LinalgError as exc:
             if isinstance(exc, ExtrapolationError):
                 d = exc.disagreement
                 why = {"reason": "eps_disagreement",
                        "eps_disagreement": float(d) if np.isfinite(d) else None}
+            elif not isinstance(exc, SingularBlockError):
+                why = {"reason": "numerical", "message": str(exc)}
             elif name == "cp-magnitude":
                 why = {"reason": "cp_sites", "cp_sites": None}
             else:
@@ -321,7 +320,7 @@ def _dispatch(kernel_at, evaluate, L: int | None, cp, *, method: str,
 
 
 def _quadratic_overlap(g1, g2, transfer, bra: FockConfig, ket: FockConfig,
-                       **options) -> OverlapResult:
+                       method: str) -> OverlapResult:
     """<J| exp(M2^dag) exp(M1) |I> through the rescue chain.
 
     ``g1`` and ``g2`` are the ket and bra generators (``g2`` None for the
@@ -334,22 +333,19 @@ def _quadratic_overlap(g1, g2, transfer, bra: FockConfig, ket: FockConfig,
         return OverlapResult(complex(0.0), "pfaffian", True, {"parity_zero": True})
     transfer = functools.cache(transfer)
     if g1 is None:
-        def kernel_at(delta, tol):
-            return OverlapKernel(transfer(), tol)
+        def kernel_at(delta):
+            return OverlapKernel(transfer())
     else:
-        def kernel_at(delta, tol):
+        def kernel_at(delta):
             g = g1 if delta is None else QuadraticGenerator(g1.m + delta)
-            return _pair_kernel(g, g2, tol)
+            return _pair_kernel(g, g2)
     return _dispatch(kernel_at, lambda k: k.element(bra, ket),
                      None if g1 is None else g1.L,
-                     lambda: (transfer(), bra, ket), **options)
+                     lambda: (transfer(), bra, ket), method=method)
 
 
 def overlap(composed, bra: FockConfig, ket: FockConfig, *,
-            method: str = "auto",
-            rcond_tol: float = RCOND_TOL,
-            eps_schedule=EPS_SCHEDULE,
-            eps_seed: int = EPS_SEED) -> OverlapResult:
+            method: str = "auto") -> OverlapResult:
     """<J| F |I> for an already-composed quadratic operator.
 
     ``composed`` is the generator M (with exp(M2^dag) exp(M1) = exp(M)) or
@@ -363,43 +359,40 @@ def overlap(composed, bra: FockConfig, ket: FockConfig, *,
     else:
         t = _as_transfer(composed)
         g1, transfer = None, (lambda: t)
-    return _quadratic_overlap(g1, None, transfer, bra, ket, method=method,
-                              rcond_tol=rcond_tol, eps_schedule=eps_schedule,
-                              eps_seed=eps_seed)
+    if not (composed.L == bra.L == ket.L):
+        raise ValueError("inconsistent site counts")
+    return _quadratic_overlap(g1, None, transfer, bra, ket, method)
 
 
 def state_overlap(op1, op2, bra: FockConfig, ket: FockConfig, *,
-                  method: str = "auto",
-                  rcond_tol: float = RCOND_TOL,
-                  eps_schedule=EPS_SCHEDULE,
-                  eps_seed: int = EPS_SEED) -> OverlapResult:
+                  method: str = "auto") -> OverlapResult:
     """<M2(J)|M1(I)> for two quadratic operators (generators or transfers).
 
     Takes the same methods as :func:`overlap`.  The sign is tracked and the
     perturbative fallback, which perturbs the ket-side generator, is
     available only when both generators are known.
     """
+    if not (op1.L == op2.L == bra.L == ket.L):
+        raise ValueError("inconsistent site counts")
     if isinstance(op1, QuadraticGenerator) and isinstance(op2, QuadraticGenerator):
         g1, g2 = op1, op2
     else:
         g1 = g2 = None
-    return _quadratic_overlap(g1, g2, lambda: compose_bra_ket(op2, op1), bra, ket,
-                              method=method, rcond_tol=rcond_tol,
-                              eps_schedule=eps_schedule, eps_seed=eps_seed)
+    return _quadratic_overlap(g1, g2, lambda: compose_bra_ket(op2, op1), bra, ket, method)
 
 
-def _epsilon_extrapolate(value_at, L: int, schedule, seed: int) -> OverlapResult:
+def _epsilon_extrapolate(value_at, L: int) -> OverlapResult:
     """Quadratic Richardson extrapolation of ``value_at(eps, G)`` to eps -> 0.
 
-    G is a fixed random admissible generator drawn from ``seed`` (recorded
-    in the diagnostics), which generically restores the invertibility of
-    T22.  The stated two-point schedule is augmented with one halved point;
-    the convergence diagnostic compares the linear extrapolations of
-    successive pairs and fails loudly when they disagree beyond
-    EPS_AGREE_TOL.
+    G is a fixed random admissible generator drawn from :data:`EPS_SEED`
+    (recorded in the diagnostics), which generically restores the
+    invertibility of T22.  The two-point :data:`EPS_SCHEDULE` is augmented
+    with one halved point; the convergence diagnostic compares the linear
+    extrapolations of successive pairs and fails loudly when they disagree
+    beyond EPS_AGREE_TOL.
     """
-    g = random_generator(L, seed, scale=1.0)
-    e1, e2 = float(schedule[0]), float(schedule[1])
+    g = random_generator(L, EPS_SEED, scale=1.0)
+    e1, e2 = float(EPS_SCHEDULE[0]), float(EPS_SCHEDULE[1])
     e3 = 0.5 * e2
     eps = (e1, e2, e3)
     vals = [complex(value_at(e, g)) for e in eps]
@@ -414,7 +407,7 @@ def _epsilon_extrapolate(value_at, L: int, schedule, seed: int) -> OverlapResult
     disagreement = abs(r23 - r12) / max(1.0, abs(val))
     diagnostics = {
         "eps_schedule": eps,
-        "eps_seed": seed,
+        "eps_seed": EPS_SEED,
         "eps_disagreement": disagreement,
     }
     if disagreement > EPS_AGREE_TOL:
@@ -422,8 +415,7 @@ def _epsilon_extrapolate(value_at, L: int, schedule, seed: int) -> OverlapResult
     return OverlapResult(val, "epsilon-regularized", True, diagnostics)
 
 
-def overlap_magnitude_cp(composed, bra: FockConfig, ket: FockConfig, *,
-                         rcond_tol: float = RCOND_TOL) -> OverlapResult:
+def overlap_magnitude_cp(composed, bra: FockConfig, ket: FockConfig) -> OverlapResult:
     """|<J| F |I>| through a particle-hole permutation.
 
     Applies the first site subset S, in :func:`cp_scan` order, that makes
@@ -433,13 +425,13 @@ def overlap_magnitude_cp(composed, bra: FockConfig, ket: FockConfig, *,
     the magnitude is returned with ``sign_certain=False``.
     """
     t = _as_transfer(composed)
-    found = cp_suggestions(t, rcond_tol, limit=1)
+    found = cp_suggestions(t, limit=1)
     if not found:
         raise SingularBlockError(
             "no site subset restores invertibility; unsupported instance", 0.0
         )
     sites = found[0]
-    kern = OverlapKernel(cp_apply_transfer(t, sites), rcond_tol)
+    kern = OverlapKernel(cp_apply_transfer(t, sites))
     val = kern.element(bra.flipped(sites), ket.flipped(sites))
     return OverlapResult(
         complex(abs(val)), "cp-magnitude", False,
@@ -453,12 +445,10 @@ def overlap_magnitude_cp(composed, bra: FockConfig, ket: FockConfig, *,
 
 def generalized_overlap(op1: LinearGaussianOp, op2: LinearGaussianOp,
                         bra: FockConfig, ket: FockConfig, *,
-                        method: str = "auto",
-                        eps_schedule=EPS_SCHEDULE,
-                        eps_seed: int = EPS_SEED) -> OverlapResult:
+                        method: str = "auto") -> OverlapResult:
     """<(M2,u2,v2)(J) | (M1,u1,v1)(I)> via the ancilla embedding.
 
-    Takes the same methods as :func:`overlap`, at the default rcond_tol.  The bra ancilla is always
+    Takes the same methods as :func:`overlap`.  The bra ancilla is always
     empty; the ket ancilla carries the parity mismatch of the two
     configurations.  There is no parity short-circuit here: opposite-parity
     overlaps are generally nonzero once linear terms are present (they
@@ -470,16 +460,14 @@ def generalized_overlap(op1: LinearGaussianOp, op2: LinearGaussianOp,
     ket_e = ket.with_ancilla(0 if bra.parity == ket.parity else 1)
     g1, g2 = embed(op1), embed(op2)
 
-    def kernel_at(delta, tol):
+    def kernel_at(delta):
         g = g1 if delta is None else embed(LinearGaussianOp(op1.m + delta, op1.u, op1.v))
-        return _pair_kernel(g, g2, tol)
+        return _pair_kernel(g, g2)
 
     def cp():
         return compose_bra_ket(g2, g1), bra_e, ket_e
 
-    return _dispatch(kernel_at, lambda k: k.element(bra_e, ket_e), op1.L, cp,
-                     method=method, rcond_tol=RCOND_TOL,
-                     eps_schedule=eps_schedule, eps_seed=eps_seed)
+    return _dispatch(kernel_at, lambda k: k.element(bra_e, ket_e), op1.L, cp, method=method)
 
 
 # ---------------------------------------------------------------------------

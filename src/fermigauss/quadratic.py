@@ -24,9 +24,11 @@ A :class:`TransferMatrix` holds a read-only view of its T and keeps its
 normal factor data the same way: :func:`bbd_normal` (and, for an
 embedded transfer, :func:`~fermigauss.linearpart.generalized_bbd`)
 factorizes it on the first call that succeeds and returns that result,
-with read-only arrays, on every later call; each call's ``rcond_tol`` is
-still checked.  That is three L x L complex matrices per factorized
-transfer.
+with read-only arrays, on every later call.  That is three L x L complex
+matrices per factorized transfer.
+
+A pivot block counts as invertible, in every factorization, overlap kernel
+and particle-hole scan, exactly when its rcond estimate reaches :data:`RCOND_TOL`.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from itertools import combinations, islice
 import numpy as np
 
 from .linalg import (
-    RCOND_TOL,
     SKEW_TOL,
     LinalgError,
     MatrixLogBranchError,
@@ -53,6 +54,8 @@ from .linalg import (
 
 #: relative tolerance on T J T^T = J at construction
 J_ORTHO_TOL = 1e-10
+#: reciprocal-condition threshold below which a pivot block counts as singular
+RCOND_TOL = 1e-12
 #: largest L for which the particle-hole scan enumerates every site subset
 CP_EXHAUSTIVE_MAX = 20
 #: most site subsets whose permuted blocks go through one stacked rcond estimate
@@ -280,24 +283,19 @@ class FactoredGaussian:
     y = functools.cached_property(_principal_y)
 
 
-def _check_pivot(rc: float, rcond_tol: float) -> None:
-    """Reject a pivot block whose rcond estimate ``rc`` is below ``rcond_tol``."""
-    if rc < rcond_tol:
-        raise SingularBlockError("pivot block not invertible; try a canonical permutation", rc)
-
-
 def _normal_factors(t12: np.ndarray, t21: np.ndarray, t22: np.ndarray,
-                    rcond_tol: float, det_root=None) -> FactoredGaussian:
+                    det_root=None) -> FactoredGaussian:
     """Normal-ordered factor data of the blocks of a transfer matrix.
 
     The one place that inverts the pivot block: X = T12 T22^-1,
     Z = T22^-1 T21, exp(Y) = T22^-T and exp(-tr Y / 2) = det(T22)^(1/2).
     ``det_root(t22)`` returns that root and its sign certainty; the default
     is the principal branch, :func:`sqrt_det_via_log`.  It runs only after
-    the rcond test has passed.
+    the rcond estimate has reached :data:`RCOND_TOL`.
     """
     rc = rcond_estimate(t22)
-    _check_pivot(rc, rcond_tol)
+    if rc < RCOND_TOL:
+        raise SingularBlockError("pivot block not invertible; try a canonical permutation", rc)
     x = np.linalg.solve(t22.T, t12.T).T
     z = np.linalg.solve(t22, t21)
     exp_y = np.linalg.inv(t22.T)
@@ -305,44 +303,40 @@ def _normal_factors(t12: np.ndarray, t21: np.ndarray, t22: np.ndarray,
     return FactoredGaussian("normal", x, exp_y, z, prefactor, sign_certain, rc)
 
 
-def _factors_once(t: TransferMatrix, key: str, rcond_tol: float, factorize):
-    """The factor data ``factorize(rcond_tol)`` of ``t``, cached on ``t`` under ``key``.
+def _factors_once(t: TransferMatrix, key: str, factorize):
+    """The factor data ``factorize()`` of ``t``, cached on ``t`` under ``key``.
 
-    Only a success is cached, so a block rejected at one tolerance is
-    tried again at the next.  A cached result is checked against each
-    call's ``rcond_tol`` and rejected with the same error as a fresh
-    factorization would raise.
+    Only a success is cached: a rejected block raises again, and is
+    factorized again, on every call.
     """
     fac = t.__dict__.get(key)
     if fac is None:
-        fac = t.__dict__[key] = factorize(rcond_tol)
-    else:
-        _check_pivot(fac.rcond, rcond_tol)
+        fac = t.__dict__[key] = factorize()
     return fac
 
 
-def bbd_normal(t: TransferMatrix, rcond_tol: float = RCOND_TOL) -> FactoredGaussian:
+def bbd_normal(t: TransferMatrix) -> FactoredGaussian:
     """Factorization with the creation-pair factor on the left (requires T22 invertible).
 
-    Computed once per transfer object: the result is cached on ``t`` and
-    the same object, with read-only arrays, is returned on every later
-    call that ``rcond_tol`` accepts.
+    Computed once per transfer object: the result of the first call that
+    succeeds is cached on ``t``, and the same object, with read-only
+    arrays, is returned on every later call.
     """
-    def factorize(tol):
-        fac = _normal_factors(t.t12, t.t21, t.t22, tol)
+    def factorize():
+        fac = _normal_factors(t.t12, t.t21, t.t22)
         return replace(fac, x=_read_only(fac.x), exp_y=_read_only(fac.exp_y),
                        z=_read_only(fac.z))
 
-    return _factors_once(t, "_normal", rcond_tol, factorize)
+    return _factors_once(t, "_normal", factorize)
 
 
-def bbd_antinormal(t: TransferMatrix, rcond_tol: float = RCOND_TOL) -> FactoredGaussian:
+def bbd_antinormal(t: TransferMatrix) -> FactoredGaussian:
     """Factorization with the annihilation-pair factor on the left (requires T11 invertible).
 
     This is the normal factorization of J T J, whose pivot block is T11;
     the middle factor is exp(Y) = T11 and the prefactor det(T11)^(-1/2).
     """
-    fac = _normal_factors(t.t21, t.t12, t.t11, rcond_tol)
+    fac = _normal_factors(t.t21, t.t12, t.t11)
     return replace(fac, ordering="antinormal", exp_y=t.t11.copy(), prefactor=1.0 / fac.prefactor)
 
 
@@ -450,7 +444,7 @@ def _exhaustive_t22(t: TransferMatrix):
             yield from zip(chunk, _rconds(t, _t22_rows(L, chunk)))
 
 
-def _cp_entries(t: TransferMatrix, rcond_tol: float, max_exhaustive: int):
+def _cp_entries(t: TransferMatrix):
     """Yield the entries of :func:`cp_scan`, in its order.
 
     No permuted transfer matrix is built: each permuted diagonal block is
@@ -462,17 +456,17 @@ def _cp_entries(t: TransferMatrix, rcond_tol: float, max_exhaustive: int):
     blocks.
     """
     L = t.L
-    if L <= max_exhaustive:
+    if L <= CP_EXHAUSTIVE_MAX:
         sites, r22 = zip(*_exhaustive_t22(t))
         for s, a, b in zip(sites, r22, r22[::-1]):
-            yield CPScanEntry(s, a, b, a >= rcond_tol, b >= rcond_tol)
+            yield CPScanEntry(s, a, b, a >= RCOND_TOL, b >= RCOND_TOL)
         return
 
     def batch(subsets: list[tuple[int, ...]]) -> list[CPScanEntry]:
         rows = _t22_rows(L, subsets)
         r22 = _rconds(t, rows)
         r11 = _rconds(t, (rows + L) % (2 * L))
-        return [CPScanEntry(s, a, b, a >= rcond_tol, b >= rcond_tol)
+        return [CPScanEntry(s, a, b, a >= RCOND_TOL, b >= RCOND_TOL)
                 for s, a, b in zip(subsets, r22, r11)]
 
     last = batch([()])[0]
@@ -490,8 +484,7 @@ def _cp_entries(t: TransferMatrix, rcond_tol: float, max_exhaustive: int):
         yield last
 
 
-def cp_scan(t: TransferMatrix, rcond_tol: float = RCOND_TOL,
-            max_exhaustive: int = CP_EXHAUSTIVE_MAX):
+def cp_scan(t: TransferMatrix):
     """Invertibility report for every site subset (exhaustive for L <= 20).
 
     Entries are ordered by subset size, then lexicographically.  Above the
@@ -510,18 +503,17 @@ def cp_scan(t: TransferMatrix, rcond_tol: float = RCOND_TOL,
     restores invertibility, the decomposition simply does not exist in any
     particle-hole picture.
     """
-    return list(_cp_entries(t, rcond_tol, max_exhaustive))
+    return list(_cp_entries(t))
 
 
-def cp_suggestions(t: TransferMatrix, rcond_tol: float = RCOND_TOL, limit: int = 6):
+def cp_suggestions(t: TransferMatrix, limit: int = 6):
     """The first ``limit`` site subsets, in :func:`cp_scan` order, whose
     permuted T22 is invertible; the search stops once they are found, and
     the exhaustive search reads no T11 block."""
     if t.L <= CP_EXHAUSTIVE_MAX:
-        restoring = (s for s, r22 in _exhaustive_t22(t) if r22 >= rcond_tol)
+        restoring = (s for s, r22 in _exhaustive_t22(t) if r22 >= RCOND_TOL)
     else:
-        entries = _cp_entries(t, rcond_tol, CP_EXHAUSTIVE_MAX)
-        restoring = (e.sites for e in entries if e.t22_invertible)
+        restoring = (e.sites for e in _cp_entries(t) if e.t22_invertible)
     return list(islice(restoring, limit))
 
 

@@ -11,7 +11,6 @@ import pytest
 import fermigauss
 from fermigauss import fock, linalg
 from fermigauss.configs import FockConfig
-from fermigauss.linalg import RCOND_TOL
 from fermigauss.linearpart import LinearGaussianOp, SingleModeFactors
 from fermigauss.overlaps import OverlapKernel, _pair_kernel
 from fermigauss.quadratic import QuadraticGenerator, random_generator
@@ -110,7 +109,7 @@ def pair_kernel(m1: np.ndarray, m2dag: np.ndarray | None = None) -> OverlapKerne
     are validated as :class:`QuadraticGenerator` matrices.
     """
     g2 = None if m2dag is None else QuadraticGenerator(np.asarray(m2dag).conj().T)
-    return _pair_kernel(QuadraticGenerator(m1), g2, RCOND_TOL)
+    return _pair_kernel(QuadraticGenerator(m1), g2)
 
 
 def single_mode_factor_matrix(factors: SingleModeFactors) -> np.ndarray:

@@ -311,11 +311,14 @@ def test_parse_errors(tmp_path, capsys):
     ["overlap", "--op", "x.json", "--ket", "0"],
     ["overlap", "--op", "x.json", "--bra", "0", "--ket", "0", "--no-such-flag"],
     ["decompose", "--input", "x.json", "--form", "sideways"],
-    ["correlate", "--op", "x.json", "--bra", "0", "--ket", "0", "--string", "c1", "--seed", "one"],
-    ["overlap", "--op", "x.json", "--bra", "0", "--ket", "0", "--epsilon", "--seed", "-1"],
+    # only verify takes a seed: it picks the spot-check inputs
+    ["correlate", "--op", "x.json", "--bra", "0", "--ket", "0", "--string", "c1", "--seed", "1"],
+    ["overlap", "--op", "x.json", "--bra", "0", "--ket", "0", "--epsilon", "--seed", "1"],
     ["verify", "--op", "x.json", "--seed", "-1"],
     ["no-such-command"],
     [],
+    ["wick", "--op", "x.json", "--bra", "0", "--ket", "0", "--string", "c1", "--seed", "1"],
+    ["verify", "--op", "x.json", "--seed", "one"],
 ])
 def test_usage_errors_exit_with_the_parse_code(argv, capsys):
     # exit 2 is the singular-block code; argparse's own usage exit must not reach it

@@ -92,3 +92,55 @@ def test_no_unused_imports():
         if (names := unused_imports(ast.parse(path.read_text())))
     }
     assert found == {}
+
+
+def defaulted_parameters(tree) -> list:
+    """``(callee, position, name)`` of each defaulted parameter of each
+    function in ``tree``: the name a call uses (a class's for ``__init__``),
+    the index among a call's positional arguments (None for keyword-only)
+    and the parameter's name."""
+    owner = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+             for f in c.body if isinstance(f, ast.FunctionDef)}
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        params = fn.args.posonlyargs + fn.args.args
+        static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+        if id(fn) in owner and not static:
+            params = params[1:]   # self or cls, bound by the call
+        callee = owner[id(fn)] if fn.name == "__init__" else fn.name
+        first = len(params) - len(fn.args.defaults)
+        out += [(callee, i, p.arg) for i, p in enumerate(params) if i >= first]
+        out += [(callee, None, p.arg) for p, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                if d is not None]
+    return out
+
+
+def passes(call: ast.Call, position, name: str) -> bool:
+    """Whether ``call`` passes the parameter; ``*args`` and ``**kwargs``
+    count as passing every one."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if position is not None and len(call.args) > position:
+        return True
+    return any(k.arg in (None, name) for k in call.keywords)
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    # a default that nothing but the tests overrides is a tuning knob with one
+    # value in use: make it a module constant, which a test can monkeypatch
+    sources = [*PACKAGE.glob("*.py"), *ROOT.glob("bench/*.py"), *ROOT.glob("demos/*.py")]
+    calls: dict = {}
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    never = [
+        f"{path.name}:{callee}({name})"
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "fock.py"
+        for callee, position, name in defaulted_parameters(ast.parse(path.read_text()))
+        if not any(passes(call, position, name) for call in calls.get(callee, []))
+    ]
+    assert never == []

@@ -12,7 +12,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermigauss import correlators
+from fermigauss import correlators, quadratic
 from fermigauss.configs import FockConfig
 from fermigauss.correlators import CorrelatorContext, ModeOp, generalized_expectation, n_point
 from fermigauss.linalg import SingularBlockError, sqrt_det_via_log
@@ -280,7 +280,7 @@ class TestFactorData:
         assert factorize(src) is factorize(src)
 
     @pytest.mark.parametrize("name", FACTORIZATIONS)
-    def test_repeated_call_computes_nothing(self, count_calls, name):
+    def test_repeated_call_computes_nothing(self, count_calls, monkeypatch, name):
         make, factorize = FACTORIZATIONS[name]
         src = make(np.random.default_rng(72))
         rconds, roots = count_calls("rcond_estimate"), count_calls("sqrt_det_via_log")
@@ -289,7 +289,9 @@ class TestFactorData:
         rconds.clear()
         roots.clear()
         factorize(src)
-        factorize(src, rcond_tol=1e-3)
+        # a success is not judged again, whatever the threshold is now
+        monkeypatch.setattr(quadratic, "RCOND_TOL", 1e-3)
+        factorize(src)
         assert rconds == [] and roots == []
 
     @pytest.mark.parametrize("name", FACTORIZATIONS)
@@ -328,29 +330,20 @@ class TestFactorData:
         with pytest.raises(ValueError, match="read-only"):
             tm.t[0, 0] = 1.0
 
-    def test_tolerance_checked_on_every_call(self, count_calls):
-        t = transfer_of(random_generator(5, 76, 0.8))
-        strict = 1.5 * bbd_normal(TransferMatrix(t.t.copy())).rcond
-        # rejected first: nothing is cached, and the error is the usual one
-        with pytest.raises(SingularBlockError) as first:
-            bbd_normal(t, rcond_tol=strict)
-        assert "_normal" not in vars(t)
-        fac = bbd_normal(t)
-        rconds = count_calls("rcond_estimate")
-        with pytest.raises(SingularBlockError) as again:
-            bbd_normal(t, rcond_tol=strict)
-        assert str(again.value) == str(first.value)
-        assert again.value.rcond == first.value.rcond == fac.rcond
-        assert bbd_normal(t, rcond_tol=0.5 * fac.rcond) is fac
-        assert rconds == []
-
-    def test_generalized_tolerance_checked_on_every_call(self):
-        op = random_linear_op(np.random.default_rng(77), 4, 0.8)
-        fac = generalized_bbd(op)
-        with pytest.raises(SingularBlockError) as exc:
-            generalized_bbd(op, rcond_tol=1.5 * fac.rcond)
-        assert exc.value.rcond == fac.rcond
-        assert generalized_bbd(op, rcond_tol=0.5 * fac.rcond) is fac
+    @pytest.mark.parametrize("name", FACTORIZATIONS)
+    def test_rejection_is_not_cached(self, monkeypatch, name):
+        make, factorize = FACTORIZATIONS[name]
+        src = make(np.random.default_rng(76))
+        t = src if name == "bbd_normal" else transfer_of(embed(src))
+        key = "_normal" if name == "bbd_normal" else "_generalized"
+        with monkeypatch.context() as mp:
+            mp.setattr(quadratic, "RCOND_TOL", 2.0)
+            with pytest.raises(SingularBlockError) as rejected:
+                factorize(src)
+            assert key not in vars(t)
+        # the same block, factorized afresh once the threshold admits it
+        fac = factorize(src)
+        assert vars(t)[key] is fac and rejected.value.rcond == fac.rcond
 
     @pytest.mark.parametrize("name", FACTORIZATIONS)
     def test_singular_block_raises_every_time(self, count_calls, name):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from fermigauss import overlaps, quadratic
 from fermigauss.configs import FockConfig
+from fermigauss.correlators import CorrelatorContext, generalized_expectation, n_point
 from fermigauss.linalg import LinalgError, SingularBlockError, pfaffian
-from fermigauss.linearpart import LinearGaussianOp
+from fermigauss.linearpart import LinearGaussianOp, generalized_bbd
 from fermigauss.overlaps import (
     ROUTES,
     OverlapKernel,
@@ -17,7 +19,11 @@ from fermigauss.overlaps import (
 )
 from fermigauss.quadratic import (
     QuadraticGenerator,
+    TransferMatrix,
+    bbd_antinormal,
+    bbd_normal,
     cp_apply_transfer,
+    cp_suggestions,
     random_generator,
     transfer_of,
 )
@@ -119,11 +125,14 @@ class TestSingularFallbacks:
         assert direct.method == "pfaffian"
         assert abs(direct.value - eps.value) < 1e-8
 
-    def test_epsilon_schedule_refinement(self):
+    def test_epsilon_schedule_refinement(self, monkeypatch):
         gen = QuadraticGenerator(worked_example_m(np.pi / 2))
         bra = ket = FockConfig((0, 0, 0))
-        coarse = overlap(gen, bra, ket, method="epsilon", eps_schedule=(1e-4, 5e-5))
-        fine = overlap(gen, bra, ket, method="epsilon", eps_schedule=(5e-5, 2.5e-5))
+        monkeypatch.setattr(overlaps, "EPS_SCHEDULE", (1e-4, 5e-5))
+        coarse = overlap(gen, bra, ket, method="epsilon")
+        monkeypatch.setattr(overlaps, "EPS_SCHEDULE", (5e-5, 2.5e-5))
+        fine = overlap(gen, bra, ket, method="epsilon")
+        assert fine.diagnostics["eps_schedule"] == (5e-5, 2.5e-5, 1.25e-5)
         assert abs(coarse.value - fine.value) < 1e-7
         assert coarse.diagnostics["eps_seed"] == fine.diagnostics["eps_seed"]
 
@@ -340,18 +349,33 @@ def test_epsilon_requires_generator():
         overlap(t, FockConfig((0, 0)), FockConfig((0, 0)), method="epsilon")
 
 
-def test_no_restoring_subset_raises():
+def test_site_counts_checked_before_parity():
+    # a parity mismatch used to return an exact zero, and an equal parity a
+    # numpy shape error, before the sizes were compared
+    g3 = random_generator(3, 1, 0.5)
+    vac3 = FockConfig.vacuum(3)
+    for composed in (g3, transfer_of(g3)):
+        with pytest.raises(ValueError, match="inconsistent site counts"):
+            overlap(composed, FockConfig((1,)), FockConfig((0, 0, 0)))
+    g2 = random_generator(2, 1, 0.5)
+    for bra, ket in [(vac3, vac3), (FockConfig((1, 0, 0)), vac3)]:
+        with pytest.raises(ValueError, match="inconsistent site counts"):
+            state_overlap(g3, g2, bra, ket)
+
+
+def test_no_restoring_subset_raises(monkeypatch):
     # identity transfer flipped is always invertible, so build a genuinely
     # unrestorable case: impossible for canonical transfers of this family,
     # hence exercise the error path through an empty scan result instead
     g = random_generator(2, 152, 0.5)
     t = transfer_of(g)
+    monkeypatch.setattr(quadratic, "RCOND_TOL", 2.0)
     with pytest.raises(SingularBlockError):
-        overlap_magnitude_cp(t, FockConfig((0, 0)), FockConfig((0, 0)), rcond_tol=2.0)
+        overlap_magnitude_cp(t, FockConfig((0, 0)), FockConfig((0, 0)))
 
 
-def rejected_everywhere(err) -> bool:
-    return ([e["route"] for e in err.value.route] == list(ROUTES)
+def rejected_everywhere(err, routes=ROUTES) -> bool:
+    return ([e["route"] for e in err.value.route] == list(routes)
             and not any(e["accepted"] for e in err.value.route))
 
 
@@ -368,15 +392,53 @@ class TestRescueChain:
         assert regular.route == [{"route": "pfaffian", "accepted": True,
                                   "rcond": regular.diagnostics["rcond"], "sign_certain": True}]
 
-    def test_rcond_tol_held_on_every_route(self):
-        gen = QuadraticGenerator(worked_example_m(np.pi / 2))
+    def test_rcond_tol_held_on_every_route(self, monkeypatch):
+        # no rcond estimate reaches 2, so one threshold rejects every pivot
+        # block of every entry point; the operators are regular and fresh,
+        # so nothing was factorized (and cached) before
+        gen = random_generator(3, 5, 0.6)
+        zero = QuadraticGenerator.zero(3)
+        lin, lin_zero = LinearGaussianOp.quadratic(gen), LinearGaussianOp.zero(3)
         vac = FockConfig.vacuum(3)
-        with pytest.raises(SingularBlockError) as err:
-            overlap(gen, vac, vac, rcond_tol=2.0)
-        assert rejected_everywhere(err)
-        with pytest.raises(SingularBlockError) as err:
-            state_overlap(gen, QuadraticGenerator.zero(3), vac, vac, rcond_tol=2.0)
-        assert rejected_everywhere(err)
+        monkeypatch.setattr(quadratic, "RCOND_TOL", 2.0)
+        for call in (lambda: overlap(gen, vac, vac),
+                     lambda: state_overlap(gen, zero, vac, vac),
+                     lambda: generalized_overlap(lin, lin_zero, vac, vac)):
+            with pytest.raises(SingularBlockError) as err:
+                call()
+            assert rejected_everywhere(err)
+        # correlators need the sign, so the magnitude route is left out
+        for value in (n_point, generalized_expectation):
+            with pytest.raises(SingularBlockError) as err:
+                value(CorrelatorContext(gen, zero, vac, vac), ())
+            assert rejected_everywhere(err, ROUTES[:2])
+        t = TransferMatrix(transfer_of(gen).t.copy())
+        for factorize, src in ((bbd_normal, t), (bbd_antinormal, t),
+                               (generalized_bbd, LinearGaussianOp.quadratic(gen))):
+            with pytest.raises(SingularBlockError):
+                factorize(src)
+        assert cp_suggestions(t) == []
+
+    @pytest.mark.parametrize("linear", [False, True])
+    def test_numerical_failure_rejects_its_route(self, linear):
+        # every route overflows the J-orthogonality check of a product
+        # transfer: each attempt is recorded, and the last error carries them
+        g1, g2 = random_generator(2, 2, 150), random_generator(2, 102, 150)
+        vac = FockConfig.vacuum(2)
+        ctx = CorrelatorContext(g1, g2, vac, vac)
+        if linear:
+            ops = LinearGaussianOp.quadratic(g1), LinearGaussianOp.quadratic(g2)
+            pair, value = generalized_overlap, generalized_expectation
+        else:
+            ops, pair, value = (g1, g2), state_overlap, n_point
+        for call, routes in ((lambda: pair(*ops, vac, vac), ROUTES),
+                             (lambda: value(ctx, ()), ROUTES[:2])):
+            with pytest.raises(LinalgError, match="J-orthogonality check overflows") as err:
+                call()
+            assert not isinstance(err.value, SingularBlockError)
+            assert rejected_everywhere(err, routes)
+            assert {e["reason"] for e in err.value.route} == {"numerical"}
+            assert err.value.route[-1]["message"] == str(err.value)
 
     def test_no_exception_escapes_epsilon_route(self):
         # every perturbed kernel of this large-norm operator fails the

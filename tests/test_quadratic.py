@@ -296,10 +296,12 @@ class TestBatchedScanMatchesReference:
 
     @pytest.mark.parametrize("max_exhaustive", [20, 0])
     @pytest.mark.parametrize("L, kind", SCAN_CASES)
-    def test_entries(self, L, kind, max_exhaustive):
+    def test_entries(self, monkeypatch, L, kind, max_exhaustive):
+        from fermigauss import quadratic
         t = self.transfer(L, kind)
         ref = reference_scan(t, 1e-12, max_exhaustive)
-        got = list(_cp_entries(t, 1e-12, max_exhaustive))
+        monkeypatch.setattr(quadratic, "CP_EXHAUSTIVE_MAX", max_exhaustive)
+        got = list(_cp_entries(t))
         assert [e.sites for e in got] == [e.sites for e in ref]
         assert [(e.t22_invertible, e.t11_invertible) for e in got] == \
             [(e.t22_invertible, e.t11_invertible) for e in ref]
@@ -324,7 +326,7 @@ class TestBatchedScanMatchesReference:
         t = self.transfer(6, "singular")
         calls = count_calls("rcond_estimate")
         monkeypatch.setattr(quadratic, "CP_CHUNK", 4)
-        assert list(_cp_entries(t, 1e-12, 20)) == reference_scan(t, 1e-12, 20)
+        assert list(_cp_entries(t)) == reference_scan(t, 1e-12, 20)
         classes = [math.comb(6, size) for size in range(7)]
         chunks = [n for c in classes for n in [4] * (c // 4) + [c % 4] * (c % 4 > 0)]
         assert [len(a) for (a,) in calls] == chunks
