@@ -1,25 +1,28 @@
 """Expectation values of operator strings between Gaussian states.
 
-Every value outside the Wick route comes from one expansion,
-``_Engine.string_element``: each string operator is conjugated through
-the ket-side transfer matrix into its coefficient rows over the bare
-modes, and the amplitudes of the configurations reached from the ket are
-pushed forward through those rows (with the usual string signs).  The
-Pfaffian overlap formula then gives the matrix element of each reached
-configuration; the ones not yet cached are evaluated together, one
-stacked Pfaffian per submatrix order.  Even quadratic-sector strings of
-length 4 or more instead take the Pfaffian of the matrix of two-point
-values, divided by the overlap once per extra pair; every other string,
-odd ones included, is expanded whole and never divides by an overlap.
+Each string operator is first conjugated through the ket-side transfer
+matrix into its coefficient rows over the bare modes.  A string of three
+or more operators is then one Pfaffian, ``_Engine.bordered_element``: the
+pair's pairing matrix, restricted to the occupied sites of the two
+configurations exactly as for an overlap, is bordered by one row and
+column per operator holding its contractions (the Balian-Brezin
+contraction structure, summed by the Pfaffian minor-summation identity).
+One- and two-operator strings take the direct expansion,
+``_Engine.string_element``: the amplitudes of the configurations reached
+from the ket are pushed forward through the rows (with the usual string
+signs), and the Pfaffian overlap formula gives the matrix element of each
+reached configuration; the ones not yet cached are evaluated together,
+one stacked Pfaffian per submatrix order.  Neither route divides by an
+overlap, so both stay exact where the overlap vanishes.
 
 With linear terms present, every string maps into the ancilla-extended
 space: products of substituted operators collapse pairwise, so an even
 string passes through unchanged while an odd string acquires a single
-leftmost ``c0^dag - c0`` factor, which enters the expansion as one
+leftmost ``c0^dag - c0`` factor, which enters either route as one
 operator.  The generalized Wick expansion -- all pairings plus at most
 one singleton, each factor a one- or two-point value -- follows from the
 extended-space pairing sum and is exposed both as a theorem check and as
-a term table.
+a term table; it alone normalizes by the overlap.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .configs import FockConfig
-from .linalg import SingularBlockError, _pfaffian_exact
+from .linalg import LinalgError, _pfaffian_exact
 from .linearpart import LinearGaussianOp, embed
 from .overlaps import _dispatch, _pair_kernel
 from .quadratic import QuadraticGenerator, transfer_of
@@ -72,7 +75,8 @@ def parse_mode_string(s: str) -> tuple[ModeOp, ...]:
 
 
 class ZeroOverlapError(Exception):
-    """The Wick normalization divides by a vanishing overlap.
+    """The normalized term table of :func:`generalized_wick_expansion`
+    divides by a vanishing overlap.
 
     Carries the unnormalized pairing sum so the caller can still report it.
     """
@@ -111,9 +115,10 @@ class _Engine:
     """Formula evaluation for one composed pair of quadratic generators.
 
     Holds the overlap kernel of ``exp(M2)^dag exp(M1)`` together with the
-    ket-side transfer matrix (for conjugating string operators) and value
-    caches keyed by configuration bits.  Callers pass parity-allowed
-    strings only.
+    ket-side transfer matrix (for conjugating string operators), the
+    matrix elements keyed by configuration bits, and per (bra, ket) pair
+    the restricted pairing blocks that bordered strings share.  Callers
+    pass parity-allowed strings only.
     """
 
     def __init__(self, g1: QuadraticGenerator, g2: QuadraticGenerator):
@@ -123,7 +128,7 @@ class _Engine:
         self.rcond = self.kern.rcond
         self.sign_certain = self.kern.sign_certain
         self._elements: dict = {}
-        self._two_points: dict = {}
+        self._blocks: dict = {}
 
     def element(self, bra_bits, ket_bits) -> complex:
         key = (bra_bits, ket_bits)
@@ -147,45 +152,80 @@ class _Engine:
             return self.one_point(ops[0], bra_bits, ket_bits)
         if n == 2:
             return self.two_point(ops[0], ops[1], bra_bits, ket_bits)
+        rows = [self._coeff_rows(op) for op in ops]
         if n % 2 == 0:
-            return self._wick_even(ops, bra_bits, ket_bits)
-        return self._odd_reduction(ops, bra_bits, ket_bits)
+            return self._wick_even(rows, bra_bits, ket_bits)
+        return self._odd_reduction(rows, bra_bits, ket_bits)
 
     def one_point(self, op: ModeOp, bra_bits, ket_bits) -> complex:
         return self.string_element((self._coeff_rows(op),), bra_bits, ket_bits)
 
     def two_point(self, op_a: ModeOp, op_b: ModeOp, bra_bits, ket_bits) -> complex:
-        """Cached, since :meth:`_wick_even` reuses each pair across strings."""
-        key = (op_a, op_b, bra_bits, ket_bits)
-        val = self._two_points.get(key)
-        if val is None:
-            rows = (self._coeff_rows(op_a), self._coeff_rows(op_b))
-            val = self._two_points[key] = self.string_element(rows, bra_bits, ket_bits)
-        return val
+        """<J| F phi_a phi_b |I> by :meth:`string_element`."""
+        rows = (self._coeff_rows(op_a), self._coeff_rows(op_b))
+        return self.string_element(rows, bra_bits, ket_bits)
 
-    def _wick_even(self, ops, bra_bits, ket_bits) -> complex:
-        """Even strings of length 4 or more: Pfaffian of the two-point
-        matrix, exactly antisymmetric as built, over the overlap once per
-        extra pair."""
-        n = len(ops)
-        g = np.zeros((n, n), dtype=complex)
-        for a in range(n):
-            for b in range(a + 1, n):
-                val = self.two_point(ops[a], ops[b], bra_bits, ket_bits)
-                g[a, b] = val
-                g[b, a] = -val
-        pairing_sum = _pfaffian_exact(g)
-        n_pairs = n // 2
-        ovl = self.element(bra_bits, ket_bits)
-        scale = max(1.0, float(np.max(np.abs(g))))
-        if abs(ovl) < ZERO_OVERLAP_TOL * scale:
-            raise ZeroOverlapError(pairing_sum, n_pairs, ovl)
-        return pairing_sum / ovl ** (n_pairs - 1)
+    def _wick_even(self, rows, bra_bits, ket_bits) -> complex:
+        """Even strings of 4 or more coefficient rows: :meth:`bordered_element`."""
+        return self.bordered_element(rows, bra_bits, ket_bits)
 
-    def _odd_reduction(self, ops, bra_bits, ket_bits) -> complex:
-        """Odd strings of length 3 or more: :meth:`string_element`, which
-        never divides by an overlap."""
-        return self.string_element([self._coeff_rows(op) for op in ops], bra_bits, ket_bits)
+    def _odd_reduction(self, rows, bra_bits, ket_bits) -> complex:
+        """Odd strings of 3 or more coefficient rows: :meth:`bordered_element`."""
+        return self.bordered_element(rows, bra_bits, ket_bits)
+
+    def _restricted(self, bra_bits, ket_bits):
+        """The pairing data that one (bra, ket) pair restricts to, kept per
+        pair: the occupied sites J and I, the pairing matrix on J (+) I in
+        its upper triangle, the rows E_J of the coupling block and the
+        columns Z_:I of the ket block."""
+        key = (bra_bits, ket_bits)
+        data = self._blocks.get(key)
+        if data is None:
+            L, p = self.L, self.kern.pairing
+            jj = [j for j, b in enumerate(bra_bits) if b]
+            ii = [i for i, b in enumerate(ket_bits) if b]
+            keep = jj + [L + i for i in ii]
+            data = self._blocks[key] = (jj, ii, np.triu(p[np.ix_(keep, keep)], 1),
+                                        p[jj, L:], p[L:, L:][:, ii])
+        return data
+
+    def bordered_element(self, rows, bra_bits, ket_bits) -> complex:
+        """<J| F phi_1 ... phi_n |I> as one Pfaffian, no normalization.
+
+        ``rows[k] = (alpha, beta)`` holds the coefficients of phi_{k+1}
+        over ``(c, c^dag)``, the ``(cc, cd)`` of :meth:`_coeff_rows`.  The
+        kernel's pairing matrix restricted to J (+) I, as in
+        :meth:`OverlapKernel.elements`, is bordered by one row per operator,
+        in the order [J, phi_1..phi_n, I].  With E and Z the coupling and
+        ket blocks of the pairing matrix, the border holds the contractions
+
+            [J, phi_b]     = (E beta_b)_J
+            [phi_a, phi_b] = beta_a Z beta_b^T - alpha_a . beta_b   (a < b)
+            [phi_a, I]     = (beta_a Z - alpha_a)_I
+
+        (Balian and Brezin's contraction structure; the Pfaffian
+        minor-summation identity sums the bare-mode expansion into one
+        Pfaffian).  The matrix is built from its upper triangle, so it is
+        exactly antisymmetric, and the value is
+        (-1)^(n(n-1)/2 + n_I(n_I+1)/2 + n_I n_J) times the kernel prefactor
+        times its Pfaffian.
+        """
+        jj, ii, inner, e_j, z_i = self._restricted(bra_bits, ket_bits)
+        n_j, n_i, n = len(jj), len(ii), len(rows)
+        alpha = np.array([r[0] for r in rows]).reshape(n, self.L)
+        beta = np.array([r[1] for r in rows]).reshape(n, self.L)
+        mid = slice(n_j, n_j + n)
+        m = np.zeros((n_j + n + n_i,) * 2, dtype=complex)
+        m[:n_j, :n_j] = inner[:n_j, :n_j]
+        m[:n_j, n_j + n:] = inner[:n_j, n_j:]
+        m[n_j + n:, n_j + n:] = inner[n_j:, n_j:]
+        m[:n_j, mid] = e_j @ beta.T
+        m[mid, mid] = np.triu((beta @ self.kern.pairing[self.L:, self.L:] - alpha) @ beta.T, 1)
+        m[mid, n_j + n:] = beta @ z_i - alpha[:, ii]
+        m -= m.T
+        sign = (n * (n - 1) // 2 + n_i * (n_i + 1) // 2 + n_i * n_j) % 2
+        pf = _pfaffian_exact(m)
+        return -self.kern.prefactor * pf if sign else self.kern.prefactor * pf
 
     def string_element(self, rows, bra_bits, ket_bits) -> complex:
         """<J| F phi_1 ... phi_n |I> by direct expansion, no normalization.
@@ -264,10 +304,10 @@ class CorrelatorContext:
         # makes the two parities equal
         anc = 0 if bra.parity == ket.parity else 1
         self._extended_bits = ((0,) + bra.bits, (anc,) + ket.bits)
-        # engine per (sector, perturbation), or the SingularBlockError that
-        # building it raised; the sector is False (quadratic) or True
-        # (extended), the perturbation None or the bytes of the shift of
-        # the ket-side generator
+        # engine per (sector, perturbation), or the LinalgError that building
+        # it raised, so that no later value repeats a failed build; the
+        # sector is False (quadratic) or True (extended), the perturbation
+        # None or the bytes of the shift of the ket-side generator
         self._engines: dict = {}
 
     @property
@@ -292,10 +332,10 @@ class CorrelatorContext:
             if key not in self._engines:
                 try:
                     self._engines[key] = self._engine(extended, delta)
-                except SingularBlockError as exc:
+                except LinalgError as exc:
                     self._engines[key] = exc
             engine = self._engines[key]
-            if isinstance(engine, SingularBlockError):
+            if isinstance(engine, LinalgError):
                 raise engine.with_traceback(None)
             return engine
 
@@ -328,16 +368,13 @@ def two_point(ctx: CorrelatorContext, op_a: ModeOp, op_b: ModeOp) -> complex:
 
 
 def n_point(ctx: CorrelatorContext, ops) -> complex:
-    """Wick evaluation of an arbitrary operator string (quadratic sector).
+    """<J, M2| phi_1 ... phi_n |M1, I> for any operator string (quadratic sector).
 
-    Even same-parity strings of length 4 or more: Pfaffian of the
-    two-point matrix divided by the overlap once per extra pair.  Every
-    other string: direct expansion of the whole string through the
-    ket-side transfer matrix, with no normalization.  Parity-forbidden
+    Strings of 3 or more operators: one Pfaffian of the pairing matrix
+    bordered by the operators' coefficient rows.  Shorter strings: direct
+    expansion through the ket-side transfer matrix.  Neither divides by
+    the overlap, so a vanishing overlap needs no guard.  Parity-forbidden
     strings are exact zeros.
-
-    Raises :class:`ZeroOverlapError` when the normalization would divide
-    by a vanishing overlap; the unnormalized pairing sum rides along.
     """
     ops = ctx._checked(ops)
     if not ctx.quadratic:
@@ -361,10 +398,11 @@ def generalized_expectation(ctx: CorrelatorContext, ops) -> complex:
 
     The string is mapped into the ancilla-extended space: even strings pass
     through unchanged (substituted operators collapse pairwise), odd strings
-    acquire one leftmost ``c0^dag - c0`` factor, expanded as one operator.
-    The extended string element is then evaluated by direct expansion,
-    which never normalizes by an overlap and therefore survives
-    superselection points (u = v = 0 limits).
+    acquire one leftmost ``c0^dag - c0`` factor, taken as one operator.
+    An extended string of 3 or more operators is then one bordered
+    Pfaffian, a shorter one a direct expansion, as in :func:`n_point`.
+    Neither normalizes by an overlap, so both survive superselection
+    points (u = v = 0 limits).
     """
     shifted = tuple(op.shifted(1) for op in ctx._checked(ops))
     bra_bits, ket_bits = ctx._extended_bits
@@ -374,7 +412,11 @@ def generalized_expectation(ctx: CorrelatorContext, ops) -> complex:
         if len(shifted) % 2:
             (pc, pd), (mc, md) = e._coeff_rows(ModeOp(1, True)), e._coeff_rows(ModeOp(1, False))
             rows.insert(0, (pc - mc, pd - md))
-        return e.string_element(rows, bra_bits, ket_bits)
+        if len(rows) < 3:
+            return e.string_element(rows, bra_bits, ket_bits)
+        # an extended string has an even number of rows: the ancilla
+        # factor makes odd strings even
+        return e._wick_even(rows, bra_bits, ket_bits)
 
     return ctx._eval(value, extended=True)
 

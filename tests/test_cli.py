@@ -208,11 +208,23 @@ def test_correlate_grammar_error(op_file, capsys):
 
 
 def test_correlate_zero_overlap_guard(op_file, capsys):
-    code, out, err = run(capsys, "correlate", "--op", op_file, "--bra", "000",
-                         "--ket", "110", "--string", "c1 cd1 c2 cd2")
-    assert code == 4
+    # <000|F|110> vanishes, yet the 4-point value is signed and finite: it
+    # is one bordered Pfaffian, with no overlap to divide by
+    code, out, _ = run(capsys, "correlate", "--op", op_file, "--bra", "000",
+                       "--ket", "110", "--string", "c2 c3 cd3 c1", "--verify")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert complex(*results["value"]) == pytest.approx(1.0)
+    assert results["oracle_deviation"] < 1e-12
+
+
+def test_wick_zero_overlap_guard(op_file, capsys):
+    # the normalized term table still divides by that overlap
+    code, out, err = run(capsys, "wick", "--op", op_file, "--bra", "000",
+                         "--ket", "110", "--string", "c2 c3 cd3 c1")
+    assert code == 4 and "overlap" in err
     doc = json.loads(out)
-    assert "unnormalized_sum" in doc["results"]
+    assert doc["method"] == "guard" and "unnormalized_sum" in doc["results"]
 
 
 def test_cp_scan_pattern(singular_op_file, capsys):

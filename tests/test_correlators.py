@@ -2,10 +2,10 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fermigauss import correlators, overlaps
+from fermigauss import correlators, overlaps, quadratic
 from fermigauss.configs import FockConfig
 from fermigauss.correlators import (
     CorrelatorContext,
@@ -21,7 +21,7 @@ from fermigauss.correlators import (
     parse_mode_string,
     two_point,
 )
-from fermigauss.linalg import pfaffian
+from fermigauss.linalg import LinalgError, pfaffian
 from fermigauss.linearpart import LinearGaussianOp
 from fermigauss.quadratic import QuadraticGenerator, random_generator
 
@@ -185,11 +185,7 @@ class TestNPoint:
             ctx = quad_ctx(rng, L)
             for n in range(1, 7):
                 ops = rand_string(rng, L, n)
-                try:
-                    val = n_point(ctx, ops)
-                except ZeroOverlapError:
-                    continue
-                assert abs(val - oracle_value(ctx, ops, orc)) < 1e-8
+                assert abs(n_point(ctx, ops) - oracle_value(ctx, ops, orc)) < 1e-8
 
     def test_parity_superselection_exact(self):
         rng = np.random.default_rng(209)
@@ -212,19 +208,19 @@ class TestNPoint:
             rhs = (1.0 if i == j else 0.0) * overlap_value(ctx)
             assert abs(lhs - rhs) < 1e-9
 
-    def test_zero_overlap_guard(self):
+    def test_zero_overlap_guard(self, oracle):
         # the analytic example has same-parity configuration pairs with an
-        # exactly vanishing overlap; a 4-point request there must raise with
-        # the unnormalized pairing sum attached
+        # exactly vanishing overlap; a 4-point value there is finite and
+        # signed, since the bordered Pfaffian never divides by the overlap
         gen = QuadraticGenerator(worked_example_m(0.7))
         ctx = CorrelatorContext(gen, QuadraticGenerator.zero(3),
                                 FockConfig((0, 0, 0)), FockConfig((1, 1, 0)))
         assert overlap_value(ctx) == pytest.approx(0.0, abs=1e-14)
-        ops = (ModeOp(1, False), ModeOp(1, True), ModeOp(2, False), ModeOp(2, True))
-        with pytest.raises(ZeroOverlapError) as err:
-            n_point(ctx, ops)
-        assert err.value.n_factors == 2
-        assert np.isfinite(err.value.unnormalized)
+        ops = parse_mode_string("c2 c3 cd3 c1")
+        ref = oracle_value(ctx, ops, oracle(3))
+        assert abs(ref) > 0.5
+        assert abs(n_point(ctx, ops) - ref) < 1e-12
+        assert abs(generalized_expectation(ctx, ops) - ref) < 1e-12
 
     def test_odd_string_needs_no_normalization(self, oracle):
         # <000|F|110> = 0 in the analytic example, but an odd string between
@@ -356,25 +352,22 @@ class TestGeneralized:
                                 random_config(rng, L), random_config(rng, L))
         val = generalized_expectation(ctx, ops)
         assert abs(val - oracle_value(ctx, ops, cached_oracle(L))) < 1e-8
-        if linear:
-            return
-        try:
-            direct = n_point(ctx, ops)
-        except ZeroOverlapError:
-            return
-        assert abs(val - direct) < 1e-11
+        if not linear:
+            assert abs(val - n_point(ctx, ops)) < 1e-11
 
-    def test_odd_string_is_expanded_once(self, monkeypatch):
-        # the leading c0^dag - c0 of an odd string is one operator of the expansion
-        calls = []
-        orig = correlators._Engine.string_element
-        monkeypatch.setattr(correlators._Engine, "string_element",
-                            lambda self, *a: calls.append(a) or orig(self, *a))
+    def test_odd_string_is_expanded_once(self, count_calls, oracle):
+        # the leading c0^dag - c0 of an odd string is one bordering row: the
+        # value is one Pfaffian of order n_J + n_I + 4, where the extended
+        # bra 0100 has n_J = 1 and the extended ket 1011 (its ancilla set by
+        # the parity mismatch) has n_I = 3
         rng = np.random.default_rng(219)
         ctx = CorrelatorContext(random_linear_op(rng, 3, 0.5), random_linear_op(rng, 3, 0.5),
                                 FockConfig((1, 0, 0)), FockConfig((0, 1, 1)))
-        generalized_expectation(ctx, parse_mode_string("c1 cd2 c3"))
-        assert len(calls) == 1 and len(calls[0][0]) == 4
+        ops = parse_mode_string("c1 cd2 c3")
+        pfaffians = count_calls("_pfaffian_exact")
+        val = generalized_expectation(ctx, ops)
+        assert [m.shape for (m,) in pfaffians] == [(1 + 3 + 4, 1 + 3 + 4)]
+        assert abs(val - oracle_value(ctx, ops, oracle(3))) < 1e-10
 
     def test_single_mode_annihilator(self, oracle):
         orc = oracle(1)
@@ -528,13 +521,6 @@ def recursive_string_element(engine, rows, bra_bits, ket_bits) -> complex:
     return expand(len(rows), ket_bits)
 
 
-def outcome(fn):
-    try:
-        return fn()
-    except ZeroOverlapError as exc:
-        return exc.unnormalized, "guard"
-
-
 def expansion_contexts():
     """(ket op, bra op, bra, ket) per case: random quadratic and linear
     operators, and a singular pi/2 rotation whose values take the epsilon
@@ -560,6 +546,8 @@ class TestForwardExpansion:
 
     @pytest.mark.parametrize("case", range(len(expansion_contexts())))
     def test_matches_memoized_recursion(self, case, monkeypatch):
+        # both routes, the forward expansion (1-2 operators) and the
+        # bordered Pfaffian (3 or more), against the recursion over elements
         op1, op2, bra, ket = expansion_contexts()[case]
         rng = np.random.default_rng(241 + case)
         strings = [rand_string(rng, ket.L, n) for n in (1, 2, 3, 4, 5) for _ in range(2)]
@@ -567,18 +555,16 @@ class TestForwardExpansion:
 
         def values():
             ctx = CorrelatorContext(op1, op2, bra, ket)
-            out = [outcome(lambda: generalized_expectation(ctx, ops)) for ops in strings]
+            out = [generalized_expectation(ctx, ops) for ops in strings]
             if quadratic:
-                out += [outcome(lambda: n_point(ctx, ops)) for ops in strings]
+                out += [n_point(ctx, ops) for ops in strings]
             return out
 
         forward = values()
         monkeypatch.setattr(correlators._Engine, "string_element", recursive_string_element)
+        monkeypatch.setattr(correlators._Engine, "bordered_element", recursive_string_element)
         recursive = values()
         for got, ref in zip(forward, recursive, strict=True):
-            if isinstance(ref, tuple):
-                assert isinstance(got, tuple)
-                got, ref = got[0], ref[0]
             assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
     @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
@@ -624,3 +610,117 @@ class TestForwardExpansion:
         stacked.clear()
         two_point(ctx, ModeOp(5, False), ModeOp(8, True))
         assert stacked == [] and single == []
+
+
+@st.composite
+def bordered_cases(draw):
+    """(L, seed, kind, scale, ops): one context and one string of 3-6 operators.
+
+    ``kind`` is "quadratic", "linear" or "zero-overlap"; the last is the
+    analytic example, with ``scale`` as its angle, between 000 and 110,
+    where its overlap vanishes exactly."""
+    kind = draw(st.sampled_from(["quadratic", "linear", "zero-overlap"]))
+    L = 3 if kind == "zero-overlap" else draw(st.integers(1, 6))
+    ops = draw(st.lists(st.builds(ModeOp, st.integers(1, L), st.booleans()),
+                        min_size=3, max_size=6))
+    scale = draw(st.sampled_from([0.5, 1.0]))
+    return L, draw(st.integers(0, 2 ** 32 - 1)), kind, scale, tuple(ops)
+
+
+def bordered_context(L, seed, kind, scale):
+    rng = np.random.default_rng(seed)
+    if kind == "zero-overlap":
+        return CorrelatorContext(QuadraticGenerator(worked_example_m(scale)),
+                                 QuadraticGenerator.zero(3),
+                                 FockConfig.from_string("000"), FockConfig.from_string("110"))
+    if kind == "linear":
+        op1, op2 = random_linear_op(rng, L, scale), random_linear_op(rng, L, scale)
+    else:
+        op1, op2 = random_generator(L, rng, scale), random_generator(L, rng, scale)
+    return CorrelatorContext(op1, op2, random_config(rng, L), random_config(rng, L))
+
+
+class TestBorderedPfaffian:
+    """A string of 3 or more operators is one Pfaffian of the pairing
+    matrix bordered by the operators' coefficient rows."""
+
+    @PROPERTY
+    @given(bordered_cases())
+    @example((3, 0, "zero-overlap", 0.7, parse_mode_string("c2 c3 cd3 c1")))
+    def test_signed_values_match_oracle(self, case):
+        L, seed, kind, scale, ops = case
+        ctx = bordered_context(L, seed, kind, scale)
+        ref = oracle_value(ctx, ops, cached_oracle(L))
+        tol = 1e-10 * max(1.0, abs(ref))
+        assert abs(generalized_expectation(ctx, ops) - ref) <= tol
+        if kind != "linear":
+            assert abs(n_point(ctx, ops) - ref) <= tol
+        if kind == "zero-overlap" and ops == parse_mode_string("c2 c3 cd3 c1"):
+            assert abs(overlap_value(ctx)) < 1e-14 and abs(ref) > 0.5
+
+    @pytest.mark.parametrize("L", [3, 4, 5, 6, 7])
+    def test_matches_string_element(self, L):
+        rng = np.random.default_rng(270 + L)
+        for _ in range(4):
+            e = correlators._Engine(random_generator(L, rng, 0.6), random_generator(L, rng, 0.6))
+            bra, ket = random_config(rng, L).bits, random_config(rng, L).bits
+            for n in (3, 4, 5, 6):
+                if (sum(bra) + sum(ket) + n) % 2:
+                    continue
+                rows = [e._coeff_rows(op) for op in rand_string(rng, L, n)]
+                ref = e.string_element(rows, bra, ket)
+                assert abs(e.bordered_element(rows, bra, ket) - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("kind", ["quadratic", "linear", "zero-overlap"])
+    def test_one_pfaffian_per_string(self, kind, count_calls, monkeypatch):
+        # no element, no expansion and so no overlap to divide by: one
+        # Pfaffian per value, whether the context is fresh or warm
+        calls = {name: 0 for name in ("element", "string_element")}
+        for name in calls:
+            orig = getattr(correlators._Engine, name)
+
+            def counting(self, *a, name=name, orig=orig):
+                calls[name] += 1
+                return orig(self, *a)
+
+            monkeypatch.setattr(correlators._Engine, name, counting)
+        pfaffians = count_calls("_pfaffian_exact")
+        rng = np.random.default_rng(280)
+        ctx = bordered_context(3 if kind == "zero-overlap" else 5, 281, kind, 0.7)
+        evaluate = generalized_expectation if kind == "linear" else n_point
+        extended = kind == "linear"
+        bra, ket = ctx._extended_bits if extended else (ctx.bra.bits, ctx.ket.bits)
+        values = 0
+        for _ in range(8):
+            for n in (3, 4, 5, 6):
+                if not extended and (sum(bra) + sum(ket) + n) % 2:
+                    continue
+                rows = n + n % 2 if extended else n   # the ancilla factor of an odd string
+                pfaffians.clear()
+                evaluate(ctx, rand_string(rng, ctx.L, n))
+                assert [m.shape[-1] for (m,) in pfaffians] == [sum(bra) + sum(ket) + rows]
+                values += 1
+        assert values >= 16 and calls == {"element": 0, "string_element": 0}
+
+    def test_failed_engine_build_is_kept(self, monkeypatch):
+        # a context whose product overflows the J-check: the first value
+        # tries the Pfaffian and epsilon routes, every later one raises the
+        # kept error again, with its route, and repeats no check
+        checks = []
+        orig = quadratic.TransferMatrix._defect
+        monkeypatch.setattr(quadratic.TransferMatrix, "_defect",
+                            staticmethod(lambda t: checks.append(t) or orig(t)))
+        vac = FockConfig.vacuum(2)
+        ctx = CorrelatorContext(random_generator(2, 2, 150), random_generator(2, 102, 150),
+                                vac, vac)
+        ops = parse_mode_string("cd1 c2")
+        with pytest.raises(LinalgError) as first:
+            n_point(ctx, ops)
+        assert len(checks) == 5
+        checks.clear()
+        with pytest.raises(LinalgError) as second:
+            n_point(ctx, ops)
+        assert checks == []
+        assert type(second.value) is type(first.value)
+        assert [r["route"] for r in second.value.route] == ["pfaffian", "epsilon"]
+        assert all(r["reason"] == "numerical" for r in second.value.route)

@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import fermigauss
@@ -144,3 +145,22 @@ def test_every_defaulted_parameter_is_passed_outside_the_tests():
         if not any(passes(call, position, name) for call in calls.get(callee, []))
     ]
     assert never == []
+
+
+def test_every_traced_name_resolves():
+    # the benchmark's tracer wraps functions and methods by name and reports
+    # a metric only when all its names resolve, so a deleted or renamed one
+    # would otherwise surface only in a full benchmark run
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["TRACED"])
+    missing = []
+    for layer, names in traced.items():
+        module = importlib.import_module(f"fermigauss.{layer}")
+        for name in names:
+            owner, _, attr = name.rpartition(".")
+            scope = vars(getattr(module, owner, None) or object) if owner else vars(module)
+            if not callable(scope.get(attr)):
+                missing.append(f"{layer}.{name}")
+    assert missing == []
