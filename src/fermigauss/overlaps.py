@@ -41,6 +41,7 @@ from .quadratic import (
     QuadraticGenerator,
     TransferMatrix,
     _normal_factors,
+    _t22_rcond_bound,
     bbd_normal,
     cp_apply_transfer,
     cp_suggestions,
@@ -266,8 +267,10 @@ def _dispatch(kernel_at, evaluate, L: int | None, cp, *, method: str) -> Overlap
     alone, which then accepts whatever sign it finds.  Every attempt is
     recorded in the result's ``route``: the route name, whether it was
     accepted, on rejection the ``reason``, and the diagnostics that decided
-    it.  Any :class:`LinalgError` rejects its route; one that is neither a
-    singular block nor a failed extrapolation has the reason
+    it; a rejected cp-magnitude attempt records, as ``rcond_bound``, the
+    bound that :func:`overlap_magnitude_cp` puts on the rcond of every
+    permuted T22.  Any :class:`LinalgError` rejects its route; one that is
+    neither a singular block nor a failed extrapolation has the reason
     ``"numerical"`` and its ``message``.  When every route fails, the last
     route's error is raised with the same list attached as ``.route``.
     """
@@ -306,7 +309,7 @@ def _dispatch(kernel_at, evaluate, L: int | None, cp, *, method: str) -> Overlap
             elif not isinstance(exc, SingularBlockError):
                 why = {"reason": "numerical", "message": str(exc)}
             elif name == "cp-magnitude":
-                why = {"reason": "cp_sites", "cp_sites": None}
+                why = {"reason": "cp_sites", "cp_sites": None, "rcond_bound": exc.rcond}
             else:
                 why = {"reason": "rcond", "rcond": exc.rcond}
             route.append({"route": name, "accepted": False, **why})
@@ -423,12 +426,20 @@ def overlap_magnitude_cp(composed, bra: FockConfig, ket: FockConfig) -> OverlapR
     occupations 0 <-> 1 on S in both configurations and evaluates the
     permuted overlap.  The sign is genuinely ambiguous in this picture, so
     the magnitude is returned with ``sign_certain=False``.
+
+    When no subset restores invertibility, the :class:`SingularBlockError`
+    carries as its ``rcond`` an upper bound on the rcond of every permuted
+    T22: min(1, ceiling / floor), where the ceiling s_L + c eps s_1
+    (c = 8L) of one SVD of T bounds their smallest singular value, rounding
+    of that SVD included, and the floor from the magnitudes of T bounds
+    their largest one from below.
     """
     t = _as_transfer(composed)
     found = cp_suggestions(t, limit=1)
     if not found:
         raise SingularBlockError(
-            "no site subset restores invertibility; unsupported instance", 0.0
+            "no site subset restores invertibility; unsupported instance",
+            _t22_rcond_bound(t)[0],
         )
     sites = found[0]
     kern = OverlapKernel(cp_apply_transfer(t, sites))

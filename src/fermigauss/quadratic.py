@@ -499,17 +499,62 @@ def cp_scan(t: TransferMatrix):
     one per block.  The entries equal those of a subset-by-subset
     evaluation bit for bit.
 
-    There is no decision procedure here beyond enumeration: when no subset
-    restores invertibility, the decomposition simply does not exist in any
+    The report lists every rcond, so it always enumerates; only
+    :func:`cp_suggestions` may skip the enumeration, when one SVD of T
+    certifies that no subset restores T22.  When no subset restores
+    invertibility, the decomposition simply does not exist in any
     particle-hole picture.
     """
     return list(_cp_entries(t))
 
 
+def _t22_rcond_bound(t: TransferMatrix) -> tuple[float, bool]:
+    """An upper bound on the rcond of every permuted T22 block of ``t``, and
+    whether it certifies that no block reaches :data:`RCOND_TOL`.
+
+    Each permuted T22 block B is an L x L submatrix of T, so Thompson's
+    interlacing gives sigma_L(B) <= sigma_L(T); with LAPACK's SVD error
+    bound |s_i - sigma_i| <= c eps sigma_1, the ceiling s_L + c eps s_1 of
+    one SVD of T bounds sigma_L(B).  At (i, j) the block holds one of
+    T[i, j], T[i, L+j], T[L+i, j], T[L+i, L+j] (on the diagonal one of
+    T[i, i], T[L+i, L+i]); the largest over (i, j) of the smallest of those
+    magnitudes is a floor under sigma_1(B).  The bound is
+    min(1, ceiling / floor).  The certificate asks for
+    ceiling < (RCOND_TOL - 2 c eps) floor, which leaves room for the
+    rounding of the SVD that the enumeration would run on each block; a
+    zero floor never certifies.
+    """
+    L = t.L
+    if L == 0:
+        return 1.0, False
+    c = 4 * 2 * L  # LAPACK's p(n) for an SVD of order n = 2L, taken as 4n
+    eps = float(np.finfo(float).eps)
+    s = np.linalg.svd(t.t, compute_uv=False)
+    ceiling = float(s[L - 1]) + c * eps * float(s[0])
+    a = np.abs(t.t)
+    low = np.minimum(np.minimum(a[:L, :L], a[:L, L:]), np.minimum(a[L:, :L], a[L:, L:]))
+    np.fill_diagonal(low, np.minimum(a.diagonal()[:L], a.diagonal()[L:]))
+    floor = float(low.max())
+    bound = ceiling / floor if ceiling < floor else 1.0
+    return bound, ceiling < (RCOND_TOL - 2 * c * eps) * floor
+
+
 def cp_suggestions(t: TransferMatrix, limit: int = 6):
     """The first ``limit`` site subsets, in :func:`cp_scan` order, whose
-    permuted T22 is invertible; the search stops once they are found, and
-    the exhaustive search reads no T11 block."""
+    permuted T22 is invertible.
+
+    One SVD of the whole T comes first: when the ceiling it puts on
+    sigma_L of every permuted T22, s_L + c eps s_1 with c = 8L, falls below
+    (RCOND_TOL - 2 c eps) times the floor that the magnitudes of T put
+    under sigma_1 of every one of them (see :func:`_t22_rcond_bound`), no
+    subset can restore invertibility and the answer is ``[]`` with no
+    subset enumerated.  Otherwise the search of :func:`cp_scan` runs and
+    stops once ``limit`` subsets are found; the exhaustive search reads no
+    T11 block.  The result equals that of the enumeration alone in every
+    case.
+    """
+    if _t22_rcond_bound(t)[1]:
+        return []
     if t.L <= CP_EXHAUSTIVE_MAX:
         restoring = (s for s, r22 in _exhaustive_t22(t) if r22 >= RCOND_TOL)
     else:

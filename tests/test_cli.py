@@ -100,6 +100,17 @@ def test_decompose_singular_exit_code(singular_op_file, capsys):
     assert "[1]" in err  # suggested site subsets are listed
 
 
+def test_decompose_certified_singular_hint(tmp_path, capsys, count_calls):
+    # one SVD of T shows that no site subset restores T22: the only rcond
+    # estimate is the factorization's own, and the hint is empty
+    op = write_operator(tmp_path / "large.json", random_generator(10, 2, 40).m)
+    calls = count_calls("rcond_estimate")
+    code, _, err = run(capsys, "decompose", "--input", op, "--form", "normal")
+    assert code == 2
+    assert err.rstrip().endswith("site subsets restoring T22: []")
+    assert len(calls) == 1 and np.ndim(calls[0][0]) == 2
+
+
 def test_decompose_with_cp(singular_op_file, capsys):
     code, out, _ = run(capsys, "decompose", "--input", singular_op_file,
                        "--form", "normal", "--cp", "1")
@@ -156,6 +167,8 @@ def test_overlap_exhausted_rescue_chain_exit_code(tmp_path, capsys):
     op = write_operator(tmp_path / "large.json", random_generator(8, 0, scale=30).m)
     code, _, err = run(capsys, "overlap", "--op", op, "--bra", "0" * 8, "--ket", "0" * 8)
     assert code == 2 and "no site subset" in err
+    # the reported rcond is a bound that every permuted T22 respects, not 0
+    assert "rcond=0.000e+00" not in err
 
 
 def test_overlap_overflow_exit_code(tmp_path, capsys):

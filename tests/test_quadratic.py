@@ -3,17 +3,22 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermigauss.configs import FockConfig
 from fermigauss.linalg import LinalgError, SingularBlockError, rcond_estimate, skew_defect
 from fermigauss.linearpart import LinearGaussianOp, compose_linear
-from fermigauss.overlaps import state_overlap
+from fermigauss.overlaps import compose_bra_ket, overlap_magnitude_cp, state_overlap
 from fermigauss.quadratic import (
+    RCOND_TOL,
     CPScanEntry,
     QuadraticGenerator,
     TransferMatrix,
     _cp_entries,
     _cp_index,
+    _exhaustive_t22,
+    _t22_rcond_bound,
     admissibility_defect,
     bbd_antinormal,
     bbd_normal,
@@ -29,6 +34,9 @@ from fermigauss.quadratic import (
 )
 
 from conftest import j_matrix, worked_example_m, worked_example_t
+
+PROPERTY = settings(derandomize=True, deadline=None)
+EPS = float(np.finfo(float).eps)
 
 
 def factored_dense(fac, oracle_obj):
@@ -333,6 +341,117 @@ class TestBatchedScanMatchesReference:
         calls.clear()
         assert cp_suggestions(t, limit=1) == [(1,)]
         assert [len(a) for (a,) in calls] == [1, 4]
+
+
+def certificate_cases():
+    """(L, seed, scale, kind): a transfer, or a bra-ket product of two."""
+    return st.tuples(st.integers(2, 8), st.integers(0, 2 ** 16),
+                     st.floats(0.5, 40.0), st.sampled_from(["transfer", "product"]))
+
+
+def certificate_transfer(L: int, seed: int, scale: float, kind: str) -> TransferMatrix:
+    rng = np.random.default_rng([L, seed, 61])
+    g1 = random_generator(L, rng, scale)
+    if kind == "transfer":
+        return transfer_of(g1)
+    return compose_bra_ket(random_generator(L, rng, scale), g1)
+
+
+def certified_product() -> TransferMatrix:
+    """An L = 10 product of two large-norm generators that the certificate rejects."""
+    return compose_bra_ket(random_generator(10, 2, 25), random_generator(10, 1, 25))
+
+
+class TestEmptySearchCertificate:
+    """One SVD of T certifies that no particle-hole subset restores T22,
+    and the suggestions equal those of the enumeration in every case."""
+
+    @staticmethod
+    def check_against_enumeration(t: TransferMatrix) -> bool:
+        bound, certified = _t22_rcond_bound(t)
+        if t.L <= 20:
+            rconds = dict(_exhaustive_t22(t))
+            restoring = [s for s, r in rconds.items() if r >= RCOND_TOL]
+            # the bound holds for every block, up to the rounding of its SVD
+            assert max(rconds.values()) <= bound + 2 * 8 * t.L * EPS
+        else:
+            restoring = [e.sites for e in _cp_entries(t) if e.t22_invertible]
+        if certified:
+            assert restoring == []
+        for limit in range(1, 7):
+            assert cp_suggestions(t, limit=limit) == restoring[:limit]
+        return certified
+
+    @PROPERTY
+    @given(certificate_cases())
+    def test_sound_and_exact(self, case):
+        self.check_against_enumeration(certificate_transfer(*case))
+
+    def test_fires_on_large_norm_only(self):
+        cases = [("transfer", 0.5), ("product", 0.5), ("product", 40.0)]
+        fired = [self.check_against_enumeration(certificate_transfer(L, seed, scale, kind))
+                 for L in (4, 6) for seed in range(3) for kind, scale in cases]
+        assert fired == [False, False, True] * 6
+
+    @pytest.mark.parametrize("L, kind", [(L, kind) for L, kind in SCAN_CASES
+                                         if L == 1 or kind == "singular"])
+    def test_small_floor_never_certifies(self, L, kind):
+        # at L = 1 the ceiling is s_1, which no entry of T exceeds, and the
+        # singular rotation puts a zero among the candidates of its entries
+        # (at L = 2 the floor is exactly 0): the bound is 1, and nothing
+        # divides by the floor (RuntimeWarnings are errors here)
+        t = TestBatchedScanMatchesReference.transfer(L, kind)
+        assert _t22_rcond_bound(t) == (1.0, False)
+        self.check_against_enumeration(t)
+
+    def test_exact_zero_floor(self):
+        # the full particle-hole swap: every permuted T22 is exactly zero
+        t = TransferMatrix(j_matrix(1).astype(complex))
+        assert _t22_rcond_bound(t) == (1.0, False)
+        assert cp_suggestions(t) == []
+        with pytest.raises(SingularBlockError) as err:
+            overlap_magnitude_cp(t, FockConfig.vacuum(1), FockConfig.vacuum(1))
+        assert err.value.rcond == 1.0
+
+    @pytest.mark.parametrize("scale", [1.0, 40.0])
+    def test_greedy_mode(self, scale):
+        # above the exhaustive cap the certificate runs before the greedy search
+        if scale == 1.0:
+            t = transfer_of(rotation_plus_sector(21, np.random.default_rng(57)))
+        else:
+            t = transfer_of(random_generator(21, np.random.default_rng(0), scale))
+        assert self.check_against_enumeration(t) == (scale == 40.0)
+
+    def test_no_rcond_estimate_when_certified(self, count_calls):
+        t = certified_product()
+        calls = count_calls("rcond_estimate")
+        assert cp_suggestions(t) == []
+        assert calls == []
+        # the enumeration it replaces: one stacked estimate per subset-size
+        # class over all 2^10 blocks, none of which restores T22
+        rconds = [r for _, r in _exhaustive_t22(t)]
+        assert [len(a) for (a,) in calls] == [math.comb(10, size) for size in range(11)]
+        assert max(rconds) < RCOND_TOL
+
+    def test_exhausted_chain_reports_the_bound(self, count_calls):
+        # the same three rejections as the full enumeration gives; the cp
+        # route now reports an upper bound on every permuted T22's rcond
+        g1, g2 = random_generator(10, 1, 25), random_generator(10, 2, 25)
+        vac = FockConfig.vacuum(10)
+        calls = count_calls("rcond_estimate")
+        with pytest.raises(SingularBlockError) as err:
+            state_overlap(g1, g2, vac, vac)
+        route = err.value.route
+        assert [(e["route"], e["accepted"], e["reason"]) for e in route] == [
+            ("pfaffian", False, "rcond"), ("epsilon", False, "rcond"),
+            ("cp-magnitude", False, "cp_sites")]
+        assert route[-1]["cp_sites"] is None
+        bound = route[-1]["rcond_bound"]
+        assert bound == err.value.rcond == _t22_rcond_bound(certified_product())[0]
+        assert 0.0 < bound < RCOND_TOL
+        assert f"rcond={bound:.3e}" in str(err.value)
+        assert route[0]["rcond"] <= bound
+        assert all(np.ndim(a) == 2 for (a,) in calls)  # no stacked subset estimate
 
 
 class TestCanonicalPermutations:
