@@ -23,6 +23,7 @@ _EXPORTS = {
     "mat_exp": "linalg",
     "mat_log": "linalg",
     "SingularBlockError": "linalg",
+    "MatrixLogError": "linalg",
     "MatrixLogBranchError": "linalg",
     "QuadraticGenerator": "quadratic",
     "TransferMatrix": "quadratic",

@@ -37,7 +37,13 @@ from .linearpart import (
     compose_linear,
     generalized_bbd,
 )
-from .overlaps import EPS_SCHEDULE, EPS_SEED, generalized_overlap, state_overlap
+from .overlaps import (
+    EPS_SCHEDULE,
+    EPS_SEED,
+    epsilon_direction,
+    generalized_overlap,
+    state_overlap,
+)
 from .quadratic import (
     QuadraticGenerator,
     admissibility_defect,
@@ -46,7 +52,6 @@ from .quadratic import (
     cp_scan,
     cp_suggestions,
     cp_transform,
-    random_generator,
     transfer_of,
 )
 
@@ -246,7 +251,7 @@ def cmd_decompose(args) -> int:
             gen = cp_transform(gen, sites).generator
             diagnostics["cp_sites"] = list(sites)
         if args.epsilon:
-            g = random_generator(op.L, EPS_SEED)
+            g = epsilon_direction(op.L)
             eps = EPS_SCHEDULE[0]
             gen = QuadraticGenerator(gen.m + eps * g.m)
             diagnostics["epsilon"] = eps

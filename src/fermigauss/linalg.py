@@ -4,12 +4,20 @@ Matrix exponential/logarithm, Pfaffian of skew-symmetric matrices,
 reciprocal condition estimates and determinant square roots used by the
 Gaussian-operator machinery.
 All routines work on plain ``numpy`` arrays of complex doubles.
+
+The exponential is computed here, by Pade scaling and squaring: the degrees
+and thresholds of Higham (SIAM J. Matrix Anal. Appl. 26, 1179, 2005) with
+the exact-norm degree choice of Al-Mohy & Higham (SIAM J. Matrix Anal.
+Appl. 31, 970, 2009).  Only :func:`mat_log` needs scipy, and imports it
+when first called.
 """
 
 from __future__ import annotations
 
+import math
+import warnings
+
 import numpy as np
-import scipy.linalg
 
 #: relative tolerance for the skew-symmetry check, w.r.t. the max-norm
 SKEW_TOL = 1e-10
@@ -27,7 +35,12 @@ class SingularBlockError(LinalgError):
         self.rcond = rcond
 
 
-class MatrixLogBranchError(LinalgError):
+class MatrixLogError(LinalgError):
+    """No usable principal matrix logarithm; raised as such when scipy's
+    ``logm`` estimates its own result to be inaccurate."""
+
+
+class MatrixLogBranchError(MatrixLogError):
     """Principal matrix logarithm undefined (spectrum touches (-inf, 0])."""
 
 
@@ -46,27 +59,168 @@ def _as_square(a: np.ndarray, name: str = "matrix", stack: bool = False) -> np.n
     return a
 
 
-def mat_exp(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a square complex matrix (Pade scaling-and-squaring).
+#: largest eta for which the [m/m] Pade approximant of exp has backward
+#: error below the unit roundoff: degrees 3-9 from Higham (2005), 13 from
+#: Al-Mohy & Higham (2009)
+_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
+               9: 2.097847961257068e0, 13: 4.25}
+#: coefficients b_0 .. b_m of the numerator p_m(x) of the [m/m] Pade approximant
+_PADE_B = {
+    3: (120., 60., 12., 1.),
+    5: (30240., 15120., 3360., 420., 30., 1.),
+    7: (17297280., 8648640., 1995840., 277200., 25200., 1512., 56., 1.),
+    9: (17643225600., 8821612800., 2075673600., 302702400., 30270240., 2162160., 110880.,
+        3960., 90., 1.),
+    13: (64764752532480000., 32382376266240000., 7771770303897600., 1187353796428800.,
+         129060195264000., 10559470521600., 670442572800., 33522128640., 1323241920.,
+         40840800., 960960., 16380., 182., 1.),
+}
+#: per degree, the coefficients of A^2, A^4, ... and of I in the odd and the
+#: even sums (rows U, V) for m <= 9; for m = 13, in the rows U_hi, U_lo,
+#: V_hi, V_lo of Higham's U = A (A^6 U_hi + U_lo), V = A^6 V_hi + V_lo
+_PADE_ROWS = {m: (np.array([b[3::2], b[2::2]]), np.array([[b[1]], [b[0]]])) if m < 13
+              else (np.array([b[9::2], b[3:8:2], b[8::2], b[2:7:2]]),
+                    np.array([[0.0], [b[1]], [0.0], [b[0]]]))
+              for m, b in _PADE_B.items()}
+#: |c_2m+1| = (m!)^2 / ((2m)! (2m+1)!), the leading backward-error coefficient
+_PADE_LEAD = {m: math.factorial(m) ** 2 / (math.factorial(2 * m) * math.factorial(2 * m + 1))
+              for m in _PADE_B}
+_UNIT_ROUNDOFF = 2.0 ** -53
 
-    Raises :class:`LinalgError` when the result overflows.
+
+def mat_exp(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a square complex matrix.
+
+    Pade scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179,
+    2005), with the degree m and the scaling 2^-s chosen as in Al-Mohy &
+    Higham (SIAM J. Matrix Anal. Appl. 31, 970, 2009), Algorithm 6.1, from
+    exact 1-norms of A^4 ... A^10 and of powers of |A|.  A diagonal matrix
+    is exponentiated entrywise, so the zero matrix gives exactly I.
+
+    The coefficient sums over I, A^2, A^4, ... (A^8 at most, formed anyway
+    for the norms) are one real product of the coefficient rows with the
+    stacked powers; degree 13 then takes Higham's U = A (A^6 U_hi + U_lo),
+    V = A^6 V_hi + V_lo as one stacked product with A^6.  The numerator and
+    denominator of the approximant are V + U and V - U.
+
+    Raises :class:`LinalgError` when the result, or a power of A up to A^10
+    that the degree choice needs, overflows.
     """
     a = _as_square(a)
     if a.size == 0:
         return a.copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        out = scipy.linalg.expm(a)
-    if not np.all(np.isfinite(out)):
+        out = _pade_exp(a)
+    if out is None or not np.all(np.isfinite(out)):
         raise LinalgError("matrix exponential overflows")
     return out
 
 
-def mat_log(t: np.ndarray) -> np.ndarray:
-    """Principal matrix logarithm.
+def _norms1(stack: np.ndarray) -> list:
+    """Exact 1-norms of the members of a (k, n, n) stack."""
+    return np.abs(stack).sum(axis=1).max(axis=1).tolist()
 
-    Deterministic: ``scipy.linalg.logm`` estimates a norm from numpy's
-    global random stream, so it runs under a fixed seed, and the caller's
-    stream is restored afterwards, unadvanced.
+
+class _AbsPowers:
+    """Al-Mohy & Higham's ell(A, m) test for rising degrees m, from 1^T |A|^q.
+
+    q starts at 3 and rises by 4 per step, through |A|^2 and |A|^4, so
+    every odd degree m is reached at q = 2m + 1.
+    """
+
+    def __init__(self, a: np.ndarray):
+        abs_a = np.abs(a)
+        b2 = abs_a.dot(abs_a)
+        self.b4 = b2.dot(b2)
+        col_sums = abs_a.sum(axis=0)
+        self.norm_a = float(col_sums.max())
+        self.v, self.q = col_sums.dot(b2), 3      # 1^T |A|^q
+
+    def alpha(self, m: int, s: int) -> float:
+        """|c_2m+1| || |B|^(2m+1) ||_1 / ||B||_1 at B = 2^-s A.
+
+        ell(B, m) = max(ceil(log2(alpha / u) / 2m), 0), so ell is 0 exactly
+        when alpha <= u.  || |A|^q ||_1 is the largest entry of 1^T |A|^q.
+        """
+        while self.q < 2 * m + 1:
+            self.v = self.v.dot(self.b4)
+            self.q += 4
+        return _PADE_LEAD[m] * float(self.v.max()) / self.norm_a * 2.0 ** (-2 * m * s)
+
+
+def _pade_degree(a: np.ndarray, p: np.ndarray) -> tuple[int, int] | None:
+    """Degree m and scaling s of Al-Mohy & Higham's Algorithm 6.1 for ``a``.
+
+    Fills p[0:4] with A^2, A^4, A^6, A^8 and, for m = 13, p[4] with A^10.
+    None when a norm that picks m or s overflows.
+    """
+    a.dot(a, out=p[0])
+    p[0].dot(p[0], out=p[1])
+    p[1].dot(p[0], out=p[2])
+    p[1].dot(p[1], out=p[3])
+    n4, n6, n8 = _norms1(p[1:4])
+    d6, d8 = n6 ** (1 / 6), n8 ** 0.125
+    eta1, eta3 = max(n4 ** 0.25, d6), max(d6, d8)
+    ell = _AbsPowers(a)
+    for m, eta in ((3, eta1), (5, eta1), (7, eta3), (9, eta3)):
+        if eta <= _PADE_THETA[m] and ell.alpha(m, 0) <= _UNIT_ROUNDOFF:
+            return m, 0
+    p[1].dot(p[2], out=p[4])
+    eta5 = min(eta3, max(d8, _norms1(p[4:5])[0] ** 0.1))
+    if not math.isfinite(eta5):
+        return None
+    s = math.ceil(math.log2(eta5 / _PADE_THETA[13])) if eta5 > _PADE_THETA[13] else 0
+    alpha = ell.alpha(13, s)
+    if not math.isfinite(alpha):
+        return None
+    if alpha > _UNIT_ROUNDOFF:                  # ell(2^-s A, 13) more halvings
+        s += math.ceil(math.log2(alpha / _UNIT_ROUNDOFF) / 26)
+    return 13, s
+
+
+def _pade_exp(a: np.ndarray) -> np.ndarray | None:
+    """exp(a) for a finite nonempty square complex ``a``; None when a norm
+    that picks the degree or the scaling overflows."""
+    n = a.shape[0]
+    nz = np.count_nonzero(a)
+    if nz <= n and nz == np.count_nonzero(np.diagonal(a)):
+        return np.diag(np.exp(np.diagonal(a)))
+    # the powers, then the sums and the solve's operands in spent slots, so
+    # that the kernel's peak memory stays near scipy's
+    p = np.empty((7, n, n), dtype=complex)
+    degree = _pade_degree(a, p)
+    if degree is None:
+        return None
+    m, s = degree
+    rows, ident = _PADE_ROWS[m]
+    k = rows.shape[1]
+    if s:                                       # A^2j of 2^-s A is 2^-2js A^2j
+        rows = rows * np.exp2(-2 * s * np.arange(1, k + 1))
+        if m == 13:
+            rows[0::2] *= 2.0 ** (-6 * s)       # the hi rows meet A^6 again
+    # the sums over I, A^2, A^4, ...: real coefficients times the real view
+    # of the stacked powers, one product, into the last slots
+    w = p[len(p) - len(rows):]
+    np.dot(rows, p[:k].view(float).reshape(k, -1), out=w.view(float).reshape(len(rows), -1))
+    w.reshape(len(rows), -1)[:, ::n + 1] += ident
+    if m == 13:
+        w = np.add(np.matmul(p[2], w[0::2], out=p[:2]), w[1::2], out=p[:2])
+    u = a.dot(w[0], out=p[2])
+    if s:
+        u *= 2.0 ** -s
+    r = np.linalg.solve(np.subtract(w[1], u, out=p[3]), np.add(w[1], u, out=p[4]))
+    for _ in range(s):
+        r = r.dot(r)
+    return r
+
+
+def mat_log(t: np.ndarray) -> np.ndarray:
+    """Principal matrix logarithm, by ``scipy.linalg.logm``.
+
+    The only scipy call of the package, so scipy is imported here, on first
+    use.  Deterministic: ``logm`` estimates a norm from numpy's global
+    random stream, so it runs under a fixed seed, and the caller's stream is
+    restored afterwards, unadvanced.
 
     Raises
     ------
@@ -74,7 +228,13 @@ def mat_log(t: np.ndarray) -> np.ndarray:
         If an eigenvalue lies on the closed negative real axis, where the
         principal branch is undefined.  Callers fall back to working with
         the exponentiated quantities directly.
+    MatrixLogError
+        If ``logm`` warns that its result may be inaccurate (its estimate of
+        ||exp(log t) - t||_1 / ||t||_1 reaches 1000 eps); callers treat this
+        like the branch error.
     """
+    import scipy.linalg
+
     t = _as_square(t)
     if t.size == 0:
         return t.copy()
@@ -82,7 +242,11 @@ def mat_log(t: np.ndarray) -> np.ndarray:
     state = np.random.get_state()
     np.random.seed(0)
     try:
-        out = scipy.linalg.logm(t)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", "logm result may be inaccurate", RuntimeWarning)
+            out = scipy.linalg.logm(t)
+    except RuntimeWarning as exc:
+        raise MatrixLogError(str(exc)) from None
     finally:
         np.random.set_state(state)
     return np.asarray(out, dtype=complex)

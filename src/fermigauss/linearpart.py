@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SKEW_TOL, MatrixLogBranchError, mat_log
+from .linalg import SKEW_TOL, MatrixLogBranchError, MatrixLogError, mat_log
 from .quadratic import (
     QuadraticGenerator,
     TransferMatrix,
@@ -344,7 +344,10 @@ def compose_linear(op1: LinearGaussianOp, op2: LinearGaussianOp) -> LinearCompos
     recovered from the principal log of the product when it exists and
     passes the checks of :class:`QuadraticGenerator` and
     :class:`LinearGaussianOp`; a log accurate only to about 1e-10 or worse
-    can fail them, and then no generator is returned either.
+    can fail them, as can one that scipy flags inaccurate
+    (:class:`~fermigauss.linalg.MatrixLogError`), and then no generator is
+    returned either.  The recovered operator is right only up to sign:
+    F_1 F_2 = +-e^{M^'}, since a transfer fixes its operator only up to sign.
     """
     if op1.L != op2.L:
         raise ValueError(f"site counts differ: {op1.L} vs {op2.L}")
@@ -353,7 +356,7 @@ def compose_linear(op1: LinearGaussianOp, op2: LinearGaussianOp) -> LinearCompos
     tp = compose_transfers(t1, t2)
     try:
         mp = mat_log(tp.t)
-    except MatrixLogBranchError:
+    except MatrixLogError:
         return LinearComposeResult(tp, None, False)
     try:
         op = extract_op(QuadraticGenerator(mp))

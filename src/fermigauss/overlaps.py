@@ -384,17 +384,23 @@ def state_overlap(op1, op2, bra: FockConfig, ket: FockConfig, *,
     return _quadratic_overlap(g1, g2, lambda: compose_bra_ket(op2, op1), bra, ket, method)
 
 
+@functools.lru_cache(maxsize=None)
+def epsilon_direction(L: int) -> QuadraticGenerator:
+    """The perturbation direction G of the epsilon route on L sites: a random
+    admissible generator drawn from :data:`EPS_SEED`, once per L."""
+    return random_generator(L, EPS_SEED, scale=1.0)
+
+
 def _epsilon_extrapolate(value_at, L: int) -> OverlapResult:
     """Quadratic Richardson extrapolation of ``value_at(eps, G)`` to eps -> 0.
 
-    G is a fixed random admissible generator drawn from :data:`EPS_SEED`
-    (recorded in the diagnostics), which generically restores the
-    invertibility of T22.  The two-point :data:`EPS_SCHEDULE` is augmented
-    with one halved point; the convergence diagnostic compares the linear
-    extrapolations of successive pairs and fails loudly when they disagree
-    beyond EPS_AGREE_TOL.
+    G is :func:`epsilon_direction` (its seed is recorded in the
+    diagnostics), which generically restores the invertibility of T22.  The
+    two-point :data:`EPS_SCHEDULE` is augmented with one halved point; the
+    convergence diagnostic compares the linear extrapolations of successive
+    pairs and fails loudly when they disagree beyond EPS_AGREE_TOL.
     """
-    g = random_generator(L, EPS_SEED, scale=1.0)
+    g = epsilon_direction(L)
     e1, e2 = float(EPS_SCHEDULE[0]), float(EPS_SCHEDULE[1])
     e3 = 0.5 * e2
     eps = (e1, e2, e3)

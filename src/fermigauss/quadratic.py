@@ -43,7 +43,7 @@ import numpy as np
 from .linalg import (
     SKEW_TOL,
     LinalgError,
-    MatrixLogBranchError,
+    MatrixLogError,
     SingularBlockError,
     mat_exp,
     mat_log,
@@ -218,8 +218,12 @@ def compose_transfers(t1: TransferMatrix, t2: TransferMatrix) -> TransferMatrix:
 
 @dataclass(frozen=True)
 class ComposeResult:
-    """Product of two Gaussian operators at the transfer level, plus the
-    composed generator when the principal logarithm exists."""
+    """Product of two Gaussian operators at the transfer level, plus a
+    generator of it when the principal logarithm exists.
+
+    The generator is right only up to sign: exp(M) = T1 T2 exactly, but the
+    Fock operators may satisfy F_1 F_2 = -e^{M^}, since a transfer fixes
+    its operator only up to sign."""
 
     transfer: TransferMatrix
     generator: QuadraticGenerator | None
@@ -227,31 +231,34 @@ class ComposeResult:
 
 
 def compose_generators(g1: QuadraticGenerator, g2: QuadraticGenerator) -> ComposeResult:
-    """Generator M with exp(M) = exp(M1) exp(M2).
+    """Generator M with exp(M) = exp(M1) exp(M2), so F_1 F_2 = +-e^{M^}.
 
-    When ``exp(M1) exp(M2)`` has spectrum touching the closed negative real
-    axis the principal log does not exist; the transfer-level product is
-    returned with ``generator_available=False``.
+    The sign of the operator product is not recovered: the principal log
+    picks one of the two operators with transfer T1 T2.  When that log does
+    not exist (spectrum touching the closed negative real axis), is
+    inaccurate (:class:`~fermigauss.linalg.MatrixLogError`), or fails the
+    admissibility check of :class:`QuadraticGenerator`, the transfer-level
+    product is returned with ``generator_available=False``.
     """
     t = compose_transfers(transfer_of(g1), transfer_of(g2))
     try:
-        m = mat_log(t.t)
-    except MatrixLogBranchError:
+        gen = QuadraticGenerator(mat_log(t.t))
+    except (MatrixLogError, ValueError):
         return ComposeResult(t, None, False)
-    return ComposeResult(t, QuadraticGenerator(m), True)
+    return ComposeResult(t, gen, True)
 
 
 def _principal_y(fac) -> np.ndarray | None:
     """Y = log(e^Y) on the principal branch, computed on first access.
 
     None exactly when ``sign_certain`` is False or the principal log of
-    ``exp_y`` does not exist.
+    ``exp_y`` does not exist or is inaccurate.
     """
     if not fac.sign_certain:
         return None
     try:
         return _read_only(mat_log(fac.exp_y))
-    except MatrixLogBranchError:
+    except MatrixLogError:
         return None
 
 

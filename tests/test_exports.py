@@ -1,8 +1,17 @@
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
+
 import fermigauss
+from fermigauss import cli
+from fermigauss.linearpart import LinearGaussianOp
+
+from conftest import worked_example_m
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fermigauss"
@@ -164,3 +173,85 @@ def test_every_traced_name_resolves():
             if not callable(scope.get(attr)):
                 missing.append(f"{layer}.{name}")
     assert missing == []
+
+
+def scipy_imports(tree) -> list:
+    """The enclosing top-level function of each scipy import (None outside one)."""
+    out = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                out.append(top.name if isinstance(top, ast.FunctionDef) else None)
+    return out
+
+
+def test_only_the_matrix_logarithm_imports_scipy():
+    # the exponential is computed in-house; scipy, whose import dominates a
+    # cold start, is loaded only by the first matrix logarithm
+    found = {path.name: owners for path in sorted(PACKAGE.glob("*.py"))
+             if (owners := scipy_imports(ast.parse(path.read_text())))}
+    assert found == {"linalg.py": ["mat_log"]}
+
+
+SCIPY_FREE = """
+import os, sys
+sys.modules["scipy"] = None          # every scipy import now raises ImportError
+
+import numpy as np
+
+from fermigauss import cli
+from fermigauss.configs import FockConfig
+from fermigauss.correlators import (CorrelatorContext, ModeOp, generalized_expectation,
+                                    n_point)
+from fermigauss.linearpart import LinearGaussianOp
+from fermigauss.overlaps import generalized_overlap, state_overlap
+from fermigauss.quadratic import QuadraticGenerator, cp_scan, random_generator, transfer_of
+
+workdir = sys.argv[1]
+files = {name: os.path.join(workdir, name + ".json") for name in ("a", "b", "s")}
+rng = np.random.default_rng(7)
+g1, g2 = random_generator(3, rng, 0.8), random_generator(3, rng, 0.8)
+op1 = LinearGaussianOp(g1.m, 0.5 * rng.standard_normal(3), 0.5j * rng.standard_normal(3))
+op2 = LinearGaussianOp(g2.m, None, 0.5 * rng.standard_normal(3))
+cli.write_operator_file(files["a"], op1)
+cli.write_operator_file(files["b"], op2)
+sing = QuadraticGenerator(cli.load_operator(files["s"])[0].m)
+bra, ket, vac = FockConfig((1, 0, 1)), FockConfig((0, 1, 1)), FockConfig.vacuum(3)
+state_overlap(g1, g2, bra, ket)
+state_overlap(sing, QuadraticGenerator.zero(3), vac, vac)        # the epsilon route
+generalized_overlap(op1, op2, bra, ket)
+n_point(CorrelatorContext(g1, g2, bra, ket), (ModeOp(1, True), ModeOp(2, False)))
+generalized_expectation(CorrelatorContext(op1, op2, bra, ket),
+                        (ModeOp(1, True), ModeOp(2, False), ModeOp(3, False)))
+cp_scan(transfer_of(sing))
+out = ["--output", os.path.join(workdir, "report.json")]
+for argv in (["overlap", "--op", files["a"], "--op2", files["b"], "--bra", "101", "--ket", "011",
+              "--verify"],
+             ["overlap", "--op", files["s"], "--bra", "000", "--ket", "000"],
+             ["correlate", "--op", files["a"], "--op2", files["b"], "--bra", "101",
+              "--ket", "011", "--string", "cd1 c2 c3"],
+             ["cp-scan", "--op", files["s"]]):
+    assert cli.main(argv + out) == 0, argv
+print("ok")
+"""
+
+
+def test_overlap_paths_run_without_scipy(tmp_path):
+    # a fresh interpreter in which scipy cannot be imported runs the CLI
+    # overlap, correlate and cp-scan commands and the public overlap and
+    # correlator calls, on a regular and on a singular (epsilon-route)
+    # operator, so none of them pays scipy's import
+    cli.write_operator_file(str(tmp_path / "s.json"),
+                            LinearGaussianOp(worked_example_m(np.pi / 2), None, None))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent),
+                                                       os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_FREE, str(tmp_path)],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"

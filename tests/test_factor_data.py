@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from fermigauss import correlators, quadratic
 from fermigauss.configs import FockConfig
 from fermigauss.correlators import CorrelatorContext, ModeOp, generalized_expectation, n_point
-from fermigauss.linalg import SingularBlockError, sqrt_det_via_log
+from fermigauss.linalg import SingularBlockError, mat_exp, sqrt_det_via_log
 from fermigauss.linearpart import (
     LinearGaussianOp,
     compose_linear,
@@ -94,7 +94,7 @@ class TestCounts:
         n_kernel = len(calls)
         engine = correlators._Engine(QuadraticGenerator(m1), QuadraticGenerator(m2))
         assert len(calls) == 2 * n_kernel
-        assert np.array_equal(engine.t1, scipy.linalg.expm(m1))
+        assert np.array_equal(engine.t1, mat_exp(m1))
 
     @pytest.mark.parametrize("seed, scale, roots", [(22, 10.0, 1), (1, 0.6, 0)])
     def test_path_kernel_principal_root_only_as_fallback(self, count_calls, seed, scale, roots):

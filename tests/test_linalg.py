@@ -2,10 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermigauss import quadratic
+from fermigauss import fock, quadratic
 from fermigauss.linalg import (
     LinalgError,
     MatrixLogBranchError,
@@ -27,6 +28,13 @@ from fermigauss.quadratic import TransferMatrix, random_generator, transfer_of
 from conftest import j_matrix, random_linear_op, random_skew, worked_example_m, worked_example_t
 
 
+def assert_matches_scipy_expm(a: np.ndarray) -> None:
+    """``mat_exp`` against ``scipy.linalg.expm``, the reference on the test
+    side only, in the max-norm relative to max(1, max |reference|)."""
+    ref = scipy.linalg.expm(a)
+    assert np.max(np.abs(mat_exp(a) - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
 def taylor_exp(a: np.ndarray, terms: int = 60) -> np.ndarray:
     out = np.eye(a.shape[0], dtype=complex)
     term = np.eye(a.shape[0], dtype=complex)
@@ -44,6 +52,42 @@ class TestMatExp:
     def test_overflow_raises(self):
         with pytest.raises(LinalgError, match="overflows"):
             mat_exp(np.diag([800.0, 0.0]))
+
+    @pytest.mark.parametrize("scale", [3e3, 1e40])
+    def test_dense_overflow_raises_without_warning(self, scale):
+        # 3e3 overflows in the squarings, 1e40 already in the powers of A
+        # that pick the degree
+        a = scale * random_generator(4, 5, 1.0).m
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LinalgError, match="overflows"):
+                mat_exp(a)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.integers(1, 8), st.integers(0, 2 ** 32 - 1),
+           st.floats(np.log(0.05), np.log(30.0)))
+    def test_matches_scipy_on_admissible_generators(self, L, seed, log_scale):
+        assert_matches_scipy_expm(random_generator(L, seed, float(np.exp(log_scale))).m)
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(["zero", "diagonal", "upper", "lower"]))
+    def test_matches_scipy_on_structured_input(self, n, seed, kind):
+        rng = np.random.default_rng(seed)
+        a = 3.0 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        a = {"zero": 0.0 * a, "diagonal": np.diag(np.diagonal(a)),
+             "upper": np.triu(a, 1), "lower": np.tril(a, -1)}[kind]
+        assert_matches_scipy_expm(a)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.integers(1, 5), st.integers(0, 2 ** 32 - 1), st.floats(0.05, 1.5))
+    def test_matches_scipy_on_fock_generators(self, L, seed, scale):
+        op = random_linear_op(np.random.default_rng(seed), L, scale)
+        assert_matches_scipy_expm(fock.quadratic_exponent(op.m, op.u, op.v))
+
+    def test_diagonal_input_is_exponentiated_entrywise(self):
+        d = np.array([0.3 - 1.0j, -2.0, 0.0, 5.5j])
+        assert np.array_equal(mat_exp(np.diag(d)), np.diag(np.exp(d)))
 
     def test_worked_example_closed_form(self):
         for a in (0.3, 0.7, 1.2):

@@ -305,7 +305,7 @@ class TestComposeLinear:
         assert np.array_equal(res.transfer.t, t @ t)
         assert admissibility_defect(mat_log(res.transfer.t)) > SKEW_TOL
 
-    @pytest.mark.parametrize("L, scale, seed", [(1, 1.5, 18), (2, 2.5, 10)])
+    @pytest.mark.parametrize("L, scale, seed", [(1, 1.5, 18), (2, 2.5, 159)])
     def test_inadmissible_extracted_block_flagged(self, L, scale, seed):
         # the log passes at the scale of M' but its M block, at its own
         # smaller scale, does not

@@ -136,6 +136,26 @@ class TestSingularFallbacks:
         assert abs(coarse.value - fine.value) < 1e-7
         assert coarse.diagnostics["eps_seed"] == fine.diagnostics["eps_seed"]
 
+    def test_epsilon_direction_drawn_once_per_L(self, monkeypatch):
+        draws = []
+
+        def counting(*args, **kwargs):
+            draws.append(args)
+            return random_generator(*args, **kwargs)
+
+        monkeypatch.setattr(overlaps, "random_generator", counting)
+        overlaps.epsilon_direction.cache_clear()
+        gen = QuadraticGenerator(worked_example_m(np.pi / 2))
+        vac = FockConfig((0, 0, 0))
+        values = [overlap(gen, vac, vac, method="epsilon").value for _ in range(3)]
+        values.append(state_overlap(gen, QuadraticGenerator.zero(3), vac, vac,
+                                    method="epsilon").value)
+        assert draws == [(3, overlaps.EPS_SEED)]
+        assert overlaps.epsilon_direction(3) is overlaps.epsilon_direction(3)
+        assert np.array_equal(overlaps.epsilon_direction(3).m,
+                              random_generator(3, overlaps.EPS_SEED, scale=1.0).m)
+        assert len(set(values)) == 1
+
     @pytest.mark.parametrize("L", [2, 4] + [
         pytest.param(L, marks=pytest.mark.xfail(strict=True, reason=EPSILON_SIGN_DEFECT))
         for L in (3, 5, 6, 7)])

@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -162,6 +163,33 @@ class TestCompose:
         g = QuadraticGenerator(worked_example_m(np.pi / 2))
         res = compose_generators(g, g)
         assert not res.generator_available and res.generator is None
+
+    @pytest.mark.parametrize("L", [3, 4])
+    def test_large_scale_grid_returns_or_flags(self, L):
+        # 200 pairs at scale 3, where the principal log of the product is
+        # often admissible only to 1e-10..1e-6 or flagged inaccurate by
+        # logm: both compose paths report "no generator" instead of
+        # letting a ValueError or a RuntimeWarning escape
+        def draw(rng):
+            s = 3.0 / np.sqrt(L)
+            a, b, c = (s * (rng.standard_normal((L, L)) + 1j * rng.standard_normal((L, L)))
+                       for _ in range(3))
+            return QuadraticGenerator(np.block([[a, 0.5 * (b - b.T)], [0.5 * (c - c.T), -a.T]]))
+
+        available = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for s in range(200):
+                rng = np.random.default_rng(1000 * L + s)
+                g1, g2 = draw(rng), draw(rng)
+                res = compose_generators(g1, g2)
+                lin = compose_linear(LinearGaussianOp.quadratic(g1),
+                                     LinearGaussianOp.quadratic(g2))
+                for ok, gen in ((res.generator_available, res.generator),
+                                (lin.generator_available, lin.op)):
+                    assert ok == (gen is not None)
+                available += res.generator_available
+        assert 0 < available < 200
 
     def test_j_check_overflow_raises_linalg_error(self):
         # finite factors (max entries 5e120 and 2.4e84) whose product's
