@@ -2,7 +2,8 @@
 
 At a = pi/2 the worked example's diagonal transfer blocks lose their
 inverses, so the plain factorization and the Pfaffian overlap formula
-break down.  Three rescues are shown: the particle-hole permutation scan,
+break down.  Four rescues are shown: the particle-hole permutation scan,
+the signed factor chain (the two halves exp(M/2) exp(M/2) in one Pfaffian),
 the signed perturbative continuation, and the permutation magnitude.
 """
 
@@ -40,10 +41,13 @@ print(f"<000|F|000> at a = pi/2 should be cos(pi/2) = 0")
 print("auto-dispatched method:", res.method)
 print("routes tried:", [(e["route"], e["accepted"]) for e in res.route])
 print("value:", res.value)
-print("convergence diagnostic:", res.diagnostics["eps_disagreement"], "\n")
+print("chain factors:", res.diagnostics["factors"], " smallest rcond:", res.diagnostics["rcond"], "\n")
 
+res = overlap(gen, FockConfig((1, 1, 0)), FockConfig((0, 0, 0)))
+print("<110|F|000> by the factor chain:", res.value, " (closed form cos(a)-1 = -1)")
 res = overlap(gen, FockConfig((1, 1, 0)), FockConfig((0, 0, 0)), method="epsilon")
-print("<110|F|000> regularized:", res.value, " (closed form cos(a)-1 = -1)")
+print("<110|F|000> regularized:", res.value,
+      " convergence diagnostic:", res.diagnostics["eps_disagreement"])
 
 mag = overlap_magnitude_cp(t, FockConfig((1, 1, 0)), FockConfig((0, 0, 0)))
 print("same element by permutation magnitude:", mag.value,

@@ -306,8 +306,10 @@ def cmd_compose(args) -> int:
         raise CliError(EXIT_PARSE, f"site counts differ: {op1.L} vs {op2.L}")
     res = compose_linear(op1, op2)
     if res.generator_available:
+        # exp(M') equals the product transfer, but the operators only up to
+        # sign: F_1 F_2 = +-e^{M^'}
         write_operator_file(args.output, res.op)
-        report = base_report("compose", {"a": d1, "b": d2},
+        report = base_report("compose", {"a": d1, "b": d2}, sign_certain=False,
                              results={"generator_available": True,
                                       "output": args.output})
     else:

@@ -127,6 +127,7 @@ class _Engine:
         self.t1 = transfer_of(g1).t
         self.rcond = self.kern.rcond
         self.sign_certain = self.kern.sign_certain
+        self.branch = self.kern.branch
         self._elements: dict = {}
         self._blocks: dict = {}
 
@@ -339,7 +340,7 @@ class CorrelatorContext:
                 raise engine.with_traceback(None)
             return engine
 
-        return _dispatch(kernel_at, fn, self.L, cp=None, method="auto").value
+        return _dispatch(kernel_at, fn, self.L, chain=None, cp=None, method="auto").value
 
     def _checked(self, ops) -> tuple:
         ops = tuple(ops)

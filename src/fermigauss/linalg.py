@@ -461,10 +461,11 @@ def sqrt_det_continuous(mat_at, end):
     det(end) at s = 1.  The argument of the determinant is accumulated along
     a path from 0 to 1; when the determinant nearly vanishes on the real
     segment, slight complex detours are tried (zeros of a holomorphic
-    function are isolated).  Returns ``(value, sign_certain)``; falls back
-    to the principal-branch value of ``end``, flagged uncertain, if no path
-    resolves the winding.  Each path starts with 12 steps and doubles them,
-    at most four times, while some step turns the argument by 1.2 or more.
+    function are isolated).  Returns ``(value, True)`` when a path resolves
+    the winding and ``(None, False)`` when none does; the principal-branch
+    value, :func:`sqrt_det_via_log`, is then the caller's fallback to take
+    or to refuse.  Each path starts with 12 steps and doubles them, at most
+    four times, while some step turns the argument by 1.2 or more.
 
     Points are evaluated one at a time, in path order, with one ``mat_at``
     call each, and a path is abandoned at its first (near-)zero.  Since the
@@ -476,7 +477,7 @@ def sqrt_det_continuous(mat_at, end):
     target = complex(np.linalg.det(end))
     floor = 1e-13 * max(1.0, abs(target))
     if min(1.0, abs(target)) <= floor:
-        return sqrt_det_via_log(end)
+        return None, False
     for bulge in (0.0, 0.03, 0.11, 0.31):
         n = 12
         for _ in range(5):
@@ -495,4 +496,4 @@ def sqrt_det_continuous(mat_at, end):
                 arg = float(np.sum(incs))
                 return complex(np.sqrt(abs(target)) * np.exp(0.5j * arg)), True
             n *= 2
-    return sqrt_det_via_log(end)
+    return None, False

@@ -11,12 +11,17 @@ data and the restriction keeps the rows/columns of the occupied sites of
 J in the first block and of I in the second block (equivalently, removes
 the empty ones), both in increasing order.
 
-When T22 is singular two rescue routes exist: an analytic continuation
+When T22 is singular three rescue routes exist.  When the generators
+are known, the factor chain keeps the product unmultiplied: each factor's
+own factor data enter one larger Pfaffian (the Pfaffian overlap through
+factored operators; Robledo, PRC 79, 021302(R), 2009; Bertsch & Robledo,
+PRL 108, 042505, 2012), and a factor whose own T22 is singular enters as
+its two halves e^(M/2) e^(M/2).  Behind it come an analytic continuation
 in a small admissible perturbation of the generator (signed value,
 Richardson-extrapolated), and the particle-hole permutation route which
 recovers the magnitude only.  One dispatcher runs the chain Pfaffian ->
-continuation -> permutation for every public overlap function and records
-each attempt in the result's ``route``.
+factor chain -> continuation -> permutation for every public overlap
+function and records each attempt in the result's ``route``.
 """
 
 from __future__ import annotations
@@ -76,11 +81,15 @@ class ExtrapolationError(LinalgError):
 class OverlapResult:
     """Overlap value plus provenance.
 
-    ``method`` is one of ``"pfaffian"``, ``"epsilon-regularized"`` or
-    ``"cp-magnitude"``; ``sign_certain`` is False only for the last one,
-    whose value is a magnitude.  ``route`` lists the attempts of the rescue
-    chain that produced the value (see :func:`_dispatch`); it is empty for
-    an exact parity zero.
+    ``method`` is one of ``"pfaffian"``, ``"factor-chain"``,
+    ``"epsilon-regularized"`` or ``"cp-magnitude"``; ``sign_certain`` is
+    False for the last one, whose value is a magnitude, and for a forced
+    Pfaffian whose det(T22)^(1/2) has no principal log.  The Pfaffian's
+    ``diagnostics`` hold its pivot block's ``rcond`` and the ``branch`` that
+    fixed det(T22)^(1/2): ``"continuity"`` along a path from the identity,
+    or ``"principal"``.  ``route`` lists the attempts of the rescue chain
+    that produced the value (see :func:`_dispatch`); it is empty for an
+    exact parity zero.
     """
 
     value: complex
@@ -103,11 +112,12 @@ class OverlapKernel:
     The prefactor det(T22)^(1/2) carries a physical sign.  When the caller
     knows the generators it passes ``path``, a holomorphic ``s -> T22(s)``
     running from the identity at s = 0 to ``t.t22`` at s = 1, and the branch
-    is fixed by continuity along it; built from a bare transfer matrix, the
-    kernel trusts the principal log branch and reads the factor data that
-    :func:`~fermigauss.quadratic.bbd_normal` keeps on ``t``.  Either runs
-    only after the rcond check has passed, so rejecting a singular block
-    costs one SVD.
+    is fixed by continuity along it, or on the principal log branch when no
+    path fixes it; built from a bare transfer matrix, the kernel trusts the
+    principal log branch and reads the factor data that
+    :func:`~fermigauss.quadratic.bbd_normal` keeps on ``t``.  ``branch``
+    records which branch was taken.  Either runs only after the rcond check
+    has passed, so rejecting a singular block costs one SVD.
     """
 
     def __init__(self, t: TransferMatrix, path=None):
@@ -126,6 +136,7 @@ class OverlapKernel:
         pairing[L:, L:] = 0.5 * (fac.z - fac.z.T)
         self.pairing = pairing
         self.prefactor, self.sign_certain = fac.prefactor, fac.sign_certain
+        self.branch = fac.branch
 
     def element(self, bra: FockConfig, ket: FockConfig) -> complex:
         """<J| F |I>; exact zero on parity mismatch."""
@@ -243,38 +254,142 @@ def compose_bra_ket(op2, op1) -> TransferMatrix:
 
 
 # ---------------------------------------------------------------------------
+# the factor chain
+# ---------------------------------------------------------------------------
+
+class UnfixedBranchError(LinalgError):
+    """No continuity path fixes the branch of a chain factor's
+    det(T22)^(1/2); the factor chain refuses the principal-branch value."""
+
+    def __init__(self, det: complex):
+        super().__init__(f"no continuity path fixes det(T22)^(1/2) of a chain factor "
+                         f"(|det T22| = {abs(det):.3e})")
+        self.abs_det = abs(det)
+
+
+def _path_factors(g: QuadraticGenerator) -> tuple:
+    """(X, E, Z, p, rcond) of exp(M), X and Z antisymmetrized exactly and
+    p = det(T22)^(1/2) fixed by the continuity path of ``g`` alone; raises
+    :class:`UnfixedBranchError` when no path fixes it."""
+    def det_root(t22):
+        root = sqrt_det_continuous(_ProductPath(g, None), t22)
+        if root[0] is None:
+            raise UnfixedBranchError(np.linalg.det(t22))
+        return root
+
+    t = transfer_of(g)
+    fac = _normal_factors(t.t12, t.t21, t.t22, det_root)
+    return 0.5 * (fac.x - fac.x.T), fac.exp_y, 0.5 * (fac.z - fac.z.T), fac.prefactor, fac.rcond
+
+
+def _own_factors(g: QuadraticGenerator) -> tuple:
+    """exp(M) as chain factors: itself, or, when its T22 fails the rcond
+    test, its half exp(M/2) twice."""
+    try:
+        return (_path_factors(g),)
+    except SingularBlockError:
+        half = _path_factors(QuadraticGenerator(0.5 * g.m))
+        return half, half
+
+
+def _chain_factors(g: QuadraticGenerator) -> tuple:
+    """:func:`_own_factors` of ``g``, computed once and cached on ``g``; a
+    :class:`LinalgError` is cached too and raised again on every call."""
+    data = g.__dict__.get("_chain")
+    if data is None:
+        try:
+            data = _own_factors(g)
+        except LinalgError as exc:
+            data = exc
+        g.__dict__["_chain"] = data
+    if isinstance(data, LinalgError):
+        raise data.with_traceback(None)
+    return data
+
+
+def _chain_overlap(g1: QuadraticGenerator, g2: QuadraticGenerator | None,
+                   bra: FockConfig, ket: FockConfig) -> OverlapResult:
+    """<J| exp(M2^dag) exp(M1) |I> as one chain Pfaffian.
+
+    The factors F_1 ... F_k, left to right, are the adjoints of ``g2``'s
+    chain factors in reverse order (the adjoint of (X, E, Z, p) is
+    (Z^dag, E^dag, X^dag, conj p)), then ``g1``'s.  C is the 2kL x 2kL
+    antisymmetric matrix with each factor's [[X, E], [-E^T, Z]] on the
+    diagonal and +I coupling each factor's Z block to the next one's X
+    block; then <J| F_1 ... F_k |I> = sigma p_1 ... p_k pf(C restricted),
+    the restriction keeping J's rows of the first block, every inner block
+    and I's rows of the last block, and
+    sigma = (-1)^((k-1) L (L-1)/2 + n_I (n_I-1)/2).
+    """
+    factors = [] if g2 is None else [(z.conj().T, e.conj().T, x.conj().T, p.conjugate(), rc)
+                                     for x, e, z, p, rc in reversed(_chain_factors(g2))]
+    factors += _chain_factors(g1)
+    L, k = g1.L, len(factors)
+    n = 2 * k * L
+    c = np.zeros((n, n), dtype=complex)
+    eye = np.eye(L)
+    prefactor = complex(1.0)
+    for i, (x, e, z, p, _) in enumerate(factors):
+        a, b = 2 * i * L, (2 * i + 1) * L
+        c[a:b, a:b] = x
+        c[a:b, b:b + L] = e
+        c[b:b + L, a:b] = -e.T
+        c[b:b + L, b:b + L] = z
+        if i:
+            c[a - L:a, a:b] = eye
+            c[a:b, a - L:a] = -eye
+        prefactor *= p
+    keep = ([j for j, bit in enumerate(bra.bits) if bit] + list(range(L, n - L))
+            + [n - L + i for i, bit in enumerate(ket.bits) if bit])
+    n_i = ket.n_occupied
+    if ((k - 1) * (L * (L - 1) // 2) + n_i * (n_i - 1) // 2) % 2:
+        prefactor = -prefactor
+    value = prefactor * _pfaffian_exact(c[np.ix_(keep, keep)])
+    return OverlapResult(value, "factor-chain", True,
+                         {"factors": k, "rcond": min(f[4] for f in factors)})
+
+
+# ---------------------------------------------------------------------------
 # the rescue chain
 # ---------------------------------------------------------------------------
 
 #: the routes in the order ``method="auto"`` tries them
-ROUTES = ("pfaffian", "epsilon", "cp-magnitude")
+ROUTES = ("pfaffian", "factor-chain", "epsilon", "cp-magnitude")
 
 
-def _dispatch(kernel_at, evaluate, L: int | None, cp, *, method: str) -> OverlapResult:
-    """Run the rescue chain pfaffian -> epsilon -> cp-magnitude.
+def _dispatch(kernel_at, evaluate, L: int | None, chain, cp, *, method: str) -> OverlapResult:
+    """Run the rescue chain pfaffian -> factor-chain -> epsilon -> cp-magnitude.
 
-    ``kernel_at(delta)`` builds the kernel (anything with ``rcond`` and
-    ``sign_certain`` attributes) of the ket-side generator
+    ``kernel_at(delta)`` builds the kernel (anything with ``rcond``,
+    ``sign_certain`` and ``branch`` attributes) of the ket-side generator
     shifted by the matrix ``delta``, unshifted for ``delta=None``, and
     ``evaluate(kernel)`` turns a kernel into the value.  ``L`` is the site
     count of that generator, or None when only a transfer matrix is known,
-    which rules out the epsilon route.  ``cp()`` returns the transfer and
-    the two configurations of the magnitude route; ``cp=None`` rules that
-    route out for callers that need a signed value.
+    which rules out the epsilon route.  ``chain()`` returns the
+    :func:`_chain_overlap` result; ``chain=None`` rules that route out when
+    the generators are not known.  ``cp()`` returns the transfer and the two
+    configurations of the magnitude route; ``cp=None`` rules that route out
+    for callers that need a signed value.
 
     ``method="auto"`` tries the available routes in order and accepts the
     Pfaffian only with a certain sign; a route name forces that route
     alone, which then accepts whatever sign it finds.  Every attempt is
     recorded in the result's ``route``: the route name, whether it was
     accepted, on rejection the ``reason``, and the diagnostics that decided
-    it; a rejected cp-magnitude attempt records, as ``rcond_bound``, the
-    bound that :func:`overlap_magnitude_cp` puts on the rcond of every
-    permuted T22.  Any :class:`LinalgError` rejects its route; one that is
-    neither a singular block nor a failed extrapolation has the reason
-    ``"numerical"`` and its ``message``.  When every route fails, the last
-    route's error is raised with the same list attached as ``.route``.
+    it.  The Pfaffian records its ``rcond``, ``sign_certain`` and the
+    ``branch`` of det(T22)^(1/2); the factor chain its number of
+    ``factors`` and their smallest ``rcond``, or on rejection the reason
+    ``"rcond"`` (a factor's T22 is singular even after the split into
+    halves) or ``"branch"`` (no continuity path fixes a factor's root, with
+    that factor's ``abs_det``); a rejected cp-magnitude attempt records, as
+    ``rcond_bound``, the bound that :func:`overlap_magnitude_cp` puts on the
+    rcond of every permuted T22.  Any :class:`LinalgError` rejects its
+    route; one that none of these names has the reason ``"numerical"`` and
+    its ``message``.  When every route fails, the last route's error is
+    raised with the same list attached as ``.route``.
     """
-    available = {"pfaffian": True, "epsilon": L is not None, "cp-magnitude": cp is not None}
+    available = {"pfaffian": True, "factor-chain": chain is not None,
+                 "epsilon": L is not None, "cp-magnitude": cp is not None}
     if method == "auto":
         names = [name for name in ROUTES if available[name]]
     elif available.get(method):
@@ -288,13 +403,17 @@ def _dispatch(kernel_at, evaluate, L: int | None, cp, *, method: str) -> Overlap
         try:
             if name == "pfaffian":
                 kern = kernel_at(None)
-                why = {"rcond": kern.rcond, "sign_certain": kern.sign_certain}
+                why = {"rcond": kern.rcond, "sign_certain": kern.sign_certain,
+                       "branch": kern.branch}
                 if not kern.sign_certain and len(names) > 1:
                     route.append({"route": name, "accepted": False,
                                   "reason": "sign_certain", **why})
                     continue
                 res = OverlapResult(evaluate(kern), "pfaffian", kern.sign_certain,
-                                    {"rcond": kern.rcond})
+                                    {"rcond": kern.rcond, "branch": kern.branch})
+            elif name == "factor-chain":
+                res = chain()
+                why = dict(res.diagnostics)
             elif name == "epsilon":
                 res = _epsilon_extrapolate(lambda eps, g: evaluate(kernel_at(eps * g.m)), L)
                 why = {"eps_disagreement": res.diagnostics["eps_disagreement"]}
@@ -306,6 +425,8 @@ def _dispatch(kernel_at, evaluate, L: int | None, cp, *, method: str) -> Overlap
                 d = exc.disagreement
                 why = {"reason": "eps_disagreement",
                        "eps_disagreement": float(d) if np.isfinite(d) else None}
+            elif isinstance(exc, UnfixedBranchError):
+                why = {"reason": "branch", "abs_det": exc.abs_det}
             elif not isinstance(exc, SingularBlockError):
                 why = {"reason": "numerical", "message": str(exc)}
             elif name == "cp-magnitude":
@@ -329,8 +450,8 @@ def _quadratic_overlap(g1, g2, transfer, bra: FockConfig, ket: FockConfig,
     ``g1`` and ``g2`` are the ket and bra generators (``g2`` None for the
     identity).  ``transfer()`` gives the composed transfer matrix; it runs
     at most once.  ``g1`` is None when only that transfer is known: the
-    sign then comes from the principal branch and the epsilon route is
-    unavailable.
+    sign then comes from the principal branch and the factor-chain and
+    epsilon routes are unavailable.
     """
     if (bra.n_occupied + ket.n_occupied) % 2:
         return OverlapResult(complex(0.0), "pfaffian", True, {"parity_zero": True})
@@ -344,6 +465,7 @@ def _quadratic_overlap(g1, g2, transfer, bra: FockConfig, ket: FockConfig,
             return _pair_kernel(g, g2)
     return _dispatch(kernel_at, lambda k: k.element(bra, ket),
                      None if g1 is None else g1.L,
+                     None if g1 is None else (lambda: _chain_overlap(g1, g2, bra, ket)),
                      lambda: (transfer(), bra, ket), method=method)
 
 
@@ -353,9 +475,10 @@ def overlap(composed, bra: FockConfig, ket: FockConfig, *,
 
     ``composed`` is the generator M (with exp(M2^dag) exp(M1) = exp(M)) or
     its transfer matrix.  ``method="auto"`` uses the Pfaffian formula when
-    T22 is invertible, then falls back to the perturbative continuation
-    (requires the generator) and finally to the permutation magnitude.
-    Forced methods: ``"pfaffian"``, ``"epsilon"``, ``"cp-magnitude"``.
+    T22 is invertible, then falls back to the factor chain and to the
+    perturbative continuation (both require the generator) and finally to
+    the permutation magnitude.  Forced methods: ``"pfaffian"``,
+    ``"factor-chain"``, ``"epsilon"``, ``"cp-magnitude"``.
     """
     if isinstance(composed, QuadraticGenerator):
         g1, transfer = composed, (lambda: transfer_of(composed))
@@ -371,9 +494,9 @@ def state_overlap(op1, op2, bra: FockConfig, ket: FockConfig, *,
                   method: str = "auto") -> OverlapResult:
     """<M2(J)|M1(I)> for two quadratic operators (generators or transfers).
 
-    Takes the same methods as :func:`overlap`.  The sign is tracked and the
-    perturbative fallback, which perturbs the ket-side generator, is
-    available only when both generators are known.
+    Takes the same methods as :func:`overlap`.  The sign is tracked, and
+    the factor chain and the perturbative fallback, which perturbs the
+    ket-side generator, are available only when both generators are known.
     """
     if not (op1.L == op2.L == bra.L == ket.L):
         raise ValueError("inconsistent site counts")
@@ -484,7 +607,8 @@ def generalized_overlap(op1: LinearGaussianOp, op2: LinearGaussianOp,
     def cp():
         return compose_bra_ket(g2, g1), bra_e, ket_e
 
-    return _dispatch(kernel_at, lambda k: k.element(bra_e, ket_e), op1.L, cp, method=method)
+    return _dispatch(kernel_at, lambda k: k.element(bra_e, ket_e), op1.L,
+                     lambda: _chain_overlap(g1, g2, bra_e, ket_e), cp, method=method)
 
 
 # ---------------------------------------------------------------------------

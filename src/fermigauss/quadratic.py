@@ -88,6 +88,9 @@ class QuadraticGenerator:
     caller must not mutate that array afterwards.  exp(M) and the
     continuity steps exp(h M) are computed on first use and cached on the
     instance, read-only; the bra side of an overlap takes their adjoints.
+    The factor chain of :mod:`~fermigauss.overlaps` keeps the factor data
+    of exp(M), or of its half exp(M/2), on the instance as well, or the
+    error that refused them.
     """
 
     m: np.ndarray
@@ -196,9 +199,6 @@ class TransferMatrix:
     def j_defect(self) -> float:
         return self._defect(self.t)
 
-    def dagger(self) -> "TransferMatrix":
-        return TransferMatrix(self.t.conj().T)
-
     @classmethod
     def identity(cls, L: int) -> "TransferMatrix":
         return cls(np.eye(2 * L, dtype=complex))
@@ -276,7 +276,9 @@ class FactoredGaussian:
     ``prefactor`` is the scalar exp(-tr(Y)/2) (the vacuum amplitude of the
     middle factor); ``sign_certain`` is False when it had to be taken as a
     principal square root because the principal log of the pivot block does
-    not exist.  ``y`` is None in that case.
+    not exist.  ``y`` is None in that case.  ``branch`` says how the branch
+    of that root was fixed: ``"continuity"`` along a path from the identity,
+    or ``"principal"`` on the branch of the principal logarithm.
     """
 
     ordering: str
@@ -286,6 +288,7 @@ class FactoredGaussian:
     prefactor: complex
     sign_certain: bool = True
     rcond: float = 1.0
+    branch: str = "principal"
 
     y = functools.cached_property(_principal_y)
 
@@ -296,18 +299,26 @@ def _normal_factors(t12: np.ndarray, t21: np.ndarray, t22: np.ndarray,
 
     The one place that inverts the pivot block: X = T12 T22^-1,
     Z = T22^-1 T21, exp(Y) = T22^-T and exp(-tr Y / 2) = det(T22)^(1/2).
-    ``det_root(t22)`` returns that root and its sign certainty; the default
-    is the principal branch, :func:`sqrt_det_via_log`.  It runs only after
-    the rcond estimate has reached :data:`RCOND_TOL`.
+    ``det_root(t22)`` returns that root and its sign certainty, or
+    ``(None, False)`` when it cannot fix the branch, as
+    :func:`~fermigauss.linalg.sqrt_det_continuous` does; the root is then,
+    and without ``det_root``, taken on the principal branch,
+    :func:`sqrt_det_via_log`, and ``branch`` records which.  It runs after
+    the rcond estimate has reached :data:`RCOND_TOL` and before the solves,
+    so a ``det_root`` that raises costs no solve.
     """
     rc = rcond_estimate(t22)
     if rc < RCOND_TOL:
         raise SingularBlockError("pivot block not invertible; try a canonical permutation", rc)
+    prefactor, sign_certain = det_root(t22) if det_root else (None, False)
+    branch = "continuity"
+    if prefactor is None:
+        prefactor, sign_certain = sqrt_det_via_log(t22)
+        branch = "principal"
     x = np.linalg.solve(t22.T, t12.T).T
     z = np.linalg.solve(t22, t21)
     exp_y = np.linalg.inv(t22.T)
-    prefactor, sign_certain = (det_root or sqrt_det_via_log)(t22)
-    return FactoredGaussian("normal", x, exp_y, z, prefactor, sign_certain, rc)
+    return FactoredGaussian("normal", x, exp_y, z, prefactor, sign_certain, rc, branch)
 
 
 def _factors_once(t: TransferMatrix, key: str, factorize):

@@ -135,13 +135,27 @@ def test_decompose_generalized(linear_op_file, capsys):
 
 def test_overlap_epsilon_on_singular(singular_op_file, capsys):
     code, out, _ = run(capsys, "overlap", "--op", singular_op_file,
-                       "--bra", "000", "--ket", "000")
+                       "--bra", "000", "--ket", "000", "--epsilon")
     assert code == 0
     doc = json.loads(out)
     assert doc["method"] == "epsilon-regularized"
-    assert [(e["route"], e["accepted"]) for e in doc["route"]] == \
-        [("pfaffian", False), ("epsilon", True)]
+    assert [(e["route"], e["accepted"]) for e in doc["route"]] == [("epsilon", True)]
     assert abs(complex(*doc["results"]["value"])) < 1e-6  # cos(pi/2) = 0
+
+
+def test_overlap_factor_chain_on_singular(singular_op_file, capsys):
+    code, out, _ = run(capsys, "overlap", "--op", singular_op_file,
+                       "--bra", "110", "--ket", "000", "--verify")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["method"], doc["sign_certain"]) == ("factor-chain", True)
+    assert [(e["route"], e["accepted"]) for e in doc["route"]] == \
+        [("pfaffian", False), ("factor-chain", True)]
+    # the identity bra operator and the two halves exp(M/2) exp(M/2)
+    assert doc["diagnostics"]["factors"] == 3
+    # cos(pi/2) - 1 = -1, with its sign
+    assert abs(complex(*doc["results"]["value"]) + 1.0) < 1e-12
+    assert doc["results"]["oracle_deviation"] < 1e-12
 
 
 def test_overlap_cp_magnitude(singular_op_file, capsys):
@@ -252,9 +266,12 @@ def test_cp_scan_pattern(singular_op_file, capsys):
 
 def test_compose_roundtrip(tmp_path, op_file, capsys):
     out_path = tmp_path / "composed.json"
-    code, _, _ = run(capsys, "compose", "--inputs", op_file, op_file,
-                     "--output", str(out_path))
+    code, out, _ = run(capsys, "compose", "--inputs", op_file, op_file,
+                       "--output", str(out_path))
     assert code == 0
+    # the written generator is right only up to sign: F_1 F_2 = +-e^{M^}
+    doc = json.loads(out)
+    assert doc["results"]["generator_available"] is True and doc["sign_certain"] is False
     code, out, _ = run(capsys, "overlap", "--op", str(out_path),
                        "--bra", "000", "--ket", "000", "--verify")
     assert code == 0
@@ -271,6 +288,7 @@ def test_compose_inadmissible_log(tmp_path, capsys):
     code, out, _ = run(capsys, "compose", "--inputs", b, b, "--output", str(out_path))
     assert code == 0
     assert json.loads(out)["results"]["generator_available"] is False
+    assert "sign_certain" not in json.loads(out)
     assert json.loads(out_path.read_text())["results"]["generator_available"] is False
 
 

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from fermigauss import fock
 from fermigauss.configs import FockConfig
-from fermigauss.linalg import sqrt_det_continuous
-from fermigauss.overlaps import _ProductPath, state_overlap
+from fermigauss.linalg import sqrt_det_continuous, sqrt_det_via_log
+from fermigauss.overlaps import _ProductPath, compose_bra_ket, state_overlap
 from fermigauss.quadratic import QuadraticGenerator, random_generator
 
 from conftest import pair_kernel
@@ -40,12 +40,12 @@ class TestLazyPath:
     @pytest.mark.parametrize("d", [1e7, 1e-7])
     def test_no_path_point_beyond_the_zero_threshold(self, d):
         # det(end) = d^2 with d^2 >= 1e13 or <= 1e-13: the endpoints alone
-        # fail the relative zero test on every path
+        # fail the relative zero test on every path, and the principal
+        # branch is left to the caller
         calls = []
         end = np.diag([d, d]).astype(complex)
-        val, certain = sqrt_det_continuous(lambda s: calls.append(s) or end, end)
+        assert sqrt_det_continuous(lambda s: calls.append(s) or end, end) == (None, False)
         assert calls == []
-        assert certain and val == pytest.approx(d, rel=1e-12)
 
     @pytest.mark.parametrize("k", [1, 5, 11])
     def test_stops_at_the_first_zero_then_detours(self, k):
@@ -122,6 +122,19 @@ class TestOracle:
     def test_kernel_element_signed(self, pair, bra_code, ket_code):
         val, ref = kernel_and_oracle(pair, bra_code, ket_code)
         assert abs(val - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+def test_large_det_root_is_labelled_principal():
+    # for |det T22| >= 1e13 no path fixes the branch: the kernel takes the
+    # principal one, and the result and its route say so
+    g, zero = random_generator(4, 22, scale=10), QuadraticGenerator.zero(4)
+    vac = FockConfig.vacuum(4)
+    res = state_overlap(g, zero, vac, vac)
+    assert (res.method, res.sign_certain) == ("pfaffian", True)
+    assert res.diagnostics["branch"] == res.route[0]["branch"] == "principal"
+    kern = pair_kernel(g.m)
+    assert kern.branch == "principal"
+    assert kern.prefactor == sqrt_det_via_log(compose_bra_ket(zero, g).t22)[0]
 
 
 @pytest.mark.xfail(strict=True, reason="for |det T22| >= 1e13 every path fails the zero test "

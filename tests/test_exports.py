@@ -200,7 +200,7 @@ def test_only_the_matrix_logarithm_imports_scipy():
 
 
 SCIPY_FREE = """
-import os, sys
+import json, os, sys
 sys.modules["scipy"] = None          # every scipy import now raises ImportError
 
 import numpy as np
@@ -222,9 +222,21 @@ op2 = LinearGaussianOp(g2.m, None, 0.5 * rng.standard_normal(3))
 cli.write_operator_file(files["a"], op1)
 cli.write_operator_file(files["b"], op2)
 sing = QuadraticGenerator(cli.load_operator(files["s"])[0].m)
+# a singular pair: a pi/2 pair rotation on sites 1, 2 plus a number term on
+# site 3 as the ket operator, and a number term on site 3 as the bra's
+rot, num = np.zeros((6, 6), dtype=complex), np.zeros((6, 6), dtype=complex)
+rot[0, 4] = rot[3, 1] = np.pi / 2
+rot[1, 3] = rot[4, 0] = -np.pi / 2
+num[2, 2], num[5, 5] = 0.3 + 0.2j, -0.3 - 0.2j
+files["r"], files["n"] = (os.path.join(workdir, name + ".json") for name in ("r", "n"))
+cli.write_operator_file(files["r"], LinearGaussianOp(rot + 0.5 * num, None, None))
+cli.write_operator_file(files["n"], LinearGaussianOp(num, None, None))
 bra, ket, vac = FockConfig((1, 0, 1)), FockConfig((0, 1, 1)), FockConfig.vacuum(3)
 state_overlap(g1, g2, bra, ket)
-state_overlap(sing, QuadraticGenerator.zero(3), vac, vac)        # the epsilon route
+state_overlap(sing, QuadraticGenerator.zero(3), vac, vac)        # the factor chain
+res = state_overlap(QuadraticGenerator(rot + 0.5 * num), QuadraticGenerator(num),
+                    FockConfig((1, 1, 0)), vac)
+assert res.method == "factor-chain", res.route
 generalized_overlap(op1, op2, bra, ket)
 n_point(CorrelatorContext(g1, g2, bra, ket), (ModeOp(1, True), ModeOp(2, False)))
 generalized_expectation(CorrelatorContext(op1, op2, bra, ket),
@@ -234,10 +246,15 @@ out = ["--output", os.path.join(workdir, "report.json")]
 for argv in (["overlap", "--op", files["a"], "--op2", files["b"], "--bra", "101", "--ket", "011",
               "--verify"],
              ["overlap", "--op", files["s"], "--bra", "000", "--ket", "000"],
+             ["overlap", "--op", files["r"], "--op2", files["n"], "--bra", "110",
+              "--ket", "000", "--verify"],
              ["correlate", "--op", files["a"], "--op2", files["b"], "--bra", "101",
               "--ket", "011", "--string", "cd1 c2 c3"],
              ["cp-scan", "--op", files["s"]]):
     assert cli.main(argv + out) == 0, argv
+    if argv[2] == files["r"]:
+        with open(out[1]) as fh:
+            assert json.load(fh)["method"] == "factor-chain"
 print("ok")
 """
 
@@ -245,8 +262,9 @@ print("ok")
 def test_overlap_paths_run_without_scipy(tmp_path):
     # a fresh interpreter in which scipy cannot be imported runs the CLI
     # overlap, correlate and cp-scan commands and the public overlap and
-    # correlator calls, on a regular and on a singular (epsilon-route)
-    # operator, so none of them pays scipy's import
+    # correlator calls, on regular operators, on a singular operator and on
+    # a singular pair (both through the factor chain), so none of them pays
+    # scipy's import
     cli.write_operator_file(str(tmp_path / "s.json"),
                             LinearGaussianOp(worked_example_m(np.pi / 2), None, None))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent),

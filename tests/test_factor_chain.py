@@ -1,0 +1,139 @@
+"""The factor-chain route: <J| F_1 ... F_k |I> as one Pfaffian over each
+factor's own factor data, with a factor whose T22 is singular split into
+its halves exp(M/2) exp(M/2).  Signed values are checked against the dense
+oracle, and the work per value is counted."""
+
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fermigauss import fock
+from fermigauss.configs import FockConfig
+from fermigauss.linalg import LinalgError, SingularBlockError
+from fermigauss.overlaps import UnfixedBranchError, overlap, state_overlap
+from fermigauss.quadratic import QuadraticGenerator, random_generator
+
+from test_quadratic import pair_rotation_generator, rotation_plus_sector
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
+
+
+@functools.lru_cache(maxsize=None)
+def modes(L: int):
+    return fock.mode_operators(L)
+
+
+def sector(L: int, rng) -> QuadraticGenerator:
+    """A generic generator on sites 3..L only: it leaves a singular
+    rotation on sites 1, 2 singular in the product."""
+    return QuadraticGenerator(rotation_plus_sector(L, rng).m
+                              - pair_rotation_generator(L, np.pi / 2).m)
+
+
+def config(code: int, L: int) -> FockConfig:
+    return FockConfig(tuple((code >> k) & 1 for k in range(L)))
+
+
+#: (L, seed, ket kind, bra kind, bra code, ket code)
+cases = st.tuples(st.integers(1, 8), st.integers(0, 2 ** 32 - 1),
+                  st.sampled_from(["rotation", "random"]),
+                  st.sampled_from(["identity", "general"]),
+                  st.integers(0, 2 ** 8 - 1), st.integers(0, 2 ** 8 - 1))
+
+
+class TestOracle:
+    @PROPERTY
+    @given(cases)
+    def test_signed_values_match_oracle(self, case):
+        # one factor (a regular ket, identity bra), two (a split ket, or a
+        # regular ket under a general bra) or three (a split ket under a
+        # general bra), at L <= 8
+        L, seed, ket_kind, bra_kind, bra_code, ket_code = case
+        if ket_kind == "rotation":
+            L = max(L, 2)
+        rng = np.random.default_rng(seed)
+        scale = float(rng.uniform(0.1, 3.0))
+        g1 = (rotation_plus_sector(L, rng) if ket_kind == "rotation"
+              else random_generator(L, rng, scale))
+        bra, ket = config(bra_code, L), config(ket_code, L)
+        if (bra.n_occupied + ket.n_occupied) % 2:
+            ket = ket.flipped([1])
+        f = fock.dense_gaussian(g1.m, modes=modes(L))
+        if bra_kind == "identity":
+            res = overlap(g1, bra, ket, method="factor-chain")
+        else:
+            g2 = random_generator(L, rng, scale)
+            f = fock.dense_gaussian(g2.m, modes=modes(L)).conj().T @ f
+            res = state_overlap(g1, g2, bra, ket, method="factor-chain")
+        ref = fock.dense_element(f, bra, ket, modes=modes(L))
+        expected = (ket_kind == "rotation") + (bra_kind == "general") + 1
+        assert (res.method, res.sign_certain, res.diagnostics["factors"]) == \
+            ("factor-chain", True, expected)
+        assert abs(res.value - ref) <= 1e-10 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("L", [2, 3, 5])
+    def test_singular_bra_and_ket_split_both(self, L):
+        # both T22 singular: four factors, the bra's halves adjoined
+        rng = np.random.default_rng(L)
+        g1, g2 = rotation_plus_sector(L, rng), rotation_plus_sector(L, rng)
+        f = (fock.dense_gaussian(g2.m, modes=modes(L)).conj().T
+             @ fock.dense_gaussian(g1.m, modes=modes(L)))
+        for code in range(2 ** L):
+            bra, ket = config(code, L), config(code ^ 3, L)
+            res = state_overlap(g1, g2, bra, ket, method="factor-chain")
+            ref = fock.dense_element(f, bra, ket, modes=modes(L))
+            assert res.diagnostics["factors"] == 4
+            assert abs(res.value - ref) <= 1e-10 * max(1.0, abs(ref))
+
+
+class TestCounts:
+    def test_warm_value_is_one_pfaffian_and_no_exponential(self, count_calls):
+        L = 6
+        rng = np.random.default_rng(3)
+        g1, g2 = rotation_plus_sector(L, rng), sector(L, rng)
+        pairs = [(config(int(a), L), config(int(b), L))
+                 for a, b in rng.integers(0, 2 ** L, size=(12, 2))]
+        pairs = [(bra, ket if (bra.n_occupied + ket.n_occupied) % 2 == 0 else ket.flipped([2]))
+                 for bra, ket in pairs]
+        state_overlap(g1, g2, *pairs[0])
+        pfaffians, exponentials = count_calls("_pfaffian_exact"), count_calls("mat_exp")
+        for bra, ket in pairs:
+            res = state_overlap(g1, g2, bra, ket)
+            assert [(e["route"], e["accepted"]) for e in res.route] == \
+                [("pfaffian", False), ("factor-chain", True)]
+        assert len(pfaffians) == len(pairs)
+        assert exponentials == []
+
+    def test_factor_data_cached_on_the_generator(self, count_calls):
+        g = QuadraticGenerator(pair_rotation_generator(3, np.pi / 2).m)
+        vac = FockConfig.vacuum(3)
+        overlap(g, vac, vac)
+        assert len(vars(g)["_chain"]) == 2      # the half, twice
+        exponentials = count_calls("mat_exp")
+        for bits in ((1, 1, 0), (0, 1, 1), (1, 0, 1)):
+            overlap(g, FockConfig(bits), vac)
+        assert exponentials == []
+
+    def test_large_norm_pair_records_the_rejection(self, count_calls):
+        # no factor of this pair has a root that a continuity path fixes:
+        # the chain says why, and the chain of routes still ends singular
+        g1, g2 = random_generator(8, 1, scale=20), random_generator(8, 2, scale=20)
+        vac = FockConfig.vacuum(8)
+        with pytest.raises(SingularBlockError) as err:
+            state_overlap(g1, g2, vac, vac)
+        chain = err.value.route[1]
+        assert (chain["route"], chain["accepted"], chain["reason"]) == \
+            ("factor-chain", False, "branch")
+        assert chain["abs_det"] >= 1e13
+        assert [e["route"] for e in err.value.route] == \
+            ["pfaffian", "factor-chain", "epsilon", "cp-magnitude"]
+        # the rejection is cached on the generator and raised again at no cost
+        cached = vars(g2)["_chain"]
+        assert isinstance(cached, UnfixedBranchError)
+        exponentials = count_calls("mat_exp")
+        with pytest.raises(LinalgError) as again:
+            state_overlap(g1, g2, vac, vac, method="factor-chain")
+        assert again.value is cached and exponentials == []

@@ -40,11 +40,6 @@ from conftest import (
 )
 from test_quadratic import rotation_plus_sector
 
-EPSILON_SIGN_DEFECT = (
-    "ROADMAP item 5: each perturbed kernel takes its sign from the continuity path, "
-    "which misses the double zero of det T22(s) within epsilon of s = 1, so the "
-    "extrapolated value has the wrong sign and is flagged certain")
-
 
 class TestQuadraticOverlap:
     def test_vacuum_amplitude_is_prefactor(self):
@@ -111,11 +106,26 @@ class TestSingularFallbacks:
         table = worked_example_elements(a)
         for r in range(8):
             for c in range(8):
-                res = overlap(gen, FockConfig(table_bits(r)), FockConfig(table_bits(c)))
+                res = overlap(gen, FockConfig(table_bits(r)), FockConfig(table_bits(c)),
+                              method="epsilon")
                 assert abs(res.value - table[r, c]) < 1e-6
                 if (r ^ c) not in (0, 3, 5, 6):  # parity mismatch -> short circuit
                     continue
-                assert res.method in ("pfaffian", "epsilon-regularized")
+                assert res.method == "epsilon-regularized"
+
+    def test_factor_chain_reproduces_printed_table(self):
+        # the auto route: T22 is singular, so every parity-allowed element
+        # is one chain Pfaffian over the two halves exp(M/2) exp(M/2)
+        a = np.pi / 2
+        gen = QuadraticGenerator(worked_example_m(a))
+        table = worked_example_elements(a)
+        for r in range(8):
+            for c in range(8):
+                res = overlap(gen, FockConfig(table_bits(r)), FockConfig(table_bits(c)))
+                assert abs(res.value - table[r, c]) < 1e-12
+                if (r ^ c) in (0, 3, 5, 6):
+                    assert (res.method, res.sign_certain) == ("factor-chain", True)
+                    assert res.diagnostics["factors"] == 2
 
     def test_epsilon_agrees_with_pfaffian_when_regular(self):
         gen = QuadraticGenerator(worked_example_m(0.7))
@@ -156,12 +166,13 @@ class TestSingularFallbacks:
                               random_generator(3, overlaps.EPS_SEED, scale=1.0).m)
         assert len(set(values)) == 1
 
-    @pytest.mark.parametrize("L", [2, 4] + [
-        pytest.param(L, marks=pytest.mark.xfail(strict=True, reason=EPSILON_SIGN_DEFECT))
-        for L in (3, 5, 6, 7)])
+    @pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7])
     def test_epsilon_sign_matches_oracle(self, L, oracle):
         # a singular two-site rotation plus a generic sector, identity bra
-        # operator, vacuum ket: every nonzero element takes the epsilon route
+        # operator, vacuum ket: every nonzero element used to take the
+        # epsilon route, whose continuity paths miss the double zero of
+        # det T22(s) near s = 1 at L = 3, 5, 6 and 7; the factor chain now
+        # serves them all, signed
         gen = rotation_plus_sector(L, np.random.default_rng(0))
         orc = oracle(L)
         f = orc.gaussian(gen)
@@ -173,7 +184,7 @@ class TestSingularFallbacks:
                 continue
             nonzero += 1
             res = state_overlap(gen, QuadraticGenerator.zero(L), bra, vac)
-            assert res.method == "epsilon-regularized" and res.sign_certain
+            assert res.method == "factor-chain" and res.sign_certain
             assert abs(res.value - ref) <= 1e-8 * max(1.0, abs(ref))
         assert nonzero > 0
 
@@ -405,12 +416,17 @@ class TestRescueChain:
         vac = FockConfig.vacuum(3)
         res = overlap(gen, vac, vac)
         assert [(e["route"], e["accepted"]) for e in res.route] == \
-            [("pfaffian", False), ("epsilon", True)]
+            [("pfaffian", False), ("factor-chain", True)]
         assert res.route[0]["reason"] == "rcond" and res.route[0]["rcond"] < 1e-12
-        assert res.route[1]["eps_disagreement"] == res.diagnostics["eps_disagreement"]
+        assert res.route[1] == {"route": "factor-chain", "accepted": True, **res.diagnostics}
+        assert res.diagnostics["factors"] == 2 and res.diagnostics["rcond"] >= 1e-12
+        forced = overlap(gen, vac, vac, method="epsilon")
+        assert forced.route[0]["eps_disagreement"] == forced.diagnostics["eps_disagreement"]
         regular = overlap(QuadraticGenerator(worked_example_m(0.7)), vac, vac)
         assert regular.route == [{"route": "pfaffian", "accepted": True,
-                                  "rcond": regular.diagnostics["rcond"], "sign_certain": True}]
+                                  "rcond": regular.diagnostics["rcond"], "sign_certain": True,
+                                  "branch": "continuity"}]
+        assert regular.diagnostics == {"rcond": regular.route[0]["rcond"], "branch": "continuity"}
 
     def test_rcond_tol_held_on_every_route(self, monkeypatch):
         # no rcond estimate reaches 2, so one threshold rejects every pivot
@@ -427,11 +443,12 @@ class TestRescueChain:
             with pytest.raises(SingularBlockError) as err:
                 call()
             assert rejected_everywhere(err)
-        # correlators need the sign, so the magnitude route is left out
+        # correlators need the sign, so the magnitude route is left out,
+        # and they have no factor chain
         for value in (n_point, generalized_expectation):
             with pytest.raises(SingularBlockError) as err:
                 value(CorrelatorContext(gen, zero, vac, vac), ())
-            assert rejected_everywhere(err, ROUTES[:2])
+            assert rejected_everywhere(err, ("pfaffian", "epsilon"))
         t = TransferMatrix(transfer_of(gen).t.copy())
         for factorize, src in ((bbd_normal, t), (bbd_antinormal, t),
                                (generalized_bbd, LinearGaussianOp.quadratic(gen))):
@@ -441,8 +458,10 @@ class TestRescueChain:
 
     @pytest.mark.parametrize("linear", [False, True])
     def test_numerical_failure_rejects_its_route(self, linear):
-        # every route overflows the J-orthogonality check of a product
-        # transfer: each attempt is recorded, and the last error carries them
+        # every route that forms a product transfer overflows its
+        # J-orthogonality check, and the factor chain, which forms none,
+        # finds the factors' own T22 singular: each attempt is recorded, and
+        # the last error carries them
         g1, g2 = random_generator(2, 2, 150), random_generator(2, 102, 150)
         vac = FockConfig.vacuum(2)
         ctx = CorrelatorContext(g1, g2, vac, vac)
@@ -452,12 +471,14 @@ class TestRescueChain:
         else:
             ops, pair, value = (g1, g2), state_overlap, n_point
         for call, routes in ((lambda: pair(*ops, vac, vac), ROUTES),
-                             (lambda: value(ctx, ()), ROUTES[:2])):
+                             (lambda: value(ctx, ()), ("pfaffian", "epsilon"))):
             with pytest.raises(LinalgError, match="J-orthogonality check overflows") as err:
                 call()
             assert not isinstance(err.value, SingularBlockError)
             assert rejected_everywhere(err, routes)
-            assert {e["reason"] for e in err.value.route} == {"numerical"}
+            reasons = {e["route"]: e["reason"] for e in err.value.route}
+            assert reasons.pop("factor-chain", "rcond") == "rcond"
+            assert set(reasons.values()) == {"numerical"}
             assert err.value.route[-1]["message"] == str(err.value)
 
     def test_no_exception_escapes_epsilon_route(self):
@@ -468,7 +489,8 @@ class TestRescueChain:
         with pytest.raises(SingularBlockError) as err:
             state_overlap(g, QuadraticGenerator.zero(8), vac, vac)
         assert rejected_everywhere(err)
-        assert err.value.route[1]["reason"] == "rcond"
+        assert err.value.route[2] == {"route": "epsilon", "accepted": False,
+                                      "reason": "rcond", "rcond": err.value.route[2]["rcond"]}
 
     def test_overflowing_exponential_is_a_numerical_failure(self):
         g = random_generator(4, 1, scale=1000)

@@ -462,8 +462,10 @@ class TestEmptySearchCertificate:
         assert max(rconds) < RCOND_TOL
 
     def test_exhausted_chain_reports_the_bound(self, count_calls):
-        # the same three rejections as the full enumeration gives; the cp
-        # route now reports an upper bound on every permuted T22's rcond
+        # the same rejections as the full enumeration gives (the factor
+        # chain refuses a factor whose |det T22| is beyond the continuity
+        # path's reach); the cp route reports an upper bound on every
+        # permuted T22's rcond
         g1, g2 = random_generator(10, 1, 25), random_generator(10, 2, 25)
         vac = FockConfig.vacuum(10)
         calls = count_calls("rcond_estimate")
@@ -471,8 +473,9 @@ class TestEmptySearchCertificate:
             state_overlap(g1, g2, vac, vac)
         route = err.value.route
         assert [(e["route"], e["accepted"], e["reason"]) for e in route] == [
-            ("pfaffian", False, "rcond"), ("epsilon", False, "rcond"),
-            ("cp-magnitude", False, "cp_sites")]
+            ("pfaffian", False, "rcond"), ("factor-chain", False, "branch"),
+            ("epsilon", False, "rcond"), ("cp-magnitude", False, "cp_sites")]
+        assert route[1]["abs_det"] >= 1e13
         assert route[-1]["cp_sites"] is None
         bound = route[-1]["rcond_bound"]
         assert bound == err.value.rcond == _t22_rcond_bound(certified_product())[0]
