@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -102,11 +103,80 @@ def _dump_scalar(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)} in report")
 
 
+def _int_list_column(col):
+    """A table column of int lists, each rendered on one line, or None.
+
+    The repr of a list of ints is its JSON text; n items and the 2n
+    characters of brackets and separators give the width test's sum."""
+    if not set(map(type, itertools.chain.from_iterable(col))) <= {int}:
+        return None
+    texts = list(map(repr, col))
+    if not all(len(t) - 2 * len(v) < 72 for t, v in zip(texts, col)):
+        return None
+    return texts
+
+
+def _dump_table(rows, pad: str) -> str | None:
+    """Two or more dicts with the same keys in the same order, each column
+    of one exact type (finite float, bool, int, str or a one-line int list),
+    rendered with one row template; None for anything else."""
+    if len(rows) < 2 or not all(type(r) is dict for r in rows):
+        return None
+    keys = tuple(rows[0])
+    if not keys or not all(tuple(r) == keys for r in rows):
+        return None
+    cols = list(zip(*map(dict.values, rows)))
+    fields = []
+    for j, col in enumerate(cols):
+        types = set(map(type, col))
+        if types == {float}:
+            if not all(map(math.isfinite, col)):
+                return None
+            fields.append("%.17g")
+            continue
+        if types == {int}:
+            fields.append("%d")
+            continue
+        if types == {bool}:
+            cols[j] = list(map(("false", "true").__getitem__, col))
+        elif types == {str}:
+            cols[j] = list(map(json.encoder.encode_basestring_ascii, col))
+        elif types == {list}:
+            cols[j] = _int_list_column(col)
+            if cols[j] is None:
+                return None
+        else:
+            return None
+        fields.append("%s")
+    inner = pad + "    "
+    names = [f"{k}".replace("%", "%%") for k in keys]
+    row = (pad + "  {\n"
+           + ",\n".join(f'{inner}"{k}": {f}' for k, f in zip(names, fields))
+           + "\n" + pad + "  }")
+    return "[\n" + ",\n".join([row % values for values in zip(*cols)]) + "\n" + pad + "]"
+
+
+def _dump_pairs(pairs, pad: str) -> str | None:
+    """A list of [re, im] pairs of finite floats, one pair per line; None
+    for anything else."""
+    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+        return None
+    flat = tuple(itertools.chain.from_iterable(pairs))
+    if set(map(type, flat)) != {float} or not all(map(math.isfinite, flat)):
+        return None
+    row = pad + "  [%.17g, %.17g]"
+    return "[\n" + ",\n".join([row] * len(pairs)) % flat + "\n" + pad + "]"
+
+
 def dump_report(obj, indent: int = 0) -> str:
     """Serialize a report to JSON text with 17-significant-digit floats.
 
     A list of scalars whose items render to fewer than 72 characters in
-    total stays on one line."""
+    total stays on one line.  Tables (lists of like dicts) and lists of
+    [re, im] pairs are rendered in one formatting pass when every value
+    fits their template; anything else, a non-finite value or a numpy
+    scalar included, takes the general path, so bytes and errors are
+    those of the general path."""
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -118,6 +188,11 @@ def dump_report(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        first = type(obj[0])
+        fast = (_dump_table(obj, pad) if first is dict
+                else _dump_pairs(obj, pad) if first is list else None)
+        if fast is not None:
+            return fast
         if any(isinstance(v, (dict, list, tuple)) for v in obj):
             rendered = [dump_report(v, indent + 1) for v in obj]
         else:
@@ -188,8 +263,15 @@ def write_operator_file(path: str, op: LinearGaussianOp) -> None:
         "u": vector_pairs(op.u),
         "v": vector_pairs(op.v),
     }
-    with open(path, "w") as fh:
-        fh.write(dump_report(doc) + "\n")
+    write_text(path, dump_report(doc) + "\n")
+
+
+def write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(EXIT_PARSE, f"cannot write {path}: {exc}")
 
 
 def parse_bits(s: str, L: int, what: str) -> FockConfig:
@@ -215,8 +297,7 @@ def parse_sites(s: str, L: int):
 def emit(report: dict, output: str | None) -> None:
     text = dump_report(report) + "\n"
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        write_text(output, text)
     else:
         sys.stdout.write(text)
 
@@ -318,8 +399,7 @@ def cmd_compose(args) -> int:
                               "generator_available": False,
                               "extended_transfer": matrix_pairs(res.transfer.t),
                           })
-        with open(args.output, "w") as fh:
-            fh.write(dump_report(doc) + "\n")
+        write_text(args.output, dump_report(doc) + "\n")
         report = doc
     sys.stdout.write(dump_report(report) + "\n")
     return EXIT_OK

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermigauss import cli
 from fermigauss.cli import CliError, main
@@ -13,6 +15,7 @@ from fermigauss.overlaps import state_overlap
 from fermigauss.quadratic import QuadraticGenerator, random_generator
 
 from conftest import compose_pair, worked_example_m
+from test_quadratic import pair_rotation_generator, rotation_plus_sector
 
 
 def write_operator(path, m, u=None, v=None):
@@ -350,6 +353,21 @@ def test_parse_errors(tmp_path, capsys):
         assert code == 3 and out == "" and "site counts differ" in err, cmd
 
 
+@pytest.mark.parametrize("target", ["missing/report.json", "."])
+def test_unwritable_output_exits_with_the_parse_code(tmp_path, op_file, capsys, target):
+    # an output path in a missing directory, or a directory, is refused like
+    # an unreadable input: exit 3 naming the path, no traceback
+    out = str(tmp_path / target)
+    for argv in (["overlap", "--op", op_file, "--bra", "000", "--ket", "000"],
+                 ["cp-scan", "--op", op_file],
+                 ["compose", "--inputs", op_file, op_file]):
+        code, stdout, err = run(capsys, *argv, "--output", out)
+        assert code == 3 and stdout == "" and f"cannot write {out}" in err, argv
+    b = write_linear(tmp_path / "b.json", compose_pair(2, 1)[1])
+    code, stdout, err = run(capsys, "compose", "--inputs", b, b, "--output", out)
+    assert code == 3 and stdout == "" and f"cannot write {out}" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["overlap", "--op", "x.json", "--ket", "0"],
     ["overlap", "--op", "x.json", "--bra", "0", "--ket", "0", "--no-such-flag"],
@@ -523,6 +541,129 @@ def run_corpus(tmp_path) -> None:
             assert code in (0, 2, 4), argv
     big = write_operator(tmp_path / "q10.json", random_generator(10, 3, 0.5).m)
     assert main(["cp-scan", "--op", big]) == 0
+    # three 48 x 48 matrices of [re, im] pairs
+    q48 = write_operator(tmp_path / "q48.json", random_generator(48, 5, 0.5).m)
+    assert main(["decompose", "--input", q48, "--form", "normal"]) == 0
+    # a singular pair: a pi/2 pair rotation (+) a sector under the sector
+    # alone, rescued by the factor chain
+    rng = np.random.default_rng(10)
+    ket_m = rotation_plus_sector(10, rng).m
+    ket_file = write_operator(tmp_path / "r10.json", ket_m)
+    bra_file = write_operator(tmp_path / "n10.json",
+                              ket_m - pair_rotation_generator(10, np.pi / 2).m)
+    assert main(["overlap", "--op", ket_file, "--op2", bra_file, "--bra", "1100110000",
+                 "--ket", "0000110000"]) == 0
+
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
+FINITE = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), -float("inf")])
+ESCAPED = st.one_of(st.text(max_size=6),
+                    st.sampled_from(['quote "', "back\\slash", "new\nline", "tab\t",
+                                     "\u00e9\u2020", "%s", "100%", "{}"]))
+
+
+@st.composite
+def int_lists(draw):
+    """Short int lists, or lists whose items render to 70-74 characters in
+    all, on both sides of the 72-character rule."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.sampled_from([1, 7, 77, 777777, -1]), max_size=6))
+    width, n = draw(st.integers(70, 74)), draw(st.integers(1, 8))
+    return [int("1" * (width - n + 1))] + [7] * (n - 1)
+
+
+#: cell values by table column kind
+COLUMNS = {
+    "float": FINITE,
+    "int": st.integers(-10 ** 20, 10 ** 20),
+    "bool": st.booleans(),
+    "str": ESCAPED,
+    "sites": int_lists(),
+}
+#: column kinds that the one-pass table template does not take
+ODD_COLUMNS = {
+    "np_float": FINITE.map(np.float64),
+    "np_int": st.integers(-100, 100).map(np.int64),
+    "int_or_bool": st.one_of(st.integers(-3, 3), st.booleans()),
+}
+#: one draw in four is True
+RARELY = st.sampled_from([False, False, False, True])
+#: odd values other than non-finite floats
+OTHER_ODD = st.one_of(
+    st.sampled_from([np.float64(np.nan), np.float64(-np.inf), None, 1 + 2j, (1, 2),
+                     [1.0, 2.0, 3.0], {"k": 1}]),
+    FINITE.map(np.float64), st.integers(-5, 5).map(np.int64), st.booleans(), ESCAPED,
+)
+
+
+@st.composite
+def odd_values(draw):
+    """A value that no fast template takes, for a random cell: a non-finite
+    float half the time."""
+    return draw(NON_FINITE if draw(st.booleans()) else OTHER_ODD)
+
+
+ODD = odd_values()
+
+
+@st.composite
+def tables(draw):
+    """Lists of like dicts with at most one flaw that no row template
+    takes: a non-finite float, another odd cell, an odd column or a row
+    with its keys reordered.  Most columns share one kind, so that a
+    reordered row still fits the columns' types."""
+    keys = draw(st.lists(ESCAPED, min_size=1, max_size=5, unique=True))
+    base = draw(st.sampled_from(sorted(COLUMNS)))
+    kinds = [base if not draw(RARELY) else draw(st.sampled_from(sorted(COLUMNS)))
+             for _ in keys]
+    columns = [COLUMNS[kind] for kind in kinds]
+    flaw = draw(st.sampled_from(["none", "non-finite", "cell", "column", "order"]))
+    if flaw == "column":
+        columns[-1] = ODD_COLUMNS[draw(st.sampled_from(sorted(ODD_COLUMNS)))]
+    rows = [{k: draw(column) for k, column in zip(keys, columns)}
+            for _ in range(draw(st.integers(1, 6)))]
+    if flaw in ("non-finite", "cell"):
+        # a float column where there is one, so that only the value is odd
+        floats = [k for k, kind in zip(keys, kinds) if kind == "float"] or keys
+        r, k = draw(st.integers(0, len(rows) - 1)), draw(st.sampled_from(floats))
+        rows[r][k] = draw(NON_FINITE if flaw == "non-finite" else ODD)
+    if flaw == "order":
+        rows[-1] = dict(reversed(rows[-1].items()))
+    return rows
+
+
+@st.composite
+def pair_matrices(draw):
+    """[re, im] matrices, one pair at most replaced by an odd value."""
+    n_rows, n_cols = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    m = [[[draw(FINITE), draw(FINITE)] for _ in range(n_cols)] for _ in range(n_rows)]
+    if n_rows and n_cols and draw(st.booleans()):
+        r, c = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, n_cols - 1))
+        m[r][c][draw(st.integers(0, 1))] = draw(ODD)
+    return m
+
+
+@st.composite
+def report_docs(draw):
+    """A report-shaped document: tables, [re, im] matrices and pair lists,
+    scalar lists and scalars, in nested dicts."""
+    matrix = draw(pair_matrices())
+    parts = {
+        "entries": draw(tables()),
+        "x": matrix,
+        "p": matrix[0] if matrix else [],
+        "value": [draw(FINITE), draw(st.one_of(FINITE, ODD))],
+        "list": draw(st.lists(st.one_of(st.sampled_from([7, 77, 777777]), FINITE, ESCAPED),
+                              max_size=30)),
+        "flag": draw(st.booleans()),
+        "n": draw(st.one_of(st.integers(), ODD)),
+    }
+    names = draw(st.permutations(sorted(parts)))
+    chosen = {k: parts[k] for k in names[:draw(st.integers(1, len(names)))]}
+    return draw(st.sampled_from([chosen, {"tool": "fermigauss", "results": chosen},
+                                 chosen.get("entries", chosen), chosen.get("x", chosen)]))
 
 
 class TestReportSerializer:
@@ -530,7 +671,11 @@ class TestReportSerializer:
         docs = report_corpus(tmp_path, capsys, monkeypatch)
         commands = {d.get("command") for d in docs}
         assert commands >= {"decompose", "compose", "overlap", "correlate", "cp-scan", "verify"}
-        assert len(docs[-1]["results"]["entries"]) == 2 ** 10
+        entries, factors, chain = docs[-3:]
+        assert len(entries["results"]["entries"]) == 2 ** 10
+        assert len(factors["results"]["x"]) == 48
+        assert chain["method"] == "factor-chain"
+        assert [e["route"] for e in chain["route"]] == ["pfaffian", "factor-chain"]
         for doc in docs:
             assert cli.dump_report(doc) == reference_dump_report(doc)
 
@@ -543,9 +688,32 @@ class TestReportSerializer:
         [7] * 71, [7] * 72, ["a" * 69], ["a" * 70], [np.float64(1.25)] * 3,
         [1, np.bool_(True)], {"v": 1 + 2j}, [float("nan")], {"a": [1.0, np.float64(np.inf)]},
         [-np.inf], [[1.0, 2.0], float("nan"), object()],
+        # table cells of int lists at 71, 72 and 73 characters
+        [{"s": [7] * 71}, {"s": []}], [{"s": [7] * 72}, {"s": [7]}],
+        [{"s": [int("1" * 71), 7]}, {"s": [int("1" * 70), 7]}],
+        [[0.5, 1.5], [2.5, float("inf")]], [{"a": 0.5}, {"a": float("nan")}],
     ])
     def test_edge_cases_match_reference(self, obj):
         assert serialized(cli.dump_report, obj) == serialized(reference_dump_report, obj)
+
+    @PROPERTY
+    @given(tables())
+    def test_tables_match_reference(self, doc):
+        # cp-scan-like tables, with an odd cell, an odd column or a reordered
+        # row: the same bytes, or the same error
+        assert serialized(cli.dump_report, doc) == serialized(reference_dump_report, doc)
+
+    @PROPERTY
+    @given(pair_matrices())
+    def test_pair_matrices_match_reference(self, doc):
+        assert serialized(cli.dump_report, doc) == serialized(reference_dump_report, doc)
+
+    @PROPERTY
+    @given(report_docs())
+    def test_report_shaped_documents_match_reference(self, doc):
+        # tables, matrices, pair lists and scalars together: a failure is
+        # the first one in document order
+        assert serialized(cli.dump_report, doc) == serialized(reference_dump_report, doc)
 
     def test_scalar_list_width(self):
         assert "\n" not in cli.dump_report([7] * 71)
