@@ -29,7 +29,6 @@ _EXPORTS = {
     "TransferMatrix": "quadratic",
     "transfer_of": "quadratic",
     "compose_transfers": "quadratic",
-    "compose_generators": "quadratic",
     "bbd_normal": "quadratic",
     "bbd_antinormal": "quadratic",
     "cp_transform": "quadratic",

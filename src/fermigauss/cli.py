@@ -103,6 +103,11 @@ def _dump_scalar(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)} in report")
 
 
+def _dump_key(key) -> str:
+    """A dict key as a JSON string, escaped as :func:`json.dumps` escapes it."""
+    return json.encoder.encode_basestring_ascii(str(key))
+
+
 def _int_list_column(col):
     """A table column of int lists, each rendered on one line, or None.
 
@@ -149,9 +154,9 @@ def _dump_table(rows, pad: str) -> str | None:
             return None
         fields.append("%s")
     inner = pad + "    "
-    names = [f"{k}".replace("%", "%%") for k in keys]
+    names = [_dump_key(k).replace("%", "%%") for k in keys]
     row = (pad + "  {\n"
-           + ",\n".join(f'{inner}"{k}": {f}' for k, f in zip(names, fields))
+           + ",\n".join(f'{inner}{k}: {f}' for k, f in zip(names, fields))
            + "\n" + pad + "  }")
     return "[\n" + ",\n".join([row % values for values in zip(*cols)]) + "\n" + pad + "]"
 
@@ -182,7 +187,7 @@ def dump_report(obj, indent: int = 0) -> str:
         if not obj:
             return "{}"
         items = [
-            f'{pad}  "{k}": {dump_report(v, indent + 1)}' for k, v in obj.items()
+            f'{pad}  {_dump_key(k)}: {dump_report(v, indent + 1)}' for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):

@@ -305,34 +305,30 @@ class CorrelatorContext:
         # makes the two parities equal
         anc = 0 if bra.parity == ket.parity else 1
         self._extended_bits = ((0,) + bra.bits, (anc,) + ket.bits)
-        # engine per (sector, perturbation), or the LinalgError that building
+        # engine per (sector, ket generator), or the LinalgError that building
         # it raised, so that no later value repeats a failed build; the
-        # sector is False (quadratic) or True (extended), the perturbation
-        # None or the bytes of the shift of the ket-side generator
+        # sector is False (quadratic) or True (extended), the ket generator
+        # None for the sector's own or the bytes of its epsilon perturbation
         self._engines: dict = {}
 
     @property
     def L(self) -> int:
         return self.op1.L
 
-    def _engine(self, extended: bool, delta) -> _Engine:
-        wrap = embed if extended else (lambda op: QuadraticGenerator(op.m))
-        if extended not in self._gens:
-            self._gens[extended] = (wrap(self.op1), wrap(self.op2))
-        g1, g2 = self._gens[extended]
-        if delta is not None:
-            g1 = wrap(LinearGaussianOp(self.op1.m + delta, self.op1.u, self.op1.v))
-        return _Engine(g1, g2)
-
     def _eval(self, fn, extended: bool = False) -> complex:
         """``fn(engine)`` through the overlap rescue chain, quadratic or
         ancilla-extended.  The magnitude route is left out: correlators
         need the sign."""
-        def kernel_at(delta):
-            key = (extended, None if delta is None else delta.tobytes())
+        if extended not in self._gens:
+            wrap = embed if extended else (lambda op: QuadraticGenerator(op.m))
+            self._gens[extended] = (wrap(self.op1), wrap(self.op2))
+        g1, g2 = self._gens[extended]
+
+        def kernel_of(g):
+            key = (extended, None if g is g1 else g.m.tobytes())
             if key not in self._engines:
                 try:
-                    self._engines[key] = self._engine(extended, delta)
+                    self._engines[key] = _Engine(g, g2)
                 except LinalgError as exc:
                     self._engines[key] = exc
             engine = self._engines[key]
@@ -340,7 +336,7 @@ class CorrelatorContext:
                 raise engine.with_traceback(None)
             return engine
 
-        return _dispatch(kernel_at, fn, self.L, chain=None, cp=None, method="auto").value
+        return _dispatch(kernel_of, fn, g1, chain=None, cp=None, method="auto").value
 
     def _checked(self, ops) -> tuple:
         ops = tuple(ops)

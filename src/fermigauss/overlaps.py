@@ -19,9 +19,12 @@ PRL 108, 042505, 2012), and a factor whose own T22 is singular enters as
 its two halves e^(M/2) e^(M/2).  Behind it come an analytic continuation
 in a small admissible perturbation of the generator (signed value,
 Richardson-extrapolated), and the particle-hole permutation route which
-recovers the magnitude only.  One dispatcher runs the chain Pfaffian ->
-factor chain -> continuation -> permutation for every public overlap
-function and records each attempt in the result's ``route``.
+recovers the magnitude only.  One front end, on a pair of generators,
+runs the chain Pfaffian -> factor chain -> continuation -> permutation for
+every public overlap function and records each attempt in the result's
+``route``.  The signed overlaps take generators only: a transfer matrix
+fixes its Fock operator only up to sign, so a bare one has just the
+magnitude of :func:`overlap_magnitude_cp`.
 """
 
 from __future__ import annotations
@@ -109,15 +112,17 @@ class OverlapKernel:
     pairing matrix is exactly antisymmetric, and its restrictions go to
     the Pfaffian without a check.
 
-    The prefactor det(T22)^(1/2) carries a physical sign.  When the caller
-    knows the generators it passes ``path``, a holomorphic ``s -> T22(s)``
-    running from the identity at s = 0 to ``t.t22`` at s = 1, and the branch
-    is fixed by continuity along it, or on the principal log branch when no
-    path fixes it; built from a bare transfer matrix, the kernel trusts the
-    principal log branch and reads the factor data that
-    :func:`~fermigauss.quadratic.bbd_normal` keeps on ``t``.  ``branch``
-    records which branch was taken.  Either runs only after the rcond check
-    has passed, so rejecting a singular block costs one SVD.
+    The prefactor det(T22)^(1/2) carries a physical sign.  The signed
+    overlaps know the generators and pass ``path``, a holomorphic
+    ``s -> T22(s)`` running from the identity at s = 0 to ``t.t22`` at
+    s = 1, and the branch is fixed by continuity along it, or on the
+    principal log branch when no path fixes it.  Built from a bare transfer
+    matrix (the permuted transfer of :func:`overlap_magnitude_cp`), the
+    kernel takes the principal log branch, a sign fixed by convention only,
+    and reads the factor data that :func:`~fermigauss.quadratic.bbd_normal`
+    keeps on ``t``.  ``branch`` records which branch was taken.  Either
+    runs only after the rcond check has passed, so rejecting a singular
+    block costs one SVD.
     """
 
     def __init__(self, t: TransferMatrix, path=None):
@@ -176,14 +181,6 @@ class OverlapKernel:
             for pos, sign, pf in zip(positions, signs, pfs):
                 out[pos] = sign * self.prefactor * pf
         return out
-
-
-def _as_transfer(composed) -> TransferMatrix:
-    if isinstance(composed, TransferMatrix):
-        return composed
-    if isinstance(composed, QuadraticGenerator):
-        return transfer_of(composed)
-    raise TypeError(f"expected QuadraticGenerator or TransferMatrix, got {type(composed)}")
 
 
 class _ProductPath:
@@ -357,19 +354,20 @@ def _chain_overlap(g1: QuadraticGenerator, g2: QuadraticGenerator | None,
 ROUTES = ("pfaffian", "factor-chain", "epsilon", "cp-magnitude")
 
 
-def _dispatch(kernel_at, evaluate, L: int | None, chain, cp, *, method: str) -> OverlapResult:
+def _dispatch(kernel_of, evaluate, g1: QuadraticGenerator, chain, cp, *,
+              method: str) -> OverlapResult:
     """Run the rescue chain pfaffian -> factor-chain -> epsilon -> cp-magnitude.
 
-    ``kernel_at(delta)`` builds the kernel (anything with ``rcond``,
-    ``sign_certain`` and ``branch`` attributes) of the ket-side generator
-    shifted by the matrix ``delta``, unshifted for ``delta=None``, and
-    ``evaluate(kernel)`` turns a kernel into the value.  ``L`` is the site
-    count of that generator, or None when only a transfer matrix is known,
-    which rules out the epsilon route.  ``chain()`` returns the
-    :func:`_chain_overlap` result; ``chain=None`` rules that route out when
-    the generators are not known.  ``cp()`` returns the transfer and the two
-    configurations of the magnitude route; ``cp=None`` rules that route out
-    for callers that need a signed value.
+    ``g1`` is the ket-side generator, ``kernel_of(g)`` builds the kernel
+    (anything with ``rcond``, ``sign_certain`` and ``branch`` attributes)
+    of the pair with ``g`` in its place, and ``evaluate(kernel)`` turns a
+    kernel into the value.  The Pfaffian takes ``kernel_of(g1)``; the
+    epsilon route takes the kernels of g1 + eps G, G the
+    :func:`epsilon_direction` of g1's site count, and extrapolates.
+    ``chain()`` returns the :func:`_chain_overlap` result and ``cp()`` the
+    transfer and the two configurations of the magnitude route; None rules
+    that route out for callers that have no factor chain or need a signed
+    value.
 
     ``method="auto"`` tries the available routes in order and accepts the
     Pfaffian only with a certain sign; a route name forces that route
@@ -389,20 +387,18 @@ def _dispatch(kernel_at, evaluate, L: int | None, chain, cp, *, method: str) -> 
     raised with the same list attached as ``.route``.
     """
     available = {"pfaffian": True, "factor-chain": chain is not None,
-                 "epsilon": L is not None, "cp-magnitude": cp is not None}
+                 "epsilon": True, "cp-magnitude": cp is not None}
     if method == "auto":
         names = [name for name in ROUTES if available[name]]
-    elif available.get(method):
+    elif method in ROUTES:
         names = [method]
-    elif method in available:
-        raise ValueError(f"method {method!r} needs the composed generator, not just T")
     else:
         raise ValueError(f"unknown method {method!r}; expected 'auto' or one of {ROUTES}")
     route: list[dict] = []
     for name in names:
         try:
             if name == "pfaffian":
-                kern = kernel_at(None)
+                kern = kernel_of(g1)
                 why = {"rcond": kern.rcond, "sign_certain": kern.sign_certain,
                        "branch": kern.branch}
                 if not kern.sign_certain and len(names) > 1:
@@ -415,7 +411,8 @@ def _dispatch(kernel_at, evaluate, L: int | None, chain, cp, *, method: str) -> 
                 res = chain()
                 why = dict(res.diagnostics)
             elif name == "epsilon":
-                res = _epsilon_extrapolate(lambda eps, g: evaluate(kernel_at(eps * g.m)), L)
+                res = _epsilon_extrapolate(
+                    lambda eps, g: evaluate(kernel_of(QuadraticGenerator(g1.m + eps * g.m))), g1.L)
                 why = {"eps_disagreement": res.diagnostics["eps_disagreement"]}
             else:
                 res = overlap_magnitude_cp(*cp())
@@ -443,68 +440,59 @@ def _dispatch(kernel_at, evaluate, L: int | None, chain, cp, *, method: str) -> 
         return res
 
 
-def _quadratic_overlap(g1, g2, transfer, bra: FockConfig, ket: FockConfig,
-                       method: str) -> OverlapResult:
+def _pair_overlap(g1: QuadraticGenerator, g2: QuadraticGenerator | None,
+                  bra: FockConfig, ket: FockConfig, method: str) -> OverlapResult:
     """<J| exp(M2^dag) exp(M1) |I> through the rescue chain.
 
     ``g1`` and ``g2`` are the ket and bra generators (``g2`` None for the
-    identity).  ``transfer()`` gives the composed transfer matrix; it runs
-    at most once.  ``g1`` is None when only that transfer is known: the
-    sign then comes from the principal branch and the factor-chain and
-    epsilon routes are unavailable.
+    identity).  The epsilon route perturbs ``g1``; the magnitude route takes
+    the composed transfer.  An odd total occupation is an exact zero.
     """
+    if not (bra.L == ket.L == g1.L == (g1.L if g2 is None else g2.L)):
+        raise ValueError("inconsistent site counts")
     if (bra.n_occupied + ket.n_occupied) % 2:
         return OverlapResult(complex(0.0), "pfaffian", True, {"parity_zero": True})
-    transfer = functools.cache(transfer)
-    if g1 is None:
-        def kernel_at(delta):
-            return OverlapKernel(transfer())
-    else:
-        def kernel_at(delta):
-            g = g1 if delta is None else QuadraticGenerator(g1.m + delta)
-            return _pair_kernel(g, g2)
-    return _dispatch(kernel_at, lambda k: k.element(bra, ket),
-                     None if g1 is None else g1.L,
-                     None if g1 is None else (lambda: _chain_overlap(g1, g2, bra, ket)),
-                     lambda: (transfer(), bra, ket), method=method)
+    return _dispatch(lambda g: _pair_kernel(g, g2), lambda k: k.element(bra, ket), g1,
+                     lambda: _chain_overlap(g1, g2, bra, ket),
+                     lambda: (transfer_of(g1) if g2 is None else compose_bra_ket(g2, g1),
+                              bra, ket), method=method)
 
 
-def overlap(composed, bra: FockConfig, ket: FockConfig, *,
+def _require_generators(*ops) -> None:
+    """Refuse anything but generators: a transfer matrix fixes its Fock
+    operator only up to sign, so it has no signed overlap."""
+    for op in ops:
+        if not isinstance(op, QuadraticGenerator):
+            raise TypeError(f"expected a QuadraticGenerator, got {type(op).__name__}; a transfer "
+                            "fixes its operator only up to sign, and overlap_magnitude_cp "
+                            "gives the magnitude")
+
+
+def overlap(composed: QuadraticGenerator, bra: FockConfig, ket: FockConfig, *,
             method: str = "auto") -> OverlapResult:
     """<J| F |I> for an already-composed quadratic operator.
 
-    ``composed`` is the generator M (with exp(M2^dag) exp(M1) = exp(M)) or
-    its transfer matrix.  ``method="auto"`` uses the Pfaffian formula when
-    T22 is invertible, then falls back to the factor chain and to the
-    perturbative continuation (both require the generator) and finally to
-    the permutation magnitude.  Forced methods: ``"pfaffian"``,
+    ``composed`` is the generator M (with exp(M2^dag) exp(M1) = exp(M)).  A
+    transfer matrix raises TypeError: it fixes F only up to sign, and
+    :func:`overlap_magnitude_cp` gives its magnitude.  ``method="auto"``
+    uses the Pfaffian formula when T22 is invertible, then falls back to
+    the factor chain, to the perturbative continuation and finally to the
+    permutation magnitude.  Forced methods: ``"pfaffian"``,
     ``"factor-chain"``, ``"epsilon"``, ``"cp-magnitude"``.
     """
-    if isinstance(composed, QuadraticGenerator):
-        g1, transfer = composed, (lambda: transfer_of(composed))
-    else:
-        t = _as_transfer(composed)
-        g1, transfer = None, (lambda: t)
-    if not (composed.L == bra.L == ket.L):
-        raise ValueError("inconsistent site counts")
-    return _quadratic_overlap(g1, None, transfer, bra, ket, method)
+    _require_generators(composed)
+    return _pair_overlap(composed, None, bra, ket, method)
 
 
-def state_overlap(op1, op2, bra: FockConfig, ket: FockConfig, *,
-                  method: str = "auto") -> OverlapResult:
-    """<M2(J)|M1(I)> for two quadratic operators (generators or transfers).
+def state_overlap(op1: QuadraticGenerator, op2: QuadraticGenerator, bra: FockConfig,
+                  ket: FockConfig, *, method: str = "auto") -> OverlapResult:
+    """<M2(J)|M1(I)> for two quadratic generators.
 
-    Takes the same methods as :func:`overlap`.  The sign is tracked, and
-    the factor chain and the perturbative fallback, which perturbs the
-    ket-side generator, are available only when both generators are known.
+    Takes the same inputs and methods as :func:`overlap`.  The sign is
+    tracked, and the perturbative fallback perturbs the ket-side generator.
     """
-    if not (op1.L == op2.L == bra.L == ket.L):
-        raise ValueError("inconsistent site counts")
-    if isinstance(op1, QuadraticGenerator) and isinstance(op2, QuadraticGenerator):
-        g1, g2 = op1, op2
-    else:
-        g1 = g2 = None
-    return _quadratic_overlap(g1, g2, lambda: compose_bra_ket(op2, op1), bra, ket, method)
+    _require_generators(op1, op2)
+    return _pair_overlap(op1, op2, bra, ket, method)
 
 
 @functools.lru_cache(maxsize=None)
@@ -547,8 +535,9 @@ def _epsilon_extrapolate(value_at, L: int) -> OverlapResult:
     return OverlapResult(val, "epsilon-regularized", True, diagnostics)
 
 
-def overlap_magnitude_cp(composed, bra: FockConfig, ket: FockConfig) -> OverlapResult:
-    """|<J| F |I>| through a particle-hole permutation.
+def overlap_magnitude_cp(t: TransferMatrix, bra: FockConfig, ket: FockConfig) -> OverlapResult:
+    """|<J| F |I>| through a particle-hole permutation, F having the
+    transfer matrix ``t`` (anything else raises TypeError).
 
     Applies the first site subset S, in :func:`cp_scan` order, that makes
     the permuted T22 invertible (the search stops there), exchanges
@@ -563,7 +552,8 @@ def overlap_magnitude_cp(composed, bra: FockConfig, ket: FockConfig) -> OverlapR
     of that SVD included, and the floor from the magnitudes of T bounds
     their largest one from below.
     """
-    t = _as_transfer(composed)
+    if not isinstance(t, TransferMatrix):
+        raise TypeError(f"overlap_magnitude_cp takes a TransferMatrix, got {type(t).__name__}")
     found = cp_suggestions(t, limit=1)
     if not found:
         raise SingularBlockError(
@@ -588,27 +578,17 @@ def generalized_overlap(op1: LinearGaussianOp, op2: LinearGaussianOp,
                         method: str = "auto") -> OverlapResult:
     """<(M2,u2,v2)(J) | (M1,u1,v1)(I)> via the ancilla embedding.
 
-    Takes the same methods as :func:`overlap`.  The bra ancilla is always
-    empty; the ket ancilla carries the parity mismatch of the two
-    configurations.  There is no parity short-circuit here: opposite-parity
-    overlaps are generally nonzero once linear terms are present (they
-    vanish again, through the Pfaffian, when u = v = 0).
+    Takes the same methods as :func:`overlap`, on the embedded generators
+    (the perturbative fallback perturbs the ket's).  The bra ancilla is
+    always empty; the ket ancilla carries the parity mismatch of the two
+    configurations, so the embedded pair always has an even total
+    occupation and the parity zero of the quadratic overlaps never applies:
+    opposite-parity overlaps are generally nonzero once linear terms are
+    present (they vanish again, through the Pfaffian, when u = v = 0).
     """
-    if not (op1.L == op2.L == bra.L == ket.L):
-        raise ValueError("inconsistent site counts")
-    bra_e = bra.with_ancilla(0)
-    ket_e = ket.with_ancilla(0 if bra.parity == ket.parity else 1)
-    g1, g2 = embed(op1), embed(op2)
-
-    def kernel_at(delta):
-        g = g1 if delta is None else embed(LinearGaussianOp(op1.m + delta, op1.u, op1.v))
-        return _pair_kernel(g, g2)
-
-    def cp():
-        return compose_bra_ket(g2, g1), bra_e, ket_e
-
-    return _dispatch(kernel_at, lambda k: k.element(bra_e, ket_e), op1.L,
-                     lambda: _chain_overlap(g1, g2, bra_e, ket_e), cp, method=method)
+    ket_anc = 0 if bra.parity == ket.parity else 1
+    return _pair_overlap(embed(op1), embed(op2), bra.with_ancilla(0), ket.with_ancilla(ket_anc),
+                         method)
 
 
 # ---------------------------------------------------------------------------

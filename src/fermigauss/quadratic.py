@@ -216,38 +216,6 @@ def compose_transfers(t1: TransferMatrix, t2: TransferMatrix) -> TransferMatrix:
     return TransferMatrix(t1.t @ t2.t)
 
 
-@dataclass(frozen=True)
-class ComposeResult:
-    """Product of two Gaussian operators at the transfer level, plus a
-    generator of it when the principal logarithm exists.
-
-    The generator is right only up to sign: exp(M) = T1 T2 exactly, but the
-    Fock operators may satisfy F_1 F_2 = -e^{M^}, since a transfer fixes
-    its operator only up to sign."""
-
-    transfer: TransferMatrix
-    generator: QuadraticGenerator | None
-    generator_available: bool
-
-
-def compose_generators(g1: QuadraticGenerator, g2: QuadraticGenerator) -> ComposeResult:
-    """Generator M with exp(M) = exp(M1) exp(M2), so F_1 F_2 = +-e^{M^}.
-
-    The sign of the operator product is not recovered: the principal log
-    picks one of the two operators with transfer T1 T2.  When that log does
-    not exist (spectrum touching the closed negative real axis), is
-    inaccurate (:class:`~fermigauss.linalg.MatrixLogError`), or fails the
-    admissibility check of :class:`QuadraticGenerator`, the transfer-level
-    product is returned with ``generator_available=False``.
-    """
-    t = compose_transfers(transfer_of(g1), transfer_of(g2))
-    try:
-        gen = QuadraticGenerator(mat_log(t.t))
-    except (MatrixLogError, ValueError):
-        return ComposeResult(t, None, False)
-    return ComposeResult(t, gen, True)
-
-
 def _principal_y(fac) -> np.ndarray | None:
     """Y = log(e^Y) on the principal branch, computed on first access.
 

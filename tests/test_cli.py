@@ -445,14 +445,16 @@ def test_parser_is_built_once_and_reused(op_file, capsys):
 
 
 def reference_dump_report(obj, indent: int = 0) -> str:
-    """The report serializer as written before its scalar fast paths; the
-    current one must reproduce it byte for byte."""
+    """The report serializer as written before its scalar fast paths, with
+    dict keys escaped like string values; the current one must reproduce it
+    byte for byte."""
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = [
-            f'{pad}  "{k}": {reference_dump_report(v, indent + 1)}' for k, v in obj.items()
+            f'{pad}  {json.dumps(str(k))}: {reference_dump_report(v, indent + 1)}'
+            for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
@@ -692,6 +694,8 @@ class TestReportSerializer:
         [{"s": [7] * 71}, {"s": []}], [{"s": [7] * 72}, {"s": [7]}],
         [{"s": [int("1" * 71), 7]}, {"s": [int("1" * 70), 7]}],
         [[0.5, 1.5], [2.5, float("inf")]], [{"a": 0.5}, {"a": float("nan")}],
+        # keys that need escaping, in a dict and in a table
+        {'a"b': 1, "back\\slash": [{"%s": 1, "\u00e9": 0.5}, {"%s": 2, "\u00e9": 1.5}]},
     ])
     def test_edge_cases_match_reference(self, obj):
         assert serialized(cli.dump_report, obj) == serialized(reference_dump_report, obj)
@@ -714,6 +718,14 @@ class TestReportSerializer:
         # tables, matrices, pair lists and scalars together: a failure is
         # the first one in document order
         assert serialized(cli.dump_report, doc) == serialized(reference_dump_report, doc)
+
+    @PROPERTY
+    @given(st.dictionaries(ESCAPED, st.one_of(FINITE, ESCAPED), max_size=4), st.integers(1, 3))
+    def test_keys_read_back(self, row, n):
+        # a key with a quote, a backslash, a % or a non-ASCII character reads
+        # back as itself, in a dict and in a table of like dicts
+        for doc in (row, [row] * n):
+            assert json.loads(cli.dump_report(doc)) == doc
 
     def test_scalar_list_width(self):
         assert "\n" not in cli.dump_report([7] * 71)

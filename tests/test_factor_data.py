@@ -532,23 +532,18 @@ class TestBareTransferKernel:
         bits = rng.integers(0, 2, (5, 2, 16))
         bits[:, 1, -1] ^= bits.sum(axis=(1, 2)) % 2   # even total: a nonzero element
         pairs = [(FockConfig(tuple(b)), FockConfig(tuple(k))) for b, k in bits]
-        fresh = [overlap(TransferMatrix(t.t.copy()), b, k) for b, k in pairs]
+        fresh = [OverlapKernel(TransferMatrix(t.t.copy())).element(b, k) for b, k in pairs]
         rconds = count_calls("rcond_estimate")
-        cached = [overlap(t, b, k) for b, k in pairs]
+        cached = [OverlapKernel(t).element(b, k) for b, k in pairs]
         assert len(rconds) == 1
-        assert [(r.value, r.method, r.sign_certain) for r in cached] == \
-            [(r.value, r.method, r.sign_certain) for r in fresh]
-        assert all(r.value != 0.0 for r in cached)
+        assert cached == fresh
+        assert all(v != 0.0 for v in cached)
 
     def test_rejected_block_raises_every_time(self):
         t = transfer_of(QuadraticGenerator(worked_example_m(np.pi / 2)))
-        vac = FockConfig.vacuum(3)
         errors = []
         for _ in range(3):
             with pytest.raises(SingularBlockError) as exc:
                 OverlapKernel(t)
-            errors.append((type(exc.value), str(exc.value), exc.value.rcond))
-            with pytest.raises(SingularBlockError) as exc:
-                overlap(t, vac, vac, method="pfaffian")
             errors.append((type(exc.value), str(exc.value), exc.value.rcond))
         assert len(set(errors)) == 1

@@ -3,7 +3,7 @@ import pytest
 
 from fermigauss import overlaps, quadratic
 from fermigauss.configs import FockConfig
-from fermigauss.correlators import CorrelatorContext, generalized_expectation, n_point
+from fermigauss.correlators import CorrelatorContext, ModeOp, generalized_expectation, n_point
 from fermigauss.linalg import LinalgError, SingularBlockError, pfaffian
 from fermigauss.linearpart import LinearGaussianOp, generalized_bbd
 from fermigauss.overlaps import (
@@ -92,11 +92,15 @@ class TestQuadraticOverlap:
         rhs = np.conj(state_overlap(g2, g1, ket, bra).value)
         assert abs(lhs - rhs) < 1e-10
 
-    def test_transfer_input(self):
+    def test_transfer_input_gives_the_magnitude(self):
+        # a transfer fixes its operator only up to sign: it has a magnitude
         g = random_generator(2, 105, 0.5)
         t = compose_bra_ket(transfer_of(QuadraticGenerator.zero(2)), transfer_of(g))
-        vac = FockConfig.vacuum(2)
-        assert abs(overlap(t, vac, vac).value - overlap(g, vac, vac).value) < 1e-12
+        for bra, ket in ((FockConfig.vacuum(2), FockConfig.vacuum(2)),
+                         (FockConfig((1, 1)), FockConfig((0, 0)))):
+            mag = overlap_magnitude_cp(t, bra, ket)
+            assert not mag.sign_certain
+            assert abs(mag.value - abs(overlap(g, bra, ket).value)) < 1e-12
 
 
 class TestSingularFallbacks:
@@ -373,11 +377,16 @@ class TestGrassmannCrossCheck:
                 assert abs(big - small) < 1e-9 * max(1.0, abs(small))
 
 
-def test_epsilon_requires_generator():
+def test_signed_overlaps_take_generators_and_the_magnitude_call_transfers():
     g = random_generator(2, 151, 0.5)
     t = transfer_of(g)
-    with pytest.raises(ValueError):
-        overlap(t, FockConfig((0, 0)), FockConfig((0, 0)), method="epsilon")
+    vac = FockConfig.vacuum(2)
+    for call in (lambda: overlap(t, vac, vac), lambda: overlap(t, vac, vac, method="epsilon"),
+                 lambda: state_overlap(t, g, vac, vac), lambda: state_overlap(g, t, vac, vac)):
+        with pytest.raises(TypeError, match="overlap_magnitude_cp"):
+            call()
+    with pytest.raises(TypeError, match="TransferMatrix"):
+        overlap_magnitude_cp(g, vac, vac)
 
 
 def test_site_counts_checked_before_parity():
@@ -385,9 +394,8 @@ def test_site_counts_checked_before_parity():
     # numpy shape error, before the sizes were compared
     g3 = random_generator(3, 1, 0.5)
     vac3 = FockConfig.vacuum(3)
-    for composed in (g3, transfer_of(g3)):
-        with pytest.raises(ValueError, match="inconsistent site counts"):
-            overlap(composed, FockConfig((1,)), FockConfig((0, 0, 0)))
+    with pytest.raises(ValueError, match="inconsistent site counts"):
+        overlap(g3, FockConfig((1,)), FockConfig((0, 0, 0)))
     g2 = random_generator(2, 1, 0.5)
     for bra, ket in [(vac3, vac3), (FockConfig((1, 0, 0)), vac3)]:
         with pytest.raises(ValueError, match="inconsistent site counts"):
@@ -497,6 +505,30 @@ class TestRescueChain:
         vac = FockConfig.vacuum(4)
         with pytest.raises(LinalgError, match="overflows"):
             state_overlap(g, QuadraticGenerator.zero(4), vac, vac)
+
+    def test_epsilon_route_builds_no_operator(self, oracle, monkeypatch):
+        # the epsilon route perturbs the embedded ket generator it is handed,
+        # so no perturbed (M, u, v) is built and embedded again
+        orc = oracle(3)
+        op = LinearGaussianOp(worked_example_m(np.pi / 2), [0.3, 0, 0], None)
+        zero = LinearGaussianOp.zero(3)
+        f1, f2 = orc.gaussian(op), orc.gaussian(zero)
+        bra, ket = FockConfig.from_string("010"), FockConfig.from_string("011")
+        ctx = CorrelatorContext(op, zero, bra, ket)
+        ops = (ModeOp(2, True), ModeOp(3, False), ModeOp(1, False))
+        builds = []
+        orig = LinearGaussianOp.__post_init__
+        monkeypatch.setattr(LinearGaussianOp, "__post_init__",
+                            lambda self: builds.append(self) or orig(self))
+        res = generalized_overlap(op, zero, FockConfig.from_string("110"), ket, method="epsilon")
+        value = generalized_expectation(ctx, ops)
+        assert builds == []
+        assert res.method == "epsilon-regularized"
+        assert [key[1] is None for key in ctx._engines] == [True, False, False, False]
+        ref = orc.element(f1, FockConfig.from_string("110"), ket)
+        assert abs(ref) > 0.5 and abs(res.value - ref) < 1e-8
+        ref = orc.sandwich(f2, ops, f1, bra, ket)
+        assert abs(ref) > 0.5 and abs(value - ref) < 1e-8
 
     def test_forced_pfaffian_rejects_before_sign_tracking(self, count_calls):
         calls = count_calls("mat_exp")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fermigauss.configs import FockConfig
 from fermigauss.linalg import LinalgError, SingularBlockError, rcond_estimate, skew_defect
-from fermigauss.linearpart import LinearGaussianOp, compose_linear
+from fermigauss.linearpart import LinearGaussianOp, compose_linear, embed
 from fermigauss.overlaps import compose_bra_ket, overlap_magnitude_cp, state_overlap
 from fermigauss.quadratic import (
     RCOND_TOL,
@@ -23,7 +23,6 @@ from fermigauss.quadratic import (
     admissibility_defect,
     bbd_antinormal,
     bbd_normal,
-    compose_generators,
     compose_transfers,
     cp_apply_transfer,
     cp_matrix,
@@ -136,19 +135,20 @@ class TestCompose:
         g = random_generator(3, 32, 0.4)
         g1 = QuadraticGenerator(0.7 * g.m)
         g2 = QuadraticGenerator(0.3 * g.m)
-        res = compose_generators(g1, g2)
+        res = compose_linear(LinearGaussianOp.quadratic(g1), LinearGaussianOp.quadratic(g2))
         assert res.generator_available
-        assert np.max(np.abs(res.generator.m - g.m)) < 1e-10
+        assert np.max(np.abs(res.op.m - g.m)) < 1e-10
+        assert np.max(np.abs(res.op.u)) < 1e-10 and np.max(np.abs(res.op.v)) < 1e-10
 
     def test_product_matches_dense(self, oracle):
         orc = oracle(3)
         rng = np.random.default_rng(33)
         g1 = random_generator(3, rng, 0.5)
         g2 = random_generator(3, rng, 0.5)
-        res = compose_generators(g1, g2)
+        res = compose_linear(LinearGaussianOp.quadratic(g1), LinearGaussianOp.quadratic(g2))
         f12 = orc.gaussian(g1) @ orc.gaussian(g2)
         assert res.generator_available
-        fc = orc.gaussian(res.generator)
+        fc = orc.gaussian(res.op)
         assert np.max(np.abs(f12 - fc)) < 1e-9
 
     def test_associativity_transfer_level(self):
@@ -160,16 +160,19 @@ class TestCompose:
 
     def test_branch_failure_flagged(self):
         # transfer eigenvalue lands on the negative real axis at a = pi/2
-        g = QuadraticGenerator(worked_example_m(np.pi / 2))
-        res = compose_generators(g, g)
-        assert not res.generator_available and res.generator is None
+        # and the exact transfer product is still returned
+        op = LinearGaussianOp.quadratic(QuadraticGenerator(worked_example_m(np.pi / 2)))
+        res = compose_linear(op, op)
+        assert not res.generator_available and res.op is None
+        t = transfer_of(embed(op)).t
+        assert np.array_equal(res.transfer.t, t @ t)
 
     @pytest.mark.parametrize("L", [3, 4])
     def test_large_scale_grid_returns_or_flags(self, L):
         # 200 pairs at scale 3, where the principal log of the product is
         # often admissible only to 1e-10..1e-6 or flagged inaccurate by
-        # logm: both compose paths report "no generator" instead of
-        # letting a ValueError or a RuntimeWarning escape
+        # logm: compose reports "no generator" instead of letting a
+        # ValueError or a RuntimeWarning escape
         def draw(rng):
             s = 3.0 / np.sqrt(L)
             a, b, c = (s * (rng.standard_normal((L, L)) + 1j * rng.standard_normal((L, L)))
@@ -182,12 +185,9 @@ class TestCompose:
             for s in range(200):
                 rng = np.random.default_rng(1000 * L + s)
                 g1, g2 = draw(rng), draw(rng)
-                res = compose_generators(g1, g2)
-                lin = compose_linear(LinearGaussianOp.quadratic(g1),
+                res = compose_linear(LinearGaussianOp.quadratic(g1),
                                      LinearGaussianOp.quadratic(g2))
-                for ok, gen in ((res.generator_available, res.generator),
-                                (lin.generator_available, lin.op)):
-                    assert ok == (gen is not None)
+                assert res.generator_available == (res.op is not None)
                 available += res.generator_available
         assert 0 < available < 200
 
@@ -197,7 +197,7 @@ class TestCompose:
         g1, g2 = random_generator(2, 2, 150), random_generator(2, 102, 150)
         t1, t2 = transfer_of(g1), transfer_of(g2)
         vac = FockConfig.vacuum(2)
-        calls = (lambda: compose_transfers(t1, t2), lambda: compose_generators(g1, g2),
+        calls = (lambda: compose_transfers(t1, t2),
                  lambda: compose_linear(LinearGaussianOp.quadratic(g1),
                                         LinearGaussianOp.quadratic(g2)),
                  lambda: state_overlap(g1, g2, vac, vac))
