@@ -360,6 +360,9 @@ def cmd_decompose(args) -> int:
         diagnostics["rcond"] = fac.rcond
         sign_certain = fac.sign_certain
     else:
+        if args.cp or args.epsilon:
+            flag = "--cp" if args.cp else "--epsilon"
+            raise CliError(EXIT_PARSE, f"{flag} applies to the normal and antinormal forms only")
         try:
             fac = generalized_bbd(op)
         except SingularBlockError as exc:

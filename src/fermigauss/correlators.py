@@ -183,9 +183,8 @@ class _Engine:
         data = self._blocks.get(key)
         if data is None:
             L, p = self.L, self.kern.pairing
-            jj = [j for j, b in enumerate(bra_bits) if b]
-            ii = [i for i, b in enumerate(ket_bits) if b]
-            keep = jj + [L + i for i in ii]
+            keep, n_j, _ = self.kern._keep(bra_bits, ket_bits)
+            jj, ii = keep[:n_j], [r - L for r in keep[n_j:]]
             data = self._blocks[key] = (jj, ii, np.triu(p[np.ix_(keep, keep)], 1),
                                         p[jj, L:], p[L:, L:][:, ii])
         return data

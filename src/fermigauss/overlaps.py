@@ -9,17 +9,18 @@ matrix T (T22 invertible),
 where ``A = [[X, e^Y], [-e^(Y^T), Z]]`` is built from the factorization
 data and the restriction keeps the rows/columns of the occupied sites of
 J in the first block and of I in the second block (equivalently, removes
-the empty ones), both in increasing order.
+the empty ones), both in increasing order.  Over a product of factored
+operators F_1 ... F_k it is one Pfaffian of a larger chain matrix (Robledo,
+PRC 79, 021302(R), 2009; Bertsch & Robledo, PRL 108, 042505, 2012);
+:class:`OverlapKernel` evaluates both.
 
 When T22 is singular three rescue routes exist.  When the generators
 are known, the factor chain keeps the product unmultiplied: each factor's
-own factor data enter one larger Pfaffian (the Pfaffian overlap through
-factored operators; Robledo, PRC 79, 021302(R), 2009; Bertsch & Robledo,
-PRL 108, 042505, 2012), and a factor whose own T22 is singular enters as
-its two halves e^(M/2) e^(M/2).  Behind it come an analytic continuation
-in a small admissible perturbation of the generator (signed value,
-Richardson-extrapolated), and the particle-hole permutation route which
-recovers the magnitude only.  One front end, on a pair of generators,
+own factor data enter the kernel, and a factor whose own T22 is singular
+enters as its two halves e^(M/2) e^(M/2).  Behind it come an analytic
+continuation in a small admissible perturbation of the generator (signed
+value, Richardson-extrapolated), and the particle-hole permutation route
+which recovers the magnitude only.  One front end, on a pair of generators,
 runs the chain Pfaffian -> factor chain -> continuation -> permutation for
 every public overlap function and records each attempt in the result's
 ``route``.  The signed overlaps take generators only: a transfer matrix
@@ -46,6 +47,7 @@ from .linalg import (
 )
 from .linearpart import LinearGaussianOp, embed
 from .quadratic import (
+    FactoredGaussian,
     QuadraticGenerator,
     TransferMatrix,
     _normal_factors,
@@ -103,75 +105,85 @@ class OverlapResult:
 
 
 class OverlapKernel:
-    """Pfaffian evaluation engine for one composed transfer matrix.
+    """Pfaffian evaluation engine for a product of factored operators.
 
-    Precomputes the antisymmetric pairing matrix and the scalar prefactor;
-    ``element`` then evaluates any configuration pair, and ``elements``
-    many pairs at once.  X and Z enter only through the quadratic forms,
-    so their (tiny, rounding-level) symmetric parts are dropped: the
-    pairing matrix is exactly antisymmetric, and its restrictions go to
-    the Pfaffian without a check.
+    ``factors`` holds the normal-ordered factor data of F_1 ... F_k, left
+    to right.  The chain matrix C (``pairing``) has each factor's
+    :attr:`~fermigauss.quadratic.FactoredGaussian.pairing` block
+    [[X, E], [-E^T, Z]] on its diagonal, and +I coupling each factor's Z
+    block to the next factor's X block; then
 
-    The prefactor det(T22)^(1/2) carries a physical sign.  The signed
-    overlaps know the generators and pass ``path``, a holomorphic
-    ``s -> T22(s)`` running from the identity at s = 0 to ``t.t22`` at
-    s = 1, and the branch is fixed by continuity along it, or on the
-    principal log branch when no path fixes it.  Built from a bare transfer
-    matrix (the permuted transfer of :func:`overlap_magnitude_cp`), the
-    kernel takes the principal log branch, a sign fixed by convention only,
-    and reads the factor data that :func:`~fermigauss.quadratic.bbd_normal`
-    keeps on ``t``.  ``branch`` records which branch was taken.  Either
-    runs only after the rcond check has passed, so rejecting a singular
-    block costs one SVD.
+        <J| F_1 ... F_k |I> = sigma p_1 ... p_k pf(C restricted),
+
+    the restriction keeping J's rows of the first block, every inner block
+    and I's rows of the last block, and
+    sigma = (-1)^((k-1) L (L-1)/2 + n_I (n_I-1)/2).  For one factor
+    (``k`` = 1) C is its pairing matrix and this is the central formula
+    above.  ``element`` evaluates any configuration pair, and ``elements``
+    many pairs at once.
+
+    The prefactors p_i = det(T22)^(1/2) carry the physical sign, so the
+    caller fixes their branches: the signed overlaps by continuity along a
+    path from the identity, :func:`overlap_magnitude_cp` on the principal
+    branch of :func:`~fermigauss.quadratic.bbd_normal`.  ``rcond`` is the
+    factors' smallest, ``sign_certain`` holds when every factor's does, and
+    ``branch`` is ``"continuity"`` when every root was fixed that way.
     """
 
-    def __init__(self, t: TransferMatrix, path=None):
-        self.L = t.L
-        if path is None:
-            fac = bbd_normal(t)
-        else:
-            fac = _normal_factors(t.t12, t.t21, t.t22,
-                                  lambda t22: sqrt_det_continuous(path, t22))
-        self.rcond = fac.rcond
+    def __init__(self, factors: list[FactoredGaussian]):
+        L = self.L = factors[0].x.shape[0]
+        k = self.k = len(factors)
+        n = 2 * k * L
+        c = np.zeros((n, n), dtype=complex)
+        for i, fac in enumerate(factors):
+            a = 2 * i * L
+            c[a:a + 2 * L, a:a + 2 * L] = fac.pairing
+            if i:
+                c[a - L:a, a:a + L] = np.eye(L)
+                c[a:a + L, a - L:a] = -np.eye(L)
+        self.pairing = c
+        self.prefactor = functools.reduce(lambda p, q: p * q, (fac.prefactor for fac in factors))
+        self.rcond = min(fac.rcond for fac in factors)
+        self.sign_certain = all(fac.sign_certain for fac in factors)
+        self.branch = ("continuity" if all(fac.branch == "continuity" for fac in factors)
+                       else "principal")
+        self._inner = list(range(L, n - L))
+        self._sign = (k - 1) * (L * (L - 1) // 2)
+
+    def _keep(self, bra_bits, ket_bits) -> tuple[list[int], int, int]:
+        """The rows of ``pairing`` that <J| ... |I> keeps, in increasing
+        order, with n_J and n_I."""
         L = self.L
-        pairing = np.empty((2 * L, 2 * L), dtype=complex)
-        pairing[:L, :L] = 0.5 * (fac.x - fac.x.T)
-        pairing[:L, L:] = fac.exp_y
-        pairing[L:, :L] = -fac.exp_y.T
-        pairing[L:, L:] = 0.5 * (fac.z - fac.z.T)
-        self.pairing = pairing
-        self.prefactor, self.sign_certain = fac.prefactor, fac.sign_certain
-        self.branch = fac.branch
+        if len(bra_bits) != L or len(ket_bits) != L:
+            raise ValueError("configuration length does not match operator size")
+        jj = [j for j, b in enumerate(bra_bits) if b]
+        last = len(self.pairing) - L
+        ii = [last + i for i, b in enumerate(ket_bits) if b]
+        return jj + self._inner + ii, len(jj), len(ii)
 
     def element(self, bra: FockConfig, ket: FockConfig) -> complex:
-        """<J| F |I>; exact zero on parity mismatch."""
+        """<J| F_1 ... F_k |I>; exact zero on parity mismatch."""
         return self.elements([(bra.bits, ket.bits)])[0]
 
     def elements(self, pairs) -> list[complex]:
-        """<J| F |I> for many ``(bra bits, ket bits)`` pairs.
+        """<J| F_1 ... F_k |I> for many ``(bra bits, ket bits)`` pairs.
 
-        The restricted pairing matrices of one order are gathered in one
+        The restricted chain matrices of one order are gathered in one
         fancy-index step and go to one stacked Pfaffian; an order with more
         than :data:`STACK_ENTRIES` matrix entries goes in chunks of at most
         that many.  A parity-forbidden pair gives an exact zero; an empty
         restriction gives the prefactor.
         """
-        L = self.L
         out = [complex(0.0)] * len(pairs)
         by_order: dict = {}      # order -> (positions, keep lists, signs)
         for pos, (bra_bits, ket_bits) in enumerate(pairs):
-            if len(bra_bits) != L or len(ket_bits) != L:
-                raise ValueError("configuration length does not match operator size")
-            keep = [j for j, b in enumerate(bra_bits) if b]
-            n_j = len(keep)
-            keep += [L + i for i, b in enumerate(ket_bits) if b]
-            n_i = len(keep) - n_j
+            keep, n_j, n_i = self._keep(bra_bits, ket_bits)
             if (n_i + n_j) % 2:
                 continue
             group = by_order.setdefault(len(keep), ([], [], []))
             group[0].append(pos)
             group[1].append(keep)
-            group[2].append(-1.0 if (n_i * (n_i + 1) // 2 + n_i * n_j) % 2 else 1.0)
+            group[2].append(-1.0 if (self._sign + n_i * (n_i - 1) // 2) % 2 else 1.0)
         for order, (positions, keeps, signs) in by_order.items():
             idx = np.array(keeps, dtype=np.intp).reshape(len(keeps), order)
             step = max(1, STACK_ENTRIES // max(1, order * order))
@@ -236,7 +248,9 @@ def _pair_kernel(g1: QuadraticGenerator, g2: QuadraticGenerator | None) -> Overl
     s and therefore admits complex detours around determinant zeros.
     """
     t = transfer_of(g1) if g2 is None else compose_bra_ket(g2, g1)
-    return OverlapKernel(t, path=_ProductPath(g1, g2))
+    path = _ProductPath(g1, g2)
+    return OverlapKernel([_normal_factors(t.t12, t.t21, t.t22,
+                                          lambda t22: sqrt_det_continuous(path, t22))])
 
 
 def compose_bra_ket(op2, op1) -> TransferMatrix:
@@ -264,10 +278,10 @@ class UnfixedBranchError(LinalgError):
         self.abs_det = abs(det)
 
 
-def _path_factors(g: QuadraticGenerator) -> tuple:
-    """(X, E, Z, p, rcond) of exp(M), X and Z antisymmetrized exactly and
-    p = det(T22)^(1/2) fixed by the continuity path of ``g`` alone; raises
-    :class:`UnfixedBranchError` when no path fixes it."""
+def _path_factors(g: QuadraticGenerator) -> FactoredGaussian:
+    """The factor data of exp(M), p = det(T22)^(1/2) fixed by the
+    continuity path of ``g`` alone; raises :class:`UnfixedBranchError` when
+    no path fixes it."""
     def det_root(t22):
         root = sqrt_det_continuous(_ProductPath(g, None), t22)
         if root[0] is None:
@@ -275,8 +289,7 @@ def _path_factors(g: QuadraticGenerator) -> tuple:
         return root
 
     t = transfer_of(g)
-    fac = _normal_factors(t.t12, t.t21, t.t22, det_root)
-    return 0.5 * (fac.x - fac.x.T), fac.exp_y, 0.5 * (fac.z - fac.z.T), fac.prefactor, fac.rcond
+    return _normal_factors(t.t12, t.t21, t.t22, det_root)
 
 
 def _own_factors(g: QuadraticGenerator) -> tuple:
@@ -304,48 +317,6 @@ def _chain_factors(g: QuadraticGenerator) -> tuple:
     return data
 
 
-def _chain_overlap(g1: QuadraticGenerator, g2: QuadraticGenerator | None,
-                   bra: FockConfig, ket: FockConfig) -> OverlapResult:
-    """<J| exp(M2^dag) exp(M1) |I> as one chain Pfaffian.
-
-    The factors F_1 ... F_k, left to right, are the adjoints of ``g2``'s
-    chain factors in reverse order (the adjoint of (X, E, Z, p) is
-    (Z^dag, E^dag, X^dag, conj p)), then ``g1``'s.  C is the 2kL x 2kL
-    antisymmetric matrix with each factor's [[X, E], [-E^T, Z]] on the
-    diagonal and +I coupling each factor's Z block to the next one's X
-    block; then <J| F_1 ... F_k |I> = sigma p_1 ... p_k pf(C restricted),
-    the restriction keeping J's rows of the first block, every inner block
-    and I's rows of the last block, and
-    sigma = (-1)^((k-1) L (L-1)/2 + n_I (n_I-1)/2).
-    """
-    factors = [] if g2 is None else [(z.conj().T, e.conj().T, x.conj().T, p.conjugate(), rc)
-                                     for x, e, z, p, rc in reversed(_chain_factors(g2))]
-    factors += _chain_factors(g1)
-    L, k = g1.L, len(factors)
-    n = 2 * k * L
-    c = np.zeros((n, n), dtype=complex)
-    eye = np.eye(L)
-    prefactor = complex(1.0)
-    for i, (x, e, z, p, _) in enumerate(factors):
-        a, b = 2 * i * L, (2 * i + 1) * L
-        c[a:b, a:b] = x
-        c[a:b, b:b + L] = e
-        c[b:b + L, a:b] = -e.T
-        c[b:b + L, b:b + L] = z
-        if i:
-            c[a - L:a, a:b] = eye
-            c[a:b, a - L:a] = -eye
-        prefactor *= p
-    keep = ([j for j, bit in enumerate(bra.bits) if bit] + list(range(L, n - L))
-            + [n - L + i for i, bit in enumerate(ket.bits) if bit])
-    n_i = ket.n_occupied
-    if ((k - 1) * (L * (L - 1) // 2) + n_i * (n_i - 1) // 2) % 2:
-        prefactor = -prefactor
-    value = prefactor * _pfaffian_exact(c[np.ix_(keep, keep)])
-    return OverlapResult(value, "factor-chain", True,
-                         {"factors": k, "rcond": min(f[4] for f in factors)})
-
-
 # ---------------------------------------------------------------------------
 # the rescue chain
 # ---------------------------------------------------------------------------
@@ -364,10 +335,11 @@ def _dispatch(kernel_of, evaluate, g1: QuadraticGenerator, chain, cp, *,
     kernel into the value.  The Pfaffian takes ``kernel_of(g1)``; the
     epsilon route takes the kernels of g1 + eps G, G the
     :func:`epsilon_direction` of g1's site count, and extrapolates.
-    ``chain()`` returns the :func:`_chain_overlap` result and ``cp()`` the
-    transfer and the two configurations of the magnitude route; None rules
-    that route out for callers that have no factor chain or need a signed
-    value.
+    ``chain()`` returns the factor chain's :class:`OverlapKernel`, which
+    ``evaluate`` turns into the value as it does the Pfaffian's, and
+    ``cp()`` the transfer and the two configurations of the magnitude
+    route; None rules that route out for callers that have no factor chain
+    or need a signed value.
 
     ``method="auto"`` tries the available routes in order and accepts the
     Pfaffian only with a certain sign; a route name forces that route
@@ -408,8 +380,9 @@ def _dispatch(kernel_of, evaluate, g1: QuadraticGenerator, chain, cp, *,
                 res = OverlapResult(evaluate(kern), "pfaffian", kern.sign_certain,
                                     {"rcond": kern.rcond, "branch": kern.branch})
             elif name == "factor-chain":
-                res = chain()
-                why = dict(res.diagnostics)
+                kern = chain()
+                why = {"factors": kern.k, "rcond": kern.rcond}
+                res = OverlapResult(evaluate(kern), name, kern.sign_certain, dict(why))
             elif name == "epsilon":
                 res = _epsilon_extrapolate(
                     lambda eps, g: evaluate(kernel_of(QuadraticGenerator(g1.m + eps * g.m))), g1.L)
@@ -445,15 +418,18 @@ def _pair_overlap(g1: QuadraticGenerator, g2: QuadraticGenerator | None,
     """<J| exp(M2^dag) exp(M1) |I> through the rescue chain.
 
     ``g1`` and ``g2`` are the ket and bra generators (``g2`` None for the
-    identity).  The epsilon route perturbs ``g1``; the magnitude route takes
-    the composed transfer.  An odd total occupation is an exact zero.
+    identity).  The factor chain takes the adjoints of ``g2``'s chain factors
+    in reverse order, then ``g1``'s; the epsilon route perturbs ``g1``; the
+    magnitude route takes the composed transfer.  An odd total occupation
+    is an exact zero.
     """
     if not (bra.L == ket.L == g1.L == (g1.L if g2 is None else g2.L)):
         raise ValueError("inconsistent site counts")
     if (bra.n_occupied + ket.n_occupied) % 2:
         return OverlapResult(complex(0.0), "pfaffian", True, {"parity_zero": True})
     return _dispatch(lambda g: _pair_kernel(g, g2), lambda k: k.element(bra, ket), g1,
-                     lambda: _chain_overlap(g1, g2, bra, ket),
+                     lambda: OverlapKernel([f.adjoint for f in reversed(
+                         () if g2 is None else _chain_factors(g2))] + list(_chain_factors(g1))),
                      lambda: (transfer_of(g1) if g2 is None else compose_bra_ket(g2, g1),
                               bra, ket), method=method)
 
@@ -561,7 +537,7 @@ def overlap_magnitude_cp(t: TransferMatrix, bra: FockConfig, ket: FockConfig) ->
             _t22_rcond_bound(t)[0],
         )
     sites = found[0]
-    kern = OverlapKernel(cp_apply_transfer(t, sites))
+    kern = OverlapKernel([bbd_normal(cp_apply_transfer(t, sites))])
     val = kern.element(bra.flipped(sites), ket.flipped(sites))
     return OverlapResult(
         complex(abs(val)), "cp-magnitude", False,
@@ -581,12 +557,13 @@ def generalized_overlap(op1: LinearGaussianOp, op2: LinearGaussianOp,
     Takes the same methods as :func:`overlap`, on the embedded generators
     (the perturbative fallback perturbs the ket's).  The bra ancilla is
     always empty; the ket ancilla carries the parity mismatch of the two
-    configurations, so the embedded pair always has an even total
-    occupation and the parity zero of the quadratic overlaps never applies:
+    configurations, so the embedded pair has an even total occupation:
     opposite-parity overlaps are generally nonzero once linear terms are
-    present (they vanish again, through the Pfaffian, when u = v = 0).
+    present.  Two quadratic operators (u = v = 0) conserve parity, so their
+    ket ancilla stays empty, and an opposite-parity pair is the exact
+    parity zero of the quadratic overlaps, for every method.
     """
-    ket_anc = 0 if bra.parity == ket.parity else 1
+    ket_anc = int(bra.parity != ket.parity and not (op1.is_quadratic and op2.is_quadratic))
     return _pair_overlap(embed(op1), embed(op2), bra.with_ancilla(0), ket.with_ancilla(ket_anc),
                          method)
 

@@ -89,8 +89,8 @@ class QuadraticGenerator:
     continuity steps exp(h M) are computed on first use and cached on the
     instance, read-only; the bra side of an overlap takes their adjoints.
     The factor chain of :mod:`~fermigauss.overlaps` keeps the factor data
-    of exp(M), or of its half exp(M/2), on the instance as well, or the
-    error that refused them.
+    of exp(M), or of its half exp(M/2), and their adjoints on the instance
+    as well, or the error that refused them.
     """
 
     m: np.ndarray
@@ -246,7 +246,8 @@ class FactoredGaussian:
     principal square root because the principal log of the pivot block does
     not exist.  ``y`` is None in that case.  ``branch`` says how the branch
     of that root was fixed: ``"continuity"`` along a path from the identity,
-    or ``"principal"`` on the branch of the principal logarithm.
+    or ``"principal"`` on the branch of the principal logarithm.  The
+    normal ordering's ``pairing`` and ``adjoint`` are computed on first use.
     """
 
     ordering: str
@@ -259,6 +260,25 @@ class FactoredGaussian:
     branch: str = "principal"
 
     y = functools.cached_property(_principal_y)
+
+    @functools.cached_property
+    def pairing(self) -> np.ndarray:
+        """The Pfaffian overlap's block [[X, e^Y], [-e^(Y^T), Z]], read-only;
+        X and Z enter only through quadratic forms, so their rounding-level
+        symmetric parts are dropped: the block is exactly antisymmetric."""
+        L = self.x.shape[0]
+        p = np.empty((2 * L, 2 * L), dtype=complex)
+        p[:L, :L] = 0.5 * (self.x - self.x.T)
+        p[:L, L:] = self.exp_y
+        p[L:, :L] = -self.exp_y.T
+        p[L:, L:] = 0.5 * (self.z - self.z.T)
+        return _read_only(p)
+
+    @functools.cached_property
+    def adjoint(self) -> FactoredGaussian:
+        """The factor data of F^dag: (Z^dag, e^(Y^dag), X^dag, conj prefactor)."""
+        return replace(self, x=self.z.conj().T, exp_y=self.exp_y.conj().T, z=self.x.conj().T,
+                       prefactor=self.prefactor.conjugate())
 
 
 def _normal_factors(t12: np.ndarray, t21: np.ndarray, t22: np.ndarray,

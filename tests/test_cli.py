@@ -136,6 +136,18 @@ def test_decompose_generalized(linear_op_file, capsys):
     assert "q" in doc["results"] and "p" in doc["results"]
 
 
+@pytest.mark.parametrize("flag", [["--cp", "1"], ["--epsilon"]])
+def test_decompose_generalized_rejects_quadratic_form_flags(tmp_path, capsys, flag):
+    # --cp and --epsilon act on the normal and antinormal forms only; the
+    # generalized form names the flag instead of ignoring it
+    rng = np.random.default_rng(3)
+    op = write_operator(tmp_path / "lin3.json", random_generator(3, rng, 0.5).m,
+                        u=rng.standard_normal(3), v=rng.standard_normal(3))
+    code, out, err = run(capsys, "decompose", "--input", op, "--form", "generalized", *flag)
+    assert (code, out) == (3, "")
+    assert flag[0] in err
+
+
 def test_overlap_epsilon_on_singular(singular_op_file, capsys):
     code, out, _ = run(capsys, "overlap", "--op", singular_op_file,
                        "--bra", "000", "--ket", "000", "--epsilon")

@@ -13,9 +13,16 @@ from hypothesis import strategies as st
 from fermigauss import fock
 from fermigauss.configs import FockConfig
 from fermigauss.linalg import LinalgError, SingularBlockError
-from fermigauss.overlaps import UnfixedBranchError, overlap, state_overlap
+from fermigauss.overlaps import (
+    OverlapKernel,
+    UnfixedBranchError,
+    _chain_factors,
+    overlap,
+    state_overlap,
+)
 from fermigauss.quadratic import QuadraticGenerator, random_generator
 
+from conftest import all_configs, worked_example_m
 from test_quadratic import pair_rotation_generator, rotation_plus_sector
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
@@ -87,6 +94,45 @@ class TestOracle:
             ref = fock.dense_element(f, bra, ket, modes=modes(L))
             assert res.diagnostics["factors"] == 4
             assert abs(res.value - ref) <= 1e-10 * max(1.0, abs(ref))
+
+
+def chain_case(L: int, ket: str, bra: bool):
+    """(ket generator, bra generator or None): the ket is the L=3 worked
+    example at a = pi/2, whose T22 is singular, the rotation-plus-sector
+    generator (singular too) or a random one."""
+    rng = np.random.default_rng(40 + L)
+    g1 = {"worked": lambda: QuadraticGenerator(worked_example_m(np.pi / 2)),
+          "rotation": lambda: rotation_plus_sector(L, rng),
+          "random": lambda: random_generator(L, rng, 0.6)}[ket]()
+    return g1, random_generator(L, rng, 0.6) if bra else None
+
+
+class TestStackedKernel:
+    @pytest.mark.parametrize("L, ket, bra, k", [
+        (3, "worked", False, 2), (3, "worked", True, 3), (4, "random", True, 2),
+        (4, "rotation", False, 2), (4, "rotation", True, 3),
+    ])
+    def test_one_elements_call_matches_per_pair_chain_and_oracle(self, L, ket, bra, k):
+        # every bra/ket pair through one multi-factor kernel: the pairs of
+        # one order share a stacked Pfaffian, each keeping the inner blocks.
+        # A single pair takes the one-matrix Pfaffian, whose complex
+        # products numpy rounds in its scalar loop, not in the array loop of
+        # the stack, so the two agree to rounding, not bit for bit
+        g1, g2 = chain_case(L, ket, bra)
+        bra_side = () if g2 is None else _chain_factors(g2)
+        kern = OverlapKernel([f.adjoint for f in reversed(bra_side)] + list(_chain_factors(g1)))
+        assert kern.k == k
+        pairs = [(b, c) for b in all_configs(L) for c in all_configs(L)]
+        stacked = kern.elements([(b.bits, c.bits) for b, c in pairs])
+        f = fock.dense_gaussian(g1.m, modes=modes(L))
+        if g2 is not None:
+            f = fock.dense_gaussian(g2.m, modes=modes(L)).conj().T @ f
+        for (b, c), val in zip(pairs, stacked):
+            res = (overlap(g1, b, c, method="factor-chain") if g2 is None
+                   else state_overlap(g1, g2, b, c, method="factor-chain"))
+            assert abs(val - res.value) <= 1e-13 * max(1.0, abs(res.value))
+            ref = fock.dense_element(f, b, c, modes=modes(L))
+            assert abs(val - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
 class TestCounts:

@@ -61,7 +61,7 @@ class TestCounts:
         bbd_normal(t)
         bbd_antinormal(t)
         generalized_bbd(random_linear_op(rng, 6))
-        OverlapKernel(t)
+        OverlapKernel([bbd_normal(t)])
         assert calls == []
 
     @pytest.mark.parametrize("factorize", [
@@ -532,9 +532,10 @@ class TestBareTransferKernel:
         bits = rng.integers(0, 2, (5, 2, 16))
         bits[:, 1, -1] ^= bits.sum(axis=(1, 2)) % 2   # even total: a nonzero element
         pairs = [(FockConfig(tuple(b)), FockConfig(tuple(k))) for b, k in bits]
-        fresh = [OverlapKernel(TransferMatrix(t.t.copy())).element(b, k) for b, k in pairs]
+        fresh = [OverlapKernel([bbd_normal(TransferMatrix(t.t.copy()))]).element(b, k)
+                 for b, k in pairs]
         rconds = count_calls("rcond_estimate")
-        cached = [OverlapKernel(t).element(b, k) for b, k in pairs]
+        cached = [OverlapKernel([bbd_normal(t)]).element(b, k) for b, k in pairs]
         assert len(rconds) == 1
         assert cached == fresh
         assert all(v != 0.0 for v in cached)
@@ -544,6 +545,6 @@ class TestBareTransferKernel:
         errors = []
         for _ in range(3):
             with pytest.raises(SingularBlockError) as exc:
-                OverlapKernel(t)
+                OverlapKernel([bbd_normal(t)])
             errors.append((type(exc.value), str(exc.value), exc.value.rcond))
         assert len(set(errors)) == 1

@@ -23,7 +23,7 @@ from fermigauss.linalg import (
 )
 from fermigauss.linearpart import embed
 from fermigauss.overlaps import OverlapKernel, _pair_kernel
-from fermigauss.quadratic import TransferMatrix, random_generator, transfer_of
+from fermigauss.quadratic import TransferMatrix, bbd_normal, random_generator, transfer_of
 
 from conftest import j_matrix, random_linear_op, random_skew, worked_example_m, worked_example_t
 
@@ -491,7 +491,7 @@ class TestExactEntry:
         # no pivot block is rejected, however ill-conditioned
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(quadratic, "RCOND_TOL", 0.0)
-            kernels = [_pair_kernel(g1, g2), OverlapKernel(transfer_of(g1))]
+            kernels = [_pair_kernel(g1, g2), OverlapKernel([bbd_normal(transfer_of(g1))])]
         for kern in kernels:
             p = kern.pairing
             assert np.array_equal(p, -p.T)

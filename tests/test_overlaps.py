@@ -223,7 +223,7 @@ class TestSingularFallbacks:
         t = transfer_of(g)
         full = (1, 2, 3)
         tt = cp_apply_transfer(t, full)
-        kern = OverlapKernel(tt)
+        kern = OverlapKernel([bbd_normal(tt)])
         rng = np.random.default_rng(7)
         for _ in range(5):
             bra, ket = random_config(rng, 3), random_config(rng, 3)
@@ -262,6 +262,22 @@ class TestGeneralizedOverlap:
         op = LinearGaussianOp.quadratic(g)
         res = generalized_overlap(op, op, FockConfig((1, 0)), FockConfig((0, 0)))
         assert res.value == 0.0
+
+    @pytest.mark.parametrize("method", ["auto", "factor-chain", "epsilon", "cp-magnitude"])
+    def test_quadratic_opposite_parity_is_the_parity_zero(self, method):
+        # two quadratic operators conserve parity, so every method returns
+        # the parity zero of the quadratic overlaps; forced epsilon used to
+        # extrapolate the O(eps) values of a perturbation that couples the
+        # ancilla, and raised ExtrapolationError on 80 of these 128 pairs
+        op1, op2 = (LinearGaussianOp.quadratic(random_generator(4, np.random.default_rng(s), 3.0))
+                    for s in (100, 101))
+        for bra in all_configs(4):
+            for ket in all_configs(4):
+                if bra.parity == ket.parity:
+                    continue
+                res = generalized_overlap(op1, op2, bra, ket, method=method)
+                assert (res.value, res.method, res.diagnostics, res.route) == \
+                    (0.0, "pfaffian", {"parity_zero": True}, [])
 
     def test_single_mode_dense(self, oracle):
         orc = oracle(1)
@@ -363,7 +379,7 @@ class TestGrassmannCrossCheck:
     def test_full_matrix_reduces(self, L):
         rng = np.random.default_rng(141 + L)
         g = random_generator(L, rng, 0.6)
-        kern = OverlapKernel(transfer_of(g))
+        kern = OverlapKernel([bbd_normal(transfer_of(g))])
         x = kern.pairing[:L, :L]
         ey = kern.pairing[:L, L:]
         z = kern.pairing[L:, L:]
@@ -400,6 +416,9 @@ def test_site_counts_checked_before_parity():
     for bra, ket in [(vac3, vac3), (FockConfig((1, 0, 0)), vac3)]:
         with pytest.raises(ValueError, match="inconsistent site counts"):
             state_overlap(g3, g2, bra, ket)
+        with pytest.raises(ValueError, match="inconsistent site counts"):
+            generalized_overlap(LinearGaussianOp.quadratic(g3), LinearGaussianOp.quadratic(g2),
+                                bra, ket)
 
 
 def test_no_restoring_subset_raises(monkeypatch):
