@@ -213,12 +213,12 @@ def as_pair(z) -> list:
     return [z.real, z.imag]
 
 
-def matrix_pairs(m: np.ndarray) -> list:
-    return [[as_pair(v) for v in row] for row in np.asarray(m)]
-
-
-def vector_pairs(v: np.ndarray) -> list:
-    return [as_pair(x) for x in np.asarray(v)]
+def pairs(a: np.ndarray | None) -> list | None:
+    """A complex vector or matrix as nested [re, im] pairs; None stays None."""
+    if a is None:
+        return None
+    a = np.asarray(a)
+    return [as_pair(x) for x in a] if a.ndim == 1 else [[as_pair(v) for v in row] for row in a]
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +247,10 @@ def load_operator(path: str) -> tuple[LinearGaussianOp, dict]:
         raise CliError(EXIT_PARSE, f"{path}: invalid JSON: {exc}")
     if not isinstance(doc, dict) or "L" not in doc or "M" not in doc:
         raise CliError(EXIT_PARSE, f"{path}: operator file needs fields 'L' and 'M'")
+    L = doc["L"]
+    if type(L) is not int or L < 1:
+        raise CliError(EXIT_PARSE, f"{path}: L must be a positive integer, got {L!r}")
     try:
-        L = int(doc["L"])
-        if L < 1:
-            raise CliError(EXIT_PARSE, f"{path}: L must be positive")
         m = _pairs_to_complex(doc["M"], (2 * L, 2 * L), "M")
         u = _pairs_to_complex(doc["u"], (L,), "u") if doc.get("u") is not None else None
         v = _pairs_to_complex(doc["v"], (L,), "v") if doc.get("v") is not None else None
@@ -264,9 +264,9 @@ def load_operator(path: str) -> tuple[LinearGaussianOp, dict]:
 def write_operator_file(path: str, op: LinearGaussianOp) -> None:
     doc = {
         "L": op.L,
-        "M": matrix_pairs(op.m),
-        "u": vector_pairs(op.u),
-        "v": vector_pairs(op.v),
+        "M": pairs(op.m),
+        "u": pairs(op.u),
+        "v": pairs(op.v),
     }
     write_text(path, dump_report(doc) + "\n")
 
@@ -324,9 +324,15 @@ def base_report(command: str, inputs: dict, **extra) -> dict:
 
 def cmd_decompose(args) -> int:
     op, digest = load_operator(args.input)
-    inputs = {"input": digest}
     diagnostics = {}
-    if args.form in ("normal", "antinormal"):
+    t = None
+    if args.form == "generalized":
+        if args.cp or args.epsilon:
+            flag = "--cp" if args.cp else "--epsilon"
+            raise CliError(EXIT_PARSE, f"{flag} applies to the normal and antinormal forms only")
+        factorize = functools.partial(generalized_bbd, op)
+        fields = ("q", "x", "exp_y", "y", "z", "p")
+    else:
         if not op.is_quadratic:
             raise CliError(EXIT_PARSE,
                            "normal/antinormal forms require a quadratic operator; "
@@ -343,46 +349,20 @@ def cmd_decompose(args) -> int:
             diagnostics["epsilon"] = eps
             diagnostics["epsilon_seed"] = EPS_SEED
         t = transfer_of(gen)
-        try:
-            fac = bbd_normal(t) if args.form == "normal" else bbd_antinormal(t)
-        except SingularBlockError as exc:
-            suggestions = [list(s) for s in cp_suggestions(t)]
-            raise CliError(EXIT_SINGULAR,
-                           f"{exc}; site subsets restoring T22: {suggestions}")
-        results = {
-            "form": args.form,
-            "x": matrix_pairs(fac.x),
-            "exp_y": matrix_pairs(fac.exp_y),
-            "y": None if fac.y is None else matrix_pairs(fac.y),
-            "z": matrix_pairs(fac.z),
-            "prefactor": as_pair(fac.prefactor),
-        }
-        diagnostics["rcond"] = fac.rcond
-        sign_certain = fac.sign_certain
-    else:
-        if args.cp or args.epsilon:
-            flag = "--cp" if args.cp else "--epsilon"
-            raise CliError(EXIT_PARSE, f"{flag} applies to the normal and antinormal forms only")
-        try:
-            fac = generalized_bbd(op)
-        except SingularBlockError as exc:
-            t = transfer_of(QuadraticGenerator(op.m)) if op.is_quadratic else None
-            hint = f"; site subsets restoring T22: {[list(s) for s in cp_suggestions(t)]}" if t else ""
-            raise CliError(EXIT_SINGULAR, f"{exc}{hint}")
-        results = {
-            "form": "generalized",
-            "q": vector_pairs(fac.q),
-            "x": matrix_pairs(fac.x),
-            "exp_y": matrix_pairs(fac.exp_y),
-            "y": None if fac.y is None else matrix_pairs(fac.y),
-            "z": matrix_pairs(fac.z),
-            "p": vector_pairs(fac.p),
-            "prefactor": as_pair(fac.prefactor),
-        }
-        diagnostics["rcond"] = fac.rcond
-        sign_certain = fac.sign_certain
-    report = base_report("decompose", inputs, method="pfaffian",
-                         sign_certain=sign_certain,
+        factorize = functools.partial(bbd_normal if args.form == "normal" else bbd_antinormal, t)
+        fields = ("x", "exp_y", "y", "z")
+    try:
+        fac = factorize()
+    except SingularBlockError as exc:
+        if t is None and op.is_quadratic:
+            t = transfer_of(QuadraticGenerator(op.m))
+        hint = "" if t is None else f"; site subsets restoring T22: {[list(s) for s in cp_suggestions(t)]}"
+        raise CliError(EXIT_SINGULAR, f"{exc}{hint}")
+    diagnostics["rcond"] = fac.rcond
+    results = {"form": args.form, **{k: pairs(getattr(fac, k)) for k in fields},
+               "prefactor": as_pair(fac.prefactor)}
+    report = base_report("decompose", {"input": digest}, method="pfaffian",
+                         sign_certain=fac.sign_certain,
                          diagnostics=diagnostics, results=results)
     emit(report, args.output)
     return EXIT_OK
@@ -405,7 +385,7 @@ def cmd_compose(args) -> int:
         doc = base_report("compose", {"a": d1, "b": d2},
                           results={
                               "generator_available": False,
-                              "extended_transfer": matrix_pairs(res.transfer.t),
+                              "extended_transfer": pairs(res.transfer.t),
                           })
         write_text(args.output, dump_report(doc) + "\n")
         report = doc
@@ -445,16 +425,11 @@ def _oracle_value(op1, op2, ops, bra, ket) -> complex:
 def cmd_overlap(args) -> int:
     op1, op2, inputs, bra, ket = _load_sandwich(args)
     method = "cp-magnitude" if args.cp_magnitude else "epsilon" if args.epsilon else "auto"
-    try:
-        if op1.is_quadratic and op2.is_quadratic:
-            res = state_overlap(QuadraticGenerator(op1.m), QuadraticGenerator(op2.m), bra, ket,
-                                method=method)
-        else:
-            res = generalized_overlap(op1, op2, bra, ket, method=method)
-    except SingularBlockError as exc:
-        raise CliError(EXIT_SINGULAR, str(exc))
-    except LinalgError as exc:
-        raise CliError(EXIT_NUMERICAL, str(exc))
+    if op1.is_quadratic and op2.is_quadratic:
+        res = state_overlap(QuadraticGenerator(op1.m), QuadraticGenerator(op2.m), bra, ket,
+                            method=method)
+    else:
+        res = generalized_overlap(op1, op2, bra, ket, method=method)
     results = {"value": as_pair(res.value)}
     if args.verify:
         ref = _oracle_value(op1, op2, (), bra, ket)
@@ -519,8 +494,6 @@ def cmd_correlate(args) -> int:
         emit(report, args.output)
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_GUARD
-    except SingularBlockError as exc:
-        raise CliError(EXIT_SINGULAR, str(exc))
     if args.verify:
         ref = _oracle_value(op1, op2, ops, bra, ket)
         results["oracle"] = as_pair(ref)
@@ -583,76 +556,53 @@ def cmd_verify(args) -> int:
 
     record("admissibility", admissibility_defect(op.m), 1e-10)
 
+    # the operator kind picks the functions, the check names and the anchor
     if op.is_quadratic:
-        gen = QuadraticGenerator(op.m)
-        zero = QuadraticGenerator.zero(L)   # one object, so exp(0) is computed once
-        t = transfer_of(gen)
+        ket_op, zero = QuadraticGenerator(op.m), QuadraticGenerator.zero(L)  # exp(0) computed once
+        t = transfer_of(ket_op)
         record("transfer_j_orthogonality", t.j_defect(), 1e-10)
         record("transfer_det_unimodular", abs(abs(np.linalg.det(t.t)) - 1.0), 1e-8)
-
-        configs = [FockConfig(tuple((n >> k) & 1 for k in range(L))) for n in range(dim)]
-        dev = 0.0
-        for bra in configs:
-            for ket in configs:
-                val = state_overlap(gen, zero, bra, ket).value
-                ref = fock.dense_element(f_dense, bra, ket, modes=modes)
-                dev = max(dev, abs(val - ref))
-        record("matrix_elements_vs_oracle", dev, 1e-9)
-
-        try:
-            ops_f = factors_as_ops(
-                generalized_bbd(LinearGaussianOp.quadratic(gen)))
-            prod = np.eye(dim, dtype=complex)
-            for f in ops_f:
-                prod = prod @ fock.dense_gaussian(f.m, f.u, f.v, modes=modes)
-            record("factorization_reassembly", float(np.max(np.abs(prod - f_dense))), 1e-9)
-        except (SingularBlockError, LinalgError) as exc:
-            record("factorization_reassembly", 0.0, 1e-9, note=f"skipped: {exc}")
-
+        element, correlator, lengths = state_overlap, n_point, (1, 2, 3, 4)
+        grid_name, reassembly_name, correlator_name = (
+            "matrix_elements_vs_oracle", "factorization_reassembly", "correlators_vs_oracle")
         # anchor the correlator spot checks on the largest matrix element
-        flat = int(np.argmax(np.abs(f_dense)))
-        bj, ki = divmod(flat, dim)
-        ctx = CorrelatorContext(gen, zero, configs[bj], configs[ki])
-        dev = 0.0
-        for n in (1, 2, 3, 4):
-            ops_s = tuple(ModeOp(int(rng.integers(1, L + 1)), bool(rng.integers(2)))
-                          for _ in range(n))
-            val = n_point(ctx, ops_s)
-            a = fock.mode_string_matrix([(o.site, o.dagger) for o in ops_s], modes)
-            ref = fock.dense_expectation(np.eye(dim, dtype=complex),
-                                         a, f_dense, ctx.bra, ctx.ket, modes=modes)
-            dev = max(dev, abs(val - ref))
-        record("correlators_vs_oracle", dev, 1e-8)
+        bj, ki = divmod(int(np.argmax(np.abs(f_dense))), dim)
     else:
-        zero = LinearGaussianOp.zero(L)
-        configs = [FockConfig(tuple((n >> k) & 1 for k in range(L))) for n in range(dim)]
-        dev = 0.0
-        for bra in configs:
-            for ket in configs:
-                val = generalized_overlap(op, zero, bra, ket).value
-                ref = fock.dense_element(f_dense, bra, ket, modes=modes)
-                dev = max(dev, abs(val - ref))
-        record("generalized_overlap_vs_oracle", dev, 1e-9)
-        try:
-            prod = np.eye(dim, dtype=complex)
-            for f in factors_as_ops(generalized_bbd(op)):
-                prod = prod @ fock.dense_gaussian(f.m, f.u, f.v, modes=modes)
-            record("five_factor_reassembly", float(np.max(np.abs(prod - f_dense))), 1e-9)
-        except (SingularBlockError, LinalgError) as exc:
-            record("five_factor_reassembly", 0.0, 1e-9, note=f"skipped: {exc}")
-        ctx = CorrelatorContext(op, zero,
-                                configs[int(rng.integers(dim))],
-                                configs[int(rng.integers(dim))])
-        dev = 0.0
-        for n in (1, 2, 3):
-            ops_s = tuple(ModeOp(int(rng.integers(1, L + 1)), bool(rng.integers(2)))
-                          for _ in range(n))
-            val = generalized_expectation(ctx, ops_s)
-            a = fock.mode_string_matrix([(o.site, o.dagger) for o in ops_s], modes)
-            ref = fock.dense_expectation(np.eye(dim, dtype=complex),
-                                         a, f_dense, ctx.bra, ctx.ket, modes=modes)
+        ket_op, zero = op, LinearGaussianOp.zero(L)
+        element, correlator, lengths = generalized_overlap, generalized_expectation, (1, 2, 3)
+        grid_name, reassembly_name, correlator_name = (
+            "generalized_overlap_vs_oracle", "five_factor_reassembly",
+            "generalized_correlators_vs_oracle")
+        bj, ki = int(rng.integers(dim)), int(rng.integers(dim))
+
+    configs = [FockConfig(tuple((n >> k) & 1 for k in range(L))) for n in range(dim)]
+    dev = 0.0
+    for bra in configs:
+        for ket in configs:
+            val = element(ket_op, zero, bra, ket).value
+            ref = fock.dense_element(f_dense, bra, ket, modes=modes)
             dev = max(dev, abs(val - ref))
-        record("generalized_correlators_vs_oracle", dev, 1e-8)
+    record(grid_name, dev, 1e-9)
+
+    try:
+        prod = np.eye(dim, dtype=complex)
+        for f in factors_as_ops(generalized_bbd(op)):
+            prod = prod @ fock.dense_gaussian(f.m, f.u, f.v, modes=modes)
+        record(reassembly_name, float(np.max(np.abs(prod - f_dense))), 1e-9)
+    except (SingularBlockError, LinalgError) as exc:
+        record(reassembly_name, 0.0, 1e-9, note=f"skipped: {exc}")
+
+    ctx = CorrelatorContext(ket_op, zero, configs[bj], configs[ki])
+    dev = 0.0
+    for n in lengths:
+        ops_s = tuple(ModeOp(int(rng.integers(1, L + 1)), bool(rng.integers(2)))
+                      for _ in range(n))
+        val = correlator(ctx, ops_s)
+        a = fock.mode_string_matrix([(o.site, o.dagger) for o in ops_s], modes)
+        ref = fock.dense_expectation(np.eye(dim, dtype=complex),
+                                     a, f_dense, ctx.bra, ctx.ket, modes=modes)
+        dev = max(dev, abs(val - ref))
+    record(correlator_name, dev, 1e-8)
 
     all_passed = all(c["passed"] for c in checks)
     report = base_report("verify", {"op": digest},

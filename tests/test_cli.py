@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -324,13 +325,45 @@ def test_compose_files_byte_identical(tmp_path, capsys):
     assert len(set(outputs)) == 1
 
 
-def test_verify_subcommand(op_file, linear_op_file, capsys):
-    code, out, err = run(capsys, "verify", "--op", op_file)
-    assert code == 0
-    assert json.loads(out)["results"]["all_passed"]
-    assert "PASS" in err
-    code, out, _ = run(capsys, "verify", "--op", linear_op_file)
-    assert code == 0
+QUADRATIC_CHECKS = [
+    ("admissibility", 1e-10),
+    ("transfer_j_orthogonality", 1e-10),
+    ("transfer_det_unimodular", 1e-8),
+    ("matrix_elements_vs_oracle", 1e-9),
+    ("factorization_reassembly", 1e-9),
+    ("correlators_vs_oracle", 1e-8),
+]
+LINEAR_CHECKS = [
+    ("admissibility", 1e-10),
+    ("generalized_overlap_vs_oracle", 1e-9),
+    ("five_factor_reassembly", 1e-9),
+    ("generalized_correlators_vs_oracle", 1e-8),
+]
+
+
+def test_verify_subcommand(op_file, linear_op_file, singular_op_file, capsys):
+    # T22 of the worked example at a = pi/2 is singular: no five factors
+    cases = [(op_file, QUADRATIC_CHECKS, None), (linear_op_file, LINEAR_CHECKS, None),
+             (singular_op_file, QUADRATIC_CHECKS, "skipped: pivot block not invertible")]
+    for (op, expected, note), seed in itertools.product(cases, ("0", "5")):
+        code, out, err = run(capsys, "verify", "--op", op, "--seed", seed)
+        assert code == 0
+        results = json.loads(out)["results"]
+        checks = results["checks"]
+        assert [(c["check"], c["tolerance"]) for c in checks] == expected
+        assert all(c["passed"] for c in checks) and results["all_passed"]
+        notes = {c["check"]: c["note"] for c in checks if "note" in c}
+        if note is None:
+            assert notes == {}
+        else:
+            assert list(notes) == ["factorization_reassembly"]
+            assert notes["factorization_reassembly"].startswith(note)
+            assert checks[4]["max_deviation"] == 0.0
+        # one stderr line per check, in report order, with the note appended
+        lines = err.splitlines()
+        assert [line.split(":")[0] for line in lines] == [f"PASS {name}" for name, _ in expected]
+        for line, c in zip(lines, checks):
+            assert line.endswith(f"  ({c['note']})" if "note" in c else f"tol={c['tolerance']:.1e}")
 
 
 def test_parse_errors(tmp_path, capsys):
@@ -347,16 +380,22 @@ def test_parse_errors(tmp_path, capsys):
     op = write_operator(tmp_path / "tiny.json", np.zeros((2, 2)))
     code, _, _ = run(capsys, "overlap", "--op", op, "--bra", "00", "--ket", "0")
     assert code == 3
-    # a non-numeric L, a ragged M and a non-numeric M entry
+    # an L that is not a JSON integer, a ragged M and a non-numeric M entry;
+    # the float, string and bool L were read as 2, 2 and 1, and with an M
+    # and configurations of that size the overlap exited 0
     zero_m = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
-    for name, doc, needle in [
-        ("l.json", {"L": "two", "M": zero_m}, "'two'"),
-        ("ragged.json", {"L": 1, "M": [[[0, 0], [0, 0]], [[0, 0]]]}, "M must be"),
-        ("entry.json", {"L": 1, "M": [[[0, 0], [0, 0]], [[0, 0], ["a", 0]]]}, "M must be"),
+    zero_m2 = [[[0, 0]] * 4] * 4
+    for name, doc, bits, needle in [
+        ("l.json", {"L": "two", "M": zero_m}, "0", "'two'"),
+        ("float.json", {"L": 2.7, "M": zero_m2}, "00", "got 2.7"),
+        ("str.json", {"L": "2", "M": zero_m2}, "00", "got '2'"),
+        ("bool.json", {"L": True, "M": zero_m}, "0", "got True"),
+        ("ragged.json", {"L": 1, "M": [[[0, 0], [0, 0]], [[0, 0]]]}, "0", "M must be"),
+        ("entry.json", {"L": 1, "M": [[[0, 0], [0, 0]], [[0, 0], ["a", 0]]]}, "0", "M must be"),
     ]:
         (tmp_path / name).write_text(json.dumps(doc))
-        code, out, err = run(capsys, "overlap", "--op", str(tmp_path / name), "--bra", "0",
-                             "--ket", "0")
+        code, out, err = run(capsys, "overlap", "--op", str(tmp_path / name), "--bra", bits,
+                             "--ket", bits)
         assert code == 3 and out == "" and needle in err, name
     # bra and ket operators on different site counts
     op2 = write_operator(tmp_path / "two.json", np.zeros((4, 4)))
