@@ -470,6 +470,7 @@ def cmd_correlate(args) -> int:
         else:
             value = generalized_expectation(ctx, ops)
             method = "ancilla-extended"
+        route = ctx.route
         results["value"] = as_pair(value)
         if args.expand:
             expansion, terms = generalized_wick_expansion(ctx, ops)
@@ -501,7 +502,7 @@ def cmd_correlate(args) -> int:
     report = base_report("correlate", inputs,
                          args={"bra": str(bra), "ket": str(ket), "string": args.string},
                          method=method, sign_certain=True,
-                         diagnostics={}, results=results)
+                         route=route, diagnostics={}, results=results)
     emit(report, args.output)
     return EXIT_OK
 

@@ -3,17 +3,17 @@
 Each string operator is first conjugated through the ket-side transfer
 matrix into its coefficient rows over the bare modes.  A string of three
 or more operators is then one Pfaffian, ``_Engine.bordered_element``: the
-pair's pairing matrix, restricted to the occupied sites of the two
-configurations exactly as for an overlap, is bordered by one row and
-column per operator holding its contractions (the Balian-Brezin
-contraction structure, summed by the Pfaffian minor-summation identity).
-One- and two-operator strings take the direct expansion,
-``_Engine.string_element``: the amplitudes of the configurations reached
-from the ket are pushed forward through the rows (with the usual string
-signs), and the Pfaffian overlap formula gives the matrix element of each
-reached configuration; the ones not yet cached are evaluated together,
-one stacked Pfaffian per submatrix order.  Neither route divides by an
-overlap, so both stay exact where the overlap vanishes.
+overlap kernel's matrix, the pair's pairing matrix or, on a singular
+pair, its factor chain, restricted exactly as for an overlap, is bordered
+by one row and column per operator holding its contractions (the
+Balian-Brezin contraction structure, summed by the Pfaffian
+minor-summation identity).  One- and two-operator strings take the direct
+expansion, ``_Engine.string_element``: the amplitudes of the
+configurations reached from the ket are pushed forward through the rows
+(with the usual string signs), and the kernel gives the matrix element of
+each reached configuration, one stacked Pfaffian per submatrix order.
+Neither route divides by an overlap, so both stay exact where it
+vanishes.
 
 With linear terms present, every string maps into the ancilla-extended
 space: products of substituted operators collapse pairwise, so an even
@@ -35,7 +35,7 @@ import numpy as np
 from .configs import FockConfig
 from .linalg import LinalgError, _pfaffian_exact
 from .linearpart import LinearGaussianOp, embed
-from .overlaps import _dispatch, _pair_kernel
+from .overlaps import _chain_kernel, _dispatch, _pair_kernel
 from .quadratic import QuadraticGenerator, transfer_of
 
 #: relative threshold below which the normalizing overlap counts as zero
@@ -112,22 +112,22 @@ def pairings_with_sign(indices):
 
 
 class _Engine:
-    """Formula evaluation for one composed pair of quadratic generators.
+    """Formula evaluation for one pair of quadratic generators on one route.
 
-    Holds the overlap kernel of ``exp(M2)^dag exp(M1)`` together with the
-    ket-side transfer matrix (for conjugating string operators), the
-    matrix elements keyed by configuration bits, and per (bra, ket) pair
-    the restricted pairing blocks that bordered strings share.  Callers
-    pass parity-allowed strings only.
+    Holds the kernel ``kernel_of(g1, g2)`` of ``exp(M2)^dag exp(M1)``, the
+    product's or the factor chain's, with its ``rcond``, ``sign_certain``,
+    ``branch`` and ``k``; the ket-side transfer matrix (for conjugating
+    string operators); the matrix elements keyed by configuration bits, and
+    per (bra, ket) pair the restricted blocks that bordered strings share.
+    Callers pass parity-allowed strings only.
     """
 
-    def __init__(self, g1: QuadraticGenerator, g2: QuadraticGenerator):
+    def __init__(self, kernel_of, g1: QuadraticGenerator, g2: QuadraticGenerator):
         self.L = g1.L
-        self.kern = _pair_kernel(g1, g2)
+        kern = self.kern = kernel_of(g1, g2)
         self.t1 = transfer_of(g1).t
-        self.rcond = self.kern.rcond
-        self.sign_certain = self.kern.sign_certain
-        self.branch = self.kern.branch
+        self.rcond, self.sign_certain, self.branch, self.k = (
+            kern.rcond, kern.sign_certain, kern.branch, kern.k)
         self._elements: dict = {}
         self._blocks: dict = {}
 
@@ -175,18 +175,20 @@ class _Engine:
         return self.bordered_element(rows, bra_bits, ket_bits)
 
     def _restricted(self, bra_bits, ket_bits):
-        """The pairing data that one (bra, ket) pair restricts to, kept per
-        pair: the occupied sites J and I, the pairing matrix on J (+) I in
-        its upper triangle, the rows E_J of the coupling block and the
-        columns Z_:I of the ket block."""
+        """The chain data that one (bra, ket) pair restricts to, kept per
+        pair: n_J, the number h of kept rows ahead of I (J's, then the inner
+        blocks'), I's sites, the chain matrix on the kept rows in its upper
+        triangle, the last factor's Z-block columns of those h rows (its E
+        on its X-block rows, zero above) and that Z block's columns Z_:I."""
         key = (bra_bits, ket_bits)
         data = self._blocks.get(key)
         if data is None:
-            L, p = self.L, self.kern.pairing
-            keep, n_j, _ = self.kern._keep(bra_bits, ket_bits)
-            jj, ii = keep[:n_j], [r - L for r in keep[n_j:]]
-            data = self._blocks[key] = (jj, ii, np.triu(p[np.ix_(keep, keep)], 1),
-                                        p[jj, L:], p[L:, L:][:, ii])
+            L, c = self.L, self.kern.pairing
+            keep, n_j, n_i = self.kern._keep(bra_bits, ket_bits)
+            h = len(keep) - n_i
+            ii = [r - len(c) + L for r in keep[h:]]
+            data = self._blocks[key] = (n_j, h, ii, np.triu(c[np.ix_(keep, keep)], 1),
+                                        c[keep[:h], -L:], c[-L:, -L:][:, ii])
         return data
 
     def bordered_element(self, rows, bra_bits, ket_bits) -> complex:
@@ -194,36 +196,37 @@ class _Engine:
 
         ``rows[k] = (alpha, beta)`` holds the coefficients of phi_{k+1}
         over ``(c, c^dag)``, the ``(cc, cd)`` of :meth:`_coeff_rows`.  The
-        kernel's pairing matrix restricted to J (+) I, as in
-        :meth:`OverlapKernel.elements`, is bordered by one row per operator,
-        in the order [J, phi_1..phi_n, I].  With E and Z the coupling and
-        ket blocks of the pairing matrix, the border holds the contractions
+        kernel's chain matrix restricted as in :meth:`OverlapKernel.elements`
+        is bordered by one row per operator, in the order [J, inner blocks,
+        phi_1..phi_n, I].  The string stands right of the last factor: with
+        E, Z and X that factor's coupling and ket blocks and its X-block
+        rows (J's for one factor), the border holds the contractions
 
-            [J, phi_b]     = (E beta_b)_J
+            [X, phi_b]     = E beta_b
             [phi_a, phi_b] = beta_a Z beta_b^T - alpha_a . beta_b   (a < b)
             [phi_a, I]     = (beta_a Z - alpha_a)_I
 
         (Balian and Brezin's contraction structure; the Pfaffian
         minor-summation identity sums the bare-mode expansion into one
         Pfaffian).  The matrix is built from its upper triangle, so it is
-        exactly antisymmetric, and the value is
-        (-1)^(n(n-1)/2 + n_I(n_I+1)/2 + n_I n_J) times the kernel prefactor
-        times its Pfaffian.
+        exactly antisymmetric, and the value is (-1)^((k-1) L(L-1)/2 +
+        n(n-1)/2 + n_I(n_I+1)/2 + n_I n_J) times the kernel prefactor times
+        its Pfaffian.
         """
-        jj, ii, inner, e_j, z_i = self._restricted(bra_bits, ket_bits)
-        n_j, n_i, n = len(jj), len(ii), len(rows)
+        n_j, h, ii, inner, e_h, z_i = self._restricted(bra_bits, ket_bits)
+        n_i, n = len(ii), len(rows)
         alpha = np.array([r[0] for r in rows]).reshape(n, self.L)
         beta = np.array([r[1] for r in rows]).reshape(n, self.L)
-        mid = slice(n_j, n_j + n)
-        m = np.zeros((n_j + n + n_i,) * 2, dtype=complex)
-        m[:n_j, :n_j] = inner[:n_j, :n_j]
-        m[:n_j, n_j + n:] = inner[:n_j, n_j:]
-        m[n_j + n:, n_j + n:] = inner[n_j:, n_j:]
-        m[:n_j, mid] = e_j @ beta.T
-        m[mid, mid] = np.triu((beta @ self.kern.pairing[self.L:, self.L:] - alpha) @ beta.T, 1)
-        m[mid, n_j + n:] = beta @ z_i - alpha[:, ii]
+        mid = slice(h, h + n)
+        m = np.zeros((h + n + n_i,) * 2, dtype=complex)
+        m[:h, :h] = inner[:h, :h]
+        m[:h, h + n:] = inner[:h, h:]
+        m[h + n:, h + n:] = inner[h:, h:]
+        m[:h, mid] = e_h @ beta.T
+        m[mid, mid] = np.triu((beta @ self.kern.pairing[-self.L:, -self.L:] - alpha) @ beta.T, 1)
+        m[mid, h + n:] = beta @ z_i - alpha[:, ii]
         m -= m.T
-        sign = (n * (n - 1) // 2 + n_i * (n_i + 1) // 2 + n_i * n_j) % 2
+        sign = (self.kern._sign + n * (n - 1) // 2 + n_i * (n_i + 1) // 2 + n_i * n_j) % 2
         pf = _pfaffian_exact(m)
         return -self.kern.prefactor * pf if sign else self.kern.prefactor * pf
 
@@ -274,10 +277,11 @@ class CorrelatorContext:
 
     ``op1`` generates the ket state from configuration ``ket``; ``op2`` the
     bra state from ``bra``.  Both may carry linear parts; the purely
-    quadratic formulas demand both be quadratic.  When the composed T22 is
-    singular, or the sign of its det(T22)^(1/2) cannot be tracked,
-    evaluations transparently switch to the perturbative continuation of
-    the ket-side generator.
+    quadratic formulas demand both be quadratic.  Values run the overlaps'
+    rescue chain pfaffian -> factor-chain: a singular composed T22, or an
+    untracked sign of its det(T22)^(1/2), leaves the value to the factor
+    chain.  ``route`` lists the attempts behind the last value (empty for
+    an exact parity zero), as an overlap's does.
     """
 
     def __init__(self, op1, op2, bra: FockConfig, ket: FockConfig):
@@ -304,38 +308,40 @@ class CorrelatorContext:
         # makes the two parities equal
         anc = 0 if bra.parity == ket.parity else 1
         self._extended_bits = ((0,) + bra.bits, (anc,) + ket.bits)
-        # engine per (sector, ket generator), or the LinalgError that building
-        # it raised, so that no later value repeats a failed build; the
-        # sector is False (quadratic) or True (extended), the ket generator
-        # None for the sector's own or the bytes of its epsilon perturbation
+        # engine per (sector, route), or the LinalgError that building it
+        # raised, so that no later value repeats a failed build; the sector
+        # is False (quadratic) or True (extended)
         self._engines: dict = {}
+        self.route: list = []
 
     @property
     def L(self) -> int:
         return self.op1.L
 
     def _eval(self, fn, extended: bool = False) -> complex:
-        """``fn(engine)`` through the overlap rescue chain, quadratic or
-        ancilla-extended.  The magnitude route is left out: correlators
-        need the sign."""
+        """``fn(engine)`` through the rescue chain pfaffian -> factor-chain,
+        quadratic or ancilla-extended; the route is kept as ``route``."""
         if extended not in self._gens:
             wrap = embed if extended else (lambda op: QuadraticGenerator(op.m))
             self._gens[extended] = (wrap(self.op1), wrap(self.op2))
         g1, g2 = self._gens[extended]
 
-        def kernel_of(g):
-            key = (extended, None if g is g1 else g.m.tobytes())
+        def engine(route, kernel_of):
+            key = (extended, route)
             if key not in self._engines:
                 try:
-                    self._engines[key] = _Engine(g, g2)
+                    self._engines[key] = _Engine(kernel_of, g1, g2)
                 except LinalgError as exc:
                     self._engines[key] = exc
-            engine = self._engines[key]
-            if isinstance(engine, LinalgError):
-                raise engine.with_traceback(None)
-            return engine
+            found = self._engines[key]
+            if isinstance(found, LinalgError):
+                raise found.with_traceback(None)
+            return found
 
-        return _dispatch(kernel_of, fn, g1, chain=None, cp=None, method="auto").value
+        res = _dispatch(fn, lambda: engine("pfaffian", _pair_kernel),
+                        lambda: engine("factor-chain", _chain_kernel), None, None, method="auto")
+        self.route = res.route
+        return res.value
 
     def _checked(self, ops) -> tuple:
         ops = tuple(ops)
@@ -377,6 +383,7 @@ def n_point(ctx: CorrelatorContext, ops) -> complex:
         raise ValueError("this formula requires purely quadratic operators (u = v = 0); "
                          "use generalized_expectation instead")
     if (ctx.ket.n_occupied + len(ops) + ctx.bra.n_occupied) % 2:
+        ctx.route = []
         return complex(0.0)
     return ctx._eval(lambda e: e.n_point(ops, ctx.bra.bits, ctx.ket.bits))
 

@@ -118,9 +118,9 @@ class OverlapKernel:
     the restriction keeping J's rows of the first block, every inner block
     and I's rows of the last block, and
     sigma = (-1)^((k-1) L (L-1)/2 + n_I (n_I-1)/2).  For one factor
-    (``k`` = 1) C is its pairing matrix and this is the central formula
-    above.  ``element`` evaluates any configuration pair, and ``elements``
-    many pairs at once.
+    (``k`` = 1) C is its read-only pairing matrix and this is the central
+    formula above.  ``element`` evaluates any configuration pair, and
+    ``elements`` many pairs at once.
 
     The prefactors p_i = det(T22)^(1/2) carry the physical sign, so the
     caller fixes their branches: the signed overlaps by continuity along a
@@ -134,13 +134,15 @@ class OverlapKernel:
         L = self.L = factors[0].x.shape[0]
         k = self.k = len(factors)
         n = 2 * k * L
-        c = np.zeros((n, n), dtype=complex)
-        for i, fac in enumerate(factors):
-            a = 2 * i * L
-            c[a:a + 2 * L, a:a + 2 * L] = fac.pairing
-            if i:
-                c[a - L:a, a:a + L] = np.eye(L)
-                c[a:a + L, a - L:a] = -np.eye(L)
+        c = factors[0].pairing
+        if k > 1:
+            c = np.zeros((n, n), dtype=complex)
+            for i, fac in enumerate(factors):
+                a = 2 * i * L
+                c[a:a + 2 * L, a:a + 2 * L] = fac.pairing
+                if i:
+                    c[a - L:a, a:a + L] = np.eye(L)
+                    c[a:a + L, a - L:a] = -np.eye(L)
         self.pairing = c
         self.prefactor = functools.reduce(lambda p, q: p * q, (fac.prefactor for fac in factors))
         self.rcond = min(fac.rcond for fac in factors)
@@ -317,6 +319,14 @@ def _chain_factors(g: QuadraticGenerator) -> tuple:
     return data
 
 
+def _chain_kernel(g1: QuadraticGenerator, g2: QuadraticGenerator | None) -> OverlapKernel:
+    """The factor-chain kernel of exp(M2^dag) exp(M1): the adjoints of the
+    :func:`_chain_factors` of ``g2`` (None for the identity) in reverse
+    order, then those of ``g1``."""
+    bra_side = () if g2 is None else _chain_factors(g2)
+    return OverlapKernel([f.adjoint for f in reversed(bra_side)] + list(_chain_factors(g1)))
+
+
 # ---------------------------------------------------------------------------
 # the rescue chain
 # ---------------------------------------------------------------------------
@@ -325,21 +335,15 @@ def _chain_factors(g: QuadraticGenerator) -> tuple:
 ROUTES = ("pfaffian", "factor-chain", "epsilon", "cp-magnitude")
 
 
-def _dispatch(kernel_of, evaluate, g1: QuadraticGenerator, chain, cp, *,
-              method: str) -> OverlapResult:
+def _dispatch(evaluate, pfaffian, chain, epsilon, cp, *, method: str) -> OverlapResult:
     """Run the rescue chain pfaffian -> factor-chain -> epsilon -> cp-magnitude.
 
-    ``g1`` is the ket-side generator, ``kernel_of(g)`` builds the kernel
-    (anything with ``rcond``, ``sign_certain`` and ``branch`` attributes)
-    of the pair with ``g`` in its place, and ``evaluate(kernel)`` turns a
-    kernel into the value.  The Pfaffian takes ``kernel_of(g1)``; the
-    epsilon route takes the kernels of g1 + eps G, G the
-    :func:`epsilon_direction` of g1's site count, and extrapolates.
-    ``chain()`` returns the factor chain's :class:`OverlapKernel`, which
-    ``evaluate`` turns into the value as it does the Pfaffian's, and
-    ``cp()`` the transfer and the two configurations of the magnitude
-    route; None rules that route out for callers that have no factor chain
-    or need a signed value.
+    Each route is a thunk, or None to rule it out (the correlators, which
+    need a signed value, pass only the first two).  ``pfaffian()`` and
+    ``chain()`` build the kernel of the pair's product and of its factor
+    chain (anything with ``rcond``, ``sign_certain``, ``branch`` and ``k``),
+    which ``evaluate(kernel)`` turns into the value; ``epsilon()`` and
+    ``cp()`` return their route's :class:`OverlapResult`.
 
     ``method="auto"`` tries the available routes in order and accepts the
     Pfaffian only with a certain sign; a route name forces that route
@@ -358,10 +362,9 @@ def _dispatch(kernel_of, evaluate, g1: QuadraticGenerator, chain, cp, *,
     its ``message``.  When every route fails, the last route's error is
     raised with the same list attached as ``.route``.
     """
-    available = {"pfaffian": True, "factor-chain": chain is not None,
-                 "epsilon": True, "cp-magnitude": cp is not None}
+    thunks = dict(zip(ROUTES, (pfaffian, chain, epsilon, cp)))
     if method == "auto":
-        names = [name for name in ROUTES if available[name]]
+        names = [name for name in ROUTES if thunks[name] is not None]
     elif method in ROUTES:
         names = [method]
     else:
@@ -369,8 +372,8 @@ def _dispatch(kernel_of, evaluate, g1: QuadraticGenerator, chain, cp, *,
     route: list[dict] = []
     for name in names:
         try:
+            res = kern = thunks[name]()     # a kernel, or epsilon's and cp's result
             if name == "pfaffian":
-                kern = kernel_of(g1)
                 why = {"rcond": kern.rcond, "sign_certain": kern.sign_certain,
                        "branch": kern.branch}
                 if not kern.sign_certain and len(names) > 1:
@@ -380,16 +383,11 @@ def _dispatch(kernel_of, evaluate, g1: QuadraticGenerator, chain, cp, *,
                 res = OverlapResult(evaluate(kern), "pfaffian", kern.sign_certain,
                                     {"rcond": kern.rcond, "branch": kern.branch})
             elif name == "factor-chain":
-                kern = chain()
                 why = {"factors": kern.k, "rcond": kern.rcond}
                 res = OverlapResult(evaluate(kern), name, kern.sign_certain, dict(why))
-            elif name == "epsilon":
-                res = _epsilon_extrapolate(
-                    lambda eps, g: evaluate(kernel_of(QuadraticGenerator(g1.m + eps * g.m))), g1.L)
-                why = {"eps_disagreement": res.diagnostics["eps_disagreement"]}
-            else:
-                res = overlap_magnitude_cp(*cp())
-                why = {"cp_sites": res.diagnostics["cp_sites"], "rcond": res.diagnostics["rcond"]}
+            else:   # epsilon's disagreement, or cp-magnitude's sites and rcond
+                why = {key: val for key, val in res.diagnostics.items()
+                       if key in ("eps_disagreement", "cp_sites", "rcond")}
         except LinalgError as exc:
             if isinstance(exc, ExtrapolationError):
                 d = exc.disagreement
@@ -418,20 +416,21 @@ def _pair_overlap(g1: QuadraticGenerator, g2: QuadraticGenerator | None,
     """<J| exp(M2^dag) exp(M1) |I> through the rescue chain.
 
     ``g1`` and ``g2`` are the ket and bra generators (``g2`` None for the
-    identity).  The factor chain takes the adjoints of ``g2``'s chain factors
-    in reverse order, then ``g1``'s; the epsilon route perturbs ``g1``; the
-    magnitude route takes the composed transfer.  An odd total occupation
-    is an exact zero.
+    identity).  The factor chain is :func:`_chain_kernel`; the epsilon
+    route, built here alone, perturbs ``g1``; the magnitude route takes the
+    composed transfer.  An odd total occupation is an exact zero.
     """
     if not (bra.L == ket.L == g1.L == (g1.L if g2 is None else g2.L)):
         raise ValueError("inconsistent site counts")
     if (bra.n_occupied + ket.n_occupied) % 2:
         return OverlapResult(complex(0.0), "pfaffian", True, {"parity_zero": True})
-    return _dispatch(lambda g: _pair_kernel(g, g2), lambda k: k.element(bra, ket), g1,
-                     lambda: OverlapKernel([f.adjoint for f in reversed(
-                         () if g2 is None else _chain_factors(g2))] + list(_chain_factors(g1))),
-                     lambda: (transfer_of(g1) if g2 is None else compose_bra_ket(g2, g1),
-                              bra, ket), method=method)
+    return _dispatch(
+        lambda k: k.element(bra, ket), lambda: _pair_kernel(g1, g2), lambda: _chain_kernel(g1, g2),
+        lambda: _epsilon_extrapolate(lambda eps, g: _pair_kernel(
+            QuadraticGenerator(g1.m + eps * g.m), g2).element(bra, ket), g1.L),
+        lambda: overlap_magnitude_cp(
+            transfer_of(g1) if g2 is None else compose_bra_ket(g2, g1), bra, ket),
+        method=method)
 
 
 def _require_generators(*ops) -> None:

@@ -237,6 +237,22 @@ def test_correlate_verify_and_expand(linear_op_file, capsys):
     assert len(doc["results"]["terms"]) == 3
 
 
+@pytest.mark.parametrize("command", ["correlate", "wick"])
+def test_correlate_factor_chain_on_singular(singular_op_file, capsys, command):
+    # the composed T22 of the pi/2 example is singular: the value is the
+    # bordered Pfaffian over the factor chain, and the report says so
+    code, out, _ = run(capsys, command, "--op", singular_op_file, "--bra", "110",
+                       "--ket", "000", "--string", "cd1 cd2 c3 c1", "--verify")
+    assert code == 0
+    doc = json.loads(out)
+    assert [(e["route"], e["accepted"]) for e in doc["route"]] == \
+        [("pfaffian", False), ("factor-chain", True)]
+    # the identity bra operator and the two halves exp(M/2) exp(M/2)
+    assert doc["route"][1]["factors"] == 3
+    assert abs(complex(*doc["results"]["oracle"])) > 0.5
+    assert doc["results"]["oracle_deviation"] < 1e-12
+
+
 def test_wick_alias(linear_op_file, capsys):
     code, out, _ = run(capsys, "wick", "--op", linear_op_file, "--bra", "10",
                        "--ket", "01", "--string", "c1 cd2 c2")

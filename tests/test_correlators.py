@@ -21,7 +21,7 @@ from fermigauss.correlators import (
     parse_mode_string,
     two_point,
 )
-from fermigauss.linalg import LinalgError, pfaffian
+from fermigauss.linalg import LinalgError, SingularBlockError, pfaffian
 from fermigauss.linearpart import LinearGaussianOp
 from fermigauss.quadratic import QuadraticGenerator, random_generator
 
@@ -33,6 +33,8 @@ from conftest import (
     random_linear_op,
     worked_example_m,
 )
+from test_factor_chain import sector
+from test_quadratic import rotation_plus_sector
 
 PROPERTY = settings(derandomize=True, deadline=None)
 cached_oracle = functools.cache(Oracle)
@@ -143,7 +145,8 @@ class TestTwoPoint:
 
     def test_is_string_element_of_its_rows(self):
         rng = np.random.default_rng(220)
-        e = correlators._Engine(random_generator(3, rng, 0.6), random_generator(3, rng, 0.6))
+        e = correlators._Engine(overlaps._pair_kernel, random_generator(3, rng, 0.6),
+                                random_generator(3, rng, 0.6))
         bra, ket = (1, 0, 1), (0, 1, 1)
         for a, b in ((ModeOp(1, True), ModeOp(3, False)), (ModeOp(2, False), ModeOp(2, True))):
             rows = (e._coeff_rows(a), e._coeff_rows(b))
@@ -233,13 +236,12 @@ class TestNPoint:
         assert abs(ref) > 0.5
         assert abs(n_point(ctx, ops) - ref) < 1e-9
 
-    def test_epsilon_route_at_singular_point(self, oracle, monkeypatch):
+    def test_factor_chain_at_singular_point(self, oracle, monkeypatch):
         # at a = pi/2 the composed T22 is singular for every configuration
-        # pair, so each value below comes from the perturbative route
+        # pair, so each value below comes from the bordered Pfaffian over
+        # the factor chain, none from the perturbative route
         calls = []
-        orig = overlaps._epsilon_extrapolate
-        monkeypatch.setattr(overlaps, "_epsilon_extrapolate",
-                            lambda *a: calls.append(a) or orig(*a))
+        monkeypatch.setattr(overlaps, "_epsilon_extrapolate", lambda *a: calls.append(a))
         orc = oracle(3)
         gen = QuadraticGenerator(worked_example_m(np.pi / 2))
         cases = [
@@ -253,35 +255,37 @@ class TestNPoint:
             ops = parse_mode_string(string)
             ref = oracle_value(ctx, ops, orc)
             assert abs(ref) > 0.5
-            assert abs(n_point(ctx, ops) - ref) < 1e-8
-        assert len(calls) == len(cases)
+            assert abs(n_point(ctx, ops) - ref) < 1e-12 * abs(ref)
+            assert [(r["route"], r["accepted"]) for r in ctx.route] == \
+                [("pfaffian", False), ("factor-chain", True)]
+        assert calls == []
 
-    def test_uncertain_sign_takes_epsilon_route(self, oracle, monkeypatch):
+    def test_uncertain_sign_takes_factor_chain(self, oracle, monkeypatch):
         # a Pfaffian prefactor whose sign cannot be tracked is rejected, as
-        # in overlap(); the value then comes from the perturbative route
+        # in overlap(); the value then comes from the factor chain
         calls = []
-        orig_eps = overlaps._epsilon_extrapolate
         orig_sqrt = overlaps.sqrt_det_continuous
-        monkeypatch.setattr(overlaps, "_epsilon_extrapolate",
-                            lambda *a: calls.append(a) or orig_eps(*a))
+        monkeypatch.setattr(overlaps, "_epsilon_extrapolate", lambda *a: calls.append(a))
         monkeypatch.setattr(overlaps, "sqrt_det_continuous",
                             lambda path, end: (orig_sqrt(path, end)[0], False))
         rng = np.random.default_rng(907)
         orc = oracle(3)
         ctx = quad_ctx(rng, 3, bra=FockConfig.from_string("110"),
                        ket=FockConfig.from_string("011"))
-        strings = ("c1 cd2", "cd1 c3")
-        for string in strings:
+        for string in ("c1 cd2", "cd1 c3"):
             ops = parse_mode_string(string)
             ref = oracle_value(ctx, ops, orc)
             assert abs(ref) > 0.1
-            assert abs(n_point(ctx, ops) - ref) < 1e-8
-        assert len(calls) == len(strings)
-        assert ctx._engines[(False, None)].sign_certain is False  # built once, kept
+            assert abs(n_point(ctx, ops) - ref) < 1e-12 * abs(ref)
+            assert [(r["route"], r.get("reason")) for r in ctx.route] == \
+                [("pfaffian", "sign_certain"), ("factor-chain", None)]
+        assert calls == []
+        assert ctx._engines[(False, "pfaffian")].sign_certain is False  # built once, kept
 
-    def test_epsilon_route_builds_each_engine_once(self, oracle, monkeypatch):
-        # k values of a singular context: the unperturbed engine plus one per
-        # epsilon of the schedule, however many values are asked for
+    def test_one_engine_per_route(self, oracle, monkeypatch):
+        # k values of a singular context: one Pfaffian engine, whose failed
+        # build is kept, and one factor-chain engine, however many values
+        # are asked for
         builds = []
         orig = correlators._Engine.__init__
         monkeypatch.setattr(correlators._Engine, "__init__",
@@ -290,30 +294,98 @@ class TestNPoint:
         ctx = CorrelatorContext(QuadraticGenerator(worked_example_m(np.pi / 2)),
                                 QuadraticGenerator.zero(3),
                                 FockConfig.from_string("001"), FockConfig.from_string("001"))
-        strings = ("c2 cd3", "cd2 c2", "c1 cd1", "c3 cd3 c2 cd2")
-        for string in strings:
+        for string in ("c2 cd3", "cd2 c2", "c1 cd1", "c3 cd3 c2 cd2"):
             ops = parse_mode_string(string)
-            assert abs(n_point(ctx, ops) - oracle_value(ctx, ops, orc)) < 1e-8
-        assert len(builds) == 1 + 3
+            ref = oracle_value(ctx, ops, orc)
+            assert abs(n_point(ctx, ops) - ref) < 1e-12 * max(1.0, abs(ref))
+        assert [kernel_of for kernel_of, *_ in builds] == \
+            [overlaps._pair_kernel, overlaps._chain_kernel]
+        assert list(ctx._engines) == [(False, "pfaffian"), (False, "factor-chain")]
+        assert isinstance(ctx._engines[(False, "pfaffian")], SingularBlockError)
 
-
-    def test_epsilon_route_keeps_the_given_generators(self, oracle, count_calls):
+    def test_factor_chain_keeps_the_given_generators(self, oracle, count_calls):
         # contexts keep the quadratic generators they were given, so the
-        # singular ket generator is exponentiated once across two contexts;
-        # only the perturbed generators of the epsilon route are new
+        # singular ket generator is exponentiated once across two contexts,
+        # and the chain's factor data, cached on it, serve the second one
         orc = oracle(3)
         gen, bra_gen = QuadraticGenerator(worked_example_m(np.pi / 2)), QuadraticGenerator.zero(3)
         calls = count_calls("mat_exp")
         for bra, ket, string in (("001", "001", "c2 cd3"), ("100", "101", "cd1")):
+            n_calls = len(calls)
             ctx = CorrelatorContext(gen, bra_gen, FockConfig.from_string(bra),
                                     FockConfig.from_string(ket))
             ops = parse_mode_string(string)
             ref = oracle_value(ctx, ops, orc)
             assert abs(ref) > 0.5
-            assert abs(n_point(ctx, ops) - ref) < 1e-8
+            assert abs(n_point(ctx, ops) - ref) < 1e-12 * abs(ref)
             assert ctx._gens[False][0] is gen and ctx._gens[False][1] is bra_gen
-            assert [key[1] is None for key in ctx._engines] == [True, False, False, False]
+            assert list(ctx._engines) == [(False, "pfaffian"), (False, "factor-chain")]
+        assert len(calls) == n_calls      # the second context exponentiates nothing
         assert sum(np.array_equal(a, gen.m) for (a,) in calls) == 1
+
+
+#: (L, seed, ket kind, bra kind) of a pair whose composed T22 is singular
+singular_pairs = st.tuples(st.integers(3, 5), st.integers(0, 2 ** 32 - 1),
+                           st.sampled_from(["worked", "rotation"]),
+                           st.sampled_from(["identity", "sector"]))
+
+
+class TestSingularPairs:
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(singular_pairs)
+    def test_values_take_the_factor_chain_and_match_oracle(self, pair):
+        # the ket is the pi/2 worked example (L = 3) or a rotation-plus-sector
+        # generator, the bra the identity or a generator on sites 3..L, so
+        # the product's T22 is singular: every value is the bordered
+        # Pfaffian over the factor chain, signed, and none reaches epsilon
+        L, seed, ket_kind, bra_kind = pair
+        rng = np.random.default_rng(seed)
+        if ket_kind == "worked":
+            L, g1 = 3, QuadraticGenerator(worked_example_m(np.pi / 2))
+        else:
+            g1 = rotation_plus_sector(L, rng)
+        g2 = QuadraticGenerator.zero(L) if bra_kind == "identity" else sector(L, rng)
+        bra, ket = random_config(rng, L), random_config(rng, L)
+        ctx = CorrelatorContext(g1, g2, bra, ket)
+        orc = cached_oracle(L)
+        f1, f2 = orc.gaussian(g1), orc.gaussian(g2)
+        cases = [(n_point, rand_string(rng, L, n)) for n in (1, 2, 3, 4)]
+        cases += [(generalized_expectation, rand_string(rng, L, n)) for n in (1, 2, 3)]
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(overlaps, "_epsilon_extrapolate", lambda *a: calls.append(a))
+            for value, ops in cases:
+                val = value(ctx, ops)
+                ref = orc.sandwich(f2, ops, f1, bra, ket)
+                assert abs(val - ref) <= 1e-12 * max(1.0, abs(ref))
+                if ctx.route:     # empty for an exact parity zero of n_point
+                    assert [(r["route"], r["accepted"]) for r in ctx.route] == \
+                        [("pfaffian", False), ("factor-chain", True)]
+                else:
+                    assert value is n_point and val == 0
+        assert calls == []
+
+    def test_no_correlator_function_reaches_epsilon(self, oracle, monkeypatch):
+        # every public correlator function on a singular context, counted
+        calls = []
+        monkeypatch.setattr(overlaps, "_epsilon_extrapolate", lambda *a: calls.append(a))
+        orc = oracle(3)
+        gen = QuadraticGenerator(worked_example_m(np.pi / 2))
+        bra, ket = FockConfig.from_string("110"), FockConfig.from_string("000")
+        ctx = CorrelatorContext(gen, QuadraticGenerator.zero(3), bra, ket)
+        f1, f2 = orc.gaussian(gen), orc.eye
+        a, b, c = ModeOp(1, True), ModeOp(2, True), ModeOp(3, False)
+        for value, ops in ((overlap_value(ctx), ()), (two_point(ctx, a, b), (a, b)),
+                           (n_point(ctx, (a, b, c, c)), (a, b, c, c)),
+                           (generalized_overlap_value(ctx), ()),
+                           (generalized_expectation(ctx, (a, c, b)), (a, c, b)),
+                           (generalized_wick_expansion(ctx, (a, b))[0], (a, b))):
+            assert abs(value - orc.sandwich(f2, ops, f1, bra, ket)) < 1e-12
+        odd = CorrelatorContext(gen, QuadraticGenerator.zero(3), bra, FockConfig.from_string("100"))
+        assert abs(one_point(odd, c) - orc.sandwich(f2, (c,), f1, odd.bra, odd.ket)) < 1e-12
+        assert [(r["route"], r["accepted"]) for r in ctx.route] == \
+            [("pfaffian", False), ("factor-chain", True)]
+        assert calls == []
 
 
 class TestSites:
@@ -523,8 +595,8 @@ def recursive_string_element(engine, rows, bra_bits, ket_bits) -> complex:
 
 def expansion_contexts():
     """(ket op, bra op, bra, ket) per case: random quadratic and linear
-    operators, and a singular pi/2 rotation whose values take the epsilon
-    route in both sectors."""
+    operators, and a singular pi/2 rotation whose values take the factor
+    chain in both sectors."""
     rng = np.random.default_rng(240)
     cases = []
     for L in (2, 3, 4):
@@ -662,7 +734,8 @@ class TestBorderedPfaffian:
     def test_matches_string_element(self, L):
         rng = np.random.default_rng(270 + L)
         for _ in range(4):
-            e = correlators._Engine(random_generator(L, rng, 0.6), random_generator(L, rng, 0.6))
+            e = correlators._Engine(overlaps._pair_kernel, random_generator(L, rng, 0.6),
+                                    random_generator(L, rng, 0.6))
             bra, ket = random_config(rng, L).bits, random_config(rng, L).bits
             for n in (3, 4, 5, 6):
                 if (sum(bra) + sum(ket) + n) % 2:
@@ -703,9 +776,10 @@ class TestBorderedPfaffian:
         assert values >= 16 and calls == {"element": 0, "string_element": 0}
 
     def test_failed_engine_build_is_kept(self, monkeypatch):
-        # a context whose product overflows the J-check: the first value
-        # tries the Pfaffian and epsilon routes, every later one raises the
-        # kept error again, with its route, and repeats no check
+        # a context whose product overflows the J-check and whose factors'
+        # own T22 stay singular: the first value tries the Pfaffian and the
+        # factor chain, every later one raises the kept error again, with
+        # its route, and repeats no check
         checks = []
         orig = quadratic.TransferMatrix._defect
         monkeypatch.setattr(quadratic.TransferMatrix, "_defect",
@@ -716,11 +790,11 @@ class TestBorderedPfaffian:
         ops = parse_mode_string("cd1 c2")
         with pytest.raises(LinalgError) as first:
             n_point(ctx, ops)
-        assert len(checks) == 5
+        assert len(checks) == 4
         checks.clear()
         with pytest.raises(LinalgError) as second:
             n_point(ctx, ops)
         assert checks == []
         assert type(second.value) is type(first.value)
-        assert [r["route"] for r in second.value.route] == ["pfaffian", "epsilon"]
-        assert all(r["reason"] == "numerical" for r in second.value.route)
+        assert [(r["route"], r["reason"]) for r in second.value.route] == \
+            [("pfaffian", "numerical"), ("factor-chain", "rcond")]

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 
 from fermigauss import fock
 from fermigauss.configs import FockConfig
+from fermigauss.correlators import ModeOp, _Engine
 from fermigauss.linalg import LinalgError, SingularBlockError
 from fermigauss.overlaps import (
-    OverlapKernel,
     UnfixedBranchError,
-    _chain_factors,
+    _chain_kernel,
     overlap,
     state_overlap,
 )
@@ -119,8 +119,7 @@ class TestStackedKernel:
         # products numpy rounds in its scalar loop, not in the array loop of
         # the stack, so the two agree to rounding, not bit for bit
         g1, g2 = chain_case(L, ket, bra)
-        bra_side = () if g2 is None else _chain_factors(g2)
-        kern = OverlapKernel([f.adjoint for f in reversed(bra_side)] + list(_chain_factors(g1)))
+        kern = _chain_kernel(g1, g2)
         assert kern.k == k
         pairs = [(b, c) for b in all_configs(L) for c in all_configs(L)]
         stacked = kern.elements([(b.bits, c.bits) for b, c in pairs])
@@ -133,6 +132,37 @@ class TestStackedKernel:
             assert abs(val - res.value) <= 1e-13 * max(1.0, abs(res.value))
             ref = fock.dense_element(f, b, c, modes=modes(L))
             assert abs(val - ref) <= 1e-10 * max(1.0, abs(ref))
+
+
+class TestBorderedChain:
+    @pytest.mark.parametrize("L, ket, bra, k", [
+        (3, "worked", False, 2), (3, "worked", True, 3), (4, "random", True, 2),
+        (4, "rotation", True, 3),
+    ])
+    def test_strings_match_oracle(self, L, ket, bra, k):
+        # <J| F_1 ... F_k phi_1 ... phi_n |I> as one bordered Pfaffian of the
+        # chain matrix: the string stands right of the last factor, so the
+        # border couples to that factor's X-block rows, inner rows for k > 1
+        g1, g2 = chain_case(L, ket, bra)
+        engine = _Engine(_chain_kernel, g1, g2)
+        assert engine.k == k
+        f1 = fock.dense_gaussian(g1.m, modes=modes(L))
+        f2 = np.eye(2 ** L) if g2 is None else fock.dense_gaussian(g2.m, modes=modes(L))
+        rng = np.random.default_rng(60 + L + k)
+        values = 0
+        for b in all_configs(L):
+            for c in all_configs(L):
+                n = int(rng.integers(1, 5))
+                n += (b.n_occupied + c.n_occupied + n) % 2
+                ops = [ModeOp(int(rng.integers(1, L + 1)), bool(rng.integers(0, 2)))
+                       for _ in range(n)]
+                val = engine.bordered_element([engine._coeff_rows(op) for op in ops],
+                                              b.bits, c.bits)
+                a = fock.mode_string_matrix([(op.site, op.dagger) for op in ops], modes(L))
+                ref = fock.dense_expectation(f2, a, f1, b, c, modes=modes(L))
+                assert abs(val - ref) <= 1e-12 * max(1.0, abs(ref))
+                values += abs(ref) > 0.1
+        assert values >= 4
 
 
 class TestCounts:

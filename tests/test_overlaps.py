@@ -470,12 +470,12 @@ class TestRescueChain:
             with pytest.raises(SingularBlockError) as err:
                 call()
             assert rejected_everywhere(err)
-        # correlators need the sign, so the magnitude route is left out,
-        # and they have no factor chain
+        # correlators need the sign, so they run the Pfaffian and the
+        # factor chain only
         for value in (n_point, generalized_expectation):
             with pytest.raises(SingularBlockError) as err:
                 value(CorrelatorContext(gen, zero, vac, vac), ())
-            assert rejected_everywhere(err, ("pfaffian", "epsilon"))
+            assert rejected_everywhere(err, ("pfaffian", "factor-chain"))
         t = TransferMatrix(transfer_of(gen).t.copy())
         for factorize, src in ((bbd_normal, t), (bbd_antinormal, t),
                                (generalized_bbd, LinearGaussianOp.quadratic(gen))):
@@ -488,7 +488,8 @@ class TestRescueChain:
         # every route that forms a product transfer overflows its
         # J-orthogonality check, and the factor chain, which forms none,
         # finds the factors' own T22 singular: each attempt is recorded, and
-        # the last error carries them
+        # the last error carries them.  The correlators' last route is the
+        # factor chain, so theirs is its SingularBlockError
         g1, g2 = random_generator(2, 2, 150), random_generator(2, 102, 150)
         vac = FockConfig.vacuum(2)
         ctx = CorrelatorContext(g1, g2, vac, vac)
@@ -497,16 +498,19 @@ class TestRescueChain:
             pair, value = generalized_overlap, generalized_expectation
         else:
             ops, pair, value = (g1, g2), state_overlap, n_point
-        for call, routes in ((lambda: pair(*ops, vac, vac), ROUTES),
-                             (lambda: value(ctx, ()), ("pfaffian", "epsilon"))):
-            with pytest.raises(LinalgError, match="J-orthogonality check overflows") as err:
-                call()
-            assert not isinstance(err.value, SingularBlockError)
-            assert rejected_everywhere(err, routes)
-            reasons = {e["route"]: e["reason"] for e in err.value.route}
-            assert reasons.pop("factor-chain", "rcond") == "rcond"
-            assert set(reasons.values()) == {"numerical"}
-            assert err.value.route[-1]["message"] == str(err.value)
+        with pytest.raises(LinalgError, match="J-orthogonality check overflows") as err:
+            pair(*ops, vac, vac)
+        assert not isinstance(err.value, SingularBlockError)
+        assert rejected_everywhere(err)
+        reasons = {e["route"]: e["reason"] for e in err.value.route}
+        assert reasons.pop("factor-chain") == "rcond"
+        assert set(reasons.values()) == {"numerical"}
+        assert err.value.route[-1]["message"] == str(err.value)
+        with pytest.raises(SingularBlockError) as err:
+            value(ctx, ())
+        assert rejected_everywhere(err, ("pfaffian", "factor-chain"))
+        assert [e["reason"] for e in err.value.route] == ["numerical", "rcond"]
+        assert "J-orthogonality check overflows" in err.value.route[0]["message"]
 
     def test_no_exception_escapes_epsilon_route(self):
         # every perturbed kernel of this large-norm operator fails the
@@ -527,7 +531,8 @@ class TestRescueChain:
 
     def test_epsilon_route_builds_no_operator(self, oracle, monkeypatch):
         # the epsilon route perturbs the embedded ket generator it is handed,
-        # so no perturbed (M, u, v) is built and embedded again
+        # so no perturbed (M, u, v) is built and embedded again; the
+        # correlator, which has no epsilon route, builds one engine per route
         orc = oracle(3)
         op = LinearGaussianOp(worked_example_m(np.pi / 2), [0.3, 0, 0], None)
         zero = LinearGaussianOp.zero(3)
@@ -543,7 +548,7 @@ class TestRescueChain:
         value = generalized_expectation(ctx, ops)
         assert builds == []
         assert res.method == "epsilon-regularized"
-        assert [key[1] is None for key in ctx._engines] == [True, False, False, False]
+        assert list(ctx._engines) == [(True, "pfaffian"), (True, "factor-chain")]
         ref = orc.element(f1, FockConfig.from_string("110"), ket)
         assert abs(ref) > 0.5 and abs(res.value - ref) < 1e-8
         ref = orc.sandwich(f2, ops, f1, bra, ket)
