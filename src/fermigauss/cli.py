@@ -464,13 +464,9 @@ def cmd_correlate(args) -> int:
     ctx = CorrelatorContext(op1, op2, bra, ket)
     results: dict = {"string": [str(o) for o in ops]}
     try:
-        if ctx.quadratic:
-            value = n_point(ctx, ops)
-            method = "wick-pfaffian"
-        else:
-            value = generalized_expectation(ctx, ops)
-            method = "ancilla-extended"
-        route = ctx.route
+        value = (n_point if ctx.quadratic else generalized_expectation)(ctx, ops)
+        # the value's provenance, before the expansion's values replace it
+        method, sign_certain, route = ctx.method, ctx.sign_certain, ctx.route
         results["value"] = as_pair(value)
         if args.expand:
             expansion, terms = generalized_wick_expansion(ctx, ops)
@@ -501,7 +497,7 @@ def cmd_correlate(args) -> int:
         results["oracle_deviation"] = float(abs(value - ref))
     report = base_report("correlate", inputs,
                          args={"bra": str(bra), "ket": str(ket), "string": args.string},
-                         method=method, sign_certain=True,
+                         method=method, sign_certain=sign_certain,
                          route=route, diagnostics={}, results=results)
     emit(report, args.output)
     return EXIT_OK

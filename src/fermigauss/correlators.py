@@ -1,5 +1,11 @@
 """Expectation values of operator strings between Gaussian states.
 
+Every value is computed in the ancilla-extended space of
+:mod:`~fermigauss.linearpart`, whose u = v = 0 case is a purely quadratic
+pair, so one engine serves both.  Products of substituted operators
+collapse pairwise: an odd string acquires one leftmost ``c0^dag - c0``
+factor, taken as one operator, so every extended string is even.
+
 Each string operator is first conjugated through the ket-side transfer
 matrix into its coefficient rows over the bare modes.  A string of three
 or more operators is then one Pfaffian, ``_Engine.bordered_element``: the
@@ -15,12 +21,8 @@ each reached configuration, one stacked Pfaffian per submatrix order.
 Neither route divides by an overlap, so both stay exact where it
 vanishes.
 
-With linear terms present, every string maps into the ancilla-extended
-space: products of substituted operators collapse pairwise, so an even
-string passes through unchanged while an odd string acquires a single
-leftmost ``c0^dag - c0`` factor, which enters either route as one
-operator.  The generalized Wick expansion -- all pairings plus at most
-one singleton, each factor a one- or two-point value -- follows from the
+The generalized Wick expansion -- all pairings plus at most one
+singleton, each factor a one- or two-point value -- follows from the
 extended-space pairing sum and is exposed both as a theorem check and as
 a term table; it alone normalizes by the overlap.
 """
@@ -112,14 +114,17 @@ def pairings_with_sign(indices):
 
 
 class _Engine:
-    """Formula evaluation for one pair of quadratic generators on one route.
+    """Formula evaluation for one pair of embedded generators on one route.
 
-    Holds the kernel ``kernel_of(g1, g2)`` of ``exp(M2)^dag exp(M1)``, the
-    product's or the factor chain's, with its ``rcond``, ``sign_certain``,
-    ``branch`` and ``k``; the ket-side transfer matrix (for conjugating
-    string operators); the matrix elements keyed by configuration bits, and
-    per (bra, ket) pair the restricted blocks that bordered strings share.
-    Callers pass parity-allowed strings only.
+    Holds the kernel ``kernel_of(g1, g2)`` of ``exp(M2')^dag exp(M1')``,
+    the product's or the factor chain's, with its ``rcond``,
+    ``sign_certain``, ``branch`` and ``k``; the ket-side transfer matrix
+    (for conjugating string operators); the matrix elements keyed by
+    configuration bits, and per (bra, ket) pair the restricted blocks that
+    bordered strings share, on the L + 1 sites of the ancilla-extended
+    space.  Callers pass parity-allowed strings only.  ``one_point``,
+    ``two_point`` and ``_odd_reduction`` have no caller in the library;
+    ``bench/tracing.py`` wraps them by name.
     """
 
     def __init__(self, kernel_of, g1: QuadraticGenerator, g2: QuadraticGenerator):
@@ -145,18 +150,15 @@ class _Engine:
         r = op.site - 1 + (self.L if op.dagger else 0)
         return self.t1[r, : self.L], self.t1[r, self.L:]
 
-    def n_point(self, ops, bra_bits, ket_bits) -> complex:
-        n = len(ops)
-        if n == 0:
+    def n_point(self, rows, bra_bits, ket_bits) -> complex:
+        """<J| F phi_1 ... phi_n |I> for the coefficient rows of the string:
+        the matrix element for none, :meth:`string_element` for one or two,
+        :meth:`bordered_element` for more."""
+        if not rows:
             return self.element(bra_bits, ket_bits)
-        if n == 1:
-            return self.one_point(ops[0], bra_bits, ket_bits)
-        if n == 2:
-            return self.two_point(ops[0], ops[1], bra_bits, ket_bits)
-        rows = [self._coeff_rows(op) for op in ops]
-        if n % 2 == 0:
-            return self._wick_even(rows, bra_bits, ket_bits)
-        return self._odd_reduction(rows, bra_bits, ket_bits)
+        if len(rows) < 3:
+            return self.string_element(rows, bra_bits, ket_bits)
+        return self._wick_even(rows, bra_bits, ket_bits)
 
     def one_point(self, op: ModeOp, bra_bits, ket_bits) -> complex:
         return self.string_element((self._coeff_rows(op),), bra_bits, ket_bits)
@@ -276,27 +278,18 @@ class CorrelatorContext:
     """A bra/ket pair of Gaussian states with cached composition data.
 
     ``op1`` generates the ket state from configuration ``ket``; ``op2`` the
-    bra state from ``bra``.  Both may carry linear parts; the purely
-    quadratic formulas demand both be quadratic.  Values run the overlaps'
-    rescue chain pfaffian -> factor-chain: a singular composed T22, or an
-    untracked sign of its det(T22)^(1/2), leaves the value to the factor
-    chain.  ``route`` lists the attempts behind the last value (empty for
-    an exact parity zero), as an overlap's does.
+    bra state from ``bra``.  A :class:`QuadraticGenerator` stands for its
+    u = v = 0 :class:`LinearGaussianOp`, one per generator object.  The
+    context holds one generator pair, ``embed(op1)`` and ``embed(op2)``,
+    cached on the operators, so their exponentials serve every context
+    built on the same objects.  Values run the overlaps' rescue chain
+    pfaffian -> factor-chain, one engine per route.  ``route``, ``method``
+    and ``sign_certain`` describe the last value as an overlap result does.
     """
 
     def __init__(self, op1, op2, bra: FockConfig, ket: FockConfig):
-        # (ket, bra) generators per sector, False (quadratic) or True
-        # (extended); generators given for the quadratic sector are kept,
-        # and the extended sector's come from ``embed``, which caches them
-        # on the operators, so their exponentials serve every context
-        # built on the same objects
-        self._gens: dict = {}
-        if isinstance(op1, QuadraticGenerator) and isinstance(op2, QuadraticGenerator):
-            self._gens[False] = (op1, op2)
-        if isinstance(op1, QuadraticGenerator):
-            op1 = LinearGaussianOp.quadratic(op1)
-        if isinstance(op2, QuadraticGenerator):
-            op2 = LinearGaussianOp.quadratic(op2)
+        op1, op2 = (LinearGaussianOp.quadratic(op) if isinstance(op, QuadraticGenerator) else op
+                    for op in (op1, op2))
         if not (op1.L == op2.L == bra.L == ket.L):
             raise ValueError("inconsistent site counts across operators and configurations")
         self.op1 = op1
@@ -304,43 +297,42 @@ class CorrelatorContext:
         self.bra = bra
         self.ket = ket
         self.quadratic = op1.is_quadratic and op2.is_quadratic
+        self._pair = (embed(op1), embed(op2))
         # configurations in the ancilla-extended space: the ket's ancilla
         # makes the two parities equal
         anc = 0 if bra.parity == ket.parity else 1
         self._extended_bits = ((0,) + bra.bits, (anc,) + ket.bits)
-        # engine per (sector, route), or the LinalgError that building it
-        # raised, so that no later value repeats a failed build; the sector
-        # is False (quadratic) or True (extended)
+        # engine per route, or the LinalgError that building it raised, so
+        # that no later value repeats a failed build
         self._engines: dict = {}
-        self.route: list = []
+        self._zero()    # no value yet: an empty route
 
     @property
     def L(self) -> int:
         return self.op1.L
 
-    def _eval(self, fn, extended: bool = False) -> complex:
-        """``fn(engine)`` through the rescue chain pfaffian -> factor-chain,
-        quadratic or ancilla-extended; the route is kept as ``route``."""
-        if extended not in self._gens:
-            wrap = embed if extended else (lambda op: QuadraticGenerator(op.m))
-            self._gens[extended] = (wrap(self.op1), wrap(self.op2))
-        g1, g2 = self._gens[extended]
+    def _zero(self) -> complex:
+        """An exact parity zero, described as an overlap describes one."""
+        self.route, self.method, self.sign_certain = [], "pfaffian", True
+        return complex(0.0)
 
+    def _eval(self, fn) -> complex:
+        """``fn(engine)`` through the rescue chain pfaffian -> factor-chain;
+        the route, method and sign certainty are kept."""
         def engine(route, kernel_of):
-            key = (extended, route)
-            if key not in self._engines:
+            if route not in self._engines:
                 try:
-                    self._engines[key] = _Engine(kernel_of, g1, g2)
+                    self._engines[route] = _Engine(kernel_of, *self._pair)
                 except LinalgError as exc:
-                    self._engines[key] = exc
-            found = self._engines[key]
+                    self._engines[route] = exc
+            found = self._engines[route]
             if isinstance(found, LinalgError):
                 raise found.with_traceback(None)
             return found
 
         res = _dispatch(fn, lambda: engine("pfaffian", _pair_kernel),
                         lambda: engine("factor-chain", _chain_kernel), None, None, method="auto")
-        self.route = res.route
+        self.route, self.method, self.sign_certain = res.route, res.method, res.sign_certain
         return res.value
 
     def _checked(self, ops) -> tuple:
@@ -351,11 +343,27 @@ class CorrelatorContext:
         return ops
 
 
-# -- quadratic-sector correlators --------------------------------------
+def _extended_value(ctx: CorrelatorContext, ops: tuple) -> complex:
+    """<J, M2| phi_1 ... phi_n |M1, I> in the ancilla-extended space: the
+    string shifted past the ancilla, led by ``c0^dag - c0`` when odd."""
+    shifted = tuple(op.shifted(1) for op in ops)
+    bra_bits, ket_bits = ctx._extended_bits
+
+    def value(e: _Engine) -> complex:
+        rows = [e._coeff_rows(op) for op in shifted]
+        if len(shifted) % 2:
+            (pc, pd), (mc, md) = e._coeff_rows(ModeOp(1, True)), e._coeff_rows(ModeOp(1, False))
+            rows.insert(0, (pc - mc, pd - md))
+        return e.n_point(rows, bra_bits, ket_bits)
+
+    return ctx._eval(value)
+
+
+# -- quadratic correlators ----------------------------------------------
 
 
 def overlap_value(ctx: CorrelatorContext) -> complex:
-    """<M2(J)|M1(I)> for the context's state pair (quadratic sector)."""
+    """<M2(J)|M1(I)> for the context's state pair (quadratic operators)."""
     return n_point(ctx, ())
 
 
@@ -370,25 +378,22 @@ def two_point(ctx: CorrelatorContext, op_a: ModeOp, op_b: ModeOp) -> complex:
 
 
 def n_point(ctx: CorrelatorContext, ops) -> complex:
-    """<J, M2| phi_1 ... phi_n |M1, I> for any operator string (quadratic sector).
+    """<J, M2| phi_1 ... phi_n |M1, I> for any operator string (quadratic operators).
 
-    Strings of 3 or more operators: one Pfaffian of the pairing matrix
-    bordered by the operators' coefficient rows.  Shorter strings: direct
-    expansion through the ket-side transfer matrix.  Neither divides by
-    the overlap, so a vanishing overlap needs no guard.  Parity-forbidden
-    strings are exact zeros.
+    Parity-forbidden strings are exact zeros.  Every other string is the
+    u = v = 0 case of :func:`generalized_expectation`, on the same engine
+    and with the same value bit for bit.
     """
     ops = ctx._checked(ops)
     if not ctx.quadratic:
         raise ValueError("this formula requires purely quadratic operators (u = v = 0); "
                          "use generalized_expectation instead")
     if (ctx.ket.n_occupied + len(ops) + ctx.bra.n_occupied) % 2:
-        ctx.route = []
-        return complex(0.0)
-    return ctx._eval(lambda e: e.n_point(ops, ctx.bra.bits, ctx.ket.bits))
+        return ctx._zero()
+    return _extended_value(ctx, ops)
 
 
-# -- linear-sector correlators ------------------------------------------
+# -- correlators with linear parts --------------------------------------
 
 
 def generalized_overlap_value(ctx: CorrelatorContext) -> complex:
@@ -403,25 +408,10 @@ def generalized_expectation(ctx: CorrelatorContext, ops) -> complex:
     through unchanged (substituted operators collapse pairwise), odd strings
     acquire one leftmost ``c0^dag - c0`` factor, taken as one operator.
     An extended string of 3 or more operators is then one bordered
-    Pfaffian, a shorter one a direct expansion, as in :func:`n_point`.
-    Neither normalizes by an overlap, so both survive superselection
-    points (u = v = 0 limits).
+    Pfaffian, a shorter one a direct expansion.  Neither normalizes by an
+    overlap, so both survive superselection points (u = v = 0 limits).
     """
-    shifted = tuple(op.shifted(1) for op in ctx._checked(ops))
-    bra_bits, ket_bits = ctx._extended_bits
-
-    def value(e: _Engine) -> complex:
-        rows = [e._coeff_rows(op) for op in shifted]
-        if len(shifted) % 2:
-            (pc, pd), (mc, md) = e._coeff_rows(ModeOp(1, True)), e._coeff_rows(ModeOp(1, False))
-            rows.insert(0, (pc - mc, pd - md))
-        if len(rows) < 3:
-            return e.string_element(rows, bra_bits, ket_bits)
-        # an extended string has an even number of rows: the ancilla
-        # factor makes odd strings even
-        return e._wick_even(rows, bra_bits, ket_bits)
-
-    return ctx._eval(value, extended=True)
+    return _extended_value(ctx, ctx._checked(ops))
 
 
 @dataclass(frozen=True)

@@ -110,7 +110,10 @@ class LinearGaussianOp:
 
     @classmethod
     def quadratic(cls, gen: QuadraticGenerator) -> "LinearGaussianOp":
-        return cls(gen.m, None, None)
+        """``gen`` with u = v = 0: one operator per generator object, cached on it."""
+        if "_linear" not in gen.__dict__:
+            gen.__dict__["_linear"] = cls(gen.m, None, None)
+        return gen.__dict__["_linear"]
 
     @classmethod
     def zero(cls, L: int) -> "LinearGaussianOp":

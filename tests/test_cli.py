@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermigauss import cli
+from fermigauss import cli, correlators
 from fermigauss.cli import CliError, main
 from fermigauss.linalg import skew_defect
 from fermigauss.overlaps import state_overlap
@@ -251,6 +251,43 @@ def test_correlate_factor_chain_on_singular(singular_op_file, capsys, command):
     assert doc["route"][1]["factors"] == 3
     assert abs(complex(*doc["results"]["oracle"])) > 0.5
     assert doc["results"]["oracle_deviation"] < 1e-12
+
+
+@pytest.mark.parametrize("command", ["correlate", "wick"])
+def test_correlator_reports_name_the_accepted_route(tmp_path, singular_op_file, capsys, command):
+    # method and sign_certain come from the route that answered, as in an
+    # overlap report, whatever the operators' kind; a parity zero reports
+    # what an overlap reports for one
+    quad = write_operator(tmp_path / "quad4.json", random_generator(4, 44, 0.5).m)
+    for op, bra, string, method, accepted in (
+            (singular_op_file, "110", "cd1 cd2 c3 c1", "factor-chain", ["factor-chain"]),
+            (quad, "1100", "cd1 c2", "pfaffian", ["pfaffian"]),
+            (quad, "1000", "cd1 c2", "pfaffian", [])):
+        code, out, _ = run(capsys, command, "--op", op, "--bra", bra,
+                           "--ket", "0" * (len(bra)), "--string", string, "--verify")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["method"], doc["sign_certain"]) == (method, True)
+        assert [e["route"] for e in doc["route"] if e["accepted"]] == accepted
+        assert doc["results"]["oracle_deviation"] < 1e-12
+    assert doc["route"] == [] and doc["results"]["value"] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("singular, engines", [(False, 1), (True, 2)])
+def test_wick_builds_one_engine_per_route(tmp_path, capsys, monkeypatch, singular, engines):
+    # a quadratic file's value and its term table share one engine per
+    # route: the Pfaffian's, and on the pi/2 example the factor chain's too
+    builds = []
+    orig = correlators._Engine.__init__
+    monkeypatch.setattr(correlators._Engine, "__init__",
+                        lambda self, *a: builds.append(a) or orig(self, *a))
+    m = worked_example_m(np.pi / 2) if singular else random_generator(4, 45, 0.5).m
+    op = write_operator(tmp_path / "op.json", m)
+    L = m.shape[0] // 2
+    code, _, _ = run(capsys, "wick", "--op", op, "--bra", "110".ljust(L, "0"),
+                     "--ket", "0" * L, "--string", "cd1 cd2 c3 c1")
+    assert code == 0
+    assert len(builds) == engines
 
 
 def test_wick_alias(linear_op_file, capsys):
@@ -820,8 +857,10 @@ def test_verify_builds_one_zero_generator(tmp_path, capsys, monkeypatch, count_c
     assert after == before
     assert json.loads(after)["results"]["all_passed"]
     # before: per parity-allowed element, one exp(0^dag) and one continuity
-    # step exp(h 0^dag), each on a fresh zero generator; after: one of each
-    assert n_before - n_after == 4 ** 4
+    # step exp(h 0^dag), each on a fresh zero generator; after: one of each.
+    # The correlator context embeds its zero generator in both runs, so it
+    # shares neither with the elements: the saving is two short of 4^4
+    assert n_before - n_after == 4 ** 4 - 2
 
 
 @pytest.mark.parametrize("linear", [False, True])
@@ -861,4 +900,4 @@ def test_correlator_reports_independent_of_hash_seed(tmp_path):
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
         doc = json.loads(reports[0])
-        assert doc["method"] == "ancilla-extended" and len(doc["results"]["terms"]) == 3
+        assert doc["method"] == "pfaffian" and len(doc["results"]["terms"]) == 3
