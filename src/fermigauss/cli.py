@@ -108,57 +108,84 @@ def _dump_key(key) -> str:
     return json.encoder.encode_basestring_ascii(str(key))
 
 
-def _int_list_column(col):
-    """A table column of int lists, each rendered on one line, or None.
+class Table:
+    """A report table held as columns, written by :func:`dump_report` as
+    the list of dicts with ``keys`` that it stands for, without building
+    them.  ``kinds`` gives each column's cell type: ``float`` (finite),
+    ``int``, ``bool``, ``str``, or ``list`` for sequences of ints."""
 
-    The repr of a list of ints is its JSON text; n items and the 2n
-    characters of brackets and separators give the width test's sum."""
-    if not set(map(type, itertools.chain.from_iterable(col))) <= {int}:
-        return None
-    texts = list(map(repr, col))
-    if not all(len(t) - 2 * len(v) < 72 for t, v in zip(texts, col)):
-        return None
+    __slots__ = ("keys", "kinds", "columns")
+
+    def __init__(self, keys, kinds, columns):
+        self.keys = tuple(keys)
+        self.kinds = tuple(kinds)
+        self.columns = tuple(columns)
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+
+#: the row-template field of a column kind; the other kinds are written as text
+_FIELDS = {float: "%.17g", int: "%d"}
+
+
+def _int_list_texts(col, pad: str) -> list:
+    """Each int sequence of a table column as the general path writes it
+    inside a row: on one line when its items render to fewer than 72
+    characters in all, else one item per line.  The repr of a list of ints
+    is its JSON text; n items and the 2n characters of brackets and
+    separators give the width test's sum."""
+    texts = list(map(repr, map(list, col)))
+    if texts and max(map(len, texts)) >= 72:
+        item_pad, close = pad + "      ", pad + "    ]"
+        texts = [t if len(t) - 2 * len(v) < 72
+                 else "[\n" + ",\n".join(item_pad + str(x) for x in v) + "\n" + close
+                 for t, v in zip(texts, col)]
     return texts
+
+
+def _render_table(keys, kinds, cols, pad: str) -> str:
+    """Columns of the given kinds as the general path writes the list of
+    dicts they stand for: one row template, filled once per row."""
+    if not len(cols[0]):
+        return "[]"
+    texts = []
+    for kind, col in zip(kinds, cols):
+        if kind is bool:
+            col = list(map(("false", "true").__getitem__, col))
+        elif kind is str:
+            col = list(map(json.encoder.encode_basestring_ascii, col))
+        elif kind is list:
+            col = _int_list_texts(col, pad)
+        texts.append(col)
+    inner = pad + "    "
+    names = [_dump_key(k).replace("%", "%%") for k in keys]
+    row = (pad + "  {\n"
+           + ",\n".join(f'{inner}{k}: {_FIELDS.get(kind, "%s")}' for k, kind in zip(names, kinds))
+           + "\n" + pad + "  }")
+    return "[\n" + ",\n".join([row % values for values in zip(*texts)]) + "\n" + pad + "]"
 
 
 def _dump_table(rows, pad: str) -> str | None:
     """Two or more dicts with the same keys in the same order, each column
-    of one exact type (finite float, bool, int, str or a one-line int list),
-    rendered with one row template; None for anything else."""
+    of one exact type (finite float, int, bool, str or a list of ints),
+    rendered by :func:`_render_table`; None for anything else."""
     if len(rows) < 2 or not all(type(r) is dict for r in rows):
         return None
     keys = tuple(rows[0])
     if not keys or not all(tuple(r) == keys for r in rows):
         return None
     cols = list(zip(*map(dict.values, rows)))
-    fields = []
-    for j, col in enumerate(cols):
+    kinds = []
+    for col in cols:
         types = set(map(type, col))
-        if types == {float}:
-            if not all(map(math.isfinite, col)):
-                return None
-            fields.append("%.17g")
-            continue
-        if types == {int}:
-            fields.append("%d")
-            continue
-        if types == {bool}:
-            cols[j] = list(map(("false", "true").__getitem__, col))
-        elif types == {str}:
-            cols[j] = list(map(json.encoder.encode_basestring_ascii, col))
-        elif types == {list}:
-            cols[j] = _int_list_column(col)
-            if cols[j] is None:
-                return None
-        else:
+        kind = types.pop() if len(types) == 1 else None
+        if (kind not in (float, int, bool, str, list)
+                or kind is float and not all(map(math.isfinite, col))
+                or kind is list and not set(map(type, itertools.chain.from_iterable(col))) <= {int}):
             return None
-        fields.append("%s")
-    inner = pad + "    "
-    names = [_dump_key(k).replace("%", "%%") for k in keys]
-    row = (pad + "  {\n"
-           + ",\n".join(f'{inner}{k}: {f}' for k, f in zip(names, fields))
-           + "\n" + pad + "  }")
-    return "[\n" + ",\n".join([row % values for values in zip(*cols)]) + "\n" + pad + "]"
+        kinds.append(kind)
+    return _render_table(keys, kinds, cols, pad)
 
 
 def _dump_pairs(pairs, pad: str) -> str | None:
@@ -181,8 +208,12 @@ def dump_report(obj, indent: int = 0) -> str:
     [re, im] pairs are rendered in one formatting pass when every value
     fits their template; anything else, a non-finite value or a numpy
     scalar included, takes the general path, so bytes and errors are
-    those of the general path."""
+    those of the general path.  A :class:`Table` is written by the same
+    row template straight from its columns, as the list of dicts it
+    stands for."""
     pad = "  " * indent
+    if type(obj) is Table:
+        return _render_table(obj.keys, obj.kinds, obj.columns, pad)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -507,17 +538,10 @@ def cmd_cp_scan(args) -> int:
     op, digest = load_operator(args.op)
     if not op.is_quadratic:
         raise CliError(EXIT_PARSE, "cp-scan operates on quadratic operators")
-    t = transfer_of(QuadraticGenerator(op.m))
-    entries = [
-        {
-            "sites": list(e.sites),
-            "t22_invertible": e.t22_invertible,
-            "t11_invertible": e.t11_invertible,
-            "rcond_t22": e.rcond_t22,
-            "rcond_t11": e.rcond_t11,
-        }
-        for e in cp_scan(t)
-    ]
+    scan = cp_scan(transfer_of(QuadraticGenerator(op.m)))
+    # written from the scan's columns; its rconds are finite, in [0, 1]
+    keys = ("sites", "t22_invertible", "t11_invertible", "rcond_t22", "rcond_t11")
+    entries = Table(keys, (list, bool, bool, float, float), [getattr(scan, k) for k in keys])
     report = base_report("cp-scan", {"op": digest}, results={"entries": entries})
     emit(report, args.output)
     return EXIT_OK

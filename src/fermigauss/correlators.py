@@ -302,8 +302,8 @@ class CorrelatorContext:
         # makes the two parities equal
         anc = 0 if bra.parity == ket.parity else 1
         self._extended_bits = ((0,) + bra.bits, (anc,) + ket.bits)
-        # engine per route, or the LinalgError that building it raised, so
-        # that no later value repeats a failed build
+        # engine per route, or the LinalgError that building it raised
+        # (detached), so that no later value repeats a failed build
         self._engines: dict = {}
         self._zero()    # no value yet: an empty route
 
@@ -324,10 +324,10 @@ class CorrelatorContext:
                 try:
                     self._engines[route] = _Engine(kernel_of, *self._pair)
                 except LinalgError as exc:
-                    self._engines[route] = exc
+                    self._engines[route] = exc.detached()
             found = self._engines[route]
             if isinstance(found, LinalgError):
-                raise found.with_traceback(None)
+                raise found.detached()
             return found
 
         res = _dispatch(fn, lambda: engine("pfaffian", _pair_kernel),

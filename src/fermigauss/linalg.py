@@ -26,6 +26,15 @@ SKEW_TOL = 1e-10
 class LinalgError(Exception):
     """Base class for kernel-level numerical failures."""
 
+    def detached(self) -> "LinalgError":
+        """A fresh instance with this error's type, ``args`` and attributes,
+        but no traceback, context or cause.  A cached error is stored and
+        raised as such a copy, so that no traceback ties the cache's owner
+        to the frames of an earlier call."""
+        fresh = type(self).__new__(type(self), *self.args)
+        fresh.__dict__.update(self.__dict__)
+        return fresh
+
 
 class SingularBlockError(LinalgError):
     """A block that must be inverted is numerically singular."""

@@ -306,16 +306,17 @@ def _own_factors(g: QuadraticGenerator) -> tuple:
 
 def _chain_factors(g: QuadraticGenerator) -> tuple:
     """:func:`_own_factors` of ``g``, computed once and cached on ``g``; a
-    :class:`LinalgError` is cached too and raised again on every call."""
+    :class:`LinalgError` is cached too, detached, and raised again on every
+    call as a fresh copy."""
     data = g.__dict__.get("_chain")
     if data is None:
         try:
             data = _own_factors(g)
         except LinalgError as exc:
-            data = exc
+            data = exc.detached()
         g.__dict__["_chain"] = data
     if isinstance(data, LinalgError):
-        raise data.with_traceback(None)
+        raise data.detached()
     return data
 
 

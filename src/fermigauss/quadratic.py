@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from itertools import combinations, islice
 
@@ -418,6 +419,40 @@ class CPScanEntry:
     t11_invertible: bool
 
 
+class CPScan(Sequence):
+    """The entries of :func:`cp_scan`, held as columns.
+
+    ``sites``, ``rcond_t22``, ``rcond_t11``, ``t22_invertible`` and
+    ``t11_invertible`` are one sequence each, in scan order, read straight
+    off the stacked estimates.  Length, indexing and iteration build the
+    :class:`CPScanEntry` of a row on demand.
+    """
+
+    # the columns, in the order of CPScanEntry's fields
+    __slots__ = ("sites", "rcond_t22", "rcond_t11", "t22_invertible", "t11_invertible")
+
+    def __init__(self, sites, rcond_t22, rcond_t11):
+        self.sites = sites
+        self.rcond_t22 = rcond_t22
+        self.rcond_t11 = rcond_t11
+        self.t22_invertible = [r >= RCOND_TOL for r in rcond_t22]
+        self.t11_invertible = [r >= RCOND_TOL for r in rcond_t11]
+
+    def _columns(self) -> list:
+        return [getattr(self, name) for name in self.__slots__]
+
+    def __len__(self) -> int:
+        return len(self.sites)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return list(map(CPScanEntry, *(col[k] for col in self._columns())))
+        return CPScanEntry(*(col[k] for col in self._columns()))
+
+    def __iter__(self):
+        return map(CPScanEntry, *self._columns())
+
+
 def _t22_rows(L: int, subsets) -> np.ndarray:
     """Row (and column) indices into T of the permuted T22 block of each subset.
 
@@ -435,9 +470,9 @@ def _rconds(t: TransferMatrix, rows: np.ndarray) -> list[float]:
     return rcond_estimate(t.t[rows[:, :, None], rows[:, None, :]]).tolist()
 
 
-def _exhaustive_t22(t: TransferMatrix):
-    """Lazily yield ``(sites, rcond of the permuted T22)`` for every site
-    subset, in :func:`cp_scan` order.
+def _t22_chunks(t: TransferMatrix):
+    """Lazily yield ``(subsets, rconds of their permuted T22)`` for every
+    site subset, in :func:`cp_scan` order.
 
     Every subset-size class goes through one stacked estimate, in chunks
     of at most :data:`CP_CHUNK` subsets, so a consumer that stops early has
@@ -447,11 +482,19 @@ def _exhaustive_t22(t: TransferMatrix):
     for size in range(L + 1):
         subsets = combinations(range(1, L + 1), size)
         while chunk := list(islice(subsets, CP_CHUNK)):
-            yield from zip(chunk, _rconds(t, _t22_rows(L, chunk)))
+            yield chunk, _rconds(t, _t22_rows(L, chunk))
 
 
-def _cp_entries(t: TransferMatrix):
-    """Yield the entries of :func:`cp_scan`, in its order.
+def _exhaustive_t22(t: TransferMatrix):
+    """Lazily yield ``(sites, rcond of the permuted T22)`` for every site
+    subset, in :func:`cp_scan` order, one chunk of :func:`_t22_chunks` at a
+    time."""
+    for chunk, r22 in _t22_chunks(t):
+        yield from zip(chunk, r22)
+
+
+def _cp_entries(t: TransferMatrix) -> CPScan:
+    """The entries of :func:`cp_scan`, in its order, as columns.
 
     No permuted transfer matrix is built: each permuted diagonal block is
     gathered from ``t`` in one indexing step, which is exact.  The
@@ -463,31 +506,31 @@ def _cp_entries(t: TransferMatrix):
     """
     L = t.L
     if L <= CP_EXHAUSTIVE_MAX:
-        sites, r22 = zip(*_exhaustive_t22(t))
-        for s, a, b in zip(sites, r22, r22[::-1]):
-            yield CPScanEntry(s, a, b, a >= RCOND_TOL, b >= RCOND_TOL)
-        return
+        sites, r22 = [], []
+        for chunk, rconds in _t22_chunks(t):
+            sites += chunk
+            r22 += rconds
+        return CPScan(sites, r22, r22[::-1])
 
-    def batch(subsets: list[tuple[int, ...]]) -> list[CPScanEntry]:
+    def batch(subsets: list[tuple[int, ...]]) -> list[tuple]:
         rows = _t22_rows(L, subsets)
-        r22 = _rconds(t, rows)
-        r11 = _rconds(t, (rows + L) % (2 * L))
-        return [CPScanEntry(s, a, b, a >= RCOND_TOL, b >= RCOND_TOL)
-                for s, a, b in zip(subsets, r22, r11)]
+        return list(zip(subsets, _rconds(t, rows), _rconds(t, (rows + L) % (2 * L))))
 
-    last = batch([()])[0]
-    yield last
-    best = max(last.rcond_t22, last.rcond_t11)
-    while not (last.t22_invertible or last.t11_invertible):
-        candidates = [tuple(sorted(last.sites + (s,)))
-                      for s in range(1, L + 1) if s not in last.sites]
+    def score(step: tuple) -> float:
+        return max(step[1], step[2])
+
+    steps = batch([()])
+    while score(steps[-1]) < RCOND_TOL:
+        current = steps[-1][0]
+        candidates = [tuple(sorted(current + (s,)))
+                      for s in range(1, L + 1) if s not in current]
         if not candidates:
-            return
-        last = max(batch(candidates), key=lambda e: max(e.rcond_t22, e.rcond_t11))
-        if max(last.rcond_t22, last.rcond_t11) <= best:
-            return
-        best = max(last.rcond_t22, last.rcond_t11)
-        yield last
+            break
+        best = max(batch(candidates), key=score)
+        if score(best) <= score(steps[-1]):
+            break
+        steps.append(best)
+    return CPScan(*zip(*steps))
 
 
 def cp_scan(t: TransferMatrix):
@@ -510,8 +553,11 @@ def cp_scan(t: TransferMatrix):
     certifies that no subset restores T22.  When no subset restores
     invertibility, the decomposition simply does not exist in any
     particle-hole picture.
+
+    The result is a :class:`CPScan`: its columns are the report, and its
+    length, indexing and iteration give :class:`CPScanEntry` rows.
     """
-    return list(_cp_entries(t))
+    return _cp_entries(t)
 
 
 def _t22_rcond_bound(t: TransferMatrix) -> tuple[float, bool]:

@@ -9,14 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermigauss import cli, correlators
+from fermigauss import cli, correlators, quadratic
 from fermigauss.cli import CliError, main
 from fermigauss.linalg import skew_defect
 from fermigauss.overlaps import state_overlap
-from fermigauss.quadratic import QuadraticGenerator, random_generator
+from fermigauss.quadratic import CPScan, QuadraticGenerator, random_generator, transfer_of
 
 from conftest import compose_pair, worked_example_m
-from test_quadratic import pair_rotation_generator, rotation_plus_sector
+from test_quadratic import pair_rotation_generator, reference_scan, rotation_plus_sector, scan_generator
 
 
 def write_operator(path, m, u=None, v=None):
@@ -333,6 +333,46 @@ def test_cp_scan_pattern(singular_op_file, capsys):
         assert entries[sites]["t22_invertible"] and entries[sites]["t11_invertible"]
 
 
+def scan_report(path: str, entries) -> str:
+    """The cp-scan report of the operator file at ``path`` with these
+    entries, as the general writer writes their rows."""
+    _, digest = cli.load_operator(path)
+    rows = [{"sites": list(e.sites), "t22_invertible": e.t22_invertible,
+             "t11_invertible": e.t11_invertible, "rcond_t22": e.rcond_t22,
+             "rcond_t11": e.rcond_t11} for e in entries]
+    return reference_dump_report(cli.base_report("cp-scan", {"op": digest},
+                                                 results={"entries": rows})) + "\n"
+
+
+@pytest.mark.parametrize("max_exhaustive", [20, 0])
+@pytest.mark.parametrize("L, kind", [(L, kind) for L in range(1, 11)
+                                     for kind in ("random", "singular", "large")
+                                     if kind != "singular" or L >= 2])
+def test_cp_scan_report_matches_reference(tmp_path, capsys, monkeypatch, L, kind, max_exhaustive):
+    # the table written from the scan's columns equals the general writer
+    # over the per-subset reference scan, byte for byte; a cap of 0 forces
+    # the greedy search
+    path = write_operator(tmp_path / "op.json", scan_generator(L, kind).m)
+    t = transfer_of(QuadraticGenerator(cli.load_operator(path)[0].m))
+    expected = scan_report(path, reference_scan(t, 1e-12, max_exhaustive))
+    monkeypatch.setattr(quadratic, "CP_EXHAUSTIVE_MAX", max_exhaustive)
+    code, out, _ = run(capsys, "cp-scan", "--op", path)
+    assert code == 0 and out == expected
+
+
+def test_cp_scan_report_splits_a_wide_site_list(tmp_path, capsys, monkeypatch):
+    # site lists whose items render to 71, 73 and 60 characters: the general
+    # writer puts the second over several lines, one site per line
+    sites = [(), tuple(range(1, 41)), tuple(range(1, 42)), tuple(range(50, 80))]
+    rconds = [0.0, 1e-13, 0.5, 1.0]
+    scan = CPScan(sites, rconds, rconds[::-1])
+    monkeypatch.setattr(cli, "cp_scan", lambda t: scan)
+    path = write_operator(tmp_path / "op.json", random_generator(2, 1, 0.5).m)
+    code, out, _ = run(capsys, "cp-scan", "--op", path)
+    assert code == 0 and out == scan_report(path, scan)
+    assert out.count('"sites": [\n') == 1 and "\n          41\n        ],\n" in out
+
+
 def test_compose_roundtrip(tmp_path, op_file, capsys):
     out_path = tmp_path / "composed.json"
     code, out, _ = run(capsys, "compose", "--inputs", op_file, op_file,
@@ -551,8 +591,11 @@ def test_parser_is_built_once_and_reused(op_file, capsys):
 def reference_dump_report(obj, indent: int = 0) -> str:
     """The report serializer as written before its scalar fast paths, with
     dict keys escaped like string values; the current one must reproduce it
-    byte for byte."""
+    byte for byte.  A column table is written as the list of dicts it
+    stands for."""
     pad = "  " * indent
+    if isinstance(obj, cli.Table):
+        obj = [dict(zip(obj.keys, row)) for row in zip(*obj.columns)]
     if isinstance(obj, dict):
         if not obj:
             return "{}"

@@ -4,6 +4,8 @@ its halves exp(M/2) exp(M/2).  Signed values are checked against the dense
 oracle, and the work per value is counted."""
 
 import functools
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from fermigauss import fock
 from fermigauss.configs import FockConfig
-from fermigauss.correlators import ModeOp, _Engine
+from fermigauss.correlators import CorrelatorContext, ModeOp, _Engine, n_point
 from fermigauss.linalg import LinalgError, SingularBlockError
 from fermigauss.overlaps import (
     UnfixedBranchError,
@@ -212,4 +214,40 @@ class TestCounts:
         exponentials = count_calls("mat_exp")
         with pytest.raises(LinalgError) as again:
             state_overlap(g1, g2, vac, vac, method="factor-chain")
-        assert again.value is cached and exponentials == []
+        # a fresh instance of the cached error, with no traceback or context
+        # that would tie the generator to the frames of an earlier call
+        assert type(again.value) is type(cached)
+        assert str(again.value) == str(cached) and again.value.abs_det == cached.abs_det
+        assert again.value.__context__ is None and exponentials == []
+
+
+def fails_on_every_route(call) -> None:
+    try:
+        call()
+    except LinalgError:
+        return
+    raise AssertionError("a route answered")
+
+
+def test_failing_pair_is_freed_without_the_cyclic_collector():
+    # a cached rescue error keeps no traceback into the generator or
+    # context that caches it, so reference counting alone frees them
+    vac = FockConfig.vacuum(6)
+    gc.disable()
+    try:
+        g1, g2 = random_generator(6, 4, scale=20), random_generator(6, 5, scale=20)
+        for _ in range(2):
+            fails_on_every_route(lambda: state_overlap(g1, g2, vac, vac))
+        alive = [weakref.ref(g1), weakref.ref(g2)]
+        del g1, g2
+        assert [ref() for ref in alive] == [None, None]
+
+        g1, g2 = random_generator(6, 4, scale=20), random_generator(6, 5, scale=20)
+        ctx = CorrelatorContext(g1, g2, vac, vac)
+        for _ in range(2):
+            fails_on_every_route(lambda: n_point(ctx, ()))
+        alive = [weakref.ref(ctx), weakref.ref(g1), weakref.ref(g2)]
+        del ctx, g1, g2
+        assert [ref() for ref in alive] == [None, None, None]
+    finally:
+        gc.enable()

@@ -320,15 +320,21 @@ SCAN_CASES = [(L, kind) for L in range(9) for kind in ("random", "singular", "la
               if kind != "singular" or L >= 2]
 
 
+def scan_generator(L: int, kind: str) -> QuadraticGenerator:
+    """A scan input: a random generator at scale 1 or 20 (``large``), or a
+    rotation plus sector (``singular``, L >= 2)."""
+    rng = np.random.default_rng([L, 60])
+    if kind == "singular":
+        return rotation_plus_sector(L, rng)
+    return random_generator(L, rng, 20.0 if kind == "large" else 1.0)
+
+
 class TestBatchedScanMatchesReference:
     """The batched scan against the per-subset reference, bit for bit."""
 
     @staticmethod
     def transfer(L: int, kind: str) -> TransferMatrix:
-        rng = np.random.default_rng([L, 60])
-        if kind == "singular":
-            return transfer_of(rotation_plus_sector(L, rng))
-        return transfer_of(random_generator(L, rng, 20.0 if kind == "large" else 1.0))
+        return transfer_of(scan_generator(L, kind))
 
     @pytest.mark.parametrize("max_exhaustive", [20, 0])
     @pytest.mark.parametrize("L, kind", SCAN_CASES)
