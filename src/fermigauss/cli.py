@@ -136,7 +136,7 @@ def _int_list_texts(col, pad: str) -> list:
     is its JSON text; n items and the 2n characters of brackets and
     separators give the width test's sum."""
     texts = list(map(repr, map(list, col)))
-    if texts and max(map(len, texts)) >= 72:
+    if max(map(len, texts)) >= 72:
         item_pad, close = pad + "      ", pad + "    ]"
         texts = [t if len(t) - 2 * len(v) < 72
                  else "[\n" + ",\n".join(item_pad + str(x) for x in v) + "\n" + close
