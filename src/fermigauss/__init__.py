@@ -62,8 +62,7 @@ __all__ = sorted(_EXPORTS) + ["__version__"]
 
 
 def __getattr__(name):
-    # lazy re-export keeps `import fermigauss` free of numpy until needed,
-    # letting the CLI apply a THREADS override before BLAS initializes
+    # lazy re-export keeps `import fermigauss` free of numpy until needed
     if name in _EXPORTS:
         module = importlib.import_module("." + _EXPORTS[name], __name__)
         return getattr(module, name)

@@ -20,13 +20,7 @@ import hashlib
 import itertools
 import json
 import math
-import os
 import sys
-
-# honor a THREADS override before any BLAS backend initializes
-if "THREADS" in os.environ:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, os.environ["THREADS"])
 
 import numpy as np
 
@@ -124,6 +118,28 @@ class Table:
     def __len__(self) -> int:
         return len(self.columns[0])
 
+    def render(self, pad: str) -> str:
+        """The columns as the general path writes the list of dicts they
+        stand for: one row template, filled once per row."""
+        if not len(self):
+            return "[]"
+        texts = []
+        for kind, col in zip(self.kinds, self.columns):
+            if kind is bool:
+                col = list(map(("false", "true").__getitem__, col))
+            elif kind is str:
+                col = list(map(json.encoder.encode_basestring_ascii, col))
+            elif kind is list:
+                col = _int_list_texts(col, pad)
+            texts.append(col)
+        inner = pad + "    "
+        names = [_dump_key(k).replace("%", "%%") for k in self.keys]
+        row = (pad + "  {\n"
+               + ",\n".join(f'{inner}{k}: {_FIELDS.get(kind, "%s")}'
+                            for k, kind in zip(names, self.kinds))
+               + "\n" + pad + "  }")
+        return "[\n" + ",\n".join([row % values for values in zip(*texts)]) + "\n" + pad + "]"
+
 
 #: the row-template field of a column kind; the other kinds are written as text
 _FIELDS = {float: "%.17g", int: "%d"}
@@ -144,50 +160,6 @@ def _int_list_texts(col, pad: str) -> list:
     return texts
 
 
-def _render_table(keys, kinds, cols, pad: str) -> str:
-    """Columns of the given kinds as the general path writes the list of
-    dicts they stand for: one row template, filled once per row."""
-    if not len(cols[0]):
-        return "[]"
-    texts = []
-    for kind, col in zip(kinds, cols):
-        if kind is bool:
-            col = list(map(("false", "true").__getitem__, col))
-        elif kind is str:
-            col = list(map(json.encoder.encode_basestring_ascii, col))
-        elif kind is list:
-            col = _int_list_texts(col, pad)
-        texts.append(col)
-    inner = pad + "    "
-    names = [_dump_key(k).replace("%", "%%") for k in keys]
-    row = (pad + "  {\n"
-           + ",\n".join(f'{inner}{k}: {_FIELDS.get(kind, "%s")}' for k, kind in zip(names, kinds))
-           + "\n" + pad + "  }")
-    return "[\n" + ",\n".join([row % values for values in zip(*texts)]) + "\n" + pad + "]"
-
-
-def _dump_table(rows, pad: str) -> str | None:
-    """Two or more dicts with the same keys in the same order, each column
-    of one exact type (finite float, int, bool, str or a list of ints),
-    rendered by :func:`_render_table`; None for anything else."""
-    if len(rows) < 2 or not all(type(r) is dict for r in rows):
-        return None
-    keys = tuple(rows[0])
-    if not keys or not all(tuple(r) == keys for r in rows):
-        return None
-    cols = list(zip(*map(dict.values, rows)))
-    kinds = []
-    for col in cols:
-        types = set(map(type, col))
-        kind = types.pop() if len(types) == 1 else None
-        if (kind not in (float, int, bool, str, list)
-                or kind is float and not all(map(math.isfinite, col))
-                or kind is list and not set(map(type, itertools.chain.from_iterable(col))) <= {int}):
-            return None
-        kinds.append(kind)
-    return _render_table(keys, kinds, cols, pad)
-
-
 def _dump_pairs(pairs, pad: str) -> str | None:
     """A list of [re, im] pairs of finite floats, one pair per line; None
     for anything else."""
@@ -204,16 +176,15 @@ def dump_report(obj, indent: int = 0) -> str:
     """Serialize a report to JSON text with 17-significant-digit floats.
 
     A list of scalars whose items render to fewer than 72 characters in
-    total stays on one line.  Tables (lists of like dicts) and lists of
-    [re, im] pairs are rendered in one formatting pass when every value
-    fits their template; anything else, a non-finite value or a numpy
-    scalar included, takes the general path, so bytes and errors are
-    those of the general path.  A :class:`Table` is written by the same
-    row template straight from its columns, as the list of dicts it
-    stands for."""
+    total stays on one line.  A list of [re, im] pairs is rendered in one
+    formatting pass when every value fits its template; anything else, a
+    non-finite value or a numpy scalar included, takes the general path,
+    so bytes and errors are those of the general path.  A :class:`Table`
+    is written by its row template straight from its columns, as the list
+    of dicts it stands for."""
     pad = "  " * indent
     if type(obj) is Table:
-        return _render_table(obj.keys, obj.kinds, obj.columns, pad)
+        return obj.render(pad)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -224,10 +195,7 @@ def dump_report(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        first = type(obj[0])
-        fast = (_dump_table(obj, pad) if first is dict
-                else _dump_pairs(obj, pad) if first is list else None)
-        if fast is not None:
+        if type(obj[0]) is list and (fast := _dump_pairs(obj, pad)) is not None:
             return fast
         if any(isinstance(v, (dict, list, tuple)) for v in obj):
             rendered = [dump_report(v, indent + 1) for v in obj]
@@ -596,7 +564,8 @@ def cmd_verify(args) -> int:
             "generalized_correlators_vs_oracle")
         bj, ki = int(rng.integers(dim)), int(rng.integers(dim))
 
-    configs = [FockConfig(tuple((n >> k) & 1 for k in range(L))) for n in range(dim)]
+    # in the dense basis order: site 1 is the most significant bit
+    configs = [FockConfig.from_string(format(n, f"0{L}b")) for n in range(dim)]
     dev = 0.0
     for bra in configs:
         for ket in configs:

@@ -37,7 +37,7 @@ import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from itertools import combinations, islice
+from itertools import combinations, compress, islice
 
 import numpy as np
 
@@ -485,24 +485,33 @@ def _t22_chunks(t: TransferMatrix):
             yield chunk, _rconds(t, _t22_rows(L, chunk))
 
 
-def _exhaustive_t22(t: TransferMatrix):
-    """Lazily yield ``(sites, rcond of the permuted T22)`` for every site
-    subset, in :func:`cp_scan` order, one chunk of :func:`_t22_chunks` at a
-    time."""
-    for chunk, r22 in _t22_chunks(t):
-        yield from zip(chunk, r22)
+def cp_scan(t: TransferMatrix) -> CPScan:
+    """Invertibility report for every site subset (exhaustive for L <= 20).
 
-
-def _cp_entries(t: TransferMatrix) -> CPScan:
-    """The entries of :func:`cp_scan`, in its order, as columns.
+    Entries are ordered by subset size, then lexicographically.  Above the
+    exhaustive cap a greedy search is used instead: starting from the empty
+    set, repeatedly add the single site that gives the largest of the two
+    block conditions (the first such site on ties), reporting each step,
+    until either block is invertible or no site improves that condition.
 
     No permuted transfer matrix is built: each permuted diagonal block is
     gathered from ``t`` in one indexing step, which is exact.  The
-    exhaustive mode estimates every permuted T22 block first and reads
-    T11 off the complement: in scan order (by size, then lexicographic)
-    the complement of the k-th of the 2^L subsets is the k-th from the
-    end.  The greedy mode batches the candidates of each step, both
-    blocks.
+    exhaustive scan estimates the permuted T22 blocks only, one stacked SVD
+    per subset-size class in chunks of at most :data:`CP_CHUNK` subsets,
+    and reads T11 off the complement: the permuted T11 of a subset is the
+    permuted T22 of its complement, which in scan order is the k-th from
+    the end for the k-th of the 2^L subsets.  Each greedy step costs one
+    stacked SVD per block over its candidates.  The entries equal those of
+    a subset-by-subset evaluation bit for bit.
+
+    The report lists every rcond, so it always enumerates; only
+    :func:`cp_suggestions` may skip the enumeration, when one SVD of T
+    certifies that no subset restores T22.  When no subset restores
+    invertibility, the decomposition simply does not exist in any
+    particle-hole picture.
+
+    The result is a :class:`CPScan`: its columns are the report, and its
+    length, indexing and iteration give :class:`CPScanEntry` rows.
     """
     L = t.L
     if L <= CP_EXHAUSTIVE_MAX:
@@ -531,33 +540,6 @@ def _cp_entries(t: TransferMatrix) -> CPScan:
             break
         steps.append(best)
     return CPScan(*zip(*steps))
-
-
-def cp_scan(t: TransferMatrix):
-    """Invertibility report for every site subset (exhaustive for L <= 20).
-
-    Entries are ordered by subset size, then lexicographically.  Above the
-    exhaustive cap a greedy search is used instead: starting from the empty
-    set, repeatedly add the single site that gives the largest of the two
-    block conditions (the first such site on ties), reporting each step,
-    until either block is invertible or no site improves that condition.
-
-    The exhaustive scan costs one stacked SVD per subset-size class, in
-    chunks of at most :data:`CP_CHUNK` subsets, since the permuted T11 of a
-    subset is the permuted T22 of its complement; each greedy step costs
-    one per block.  The entries equal those of a subset-by-subset
-    evaluation bit for bit.
-
-    The report lists every rcond, so it always enumerates; only
-    :func:`cp_suggestions` may skip the enumeration, when one SVD of T
-    certifies that no subset restores T22.  When no subset restores
-    invertibility, the decomposition simply does not exist in any
-    particle-hole picture.
-
-    The result is a :class:`CPScan`: its columns are the report, and its
-    length, indexing and iteration give :class:`CPScanEntry` rows.
-    """
-    return _cp_entries(t)
 
 
 def _t22_rcond_bound(t: TransferMatrix) -> tuple[float, bool]:
@@ -608,9 +590,11 @@ def cp_suggestions(t: TransferMatrix, limit: int = 6):
     if _t22_rcond_bound(t)[1]:
         return []
     if t.L <= CP_EXHAUSTIVE_MAX:
-        restoring = (s for s, r22 in _exhaustive_t22(t) if r22 >= RCOND_TOL)
+        restoring = (s for chunk, r22 in _t22_chunks(t)
+                     for s, r in zip(chunk, r22) if r >= RCOND_TOL)
     else:
-        restoring = (e.sites for e in _cp_entries(t) if e.t22_invertible)
+        scan = cp_scan(t)
+        restoring = compress(scan.sites, scan.t22_invertible)
     return list(islice(restoring, limit))
 
 

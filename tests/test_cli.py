@@ -922,6 +922,44 @@ def test_verify_admissibility_equals_the_j_product(tmp_path, capsys, linear):
     assert check["max_deviation"] == skew_defect(np.block([[zero, eye], [eye, zero]]) @ m) > 0.0
 
 
+def test_verify_spot_checks_at_the_largest_element(tmp_path, capsys, monkeypatch):
+    # the correlator checks of a quadratic operator run at the pair of its
+    # largest matrix element, in the dense basis order of fock (site 1 the
+    # most significant bit), not at the bit-reversed pair
+    from fermigauss import fock
+
+    g = random_generator(4, 2, 0.5)
+    op = write_operator(tmp_path / "op4.json", g.m)
+    built = []
+    context = correlators.CorrelatorContext
+
+    def recording(op1, op2, bra, ket):
+        built.append((bra, ket))
+        return context(op1, op2, bra, ket)
+
+    monkeypatch.setattr(correlators, "CorrelatorContext", recording)
+    code, _, _ = run(capsys, "verify", "--op", op)
+    assert code == 0
+    (bra, ket), = built
+    f = fock.dense_gaussian(g.m)
+    assert abs(fock.dense_element(f, bra, ket)) == np.max(np.abs(f))
+
+
+def test_import_leaves_thread_variables_unset():
+    # importing the CLI edits no environment variable: a THREADS setting is
+    # not copied into the BLAS thread variables
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    out = subprocess.run([sys.executable, "-c",
+                          "import os, sys, fermigauss.cli; "
+                          "print([os.environ.get(name) for name in sys.argv[1:]])", *names],
+                         env={**env, "PYTHONPATH": path, "THREADS": "3"},
+                         check=True, capture_output=True, text=True).stdout
+    assert out == "[None, None, None]\n"
+
+
 def test_correlator_reports_independent_of_hash_seed(tmp_path):
     # the expansion iterates dicts of configurations: two interpreters with
     # different string hashing must still write the same bytes

@@ -16,9 +16,7 @@ from fermigauss.quadratic import (
     CPScanEntry,
     QuadraticGenerator,
     TransferMatrix,
-    _cp_entries,
     _cp_index,
-    _exhaustive_t22,
     _t22_rcond_bound,
     admissibility_defect,
     bbd_antinormal,
@@ -343,7 +341,7 @@ class TestBatchedScanMatchesReference:
         t = self.transfer(L, kind)
         ref = reference_scan(t, 1e-12, max_exhaustive)
         monkeypatch.setattr(quadratic, "CP_EXHAUSTIVE_MAX", max_exhaustive)
-        got = list(_cp_entries(t))
+        got = list(cp_scan(t))
         assert [e.sites for e in got] == [e.sites for e in ref]
         assert [(e.t22_invertible, e.t11_invertible) for e in got] == \
             [(e.t22_invertible, e.t11_invertible) for e in ref]
@@ -368,7 +366,7 @@ class TestBatchedScanMatchesReference:
         t = self.transfer(6, "singular")
         calls = count_calls("rcond_estimate")
         monkeypatch.setattr(quadratic, "CP_CHUNK", 4)
-        assert list(_cp_entries(t)) == reference_scan(t, 1e-12, 20)
+        assert list(cp_scan(t)) == reference_scan(t, 1e-12, 20)
         classes = [math.comb(6, size) for size in range(7)]
         chunks = [n for c in classes for n in [4] * (c // 4) + [c % 4] * (c % 4 > 0)]
         assert [len(a) for (a,) in calls] == chunks
@@ -404,12 +402,13 @@ class TestEmptySearchCertificate:
     def check_against_enumeration(t: TransferMatrix) -> bool:
         bound, certified = _t22_rcond_bound(t)
         if t.L <= 20:
-            rconds = dict(_exhaustive_t22(t))
+            scan = cp_scan(t)
+            rconds = dict(zip(scan.sites, scan.rcond_t22))
             restoring = [s for s, r in rconds.items() if r >= RCOND_TOL]
             # the bound holds for every block, up to the rounding of its SVD
             assert max(rconds.values()) <= bound + 2 * 8 * t.L * EPS
         else:
-            restoring = [e.sites for e in _cp_entries(t) if e.t22_invertible]
+            restoring = [e.sites for e in cp_scan(t) if e.t22_invertible]
         if certified:
             assert restoring == []
         for limit in range(1, 7):
@@ -463,7 +462,7 @@ class TestEmptySearchCertificate:
         assert calls == []
         # the enumeration it replaces: one stacked estimate per subset-size
         # class over all 2^10 blocks, none of which restores T22
-        rconds = [r for _, r in _exhaustive_t22(t)]
+        rconds = cp_scan(t).rcond_t22
         assert [len(a) for (a,) in calls] == [math.comb(10, size) for size in range(11)]
         assert max(rconds) < RCOND_TOL
 
