@@ -48,6 +48,7 @@ from .quadratic import (
     cp_suggestions,
     cp_transform,
     transfer_of,
+    validate_sites,
 )
 
 EXIT_OK = 0
@@ -288,14 +289,11 @@ def parse_bits(s: str, L: int, what: str) -> FockConfig:
     return cfg
 
 
-def parse_sites(s: str, L: int):
+def parse_sites(s: str, L: int) -> tuple[int, ...]:
     try:
-        sites = tuple(sorted(int(tok) for tok in s.replace(",", " ").split()))
-    except ValueError:
-        raise CliError(EXIT_PARSE, f"bad site list {s!r}")
-    if any(not 1 <= k <= L for k in sites) or len(set(sites)) != len(sites):
-        raise CliError(EXIT_PARSE, f"site list {s!r} invalid for L={L}")
-    return sites
+        return validate_sites([int(tok) for tok in s.replace(",", " ").split()], L)
+    except ValueError as exc:
+        raise CliError(EXIT_PARSE, f"bad site list {s!r}: {exc}")
 
 
 def emit(report: dict, output: str | None) -> None:
@@ -339,7 +337,7 @@ def cmd_decompose(args) -> int:
         gen = QuadraticGenerator(op.m)
         sites = parse_sites(args.cp, op.L) if args.cp else ()
         if sites:
-            gen = cp_transform(gen, sites).generator
+            gen = cp_transform(gen, sites)
             diagnostics["cp_sites"] = list(sites)
         if args.epsilon:
             g = epsilon_direction(op.L)

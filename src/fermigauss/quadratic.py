@@ -132,6 +132,11 @@ class QuadraticGenerator:
         return cls(np.zeros((2 * L, 2 * L), dtype=complex))
 
 
+class JOrthogonalityError(LinalgError, ValueError):
+    """A transfer matrix violates T J T^T = J beyond :data:`J_ORTHO_TOL`:
+    malformed input, or a product whose rounding has outgrown the check."""
+
+
 @dataclass(frozen=True)
 class TransferMatrix:
     """Transfer matrix ``T = exp(M)`` with certified J-orthogonality.
@@ -151,7 +156,7 @@ class TransferMatrix:
             raise ValueError(f"T must be square of even dimension, got shape {t.shape}")
         d = self._defect(t)
         if not d <= J_ORTHO_TOL:  # also rejects nan
-            raise ValueError(f"T J T^T = J violated (defect {d:.3e}); malformed input")
+            raise JOrthogonalityError(f"T J T^T = J violated (defect {d:.3e})")
         object.__setattr__(self, "t", _read_only(t))
 
     @staticmethod
@@ -360,48 +365,24 @@ def validate_sites(sites, L: int) -> tuple[int, ...]:
     return sites
 
 
-def cp_matrix(L: int, sites) -> np.ndarray:
-    """Permutation matrix exchanging c_j and c_j^dag for j in ``sites``.
-
-    For the full site set this is exactly J, which maps between the two
-    factorization orderings.
-    """
-    sites = validate_sites(sites, L)
-    pi = np.eye(2 * L)
-    for j in sites:
-        a, b = j - 1, L + j - 1
-        pi[[a, b]] = pi[[b, a]]
-    return pi
-
-
-@dataclass(frozen=True)
-class CPTransformed:
-    """Result of a canonical permutation: the transformed generator plus the
-    relabeling record needed to map configurations and undo the transform."""
-
-    generator: QuadraticGenerator
-    sites: tuple[int, ...]
-    pi: np.ndarray
-
-
-def cp_transform(gen: QuadraticGenerator, sites) -> CPTransformed:
-    """Conjugate the generator by the particle-hole swap on ``sites``.
-
-    ``M -> Pi M Pi`` with ``Pi`` the block permutation exchanging rows and
-    columns j and L+j.  Applying the same site set twice is an exact
-    involution.
-    """
-    sites = validate_sites(sites, gen.L)
-    pi = cp_matrix(gen.L, sites)
-    return CPTransformed(QuadraticGenerator(pi @ gen.m @ pi), sites, pi)
-
-
 def _cp_index(L: int, sites) -> np.ndarray:
-    """Row/column order of Pi T Pi: index j-1 and L+j-1 exchanged for j in ``sites``."""
+    """Row/column order of Pi A Pi, where Pi exchanges c_j and c_j^dag for
+    j in ``sites``: index j-1 and L+j-1 exchanged.  For the full site set
+    Pi is exactly J, which maps between the two factorization orderings."""
     idx = np.arange(2 * L)
     for j in sites:
         idx[[j - 1, L + j - 1]] = idx[[L + j - 1, j - 1]]
     return idx
+
+
+def cp_transform(gen: QuadraticGenerator, sites) -> QuadraticGenerator:
+    """The generator Pi M Pi of the particle-hole swap on ``sites``.
+
+    Pi exchanges rows and columns j and L+j, so the result is a relabeling
+    of M's entries, exact; applying the same site set twice gives M back.
+    """
+    idx = _cp_index(gen.L, validate_sites(sites, gen.L))
+    return QuadraticGenerator(gen.m[np.ix_(idx, idx)])
 
 
 def cp_apply_transfer(t: TransferMatrix, sites) -> TransferMatrix:

@@ -217,6 +217,34 @@ def test_overlap_j_check_overflow_exit_code(tmp_path, capsys):
     assert err.startswith("error:") and "J-orthogonality check overflows" in err
 
 
+@pytest.mark.parametrize("scale, code", [(8, 0), (20, 5)])
+def test_overlap_failed_product_j_check_exit_code(tmp_path, capsys, scale, code):
+    # F2^dag F1 = I, but the product of the transfers fails its J-check:
+    # that rejects the routes that form it, the factor chain answers at
+    # scale 8, and at scale 20, where every route is rejected, the exit is
+    # the numerical failure's
+    g = random_generator(4, 1, scale=scale)
+    a = write_operator(tmp_path / "a.json", g.m)
+    b = write_operator(tmp_path / "b.json", -g.m.conj().T)
+    got, out, err = run(capsys, "overlap", "--op", a, "--op2", b, "--bra", "0000", "--ket", "0000")
+    assert got == code
+    if code == 0:
+        doc = json.loads(out)
+        assert doc["method"] == "factor-chain"
+        assert abs(complex(*doc["results"]["value"]) - 1.0) <= 1e-9
+    else:
+        assert out == "" and err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("sites, needle", [
+    ("0", "out of range"), ("4", "out of range"), ("1,1", "duplicate"), ("1,x", "'x'"),
+])
+def test_decompose_bad_site_list(singular_op_file, capsys, sites, needle):
+    code, out, err = run(capsys, "decompose", "--input", singular_op_file, "--cp", sites)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: bad site list {sites!r}") and needle in err
+
+
 def test_correlate_trivial(tmp_path, capsys):
     op = write_operator(tmp_path / "zero.json", np.zeros((4, 4)))
     code, out, _ = run(capsys, "correlate", "--op", op, "--bra", "00", "--ket", "00",
@@ -688,6 +716,14 @@ def run_corpus(tmp_path) -> None:
         for argv in runs:
             code = main(list(argv))
             assert code in (0, 2, 4), argv
+    # particle-hole swaps before the factorization, in both orderings
+    for name, m, site_lists in [
+            ("s3", worked_example_m(np.pi / 2), ("1", "1,3")),
+            ("r4", random_generator(4, 7, 0.8).m, ("2,3", "1,2,3,4")),
+            ("p6", rotation_plus_sector(6, np.random.default_rng(6)).m, ("1", "2,5"))]:
+        path = write_operator(tmp_path / f"cp_{name}.json", m)
+        for sites, form in itertools.product(site_lists, ("normal", "antinormal")):
+            assert main(["decompose", "--input", path, "--form", form, "--cp", sites]) in (0, 2)
     big = write_operator(tmp_path / "q10.json", random_generator(10, 3, 0.5).m)
     assert main(["cp-scan", "--op", big]) == 0
     # three 48 x 48 matrices of [re, im] pairs

@@ -432,6 +432,13 @@ def test_no_restoring_subset_raises(monkeypatch):
         overlap_magnitude_cp(t, FockConfig((0, 0)), FockConfig((0, 0)))
 
 
+def cancelling_pair(scale: float) -> tuple:
+    """A random L = 4 generator M at ``scale`` and the bra generator -M^dag,
+    so that F2^dag F1 = e^(-M) e^(M) = I exactly."""
+    g = random_generator(4, 1, scale=scale)
+    return g, QuadraticGenerator(-g.m.conj().T)
+
+
 def rejected_everywhere(err, routes=ROUTES) -> bool:
     return ([e["route"] for e in err.value.route] == list(routes)
             and not any(e["accepted"] for e in err.value.route))
@@ -511,6 +518,39 @@ class TestRescueChain:
         assert rejected_everywhere(err, ("pfaffian", "factor-chain"))
         assert [e["reason"] for e in err.value.route] == ["numerical", "rcond"]
         assert "J-orthogonality check overflows" in err.value.route[0]["message"]
+
+    def test_failed_product_j_check_rejects_its_route(self):
+        # F2^dag F1 = e^(-M) e^(M) = I, but the product of the two scale-8
+        # transfers misses T J T^T = J by 1.4e-8: the pfaffian route is
+        # rejected as numerical and the factor chain, which forms no
+        # product, answers
+        g, g2 = cancelling_pair(8)
+        vac = FockConfig.vacuum(4)
+        res = state_overlap(g, g2, vac, vac)
+        assert abs(res.value - 1.0) <= 1e-9
+        assert [(e["route"], e["accepted"], e.get("reason")) for e in res.route] == [
+            ("pfaffian", False, "numerical"), ("factor-chain", True, None)]
+        assert "T J T^T = J violated" in res.route[0]["message"]
+
+    def test_failed_product_j_check_generalized(self):
+        g, g2 = cancelling_pair(8)
+        vac = FockConfig.vacuum(4)
+        res = generalized_overlap(LinearGaussianOp.quadratic(g), LinearGaussianOp.quadratic(g2),
+                                  vac, vac)
+        assert abs(res.value - 1.0) <= 1e-8
+        assert res.method == "factor-chain"
+
+    def test_failed_product_j_check_correlator(self, oracle):
+        # F1^-1 c1^dag c2^dag F1 between <1100| and the vacuum: a large value
+        g, g2 = cancelling_pair(8)
+        bra, vac = FockConfig.from_string("1100"), FockConfig.vacuum(4)
+        ops = (ModeOp(1, True), ModeOp(2, True))
+        ctx = CorrelatorContext(g, g2, bra, vac)
+        value = n_point(ctx, ops)
+        orc = oracle(4)
+        ref = orc.sandwich(orc.gaussian(g2), ops, orc.gaussian(g), bra, vac)
+        assert abs(value - ref) <= 1e-9 * abs(ref)
+        assert ctx.method == "factor-chain"
 
     def test_no_exception_escapes_epsilon_route(self):
         # every perturbed kernel of this large-norm operator fails the

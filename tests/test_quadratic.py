@@ -14,6 +14,7 @@ from fermigauss.overlaps import compose_bra_ket, overlap_magnitude_cp, state_ove
 from fermigauss.quadratic import (
     RCOND_TOL,
     CPScanEntry,
+    JOrthogonalityError,
     QuadraticGenerator,
     TransferMatrix,
     _cp_index,
@@ -23,7 +24,6 @@ from fermigauss.quadratic import (
     bbd_normal,
     compose_transfers,
     cp_apply_transfer,
-    cp_matrix,
     cp_scan,
     cp_suggestions,
     cp_transform,
@@ -100,6 +100,13 @@ class TestTransfer:
     def test_constructor_rejects_non_canonical(self):
         with pytest.raises(ValueError):
             TransferMatrix(np.diag([2.0, 3.0]))
+
+    def test_j_check_failure_is_a_numerical_error(self):
+        # a route that builds a transfer failing the check is rejected like
+        # any other numerical failure, and malformed input stays a ValueError
+        with pytest.raises(JOrthogonalityError) as err:
+            TransferMatrix(np.diag([2.0, 3.0]))
+        assert isinstance(err.value, LinalgError) and isinstance(err.value, ValueError)
 
     @pytest.mark.parametrize("L", [1, 4, 16])
     def test_j_checks_equal_the_matmul_form(self, L):
@@ -494,16 +501,18 @@ class TestCanonicalPermutations:
     def test_empty_subset_is_identity(self):
         g = random_generator(3, 51, 0.5)
         res = cp_transform(g, ())
-        assert np.array_equal(res.generator.m, g.m)
+        assert np.array_equal(res.m, g.m)
 
     def test_full_subset_is_j(self):
-        assert np.array_equal(cp_matrix(3, (1, 2, 3)), j_matrix(3))
+        g = random_generator(3, 50, 0.5)
+        j = j_matrix(3)
+        assert np.array_equal(cp_transform(g, (1, 2, 3)).m, j @ g.m @ j)
 
     def test_involution_exact(self):
         g = random_generator(4, 52, 0.6)
         once = cp_transform(g, (1, 3))
-        twice = cp_transform(once.generator, (1, 3))
-        assert np.array_equal(twice.generator.m, g.m)
+        twice = cp_transform(once, (1, 3))
+        assert np.array_equal(twice.m, g.m)
 
     def test_scan_identity(self):
         entries = cp_scan(TransferMatrix.identity(2))
@@ -525,7 +534,7 @@ class TestCanonicalPermutations:
         # two factors take the closed forms of the analytic example
         a = np.pi / 2
         gen = QuadraticGenerator(worked_example_m(a))
-        tt = transfer_of(cp_transform(gen, (1,)).generator)
+        tt = transfer_of(cp_transform(gen, (1,)))
         fac = bbd_normal(tt)
         assert np.max(np.abs(fac.x)) < 1e-12
         y_ref = a * np.array([[0, 0, 1], [0, 0, -1], [-1, 0, 0]])
@@ -591,9 +600,30 @@ class TestCanonicalPermutations:
     def test_transform_consistent_with_transfer(self):
         g = random_generator(3, 54, 0.6)
         sites = (2, 3)
-        direct = transfer_of(cp_transform(g, sites).generator).t
+        direct = transfer_of(cp_transform(g, sites)).t
         via_t = cp_apply_transfer(transfer_of(g), sites).t
         assert np.max(np.abs(direct - via_t)) < 1e-12
+
+    @PROPERTY
+    @given(st.integers(1, 6).flatmap(lambda L: st.tuples(
+        st.just(L), st.integers(0, 2 ** 32 - 1), st.sampled_from(["random", "singular"]),
+        st.sets(st.integers(1, L)))))
+    def test_transform_is_the_permutation_product(self, case):
+        # the relabeling equals Pi_S M Pi_S entry for entry, with Pi_S the
+        # identity with rows j and L+j exchanged for j in S; it is an
+        # involution, and its exponential is the relabeled transfer
+        L, seed, kind, sites = case
+        rng = np.random.default_rng(seed)
+        g = (rotation_plus_sector(L, rng) if kind == "singular" and L >= 2
+             else random_generator(L, rng, 0.8))
+        pi = np.eye(2 * L)
+        for j in sites:
+            pi[[j - 1, L + j - 1]] = pi[[L + j - 1, j - 1]]
+        swapped = cp_transform(g, sites)
+        assert np.array_equal(swapped.m, pi @ g.m @ pi)
+        assert np.array_equal(cp_transform(swapped, sites).m, g.m)
+        via_t = cp_apply_transfer(transfer_of(g), sites).t
+        assert np.max(np.abs(transfer_of(swapped).t - via_t)) <= 1e-12
 
     def test_site_validation(self):
         g = random_generator(2, 55)
