@@ -334,7 +334,7 @@ def cmd_decompose(args) -> int:
             raise CliError(EXIT_PARSE,
                            "normal/antinormal forms require a quadratic operator; "
                            "use --form generalized for linear parts")
-        gen = QuadraticGenerator(op.m)
+        gen = op.generator
         sites = parse_sites(args.cp, op.L) if args.cp else ()
         if sites:
             gen = cp_transform(gen, sites)
@@ -352,7 +352,7 @@ def cmd_decompose(args) -> int:
         fac = factorize()
     except SingularBlockError as exc:
         if t is None and op.is_quadratic:
-            t = transfer_of(QuadraticGenerator(op.m))
+            t = transfer_of(op.generator)
         hint = "" if t is None else f"; site subsets restoring T22: {[list(s) for s in cp_suggestions(t)]}"
         raise CliError(EXIT_SINGULAR, f"{exc}{hint}")
     diagnostics["rcond"] = fac.rcond
@@ -423,8 +423,7 @@ def cmd_overlap(args) -> int:
     op1, op2, inputs, bra, ket = _load_sandwich(args)
     method = "cp-magnitude" if args.cp_magnitude else "epsilon" if args.epsilon else "auto"
     if op1.is_quadratic and op2.is_quadratic:
-        res = state_overlap(QuadraticGenerator(op1.m), QuadraticGenerator(op2.m), bra, ket,
-                            method=method)
+        res = state_overlap(op1.generator, op2.generator, bra, ket, method=method)
     else:
         res = generalized_overlap(op1, op2, bra, ket, method=method)
     results = {"value": as_pair(res.value)}
@@ -504,7 +503,7 @@ def cmd_cp_scan(args) -> int:
     op, digest = load_operator(args.op)
     if not op.is_quadratic:
         raise CliError(EXIT_PARSE, "cp-scan operates on quadratic operators")
-    scan = cp_scan(transfer_of(QuadraticGenerator(op.m)))
+    scan = cp_scan(transfer_of(op.generator))
     # written from the scan's columns; its rconds are finite, in [0, 1]
     keys = ("sites", "t22_invertible", "t11_invertible", "rcond_t22", "rcond_t11")
     entries = Table(keys, (list, bool, bool, float, float), [getattr(scan, k) for k in keys])
@@ -545,7 +544,7 @@ def cmd_verify(args) -> int:
 
     # the operator kind picks the functions, the check names and the anchor
     if op.is_quadratic:
-        ket_op, zero = QuadraticGenerator(op.m), QuadraticGenerator.zero(L)  # exp(0) computed once
+        ket_op, zero = op.generator, QuadraticGenerator.zero(L)  # exp(0) computed once
         t = transfer_of(ket_op)
         record("transfer_j_orthogonality", t.j_defect(), 1e-10)
         record("transfer_det_unimodular", abs(abs(np.linalg.det(t.t)) - 1.0), 1e-8)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .configs import FockConfig
-from .linalg import LinalgError, _pfaffian_exact
+from .linalg import _pfaffian_exact, remember
 from .linearpart import LinearGaussianOp, embed
 from .overlaps import _chain_kernel, _dispatch, _pair_kernel
 from .quadratic import QuadraticGenerator, transfer_of
@@ -283,7 +283,8 @@ class CorrelatorContext:
     context holds one generator pair, ``embed(op1)`` and ``embed(op2)``,
     cached on the operators, so their exponentials serve every context
     built on the same objects.  Values run the overlaps' rescue chain
-    pfaffian -> factor-chain, one engine per route.  ``route``, ``method``
+    pfaffian -> factor-chain, one engine per route, kept by the caching
+    rule of :func:`~fermigauss.linalg.remember`.  ``route``, ``method``
     and ``sign_certain`` describe the last value as an overlap result does.
     """
 
@@ -302,9 +303,7 @@ class CorrelatorContext:
         # makes the two parities equal
         anc = 0 if bra.parity == ket.parity else 1
         self._extended_bits = ((0,) + bra.bits, (anc,) + ket.bits)
-        # engine per route, or the LinalgError that building it raised
-        # (detached), so that no later value repeats a failed build
-        self._engines: dict = {}
+        self._engines: dict = {}    # engine per route, or its refusal
         self._zero()    # no value yet: an empty route
 
     @property
@@ -320,15 +319,7 @@ class CorrelatorContext:
         """``fn(engine)`` through the rescue chain pfaffian -> factor-chain;
         the route, method and sign certainty are kept."""
         def engine(route, kernel_of):
-            if route not in self._engines:
-                try:
-                    self._engines[route] = _Engine(kernel_of, *self._pair)
-                except LinalgError as exc:
-                    self._engines[route] = exc.detached()
-            found = self._engines[route]
-            if isinstance(found, LinalgError):
-                raise found.detached()
-            return found
+            return remember(self._engines, route, lambda: _Engine(kernel_of, *self._pair))
 
         res = _dispatch(fn, lambda: engine("pfaffian", _pair_kernel),
                         lambda: engine("factor-chain", _chain_kernel), None, None, method="auto")

@@ -28,12 +28,33 @@ class LinalgError(Exception):
 
     def detached(self) -> "LinalgError":
         """A fresh instance with this error's type, ``args`` and attributes,
-        but no traceback, context or cause.  A cached error is stored and
-        raised as such a copy, so that no traceback ties the cache's owner
-        to the frames of an earlier call."""
+        but no traceback, context or cause: how :func:`remember` stores and
+        raises a refusal."""
         fresh = type(self).__new__(type(self), *self.args)
         fresh.__dict__.update(self.__dict__)
         return fresh
+
+
+def remember(store: dict, key, build):
+    """``build()`` run once per ``key`` of ``store``: the library's caching rule.
+
+    The first call keeps in ``store[key]`` the result, or the
+    :class:`LinalgError` that ``build()`` raised, detached.  Every later
+    call returns that result, or raises a fresh detached copy of that error,
+    so a build is judged once, whatever ``RCOND_TOL`` is set to later.  No
+    kept or raised error has a traceback to tie the store's owner to an
+    earlier call's frames, so a failing call leaves no reference cycle.
+    Other exceptions pass through and nothing is kept.
+    """
+    if key not in store:
+        try:
+            store[key] = build()
+        except LinalgError as exc:
+            store[key] = exc.detached()
+    found = store[key]
+    if isinstance(found, LinalgError):
+        raise found.detached()
+    return found
 
 
 class SingularBlockError(LinalgError):
@@ -321,7 +342,9 @@ def pfaffian(a: np.ndarray):
     A square matrix gives a complex; a (k, n, n) stack gives a length-k
     complex array, each member pivoting on its own.  Stacked values agree
     with the one-matrix loop to rounding, not bit for bit, except for a
-    stack of one, which runs that loop.  The whole input is checked for
+    stack of one, which runs that loop: a member's last bits depend on the
+    other members of its stack.  The tests bound the difference by 1e-13
+    relative, and exactly zero where the loop is.  The input is checked for
     antisymmetry (:class:`SkewSymmetryError`), and its rounding-level
     symmetric part is dropped.
 

@@ -11,7 +11,8 @@ symmetric ancilla combinations ``(|0,n> + |1,n>)/sqrt(2)``.
 A :class:`LinearGaussianOp` holds read-only views of (M, u, v) and builds
 its enlarged generator on first use: :func:`embed` returns that one
 :class:`QuadraticGenerator` on every call, so its cached ``exp(M')`` and
-``exp(M'^dag)`` are computed once per operator object.
+``exp(M'^dag)`` are computed once per operator object, and its five-factor
+data are kept by the caching rule of :func:`~fermigauss.linalg.remember`.
 
 Provided here: the embedding, the five-factor factorization
 
@@ -25,19 +26,17 @@ transformation describing ``F^-1 c F`` (linear + quadratic + constant).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SKEW_TOL, MatrixLogBranchError, MatrixLogError, mat_log
+from .linalg import MatrixLogBranchError, MatrixLogError, mat_log, remember
 from .quadratic import (
     QuadraticGenerator,
     TransferMatrix,
-    _factors_once,
     _normal_factors,
     _principal_y,
     _read_only,
-    admissibility_defect,
     compose_transfers,
     transfer_of,
 )
@@ -79,7 +78,8 @@ class LinearGaussianOp:
     i.e. ``conj(u_j)`` multiplies ``c_j^dag`` and ``v_j`` multiplies ``c_j``.
 
     ``m``, ``u`` and ``v`` are read-only views of the arrays passed in, not
-    copies, so the caller must not mutate those arrays afterwards.  The
+    copies, so the caller must not mutate those arrays afterwards.
+    ``generator`` is M's :class:`QuadraticGenerator`, which checks M.  The
     enlarged generator (see :func:`embed`) is built on first use and cached
     on the instance, together with its exponentials.
     """
@@ -87,22 +87,19 @@ class LinearGaussianOp:
     m: np.ndarray
     u: np.ndarray
     v: np.ndarray
+    generator: QuadraticGenerator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=complex)
-        L = m.shape[0] // 2
+        gen = QuadraticGenerator(self.m)
+        L = gen.L
         u = np.zeros(L, dtype=complex) if self.u is None else np.asarray(self.u, dtype=complex)
         v = np.zeros(L, dtype=complex) if self.v is None else np.asarray(self.v, dtype=complex)
-        if m.ndim != 2 or m.shape != (2 * L, 2 * L):
-            raise ValueError(f"M must be 2L x 2L, got {m.shape}")
         if u.shape != (L,) or v.shape != (L,):
             raise ValueError(f"u, v must have length {L}, got {u.shape}, {v.shape}")
-        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-            raise ValueError("non-finite entries in (M, u, v)")
-        d = admissibility_defect(m)
-        if d > SKEW_TOL:
-            raise ValueError(f"J.M is not antisymmetric (defect {d:.3e})")
-        object.__setattr__(self, "m", _read_only(m))
+        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+            raise ValueError("non-finite entries in (u, v)")
+        object.__setattr__(self, "generator", gen)
+        object.__setattr__(self, "m", gen.m)
         object.__setattr__(self, "u", _read_only(u))
         object.__setattr__(self, "v", _read_only(v))
 
@@ -284,9 +281,8 @@ def generalized_bbd_from_transfer(tp: TransferMatrix) -> GeneralizedFactored:
 
     The normal factorization of the physical blocks, with the rank-one
     corrections of the linear factors subtracted from X and Z.  Computed
-    once per transfer object, like :func:`~fermigauss.quadratic.bbd_normal`:
-    the result of the first call that succeeds is cached on ``tp`` and
-    returned, with read-only arrays, on every later call.
+    once per transfer object and kept on ``tp``, like
+    :func:`~fermigauss.quadratic.bbd_normal`, or its refusal is.
     """
     def factorize():
         parts = split_extended_transfer(tp)
@@ -297,7 +293,7 @@ def generalized_bbd_from_transfer(tp: TransferMatrix) -> GeneralizedFactored:
         return GeneralizedFactored(*map(_read_only, arrays),
                                    fac.prefactor, fac.sign_certain, fac.rcond)
 
-    return _factors_once(tp, "_generalized", factorize)
+    return remember(tp.__dict__, "_generalized", factorize)
 
 
 def generalized_bbd(op: LinearGaussianOp) -> GeneralizedFactored:

@@ -23,9 +23,11 @@ value, Richardson-extrapolated), and the particle-hole permutation route
 which recovers the magnitude only.  One front end, on a pair of generators,
 runs the chain Pfaffian -> factor chain -> continuation -> permutation for
 every public overlap function and records each attempt in the result's
-``route``.  The signed overlaps take generators only: a transfer matrix
-fixes its Fock operator only up to sign, so a bare one has just the
-magnitude of :func:`overlap_magnitude_cp`.
+``route``.  A generator keeps its chain factors, or their refusal, by the
+caching rule of :func:`~fermigauss.linalg.remember`.  The signed overlaps
+take generators only: a transfer matrix fixes its Fock operator only up
+to sign, so a bare one has just the magnitude of
+:func:`overlap_magnitude_cp`.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .linalg import (
     check_skew,
     mat_exp,
     pfaffian,
+    remember,
     sqrt_det_continuous,
 )
 from .linearpart import LinearGaussianOp, embed
@@ -174,7 +177,8 @@ class OverlapKernel:
         fancy-index step and go to one stacked Pfaffian; an order with more
         than :data:`STACK_ENTRIES` matrix entries goes in chunks of at most
         that many.  A parity-forbidden pair gives an exact zero; an empty
-        restriction gives the prefactor.
+        restriction gives the prefactor.  An element's last bits depend on
+        the pairs evaluated with it (see :func:`~fermigauss.linalg.pfaffian`).
         """
         out = [complex(0.0)] * len(pairs)
         by_order: dict = {}      # order -> (positions, keep lists, signs)
@@ -294,30 +298,17 @@ def _path_factors(g: QuadraticGenerator) -> FactoredGaussian:
     return _normal_factors(t.t12, t.t21, t.t22, det_root)
 
 
-def _own_factors(g: QuadraticGenerator) -> tuple:
-    """exp(M) as chain factors: itself, or, when its T22 fails the rcond
-    test, its half exp(M/2) twice."""
-    try:
-        return (_path_factors(g),)
-    except SingularBlockError:
-        half = _path_factors(QuadraticGenerator(0.5 * g.m))
-        return half, half
-
-
 def _chain_factors(g: QuadraticGenerator) -> tuple:
-    """:func:`_own_factors` of ``g``, computed once and cached on ``g``; a
-    :class:`LinalgError` is cached too, detached, and raised again on every
-    call as a fresh copy."""
-    data = g.__dict__.get("_chain")
-    if data is None:
+    """exp(M) as chain factors, kept on ``g``: itself, or, when its T22
+    fails the rcond test, its half exp(M/2) twice."""
+    def build():
         try:
-            data = _own_factors(g)
-        except LinalgError as exc:
-            data = exc.detached()
-        g.__dict__["_chain"] = data
-    if isinstance(data, LinalgError):
-        raise data.detached()
-    return data
+            return (_path_factors(g),)
+        except SingularBlockError:
+            half = _path_factors(QuadraticGenerator(0.5 * g.m))
+            return half, half
+
+    return remember(g.__dict__, "_chain", build)
 
 
 def _chain_kernel(g1: QuadraticGenerator, g2: QuadraticGenerator | None) -> OverlapKernel:

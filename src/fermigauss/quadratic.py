@@ -14,18 +14,20 @@ factorizations when a diagonal block of ``T`` is singular.
 A :class:`QuadraticGenerator` holds a read-only view of its M and
 exponentiates it on first use: ``exp(M)``, the transfer matrix that
 :func:`transfer_of` returns, is computed once per generator object and
-cached on it, read-only.  So are the steps ``exp(h M)`` of the
-sign-continuity path, once per exact step length h.  The bra side of an
-overlap needs no exponential of its own: its transfer is ``exp(M)^dag``.
-A generator that recurs across many overlaps therefore costs one
-``mat_exp`` per quantity, and a 2L x 2L complex matrix of memory for each.
+kept on it, read-only, by :func:`~fermigauss.linalg.remember`, whose
+docstring states the caching rule.  The steps ``exp(h M)`` of the
+sign-continuity path are kept once per exact step length h.  The bra side
+of an overlap needs no exponential of its own: its transfer is
+``exp(M)^dag``.  A generator that recurs across many overlaps therefore
+costs one ``mat_exp`` per quantity, and a 2L x 2L complex matrix of memory
+for each.
 
 A :class:`TransferMatrix` holds a read-only view of its T and keeps its
-normal factor data the same way: :func:`bbd_normal` (and, for an
-embedded transfer, :func:`~fermigauss.linearpart.generalized_bbd`)
-factorizes it on the first call that succeeds and returns that result,
-with read-only arrays, on every later call.  That is three L x L complex
-matrices per factorized transfer.
+normal factor data, and its particle-hole rcond bound, by the same rule:
+:func:`bbd_normal` (and, for an embedded transfer,
+:func:`~fermigauss.linearpart.generalized_bbd`) factorizes it once and
+returns that result, with read-only arrays, or raises that refusal again.
+That is three L x L complex matrices per factorized transfer.
 
 A pivot block counts as invertible, in every factorization, overlap kernel
 and particle-hole scan, exactly when its rcond estimate reaches :data:`RCOND_TOL`.
@@ -49,6 +51,7 @@ from .linalg import (
     mat_exp,
     mat_log,
     rcond_estimate,
+    remember,
     skew_defect,
     sqrt_det_via_log,
 )
@@ -114,11 +117,6 @@ class QuadraticGenerator:
             steps[h] = _read_only(mat_exp(h * self.m))
         return steps[h]
 
-    @functools.cached_property
-    def _transfer(self) -> "TransferMatrix":
-        """exp(M) as a J-checked transfer matrix: what :func:`transfer_of` returns."""
-        return TransferMatrix(mat_exp(self.m))
-
     @property
     def L(self) -> int:
         return self.m.shape[0] // 2
@@ -145,7 +143,7 @@ class TransferMatrix:
     caller must not mutate that array afterwards.  The normal factor data
     of :func:`bbd_normal` and of
     :func:`~fermigauss.linearpart.generalized_bbd_from_transfer` is
-    computed on first success and cached on the instance, read-only.
+    computed once and kept on the instance, read-only, or its refusal is.
     """
 
     t: np.ndarray
@@ -211,8 +209,9 @@ class TransferMatrix:
 
 
 def transfer_of(gen: QuadraticGenerator) -> TransferMatrix:
-    """T = exp(M), cached on ``gen``.  J-orthogonality is re-verified on the result."""
-    return gen._transfer
+    """T = exp(M), kept on ``gen``, or its refusal by overflow or by the
+    J-orthogonality check that is re-verified on the result."""
+    return remember(gen.__dict__, "_transfer", lambda: TransferMatrix(mat_exp(gen.m)))
 
 
 def compose_transfers(t1: TransferMatrix, t2: TransferMatrix) -> TransferMatrix:
@@ -315,31 +314,18 @@ def _normal_factors(t12: np.ndarray, t21: np.ndarray, t22: np.ndarray,
     return FactoredGaussian("normal", x, exp_y, z, prefactor, sign_certain, rc, branch)
 
 
-def _factors_once(t: TransferMatrix, key: str, factorize):
-    """The factor data ``factorize()`` of ``t``, cached on ``t`` under ``key``.
-
-    Only a success is cached: a rejected block raises again, and is
-    factorized again, on every call.
-    """
-    fac = t.__dict__.get(key)
-    if fac is None:
-        fac = t.__dict__[key] = factorize()
-    return fac
-
-
 def bbd_normal(t: TransferMatrix) -> FactoredGaussian:
     """Factorization with the creation-pair factor on the left (requires T22 invertible).
 
-    Computed once per transfer object: the result of the first call that
-    succeeds is cached on ``t``, and the same object, with read-only
-    arrays, is returned on every later call.
+    Computed once per transfer object and kept on ``t``: every later call
+    returns the same object, with read-only arrays, or raises the refusal.
     """
     def factorize():
         fac = _normal_factors(t.t12, t.t21, t.t22)
         return replace(fac, x=_read_only(fac.x), exp_y=_read_only(fac.exp_y),
                        z=_read_only(fac.z))
 
-    return _factors_once(t, "_normal", factorize)
+    return remember(t.__dict__, "_normal", factorize)
 
 
 def bbd_antinormal(t: TransferMatrix) -> FactoredGaussian:
@@ -537,21 +523,24 @@ def _t22_rcond_bound(t: TransferMatrix) -> tuple[float, bool]:
     min(1, ceiling / floor).  The certificate asks for
     ceiling < (RCOND_TOL - 2 c eps) floor, which leaves room for the
     rounding of the SVD that the enumeration would run on each block; a
-    zero floor never certifies.
+    zero floor never certifies.  Computed once per transfer, kept on ``t``.
     """
-    L = t.L
-    if L == 0:
-        return 1.0, False
-    c = 4 * 2 * L  # LAPACK's p(n) for an SVD of order n = 2L, taken as 4n
-    eps = float(np.finfo(float).eps)
-    s = np.linalg.svd(t.t, compute_uv=False)
-    ceiling = float(s[L - 1]) + c * eps * float(s[0])
-    a = np.abs(t.t)
-    low = np.minimum(np.minimum(a[:L, :L], a[:L, L:]), np.minimum(a[L:, :L], a[L:, L:]))
-    np.fill_diagonal(low, np.minimum(a.diagonal()[:L], a.diagonal()[L:]))
-    floor = float(low.max())
-    bound = ceiling / floor if ceiling < floor else 1.0
-    return bound, ceiling < (RCOND_TOL - 2 * c * eps) * floor
+    def bound():
+        L = t.L
+        if L == 0:
+            return 1.0, False
+        c = 4 * 2 * L  # LAPACK's p(n) for an SVD of order n = 2L, taken as 4n
+        eps = float(np.finfo(float).eps)
+        s = np.linalg.svd(t.t, compute_uv=False)
+        ceiling = float(s[L - 1]) + c * eps * float(s[0])
+        a = np.abs(t.t)
+        low = np.minimum(np.minimum(a[:L, :L], a[:L, L:]), np.minimum(a[L:, :L], a[L:, L:]))
+        np.fill_diagonal(low, np.minimum(a.diagonal()[:L], a.diagonal()[L:]))
+        floor = float(low.max())
+        return (ceiling / floor if ceiling < floor else 1.0,
+                ceiling < (RCOND_TOL - 2 * c * eps) * floor)
+
+    return remember(t.__dict__, "_rcond_bound", bound)
 
 
 def cp_suggestions(t: TransferMatrix, limit: int = 6):

@@ -525,6 +525,41 @@ def test_parse_errors(tmp_path, capsys):
         assert code == 3 and out == "" and "site counts differ" in err, cmd
 
 
+@pytest.mark.parametrize("name, text, needle", [
+    # an odd shape: a 3 x 3 M under L = 1
+    ("odd", json.dumps({"L": 1, "M": [[[0, 0]] * 3] * 3}), "shape (2, 2)"),
+    ("nan", '{"L": 1, "M": [[[NaN, 0], [0, 0]], [[0, 0], [0, 0]]]}', "non-finite"),
+    ("inf", '{"L": 1, "M": [[[1e400, 0], [0, 0]], [[0, 0], [-1e400, 0]]]}', "non-finite"),
+    # J M symmetric, not antisymmetric
+    ("inadmissible", json.dumps({"L": 1, "M": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}),
+     "antisymmetric"),
+])
+def test_malformed_operator_file_exits_with_the_parse_code(tmp_path, capsys, name, text, needle):
+    path = tmp_path / f"{name}.json"
+    path.write_text(text)
+    with pytest.raises(CliError) as err:
+        cli.load_operator(str(path))
+    assert err.value.code == 3 and needle in str(err.value)
+    code, out, err_text = run(capsys, "cp-scan", "--op", str(path))
+    assert code == 3 and out == "" and needle in err_text
+
+
+@pytest.mark.parametrize("argv, checks", [
+    (["cp-scan", "--op", "{op}"], 1),
+    (["decompose", "--input", "{op}"], 1),
+    (["overlap", "--op", "{op}", "--bra", "110", "--ket", "000"], 2),   # and the identity bra
+])
+def test_operator_file_is_validated_once(op_file, capsys, monkeypatch, argv, checks):
+    # the operator's generator checks M, and the command computes with it
+    op, _ = cli.load_operator(op_file)
+    assert isinstance(op.generator, QuadraticGenerator) and op.generator.m is op.m
+    calls = []
+    defect = quadratic.admissibility_defect
+    monkeypatch.setattr(quadratic, "admissibility_defect", lambda m: calls.append(m) or defect(m))
+    code, _, _ = run(capsys, *(a.format(op=op_file) for a in argv))
+    assert code == 0 and len(calls) == checks
+
+
 @pytest.mark.parametrize("target", ["missing/report.json", "."])
 def test_unwritable_output_exits_with_the_parse_code(tmp_path, op_file, capsys, target):
     # an output path in a missing directory, or a directory, is refused like

@@ -4,6 +4,9 @@ Count gates (monkeypatched counters, never wall time) and property tests
 over random admissible generators.
 """
 
+import functools
+import gc
+import weakref
 from itertools import permutations
 
 import numpy as np
@@ -15,7 +18,7 @@ from hypothesis import strategies as st
 from fermigauss import correlators, quadratic
 from fermigauss.configs import FockConfig
 from fermigauss.correlators import CorrelatorContext, ModeOp, generalized_expectation, n_point
-from fermigauss.linalg import SingularBlockError, mat_exp, sqrt_det_via_log
+from fermigauss.linalg import LinalgError, SingularBlockError, mat_exp, sqrt_det_via_log
 from fermigauss.linearpart import (
     LinearGaussianOp,
     compose_linear,
@@ -42,6 +45,7 @@ from fermigauss.quadratic import (
 )
 
 from conftest import all_configs, pair_kernel, random_linear_op, worked_example_m
+from test_factor_chain import fails_on_every_route
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -231,7 +235,9 @@ class TestEmbeddedExponentials:
         res = generalized_overlap(op, zero, bra, ket, method="epsilon")
         assert res.method == "epsilon-regularized"
         assert abs(res.value - orc.element(f, bra, ket)) < 1e-8
-        assert set(vars(op)) == {"m", "u", "v", "_embedded"}
+        # the generator of M that checked it holds nothing computed
+        assert set(vars(op)) == {"m", "u", "v", "generator", "_embedded"}
+        assert set(vars(op.generator)) == {"m"}
         fresh = embed(LinearGaussianOp(op.m, op.u, op.v))
         assert np.array_equal(embed(op).m, fresh.m)
 
@@ -332,7 +338,7 @@ class TestFactorData:
             tm.t[0, 0] = 1.0
 
     @pytest.mark.parametrize("name", FACTORIZATIONS)
-    def test_rejection_is_not_cached(self, monkeypatch, name):
+    def test_rejection_is_judged_once(self, monkeypatch, count_calls, name):
         make, factorize = FACTORIZATIONS[name]
         src = make(np.random.default_rng(76))
         t = src if name == "bbd_normal" else transfer_of(embed(src))
@@ -341,10 +347,20 @@ class TestFactorData:
             mp.setattr(quadratic, "RCOND_TOL", 2.0)
             with pytest.raises(SingularBlockError) as rejected:
                 factorize(src)
-            assert key not in vars(t)
-        # the same block, factorized afresh once the threshold admits it
-        fac = factorize(src)
-        assert vars(t)[key] is fac and rejected.value.rcond == fac.rcond
+        assert isinstance(vars(t)[key], SingularBlockError)
+        # the refusal stands once the threshold would admit the block: it is
+        # raised again, and nothing is factorized
+        rconds = count_calls("rcond_estimate")
+        with pytest.raises(SingularBlockError) as again:
+            factorize(src)
+        assert rconds == []
+        assert (str(again.value), again.value.rcond) == (str(rejected.value), rejected.value.rcond)
+        # a fresh object with the same block is judged afresh, at today's threshold
+        if isinstance(src, TransferMatrix):
+            fac = factorize(TransferMatrix(src.t.copy()))
+        else:
+            fac = factorize(LinearGaussianOp(src.m.copy(), src.u.copy(), src.v.copy()))
+        assert rejected.value.rcond == fac.rcond
 
     @pytest.mark.parametrize("name", FACTORIZATIONS)
     def test_singular_block_raises_every_time(self, count_calls, name):
@@ -358,10 +374,57 @@ class TestFactorData:
         for _ in range(2):
             with pytest.raises(SingularBlockError) as exc:
                 factorize(src)
+            assert exc.value.__context__ is None and exc.value.__cause__ is None
             errors.append((str(exc.value), exc.value.rcond))
         assert errors[0] == errors[1]
-        assert len(rconds) == 2   # a rejection is not cached
-        assert not {"_normal", "_generalized"} & set(vars(t))
+        assert len(rconds) == 1   # the block is judged once
+        kept = vars(t)["_normal" if name == "bbd_normal" else "_generalized"]
+        assert isinstance(kept, SingularBlockError) and kept.__traceback__ is None
+
+
+class TestCachingRule:
+    """Every build that can be refused is judged once: the success or the
+    detached refusal is kept, and a failing call leaves no reference cycle."""
+
+    @pytest.mark.parametrize("L, seed, scale, message", [
+        (2, 2, 200, "J-orthogonality check overflows"),
+        (4, 1, 1000, "matrix exponential overflows"),
+    ])
+    def test_refused_transfer_is_judged_once(self, count_calls, L, seed, scale, message):
+        g = random_generator(L, seed, scale)
+        exponentials = count_calls("mat_exp")
+        errors = []
+        for _ in range(2):
+            with pytest.raises(LinalgError, match=message) as exc:
+                transfer_of(g)
+            assert exc.value.__context__ is None
+            errors.append((type(exc.value), str(exc.value)))
+        assert errors[0] == errors[1]
+        assert len(exponentials) == 1
+        assert isinstance(vars(g)["_transfer"], LinalgError)
+
+    @pytest.mark.parametrize("kind", ["bbd_normal", "generalized_bbd", "transfer_of"])
+    def test_refusals_leave_no_cycles(self, kind):
+        # with the cyclic collector off, reference counting alone frees
+        # every object that kept a refusal
+        gc.disable()
+        try:
+            if kind == "transfer_of":
+                owner = random_generator(2, 2, 200)
+                call = functools.partial(transfer_of, owner)
+            elif kind == "bbd_normal":
+                owner = transfer_of(QuadraticGenerator(worked_example_m(np.pi / 2)))
+                call = functools.partial(bbd_normal, owner)
+            else:
+                owner = LinearGaussianOp(worked_example_m(np.pi / 2), None, None)
+                call = functools.partial(generalized_bbd, owner)
+            for _ in range(2):
+                fails_on_every_route(call)
+            alive = weakref.ref(owner)
+            del owner, call
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 #: the step lengths of the continuity grids of 12, 24, ..., 192 steps

@@ -433,6 +433,12 @@ def zero_pivot_stack(n: int, size: int, seed: int, scale: float) -> np.ndarray:
     return a
 
 
+#: a stacked Pfaffian's relative deviation from the one-matrix loop
+#: (ROADMAP item 3's gate); random stacks of up to 128 members at n <= 64
+#: stay below 1.4e-15
+STACK_REL_TOL = 1e-13
+
+
 class TestPfaffianStack:
     """A (k, n, n) stack: one Parlett-Reid run, each member pivoting on its own."""
 
@@ -455,6 +461,33 @@ class TestPfaffianStack:
             assert np.all(stacked[1:] == 0.0)   # every zero-pivot member
         if size == 1:
             assert stacked[0] == pfaffian(a[0])   # a stack of one runs the same loop
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.integers(0, 64), st.sampled_from([2, 17, 128]), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_member_bound_whatever_shares_the_stack(self, n, size, seed, scale):
+        # each member of a _pfaffian_stack call is within STACK_REL_TOL of its
+        # value from _pfaffian_one, relative, and exactly zero where that is.
+        # The last bits depend on which members share the stack, so every
+        # other member is stacked apart as well and held to the same bound.
+        # Odd orders give exact zeros; every third member has a zero row and
+        # column, so its elimination stops at an exactly zero pivot or ends
+        # on one.
+        rng = np.random.default_rng(seed)
+        a = np.array([random_skew(rng, n, scale) for _ in range(size)]).reshape(size, n, n)
+        if n:
+            for i in range(1, size, 3):
+                j = int(rng.integers(n))
+                a[i, j, :] = a[i, :, j] = 0.0
+        stacks = [(_pfaffian_exact(a.copy()), range(size)),
+                  (_pfaffian_exact(a[::2].copy()), range(0, size, 2))]
+        for values, members in stacks:
+            for got, i in zip(values, members, strict=True):
+                one = _pfaffian_exact(a[i].copy())
+                if one == 0.0:
+                    assert got == 0.0
+                else:
+                    assert abs(got - one) <= STACK_REL_TOL * abs(one)
 
     def test_conventions(self):
         assert np.array_equal(pfaffian(np.zeros((3, 0, 0))), np.ones(3))

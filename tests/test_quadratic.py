@@ -473,6 +473,29 @@ class TestEmptySearchCertificate:
         assert [len(a) for (a,) in calls] == [math.comb(10, size) for size in range(11)]
         assert max(rconds) < RCOND_TOL
 
+    def test_failing_cp_route_computes_the_bound_once(self, monkeypatch):
+        # the certificate's SVD of T is kept on the transfer: the refusal
+        # reports the bound that cp_suggestions computed, with no second SVD
+        g1, g2 = random_generator(10, 1, 25), random_generator(10, 2, 25)
+        vac = FockConfig.vacuum(10)
+        svd, of_t = np.linalg.svd, []
+
+        def counting(a, *args, **kwargs):
+            if np.shape(a) == (20, 20):
+                of_t.append(a)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        with pytest.raises(SingularBlockError) as err:
+            state_overlap(g1, g2, vac, vac, method="cp-magnitude")
+        monkeypatch.undo()
+        assert len(of_t) == 1
+        bound = _t22_rcond_bound(certified_product())[0]
+        assert err.value.route == [{"route": "cp-magnitude", "accepted": False,
+                                    "reason": "cp_sites", "cp_sites": None,
+                                    "rcond_bound": bound}]
+        assert err.value.rcond == bound
+
     def test_exhausted_chain_reports_the_bound(self, count_calls):
         # the same rejections as the full enumeration gives (the factor
         # chain refuses a factor whose |det T22| is beyond the continuity
