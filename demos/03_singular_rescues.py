@@ -41,14 +41,14 @@ print(f"<000|F|000> at a = pi/2 should be cos(pi/2) = 0")
 print("auto-dispatched method:", res.method)
 print("routes tried:", [(e["route"], e["accepted"]) for e in res.route])
 print("value:", res.value)
-print("chain factors:", res.diagnostics["factors"], " smallest rcond:", res.diagnostics["rcond"], "\n")
+print("chain factors:", res.route[-1]["factors"], " smallest rcond:", res.route[-1]["rcond"], "\n")
 
 res = overlap(gen, FockConfig((1, 1, 0)), FockConfig((0, 0, 0)))
 print("<110|F|000> by the factor chain:", res.value, " (closed form cos(a)-1 = -1)")
 res = overlap(gen, FockConfig((1, 1, 0)), FockConfig((0, 0, 0)), method="epsilon")
 print("<110|F|000> regularized:", res.value,
-      " convergence diagnostic:", res.diagnostics["eps_disagreement"])
+      " convergence diagnostic:", res.route[-1]["eps_disagreement"])
 
 mag = overlap_magnitude_cp(t, FockConfig((1, 1, 0)), FockConfig((0, 0, 0)))
 print("same element by permutation magnitude:", mag.value,
-      " sign_certain:", mag.sign_certain, " sites:", mag.diagnostics["cp_sites"])
+      " sign_certain:", mag.sign_certain, " sites:", mag.route[-1]["cp_sites"])

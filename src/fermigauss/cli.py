@@ -371,7 +371,7 @@ def cmd_compose(args) -> int:
     if op1.L != op2.L:
         raise CliError(EXIT_PARSE, f"site counts differ: {op1.L} vs {op2.L}")
     res = compose_linear(op1, op2)
-    if res.generator_available:
+    if res.op is not None:
         # exp(M') equals the product transfer, but the operators only up to
         # sign: F_1 F_2 = +-e^{M^'}
         write_operator_file(args.output, res.op)
@@ -379,13 +379,10 @@ def cmd_compose(args) -> int:
                              results={"generator_available": True,
                                       "output": args.output})
     else:
-        doc = base_report("compose", {"a": d1, "b": d2},
-                          results={
-                              "generator_available": False,
-                              "extended_transfer": pairs(res.transfer.t),
-                          })
-        write_text(args.output, dump_report(doc) + "\n")
-        report = doc
+        report = base_report("compose", {"a": d1, "b": d2},
+                             results={"generator_available": False,
+                                      "extended_transfer": pairs(res.transfer.t)})
+        write_text(args.output, dump_report(report) + "\n")
     sys.stdout.write(dump_report(report) + "\n")
     return EXIT_OK
 
@@ -435,7 +432,7 @@ def cmd_overlap(args) -> int:
     report = base_report("overlap", inputs,
                          args={"bra": str(bra), "ket": str(ket)},
                          method=res.method, sign_certain=res.sign_certain,
-                         route=res.route, diagnostics=res.diagnostics, results=results)
+                         route=res.route, results=results)
     emit(report, args.output)
     return EXIT_OK
 
@@ -494,7 +491,7 @@ def cmd_correlate(args) -> int:
     report = base_report("correlate", inputs,
                          args={"bra": str(bra), "ket": str(ket), "string": args.string},
                          method=method, sign_certain=sign_certain,
-                         route=route, diagnostics={}, results=results)
+                         route=route, results=results)
     emit(report, args.output)
     return EXIT_OK
 

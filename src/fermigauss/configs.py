@@ -44,11 +44,6 @@ class FockConfig:
         return tuple(j + 1 for j, b in enumerate(self.bits) if b)
 
     @property
-    def empty(self) -> tuple[int, ...]:
-        """Empty sites (1-based, increasing)."""
-        return tuple(j + 1 for j, b in enumerate(self.bits) if not b)
-
-    @property
     def n_occupied(self) -> int:
         return sum(self.bits)
 

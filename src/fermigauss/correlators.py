@@ -321,8 +321,9 @@ class CorrelatorContext:
         def engine(route, kernel_of):
             return remember(self._engines, route, lambda: _Engine(kernel_of, *self._pair))
 
-        res = _dispatch(fn, lambda: engine("pfaffian", _pair_kernel),
-                        lambda: engine("factor-chain", _chain_kernel), None, None, method="auto")
+        res = _dispatch(fn, {"pfaffian": lambda: engine("pfaffian", _pair_kernel),
+                             "factor-chain": lambda: engine("factor-chain", _chain_kernel)},
+                        method="auto")
         self.route, self.method, self.sign_certain = res.route, res.method, res.sign_certain
         return res.value
 

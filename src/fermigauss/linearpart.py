@@ -333,7 +333,6 @@ def factors_as_ops(f: GeneralizedFactored):
 class LinearComposeResult:
     transfer: TransferMatrix          # extended (L+1)-site transfer
     op: LinearGaussianOp | None       # composed (M, u, v) when a valid principal log exists
-    generator_available: bool
 
 
 def compose_linear(op1: LinearGaussianOp, op2: LinearGaussianOp) -> LinearComposeResult:
@@ -356,12 +355,12 @@ def compose_linear(op1: LinearGaussianOp, op2: LinearGaussianOp) -> LinearCompos
     try:
         mp = mat_log(tp.t)
     except MatrixLogError:
-        return LinearComposeResult(tp, None, False)
+        return LinearComposeResult(tp, None)
     try:
         op = extract_op(QuadraticGenerator(mp))
     except ValueError:
-        return LinearComposeResult(tp, None, False)
-    return LinearComposeResult(tp, op, True)
+        return LinearComposeResult(tp, None)
+    return LinearComposeResult(tp, op)
 
 
 # ---------------------------------------------------------------------------

@@ -92,18 +92,15 @@ class OverlapResult:
     ``method`` is one of ``"pfaffian"``, ``"factor-chain"``,
     ``"epsilon-regularized"`` or ``"cp-magnitude"``; ``sign_certain`` is
     False for the last one, whose value is a magnitude, and for a forced
-    Pfaffian whose det(T22)^(1/2) has no principal log.  The Pfaffian's
-    ``diagnostics`` hold its pivot block's ``rcond`` and the ``branch`` that
-    fixed det(T22)^(1/2): ``"continuity"`` along a path from the identity,
-    or ``"principal"``.  ``route`` lists the attempts of the rescue chain
-    that produced the value (see :func:`_dispatch`); it is empty for an
-    exact parity zero.
+    Pfaffian whose det(T22)^(1/2) has no principal log.  ``route`` lists
+    the attempts of the rescue chain that produced the value (see
+    :func:`_dispatch`) and ends with the one accepted entry, the data of the
+    answering route; it is empty for an exact parity zero.
     """
 
     value: complex
     method: str
     sign_certain: bool = True
-    diagnostics: dict = field(default_factory=dict)
     route: list = field(default_factory=list)
 
 
@@ -243,17 +240,25 @@ class _ProductPath:
         return cols[0][half:] if len(cols) == 1 else cols[1].conj().T @ cols[0]
 
 
-def _pair_kernel(g1: QuadraticGenerator, g2: QuadraticGenerator | None) -> OverlapKernel:
+def _product(g1: QuadraticGenerator, g2: QuadraticGenerator | None) -> TransferMatrix:
+    """The transfer exp(M2)^dag exp(M1) of the pair: :func:`compose_bra_ket`
+    of the transfers cached on the generators, or that of ``g1`` alone for
+    an identity bra operator (``g2`` None)."""
+    return transfer_of(g1) if g2 is None else compose_bra_ket(g2, g1)
+
+
+def _pair_kernel(g1: QuadraticGenerator, g2: QuadraticGenerator | None,
+                 t: TransferMatrix | None = None) -> OverlapKernel:
     """Kernel for <J| exp(M2^dag) exp(M1) |I> with a continuity-tracked sign.
 
     ``g1`` is the ket generator M1 and ``g2`` the bra generator M2 (None for
-    an identity bra operator).  The product is :func:`compose_bra_ket` of
-    the transfers cached on the generators, exp(M2)^dag exp(M1).  The
-    det(T22)^(1/2) branch is fixed by following the path
-    s -> exp(s M2^dag) exp(s M1) from the identity, which is holomorphic in
-    s and therefore admits complex detours around determinant zeros.
+    an identity bra operator); ``t`` is their :func:`_product`, formed here
+    when not given.  The det(T22)^(1/2) branch is fixed by following the
+    path s -> exp(s M2^dag) exp(s M1) from the identity, which is
+    holomorphic in s and therefore admits complex detours around
+    determinant zeros.
     """
-    t = transfer_of(g1) if g2 is None else compose_bra_ket(g2, g1)
+    t = _product(g1, g2) if t is None else t
     path = _ProductPath(g1, g2)
     return OverlapKernel([_normal_factors(t.t12, t.t21, t.t22,
                                           lambda t22: sqrt_det_continuous(path, t22))])
@@ -327,59 +332,55 @@ def _chain_kernel(g1: QuadraticGenerator, g2: QuadraticGenerator | None) -> Over
 ROUTES = ("pfaffian", "factor-chain", "epsilon", "cp-magnitude")
 
 
-def _dispatch(evaluate, pfaffian, chain, epsilon, cp, *, method: str) -> OverlapResult:
-    """Run the rescue chain pfaffian -> factor-chain -> epsilon -> cp-magnitude.
+def _dispatch(evaluate, routes: dict, *, method: str) -> OverlapResult:
+    """Run the rescue chain over ``routes``, an ordered mapping from route
+    names to thunks.
 
-    Each route is a thunk, or None to rule it out (the correlators, which
-    need a signed value, pass only the first two).  ``pfaffian()`` and
-    ``chain()`` build the kernel of the pair's product and of its factor
-    chain (anything with ``rcond``, ``sign_certain``, ``branch`` and ``k``),
-    which ``evaluate(kernel)`` turns into the value; ``epsilon()`` and
-    ``cp()`` return their route's :class:`OverlapResult`.
+    The overlaps pass all of :data:`ROUTES`; the correlators, which need a
+    signed value, pass the first two.  The ``"pfaffian"`` and
+    ``"factor-chain"`` thunks build the kernel of the pair's product and of
+    its factor chain (anything with ``rcond``, ``sign_certain``, ``branch``
+    and ``k``), which ``evaluate(kernel)`` turns into the value; the
+    ``"epsilon"`` and ``"cp-magnitude"`` thunks return their route's
+    :class:`OverlapResult`, whose ``route`` is its accepted entry.
 
-    ``method="auto"`` tries the available routes in order and accepts the
-    Pfaffian only with a certain sign; a route name forces that route
-    alone, which then accepts whatever sign it finds.  Every attempt is
-    recorded in the result's ``route``: the route name, whether it was
-    accepted, on rejection the ``reason``, and the diagnostics that decided
-    it.  The Pfaffian records its ``rcond``, ``sign_certain`` and the
-    ``branch`` of det(T22)^(1/2); the factor chain its number of
+    ``method="auto"`` tries the routes in order and accepts the Pfaffian
+    only with a certain sign; a route name forces that route alone, which
+    then accepts whatever sign it finds.  Every attempt is recorded in the
+    result's ``route``, the rejected ones before the accepted one: the route
+    name, whether it was accepted, on rejection the ``reason``, and the data
+    that decided it.  The Pfaffian records its ``rcond``, ``sign_certain``
+    and the ``branch`` of det(T22)^(1/2); the factor chain its number of
     ``factors`` and their smallest ``rcond``, or on rejection the reason
     ``"rcond"`` (a factor's T22 is singular even after the split into
     halves) or ``"branch"`` (no continuity path fixes a factor's root, with
-    that factor's ``abs_det``); a rejected cp-magnitude attempt records, as
-    ``rcond_bound``, the bound that :func:`overlap_magnitude_cp` puts on the
-    rcond of every permuted T22.  Any :class:`LinalgError` rejects its
-    route; one that none of these names has the reason ``"numerical"`` and
-    its ``message``.  When every route fails, the last route's error is
-    raised with the same list attached as ``.route``.
+    that factor's ``abs_det``); the epsilon route its ``eps_schedule``,
+    ``eps_seed`` and ``eps_disagreement``; the cp-magnitude route its
+    ``cp_sites`` and ``rcond``, or on rejection, as ``rcond_bound``, the
+    bound that :func:`overlap_magnitude_cp` puts on the rcond of every
+    permuted T22.  Any :class:`LinalgError` rejects its route; one that none
+    of these names has the reason ``"numerical"`` and its ``message``.  When
+    every route fails, the last route's error is raised with the same list
+    attached as ``.route``.
     """
-    thunks = dict(zip(ROUTES, (pfaffian, chain, epsilon, cp)))
-    if method == "auto":
-        names = [name for name in ROUTES if thunks[name] is not None]
-    elif method in ROUTES:
-        names = [method]
-    else:
-        raise ValueError(f"unknown method {method!r}; expected 'auto' or one of {ROUTES}")
-    route: list[dict] = []
+    if method != "auto" and method not in routes:
+        raise ValueError(f"unknown method {method!r}; expected 'auto' or one of {tuple(routes)}")
+    names = list(routes) if method == "auto" else [method]
+    tried: list[dict] = []
     for name in names:
         try:
-            res = kern = thunks[name]()     # a kernel, or epsilon's and cp's result
-            if name == "pfaffian":
-                why = {"rcond": kern.rcond, "sign_certain": kern.sign_certain,
-                       "branch": kern.branch}
-                if not kern.sign_certain and len(names) > 1:
-                    route.append({"route": name, "accepted": False,
+            res = routes[name]()     # a kernel, or epsilon's and cp's result
+            if not isinstance(res, OverlapResult):
+                kern = res
+                why = ({"rcond": kern.rcond, "sign_certain": kern.sign_certain,
+                        "branch": kern.branch} if name == "pfaffian"
+                       else {"factors": kern.k, "rcond": kern.rcond})
+                if not kern.sign_certain and name == "pfaffian" and len(names) > 1:
+                    tried.append({"route": name, "accepted": False,
                                   "reason": "sign_certain", **why})
                     continue
-                res = OverlapResult(evaluate(kern), "pfaffian", kern.sign_certain,
-                                    {"rcond": kern.rcond, "branch": kern.branch})
-            elif name == "factor-chain":
-                why = {"factors": kern.k, "rcond": kern.rcond}
-                res = OverlapResult(evaluate(kern), name, kern.sign_certain, dict(why))
-            else:   # epsilon's disagreement, or cp-magnitude's sites and rcond
-                why = {key: val for key, val in res.diagnostics.items()
-                       if key in ("eps_disagreement", "cp_sites", "rcond")}
+                res = OverlapResult(evaluate(kern), name, kern.sign_certain,
+                                    [{"route": name, "accepted": True, **why}])
         except LinalgError as exc:
             if isinstance(exc, ExtrapolationError):
                 d = exc.disagreement
@@ -393,13 +394,12 @@ def _dispatch(evaluate, pfaffian, chain, epsilon, cp, *, method: str) -> Overlap
                 why = {"reason": "cp_sites", "cp_sites": None, "rcond_bound": exc.rcond}
             else:
                 why = {"reason": "rcond", "rcond": exc.rcond}
-            route.append({"route": name, "accepted": False, **why})
+            tried.append({"route": name, "accepted": False, **why})
             if name == names[-1]:
-                exc.route = route
+                exc.route = tried
                 raise
             continue
-        route.append({"route": name, "accepted": True, **why})
-        res.route = route
+        res.route = tried + res.route
         return res
 
 
@@ -408,21 +408,23 @@ def _pair_overlap(g1: QuadraticGenerator, g2: QuadraticGenerator | None,
     """<J| exp(M2^dag) exp(M1) |I> through the rescue chain.
 
     ``g1`` and ``g2`` are the ket and bra generators (``g2`` None for the
-    identity).  The factor chain is :func:`_chain_kernel`; the epsilon
-    route, built here alone, perturbs ``g1``; the magnitude route takes the
-    composed transfer.  An odd total occupation is an exact zero.
+    identity).  The pair's :func:`_product` is formed once, or refused once
+    by the rule of :func:`~fermigauss.linalg.remember`, for the Pfaffian and
+    the magnitude routes; the factor chain is :func:`_chain_kernel`; the
+    epsilon route, built here alone, perturbs ``g1``.  An odd total
+    occupation is an exact zero, with an empty ``route``.
     """
     if not (bra.L == ket.L == g1.L == (g1.L if g2 is None else g2.L)):
         raise ValueError("inconsistent site counts")
     if (bra.n_occupied + ket.n_occupied) % 2:
-        return OverlapResult(complex(0.0), "pfaffian", True, {"parity_zero": True})
-    return _dispatch(
-        lambda k: k.element(bra, ket), lambda: _pair_kernel(g1, g2), lambda: _chain_kernel(g1, g2),
+        return OverlapResult(complex(0.0), "pfaffian", True)
+    product = functools.partial(remember, {}, "product", lambda: _product(g1, g2))
+    return _dispatch(lambda k: k.element(bra, ket), dict(zip(ROUTES, (
+        lambda: _pair_kernel(g1, g2, product()),
+        lambda: _chain_kernel(g1, g2),
         lambda: _epsilon_extrapolate(lambda eps, g: _pair_kernel(
             QuadraticGenerator(g1.m + eps * g.m), g2).element(bra, ket), g1.L),
-        lambda: overlap_magnitude_cp(
-            transfer_of(g1) if g2 is None else compose_bra_ket(g2, g1), bra, ket),
-        method=method)
+        lambda: overlap_magnitude_cp(product(), bra, ket)))), method=method)
 
 
 def _require_generators(*ops) -> None:
@@ -472,11 +474,13 @@ def epsilon_direction(L: int) -> QuadraticGenerator:
 def _epsilon_extrapolate(value_at, L: int) -> OverlapResult:
     """Quadratic Richardson extrapolation of ``value_at(eps, G)`` to eps -> 0.
 
-    G is :func:`epsilon_direction` (its seed is recorded in the
-    diagnostics), which generically restores the invertibility of T22.  The
-    two-point :data:`EPS_SCHEDULE` is augmented with one halved point; the
-    convergence diagnostic compares the linear extrapolations of successive
-    pairs and fails loudly when they disagree beyond EPS_AGREE_TOL.
+    G is :func:`epsilon_direction`, which generically restores the
+    invertibility of T22.  The two-point :data:`EPS_SCHEDULE` is augmented
+    with one halved point; the convergence diagnostic compares the linear
+    extrapolations of successive pairs and fails loudly when they disagree
+    beyond EPS_AGREE_TOL.  The result's ``route`` is its one accepted
+    ``"epsilon"`` entry, with the ``eps_schedule``, the ``eps_seed`` of G
+    and the ``eps_disagreement``.
     """
     g = epsilon_direction(L)
     e1, e2 = float(EPS_SCHEDULE[0]), float(EPS_SCHEDULE[1])
@@ -492,14 +496,11 @@ def _epsilon_extrapolate(value_at, L: int) -> OverlapResult:
         + vals[2] * (eps[0] * eps[1]) / ((eps[2] - eps[0]) * (eps[2] - eps[1]))
     )
     disagreement = abs(r23 - r12) / max(1.0, abs(val))
-    diagnostics = {
-        "eps_schedule": eps,
-        "eps_seed": EPS_SEED,
-        "eps_disagreement": disagreement,
-    }
     if disagreement > EPS_AGREE_TOL:
         raise ExtrapolationError(disagreement)
-    return OverlapResult(val, "epsilon-regularized", True, diagnostics)
+    return OverlapResult(val, "epsilon-regularized", True, [
+        {"route": "epsilon", "accepted": True, "eps_schedule": eps, "eps_seed": EPS_SEED,
+         "eps_disagreement": disagreement}])
 
 
 def overlap_magnitude_cp(t: TransferMatrix, bra: FockConfig, ket: FockConfig) -> OverlapResult:
@@ -510,7 +511,9 @@ def overlap_magnitude_cp(t: TransferMatrix, bra: FockConfig, ket: FockConfig) ->
     the permuted T22 invertible (the search stops there), exchanges
     occupations 0 <-> 1 on S in both configurations and evaluates the
     permuted overlap.  The sign is genuinely ambiguous in this picture, so
-    the magnitude is returned with ``sign_certain=False``.
+    the magnitude is returned with ``sign_certain=False``.  The result's
+    ``route`` is its one accepted ``"cp-magnitude"`` entry, with the
+    ``cp_sites`` S and the permuted T22's ``rcond``.
 
     When no subset restores invertibility, the :class:`SingularBlockError`
     carries as its ``rcond`` an upper bound on the rcond of every permuted
@@ -530,10 +533,8 @@ def overlap_magnitude_cp(t: TransferMatrix, bra: FockConfig, ket: FockConfig) ->
     sites = found[0]
     kern = OverlapKernel([bbd_normal(cp_apply_transfer(t, sites))])
     val = kern.element(bra.flipped(sites), ket.flipped(sites))
-    return OverlapResult(
-        complex(abs(val)), "cp-magnitude", False,
-        {"cp_sites": sites, "rcond": kern.rcond},
-    )
+    return OverlapResult(complex(abs(val)), "cp-magnitude", False, [
+        {"route": "cp-magnitude", "accepted": True, "cp_sites": sites, "rcond": kern.rcond}])
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ def test_overlap_parity_zero(op_file, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["results"]["value"] == [0.0, 0.0]
-    assert doc["diagnostics"]["parity_zero"] is True
+    assert (doc["method"], doc["route"]) == ("pfaffian", [])
 
 
 def test_overlap_verify_and_determinism(op_file, capsys):
@@ -168,7 +168,7 @@ def test_overlap_factor_chain_on_singular(singular_op_file, capsys):
     assert [(e["route"], e["accepted"]) for e in doc["route"]] == \
         [("pfaffian", False), ("factor-chain", True)]
     # the identity bra operator and the two halves exp(M/2) exp(M/2)
-    assert doc["diagnostics"]["factors"] == 3
+    assert doc["route"][-1]["factors"] == 3
     # cos(pi/2) - 1 = -1, with its sign
     assert abs(complex(*doc["results"]["value"]) + 1.0) < 1e-12
     assert doc["results"]["oracle_deviation"] < 1e-12
@@ -639,7 +639,7 @@ def test_parser_is_built_once_and_reused(op_file, capsys):
     code, out, _ = run(capsys, "overlap", "--op", op_file, "--bra", "000", "--ket", "000")
     assert code == 0
     doc = json.loads(out)
-    assert doc["command"] == "overlap" and "cp_sites" not in doc["diagnostics"]
+    assert doc["command"] == "overlap" and "cp_sites" not in doc["route"][-1]
     assert abs(complex(*doc["results"]["value"]) - np.cos(0.7)) < 1e-12
     assert run(capsys, "overlap", "--op", op_file)[0] == 3
     for flag in ("--help", "--version"):
@@ -884,6 +884,15 @@ def report_docs(draw):
     chosen = {k: parts[k] for k in names[:draw(st.integers(1, len(names)))]}
     return draw(st.sampled_from([chosen, {"tool": "fermigauss", "results": chosen},
                                  chosen.get("entries", chosen), chosen.get("x", chosen)]))
+
+
+def test_rescue_chain_reports_carry_no_diagnostics(tmp_path, capsys, monkeypatch):
+    # an overlap, correlate or wick report's provenance is its route alone
+    docs = [d for d in report_corpus(tmp_path, capsys, monkeypatch)
+            if d.get("command") in ("overlap", "correlate")]
+    assert len(docs) >= 15
+    for doc in docs:
+        assert "diagnostics" not in doc and "route" in doc, doc
 
 
 class TestReportSerializer:

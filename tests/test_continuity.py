@@ -132,7 +132,7 @@ def test_large_det_root_is_labelled_principal():
     vac = FockConfig.vacuum(4)
     res = state_overlap(g, zero, vac, vac)
     assert (res.method, res.sign_certain) == ("pfaffian", True)
-    assert res.diagnostics["branch"] == res.route[0]["branch"] == "principal"
+    assert len(res.route) == 1 and res.route[0]["branch"] == "principal"
     kern = pair_kernel(g.m)
     assert kern.branch == "principal"
     assert kern.prefactor == sqrt_det_via_log(compose_bra_ket(zero, g).t22)[0]

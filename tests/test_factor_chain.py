@@ -79,7 +79,7 @@ class TestOracle:
             res = state_overlap(g1, g2, bra, ket, method="factor-chain")
         ref = fock.dense_element(f, bra, ket, modes=modes(L))
         expected = (ket_kind == "rotation") + (bra_kind == "general") + 1
-        assert (res.method, res.sign_certain, res.diagnostics["factors"]) == \
+        assert (res.method, res.sign_certain, res.route[-1]["factors"]) == \
             ("factor-chain", True, expected)
         assert abs(res.value - ref) <= 1e-10 * max(1.0, abs(ref))
 
@@ -94,7 +94,7 @@ class TestOracle:
             bra, ket = config(code, L), config(code ^ 3, L)
             res = state_overlap(g1, g2, bra, ket, method="factor-chain")
             ref = fock.dense_element(f, bra, ket, modes=modes(L))
-            assert res.diagnostics["factors"] == 4
+            assert res.route[-1]["factors"] == 4
             assert abs(res.value - ref) <= 1e-10 * max(1.0, abs(ref))
 
 

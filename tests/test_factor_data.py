@@ -500,7 +500,7 @@ class TestStepExponentials:
         def outputs(g1, g2):
             res = state_overlap(g1, g2, bra, ket)
             kern = correlators._Engine(_pair_kernel, g1, g2).kern
-            return (res.value, res.method, res.sign_certain, res.diagnostics,
+            return (res.value, res.method, res.sign_certain, res.route,
                     overlap(g1, bra, ket).value, overlap(g2, ket, bra).value,
                     n_point(CorrelatorContext(g1, g2, bra, ket), ops),
                     kern.prefactor, kern.sign_certain, kern.pairing)
@@ -525,7 +525,7 @@ class TestStepExponentials:
         # the unperturbed ket takes no path
         assert vars(zero)["_steps"] and "_steps" not in vars(g)
         again = state_overlap(g, zero, bra, ket, method="epsilon")
-        assert (again.value, again.diagnostics) == (first.value, first.diagnostics)
+        assert (again.value, again.route) == (first.value, first.route)
 
 
 class TestProperties:

@@ -129,7 +129,7 @@ class TestSingularFallbacks:
                 assert abs(res.value - table[r, c]) < 1e-12
                 if (r ^ c) in (0, 3, 5, 6):
                     assert (res.method, res.sign_certain) == ("factor-chain", True)
-                    assert res.diagnostics["factors"] == 2
+                    assert res.route[-1]["factors"] == 2
 
     def test_epsilon_agrees_with_pfaffian_when_regular(self):
         gen = QuadraticGenerator(worked_example_m(0.7))
@@ -146,9 +146,9 @@ class TestSingularFallbacks:
         coarse = overlap(gen, bra, ket, method="epsilon")
         monkeypatch.setattr(overlaps, "EPS_SCHEDULE", (5e-5, 2.5e-5))
         fine = overlap(gen, bra, ket, method="epsilon")
-        assert fine.diagnostics["eps_schedule"] == (5e-5, 2.5e-5, 1.25e-5)
+        assert fine.route[-1]["eps_schedule"] == (5e-5, 2.5e-5, 1.25e-5)
         assert abs(coarse.value - fine.value) < 1e-7
-        assert coarse.diagnostics["eps_seed"] == fine.diagnostics["eps_seed"]
+        assert coarse.route[-1]["eps_seed"] == fine.route[-1]["eps_seed"]
 
     def test_epsilon_direction_drawn_once_per_L(self, monkeypatch):
         draws = []
@@ -276,8 +276,7 @@ class TestGeneralizedOverlap:
                 if bra.parity == ket.parity:
                     continue
                 res = generalized_overlap(op1, op2, bra, ket, method=method)
-                assert (res.value, res.method, res.diagnostics, res.route) == \
-                    (0.0, "pfaffian", {"parity_zero": True}, [])
+                assert (res.value, res.method, res.route) == (0.0, "pfaffian", [])
 
     def test_single_mode_dense(self, oracle):
         orc = oracle(1)
@@ -452,15 +451,70 @@ class TestRescueChain:
         assert [(e["route"], e["accepted"]) for e in res.route] == \
             [("pfaffian", False), ("factor-chain", True)]
         assert res.route[0]["reason"] == "rcond" and res.route[0]["rcond"] < 1e-12
-        assert res.route[1] == {"route": "factor-chain", "accepted": True, **res.diagnostics}
-        assert res.diagnostics["factors"] == 2 and res.diagnostics["rcond"] >= 1e-12
+        assert set(res.route[1]) == {"route", "accepted", "factors", "rcond"}
+        assert res.route[1]["factors"] == 2 and res.route[1]["rcond"] >= 1e-12
         forced = overlap(gen, vac, vac, method="epsilon")
-        assert forced.route[0]["eps_disagreement"] == forced.diagnostics["eps_disagreement"]
+        assert set(forced.route[0]) == {"route", "accepted", "eps_schedule", "eps_seed",
+                                        "eps_disagreement"}
         regular = overlap(QuadraticGenerator(worked_example_m(0.7)), vac, vac)
         assert regular.route == [{"route": "pfaffian", "accepted": True,
-                                  "rcond": regular.diagnostics["rcond"], "sign_certain": True,
+                                  "rcond": regular.route[0]["rcond"], "sign_certain": True,
                                   "branch": "continuity"}]
-        assert regular.diagnostics == {"rcond": regular.route[0]["rcond"], "branch": "continuity"}
+
+    def test_one_accepted_entry_is_the_provenance(self):
+        # the result's route ends with its one accepted entry, which holds
+        # the data of the route that answered
+        def accepted(res):
+            entries = [e for e in res.route if e["accepted"]]
+            assert len(entries) == 1 and res.route[-1] is entries[0]
+            assert res.method.startswith(entries[0]["route"])
+            return {k: v for k, v in entries[0].items() if k not in ("route", "accepted")}
+
+        g1, g2 = random_generator(4, 3, 0.5), random_generator(4, 4, 0.5)
+        regular = state_overlap(g1, g2, FockConfig.from_string("1100"), FockConfig.vacuum(4))
+        assert accepted(regular) == {"rcond": overlaps._pair_kernel(g1, g2).rcond,
+                                     "sign_certain": True, "branch": "continuity"}
+        gen = QuadraticGenerator(worked_example_m(np.pi / 2))
+        t = transfer_of(gen)
+        bra, ket = FockConfig.from_string("110"), FockConfig.vacuum(3)
+        chain = overlap(gen, bra, ket)
+        assert accepted(chain) == {"factors": 2, "rcond": overlaps._chain_kernel(gen, None).rcond}
+        eps = accepted(overlap(gen, bra, ket, method="epsilon"))
+        assert eps.pop("eps_disagreement") <= overlaps.EPS_AGREE_TOL
+        assert eps == {"eps_schedule": (1e-4, 5e-5, 2.5e-5), "eps_seed": overlaps.EPS_SEED}
+        cp = {"cp_sites": (1,), "rcond": OverlapKernel([bbd_normal(cp_apply_transfer(t, (1,)))]).rcond}
+        assert accepted(overlap(gen, bra, ket, method="cp-magnitude")) == cp
+        assert accepted(overlap_magnitude_cp(t, bra, ket)) == cp
+        zero = overlap(gen, FockConfig.from_string("100"), ket)
+        assert (zero.value, zero.method, zero.route) == (0.0, "pfaffian", [])
+        assert not hasattr(zero, "diagnostics")
+        with pytest.raises(LinalgError) as err:
+            state_overlap(*cancelling_pair(20), FockConfig.vacuum(4), FockConfig.vacuum(4))
+        assert rejected_everywhere(err)
+
+    @pytest.mark.parametrize("pair, error", [
+        (lambda: (random_generator(8, 1, 20), random_generator(8, 2, 20)), SingularBlockError),
+        (lambda: cancelling_pair(20), quadratic.JOrthogonalityError)], ids=["large", "cancelling"])
+    def test_one_pair_product_per_call(self, monkeypatch, pair, error):
+        # the Pfaffian and the magnitude routes read one product of the
+        # pair's transfers; a refused product is refused once.  The other
+        # product and J-check are the epsilon route's, on its perturbed ket
+        g1, g2 = pair()
+        vac = FockConfig.vacuum(g1.L)
+        with pytest.raises(error) as cold:
+            state_overlap(g1, g2, vac, vac)
+        products, checks = [], []
+        compose, defect = overlaps.compose_bra_ket, TransferMatrix._defect
+        monkeypatch.setattr(overlaps, "compose_bra_ket",
+                            lambda *a: products.append(a) or compose(*a))
+        monkeypatch.setattr(TransferMatrix, "_defect",
+                            staticmethod(lambda t: checks.append(t) or defect(t)))
+        with pytest.raises(error) as warm:
+            state_overlap(g1, g2, vac, vac)
+        assert (len(products), len(checks)) == (2, 3)
+        assert rejected_everywhere(warm)
+        assert warm.value.route == cold.value.route
+        assert (str(warm.value), vars(warm.value)) == (str(cold.value), vars(cold.value))
 
     def test_rcond_tol_held_on_every_route(self, monkeypatch):
         # no rcond estimate reaches 2, so one threshold rejects every pivot

@@ -141,7 +141,7 @@ class TestCompose:
         g1 = QuadraticGenerator(0.7 * g.m)
         g2 = QuadraticGenerator(0.3 * g.m)
         res = compose_linear(LinearGaussianOp.quadratic(g1), LinearGaussianOp.quadratic(g2))
-        assert res.generator_available
+        assert res.op is not None
         assert np.max(np.abs(res.op.m - g.m)) < 1e-10
         assert np.max(np.abs(res.op.u)) < 1e-10 and np.max(np.abs(res.op.v)) < 1e-10
 
@@ -152,7 +152,7 @@ class TestCompose:
         g2 = random_generator(3, rng, 0.5)
         res = compose_linear(LinearGaussianOp.quadratic(g1), LinearGaussianOp.quadratic(g2))
         f12 = orc.gaussian(g1) @ orc.gaussian(g2)
-        assert res.generator_available
+        assert res.op is not None
         fc = orc.gaussian(res.op)
         assert np.max(np.abs(f12 - fc)) < 1e-9
 
@@ -168,7 +168,7 @@ class TestCompose:
         # and the exact transfer product is still returned
         op = LinearGaussianOp.quadratic(QuadraticGenerator(worked_example_m(np.pi / 2)))
         res = compose_linear(op, op)
-        assert not res.generator_available and res.op is None
+        assert res.op is None
         t = transfer_of(embed(op)).t
         assert np.array_equal(res.transfer.t, t @ t)
 
@@ -192,8 +192,7 @@ class TestCompose:
                 g1, g2 = draw(rng), draw(rng)
                 res = compose_linear(LinearGaussianOp.quadratic(g1),
                                      LinearGaussianOp.quadratic(g2))
-                assert res.generator_available == (res.op is not None)
-                available += res.generator_available
+                available += res.op is not None
         assert 0 < available < 200
 
     def test_j_check_overflow_raises_linalg_error(self):
