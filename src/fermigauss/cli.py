@@ -475,7 +475,7 @@ def cmd_correlate(args) -> int:
                 for t in terms
             ]
     except ZeroOverlapError as exc:
-        report = base_report("correlate", inputs,
+        report = base_report(args.command, inputs,
                              args={"bra": str(bra), "ket": str(ket), "string": args.string},
                              method="guard", sign_certain=True,
                              diagnostics={"overlap": as_pair(exc.overlap),
@@ -488,7 +488,7 @@ def cmd_correlate(args) -> int:
         ref = _oracle_value(op1, op2, ops, bra, ket)
         results["oracle"] = as_pair(ref)
         results["oracle_deviation"] = float(abs(value - ref))
-    report = base_report("correlate", inputs,
+    report = base_report(args.command, inputs,
                          args={"bra": str(bra), "ket": str(ket), "string": args.string},
                          method=method, sign_certain=sign_certain,
                          route=route, results=results)

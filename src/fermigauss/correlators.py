@@ -8,18 +8,18 @@ factor, taken as one operator, so every extended string is even.
 
 Each string operator is first conjugated through the ket-side transfer
 matrix into its coefficient rows over the bare modes.  A string of three
-or more operators is then one Pfaffian, ``_Engine.bordered_element``: the
-overlap kernel's matrix, the pair's pairing matrix or, on a singular
-pair, its factor chain, restricted exactly as for an overlap, is bordered
-by one row and column per operator holding its contractions (the
-Balian-Brezin contraction structure, summed by the Pfaffian
-minor-summation identity).  One- and two-operator strings take the direct
-expansion, ``_Engine.string_element``: the amplitudes of the
-configurations reached from the ket are pushed forward through the rows
-(with the usual string signs), and the kernel gives the matrix element of
-each reached configuration, one stacked Pfaffian per submatrix order.
-Neither route divides by an overlap, so both stay exact where it
-vanishes.
+or more operators is then one Pfaffian, the overlap kernel's
+:meth:`~fermigauss.overlaps.OverlapKernel.bordered`: its matrix, the
+pair's pairing matrix or, on a singular pair, its factor chain, restricted
+exactly as for an overlap, bordered by one row and column per operator
+holding its contractions (the Balian-Brezin contraction structure, summed
+by the Pfaffian minor-summation identity).  One- and two-operator strings
+take the direct expansion, ``_Engine.string_element``: the amplitudes of
+the configurations reached from the ket are pushed forward through the
+rows (with the usual string signs), and the kernel gives the matrix
+element of each reached configuration, one stacked Pfaffian per submatrix
+order.  Neither route divides by an overlap, so both stay exact where it
+vanishes.  An engine serves the one configuration pair of its context.
 
 The generalized Wick expansion -- all pairings plus at most one
 singleton, each factor a one- or two-point value -- follows from the
@@ -32,10 +32,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-import numpy as np
-
 from .configs import FockConfig
-from .linalg import _pfaffian_exact, remember
+from .linalg import remember
 from .linearpart import LinearGaussianOp, embed
 from .overlaps import _chain_kernel, _dispatch, _pair_kernel
 from .quadratic import QuadraticGenerator, transfer_of
@@ -114,34 +112,36 @@ def pairings_with_sign(indices):
 
 
 class _Engine:
-    """Formula evaluation for one pair of embedded generators on one route.
+    """Formula evaluation for one pair of embedded generators on one route,
+    bound to one (bra, ket) pair of configuration bits.
 
     Holds the kernel ``kernel_of(g1, g2)`` of ``exp(M2')^dag exp(M1')``,
     the product's or the factor chain's, with its ``rcond``,
     ``sign_certain``, ``branch`` and ``k``; the ket-side transfer matrix
-    (for conjugating string operators); the matrix elements keyed by
-    configuration bits, and per (bra, ket) pair the restricted blocks that
-    bordered strings share, on the L + 1 sites of the ancilla-extended
-    space.  Callers pass parity-allowed strings only.  ``one_point``,
+    (for conjugating string operators); and the matrix elements <bra| F
+    |config> keyed by the configuration bits, on the L + 1 sites of the
+    ancilla-extended space.  The kernel evaluates the bordered strings.
+    Callers pass parity-allowed strings only.  ``one_point``,
     ``two_point`` and ``_odd_reduction`` have no caller in the library;
     ``bench/tracing.py`` wraps them by name.
     """
 
-    def __init__(self, kernel_of, g1: QuadraticGenerator, g2: QuadraticGenerator):
+    def __init__(self, kernel_of, g1: QuadraticGenerator, g2: QuadraticGenerator,
+                 bra_bits, ket_bits):
         self.L = g1.L
         kern = self.kern = kernel_of(g1, g2)
         self.t1 = transfer_of(g1).t
+        self.bra, self.ket = bra_bits, ket_bits
         self.rcond, self.sign_certain, self.branch, self.k = (
             kern.rcond, kern.sign_certain, kern.branch, kern.k)
         self._elements: dict = {}
-        self._blocks: dict = {}
 
-    def element(self, bra_bits, ket_bits) -> complex:
-        key = (bra_bits, ket_bits)
-        val = self._elements.get(key)
+    def element(self) -> complex:
+        """<J| F |I> of the engine's pair."""
+        val = self._elements.get(self.ket)
         if val is None:
-            val = self.kern.element(FockConfig(bra_bits), FockConfig(ket_bits))
-            self._elements[key] = val
+            val = self.kern.element(FockConfig(self.bra), FockConfig(self.ket))
+            self._elements[self.ket] = val
         return val
 
     def _coeff_rows(self, op: ModeOp):
@@ -150,89 +150,32 @@ class _Engine:
         r = op.site - 1 + (self.L if op.dagger else 0)
         return self.t1[r, : self.L], self.t1[r, self.L:]
 
-    def n_point(self, rows, bra_bits, ket_bits) -> complex:
+    def n_point(self, rows) -> complex:
         """<J| F phi_1 ... phi_n |I> for the coefficient rows of the string:
         the matrix element for none, :meth:`string_element` for one or two,
-        :meth:`bordered_element` for more."""
+        the kernel's bordered Pfaffian for more."""
         if not rows:
-            return self.element(bra_bits, ket_bits)
+            return self.element()
         if len(rows) < 3:
-            return self.string_element(rows, bra_bits, ket_bits)
-        return self._wick_even(rows, bra_bits, ket_bits)
+            return self.string_element(rows)
+        return self._wick_even(rows)
 
-    def one_point(self, op: ModeOp, bra_bits, ket_bits) -> complex:
-        return self.string_element((self._coeff_rows(op),), bra_bits, ket_bits)
+    def one_point(self, op: ModeOp) -> complex:
+        return self.string_element((self._coeff_rows(op),))
 
-    def two_point(self, op_a: ModeOp, op_b: ModeOp, bra_bits, ket_bits) -> complex:
+    def two_point(self, op_a: ModeOp, op_b: ModeOp) -> complex:
         """<J| F phi_a phi_b |I> by :meth:`string_element`."""
-        rows = (self._coeff_rows(op_a), self._coeff_rows(op_b))
-        return self.string_element(rows, bra_bits, ket_bits)
+        return self.string_element((self._coeff_rows(op_a), self._coeff_rows(op_b)))
 
-    def _wick_even(self, rows, bra_bits, ket_bits) -> complex:
-        """Even strings of 4 or more coefficient rows: :meth:`bordered_element`."""
-        return self.bordered_element(rows, bra_bits, ket_bits)
+    def _wick_even(self, rows) -> complex:
+        """Even strings of 4 or more coefficient rows: the kernel's bordered Pfaffian."""
+        return self.kern.bordered(rows, self.bra, self.ket)
 
-    def _odd_reduction(self, rows, bra_bits, ket_bits) -> complex:
-        """Odd strings of 3 or more coefficient rows: :meth:`bordered_element`."""
-        return self.bordered_element(rows, bra_bits, ket_bits)
+    def _odd_reduction(self, rows) -> complex:
+        """Odd strings of 3 or more coefficient rows: the kernel's bordered Pfaffian."""
+        return self.kern.bordered(rows, self.bra, self.ket)
 
-    def _restricted(self, bra_bits, ket_bits):
-        """The chain data that one (bra, ket) pair restricts to, kept per
-        pair: n_J, the number h of kept rows ahead of I (J's, then the inner
-        blocks'), I's sites, the chain matrix on the kept rows in its upper
-        triangle, the last factor's Z-block columns of those h rows (its E
-        on its X-block rows, zero above) and that Z block's columns Z_:I."""
-        key = (bra_bits, ket_bits)
-        data = self._blocks.get(key)
-        if data is None:
-            L, c = self.L, self.kern.pairing
-            keep, n_j, n_i = self.kern._keep(bra_bits, ket_bits)
-            h = len(keep) - n_i
-            ii = [r - len(c) + L for r in keep[h:]]
-            data = self._blocks[key] = (n_j, h, ii, np.triu(c[np.ix_(keep, keep)], 1),
-                                        c[keep[:h], -L:], c[-L:, -L:][:, ii])
-        return data
-
-    def bordered_element(self, rows, bra_bits, ket_bits) -> complex:
-        """<J| F phi_1 ... phi_n |I> as one Pfaffian, no normalization.
-
-        ``rows[k] = (alpha, beta)`` holds the coefficients of phi_{k+1}
-        over ``(c, c^dag)``, the ``(cc, cd)`` of :meth:`_coeff_rows`.  The
-        kernel's chain matrix restricted as in :meth:`OverlapKernel.elements`
-        is bordered by one row per operator, in the order [J, inner blocks,
-        phi_1..phi_n, I].  The string stands right of the last factor: with
-        E, Z and X that factor's coupling and ket blocks and its X-block
-        rows (J's for one factor), the border holds the contractions
-
-            [X, phi_b]     = E beta_b
-            [phi_a, phi_b] = beta_a Z beta_b^T - alpha_a . beta_b   (a < b)
-            [phi_a, I]     = (beta_a Z - alpha_a)_I
-
-        (Balian and Brezin's contraction structure; the Pfaffian
-        minor-summation identity sums the bare-mode expansion into one
-        Pfaffian).  The matrix is built from its upper triangle, so it is
-        exactly antisymmetric, and the value is (-1)^((k-1) L(L-1)/2 +
-        n(n-1)/2 + n_I(n_I+1)/2 + n_I n_J) times the kernel prefactor times
-        its Pfaffian.
-        """
-        n_j, h, ii, inner, e_h, z_i = self._restricted(bra_bits, ket_bits)
-        n_i, n = len(ii), len(rows)
-        alpha = np.array([r[0] for r in rows]).reshape(n, self.L)
-        beta = np.array([r[1] for r in rows]).reshape(n, self.L)
-        mid = slice(h, h + n)
-        m = np.zeros((h + n + n_i,) * 2, dtype=complex)
-        m[:h, :h] = inner[:h, :h]
-        m[:h, h + n:] = inner[:h, h:]
-        m[h + n:, h + n:] = inner[h:, h:]
-        m[:h, mid] = e_h @ beta.T
-        m[mid, mid] = np.triu((beta @ self.kern.pairing[-self.L:, -self.L:] - alpha) @ beta.T, 1)
-        m[mid, h + n:] = beta @ z_i - alpha[:, ii]
-        m -= m.T
-        sign = (self.kern._sign + n * (n - 1) // 2 + n_i * (n_i + 1) // 2 + n_i * n_j) % 2
-        pf = _pfaffian_exact(m)
-        return -self.kern.prefactor * pf if sign else self.kern.prefactor * pf
-
-    def string_element(self, rows, bra_bits, ket_bits) -> complex:
+    def string_element(self, rows) -> complex:
         """<J| F phi_1 ... phi_n |I> by direct expansion, no normalization.
 
         ``rows[k]`` holds the coefficient rows ``(cc, cd)`` of phi_{k+1}
@@ -246,7 +189,7 @@ class _Engine:
         order.  Unlike the Wick route this never divides by an overlap, so
         it stays exact at superselection points.
         """
-        level = {ket_bits: 1.0}
+        level = {self.ket: 1.0}
         for cc, cd in reversed(rows):
             # by occupation: c_j^dag acts on an empty site, c_j on an occupied one
             acting = (cd.tolist(), cc.tolist())
@@ -263,14 +206,13 @@ class _Engine:
                         odd = not odd
             level = nxt
         cache = self._elements
-        missing = [bits for bits in level if (bra_bits, bits) not in cache]
+        missing = [bits for bits in level if bits not in cache]
         if missing:
-            vals = self.kern.elements([(bra_bits, bits) for bits in missing])
-            for bits, val in zip(missing, vals):
-                cache[(bra_bits, bits)] = val
+            vals = self.kern.elements([(self.bra, bits) for bits in missing])
+            cache.update(zip(missing, vals))
         total = complex(0.0)
         for bits, amp in level.items():
-            total += amp * cache[(bra_bits, bits)]
+            total += amp * cache[bits]
         return total
 
 
@@ -283,8 +225,9 @@ class CorrelatorContext:
     context holds one generator pair, ``embed(op1)`` and ``embed(op2)``,
     cached on the operators, so their exponentials serve every context
     built on the same objects.  Values run the overlaps' rescue chain
-    pfaffian -> factor-chain, one engine per route, kept by the caching
-    rule of :func:`~fermigauss.linalg.remember`.  ``route``, ``method``
+    pfaffian -> factor-chain, one engine per route on the pair's extended
+    configurations, kept by the caching rule of
+    :func:`~fermigauss.linalg.remember`.  ``route``, ``method``
     and ``sign_certain`` describe the last value as an overlap result does.
     """
 
@@ -319,7 +262,8 @@ class CorrelatorContext:
         """``fn(engine)`` through the rescue chain pfaffian -> factor-chain;
         the route, method and sign certainty are kept."""
         def engine(route, kernel_of):
-            return remember(self._engines, route, lambda: _Engine(kernel_of, *self._pair))
+            return remember(self._engines, route,
+                            lambda: _Engine(kernel_of, *self._pair, *self._extended_bits))
 
         res = _dispatch(fn, {"pfaffian": lambda: engine("pfaffian", _pair_kernel),
                              "factor-chain": lambda: engine("factor-chain", _chain_kernel)},
@@ -339,14 +283,13 @@ def _extended_value(ctx: CorrelatorContext, ops: tuple) -> complex:
     """<J, M2| phi_1 ... phi_n |M1, I> in the ancilla-extended space: the
     string shifted past the ancilla, led by ``c0^dag - c0`` when odd."""
     shifted = tuple(op.shifted(1) for op in ops)
-    bra_bits, ket_bits = ctx._extended_bits
 
     def value(e: _Engine) -> complex:
         rows = [e._coeff_rows(op) for op in shifted]
         if len(shifted) % 2:
             (pc, pd), (mc, md) = e._coeff_rows(ModeOp(1, True)), e._coeff_rows(ModeOp(1, False))
             rows.insert(0, (pc - mc, pd - md))
-        return e.n_point(rows, bra_bits, ket_bits)
+        return e.n_point(rows)
 
     return ctx._eval(value)
 

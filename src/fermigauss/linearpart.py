@@ -191,26 +191,6 @@ class ExtendedTransferParts:
     t_quad: np.ndarray  # 2L x 2L physical-block transfer (T11 T12; T21 T22)
     defect: float
 
-    @property
-    def L(self) -> int:
-        return self.t_quad.shape[0] // 2
-
-    @property
-    def q11(self) -> np.ndarray:
-        return self.t_quad[: self.L, : self.L]
-
-    @property
-    def q12(self) -> np.ndarray:
-        return self.t_quad[: self.L, self.L:]
-
-    @property
-    def q21(self) -> np.ndarray:
-        return self.t_quad[self.L:, : self.L]
-
-    @property
-    def q22(self) -> np.ndarray:
-        return self.t_quad[self.L:, self.L:]
-
 
 def split_extended_transfer(tp: TransferMatrix) -> ExtendedTransferParts:
     """Extract the corner scalar, border vectors and physical blocks of T'.
@@ -286,7 +266,8 @@ def generalized_bbd_from_transfer(tp: TransferMatrix) -> GeneralizedFactored:
     """
     def factorize():
         parts = split_extended_transfer(tp)
-        fac = _normal_factors(parts.q12, parts.q21, parts.q22)
+        tq, L = parts.t_quad, tp.L - 1
+        fac = _normal_factors(tq[:L, L:], tq[L:, :L], tq[L:, L:])
         q = fac.exp_y @ parts.t2      # row vector t2^T T22^-1, stored as 1-D
         p = fac.exp_y.T @ parts.t4    # T22^-1 t4
         arrays = (q, fac.x - np.outer(q, q), fac.exp_y, fac.z - np.outer(p, p), p)
@@ -474,18 +455,14 @@ def conjugate_modes(op: LinearGaussianOp) -> NonlinearTransform:
     (t2; t1) stacking: t2 multiplies the creation-side rows.
     """
     parts = split_extended_transfer(transfer_of(embed(op)))
-    L = parts.L
+    L = op.L
     s = 1.0 + 2.0 * parts.t11_scalar
     t34 = np.concatenate([parts.t3, parts.t4])
     t12 = np.concatenate([parts.t1, parts.t2])
     tp = s * parts.t_quad - 2.0 * np.outer(t34, t12)
     shift = s * t34
-    t21_stack = np.concatenate([parts.t2, parts.t1])
-    b = np.empty((L, 2 * L, 2 * L), dtype=complex)
-    b_bar = np.empty((L, 2 * L, 2 * L), dtype=complex)
-    for mu in range(L):
-        row_c = np.concatenate([parts.q11[mu, :], parts.q12[mu, :]])
-        row_cd = np.concatenate([parts.q21[mu, :], parts.q22[mu, :]])
-        b[mu] = -4.0 * np.outer(t21_stack, row_c)
-        b_bar[mu] = -4.0 * np.outer(t21_stack, row_cd)
+    # B^mu[i, j] = -4 (t2; t1)_i rows_mu[j], the operands in np.outer's order
+    t21_stack = np.concatenate([parts.t2, parts.t1])[None, :, None]
+    b = -4.0 * (t21_stack * parts.t_quad[:L, None, :])
+    b_bar = -4.0 * (t21_stack * parts.t_quad[L:, None, :])
     return NonlinearTransform(tp, b, b_bar, shift, parts)

@@ -12,7 +12,8 @@ J in the first block and of I in the second block (equivalently, removes
 the empty ones), both in increasing order.  Over a product of factored
 operators F_1 ... F_k it is one Pfaffian of a larger chain matrix (Robledo,
 PRC 79, 021302(R), 2009; Bertsch & Robledo, PRL 108, 042505, 2012);
-:class:`OverlapKernel` evaluates both.
+:class:`OverlapKernel` evaluates both, and owns the bordered form of that
+matrix which gives the correlators' strings of three or more operators.
 
 When T22 is singular three rescue routes exist.  When the generators
 are known, the factor chain keeps the product unmultiplied: each factor's
@@ -119,8 +120,10 @@ class OverlapKernel:
     and I's rows of the last block, and
     sigma = (-1)^((k-1) L (L-1)/2 + n_I (n_I-1)/2).  For one factor
     (``k`` = 1) C is its read-only pairing matrix and this is the central
-    formula above.  ``element`` evaluates any configuration pair, and
-    ``elements`` many pairs at once.
+    formula above.  ``element`` evaluates any configuration pair,
+    ``elements`` many pairs at once, and ``bordered`` a pair's element of a
+    string of operators, the restricted C bordered by the string's rows.
+    The kernel alone knows C's layout and sigma.
 
     The prefactors p_i = det(T22)^(1/2) carry the physical sign, so the
     caller fixes their branches: the signed overlaps by continuity along a
@@ -150,7 +153,7 @@ class OverlapKernel:
         self.branch = ("continuity" if all(fac.branch == "continuity" for fac in factors)
                        else "principal")
         self._inner = list(range(L, n - L))
-        self._sign = (k - 1) * (L * (L - 1) // 2)
+        self._restricted: dict = {}    # (bra bits, ket bits) -> bordered's blocks
 
     def _keep(self, bra_bits, ket_bits) -> tuple[list[int], int, int]:
         """The rows of ``pairing`` that <J| ... |I> keeps, in increasing
@@ -162,6 +165,14 @@ class OverlapKernel:
         last = len(self.pairing) - L
         ii = [last + i for i, b in enumerate(ket_bits) if b]
         return jj + self._inner + ii, len(jj), len(ii)
+
+    def _sigma(self, n_j: int, n_i: int, n: int) -> int:
+        """The parity of sigma's exponent for a restriction to n_J and n_I
+        rows bordered by n operators, (k-1) L(L-1)/2 + n(n-1)/2 +
+        n_I(n_I+1)/2 + n_I n_J; for n = 0 and even n_I + n_J it is the
+        class docstring's."""
+        return ((self.k - 1) * (self.L * (self.L - 1) // 2) + n * (n - 1) // 2
+                + n_i * (n_i + 1) // 2 + n_i * n_j) % 2
 
     def element(self, bra: FockConfig, ket: FockConfig) -> complex:
         """<J| F_1 ... F_k |I>; exact zero on parity mismatch."""
@@ -186,7 +197,7 @@ class OverlapKernel:
             group = by_order.setdefault(len(keep), ([], [], []))
             group[0].append(pos)
             group[1].append(keep)
-            group[2].append(-1.0 if (self._sign + n_i * (n_i - 1) // 2) % 2 else 1.0)
+            group[2].append(-1.0 if self._sigma(n_j, n_i, 0) else 1.0)
         for order, (positions, keeps, signs) in by_order.items():
             idx = np.array(keeps, dtype=np.intp).reshape(len(keeps), order)
             step = max(1, STACK_ENTRIES // max(1, order * order))
@@ -196,6 +207,54 @@ class OverlapKernel:
             for pos, sign, pf in zip(positions, signs, pfs):
                 out[pos] = sign * self.prefactor * pf
         return out
+
+    def bordered(self, rows, bra_bits, ket_bits) -> complex:
+        """<J| F_1 ... F_k phi_1 ... phi_n |I> as one Pfaffian, no normalization.
+
+        ``rows[k] = (alpha, beta)`` holds the coefficients of phi_{k+1}
+        over ``(c, c^dag)``.  C restricted as in :meth:`elements` is
+        bordered by one row per operator, in the order [J, inner blocks,
+        phi_1..phi_n, I].  The string stands right of the last factor: with
+        E, Z and X that factor's coupling and ket blocks and its X-block
+        rows (J's for one factor), the border holds the contractions
+
+            [X, phi_b]     = E beta_b
+            [phi_a, phi_b] = beta_a Z beta_b^T - alpha_a . beta_b   (a < b)
+            [phi_a, I]     = (beta_a Z - alpha_a)_I
+
+        (Balian and Brezin's contraction structure; the Pfaffian
+        minor-summation identity sums the bare-mode expansion into one
+        Pfaffian).  The matrix is built from its upper triangle, so it is
+        exactly antisymmetric, and the value is sigma (:meth:`_sigma`) times
+        the prefactor times its Pfaffian.  A pair's restricted blocks are
+        built once: n_J, the number h of kept rows ahead of I, I's sites,
+        the kept C in its upper triangle, the Z-block columns of those h
+        rows (the last factor's E on its X-block rows, zero above) and that
+        Z block's columns Z_:I.
+        """
+        key = (bra_bits, ket_bits)
+        if key not in self._restricted:
+            L, c = self.L, self.pairing
+            keep, n_j, n_i = self._keep(bra_bits, ket_bits)
+            h = len(keep) - n_i
+            ii = [i for i, b in enumerate(ket_bits) if b]
+            self._restricted[key] = (n_j, h, ii, np.triu(c[np.ix_(keep, keep)], 1),
+                                     c[keep[:h], -L:], c[-L:, -L:][:, ii])
+        n_j, h, ii, inner, e_h, z_i = self._restricted[key]
+        L, n_i, n = self.L, len(ii), len(rows)
+        alpha = np.array([r[0] for r in rows]).reshape(n, L)
+        beta = np.array([r[1] for r in rows]).reshape(n, L)
+        mid = slice(h, h + n)
+        m = np.zeros((h + n + n_i,) * 2, dtype=complex)
+        m[:h, :h] = inner[:h, :h]
+        m[:h, h + n:] = inner[:h, h:]
+        m[h + n:, h + n:] = inner[h:, h:]
+        m[:h, mid] = e_h @ beta.T
+        m[mid, mid] = np.triu((beta @ self.pairing[-L:, -L:] - alpha) @ beta.T, 1)
+        m[mid, h + n:] = beta @ z_i - alpha[:, ii]
+        m -= m.T
+        pf = _pfaffian_exact(m)
+        return -self.prefactor * pf if self._sigma(n_j, n_i, n) else self.prefactor * pf
 
 
 class _ProductPath:

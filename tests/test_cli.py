@@ -325,6 +325,21 @@ def test_wick_alias(linear_op_file, capsys):
     assert "terms" in json.loads(out)["results"]
 
 
+def test_wick_report_is_correlate_expand_but_its_command(op_file, linear_op_file, capsys):
+    # wick is correlate --expand, and its report says wick, on success and
+    # on the zero-overlap guard's exit 4
+    for op, bra, ket, string, code in ((linear_op_file, "10", "01", "c1 cd2 c2", 0),
+                                       (op_file, "000", "110", "c2 c3 cd3 c1", 4)):
+        docs = {}
+        for command in (["wick"], ["correlate", "--expand"]):
+            got, out, _ = run(capsys, *command, "--op", op, "--bra", bra, "--ket", ket,
+                              "--string", string)
+            assert got == code
+            docs[command[0]] = json.loads(out)
+        assert docs["wick"]["command"] == "wick"
+        assert {**docs["wick"], "command": "correlate"} == docs["correlate"]
+
+
 def test_correlate_grammar_error(op_file, capsys):
     code, _, err = run(capsys, "correlate", "--op", op_file, "--bra", "000",
                        "--ket", "000", "--string", "x1")

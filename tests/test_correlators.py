@@ -147,11 +147,10 @@ class TestTwoPoint:
     def test_is_string_element_of_its_rows(self):
         rng = np.random.default_rng(220)
         e = correlators._Engine(overlaps._pair_kernel, random_generator(3, rng, 0.6),
-                                random_generator(3, rng, 0.6))
-        bra, ket = (1, 0, 1), (0, 1, 1)
+                                random_generator(3, rng, 0.6), (1, 0, 1), (0, 1, 1))
         for a, b in ((ModeOp(1, True), ModeOp(3, False)), (ModeOp(2, False), ModeOp(2, True))):
             rows = (e._coeff_rows(a), e._coeff_rows(b))
-            assert e.two_point(a, b, bra, ket) == e.string_element(rows, bra, ket)
+            assert e.two_point(a, b) == e.string_element(rows)
 
 
 class TestNPoint:
@@ -631,16 +630,18 @@ def test_apply_mode_signs():
     assert apply_mode((1, 0, 1), 2, False) == (0, None)
 
 
-def recursive_string_element(engine, rows, bra_bits, ket_bits) -> complex:
+def recursive_string_element(engine, rows) -> complex:
     """The memoized recursion that the forward expansion replaced: the
-    rightmost operator acts on the ket, and the prefix recurses on each
-    configuration it reaches, one ``_Engine.element`` at a time."""
+    rightmost operator acts on the engine's ket, and the prefix recurses on
+    each configuration it reaches, one kernel ``element`` at a time."""
     memo: dict = {}
+    bra = FockConfig(engine.bra)
 
     def expand(k: int, bits) -> complex:
-        if k == 0:
-            return engine.element(bra_bits, bits)
         if (k, bits) in memo:
+            return memo[k, bits]
+        if k == 0:
+            memo[k, bits] = engine.kern.element(bra, FockConfig(bits))
             return memo[k, bits]
         cc, cd = rows[k - 1]
         total = complex(0.0)
@@ -654,7 +655,7 @@ def recursive_string_element(engine, rows, bra_bits, ket_bits) -> complex:
         memo[k, bits] = total
         return total
 
-    return expand(len(rows), ket_bits)
+    return expand(len(rows), engine.ket)
 
 
 def expansion_contexts():
@@ -698,7 +699,7 @@ class TestForwardExpansion:
 
         forward = values()
         monkeypatch.setattr(correlators._Engine, "string_element", recursive_string_element)
-        monkeypatch.setattr(correlators._Engine, "bordered_element", recursive_string_element)
+        monkeypatch.setattr(correlators._Engine, "_wick_even", recursive_string_element)
         recursive = values()
         for got, ref in zip(forward, recursive, strict=True):
             assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
@@ -798,15 +799,15 @@ class TestBorderedPfaffian:
     def test_matches_string_element(self, L):
         rng = np.random.default_rng(270 + L)
         for _ in range(4):
-            e = correlators._Engine(overlaps._pair_kernel, random_generator(L, rng, 0.6),
-                                    random_generator(L, rng, 0.6))
+            g1, g2 = random_generator(L, rng, 0.6), random_generator(L, rng, 0.6)
             bra, ket = random_config(rng, L).bits, random_config(rng, L).bits
+            e = correlators._Engine(overlaps._pair_kernel, g1, g2, bra, ket)
             for n in (3, 4, 5, 6):
                 if (sum(bra) + sum(ket) + n) % 2:
                     continue
                 rows = [e._coeff_rows(op) for op in rand_string(rng, L, n)]
-                ref = e.string_element(rows, bra, ket)
-                assert abs(e.bordered_element(rows, bra, ket) - ref) <= 1e-12 * max(1.0, abs(ref))
+                ref = e.string_element(rows)
+                assert abs(e.kern.bordered(rows, bra, ket) - ref) <= 1e-12 * max(1.0, abs(ref))
 
     @pytest.mark.parametrize("kind", ["quadratic", "linear", "zero-overlap"])
     def test_one_pfaffian_per_string(self, kind, count_calls, monkeypatch):

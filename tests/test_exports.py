@@ -175,6 +175,21 @@ def test_every_traced_name_resolves():
     assert missing == []
 
 
+def test_correlators_read_no_foreign_private_attribute():
+    # the overlap kernel owns its chain matrix's layout: the correlators read
+    # only the private attributes they define themselves (their own methods
+    # and the attributes they assign), never the kernel's
+    tree = ast.parse((PACKAGE / "correlators.py").read_text())
+    own = {node.name for node in ast.walk(tree)
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    own |= {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)}
+    foreign = sorted({node.attr for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                      and not node.attr.startswith("__") and node.attr not in own})
+    assert foreign == []
+
+
 def scipy_imports(tree) -> list:
     """The enclosing top-level function of each scipy import (None outside one)."""
     out = []

@@ -144,9 +144,11 @@ class TestBorderedChain:
     def test_strings_match_oracle(self, L, ket, bra, k):
         # <J| F_1 ... F_k phi_1 ... phi_n |I> as one bordered Pfaffian of the
         # chain matrix: the string stands right of the last factor, so the
-        # border couples to that factor's X-block rows, inner rows for k > 1
+        # border couples to that factor's X-block rows, inner rows for k > 1.
+        # The engine gives the coefficient rows; its kernel serves every pair
         g1, g2 = chain_case(L, ket, bra)
-        engine = _Engine(_chain_kernel, g1, g2)
+        vac = (0,) * L
+        engine = _Engine(_chain_kernel, g1, g2, vac, vac)
         assert engine.k == k
         f1 = fock.dense_gaussian(g1.m, modes=modes(L))
         f2 = np.eye(2 ** L) if g2 is None else fock.dense_gaussian(g2.m, modes=modes(L))
@@ -158,8 +160,8 @@ class TestBorderedChain:
                 n += (b.n_occupied + c.n_occupied + n) % 2
                 ops = [ModeOp(int(rng.integers(1, L + 1)), bool(rng.integers(0, 2)))
                        for _ in range(n)]
-                val = engine.bordered_element([engine._coeff_rows(op) for op in ops],
-                                              b.bits, c.bits)
+                val = engine.kern.bordered([engine._coeff_rows(op) for op in ops],
+                                           b.bits, c.bits)
                 a = fock.mode_string_matrix([(op.site, op.dagger) for op in ops], modes(L))
                 ref = fock.dense_expectation(f2, a, f1, b, c, modes=modes(L))
                 assert abs(val - ref) <= 1e-12 * max(1.0, abs(ref))

@@ -97,7 +97,9 @@ class TestCounts:
         calls = count_calls("mat_exp")
         pair_kernel(m1, m2.conj().T)
         n_kernel = len(calls)
-        engine = correlators._Engine(_pair_kernel, QuadraticGenerator(m1), QuadraticGenerator(m2))
+        vac = (0,) * 16
+        engine = correlators._Engine(_pair_kernel, QuadraticGenerator(m1), QuadraticGenerator(m2),
+                                     vac, vac)
         assert len(calls) == 2 * n_kernel
         assert np.array_equal(engine.t1, mat_exp(m1))
 
@@ -499,7 +501,7 @@ class TestStepExponentials:
 
         def outputs(g1, g2):
             res = state_overlap(g1, g2, bra, ket)
-            kern = correlators._Engine(_pair_kernel, g1, g2).kern
+            kern = correlators._Engine(_pair_kernel, g1, g2, bra.bits, ket.bits).kern
             return (res.value, res.method, res.sign_certain, res.route,
                     overlap(g1, bra, ket).value, overlap(g2, ket, bra).value,
                     n_point(CorrelatorContext(g1, g2, bra, ket), ops),
