@@ -5,7 +5,7 @@ verify.  Operators are read from JSON files with fields ``L``, ``M``
 (2L x 2L nested array of [re, im] pairs, rows/columns in the 1-based
 ``(c^dag, c) x (c, c^dag)`` ordering) and optional length-L arrays ``u``,
 ``v``.  Every command emits a deterministic JSON run report (stdout or
-``--output``) whose floats carry 17 significant digits.
+``--output``) whose floats are written in their shortest round-trip form.
 
 Exit codes: 0 ok, 2 singular block, 3 parse/validation error,
 4 zero-overlap normalization guard (only the normalized Wick term table of
@@ -17,9 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import itertools
 import json
-import math
 import sys
 
 import numpy as np
@@ -65,147 +63,39 @@ class CliError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# deterministic JSON with full-precision floats
+# deterministic JSON reports
 # ---------------------------------------------------------------------------
 
-def _fmt_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise CliError(EXIT_NUMERICAL, f"non-finite value {x} in report")
-    return format(x, ".17g")
-
-
-def _dump_scalar(obj) -> str:
-    """One JSON scalar.  A report is mostly built-in floats, bools and ints,
-    so their exact types are tested first; everything else, numpy scalars
-    included, takes the isinstance chain."""
-    cls = type(obj)
-    if cls is float:
-        return _fmt_float(obj)
-    if cls is bool:
-        return "true" if obj else "false"
-    if cls is int:
-        return str(obj)
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if obj is None:
-        return "null"
-    if isinstance(obj, str):
-        return json.dumps(obj)
+def _python_scalar(obj):
+    """A numpy scalar as its Python value, for the encoder; anything else
+    that JSON has no type for, a complex number included, is refused."""
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, (np.integer, np.bool_)):
+        return obj.item()
     raise TypeError(f"cannot serialize {type(obj)} in report")
 
 
-def _dump_key(key) -> str:
-    """A dict key as a JSON string, escaped as :func:`json.dumps` escapes it."""
-    return json.encoder.encode_basestring_ascii(str(key))
+_ENCODER = json.JSONEncoder(allow_nan=False, check_circular=False, default=_python_scalar)
 
 
-class Table:
-    """A report table held as columns, written by :func:`dump_report` as
-    the list of dicts with ``keys`` that it stands for, without building
-    them.  ``kinds`` gives each column's cell type: ``float`` (finite),
-    ``int``, ``bool``, ``str``, or ``list`` for sequences of ints."""
+def dump_report(obj) -> str:
+    """A report as JSON text: every dict reached through dicts one key per
+    line, indented two spaces per level, and every other value on one
+    compact line, floats in their shortest round-trip form.  A non-finite
+    float is a numerical failure."""
 
-    __slots__ = ("keys", "kinds", "columns")
+    def layout(obj, pad: str) -> str:
+        if isinstance(obj, dict) and obj:
+            items = [f"{pad}  {_ENCODER.encode(str(k))}: {layout(v, pad + '  ')}"
+                     for k, v in obj.items()]
+            return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        return _ENCODER.encode(obj)
 
-    def __init__(self, keys, kinds, columns):
-        self.keys = tuple(keys)
-        self.kinds = tuple(kinds)
-        self.columns = tuple(columns)
-
-    def __len__(self) -> int:
-        return len(self.columns[0])
-
-    def render(self, pad: str) -> str:
-        """The columns as the general path writes the list of dicts they
-        stand for: one row template, filled once per row."""
-        if not len(self):
-            return "[]"
-        texts = []
-        for kind, col in zip(self.kinds, self.columns):
-            if kind is bool:
-                col = list(map(("false", "true").__getitem__, col))
-            elif kind is str:
-                col = list(map(json.encoder.encode_basestring_ascii, col))
-            elif kind is list:
-                col = _int_list_texts(col, pad)
-            texts.append(col)
-        inner = pad + "    "
-        names = [_dump_key(k).replace("%", "%%") for k in self.keys]
-        row = (pad + "  {\n"
-               + ",\n".join(f'{inner}{k}: {_FIELDS.get(kind, "%s")}'
-                            for k, kind in zip(names, self.kinds))
-               + "\n" + pad + "  }")
-        return "[\n" + ",\n".join([row % values for values in zip(*texts)]) + "\n" + pad + "]"
-
-
-#: the row-template field of a column kind; the other kinds are written as text
-_FIELDS = {float: "%.17g", int: "%d"}
-
-
-def _int_list_texts(col, pad: str) -> list:
-    """Each int sequence of a table column as the general path writes it
-    inside a row: on one line when its items render to fewer than 72
-    characters in all, else one item per line.  The repr of a list of ints
-    is its JSON text; n items and the 2n characters of brackets and
-    separators give the width test's sum."""
-    texts = list(map(repr, map(list, col)))
-    if max(map(len, texts)) >= 72:
-        item_pad, close = pad + "      ", pad + "    ]"
-        texts = [t if len(t) - 2 * len(v) < 72
-                 else "[\n" + ",\n".join(item_pad + str(x) for x in v) + "\n" + close
-                 for t, v in zip(texts, col)]
-    return texts
-
-
-def _dump_pairs(pairs, pad: str) -> str | None:
-    """A list of [re, im] pairs of finite floats, one pair per line; None
-    for anything else."""
-    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
-        return None
-    flat = tuple(itertools.chain.from_iterable(pairs))
-    if set(map(type, flat)) != {float} or not all(map(math.isfinite, flat)):
-        return None
-    row = pad + "  [%.17g, %.17g]"
-    return "[\n" + ",\n".join([row] * len(pairs)) % flat + "\n" + pad + "]"
-
-
-def dump_report(obj, indent: int = 0) -> str:
-    """Serialize a report to JSON text with 17-significant-digit floats.
-
-    A list of scalars whose items render to fewer than 72 characters in
-    total stays on one line.  A list of [re, im] pairs is rendered in one
-    formatting pass when every value fits its template; anything else, a
-    non-finite value or a numpy scalar included, takes the general path,
-    so bytes and errors are those of the general path.  A :class:`Table`
-    is written by its row template straight from its columns, as the list
-    of dicts it stands for."""
-    pad = "  " * indent
-    if type(obj) is Table:
-        return obj.render(pad)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{pad}  {_dump_key(k)}: {dump_report(v, indent + 1)}' for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if type(obj[0]) is list and (fast := _dump_pairs(obj, pad)) is not None:
-            return fast
-        if any(isinstance(v, (dict, list, tuple)) for v in obj):
-            rendered = [dump_report(v, indent + 1) for v in obj]
-        else:
-            rendered = [_dump_scalar(v) for v in obj]
-            if sum(map(len, rendered)) < 72:
-                return "[" + ", ".join(rendered) + "]"
-        return "[\n" + ",\n".join(f"{pad}  {r}" for r in rendered) + "\n" + pad + "]"
-    return _dump_scalar(obj)
+    try:
+        return layout(obj, "")
+    except ValueError as exc:
+        raise CliError(EXIT_NUMERICAL, f"non-finite value in report: {exc}") from None
 
 
 def as_pair(z) -> list:
@@ -382,8 +272,8 @@ def cmd_compose(args) -> int:
         report = base_report("compose", {"a": d1, "b": d2},
                              results={"generator_available": False,
                                       "extended_transfer": pairs(res.transfer.t)})
-        write_text(args.output, dump_report(report) + "\n")
-    sys.stdout.write(dump_report(report) + "\n")
+        emit(report, args.output)
+    emit(report, None)
     return EXIT_OK
 
 
@@ -501,9 +391,8 @@ def cmd_cp_scan(args) -> int:
     if not op.is_quadratic:
         raise CliError(EXIT_PARSE, "cp-scan operates on quadratic operators")
     scan = cp_scan(transfer_of(op.generator))
-    # written from the scan's columns; its rconds are finite, in [0, 1]
     keys = ("sites", "t22_invertible", "t11_invertible", "rcond_t22", "rcond_t11")
-    entries = Table(keys, (list, bool, bool, float, float), [getattr(scan, k) for k in keys])
+    entries = [dict(zip(keys, row)) for row in zip(*(getattr(scan, k) for k in keys))]
     report = base_report("cp-scan", {"op": digest}, results={"entries": entries})
     emit(report, args.output)
     return EXIT_OK
@@ -628,6 +517,11 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(f"invalid seed {text!r}: must be non-negative")
         return int(text)
 
+    def site_cap(text: str) -> int:
+        if int(text) < 1:
+            raise argparse.ArgumentTypeError(f"invalid site cap {text!r}: must be positive")
+        return int(text)
+
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", help="factor an operator into normal-ordered exponentials")
@@ -681,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="oracle-equivalence suite on one operator")
     p.add_argument("--op", required=True)
-    p.add_argument("--max-sites", type=int, default=6)
+    p.add_argument("--max-sites", type=site_cap, default=6)
     p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--output")
     p.set_defaults(func=cmd_verify)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from fermigauss import cli, correlators, quadratic
 from fermigauss.cli import CliError, main
 from fermigauss.linalg import skew_defect
 from fermigauss.overlaps import state_overlap
-from fermigauss.quadratic import CPScan, QuadraticGenerator, random_generator, transfer_of
+from fermigauss.quadratic import QuadraticGenerator, random_generator, transfer_of
 
 from conftest import compose_pair, worked_example_m
 from test_quadratic import pair_rotation_generator, reference_scan, rotation_plus_sector, scan_generator
@@ -66,7 +67,8 @@ def test_overlap_parity_zero(op_file, capsys):
     code, out, _ = run(capsys, "overlap", "--op", op_file, "--bra", "100", "--ket", "000")
     assert code == 0
     doc = json.loads(out)
-    assert doc["results"]["value"] == [0.0, 0.0]
+    # an exact zero reads back as the float 0.0, not as the int 0
+    assert [(type(x), x) for x in doc["results"]["value"]] == [(float, 0.0)] * 2
     assert (doc["method"], doc["route"]) == ("pfaffian", [])
 
 
@@ -376,15 +378,14 @@ def test_cp_scan_pattern(singular_op_file, capsys):
         assert entries[sites]["t22_invertible"] and entries[sites]["t11_invertible"]
 
 
-def scan_report(path: str, entries) -> str:
+def scan_report(path: str, entries) -> dict:
     """The cp-scan report of the operator file at ``path`` with these
-    entries, as the general writer writes their rows."""
+    entries, one row dict per entry."""
     _, digest = cli.load_operator(path)
     rows = [{"sites": list(e.sites), "t22_invertible": e.t22_invertible,
              "t11_invertible": e.t11_invertible, "rcond_t22": e.rcond_t22,
              "rcond_t11": e.rcond_t11} for e in entries]
-    return reference_dump_report(cli.base_report("cp-scan", {"op": digest},
-                                                 results={"entries": rows})) + "\n"
+    return cli.base_report("cp-scan", {"op": digest}, results={"entries": rows})
 
 
 @pytest.mark.parametrize("max_exhaustive", [20, 0])
@@ -392,28 +393,19 @@ def scan_report(path: str, entries) -> str:
                                      for kind in ("random", "singular", "large")
                                      if kind != "singular" or L >= 2])
 def test_cp_scan_report_matches_reference(tmp_path, capsys, monkeypatch, L, kind, max_exhaustive):
-    # the table written from the scan's columns equals the general writer
-    # over the per-subset reference scan, byte for byte; a cap of 0 forces
-    # the greedy search
+    # the rows built from the scan's columns read back as those of the
+    # per-subset reference scan, in its order and with its key order; a cap
+    # of 0 forces the greedy search
     path = write_operator(tmp_path / "op.json", scan_generator(L, kind).m)
     t = transfer_of(QuadraticGenerator(cli.load_operator(path)[0].m))
     expected = scan_report(path, reference_scan(t, 1e-12, max_exhaustive))
     monkeypatch.setattr(quadratic, "CP_EXHAUSTIVE_MAX", max_exhaustive)
     code, out, _ = run(capsys, "cp-scan", "--op", path)
-    assert code == 0 and out == expected
-
-
-def test_cp_scan_report_splits_a_wide_site_list(tmp_path, capsys, monkeypatch):
-    # site lists whose items render to 71, 73 and 60 characters: the general
-    # writer puts the second over several lines, one site per line
-    sites = [(), tuple(range(1, 41)), tuple(range(1, 42)), tuple(range(50, 80))]
-    rconds = [0.0, 1e-13, 0.5, 1.0]
-    scan = CPScan(sites, rconds, rconds[::-1])
-    monkeypatch.setattr(cli, "cp_scan", lambda t: scan)
-    path = write_operator(tmp_path / "op.json", random_generator(2, 1, 0.5).m)
-    code, out, _ = run(capsys, "cp-scan", "--op", path)
-    assert code == 0 and out == scan_report(path, scan)
-    assert out.count('"sites": [\n') == 1 and "\n          41\n        ],\n" in out
+    assert code == 0
+    doc = json.loads(out)
+    assert doc == expected
+    rows, expected_rows = doc["results"]["entries"], expected["results"]["entries"]
+    assert [list(row) for row in rows] == [list(row) for row in expected_rows]
 
 
 def test_compose_roundtrip(tmp_path, op_file, capsys):
@@ -610,6 +602,13 @@ def test_usage_errors_exit_with_the_parse_code(argv, capsys):
     assert out == "" and "usage:" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_verify_site_cap_must_be_positive(cap, capsys):
+    code, out, err = run(capsys, "verify", "--op", "x.json", "--max-sites", cap)
+    assert code == 3 and out == "" and "usage:" in err
+    assert f"--max-sites: invalid site cap '{cap}'" in err
+
+
 def test_verify_above_the_dense_cap_exits_before_the_oracle(tmp_path, capsys, monkeypatch):
     from fermigauss import fock
 
@@ -666,64 +665,15 @@ def test_parser_is_built_once_and_reused(op_file, capsys):
     assert code == 0 and json.loads(out)["command"] == "decompose"
 
 
-def reference_dump_report(obj, indent: int = 0) -> str:
-    """The report serializer as written before its scalar fast paths, with
-    dict keys escaped like string values; the current one must reproduce it
-    byte for byte.  A column table is written as the list of dicts it
-    stands for."""
-    pad = "  " * indent
-    if isinstance(obj, cli.Table):
-        obj = [dict(zip(obj.keys, row)) for row in zip(*obj.columns)]
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{pad}  {json.dumps(str(k))}: {reference_dump_report(v, indent + 1)}'
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        rendered = [reference_dump_report(v, indent + 1) for v in seq]
-        if all(not isinstance(v, (dict, list, tuple)) for v in seq) and sum(map(len, rendered)) < 72:
-            return "[" + ", ".join(rendered) + "]"
-        return "[\n" + ",\n".join(f"{pad}  {r}" for r in rendered) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not np.isfinite(x):
-            raise CliError(cli.EXIT_NUMERICAL, f"non-finite value {x} in report")
-        return format(x, ".17g")
-    if obj is None:
-        return "null"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj)} in report")
-
-
-def serialized(dump, obj):
-    """``dump(obj)``, or the type, message and exit code of what it raised."""
-    try:
-        return dump(obj)
-    except (CliError, TypeError) as exc:
-        return type(exc), str(exc), getattr(exc, "code", None)
-
-
 def report_corpus(tmp_path, capsys, monkeypatch) -> list:
     """Every document the CLI serializes while running each subcommand at
     L = 2-4, plus the L=10 cp-scan report."""
     docs = []
     dump = cli.dump_report
 
-    def recording(obj, indent=0):
-        if indent == 0:
-            docs.append(obj)
-        return dump(obj, indent)
+    def recording(obj):
+        docs.append(obj)
+        return dump(obj)
 
     with monkeypatch.context() as patch:
         patch.setattr(cli, "dump_report", recording)
@@ -793,112 +743,9 @@ def run_corpus(tmp_path) -> None:
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
 FINITE = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1]),
                    st.floats(allow_nan=False, allow_infinity=False))
-NON_FINITE = st.sampled_from([float("nan"), float("inf"), -float("inf")])
 ESCAPED = st.one_of(st.text(max_size=6),
                     st.sampled_from(['quote "', "back\\slash", "new\nline", "tab\t",
                                      "\u00e9\u2020", "%s", "100%", "{}"]))
-
-
-@st.composite
-def int_lists(draw):
-    """Short int lists, or lists whose items render to 70-74 characters in
-    all, on both sides of the 72-character rule."""
-    if draw(st.booleans()):
-        return draw(st.lists(st.sampled_from([1, 7, 77, 777777, -1]), max_size=6))
-    width, n = draw(st.integers(70, 74)), draw(st.integers(1, 8))
-    return [int("1" * (width - n + 1))] + [7] * (n - 1)
-
-
-#: cell values by table column kind
-COLUMNS = {
-    "float": FINITE,
-    "int": st.integers(-10 ** 20, 10 ** 20),
-    "bool": st.booleans(),
-    "str": ESCAPED,
-    "sites": int_lists(),
-}
-#: column kinds that the one-pass table template does not take
-ODD_COLUMNS = {
-    "np_float": FINITE.map(np.float64),
-    "np_int": st.integers(-100, 100).map(np.int64),
-    "int_or_bool": st.one_of(st.integers(-3, 3), st.booleans()),
-}
-#: one draw in four is True
-RARELY = st.sampled_from([False, False, False, True])
-#: odd values other than non-finite floats
-OTHER_ODD = st.one_of(
-    st.sampled_from([np.float64(np.nan), np.float64(-np.inf), None, 1 + 2j, (1, 2),
-                     [1.0, 2.0, 3.0], {"k": 1}]),
-    FINITE.map(np.float64), st.integers(-5, 5).map(np.int64), st.booleans(), ESCAPED,
-)
-
-
-@st.composite
-def odd_values(draw):
-    """A value that no fast template takes, for a random cell: a non-finite
-    float half the time."""
-    return draw(NON_FINITE if draw(st.booleans()) else OTHER_ODD)
-
-
-ODD = odd_values()
-
-
-@st.composite
-def tables(draw):
-    """Lists of like dicts with at most one flaw that no row template
-    takes: a non-finite float, another odd cell, an odd column or a row
-    with its keys reordered.  Most columns share one kind, so that a
-    reordered row still fits the columns' types."""
-    keys = draw(st.lists(ESCAPED, min_size=1, max_size=5, unique=True))
-    base = draw(st.sampled_from(sorted(COLUMNS)))
-    kinds = [base if not draw(RARELY) else draw(st.sampled_from(sorted(COLUMNS)))
-             for _ in keys]
-    columns = [COLUMNS[kind] for kind in kinds]
-    flaw = draw(st.sampled_from(["none", "non-finite", "cell", "column", "order"]))
-    if flaw == "column":
-        columns[-1] = ODD_COLUMNS[draw(st.sampled_from(sorted(ODD_COLUMNS)))]
-    rows = [{k: draw(column) for k, column in zip(keys, columns)}
-            for _ in range(draw(st.integers(1, 6)))]
-    if flaw in ("non-finite", "cell"):
-        # a float column where there is one, so that only the value is odd
-        floats = [k for k, kind in zip(keys, kinds) if kind == "float"] or keys
-        r, k = draw(st.integers(0, len(rows) - 1)), draw(st.sampled_from(floats))
-        rows[r][k] = draw(NON_FINITE if flaw == "non-finite" else ODD)
-    if flaw == "order":
-        rows[-1] = dict(reversed(rows[-1].items()))
-    return rows
-
-
-@st.composite
-def pair_matrices(draw):
-    """[re, im] matrices, one pair at most replaced by an odd value."""
-    n_rows, n_cols = draw(st.integers(0, 4)), draw(st.integers(0, 5))
-    m = [[[draw(FINITE), draw(FINITE)] for _ in range(n_cols)] for _ in range(n_rows)]
-    if n_rows and n_cols and draw(st.booleans()):
-        r, c = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, n_cols - 1))
-        m[r][c][draw(st.integers(0, 1))] = draw(ODD)
-    return m
-
-
-@st.composite
-def report_docs(draw):
-    """A report-shaped document: tables, [re, im] matrices and pair lists,
-    scalar lists and scalars, in nested dicts."""
-    matrix = draw(pair_matrices())
-    parts = {
-        "entries": draw(tables()),
-        "x": matrix,
-        "p": matrix[0] if matrix else [],
-        "value": [draw(FINITE), draw(st.one_of(FINITE, ODD))],
-        "list": draw(st.lists(st.one_of(st.sampled_from([7, 77, 777777]), FINITE, ESCAPED),
-                              max_size=30)),
-        "flag": draw(st.booleans()),
-        "n": draw(st.one_of(st.integers(), ODD)),
-    }
-    names = draw(st.permutations(sorted(parts)))
-    chosen = {k: parts[k] for k in names[:draw(st.integers(1, len(names)))]}
-    return draw(st.sampled_from([chosen, {"tool": "fermigauss", "results": chosen},
-                                 chosen.get("entries", chosen), chosen.get("x", chosen)]))
 
 
 def test_rescue_chain_reports_carry_no_diagnostics(tmp_path, capsys, monkeypatch):
@@ -911,7 +758,7 @@ def test_rescue_chain_reports_carry_no_diagnostics(tmp_path, capsys, monkeypatch
 
 
 class TestReportSerializer:
-    def test_reports_byte_identical_to_reference(self, tmp_path, capsys, monkeypatch):
+    def test_reports_read_back_as_written(self, tmp_path, capsys, monkeypatch):
         docs = report_corpus(tmp_path, capsys, monkeypatch)
         commands = {d.get("command") for d in docs}
         assert commands >= {"decompose", "compose", "overlap", "correlate", "cp-scan", "verify"}
@@ -921,63 +768,81 @@ class TestReportSerializer:
         assert chain["method"] == "factor-chain"
         assert [e["route"] for e in chain["route"]] == ["pfaffian", "factor-chain"]
         for doc in docs:
-            assert cli.dump_report(doc) == reference_dump_report(doc)
+            text = cli.dump_report(doc)
+            assert cli.dump_report(json.loads(text)) == text
+
+    @pytest.mark.parametrize("value", [1.0, -0.0, 1e16, 5e-324, 0.1])
+    def test_floats_read_back_with_their_bits(self, value):
+        # bare, in a list and nested in a dict: an integral float reads back
+        # as a float, and -0.0 keeps its sign
+        for doc, read in [(value, lambda d: [d]), ([value, 2.5], lambda d: d[:1]),
+                          ({"v": [[value]]}, lambda d: d["v"][0])]:
+            x, = read(json.loads(cli.dump_report(doc)))
+            assert type(x) is float and x == value
+            assert math.copysign(1.0, x) == math.copysign(1.0, value)
+
+    @pytest.mark.parametrize("obj, expected", [
+        ({"f": np.float64(0.1), "g": np.float32(1.5), "i": np.int64(-3), "u": np.uint8(7),
+          "b": np.bool_(True), "n": None, "x": -0.0, "big": 1e300, "tiny": 5e-324},
+         {"f": 0.1, "g": 1.5, "i": -3, "u": 7, "b": True, "n": None, "x": -0.0, "big": 1e300,
+          "tiny": 5e-324}),
+        (["quote \" backslash \\ newline \n tab \t", "unicode \u00e9 \u2020", ""], None),
+        ({'a"b': 1, "back\\slash": [{"%s": 1, "\u00e9": 0.5}], "\u2020": {"k": "\u00e9"}}, None),
+        ((1, 2.5, "x", None, True, np.int64(3)), [1, 2.5, "x", None, True, 3]),
+        ({}, None), ([], None), ((), []),
+        ({"a": {}, "b": [], "c": [[], {}, [1, [2, (3, 4)]]]},
+         {"a": {}, "b": [], "c": [[], {}, [1, [2, [3, 4]]]]}),
+        # lists on either side of the old 72-character split, numpy scalars
+        # in a list, long integers, tables and [re, im] matrices
+        ([7] * 71, None), ([7] * 72, None), (["a" * 69], None), (["a" * 70], None),
+        ([np.float64(1.25)] * 3, [1.25] * 3), ([1, np.bool_(True)], [1, True]),
+        ([{"s": [7] * 72}, {"s": [7]}], None),
+        ([{"s": [int("1" * 71), 7]}, {"s": [int("1" * 70), 7]}], None),
+        ([[0.5, 1.5], [2.5, -0.0]], None),
+    ])
+    def test_edge_cases_read_back(self, obj, expected):
+        # numpy scalars are written as their Python values; quotes, escapes
+        # and non-ASCII text, in keys and values, read back as themselves;
+        # only a non-empty dict takes more than one line
+        expected = obj if expected is None else expected
+        text = cli.dump_report(obj)
+        assert json.loads(text) == expected and cli.dump_report(expected) == text
+        assert ("\n" in text) == (isinstance(obj, dict) and bool(obj))
 
     @pytest.mark.parametrize("obj", [
-        {"f": np.float64(0.1), "i": np.int64(-3), "t": True, "n": False, "z": None,
-         "g": np.float32(1.5), "k": 7, "x": -0.0, "big": 1e300, "tiny": 5e-324},
-        ["quote \" backslash \\ newline \n tab \t", "unicode \u00e9 \u2020", ""],
-        (1, 2.5, "x", None, True, np.int64(3)),
-        {}, [], (), {"a": {}, "b": [], "c": [[], {}, [1, [2, (3, 4)]]]},
-        [7] * 71, [7] * 72, ["a" * 69], ["a" * 70], [np.float64(1.25)] * 3,
-        [1, np.bool_(True)], {"v": 1 + 2j}, [float("nan")], {"a": [1.0, np.float64(np.inf)]},
-        [-np.inf], [[1.0, 2.0], float("nan"), object()],
-        # table cells of int lists at 71, 72 and 73 characters
-        [{"s": [7] * 71}, {"s": []}], [{"s": [7] * 72}, {"s": [7]}],
-        [{"s": [int("1" * 71), 7]}, {"s": [int("1" * 70), 7]}],
-        [[0.5, 1.5], [2.5, float("inf")]], [{"a": 0.5}, {"a": float("nan")}],
-        # keys that need escaping, in a dict and in a table
-        {'a"b': 1, "back\\slash": [{"%s": 1, "\u00e9": 0.5}, {"%s": 2, "\u00e9": 1.5}]},
+        1 + 2j, {"v": 1 + 2j}, [np.complex128(1j)], {"a": [1.0, object()]}, object(),
     ])
-    def test_edge_cases_match_reference(self, obj):
-        assert serialized(cli.dump_report, obj) == serialized(reference_dump_report, obj)
-
-    @PROPERTY
-    @given(tables())
-    def test_tables_match_reference(self, doc):
-        # cp-scan-like tables, with an odd cell, an odd column or a reordered
-        # row: the same bytes, or the same error
-        assert serialized(cli.dump_report, doc) == serialized(reference_dump_report, doc)
-
-    @PROPERTY
-    @given(pair_matrices())
-    def test_pair_matrices_match_reference(self, doc):
-        assert serialized(cli.dump_report, doc) == serialized(reference_dump_report, doc)
-
-    @PROPERTY
-    @given(report_docs())
-    def test_report_shaped_documents_match_reference(self, doc):
-        # tables, matrices, pair lists and scalars together: a failure is
-        # the first one in document order
-        assert serialized(cli.dump_report, doc) == serialized(reference_dump_report, doc)
+    def test_values_without_a_json_type_are_refused(self, obj):
+        with pytest.raises(TypeError):
+            cli.dump_report(obj)
 
     @PROPERTY
     @given(st.dictionaries(ESCAPED, st.one_of(FINITE, ESCAPED), max_size=4), st.integers(1, 3))
     def test_keys_read_back(self, row, n):
         # a key with a quote, a backslash, a % or a non-ASCII character reads
-        # back as itself, in a dict and in a table of like dicts
+        # back as itself, in a dict and in a list of like dicts
         for doc in (row, [row] * n):
             assert json.loads(cli.dump_report(doc)) == doc
 
-    def test_scalar_list_width(self):
-        assert "\n" not in cli.dump_report([7] * 71)
-        assert "\n" in cli.dump_report([7] * 72)
-
-    @pytest.mark.parametrize("value", [float("nan"), np.float64(np.inf), -np.inf])
+    @pytest.mark.parametrize("value", [float("nan"), np.float64(np.inf), -np.inf,
+                                       np.float32(np.nan)])
     def test_non_finite_float_is_a_numerical_failure(self, value):
         with pytest.raises(CliError) as exc:
             cli.dump_report({"results": {"value": [1.0, value]}})
         assert exc.value.code == cli.EXIT_NUMERICAL
+
+    @pytest.mark.parametrize("obj, error", [
+        ({"a": [1.0, np.float64(np.inf)]}, CliError), ([[0.5, 1.5], [2.5, float("inf")]], CliError),
+        ([{"a": 0.5}, {"a": float("nan")}], CliError),
+        ([[1.0, 2.0], float("nan"), object()], CliError), ([object(), float("nan")], TypeError),
+        ({"x": {"v": 1 + 2j}, "y": -np.inf}, TypeError), ({"y": -np.inf, "x": 1 + 2j}, CliError),
+    ])
+    def test_first_refusal_in_document_order(self, obj, error):
+        # a non-finite float in a table or a matrix is refused like a bare one,
+        # and of two refusals the first in document order is raised
+        with pytest.raises(error) as exc:
+            cli.dump_report(obj)
+        assert error is TypeError or exc.value.code == cli.EXIT_NUMERICAL
 
 
 def test_verify_builds_one_zero_generator(tmp_path, capsys, monkeypatch, count_calls):
