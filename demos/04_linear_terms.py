@@ -20,7 +20,7 @@ from fermigauss.linearpart import (
     generalized_bbd,
     single_mode_op,
 )
-from fermigauss.overlaps import pair_state_amplitude, pair_state_norm
+from fermigauss.overlaps import pair_state_amplitude, pair_state_norm, pair_state_overlap
 from fermigauss.quadratic import random_generator
 
 np.set_printoptions(precision=5, suppress=True, linewidth=120)
@@ -62,10 +62,29 @@ print("F^-1 c_1 F picks up a constant shift", nt.shift[0],
       "and quadratic terms of size", np.max(np.abs(nt.b[0])))
 
 # --- pair states with a linear part ---------------------------------------
+# |psi(R, u)> is one factor on L + 1 sites (the ancilla is occupied exactly
+# when the configuration is odd), so amplitudes, norms and overlaps are all
+# elements of one overlap kernel; fock's dense state vectors check them
 r = np.array([[0, 0.6], [-0.6, 0]], dtype=complex)
 uvec = np.array([0.3, -0.2j])
+r1 = np.array([[0, -0.4 + 0.2j], [0.4 - 0.2j, 0]])
+u1 = np.array([-0.1j, 0.5])
+modes = fock.mode_operators(L)
+
+
+def dense_state(r, u):
+    m = np.zeros((2 * L, 2 * L), dtype=complex)
+    m[:L, L:] = r
+    return fock.dense_gaussian(m, u, None, modes=modes)[:, 0]
+
+
+psi0, psi1 = dense_state(r, uvec), dense_state(r1, u1)
 print("\npair state exp(c+.R.c+/2 + u+.c+)|vac>:")
 for bits in [(0, 0), (1, 0), (0, 1), (1, 1)]:
     amp = pair_state_amplitude(r, uvec, FockConfig(bits))
-    print(f"  <{bits[0]}{bits[1]}|psi> = {amp:.6f}")
-print("  <psi|psi> =", pair_state_norm(r, uvec))
+    print(f"  <{bits[0]}{bits[1]}|psi0> = {amp:.6f}")
+print("  <psi0|psi0> =", pair_state_norm(r, uvec), " fock:", (psi0.conj() @ psi0).real)
+print(f"  <psi0|psi1> = {pair_state_overlap(r, uvec, r1, u1):.10f}  fock: {psi0.conj() @ psi1:.10f}")
+f = random_generator(L, 7, 0.5)
+ref = psi0.conj() @ fock.dense_gaussian(f.m, modes=modes) @ psi1
+print(f"  <psi0|F|psi1> = {pair_state_overlap(r, uvec, r1, u1, op=f):.10f}  fock: {ref:.10f}")

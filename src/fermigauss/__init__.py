@@ -47,6 +47,7 @@ _EXPORTS = {
     "generalized_overlap": "overlaps",
     "pair_state_amplitude": "overlaps",
     "pair_state_norm": "overlaps",
+    "pair_state_overlap": "overlaps",
     "ModeOp": "correlators",
     "parse_mode_string": "correlators",
     "CorrelatorContext": "correlators",

@@ -241,6 +241,7 @@ class CorrelatorContext:
         self.bra = bra
         self.ket = ket
         self.quadratic = op1.is_quadratic and op2.is_quadratic
+        self._bare_bra = op2.is_quadratic and not op2.m.any()    # F2 = I
         self._pair = (embed(op1), embed(op2))
         # configurations in the ancilla-extended space: the ket's ancilla
         # makes the two parities equal
@@ -281,7 +282,13 @@ class CorrelatorContext:
 
 def _extended_value(ctx: CorrelatorContext, ops: tuple) -> complex:
     """<J, M2| phi_1 ... phi_n |M1, I> in the ancilla-extended space: the
-    string shifted past the ancilla, led by ``c0^dag - c0`` when odd."""
+    string shifted past the ancilla, led by ``c0^dag - c0`` when odd.  An
+    exact zero when it annihilates a bare bra <J| (F2 = I), acting on it."""
+    bits = list(ctx.bra.bits) if ctx._bare_bra else None
+    for op in ops if ctx._bare_bra else ():
+        if bits[op.site - 1] != op.dagger:     # c_a^dag needs a occupied, c_b b empty
+            return ctx._zero()
+        bits[op.site - 1] ^= 1
     shifted = tuple(op.shifted(1) for op in ops)
 
     def value(e: _Engine) -> complex:

@@ -29,6 +29,12 @@ caching rule of :func:`~fermigauss.linalg.remember`.  The signed overlaps
 take generators only: a transfer matrix fixes its Fock operator only up
 to sign, so a bare one has just the magnitude of
 :func:`overlap_magnitude_cp`.
+
+The paper's pair states exp((1/2) c^dag R c^dag + u^dag c^dag)|0> are
+one-factor kernels on L + 1 sites, so their amplitudes, norms and overlaps,
+with or without an operator between them, are kernel elements too; the
+closed form <psi|psi>^2 = det(I + R^dag R) at u = 0 lives only in the
+tests, as the independent reference.
 """
 
 from __future__ import annotations
@@ -45,7 +51,6 @@ from .linalg import (
     _pfaffian_exact,
     check_skew,
     mat_exp,
-    pfaffian,
     remember,
     sqrt_det_continuous,
 )
@@ -205,7 +210,8 @@ class OverlapKernel:
             for part in (idx[lo:lo + step] for lo in range(0, len(idx), step)):
                 pfs += _pfaffian_exact(self.pairing[part[:, :, None], part[:, None, :]]).tolist()
             for pos, sign, pf in zip(positions, signs, pfs):
-                out[pos] = sign * self.prefactor * pf
+                scale = sign * self.prefactor    # exactly 1 keeps pf's signed zeros
+                out[pos] = pf if scale == 1.0 else scale * pf
         return out
 
     def bordered(self, rows, bra_bits, ket_bits) -> complex:
@@ -623,49 +629,48 @@ def generalized_overlap(op1: LinearGaussianOp, op2: LinearGaussianOp,
 # pair states  exp((1/2) c^dag R c^dag + u^dag c^dag) |0>
 # ---------------------------------------------------------------------------
 
-def pair_state_amplitude(r: np.ndarray, u, cfg: FockConfig) -> complex:
-    """<J | exp((1/2) c^dag R c^dag + u^dag c^dag) |0>.
-
-    Even occupation: Pfaffian of R restricted to the occupied sites.  Odd
-    occupation: the same with R bordered by the linear coefficients (the
-    border row/column is never removed).
-    """
+def _pair_state(r: np.ndarray, u) -> FactoredGaussian:
+    """|psi(R, u)> = F|0>, F one factor on L + 1 sites with the ancilla last:
+    X = [[R, conj u], [-conj u^T, 0]], e^Y = I, Z = 0 and p = 1."""
     r = check_skew(np.asarray(r, dtype=complex), name="R")
     L = r.shape[0]
-    u = np.zeros(L, dtype=complex) if u is None else np.asarray(u, dtype=complex)
-    if cfg.L != L:
-        raise ValueError("configuration length does not match R")
-    occ = [j - 1 for j in cfg.occupied]
-    if cfg.n_occupied % 2 == 0:
-        return pfaffian(r[np.ix_(occ, occ)])
-    uc = u.conj()
-    bordered = np.zeros((L + 1, L + 1), dtype=complex)
-    bordered[:L, :L] = r
-    bordered[:L, L] = uc
-    bordered[L, :L] = -uc
-    keep = occ + [L]
-    return pfaffian(bordered[np.ix_(keep, keep)])
+    uc = np.zeros(L) if u is None else np.asarray(u, dtype=complex).conj()
+    if uc.shape != (L,):
+        raise ValueError(f"u must have length {L}, got shape {uc.shape}")
+    x = np.block([[r, uc[:, None]], [-uc, 0.0]])
+    return FactoredGaussian("normal", x, np.eye(L + 1), np.zeros_like(x), 1.0)
+
+
+def pair_state_amplitude(r: np.ndarray, u, cfg: FockConfig) -> complex:
+    """<J | exp((1/2) c^dag R c^dag + u^dag c^dag) |0> (``u`` None for 0): the
+    state's factor between J, the ancilla occupied when J is odd, and |0>."""
+    bra = FockConfig(cfg.bits + (cfg.n_occupied % 2,))
+    return OverlapKernel([_pair_state(r, u)]).element(bra, FockConfig.vacuum(cfg.L + 1))
+
+
+def pair_state_overlap(r0: np.ndarray, u0, r1: np.ndarray, u1, op=None) -> complex:
+    """<psi(R0, u0)| F |psi(R1, u1)>, F = exp(M) of the generator ``op`` or
+    the identity for None: one kernel over F0^dag, F's :func:`_chain_factors`
+    (raising as the factor chain's do) with an idle ancilla, and F1, between
+    vacua, where both ancilla sectors, so both parities of the states, add.
+    Any other ``op`` raises TypeError: linear parts would need a second
+    ancilla."""
+    if not (op is None or isinstance(op, QuadraticGenerator)):
+        raise TypeError(f"op must be a QuadraticGenerator or None, got {type(op).__name__}")
+    f0, f1 = _pair_state(r0, u0), _pair_state(r1, u1)
+    n = len(f1.x)
+    if len(f0.x) != n or not (op is None or op.L + 1 == n):
+        raise ValueError("site counts differ")
+    chain = ()
+    if op is not None:
+        m = np.zeros((2 * n, 2 * n), dtype=complex)
+        idle = np.r_[:n - 1, n:2 * n - 1]    # every row but the ancilla's two
+        m[np.ix_(idle, idle)] = op.m
+        chain = _chain_factors(QuadraticGenerator(m))
+    return OverlapKernel([f0.adjoint, *chain, f1]).element(*[FockConfig.vacuum(n)] * 2)
 
 
 def pair_state_norm(r: np.ndarray, u) -> float:
-    """Inner product <psi|psi> of the (unnormalized) pair state.
-
-    Evaluated as the square root of the closed-form determinant
-
-        <psi|psi>^2 = (1 + |u|^2)^(1-L)
-                      det[(1 + |u|^2)(I + u u^dag)
-                          + R^dag ((1 + |u|^2) I - u* u^T) R],
-
-    which at u = 0 reduces to <psi|psi>^2 = det(I + R^dag R).
-    """
-    r = check_skew(np.asarray(r, dtype=complex), name="R")
-    L = r.shape[0]
-    u = np.zeros(L, dtype=complex) if u is None else np.asarray(u, dtype=complex)
-    nu = 1.0 + float(np.real(u @ u.conj()))
-    eye = np.eye(L)
-    inner = nu * (eye + np.outer(u, u.conj())) + r.conj().T @ (nu * eye - np.outer(u.conj(), u)) @ r
-    det = complex(np.linalg.det(inner)) * nu ** (1 - L)
-    if abs(det.imag) > 1e-9 * max(1.0, abs(det)) or det.real <= 0:
-        raise LinalgError(f"norm determinant not positive real: {det}")
-    return float(np.sqrt(det.real))
-
+    """<psi|psi> of the (unnormalized) pair state: the real part of its
+    :func:`pair_state_overlap` with itself."""
+    return float(pair_state_overlap(r, u, r, u).real)

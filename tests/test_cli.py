@@ -283,15 +283,29 @@ def test_correlate_factor_chain_on_singular(singular_op_file, capsys, command):
     assert doc["results"]["oracle_deviation"] < 1e-12
 
 
+def test_correlate_string_that_annihilates_the_bare_bra(tmp_path, capsys):
+    # without --op2 the bra operator is the identity: <110000| c1^dag c2 = 0
+    # exactly, which the report says, against the oracle's exact zero
+    op = write_operator(tmp_path / "op6.json", random_generator(6, 3, scale=10).m)
+    code, out, _ = run(capsys, "correlate", "--op", op, "--bra", "110000", "--ket", "000000",
+                       "--string", "cd1 c2", "--verify")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["results"]["value"] == [0.0, 0.0] and doc["results"]["oracle_deviation"] == 0.0
+    assert (doc["method"], doc["sign_certain"], doc["route"]) == ("pfaffian", True, [])
+
+
 @pytest.mark.parametrize("command", ["correlate", "wick"])
 def test_correlator_reports_name_the_accepted_route(tmp_path, singular_op_file, capsys, command):
     # method and sign_certain come from the route that answered, as in an
-    # overlap report, whatever the operators' kind; a parity zero reports
-    # what an overlap reports for one
+    # overlap report, whatever the operators' kind; a parity zero, and a
+    # string that annihilates the bare bra, report what an overlap reports
+    # for a parity zero
     quad = write_operator(tmp_path / "quad4.json", random_generator(4, 44, 0.5).m)
     for op, bra, string, method, accepted in (
             (singular_op_file, "110", "cd1 cd2 c3 c1", "factor-chain", ["factor-chain"]),
-            (quad, "1100", "cd1 c2", "pfaffian", ["pfaffian"]),
+            (quad, "1100", "cd2 cd1", "pfaffian", ["pfaffian"]),
+            (quad, "1100", "cd1 c2", "pfaffian", []),
             (quad, "1000", "cd1 c2", "pfaffian", [])):
         code, out, _ = run(capsys, command, "--op", op, "--bra", bra,
                            "--ket", "0" * (len(bra)), "--string", string, "--verify")

@@ -150,6 +150,20 @@ def test_large_det_sign_matches_oracle():
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 18: the continuity root det(T22)^(1/2) has the wrong "
+                   "sign and is flagged certain")
+def test_smallest_sign_repro_matches_oracle():
+    # the smallest known case of item 18's defect, below the dense cap: the
+    # pfaffian route returns 0.37176 - 0.43401i, flagged certain, and fock
+    # -0.37176 + 0.43401i
+    g = random_generator(4, 4371, 2.0)
+    vac = FockConfig.vacuum(4)
+    res = state_overlap(g, QuadraticGenerator.zero(4), vac, vac)
+    ref = fock.dense_gaussian(g.m)[0, 0]
+    assert abs(res.value - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="arg det T22(s) of the embedded ket turns by -6.21 rad "
                    "from s = 0 to 1 (|det| falls to 4.4e-7 near s = 0.966), but the 12-step "
                    "grid reads +0.07 rad: a full turn is missed, and every signed route "

@@ -1,11 +1,12 @@
 import functools
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fermigauss import correlators, overlaps, quadratic
+from fermigauss import correlators, fock, overlaps, quadratic
 from fermigauss.configs import FockConfig
 from fermigauss.correlators import (
     CorrelatorContext,
@@ -421,11 +422,11 @@ class TestSingularPairs:
                 val = value(ctx, ops)
                 ref = orc.sandwich(f2, ops, f1, bra, ket)
                 assert abs(val - ref) <= 1e-12 * max(1.0, abs(ref))
-                if ctx.route:     # empty for an exact parity zero of n_point
+                if ctx.route:     # empty for an exact zero: parity, or a killed bare bra
                     assert [(r["route"], r["accepted"]) for r in ctx.route] == \
                         [("pfaffian", False), ("factor-chain", True)]
                 else:
-                    assert value is n_point and val == 0
+                    assert (value is n_point or bra_kind == "identity") and val == 0
         assert calls == []
 
     def test_no_correlator_function_reaches_epsilon(self, oracle, monkeypatch):
@@ -471,6 +472,67 @@ class TestSites:
                      lambda: generalized_wick_expansion(lin, (ModeOp(2, True), beyond))):
             with pytest.raises(ValueError, match="outside sites"):
                 call()
+
+
+class TestBareBra:
+    """Under an identity bra operator the string acts on the bare <J|
+    first: c_a^dag needs site a occupied, c_b site b empty.  A string that
+    annihilates <J| is an exact zero, described as a parity zero is, and
+    builds no engine."""
+
+    def test_found_70_repro_is_an_exact_zero(self):
+        # exp(M) at scale 10: a pfaffian value of this string used to carry
+        # the rounding of elements of size 1e7, -4608 - 1408i flagged certain
+        ctx = CorrelatorContext(random_generator(6, 3, scale=10), QuadraticGenerator.zero(6),
+                                FockConfig.from_string("110000"), FockConfig.vacuum(6))
+        val = n_point(ctx, parse_mode_string("cd1 c2"))
+        assert val == 0 and (ctx.route, ctx.method, ctx.sign_certain) == ([], "pfaffian", True)
+        assert ctx._engines == {}
+
+    def test_linear_part_ket(self):
+        rng = np.random.default_rng(71)
+        u, v = (rng.standard_normal(6) + 1j * rng.standard_normal(6) for _ in range(2))
+        ket_op = LinearGaussianOp(random_generator(6, 3, scale=10).m, u, v)
+        ctx = CorrelatorContext(ket_op, LinearGaussianOp.zero(6),
+                                FockConfig.from_string("110000"), FockConfig.vacuum(6))
+        for string in ("cd1 c2", "c1", "cd3", "cd1 cd2 cd2", "c4 cd4 cd1 c2"):
+            assert generalized_expectation(ctx, parse_mode_string(string)) == 0, string
+        assert ctx.route == [] and ctx._engines == {}
+
+    def test_scale_3_strings_at_L_12(self):
+        # a leading cd<a> c<b> meeting an occupied site b of the bra: the
+        # sparse oracle's exact 0, where n_point gave 2e-9 to 7e-9
+        bra = FockConfig(tuple(int(j in (3, 5, 12)) for j in range(1, 13)))
+        for seed in range(3):
+            g = random_generator(12, np.random.default_rng([17, 12, seed]), 3.0)
+            ctx = CorrelatorContext(g, QuadraticGenerator.zero(12), bra,
+                                    FockConfig.from_string("100000000000"))
+            assert n_point(ctx, parse_mode_string("cd5 c12 cd3 c3")) == 0
+            assert ctx._engines == {}
+
+    def test_every_value_matches_the_oracle(self):
+        # killed strings are exact zeros; the others still take the engine
+        rng = np.random.default_rng(72)
+        L = 4
+        orc = cached_oracle(L)
+        zero, killed = LinearGaussianOp.zero(L), 0
+        for k in range(24):
+            ket_op = random_generator(L, rng, 0.6) if k % 2 else random_linear_op(rng, L, 0.6)
+            bra, ket = random_config(rng, L), random_config(rng, L)
+            ctx = CorrelatorContext(ket_op, zero, bra, ket)
+            f1 = orc.gaussian(ket_op)
+            for n in (1, 2, 3, 4):
+                ops = rand_string(rng, L, n)
+                val = (n_point if ctx.quadratic else generalized_expectation)(ctx, ops)
+                ref = orc.sandwich(orc.eye, ops, f1, bra, ket)
+                row = fock.config_state(bra).conj() @ fock.mode_string_matrix(
+                    [(o.site, o.dagger) for o in ops], orc.modes)
+                if not row.any():
+                    killed += 1
+                    assert val == 0 and ref == 0
+                else:
+                    assert abs(val - ref) <= 1e-10 * max(1.0, abs(ref))
+        assert 0 < killed < 96, killed     # both kinds of string occur
 
 
 class TestGeneralized:
@@ -829,15 +891,26 @@ class TestBorderedPfaffian:
         extended = kind == "linear"
         bra, ket = ctx._extended_bits if extended else (ctx.bra.bits, ctx.ket.bits)
         values = 0
-        for _ in range(8):
+        # under the zero-overlap context's identity bra operator a string that
+        # annihilates <J| is an exact zero, with no Pfaffian; most strings
+        # annihilate its bare <000|, so strings are drawn until 16 do not
+        for rounds in itertools.count():
+            if rounds >= 8 and values >= 16:
+                break
+            assert rounds < 1024
             for n in (3, 4, 5, 6):
                 if not extended and (sum(bra) + sum(ket) + n) % 2:
                     continue
                 rows = n + n % 2 if extended else n   # the ancilla factor of an odd string
+                ops = rand_string(rng, ctx.L, n)
+                dead = kind == "zero-overlap" and not (
+                    fock.config_state(ctx.bra).conj() @ fock.mode_string_matrix(
+                        [(o.site, o.dagger) for o in ops], fock.mode_operators(ctx.L))).any()
                 pfaffians.clear()
-                evaluate(ctx, rand_string(rng, ctx.L, n))
-                assert [m.shape[-1] for (m,) in pfaffians] == [sum(bra) + sum(ket) + rows]
-                values += 1
+                evaluate(ctx, ops)
+                assert [m.shape[-1] for (m,) in pfaffians] == \
+                    ([] if dead else [sum(bra) + sum(ket) + rows])
+                values += not dead
         assert values >= 16 and calls == {"element": 0, "string_element": 0}
 
     def test_failed_engine_build_is_kept(self, monkeypatch):

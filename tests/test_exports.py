@@ -25,6 +25,19 @@ def test_every_export_resolves():
         assert getattr(fermigauss, name) is not None
 
 
+def test_pair_state_overlap_is_a_lazy_export():
+    # importing the package loads no formula module; the first use of the
+    # name loads overlaps and resolves to its function
+    code = ("import sys, fermigauss; assert 'fermigauss.overlaps' not in sys.modules; "
+            "f = fermigauss.pair_state_overlap; from fermigauss import overlaps; "
+            "assert f is overlaps.pair_state_overlap; print('ok')")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent),
+                                                       os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0 and proc.stdout.strip() == "ok", proc.stderr
+
+
 def used_names(node) -> set:
     """Every name and attribute ``node`` reads; docstrings and other strings
     do not count."""
@@ -225,7 +238,7 @@ from fermigauss.configs import FockConfig
 from fermigauss.correlators import (CorrelatorContext, ModeOp, generalized_expectation,
                                     n_point)
 from fermigauss.linearpart import LinearGaussianOp
-from fermigauss.overlaps import generalized_overlap, state_overlap
+from fermigauss.overlaps import generalized_overlap, pair_state_overlap, state_overlap
 from fermigauss.quadratic import QuadraticGenerator, cp_scan, random_generator, transfer_of
 
 workdir = sys.argv[1]
@@ -257,6 +270,8 @@ n_point(CorrelatorContext(g1, g2, bra, ket), (ModeOp(1, True), ModeOp(2, False))
 generalized_expectation(CorrelatorContext(op1, op2, bra, ket),
                         (ModeOp(1, True), ModeOp(2, False), ModeOp(3, False)))
 cp_scan(transfer_of(sing))
+r = np.array([[0, 0.5, 0.2j], [-0.5, 0, 0.3], [-0.2j, -0.3, 0]])
+pair_state_overlap(r, np.ones(3), r.T, None, op=g1)
 out = ["--output", os.path.join(workdir, "report.json")]
 for argv in (["overlap", "--op", files["a"], "--op2", files["b"], "--bra", "101", "--ket", "011",
               "--verify"],
