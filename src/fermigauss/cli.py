@@ -9,7 +9,7 @@ verify.  Operators are read from JSON files with fields ``L``, ``M``
 
 Exit codes: 0 ok, 2 singular block, 3 parse/validation error,
 4 zero-overlap normalization guard (only the normalized Wick term table of
-``wick`` and ``correlate --expand``), 5 internal numerical failure.
+``wick``), 5 internal numerical failure.
 """
 
 from __future__ import annotations
@@ -30,13 +30,7 @@ from .linearpart import (
     compose_linear,
     generalized_bbd,
 )
-from .overlaps import (
-    EPS_SCHEDULE,
-    EPS_SEED,
-    epsilon_direction,
-    generalized_overlap,
-    state_overlap,
-)
+from .overlaps import generalized_overlap, state_overlap
 from .quadratic import (
     QuadraticGenerator,
     admissibility_defect,
@@ -214,9 +208,8 @@ def cmd_decompose(args) -> int:
     diagnostics = {}
     t = None
     if args.form == "generalized":
-        if args.cp or args.epsilon:
-            flag = "--cp" if args.cp else "--epsilon"
-            raise CliError(EXIT_PARSE, f"{flag} applies to the normal and antinormal forms only")
+        if args.cp:
+            raise CliError(EXIT_PARSE, "--cp applies to the normal and antinormal forms only")
         factorize = functools.partial(generalized_bbd, op)
         fields = ("q", "x", "exp_y", "y", "z", "p")
     else:
@@ -229,12 +222,6 @@ def cmd_decompose(args) -> int:
         if sites:
             gen = cp_transform(gen, sites)
             diagnostics["cp_sites"] = list(sites)
-        if args.epsilon:
-            g = epsilon_direction(op.L)
-            eps = EPS_SCHEDULE[0]
-            gen = QuadraticGenerator(gen.m + eps * g.m)
-            diagnostics["epsilon"] = eps
-            diagnostics["epsilon_seed"] = EPS_SEED
         t = transfer_of(gen)
         factorize = functools.partial(bbd_normal if args.form == "normal" else bbd_antinormal, t)
         fields = ("x", "exp_y", "y", "z")
@@ -308,7 +295,7 @@ def _oracle_value(op1, op2, ops, bra, ket) -> complex:
 
 def cmd_overlap(args) -> int:
     op1, op2, inputs, bra, ket = _load_sandwich(args)
-    method = "cp-magnitude" if args.cp_magnitude else "epsilon" if args.epsilon else "auto"
+    method = "cp-magnitude" if args.cp_magnitude else "auto"
     if op1.is_quadratic and op2.is_quadratic:
         res = state_overlap(op1.generator, op2.generator, bra, ket, method=method)
     else:
@@ -528,8 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--form", choices=["normal", "antinormal", "generalized"], default="normal")
     p.add_argument("--cp", help="comma-separated sites for a particle-hole permutation first")
-    p.add_argument("--epsilon", action="store_true",
-                   help="decompose a nearby regularized operator when a block is singular")
     p.add_argument("--output")
     p.set_defaults(func=cmd_decompose)
 
@@ -543,9 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op2", help="bra-side operator file (default: identity)")
     p.add_argument("--bra", required=True)
     p.add_argument("--ket", required=True)
-    route = p.add_mutually_exclusive_group()
-    route.add_argument("--epsilon", action="store_true", help="force the perturbative route")
-    route.add_argument("--cp-magnitude", action="store_true", help="force the magnitude route")
+    p.add_argument("--cp-magnitude", action="store_true", help="force the magnitude route")
     p.add_argument("--verify", action="store_true", help="also run the dense oracle")
     p.add_argument("--output")
     p.set_defaults(func=cmd_overlap)
@@ -559,14 +542,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ket", required=True)
         p.add_argument("--string", required=True,
                        help="whitespace-separated tokens c<k> / cd<k>, 1-based sites")
-        if expand:
-            p.set_defaults(expand=True)
-        else:
-            p.add_argument("--expand", action="store_true",
-                           help="include the pairing/singleton term table")
         p.add_argument("--verify", action="store_true")
         p.add_argument("--output")
-        p.set_defaults(func=cmd_correlate)
+        p.set_defaults(func=cmd_correlate, expand=expand)
 
     p = sub.add_parser("cp-scan", help="invertibility report over particle-hole permutations")
     p.add_argument("--op", required=True)

@@ -653,8 +653,9 @@ def pair_state_overlap(r0: np.ndarray, u0, r1: np.ndarray, u1, op=None) -> compl
     the identity for None: one kernel over F0^dag, F's :func:`_chain_factors`
     (raising as the factor chain's do) with an idle ancilla, and F1, between
     vacua, where both ancilla sectors, so both parities of the states, add.
-    Any other ``op`` raises TypeError: linear parts would need a second
-    ancilla."""
+    ``op`` keeps its padded generator, so a repeated ``op`` is exponentiated
+    once.  Any other ``op`` raises TypeError: linear parts would need a
+    second ancilla."""
     if not (op is None or isinstance(op, QuadraticGenerator)):
         raise TypeError(f"op must be a QuadraticGenerator or None, got {type(op).__name__}")
     f0, f1 = _pair_state(r0, u0), _pair_state(r1, u1)
@@ -663,10 +664,13 @@ def pair_state_overlap(r0: np.ndarray, u0, r1: np.ndarray, u1, op=None) -> compl
         raise ValueError("site counts differ")
     chain = ()
     if op is not None:
-        m = np.zeros((2 * n, 2 * n), dtype=complex)
-        idle = np.r_[:n - 1, n:2 * n - 1]    # every row but the ancilla's two
-        m[np.ix_(idle, idle)] = op.m
-        chain = _chain_factors(QuadraticGenerator(m))
+        def padded():
+            m = np.zeros((2 * n, 2 * n), dtype=complex)
+            idle = np.r_[:n - 1, n:2 * n - 1]    # every row but the ancilla's two
+            m[np.ix_(idle, idle)] = op.m
+            return QuadraticGenerator(m)
+
+        chain = _chain_factors(remember(op.__dict__, "_padded", padded))
     return OverlapKernel([f0.adjoint, *chain, f1]).element(*[FockConfig.vacuum(n)] * 2)
 
 

@@ -94,7 +94,8 @@ class QuadraticGenerator:
     instance, read-only; the bra side of an overlap takes their adjoints.
     The factor chain of :mod:`~fermigauss.overlaps` keeps the factor data
     of exp(M), or of its half exp(M/2), and their adjoints on the instance
-    as well, or the error that refused them.
+    as well, or the error that refused them; a pair-state overlap keeps M
+    padded with an idle ancilla.
     """
 
     m: np.ndarray

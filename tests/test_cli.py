@@ -124,13 +124,6 @@ def test_decompose_with_cp(singular_op_file, capsys):
     assert json.loads(out)["diagnostics"]["cp_sites"] == [1]
 
 
-def test_decompose_epsilon(singular_op_file, capsys):
-    code, out, _ = run(capsys, "decompose", "--input", singular_op_file,
-                       "--form", "normal", "--epsilon")
-    assert code == 0
-    assert json.loads(out)["diagnostics"]["epsilon"] > 0
-
-
 def test_decompose_generalized(linear_op_file, capsys):
     code, out, _ = run(capsys, "decompose", "--input", linear_op_file,
                        "--form", "generalized")
@@ -139,26 +132,16 @@ def test_decompose_generalized(linear_op_file, capsys):
     assert "q" in doc["results"] and "p" in doc["results"]
 
 
-@pytest.mark.parametrize("flag", [["--cp", "1"], ["--epsilon"]])
+@pytest.mark.parametrize("flag", [["--cp", "1"]])
 def test_decompose_generalized_rejects_quadratic_form_flags(tmp_path, capsys, flag):
-    # --cp and --epsilon act on the normal and antinormal forms only; the
-    # generalized form names the flag instead of ignoring it
+    # --cp acts on the normal and antinormal forms only; the generalized
+    # form names the flag instead of ignoring it
     rng = np.random.default_rng(3)
     op = write_operator(tmp_path / "lin3.json", random_generator(3, rng, 0.5).m,
                         u=rng.standard_normal(3), v=rng.standard_normal(3))
     code, out, err = run(capsys, "decompose", "--input", op, "--form", "generalized", *flag)
     assert (code, out) == (3, "")
     assert flag[0] in err
-
-
-def test_overlap_epsilon_on_singular(singular_op_file, capsys):
-    code, out, _ = run(capsys, "overlap", "--op", singular_op_file,
-                       "--bra", "000", "--ket", "000", "--epsilon")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["method"] == "epsilon-regularized"
-    assert [(e["route"], e["accepted"]) for e in doc["route"]] == [("epsilon", True)]
-    assert abs(complex(*doc["results"]["value"])) < 1e-6  # cos(pi/2) = 0
 
 
 def test_overlap_factor_chain_on_singular(singular_op_file, capsys):
@@ -256,8 +239,8 @@ def test_correlate_trivial(tmp_path, capsys):
 
 
 def test_correlate_verify_and_expand(linear_op_file, capsys):
-    code, out, _ = run(capsys, "correlate", "--op", linear_op_file, "--bra", "10",
-                       "--ket", "01", "--string", "c1 cd2 c2", "--expand", "--verify")
+    code, out, _ = run(capsys, "wick", "--op", linear_op_file, "--bra", "10",
+                       "--ket", "01", "--string", "c1 cd2 c2", "--verify")
     assert code == 0
     doc = json.loads(out)
     assert doc["results"]["oracle_deviation"] < 1e-8
@@ -342,18 +325,21 @@ def test_wick_alias(linear_op_file, capsys):
 
 
 def test_wick_report_is_correlate_expand_but_its_command(op_file, linear_op_file, capsys):
-    # wick is correlate --expand, and its report says wick, on success and
-    # on the zero-overlap guard's exit 4
-    for op, bra, ket, string, code in ((linear_op_file, "10", "01", "c1 cd2 c2", 0),
-                                       (op_file, "000", "110", "c2 c3 cd3 c1", 4)):
-        docs = {}
-        for command in (["wick"], ["correlate", "--expand"]):
-            got, out, _ = run(capsys, *command, "--op", op, "--bra", bra, "--ket", ket,
-                              "--string", string)
-            assert got == code
-            docs[command[0]] = json.loads(out)
-        assert docs["wick"]["command"] == "wick"
-        assert {**docs["wick"], "command": "correlate"} == docs["correlate"]
+    # wick's report is correlate's plus the term table, and it says wick, on
+    # success and on the zero-overlap guard's exit 4
+    docs = {}
+    for command in ("wick", "correlate"):
+        code, out, _ = run(capsys, command, "--op", linear_op_file, "--bra", "10",
+                           "--ket", "01", "--string", "c1 cd2 c2")
+        assert code == 0
+        docs[command] = json.loads(out)
+    wick = docs["wick"]
+    assert wick["command"] == "wick"
+    assert wick["results"].pop("terms") and wick["results"].pop("expansion_value")
+    assert {**wick, "command": "correlate"} == docs["correlate"]
+    code, out, _ = run(capsys, "wick", "--op", op_file, "--bra", "000", "--ket", "110",
+                       "--string", "c2 c3 cd3 c1")
+    assert code == 4 and json.loads(out)["command"] == "wick"
 
 
 def test_correlate_grammar_error(op_file, capsys):
@@ -602,12 +588,16 @@ def test_unwritable_output_exits_with_the_parse_code(tmp_path, op_file, capsys, 
     ["decompose", "--input", "x.json", "--form", "sideways"],
     # only verify takes a seed: it picks the spot-check inputs
     ["correlate", "--op", "x.json", "--bra", "0", "--ket", "0", "--string", "c1", "--seed", "1"],
-    ["overlap", "--op", "x.json", "--bra", "0", "--ket", "0", "--epsilon", "--seed", "1"],
+    ["overlap", "--op", "x.json", "--bra", "0", "--ket", "0", "--cp-magnitude", "--seed", "1"],
     ["verify", "--op", "x.json", "--seed", "-1"],
     ["no-such-command"],
     [],
     ["wick", "--op", "x.json", "--bra", "0", "--ket", "0", "--string", "c1", "--seed", "1"],
     ["verify", "--op", "x.json", "--seed", "one"],
+    # no option forces the epsilon route, and wick is the one way to the term table
+    ["overlap", "--op", "x.json", "--bra", "0", "--ket", "0", "--epsilon"],
+    ["decompose", "--input", "x.json", "--epsilon"],
+    ["correlate", "--op", "x.json", "--bra", "0", "--ket", "0", "--string", "c1", "--expand"],
 ])
 def test_usage_errors_exit_with_the_parse_code(argv, capsys):
     # exit 2 is the singular-block code; argparse's own usage exit must not reach it
@@ -640,13 +630,6 @@ def test_verify_above_the_dense_cap_exits_before_the_oracle(tmp_path, capsys, mo
     ]:
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == "" and f"capped at L={L - 1}" in err, argv
-
-
-def test_route_flags_are_exclusive(singular_op_file, capsys):
-    code, out, err = run(capsys, "overlap", "--op", singular_op_file, "--bra", "100",
-                         "--ket", "101", "--epsilon", "--cp-magnitude")
-    assert code == 3 and out == ""
-    assert "not allowed with" in err
 
 
 @pytest.mark.parametrize("flag", ["--help", "--version"])
@@ -711,17 +694,16 @@ def run_corpus(tmp_path) -> None:
             ("decompose", "--input", quad, "--form", "antinormal"),
             ("decompose", "--input", lin, "--form", "generalized"),
             ("decompose", "--input", sing, "--form", "normal", "--cp", "1"),
-            ("decompose", "--input", sing, "--form", "normal", "--epsilon"),
             ("compose", "--inputs", quad, quad, "--output", str(tmp_path / "c.json")),
             ("compose", "--inputs", lin, quad, "--output", str(tmp_path / "c.json")),
             ("overlap", "--op", quad, "--op2", quad, "--bra", bra, "--ket", odd, "--verify"),
             ("overlap", "--op", lin, "--bra", bra, "--ket", ket, "--verify"),
-            ("overlap", "--op", sing, "--bra", ket, "--ket", ket, "--epsilon"),
+            ("overlap", "--op", sing, "--bra", ket, "--ket", ket),
             ("overlap", "--op", quad, "--bra", ket, "--ket", ket, "--cp-magnitude"),
             ("correlate", "--op", quad, "--bra", odd, "--ket", odd, "--string", "c1 cd1",
              "--verify"),
-            ("correlate", "--op", lin, "--op2", lin, "--bra", bra, "--ket", odd,
-             "--string", string, "--expand", "--verify"),
+            ("wick", "--op", lin, "--op2", lin, "--bra", bra, "--ket", odd,
+             "--string", string, "--verify"),
             ("wick", "--op", lin, "--bra", bra, "--ket", ket, "--string", string),
             ("cp-scan", "--op", quad),
             ("verify", "--op", quad),
@@ -765,7 +747,7 @@ ESCAPED = st.one_of(st.text(max_size=6),
 def test_rescue_chain_reports_carry_no_diagnostics(tmp_path, capsys, monkeypatch):
     # an overlap, correlate or wick report's provenance is its route alone
     docs = [d for d in report_corpus(tmp_path, capsys, monkeypatch)
-            if d.get("command") in ("overlap", "correlate")]
+            if d.get("command") in ("overlap", "correlate", "wick")]
     assert len(docs) >= 15
     for doc in docs:
         assert "diagnostics" not in doc and "route" in doc, doc
@@ -942,17 +924,16 @@ def test_correlator_reports_independent_of_hash_seed(tmp_path):
                         u=0.4 * rng.standard_normal(4) + 0.2j, v=0.3j * rng.standard_normal(4))
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    for command in (["correlate", "--expand"], ["wick"]):
-        reports = []
-        for hash_seed in ("1", "2"):
-            out = tmp_path / f"{command[0]}{hash_seed}.json"
-            argv = [*command, "--op", op, "--bra", "1010", "--ket", "0111",
-                    "--string", "cd1 c2 c4", "--output", str(out)]
-            subprocess.run([sys.executable, "-c",
-                            "import sys; from fermigauss.cli import main; sys.exit(main())", *argv],
-                           env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
-                           check=True, capture_output=True)
-            reports.append(out.read_bytes())
-        assert reports[0] == reports[1]
-        doc = json.loads(reports[0])
-        assert doc["method"] == "pfaffian" and len(doc["results"]["terms"]) == 3
+    reports = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"wick{hash_seed}.json"
+        argv = ["wick", "--op", op, "--bra", "1010", "--ket", "0111",
+                "--string", "cd1 c2 c4", "--output", str(out)]
+        subprocess.run([sys.executable, "-c",
+                        "import sys; from fermigauss.cli import main; sys.exit(main())", *argv],
+                       env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
+                       check=True, capture_output=True)
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    doc = json.loads(reports[0])
+    assert doc["method"] == "pfaffian" and len(doc["results"]["terms"]) == 3

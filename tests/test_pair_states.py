@@ -146,6 +146,20 @@ def test_identity_operator_is_the_plain_overlap():
     assert close(pair_state_overlap(r0, u0, r1, u1, op=QuadraticGenerator.zero(3)), plain)
 
 
+def test_repeated_operator_is_exponentiated_once(count_calls):
+    # the operator keeps its generator padded with the idle ancilla, so its
+    # chain factors are built on the first call only
+    (r0, u0), (r1, u1), *_ = _draw(6, 2.0, True, 0)
+    g = random_generator(6, 7, 2.0)
+    calls = count_calls("mat_exp")
+    first = pair_state_overlap(r0, u0, r1, u1, op=g)
+    assert calls
+    del calls[:]
+    assert bits(pair_state_overlap(r0, u0, r1, u1, op=g)) == bits(first)
+    pair_state_overlap(r1, u1, r0, None, op=g)
+    assert calls == []
+
+
 def test_refusals():
     r = random_skew(np.random.default_rng(5), 3)
     g = random_generator(3, 1, 0.5)
