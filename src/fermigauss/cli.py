@@ -484,6 +484,12 @@ class _Parser(argparse.ArgumentParser):
     """Usage errors exit with the parse/validation code, not argparse's 2,
     which here means a singular block."""
 
+    def parse_known_args(self, args=None, namespace=None):
+        args, extra = super().parse_known_args(args, namespace)
+        if extra:    # refused here, a subcommand's unknown argument shows its usage
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return args, extra
+
     def error(self, message):
         self.print_usage(sys.stderr)
         raise CliError(EXIT_PARSE, f"{self.prog}: {message}")

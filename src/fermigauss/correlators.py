@@ -246,7 +246,7 @@ class CorrelatorContext:
         # configurations in the ancilla-extended space: the ket's ancilla
         # makes the two parities equal
         anc = 0 if bra.parity == ket.parity else 1
-        self._extended_bits = ((0,) + bra.bits, (anc,) + ket.bits)
+        self._extended_bits = (bra.with_ancilla(0).bits, ket.with_ancilla(anc).bits)
         self._engines: dict = {}    # engine per route, or its refusal
         self._zero()    # no value yet: an empty route
 

@@ -14,7 +14,8 @@ its enlarged generator on first use: :func:`embed` returns that one
 ``exp(M'^dag)`` are computed once per operator object, and its five-factor
 data are kept by the caching rule of :func:`~fermigauss.linalg.remember`.
 
-Provided here: the embedding, the five-factor factorization
+Provided here: the embedding (one index map and one border reader serve
+M', ``T' = exp(M')`` and their inverses), the five-factor factorization
 
     F = exp(q.c^dag) exp((1/2) c^dag X c^dag) exp(c^dag Y c - tr(Y)/2)
         exp((1/2) c Z c) exp(p.c),
@@ -45,29 +46,42 @@ from .quadratic import (
 STRUCTURE_TOL = 1e-10
 
 
+def _chain(n: int) -> np.ndarray:
+    """Chain rows (and columns) of a 2n x 2n enlarged matrix: the ancilla is at 0 and n."""
+    return np.r_[1:n, n + 1:2 * n]
+
+
 def _embedding(op: "LinearGaussianOp") -> QuadraticGenerator:
     """The enlarged generator M' of ``op``; :func:`embed` documents its layout."""
-    L = op.L
-    n = L + 1
+    n = op.L + 1
+    chain = _chain(n)
+    r = np.concatenate([op.v, op.u.conj()])
+    c = np.roll(r, op.L)    # (conj(u), v)
     mp = np.zeros((2 * n, 2 * n), dtype=complex)
-    m11 = op.m[:L, :L]
-    m12 = op.m[:L, L:]
-    m21 = op.m[L:, :L]
-    m22 = op.m[L:, L:]
-    uc = op.u.conj()
-    mp[0, 1:n] = op.v
-    mp[0, n + 1:] = uc
-    mp[1:n, 0] = uc
-    mp[1:n, 1:n] = m11
-    mp[1:n, n] = -uc
-    mp[1:n, n + 1:] = m12
-    mp[n, 1:n] = -op.v
-    mp[n, n + 1:] = -uc
-    mp[n + 1:, 0] = op.v
-    mp[n + 1:, 1:n] = m21
-    mp[n + 1:, n] = -op.v
-    mp[n + 1:, n + 1:] = m22
+    mp[np.ix_(chain, chain)] = op.m
+    mp[0, chain], mp[n, chain] = r, -r
+    mp[chain, 0], mp[chain, n] = c, -c
     return QuadraticGenerator(mp)
+
+
+def _read_border(a: np.ndarray, corner: float):
+    """k, r, c, the chain block and two deviations of ``a``, bordered like M'.
+
+    The border is :func:`embed`'s, the corners ``[[corner + k, -k], [-k,
+    corner + k]]``.  k, r and c are means of their copies; the deviations are
+    the largest of a copy from its mean, at the corners and on the border.
+    """
+    n = a.shape[0] // 2
+    chain = _chain(n)
+
+    def mean(*copies):
+        m = sum(copies) / len(copies)
+        return m, max(float(np.max(np.abs(x - m), initial=0.0)) for x in copies)
+
+    k, k_dev = mean(a[0, 0] - corner, -a[0, n], -a[n, 0], a[n, n] - corner)
+    r, r_dev = mean(a[0, chain], -a[n, chain])
+    c, c_dev = mean(a[chain, 0], -a[chain, n])
+    return k, r, c, a[np.ix_(chain, chain)], k_dev, max(r_dev, c_dev)
 
 
 @dataclass(frozen=True)
@@ -107,10 +121,8 @@ class LinearGaussianOp:
 
     @classmethod
     def quadratic(cls, gen: QuadraticGenerator) -> "LinearGaussianOp":
-        """``gen`` with u = v = 0: one operator per generator object, cached on it."""
-        if "_linear" not in gen.__dict__:
-            gen.__dict__["_linear"] = cls(gen.m, None, None)
-        return gen.__dict__["_linear"]
+        """``gen`` with u = v = 0: one operator per generator object, kept on it."""
+        return remember(gen.__dict__, "_linear", lambda: cls(gen.m, None, None))
 
     @classmethod
     def zero(cls, L: int) -> "LinearGaussianOp":
@@ -134,8 +146,8 @@ def embed(op: LinearGaussianOp) -> QuadraticGenerator:
 
     Index order is ``(c0^dag, c1^dag, ..., cL^dag, c0, c1, ..., cL)`` on rows
     and the matching ``(c0, ..., cL, c0^dag, ..., cL^dag)`` on columns.  The
-    linear coefficient vectors sit on the ancilla border rows/columns; for
-    u = v = 0 the borders vanish and the quadratic blocks reproduce M.
+    ancilla is at 0 and n = L + 1: row 0 holds r = (v, conj(u)), row n -r,
+    column 0 c = (conj(u), v), column n -c; the corners are 0, the rest is M.
     The generator is built on the first call and the same object is
     returned on every later one, so exp(M') and exp(M'^dag) are computed
     once per operator object.
@@ -150,27 +162,13 @@ def extract_op(gen: QuadraticGenerator) -> LinearGaussianOp:
     and their mutual consistency is enforced to :data:`STRUCTURE_TOL`.
     """
     n = gen.L
-    L = n - 1
-    mp = gen.m
-    scale = max(1.0, float(np.max(np.abs(mp))))
-    pairs = [
-        (mp[0, 1:n], -mp[n, 1:n]),          # v on rows
-        (mp[n + 1:, 0], -mp[n + 1:, n]),    # v on columns
-        (mp[0, n + 1:], -mp[n, n + 1:]),    # u* on rows
-        (mp[1:n, 0], -mp[1:n, n]),          # u* on columns
-    ]
-    for a, b in pairs:
-        if np.max(np.abs(a - b), initial=0.0) > STRUCTURE_TOL * scale:
-            raise ValueError("enlarged generator lacks the ancilla border redundancy")
-    corners = np.array([mp[0, 0], mp[0, n], mp[n, 0], mp[n, n]])
-    if np.max(np.abs(corners)) > STRUCTURE_TOL * scale:
+    scale = max(1.0, float(np.max(np.abs(gen.m))))
+    _, r, c, m, _, dev = _read_border(gen.m, 0.0)
+    if 2.0 * dev > STRUCTURE_TOL * scale:     # the two copies differ by 2 dev
+        raise ValueError("enlarged generator lacks the ancilla border redundancy")
+    if np.max(np.abs(gen.m[np.ix_([0, n], [0, n])])) > STRUCTURE_TOL * scale:
         raise ValueError("enlarged generator has nonzero ancilla corners")
-    v = 0.25 * (mp[0, 1:n] - mp[n, 1:n]) + 0.25 * (mp[n + 1:, 0] - mp[n + 1:, n])
-    uc = 0.25 * (mp[0, n + 1:] - mp[n, n + 1:]) + 0.25 * (mp[1:n, 0] - mp[1:n, n])
-    m = np.block([
-        [mp[1:n, 1:n], mp[1:n, n + 1:]],
-        [mp[n + 1:, 1:n], mp[n + 1:, n + 1:]],
-    ])
+    v, uc = np.split((r + np.roll(c, n - 1)) / 2, 2)
     return LinearGaussianOp(m, uc.conj(), v)
 
 
@@ -202,32 +200,14 @@ def split_extended_transfer(tp: TransferMatrix) -> ExtendedTransferParts:
          [-t11,     -t1^T,  1 + t11, -t2^T],
          [t4,       T21,    -t4,     T22  ]]
     """
-    n = tp.L
-    L = n - 1
-    t = tp.t
-    scale = max(1.0, float(np.max(np.abs(t))))
-
-    def avg(versions):
-        versions = [np.asarray(x) for x in versions]
-        mean = sum(versions) / len(versions)
-        d = max(float(np.max(np.abs(x - mean), initial=0.0)) for x in versions)
-        return mean, d
-
-    t11s, d0 = avg([t[0, 0] - 1.0, -t[0, n], -t[n, 0], t[n, n] - 1.0])
-    t1, d1 = avg([t[0, 1:n], -t[n, 1:n]])
-    t2, d2 = avg([t[0, n + 1:], -t[n, n + 1:]])
-    t3, d3 = avg([t[1:n, 0], -t[1:n, n]])
-    t4, d4 = avg([t[n + 1:, 0], -t[n + 1:, n]])
-    defect = max(d0, d1, d2, d3, d4) / scale
+    scale = max(1.0, float(np.max(np.abs(tp.t))))
+    t11s, r, c, t_quad, k_dev, dev = _read_border(tp.t, 1.0)
+    defect = max(k_dev, dev) / scale
     if defect > STRUCTURE_TOL:
         raise ValueError(
             f"extended transfer lacks the corner/border redundancy (defect {defect:.3e})"
         )
-    t_quad = np.block([
-        [t[1:n, 1:n], t[1:n, n + 1:]],
-        [t[n + 1:, 1:n], t[n + 1:, n + 1:]],
-    ])
-    return ExtendedTransferParts(complex(t11s), t1, t2, t3, t4, t_quad, defect)
+    return ExtendedTransferParts(complex(t11s), *np.split(r, 2), *np.split(c, 2), t_quad, defect)
 
 
 @dataclass(frozen=True)
@@ -436,7 +416,6 @@ class NonlinearTransform:
     b: np.ndarray         # (L, 2L, 2L)
     b_bar: np.ndarray     # (L, 2L, 2L)
     shift: np.ndarray     # 2L
-    parts: ExtendedTransferParts
 
 
 def conjugate_modes(op: LinearGaussianOp) -> NonlinearTransform:
@@ -465,4 +444,4 @@ def conjugate_modes(op: LinearGaussianOp) -> NonlinearTransform:
     t21_stack = np.concatenate([parts.t2, parts.t1])[None, :, None]
     b = -4.0 * (t21_stack * parts.t_quad[:L, None, :])
     b_bar = -4.0 * (t21_stack * parts.t_quad[L:, None, :])
-    return NonlinearTransform(tp, b, b_bar, shift, parts)
+    return NonlinearTransform(tp, b, b_bar, shift)

@@ -532,6 +532,37 @@ def test_parse_errors(tmp_path, capsys):
         assert code == 3 and out == "" and "site counts differ" in err, cmd
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (["overlap", "--op", "{missing}", "--bra", "0", "--ket", "0"], "cannot read {missing}"),
+    (["cp-scan", "--op", "{no_m}"], "{no_m}: operator file needs fields 'L' and 'M'"),
+    (["cp-scan", "--op", "{listed}"], "{listed}: operator file needs fields 'L' and 'M'"),
+    (["overlap", "--op", "{op}", "--bra", "0a1", "--ket", "000"],
+     "--bra: configuration string must be nonempty over 0/1, got '0a1'"),
+    (["decompose", "--input", "{lin}", "--form", "normal"],
+     "normal/antinormal forms require a quadratic operator"),
+    (["compose", "--inputs", "{op}", "{lin}", "--output", "{out}"], "site counts differ: 3 vs 2"),
+    (["correlate", "--op", "{op}", "--bra", "000", "--ket", "000", "--string", "c9"],
+     "operator site out of range 1..3"),
+    (["cp-scan", "--op", "{lin}"], "cp-scan operates on quadratic operators"),
+])
+def test_refusals_exit_with_the_parse_code(tmp_path, op_file, linear_op_file, capsys, argv,
+                                           needle):
+    files = {"op": op_file, "lin": linear_op_file, "missing": str(tmp_path / "missing.json"),
+             "no_m": str(tmp_path / "no_m.json"), "listed": str(tmp_path / "listed.json"),
+             "out": str(tmp_path / "out.json")}
+    (tmp_path / "no_m.json").write_text(json.dumps({"L": 1}))
+    (tmp_path / "listed.json").write_text(json.dumps([1, 2]))
+    code, out, err = run(capsys, *[a.format(**files) for a in argv])
+    assert code == 3 and out == "" and f"error: {needle.format(**files)}" in err, err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_decompose_generalized_singular_lists_the_restoring_subsets(singular_op_file, capsys):
+    code, out, err = run(capsys, "decompose", "--input", singular_op_file, "--form", "generalized")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "site subsets restoring T22: [[1]" in err, err
+
+
 @pytest.mark.parametrize("name, text, needle", [
     # an odd shape: a 3 x 3 M under L = 1
     ("odd", json.dumps({"L": 1, "M": [[[0, 0]] * 3] * 3}), "shape (2, 2)"),
@@ -604,6 +635,9 @@ def test_usage_errors_exit_with_the_parse_code(argv, capsys):
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == "" and "usage:" in err
+    # the usage shown is the subcommand's, or the top level's without one
+    command = argv[0] if argv and argv[0] != "no-such-command" else "[-h]"
+    assert err.startswith(f"usage: fermigauss {command} "), err
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])

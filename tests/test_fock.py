@@ -51,6 +51,24 @@ def test_config_state_is_basis_vector_up_to_sign():
         assert np.count_nonzero(vec) == 1
 
 
+@pytest.mark.parametrize("bits", [(0, 2), (1, -1), (0.5,)])
+def test_config_occupations_are_bits(bits):
+    with pytest.raises(ValueError, match="occupations must be 0 or 1"):
+        FockConfig(bits)
+
+
+@pytest.mark.parametrize("text", ["", "01a", "0 1", "2"])
+def test_config_string_is_nonempty_over_bits(text):
+    with pytest.raises(ValueError, match="configuration string must be nonempty over 0/1"):
+        FockConfig.from_string(text)
+
+
+@pytest.mark.parametrize("sites", [[0], [3], [1, 4]])
+def test_flipped_sites_lie_on_the_chain(sites):
+    with pytest.raises(ValueError, match=r"out of range 1\.\.2"):
+        FockConfig((1, 0)).flipped(sites)
+
+
 def test_dense_gaussian_identity():
     assert np.max(np.abs(fock.dense_gaussian(np.zeros((6, 6))) - np.eye(8))) < 1e-15
 

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fermigauss import fock
-from fermigauss.linalg import SKEW_TOL, mat_log
+from fermigauss.linalg import SKEW_TOL, MatrixLogBranchError, mat_log
 from fermigauss.linearpart import (
+    STRUCTURE_TOL,
     LinearGaussianOp,
     SINGLE_MODE_ORDERS,
     compose_linear,
@@ -44,6 +47,12 @@ class TestLinearOp:
             LinearGaussianOp(np.eye(4), None, None)
         with pytest.raises(ValueError):
             LinearGaussianOp(np.zeros((4, 4)), np.zeros(3), None)
+
+    @pytest.mark.parametrize("u, v", [([np.nan, 0], None), (None, [0, np.inf]),
+                                      ([1j * np.inf, 0], [0, 0])])
+    def test_non_finite_linear_part_is_refused(self, u, v):
+        with pytest.raises(ValueError, match=r"non-finite entries in \(u, v\)"):
+            LinearGaussianOp(np.zeros((4, 4)), u, v)
 
     def test_dagger_matches_dense_adjoint(self, oracle):
         orc = oracle(2)
@@ -96,6 +105,35 @@ class TestEmbedding:
         assert np.max(np.abs(back.m - op.m)) == 0.0
         assert np.max(np.abs(back.u - op.u)) == 0.0
         assert np.max(np.abs(back.v - op.v)) == 0.0
+
+    # each change keeps J.M' antisymmetric: entry (i, j) moves with its partner
+    # (j + n, i + n) mod 2n, so the generator is valid and only the border
+    # copies disagree, or only the corners are nonzero
+    @pytest.mark.parametrize("entry, message", [
+        ((0, 2), "lacks the ancilla border redundancy"),     # v on row 0 and column n
+        ((4, 2), "lacks the ancilla border redundancy"),     # v on row n and column 0
+        ((0, 6), "lacks the ancilla border redundancy"),     # conj(u) on row 0 and column n
+        ((4, 6), "lacks the ancilla border redundancy"),     # conj(u) on row n and column 0
+        ((0, 0), "has nonzero ancilla corners"),             # the corners [0, 0] and [n, n]
+    ])
+    @pytest.mark.parametrize("factor", [0.9, 1.1])
+    def test_extract_refusals_at_the_tolerance(self, entry, message, factor):
+        op = random_linear_op(np.random.default_rng(68), 3, 1.5)
+        mp = embed(op).m.copy()
+        dim = mp.shape[0]
+        scale = float(np.max(np.abs(mp)))
+        assert scale > 1.0
+        eps = factor * STRUCTURE_TOL * scale
+        i, j = entry
+        mp[i, j] += eps
+        mp[(j + dim // 2) % dim, (i + dim // 2) % dim] -= eps
+        gen = QuadraticGenerator(mp)
+        if factor < 1:
+            back = extract_op(gen)
+            assert np.max(np.abs(back.u - op.u)) <= eps and np.max(np.abs(back.v - op.v)) <= eps
+        else:
+            with pytest.raises(ValueError, match=message):
+                extract_op(gen)
 
     def test_projected_matrix_elements(self, oracle):
         rng = np.random.default_rng(64)
@@ -158,6 +196,14 @@ class TestGeneralizedFactorization:
         beta = (2 * b * np.sinh(root / 2) / root) / exp_minus_half_gamma
         assert fac.q[0] == pytest.approx(alpha, abs=1e-12)
         assert fac.p[0] == pytest.approx(beta, abs=1e-12)
+
+    def test_factors_need_the_number_factor_log(self):
+        fac = generalized_bbd(random_linear_op(np.random.default_rng(73), 2, 0.5))
+        assert len(factors_as_ops(fac)) == 5
+        unsigned = dataclasses.replace(fac, sign_certain=False)
+        assert unsigned.y is None
+        with pytest.raises(MatrixLogBranchError, match="number factor has no generator"):
+            factors_as_ops(unsigned)
 
     @pytest.mark.parametrize("L", [1, 2, 3])
     def test_five_factor_reassembly(self, L, oracle):
@@ -286,6 +332,10 @@ class TestComposeLinear:
         assert res.op is not None
         lhs = dense_op(op1, orc) @ dense_op(op2, orc)
         assert np.max(np.abs(lhs - dense_op(res.op, orc))) < 1e-9
+
+    def test_site_counts_must_agree(self):
+        with pytest.raises(ValueError, match="site counts differ: 2 vs 3"):
+            compose_linear(LinearGaussianOp.zero(2), LinearGaussianOp.zero(3))
 
     def test_branch_failure_flagged(self):
         from conftest import worked_example_m

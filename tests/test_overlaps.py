@@ -444,6 +444,28 @@ def rejected_everywhere(err, routes=ROUTES) -> bool:
 
 
 class TestRescueChain:
+    @pytest.mark.parametrize("method", ["bogus", "Auto", "magnitude"])
+    def test_unknown_method_is_refused(self, method):
+        g, vac = random_generator(2, 5, 0.5), FockConfig.vacuum(2)
+        with pytest.raises(ValueError, match=f"unknown method '{method}'"):
+            state_overlap(g, QuadraticGenerator.zero(2), vac, vac, method=method)
+        with pytest.raises(ValueError, match=f"unknown method '{method}'"):
+            generalized_overlap(LinearGaussianOp.zero(2), LinearGaussianOp.zero(2), vac, vac,
+                                method=method)
+
+    def test_epsilon_disagreement_is_a_rejected_route(self, monkeypatch):
+        # with no tolerance the forced epsilon route refuses the pi/2 worked
+        # example, and its one route entry names the disagreement
+        monkeypatch.setattr(overlaps, "EPS_AGREE_TOL", 0.0)
+        gen = QuadraticGenerator(worked_example_m(np.pi / 2))
+        vac = FockConfig.vacuum(3)
+        with pytest.raises(overlaps.ExtrapolationError) as err:
+            overlap(gen, vac, vac, method="epsilon")
+        d = err.value.disagreement
+        assert d > 0.0 and "consider the cp-magnitude route" in str(err.value)
+        assert err.value.route == [{"route": "epsilon", "accepted": False,
+                                    "reason": "eps_disagreement", "eps_disagreement": d}]
+
     def test_route_records_each_attempt(self):
         gen = QuadraticGenerator(worked_example_m(np.pi / 2))
         vac = FockConfig.vacuum(3)

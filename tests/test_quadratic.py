@@ -61,6 +61,13 @@ class TestGenerator:
         g = random_generator(3, 0)
         assert g.L == 3
 
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 4), (4,), (2, 2, 2)])
+    def test_shape_is_checked(self, shape):
+        with pytest.raises(ValueError, match=r"M must be square of even dimension, got shape"):
+            QuadraticGenerator(np.zeros(shape))
+        with pytest.raises(ValueError, match=r"T must be square of even dimension, got shape"):
+            TransferMatrix(np.zeros(shape))
+
     def test_dagger_matches_dense_adjoint(self, oracle):
         orc = oracle(2)
         g = random_generator(2, 1, 0.6)
@@ -130,6 +137,11 @@ class TestTransfer:
 
 
 class TestCompose:
+    def test_site_counts_must_agree(self):
+        t2, t3 = (transfer_of(QuadraticGenerator.zero(L)) for L in (2, 3))
+        with pytest.raises(ValueError, match="site counts differ: 2 vs 3"):
+            compose_transfers(t2, t3)
+
     def test_identity_neutral(self):
         g = random_generator(2, 31, 0.5)
         t = transfer_of(g)
