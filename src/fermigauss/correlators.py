@@ -19,7 +19,8 @@ the configurations reached from the ket are pushed forward through the
 rows (with the usual string signs), and the kernel gives the matrix
 element of each reached configuration, one stacked Pfaffian per submatrix
 order.  Neither route divides by an overlap, so both stay exact where it
-vanishes.  An engine serves the one configuration pair of its context.
+vanishes.  A context picks its rescue route once; one engine on the
+accepted kernel and the context's configuration pair serves every value.
 
 The generalized Wick expansion -- all pairings plus at most one
 singleton, each factor a one- or two-point value -- follows from the
@@ -29,6 +30,7 @@ a term table; it alone normalizes by the overlap.
 
 from __future__ import annotations
 
+import numbers
 import re
 from dataclasses import dataclass
 
@@ -50,8 +52,9 @@ class ModeOp:
     dagger: bool
 
     def __post_init__(self):
-        if self.site < 1:
-            raise ValueError(f"mode sites are 1-based, got {self.site}")
+        site = self.site
+        if isinstance(site, bool) or not isinstance(site, numbers.Integral) or site < 1:
+            raise ValueError(f"mode sites are integers from 1, got {site!r}")
 
     def __str__(self) -> str:
         return f"c{'d' if self.dagger else ''}{self.site}"
@@ -112,28 +115,22 @@ def pairings_with_sign(indices):
 
 
 class _Engine:
-    """Formula evaluation for one pair of embedded generators on one route,
-    bound to one (bra, ket) pair of configuration bits.
+    """Formula evaluation on one kernel of ``exp(M2')^dag exp(M1')``, the
+    product's or the factor chain's, bound to one (bra, ket) pair of
+    configuration bits.
 
-    Holds the kernel ``kernel_of(g1, g2)`` of ``exp(M2')^dag exp(M1')``,
-    the product's or the factor chain's, with its ``rcond``,
-    ``sign_certain``, ``branch`` and ``k``; the ket-side transfer matrix
-    (for conjugating string operators); and the matrix elements <bra| F
-    |config> keyed by the configuration bits, on the L + 1 sites of the
-    ancilla-extended space.  The kernel evaluates the bordered strings.
-    Callers pass parity-allowed strings only.  ``one_point``,
-    ``two_point`` and ``_odd_reduction`` have no caller in the library;
-    ``bench/tracing.py`` wraps them by name.
+    Holds the kernel, which evaluates the bordered strings; the ket-side
+    transfer matrix ``t1`` (for conjugating string operators); and the
+    matrix elements <bra| F |config> keyed by the configuration bits, on
+    the L + 1 sites of the ancilla-extended space.  Callers pass
+    parity-allowed strings only.  ``one_point``, ``two_point`` and
+    ``_odd_reduction`` have no caller in the library; ``bench/tracing.py``
+    wraps them by name.
     """
 
-    def __init__(self, kernel_of, g1: QuadraticGenerator, g2: QuadraticGenerator,
-                 bra_bits, ket_bits):
-        self.L = g1.L
-        kern = self.kern = kernel_of(g1, g2)
-        self.t1 = transfer_of(g1).t
+    def __init__(self, kern, t1, bra_bits, ket_bits):
+        self.kern, self.t1, self.L = kern, t1, kern.L
         self.bra, self.ket = bra_bits, ket_bits
-        self.rcond, self.sign_certain, self.branch, self.k = (
-            kern.rcond, kern.sign_certain, kern.branch, kern.k)
         self._elements: dict = {}
 
     def element(self) -> complex:
@@ -224,11 +221,12 @@ class CorrelatorContext:
     u = v = 0 :class:`LinearGaussianOp`, one per generator object.  The
     context holds one generator pair, ``embed(op1)`` and ``embed(op2)``,
     cached on the operators, so their exponentials serve every context
-    built on the same objects.  Values run the overlaps' rescue chain
-    pfaffian -> factor-chain, one engine per route on the pair's extended
-    configurations, kept by the caching rule of
-    :func:`~fermigauss.linalg.remember`.  ``route``, ``method``
-    and ``sign_certain`` describe the last value as an overlap result does.
+    built on the same objects.  The first value that needs a kernel runs
+    the overlaps' rescue chain pfaffian -> factor-chain once, and one engine
+    on the accepted kernel serves every later value; the engine and its
+    route, or the refusal, are kept by :func:`~fermigauss.linalg.remember`.
+    ``route``, ``method`` and ``sign_certain`` describe the last value as
+    an overlap result does, in a fresh copy each.
     """
 
     def __init__(self, op1, op2, bra: FockConfig, ket: FockConfig):
@@ -247,7 +245,6 @@ class CorrelatorContext:
         # makes the two parities equal
         anc = 0 if bra.parity == ket.parity else 1
         self._extended_bits = (bra.with_ancilla(0).bits, ket.with_ancilla(anc).bits)
-        self._engines: dict = {}    # engine per route, or its refusal
         self._zero()    # no value yet: an empty route
 
     @property
@@ -259,18 +256,20 @@ class CorrelatorContext:
         self.route, self.method, self.sign_certain = [], "pfaffian", True
         return complex(0.0)
 
-    def _eval(self, fn) -> complex:
-        """``fn(engine)`` through the rescue chain pfaffian -> factor-chain;
-        the route, method and sign certainty are kept."""
-        def engine(route, kernel_of):
-            return remember(self._engines, route,
-                            lambda: _Engine(kernel_of, *self._pair, *self._extended_bits))
+    def _engine(self) -> _Engine:
+        """The context's engine; the route, method and sign certainty of
+        the value it is about to give are kept."""
+        def choose():
+            g1, g2 = self._pair
+            kern, route = _dispatch({"pfaffian": lambda: _pair_kernel(g1, g2),
+                                     "factor-chain": lambda: _chain_kernel(g1, g2)},
+                                    method="auto")
+            return _Engine(kern, transfer_of(g1).t, *self._extended_bits), route
 
-        res = _dispatch(fn, {"pfaffian": lambda: engine("pfaffian", _pair_kernel),
-                             "factor-chain": lambda: engine("factor-chain", _chain_kernel)},
-                        method="auto")
-        self.route, self.method, self.sign_certain = res.route, res.method, res.sign_certain
-        return res.value
+        engine, route = remember(self.__dict__, "_choice", choose)
+        self.route = [dict(entry) for entry in route]
+        self.method, self.sign_certain = route[-1]["route"], engine.kern.sign_certain
+        return engine
 
     def _checked(self, ops) -> tuple:
         ops = tuple(ops)
@@ -289,16 +288,12 @@ def _extended_value(ctx: CorrelatorContext, ops: tuple) -> complex:
         if bits[op.site - 1] != op.dagger:     # c_a^dag needs a occupied, c_b b empty
             return ctx._zero()
         bits[op.site - 1] ^= 1
-    shifted = tuple(op.shifted(1) for op in ops)
-
-    def value(e: _Engine) -> complex:
-        rows = [e._coeff_rows(op) for op in shifted]
-        if len(shifted) % 2:
-            (pc, pd), (mc, md) = e._coeff_rows(ModeOp(1, True)), e._coeff_rows(ModeOp(1, False))
-            rows.insert(0, (pc - mc, pd - md))
-        return e.n_point(rows)
-
-    return ctx._eval(value)
+    e = ctx._engine()
+    rows = [e._coeff_rows(op.shifted(1)) for op in ops]
+    if len(ops) % 2:
+        (pc, pd), (mc, md) = e._coeff_rows(ModeOp(1, True)), e._coeff_rows(ModeOp(1, False))
+        rows.insert(0, (pc - mc, pd - md))
+    return e.n_point(rows)
 
 
 # -- quadratic correlators ----------------------------------------------
@@ -336,11 +331,6 @@ def n_point(ctx: CorrelatorContext, ops) -> complex:
 
 
 # -- correlators with linear parts --------------------------------------
-
-
-def generalized_overlap_value(ctx: CorrelatorContext) -> complex:
-    """Overlap of the two states through the ancilla embedding (any parities)."""
-    return generalized_expectation(ctx, ())
 
 
 def generalized_expectation(ctx: CorrelatorContext, ops) -> complex:
@@ -384,7 +374,7 @@ def generalized_wick_expansion(ctx: CorrelatorContext, ops):
     """
     ops = ctx._checked(ops)
     n = len(ops)
-    ovl = generalized_overlap_value(ctx)
+    ovl = generalized_expectation(ctx, ())
     if n == 0:
         return ovl, [WickTerm(1, (), None, (ovl,))]
     pair_vals: dict[tuple[int, int], complex] = {}

@@ -14,6 +14,7 @@ when first called.
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 
@@ -27,11 +28,12 @@ class LinalgError(Exception):
     """Base class for kernel-level numerical failures."""
 
     def detached(self) -> "LinalgError":
-        """A fresh instance with this error's type, ``args`` and attributes,
-        but no traceback, context or cause: how :func:`remember` stores and
-        raises a refusal."""
+        """A fresh instance with this error's type, ``args`` and a deep copy
+        of its attributes (a rescue chain's ``route`` among them), but no
+        traceback, context or cause: how :func:`remember` stores and raises
+        a refusal."""
         fresh = type(self).__new__(type(self), *self.args)
-        fresh.__dict__.update(self.__dict__)
+        fresh.__dict__.update(copy.deepcopy(self.__dict__))
         return fresh
 
 
@@ -315,20 +317,30 @@ def rcond_estimate(a: np.ndarray):
     return np.divide(s[:, -1], top, out=np.zeros_like(top), where=top != 0.0)
 
 
-def skew_defect(a: np.ndarray) -> float:
-    """Relative antisymmetry defect  ||A + A^T||_max / max(1, ||A||_max)."""
+def skew_defect(a: np.ndarray):
+    """Relative antisymmetry defect  ||A + A^T||_max / max(1, ||A||_max):
+    a float for a matrix, a length-k array for a (k, n, n) stack."""
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
-        return 0.0
-    scale = max(1.0, float(np.max(np.abs(a))))
-    return float(np.max(np.abs(a + a.T))) / scale
+        return np.zeros(len(a)) if a.ndim == 3 else 0.0
+    axes = (-2, -1)
+    scale = np.maximum(1.0, np.abs(a).max(axis=axes))
+    defect = np.abs(a + np.swapaxes(a, -1, -2)).max(axis=axes) / scale
+    return defect if a.ndim == 3 else float(defect)
 
 
 def check_skew(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    a = _as_square(a, name)
-    d = skew_defect(a)
-    if d > SKEW_TOL:
-        raise SkewSymmetryError(f"{name} is not antisymmetric (defect {d:.3e} > {SKEW_TOL:.1e})")
+    """``a`` as a complex square matrix, or a (k, n, n) stack of them,
+    refused with :class:`SkewSymmetryError` when it, or a member, is not
+    antisymmetric to :data:`SKEW_TOL`."""
+    stack = np.ndim(a) == 3
+    a = _as_square(a, name, stack=stack)
+    d = np.atleast_1d(skew_defect(a))
+    bad = np.flatnonzero(d > SKEW_TOL)
+    if len(bad):
+        what = f"stack member {bad[0]}" if stack else name
+        raise SkewSymmetryError(f"{what} is not antisymmetric "
+                                f"(defect {d[bad[0]]:.3e} > {SKEW_TOL:.1e})")
     return a
 
 
@@ -345,27 +357,15 @@ def pfaffian(a: np.ndarray):
     stack of one, which runs that loop: a member's last bits depend on the
     other members of its stack.  The tests bound the difference by 1e-13
     relative, and exactly zero where the loop is.  The input is checked for
-    antisymmetry (:class:`SkewSymmetryError`), and its rounding-level
-    symmetric part is dropped.
+    antisymmetry (:func:`check_skew`), and its rounding-level symmetric
+    part is dropped.
 
     Conventions: ``pf`` of the empty matrix is 1 and of any odd-dimensional
     matrix is 0, which keeps the overlap formulas uniform over all removal
     sets (the vacuum-to-vacuum case empties the matrix entirely).
     """
-    if np.ndim(a) != 3:
-        a = check_skew(a)
-        return _pfaffian_exact(0.5 * (a - a.T))  # exact antisymmetrization of rounding dust
-    a = _as_square(a, stack=True)
-    if a.size:
-        at = a.transpose(0, 2, 1)
-        scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
-        defect = np.abs(a + at).max(axis=(1, 2)) / scale
-        if np.any(defect > SKEW_TOL):
-            i = int(np.argmax(defect > SKEW_TOL))
-            raise SkewSymmetryError(f"stack member {i} is not antisymmetric "
-                                    f"(defect {defect[i]:.3e} > {SKEW_TOL:.1e})")
-        a = 0.5 * (a - at)
-    return _pfaffian_exact(a)
+    a = check_skew(a)
+    return _pfaffian_exact(0.5 * (a - np.swapaxes(a, -1, -2)))  # exact antisymmetrization
 
 
 def _pfaffian_exact(m: np.ndarray):

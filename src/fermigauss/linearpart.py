@@ -136,10 +136,6 @@ class LinearGaussianOp:
     def is_quadratic(self) -> bool:
         return not (np.any(self.u) or np.any(self.v))
 
-    def dagger(self) -> "LinearGaussianOp":
-        """Adjoint operator: (M, u, v) -> (M^dag, v, u)."""
-        return LinearGaussianOp(self.m.conj().T, self.v, self.u)
-
 
 def embed(op: LinearGaussianOp) -> QuadraticGenerator:
     """Enlarged generator M' on L+1 sites (ancilla first), cached on ``op``.

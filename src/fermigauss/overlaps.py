@@ -22,10 +22,11 @@ enters as its two halves e^(M/2) e^(M/2).  Behind it come an analytic
 continuation in a small admissible perturbation of the generator (signed
 value, Richardson-extrapolated), and the particle-hole permutation route
 which recovers the magnitude only.  One front end, on a pair of generators,
-runs the chain Pfaffian -> factor chain -> continuation -> permutation for
-every public overlap function and records each attempt in the result's
-``route``.  A generator keeps its chain factors, or their refusal, by the
-caching rule of :func:`~fermigauss.linalg.remember`.  The signed overlaps
+chooses the route of the chain Pfaffian -> factor chain -> continuation ->
+permutation for every public overlap function, records each attempt in
+``route`` and hands back the accepted kernel for the caller to evaluate.  A
+generator keeps its chain factors, or their refusal, by the caching rule of
+:func:`~fermigauss.linalg.remember`.  The signed overlaps
 take generators only: a transfer matrix fixes its Fock operator only up
 to sign, so a bare one has just the magnitude of
 :func:`overlap_magnitude_cp`.
@@ -397,25 +398,25 @@ def _chain_kernel(g1: QuadraticGenerator, g2: QuadraticGenerator | None) -> Over
 ROUTES = ("pfaffian", "factor-chain", "epsilon", "cp-magnitude")
 
 
-def _dispatch(evaluate, routes: dict, *, method: str) -> OverlapResult:
-    """Run the rescue chain over ``routes``, an ordered mapping from route
-    names to thunks.
+def _dispatch(routes: dict, *, method: str) -> tuple:
+    """Choose a route of the rescue chain over ``routes``, an ordered
+    mapping from route names to thunks; returns ``(answer, route)``.
 
     The overlaps pass all of :data:`ROUTES`; the correlators, which need a
     signed value, pass the first two.  The ``"pfaffian"`` and
     ``"factor-chain"`` thunks build the kernel of the pair's product and of
     its factor chain (anything with ``rcond``, ``sign_certain``, ``branch``
-    and ``k``), which ``evaluate(kernel)`` turns into the value; the
-    ``"epsilon"`` and ``"cp-magnitude"`` thunks return their route's
-    :class:`OverlapResult`, whose ``route`` is its accepted entry.
+    and ``k``), an answer that the caller evaluates; the ``"epsilon"`` and
+    ``"cp-magnitude"`` thunks return their route's :class:`OverlapResult`,
+    the answer itself, whose ``route`` becomes the whole list.
 
     ``method="auto"`` tries the routes in order and accepts the Pfaffian
     only with a certain sign; a route name forces that route alone, which
-    then accepts whatever sign it finds.  Every attempt is recorded in the
-    result's ``route``, the rejected ones before the accepted one: the route
-    name, whether it was accepted, on rejection the ``reason``, and the data
-    that decided it.  The Pfaffian records its ``rcond``, ``sign_certain``
-    and the ``branch`` of det(T22)^(1/2); the factor chain its number of
+    then accepts whatever sign it finds.  Every attempt is recorded in
+    ``route``, the rejected ones before the accepted one: the route name,
+    whether it was accepted, on rejection the ``reason``, and the data that
+    decided it.  The Pfaffian records its ``rcond``, ``sign_certain`` and
+    the ``branch`` of det(T22)^(1/2); the factor chain its number of
     ``factors`` and their smallest ``rcond``, or on rejection the reason
     ``"rcond"`` (a factor's T22 is singular even after the split into
     halves) or ``"branch"`` (no continuity path fixes a factor's root, with
@@ -435,17 +436,6 @@ def _dispatch(evaluate, routes: dict, *, method: str) -> OverlapResult:
     for name in names:
         try:
             res = routes[name]()     # a kernel, or epsilon's and cp's result
-            if not isinstance(res, OverlapResult):
-                kern = res
-                why = ({"rcond": kern.rcond, "sign_certain": kern.sign_certain,
-                        "branch": kern.branch} if name == "pfaffian"
-                       else {"factors": kern.k, "rcond": kern.rcond})
-                if not kern.sign_certain and name == "pfaffian" and len(names) > 1:
-                    tried.append({"route": name, "accepted": False,
-                                  "reason": "sign_certain", **why})
-                    continue
-                res = OverlapResult(evaluate(kern), name, kern.sign_certain,
-                                    [{"route": name, "accepted": True, **why}])
         except LinalgError as exc:
             if isinstance(exc, ExtrapolationError):
                 d = exc.disagreement
@@ -464,8 +454,15 @@ def _dispatch(evaluate, routes: dict, *, method: str) -> OverlapResult:
                 exc.route = tried
                 raise
             continue
-        res.route = tried + res.route
-        return res
+        if isinstance(res, OverlapResult):
+            res.route = tried + res.route
+            return res, res.route
+        why = ({"rcond": res.rcond, "sign_certain": res.sign_certain, "branch": res.branch}
+               if name == "pfaffian" else {"factors": res.k, "rcond": res.rcond})
+        if not res.sign_certain and name == "pfaffian" and len(names) > 1:
+            tried.append({"route": name, "accepted": False, "reason": "sign_certain", **why})
+            continue
+        return res, tried + [{"route": name, "accepted": True, **why}]
 
 
 def _pair_overlap(g1: QuadraticGenerator, g2: QuadraticGenerator | None,
@@ -484,12 +481,15 @@ def _pair_overlap(g1: QuadraticGenerator, g2: QuadraticGenerator | None,
     if (bra.n_occupied + ket.n_occupied) % 2:
         return OverlapResult(complex(0.0), "pfaffian", True)
     product = functools.partial(remember, {}, "product", lambda: _product(g1, g2))
-    return _dispatch(lambda k: k.element(bra, ket), dict(zip(ROUTES, (
+    answer, route = _dispatch(dict(zip(ROUTES, (
         lambda: _pair_kernel(g1, g2, product()),
         lambda: _chain_kernel(g1, g2),
         lambda: _epsilon_extrapolate(lambda eps, g: _pair_kernel(
             QuadraticGenerator(g1.m + eps * g.m), g2).element(bra, ket), g1.L),
         lambda: overlap_magnitude_cp(product(), bra, ket)))), method=method)
+    if isinstance(answer, OverlapResult):
+        return answer
+    return OverlapResult(answer.element(bra, ket), route[-1]["route"], answer.sign_certain, route)
 
 
 def _require_generators(*ops) -> None:

@@ -122,10 +122,6 @@ class QuadraticGenerator:
     def L(self) -> int:
         return self.m.shape[0] // 2
 
-    def dagger(self) -> "QuadraticGenerator":
-        """Generator of the adjoint operator (M -> M^dag)."""
-        return QuadraticGenerator(self.m.conj().T)
-
     @classmethod
     def zero(cls, L: int) -> "QuadraticGenerator":
         return cls(np.zeros((2 * L, 2 * L), dtype=complex))
@@ -203,10 +199,6 @@ class TransferMatrix:
 
     def j_defect(self) -> float:
         return self._defect(self.t)
-
-    @classmethod
-    def identity(cls, L: int) -> "TransferMatrix":
-        return cls(np.eye(2 * L, dtype=complex))
 
 
 def transfer_of(gen: QuadraticGenerator) -> TransferMatrix:

@@ -13,7 +13,7 @@ from fermigauss import fock, linalg
 from fermigauss.configs import FockConfig
 from fermigauss.linearpart import LinearGaussianOp, SingleModeFactors
 from fermigauss.overlaps import OverlapKernel, _pair_kernel
-from fermigauss.quadratic import QuadraticGenerator, random_generator
+from fermigauss.quadratic import QuadraticGenerator, TransferMatrix, random_generator
 
 
 def worked_example_m(a: float) -> np.ndarray:
@@ -100,6 +100,20 @@ def j_matrix(L: int) -> np.ndarray:
     eye = np.eye(L)
     zero = np.zeros((L, L))
     return np.block([[zero, eye], [eye, zero]])
+
+
+def dagger(op):
+    """The adjoint operator's generator: M -> M^dag for a
+    :class:`QuadraticGenerator`, (M, u, v) -> (M^dag, v, u) for a
+    :class:`LinearGaussianOp`."""
+    if isinstance(op, QuadraticGenerator):
+        return QuadraticGenerator(op.m.conj().T)
+    return LinearGaussianOp(op.m.conj().T, op.v, op.u)
+
+
+def identity_transfer(L: int) -> TransferMatrix:
+    """The transfer matrix of the identity operator on L sites."""
+    return TransferMatrix(np.eye(2 * L, dtype=complex))
 
 
 def pair_kernel(m1: np.ndarray, m2dag: np.ndarray | None = None) -> OverlapKernel:

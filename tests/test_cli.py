@@ -100,6 +100,20 @@ def test_decompose_normal(op_file, capsys):
     assert abs(pref - np.cos(0.7)) < 1e-12
 
 
+def test_decompose_normal_on_the_branch_cut(tmp_path, capsys):
+    # M = diag(i pi I, -i pi I) has T22 = -I on the principal log's branch
+    # cut: the prefactor is a principal root of uncertain sign, and Y is
+    # absent, written as null
+    m = np.diag([1j * np.pi] * 2 + [-1j * np.pi] * 2)
+    code, out, _ = run(capsys, "decompose", "--input", write_operator(tmp_path / "cut.json", m),
+                       "--form", "normal")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["sign_certain"] is False and doc["results"]["y"] is None
+    exp_y = np.array([[complex(*z) for z in row] for row in doc["results"]["exp_y"]])
+    assert np.max(np.abs(exp_y + np.eye(2))) < 1e-15
+
+
 def test_decompose_singular_exit_code(singular_op_file, capsys):
     code, _, err = run(capsys, "decompose", "--input", singular_op_file, "--form", "normal")
     assert code == 2
@@ -300,21 +314,35 @@ def test_correlator_reports_name_the_accepted_route(tmp_path, singular_op_file, 
     assert doc["route"] == [] and doc["results"]["value"] == [0.0, 0.0]
 
 
-@pytest.mark.parametrize("singular, engines", [(False, 1), (True, 2)])
-def test_wick_builds_one_engine_per_route(tmp_path, capsys, monkeypatch, singular, engines):
-    # a quadratic file's value and its term table share one engine per
-    # route: the Pfaffian's, and on the pi/2 example the factor chain's too
-    builds = []
-    orig = correlators._Engine.__init__
+@pytest.mark.parametrize("singular", [False, True])
+def test_wick_chooses_one_route_per_context(tmp_path, capsys, monkeypatch, singular):
+    # a quadratic file's value and its term table share one route choice
+    # and one engine: the Pfaffian's, and on the pi/2 example the factor
+    # chain's
+    builds, choices = [], []
+    orig, dispatch = correlators._Engine.__init__, correlators._dispatch
     monkeypatch.setattr(correlators._Engine, "__init__",
                         lambda self, *a: builds.append(a) or orig(self, *a))
+    monkeypatch.setattr(correlators, "_dispatch",
+                        lambda *a, **kw: choices.append(dispatch(*a, **kw)) or choices[-1])
     m = worked_example_m(np.pi / 2) if singular else random_generator(4, 45, 0.5).m
     op = write_operator(tmp_path / "op.json", m)
     L = m.shape[0] // 2
     code, _, _ = run(capsys, "wick", "--op", op, "--bra", "110".ljust(L, "0"),
                      "--ket", "0" * L, "--string", "cd1 cd2 c3 c1")
     assert code == 0
-    assert len(builds) == engines
+    assert len(builds) == 1 and len(choices) == 1
+    assert choices[0][1][-1]["route"] == ("factor-chain" if singular else "pfaffian")
+
+
+def test_wick_empty_string_is_the_overlap(op_file, capsys):
+    code, out, _ = run(capsys, "wick", "--op", op_file, "--bra", "110", "--ket", "000",
+                       "--string", "", "--verify")
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert res["string"] == [] and len(res["terms"]) == 1
+    assert res["expansion_value"] == res["value"] == res["terms"][0]["value"]
+    assert res["oracle_deviation"] < 1e-12
 
 
 def test_wick_alias(linear_op_file, capsys):

@@ -13,7 +13,6 @@ from fermigauss.correlators import (
     ModeOp,
     ZeroOverlapError,
     generalized_expectation,
-    generalized_overlap_value,
     generalized_wick_expansion,
     n_point,
     one_point,
@@ -22,7 +21,7 @@ from fermigauss.correlators import (
     parse_mode_string,
     two_point,
 )
-from fermigauss.linalg import LinalgError, SingularBlockError, pfaffian
+from fermigauss.linalg import LinalgError, pfaffian
 from fermigauss.linearpart import LinearGaussianOp, embed
 from fermigauss.overlaps import generalized_overlap, state_overlap
 from fermigauss.quadratic import QuadraticGenerator, random_generator
@@ -147,8 +146,9 @@ class TestTwoPoint:
 
     def test_is_string_element_of_its_rows(self):
         rng = np.random.default_rng(220)
-        e = correlators._Engine(overlaps._pair_kernel, random_generator(3, rng, 0.6),
-                                random_generator(3, rng, 0.6), (1, 0, 1), (0, 1, 1))
+        g1, g2 = random_generator(3, rng, 0.6), random_generator(3, rng, 0.6)
+        e = correlators._Engine(overlaps._pair_kernel(g1, g2), quadratic.transfer_of(g1).t,
+                                (1, 0, 1), (0, 1, 1))
         for a, b in ((ModeOp(1, True), ModeOp(3, False)), (ModeOp(2, False), ModeOp(2, True))):
             rows = (e._coeff_rows(a), e._coeff_rows(b))
             assert e.two_point(a, b) == e.string_element(rows)
@@ -264,9 +264,11 @@ class TestNPoint:
     def test_uncertain_sign_takes_factor_chain(self, oracle, monkeypatch):
         # a Pfaffian prefactor whose sign cannot be tracked is rejected, as
         # in overlap(); the value then comes from the factor chain
-        calls = []
+        calls, kernels = [], []
         orig_sqrt = overlaps.sqrt_det_continuous
         monkeypatch.setattr(overlaps, "_epsilon_extrapolate", lambda *a: calls.append(a))
+        monkeypatch.setattr(correlators, "_pair_kernel",
+                            lambda *a: kernels.append(overlaps._pair_kernel(*a)) or kernels[-1])
         monkeypatch.setattr(overlaps, "sqrt_det_continuous",
                             lambda path, end: (orig_sqrt(path, end)[0], False))
         rng = np.random.default_rng(907)
@@ -281,28 +283,72 @@ class TestNPoint:
             assert [(r["route"], r.get("reason")) for r in ctx.route] == \
                 [("pfaffian", "sign_certain"), ("factor-chain", None)]
         assert calls == []
-        assert ctx._engines["pfaffian"].sign_certain is False  # built once, kept
+        assert [k.sign_certain for k in kernels] == [False]  # built once, its rejection kept
 
-    def test_one_engine_per_route(self, oracle, monkeypatch):
-        # k values of a singular context: one Pfaffian engine, whose failed
-        # build is kept, and one factor-chain engine, however many values
-        # are asked for
+    @pytest.mark.parametrize("singular", [False, True])
+    def test_one_route_choice_per_context(self, oracle, monkeypatch, singular):
+        # k values of a context choose its route once, however many values
+        # are asked for: one rescue chain, each route's kernel built at most
+        # once, and one engine on the accepted kernel (on the singular
+        # context the factor chain's, after the Pfaffian's failed build);
+        # every value that takes the engine gets its own copy of the route
+        calls = {name: 0 for name in ("_dispatch", "_pair_kernel", "_chain_kernel")}
+        for name in calls:
+            def counting(*a, name=name, orig=getattr(correlators, name), **kw):
+                calls[name] += 1
+                return orig(*a, **kw)
+
+            monkeypatch.setattr(correlators, name, counting)
         builds = []
         orig = correlators._Engine.__init__
         monkeypatch.setattr(correlators._Engine, "__init__",
                             lambda self, *a: builds.append(a) or orig(self, *a))
         orc = oracle(3)
-        ctx = CorrelatorContext(QuadraticGenerator(worked_example_m(np.pi / 2)),
-                                QuadraticGenerator.zero(3),
-                                FockConfig.from_string("001"), FockConfig.from_string("001"))
+        if singular:
+            gens = QuadraticGenerator(worked_example_m(np.pi / 2)), QuadraticGenerator.zero(3)
+        else:
+            gens = random_generator(3, 41, 0.5), random_generator(3, 42, 0.5)
+        ctx = CorrelatorContext(*gens, FockConfig.from_string("001"), FockConfig.from_string("001"))
+        names = ["pfaffian", "factor-chain"] if singular else ["pfaffian"]
+        routes = []
         for string in ("c2 cd3", "cd2 c2", "c1 cd1", "c3 cd3 c2 cd2"):
             ops = parse_mode_string(string)
             ref = oracle_value(ctx, ops, orc)
             assert abs(n_point(ctx, ops) - ref) < 1e-12 * max(1.0, abs(ref))
-        assert [kernel_of for kernel_of, *_ in builds] == \
-            [overlaps._pair_kernel, overlaps._chain_kernel]
-        assert list(ctx._engines) == ["pfaffian", "factor-chain"]
-        assert isinstance(ctx._engines["pfaffian"], SingularBlockError)
+            if ctx.route:     # empty for a string that annihilates the bare bra
+                routes.append(ctx.route)
+                assert [r["route"] for r in ctx.route] == names and ctx.method == names[-1]
+        assert len(routes) == (2 if singular else 4)
+        assert calls == {"_dispatch": 1, "_pair_kernel": 1, "_chain_kernel": int(singular)}
+        assert len(builds) == 1 and builds[0][0].k == routes[0][-1].get("factors", 1)
+        assert routes[0][0].get("reason") == ("rcond" if singular else None)
+        for route in routes[1:]:
+            assert route == routes[0] and route is not routes[0]
+            assert all(a is not b for a, b in zip(route, routes[0]))
+
+    def test_refusal_is_kept_with_its_route(self, monkeypatch):
+        # a pair that no signed route answers refuses every value alike, from
+        # one route choice, and each raise carries its own copy of the route
+        choices = []
+        dispatch = correlators._dispatch
+        monkeypatch.setattr(correlators, "_dispatch",
+                            lambda *a, **kw: choices.append(a) or dispatch(*a, **kw))
+        vac = FockConfig.vacuum(6)
+        ctx = CorrelatorContext(random_generator(6, 4, scale=20),
+                                random_generator(6, 5, scale=20), vac, vac)
+        errors = []
+        for ops in ((), (ModeOp(1, True), ModeOp(2, False)), ()):
+            with pytest.raises(LinalgError) as err:
+                n_point(ctx, ops)
+            errors.append(err.value)
+        first = errors[0]
+        assert len(choices) == 1 and ctx.route == []
+        assert [(r["route"], r["accepted"]) for r in first.route] == \
+            [("pfaffian", False), ("factor-chain", False)]
+        for other in errors[1:]:
+            assert (type(other), str(other), other.route) == (type(first), str(first), first.route)
+            assert other.route is not first.route
+            assert all(a is not b for a, b in zip(other.route, first.route))
 
     def test_factor_chain_keeps_the_given_generators(self, oracle, count_calls):
         # a quadratic generator given to a context becomes one operator per
@@ -323,7 +369,7 @@ class TestNPoint:
             assert abs(ref) > 0.5
             assert abs(n_point(ctx, ops) - ref) < 1e-12 * abs(ref)
             assert ctx._pair[0] is pair[0] and ctx._pair[1] is pair[1]
-            assert list(ctx._engines) == ["pfaffian", "factor-chain"]
+            assert [r["route"] for r in ctx.route] == ["pfaffian", "factor-chain"]
         assert len(calls) == n_calls      # the second context exponentiates nothing
         assert sum(np.array_equal(a, pair[0].m) for (a,) in calls) == 1
 
@@ -344,7 +390,7 @@ class TestNPoint:
             [("pfaffian", "rcond"), ("factor-chain", None)]
         for value in (value, state_overlap(g, zero, vac, vac).value,
                       generalized_overlap(lin, lin_zero, vac, vac).value,
-                      generalized_overlap_value(ctx)):
+                      generalized_expectation(ctx, ())):
             assert abs(value - ref) < 1e-12 * abs(ref)
 
     @settings(derandomize=True, deadline=None, max_examples=60)
@@ -362,7 +408,7 @@ class TestNPoint:
         assert extended == value    # parity zeros included
         tol = 1e-10 * size
         assert abs(value - ref) <= tol or (scale == 3.0 and abs(value + ref) <= tol)
-        assert engines and all(e.L == L + 1 for e in engines if isinstance(e, correlators._Engine))
+        assert all(e.L == L + 1 for e in engines)
 
     @pytest.mark.xfail(strict=True, reason="the pfaffian route certifies the wrong sign of "
                        "det(T22)^(1/2) for this scale-3 pair (ROADMAP item 15)")
@@ -384,7 +430,7 @@ def quadratic_case(L, scale, seed, n):
     orc = cached_oracle(L)
     f1, f2 = orc.gaussian(g1), orc.gaussian(g2)
     size = max(1.0, float(np.abs(f2.conj().T @ f1).max()))
-    engines = list(ctx._engines.values()) + list(ext._engines.values())
+    engines = [c._engine() for c in (ctx, ext)]
     return value, extended, orc.sandwich(f2, ops, f1, bra, ket), size, engines
 
 
@@ -441,7 +487,7 @@ class TestSingularPairs:
         a, b, c = ModeOp(1, True), ModeOp(2, True), ModeOp(3, False)
         for value, ops in ((overlap_value(ctx), ()), (two_point(ctx, a, b), (a, b)),
                            (n_point(ctx, (a, b, c, c)), (a, b, c, c)),
-                           (generalized_overlap_value(ctx), ()),
+                           (generalized_expectation(ctx, ()), ()),
                            (generalized_expectation(ctx, (a, c, b)), (a, c, b)),
                            (generalized_wick_expansion(ctx, (a, b))[0], (a, b))):
             assert abs(value - orc.sandwich(f2, ops, f1, bra, ket)) < 1e-12
@@ -457,6 +503,19 @@ class TestSites:
         for site in (0, -1):
             with pytest.raises(ValueError):
                 ModeOp(site, True)
+
+    @pytest.mark.parametrize("site", [1.5, 2.0, "2", True, False, None, np.float64(2.0)])
+    def test_mode_sites_are_integers(self, site):
+        # refused when built, not deep inside a value's indexing
+        with pytest.raises(ValueError, match="mode sites are integers from 1"):
+            ModeOp(site, True)
+
+    def test_numpy_integer_sites(self):
+        rng = np.random.default_rng(222)
+        ctx = quad_ctx(rng, 3, bra=FockConfig((1, 0, 0)), ket=FockConfig((1, 1, 0)))
+        ops = (ModeOp(np.int64(2), True), ModeOp(np.int32(3), False))
+        assert ops == (ModeOp(2, True), ModeOp(3, False)) and str(ops[1]) == "c3"
+        assert n_point(ctx, ops) == n_point(ctx, (ModeOp(2, True), ModeOp(3, False)))
 
     def test_sites_beyond_L_are_rejected(self):
         rng = np.random.default_rng(221)
@@ -487,7 +546,7 @@ class TestBareBra:
                                 FockConfig.from_string("110000"), FockConfig.vacuum(6))
         val = n_point(ctx, parse_mode_string("cd1 c2"))
         assert val == 0 and (ctx.route, ctx.method, ctx.sign_certain) == ([], "pfaffian", True)
-        assert ctx._engines == {}
+        assert "_choice" not in vars(ctx)
 
     def test_linear_part_ket(self):
         rng = np.random.default_rng(71)
@@ -497,7 +556,7 @@ class TestBareBra:
                                 FockConfig.from_string("110000"), FockConfig.vacuum(6))
         for string in ("cd1 c2", "c1", "cd3", "cd1 cd2 cd2", "c4 cd4 cd1 c2"):
             assert generalized_expectation(ctx, parse_mode_string(string)) == 0, string
-        assert ctx.route == [] and ctx._engines == {}
+        assert ctx.route == [] and "_choice" not in vars(ctx)
 
     def test_scale_3_strings_at_L_12(self):
         # a leading cd<a> c<b> meeting an occupied site b of the bra: the
@@ -508,7 +567,7 @@ class TestBareBra:
             ctx = CorrelatorContext(g, QuadraticGenerator.zero(12), bra,
                                     FockConfig.from_string("100000000000"))
             assert n_point(ctx, parse_mode_string("cd5 c12 cd3 c3")) == 0
-            assert ctx._engines == {}
+            assert "_choice" not in vars(ctx)
 
     def test_every_value_matches_the_oracle(self):
         # killed strings are exact zeros; the others still take the engine
@@ -611,10 +670,20 @@ class TestGeneralized:
         p = {(a, b): generalized_expectation(ctx, (ops[a], ops[b]))
              for a in range(3) for b in range(a + 1, 3)}
         s = {a: generalized_expectation(ctx, (ops[a],)) for a in range(3)}
-        ovl = generalized_overlap_value(ctx)
+        ovl = generalized_expectation(ctx, ())
         expected = (p[(0, 1)] * s[2] - p[(0, 2)] * s[1] + p[(1, 2)] * s[0]) / ovl
         assert abs(val - expected) < 1e-12
         assert abs(val - generalized_expectation(ctx, ops)) < 1e-8
+
+    def test_empty_string_is_the_overlap(self):
+        # one term, the overlap itself, with the bits of the direct value
+        rng = np.random.default_rng(217)
+        ctx = CorrelatorContext(random_linear_op(rng, 2, 0.5), random_linear_op(rng, 2, 0.5),
+                                FockConfig((1, 0)), FockConfig((0, 1)))
+        val, terms = generalized_wick_expansion(ctx, ())
+        ovl = generalized_expectation(ctx, ())
+        assert abs(ovl) > 0.1 and np.array([val]).tobytes() == np.array([ovl]).tobytes()
+        assert [(t.sign, t.pairs, t.singleton, t.factors) for t in terms] == [(1, (), None, (ovl,))]
 
     def test_expansion_matches_direct_to_length_six(self):
         rng = np.random.default_rng(215)
@@ -640,7 +709,7 @@ class TestGeneralized:
                                 FockConfig((1, 0)), FockConfig((0, 1)))
         ops = rand_string(rng, 2, 5)
         val, terms = generalized_wick_expansion(ctx, ops)
-        ovl = generalized_overlap_value(ctx)
+        ovl = generalized_expectation(ctx, ())
         lam = 1.7 - 0.4j
         scaled_terms = sum(
             t.sign * np.prod([lam * f for f in t.factors]) for t in terms
@@ -863,7 +932,8 @@ class TestBorderedPfaffian:
         for _ in range(4):
             g1, g2 = random_generator(L, rng, 0.6), random_generator(L, rng, 0.6)
             bra, ket = random_config(rng, L).bits, random_config(rng, L).bits
-            e = correlators._Engine(overlaps._pair_kernel, g1, g2, bra, ket)
+            e = correlators._Engine(overlaps._pair_kernel(g1, g2), quadratic.transfer_of(g1).t,
+                                    bra, ket)
             for n in (3, 4, 5, 6):
                 if (sum(bra) + sum(ket) + n) % 2:
                     continue

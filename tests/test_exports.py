@@ -69,6 +69,49 @@ def test_every_public_definition_has_a_user_outside_the_tests():
     assert unused == []
 
 
+def method_uses(node) -> tuple[set, set]:
+    """The ``Class.name`` references in ``node``, as (class, name) pairs, and
+    the names it calls as ``<expr>.name(``."""
+    refs, calls = set(), set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+            refs.add((sub.value.id, sub.attr))
+        elif isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
+            calls.add(sub.func.attr)
+    return refs, calls
+
+
+def test_every_public_method_has_a_user_outside_the_tests():
+    # the same rule for the public methods of public classes, properties and
+    # cached properties aside: a class or static method is used when another
+    # package definition, the benchmark or a demo names it as Class.name, an
+    # instance method when one calls <expr>.name(, so that a field or a
+    # foreign function of the same name does not count
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    units = [unit for tree in trees.values() for node in tree.body
+             for unit in (node.body if isinstance(node, ast.ClassDef) else [node])]
+    units += [ast.parse(path.read_text())
+              for path in [*ROOT.glob("bench/*.py"), *ROOT.glob("demos/*.py")]]
+    uses = [(unit, *method_uses(unit)) for unit in units]
+    unused = []
+    for file, tree in trees.items():
+        classes = [node for node in tree.body if isinstance(node, ast.ClassDef)
+                   and not node.name.startswith("_") and file != "fock.py"]
+        for cls in classes:
+            for fn in cls.body:
+                if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                    continue
+                kinds = {getattr(d, "id", None) or getattr(d, "attr", None)
+                         for d in fn.decorator_list}
+                if kinds & {"property", "cached_property"}:
+                    continue
+                bound = bool(kinds & {"classmethod", "staticmethod"})
+                if not any((cls.name, fn.name) in refs if bound else fn.name in calls
+                           for unit, refs, calls in uses if unit is not fn):
+                    unused.append(f"{file}:{cls.name}.{fn.name}")
+    assert unused == []
+
+
 def package_imports(tree) -> set:
     """The package modules a module imports, relative or absolute."""
     out = set()

@@ -22,7 +22,7 @@ from fermigauss.overlaps import (
     overlap,
     state_overlap,
 )
-from fermigauss.quadratic import QuadraticGenerator, random_generator
+from fermigauss.quadratic import QuadraticGenerator, random_generator, transfer_of
 
 from conftest import all_configs, worked_example_m
 from test_quadratic import pair_rotation_generator, rotation_plus_sector
@@ -148,8 +148,8 @@ class TestBorderedChain:
         # The engine gives the coefficient rows; its kernel serves every pair
         g1, g2 = chain_case(L, ket, bra)
         vac = (0,) * L
-        engine = _Engine(_chain_kernel, g1, g2, vac, vac)
-        assert engine.k == k
+        engine = _Engine(_chain_kernel(g1, g2), transfer_of(g1).t, vac, vac)
+        assert engine.kern.k == k
         f1 = fock.dense_gaussian(g1.m, modes=modes(L))
         f2 = np.eye(2 ** L) if g2 is None else fock.dense_gaussian(g2.m, modes=modes(L))
         rng = np.random.default_rng(60 + L + k)

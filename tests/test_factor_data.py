@@ -18,7 +18,13 @@ from hypothesis import strategies as st
 from fermigauss import correlators, quadratic
 from fermigauss.configs import FockConfig
 from fermigauss.correlators import CorrelatorContext, ModeOp, generalized_expectation, n_point
-from fermigauss.linalg import LinalgError, SingularBlockError, mat_exp, sqrt_det_via_log
+from fermigauss.linalg import (
+    LinalgError,
+    MatrixLogError,
+    SingularBlockError,
+    mat_exp,
+    sqrt_det_via_log,
+)
 from fermigauss.linearpart import (
     LinearGaussianOp,
     compose_linear,
@@ -98,7 +104,8 @@ class TestCounts:
         pair_kernel(m1, m2.conj().T)
         n_kernel = len(calls)
         vac = (0,) * 16
-        engine = correlators._Engine(_pair_kernel, QuadraticGenerator(m1), QuadraticGenerator(m2),
+        g1 = QuadraticGenerator(m1)
+        engine = correlators._Engine(_pair_kernel(g1, QuadraticGenerator(m2)), transfer_of(g1).t,
                                      vac, vac)
         assert len(calls) == 2 * n_kernel
         assert np.array_equal(engine.t1, mat_exp(m1))
@@ -501,7 +508,7 @@ class TestStepExponentials:
 
         def outputs(g1, g2):
             res = state_overlap(g1, g2, bra, ket)
-            kern = correlators._Engine(_pair_kernel, g1, g2, bra.bits, ket.bits).kern
+            kern = _pair_kernel(g1, g2)
             return (res.value, res.method, res.sign_certain, res.route,
                     overlap(g1, bra, ket).value, overlap(g2, ket, bra).value,
                     n_point(CorrelatorContext(g1, g2, bra, ket), ops),
@@ -587,6 +594,17 @@ class TestProperties:
                     generalized_bbd(LinearGaussianOp.quadratic(gen))):
             assert not fac.sign_certain
             assert fac.y is None
+
+
+    def test_y_absent_when_the_log_is_refused(self, monkeypatch):
+        # a certain sign whose e^Y has no usable principal log (logm's
+        # inaccuracy warning, raised as MatrixLogError) leaves y None
+        def refuse(a):
+            raise MatrixLogError("logm result may be inaccurate")
+
+        monkeypatch.setattr(quadratic, "mat_log", refuse)
+        fac = bbd_normal(transfer_of(random_generator(3, 5, 0.6)))
+        assert fac.sign_certain and fac.y is None
 
 
 class TestBareTransferKernel:

@@ -18,6 +18,7 @@ from fermigauss.linalg import (
     mat_log,
     pfaffian,
     rcond_estimate,
+    skew_defect,
     sqrt_det_continuous,
     sqrt_det_via_log,
 )
@@ -145,6 +146,10 @@ class TestMatLog:
         assert np.array_equal(before[1], after[1])
         assert all(np.array_equal(g, logs[0]) for g in logs)
 
+    def test_empty(self):
+        out = mat_log(np.zeros((0, 0)))
+        assert out.shape == (0, 0) and out.dtype == complex
+
     def test_branch_and_singular_errors(self):
         with pytest.raises(MatrixLogBranchError):
             mat_log(np.diag([-1.0, 2.0]))
@@ -242,6 +247,9 @@ class TestSqrtDet:
     def test_principal_branch(self):
         val, certain = sqrt_det_via_log(np.diag([4.0, 1.0]))
         assert certain and val == pytest.approx(2.0)
+
+    def test_empty(self):
+        assert sqrt_det_via_log(np.zeros((0, 0))) == (1.0, True)
 
     def test_continuous_tracks_winding(self):
         # along s -> exp(2.4 i pi s) the determinant winds past the cut, so
@@ -507,6 +515,19 @@ class TestPfaffianStack:
             pfaffian(a)
         with pytest.raises(ValueError):
             pfaffian(np.zeros((2, 3, 4)))
+
+    def test_skew_checks_take_the_stack(self):
+        # each member's defect is its own matrix's, and check_skew names the
+        # first member beyond SKEW_TOL as pfaffian does
+        a = zero_pivot_stack(6, 5, 13, 1.0)
+        a[1, 2, 4] += 1e-3
+        a[4, 0, 1] += 1e-3
+        defects = skew_defect(a)
+        assert defects.shape == (5,) and defects.tolist() == [skew_defect(m) for m in a]
+        with pytest.raises(SkewSymmetryError, match=r"^stack member 1 is not antisymmetric"):
+            check_skew(a)
+        assert check_skew(a[[0, 2, 3]]).shape == (3, 6, 6)
+        assert skew_defect(np.zeros((3, 0, 0))).tolist() == [0.0] * 3
 
 
 class TestExactEntry:

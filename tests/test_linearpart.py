@@ -27,7 +27,13 @@ from fermigauss.quadratic import (
     transfer_of,
 )
 
-from conftest import all_configs, compose_pair, random_linear_op, single_mode_factor_matrix
+from conftest import (
+    all_configs,
+    compose_pair,
+    dagger,
+    random_linear_op,
+    single_mode_factor_matrix,
+)
 
 
 def dense_op(op: LinearGaussianOp, orc) -> np.ndarray:
@@ -58,7 +64,7 @@ class TestLinearOp:
         orc = oracle(2)
         rng = np.random.default_rng(61)
         op = random_linear_op(rng, 2, 0.5)
-        assert np.max(np.abs(dense_op(op.dagger(), orc) - dense_op(op, orc).conj().T)) < 1e-12
+        assert np.max(np.abs(dense_op(dagger(op), orc) - dense_op(op, orc).conj().T)) < 1e-12
 
 
 class TestEmbedding:

@@ -648,7 +648,7 @@ class TestRescueChain:
     def test_epsilon_route_builds_no_operator(self, oracle, monkeypatch):
         # the epsilon route perturbs the embedded ket generator it is handed,
         # so no perturbed (M, u, v) is built and embedded again; the
-        # correlator, which has no epsilon route, builds one engine per route
+        # correlator, which has no epsilon route, takes the factor chain
         orc = oracle(3)
         op = LinearGaussianOp(worked_example_m(np.pi / 2), [0.3, 0, 0], None)
         zero = LinearGaussianOp.zero(3)
@@ -664,7 +664,7 @@ class TestRescueChain:
         value = generalized_expectation(ctx, ops)
         assert builds == []
         assert res.method == "epsilon-regularized"
-        assert list(ctx._engines) == ["pfaffian", "factor-chain"]
+        assert [r["route"] for r in ctx.route] == ["pfaffian", "factor-chain"]
         ref = orc.element(f1, FockConfig.from_string("110"), ket)
         assert abs(ref) > 0.5 and abs(res.value - ref) < 1e-8
         ref = orc.sandwich(f2, ops, f1, bra, ket)

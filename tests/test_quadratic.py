@@ -31,7 +31,7 @@ from fermigauss.quadratic import (
     transfer_of,
 )
 
-from conftest import j_matrix, worked_example_m, worked_example_t
+from conftest import dagger, identity_transfer, j_matrix, worked_example_m, worked_example_t
 
 PROPERTY = settings(derandomize=True, deadline=None)
 EPS = float(np.finfo(float).eps)
@@ -72,7 +72,7 @@ class TestGenerator:
         orc = oracle(2)
         g = random_generator(2, 1, 0.6)
         f = orc.gaussian(g)
-        fd = orc.gaussian(g.dagger())
+        fd = orc.gaussian(dagger(g))
         assert np.max(np.abs(fd - f.conj().T)) < 1e-12
 
 
@@ -224,7 +224,7 @@ class TestCompose:
 
 class TestFactorizations:
     def test_identity_trivial(self):
-        t = TransferMatrix.identity(3)
+        t = identity_transfer(3)
         for fac in (bbd_normal(t), bbd_antinormal(t)):
             assert np.max(np.abs(fac.x)) == 0.0
             assert np.max(np.abs(fac.z)) == 0.0
@@ -548,8 +548,13 @@ class TestCanonicalPermutations:
         twice = cp_transform(once, (1, 3))
         assert np.array_equal(twice.m, g.m)
 
+    def test_scan_slices_like_a_list(self):
+        scan = cp_scan(transfer_of(random_generator(3, 53, 0.6)))
+        for k in (slice(0, 3), slice(2, 7), slice(5, None), slice(None), slice(None, None, -3)):
+            assert scan[k] == list(scan)[k]
+
     def test_scan_identity(self):
-        entries = cp_scan(TransferMatrix.identity(2))
+        entries = cp_scan(identity_transfer(2))
         assert len(entries) == 4
         assert all(e.t22_invertible and e.t11_invertible for e in entries)
         assert [e.sites for e in entries] == [(), (1,), (2,), (1, 2)]
