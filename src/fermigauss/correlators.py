@@ -7,20 +7,24 @@ collapse pairwise: an odd string acquires one leftmost ``c0^dag - c0``
 factor, taken as one operator, so every extended string is even.
 
 Each string operator is first conjugated through the ket-side transfer
-matrix into its coefficient rows over the bare modes.  A string of three
-or more operators is then one Pfaffian, the overlap kernel's
-:meth:`~fermigauss.overlaps.OverlapKernel.bordered`: its matrix, the
-pair's pairing matrix or, on a singular pair, its factor chain, restricted
-exactly as for an overlap, bordered by one row and column per operator
-holding its contractions (the Balian-Brezin contraction structure, summed
-by the Pfaffian minor-summation identity).  One- and two-operator strings
+matrix into its coefficient row over the bare modes, a row of that matrix.
+A string of three or more operators then reads the configuration pair's
+contraction matrix G = K + B^T M0^-1 B, the overlap kernel's
+:meth:`~fermigauss.overlaps.OverlapKernel.contracted` (the Balian-Brezin
+contraction structure): M0 is the pair's pairing matrix or, on a singular
+pair, its factor chain, restricted exactly as for an overlap, and the value
+is the pair's element times one Pfaffian of the string's order, with M0
+inverted once per pair.  Where M0 is singular or ill-conditioned, so that
+G would divide by a vanishing element, the value is instead one bordered
+Pfaffian, M0 bordered by one row and column per operator holding its
+contractions, which divides by nothing.  One- and two-operator strings
 take the direct expansion, ``_Engine.string_element``: the amplitudes of
 the configurations reached from the ket are pushed forward through the
 rows (with the usual string signs), and the kernel gives the matrix
 element of each reached configuration, one stacked Pfaffian per submatrix
-order.  Neither route divides by an overlap, so both stay exact where it
-vanishes.  A context picks its rescue route once; one engine on the
-accepted kernel and the context's configuration pair serves every value.
+order; it too divides by nothing.  A context picks its rescue route once;
+one engine on the accepted kernel and the context's configuration pair
+serves every value.
 
 The generalized Wick expansion -- all pairings plus at most one
 singleton, each factor a one- or two-point value -- follows from the
@@ -33,6 +37,8 @@ from __future__ import annotations
 import numbers
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 from .configs import FockConfig
 from .linalg import remember
@@ -55,12 +61,12 @@ class ModeOp:
         site = self.site
         if isinstance(site, bool) or not isinstance(site, numbers.Integral) or site < 1:
             raise ValueError(f"mode sites are integers from 1, got {site!r}")
+        if not isinstance(self.dagger, (bool, np.bool_)):
+            raise ValueError(f"dagger is a bool, got {self.dagger!r}")
+        object.__setattr__(self, "dagger", bool(self.dagger))
 
     def __str__(self) -> str:
         return f"c{'d' if self.dagger else ''}{self.site}"
-
-    def shifted(self, offset: int) -> "ModeOp":
-        return ModeOp(self.site + offset, self.dagger)
 
 
 _TOKEN = re.compile(r"^c(d?)([1-9][0-9]*)$")
@@ -119,13 +125,14 @@ class _Engine:
     product's or the factor chain's, bound to one (bra, ket) pair of
     configuration bits.
 
-    Holds the kernel, which evaluates the bordered strings; the ket-side
-    transfer matrix ``t1`` (for conjugating string operators); and the
-    matrix elements <bra| F |config> keyed by the configuration bits, on
-    the L + 1 sites of the ancilla-extended space.  Callers pass
-    parity-allowed strings only.  ``one_point``, ``two_point`` and
-    ``_odd_reduction`` have no caller in the library; ``bench/tracing.py``
-    wraps them by name.
+    Holds the kernel, which evaluates strings of three or more operators
+    from the pair's contraction matrix (the bordered Pfaffian where its M0
+    is ill-conditioned); the ket-side transfer matrix ``t1``, whose rows
+    are the string operators' coefficient rows; and the matrix elements
+    <bra| F |config> keyed by the configuration bits, on the L + 1 sites of
+    the ancilla-extended space.  Callers pass parity-allowed strings only.
+    ``one_point``, ``two_point`` and ``_odd_reduction`` have no caller in
+    the library; ``bench/tracing.py`` wraps them by name.
     """
 
     def __init__(self, kern, t1, bra_bits, ket_bits):
@@ -143,15 +150,15 @@ class _Engine:
 
     def _coeff_rows(self, op: ModeOp):
         """The coefficients of ``op`` conjugated through the ket-side transfer:
-        ``F op = (sum_j cc_j c_j + cd_j c_j^dag) F`` gives ``(cc, cd)``."""
-        r = op.site - 1 + (self.L if op.dagger else 0)
-        return self.t1[r, : self.L], self.t1[r, self.L:]
+        ``F op = (sum_j cc_j c_j + cd_j c_j^dag) F`` gives the row
+        ``(cc | cd)`` of ``t1``."""
+        return self.t1[op.site - 1 + (self.L if op.dagger else 0)]
 
     def n_point(self, rows) -> complex:
         """<J| F phi_1 ... phi_n |I> for the coefficient rows of the string:
         the matrix element for none, :meth:`string_element` for one or two,
-        the kernel's bordered Pfaffian for more."""
-        if not rows:
+        the kernel's contraction matrix for more."""
+        if not len(rows):
             return self.element()
         if len(rows) < 3:
             return self.string_element(rows)
@@ -165,17 +172,19 @@ class _Engine:
         return self.string_element((self._coeff_rows(op_a), self._coeff_rows(op_b)))
 
     def _wick_even(self, rows) -> complex:
-        """Even strings of 4 or more coefficient rows: the kernel's bordered Pfaffian."""
-        return self.kern.bordered(rows, self.bra, self.ket)
+        """Strings of 3 or more coefficient rows: the kernel's
+        :meth:`~fermigauss.overlaps.OverlapKernel.contracted`."""
+        return self.kern.contracted(rows, self.bra, self.ket)
 
     def _odd_reduction(self, rows) -> complex:
-        """Odd strings of 3 or more coefficient rows: the kernel's bordered Pfaffian."""
-        return self.kern.bordered(rows, self.bra, self.ket)
+        """Odd strings of 3 or more coefficient rows: the kernel's
+        :meth:`~fermigauss.overlaps.OverlapKernel.contracted`."""
+        return self.kern.contracted(rows, self.bra, self.ket)
 
     def string_element(self, rows) -> complex:
         """<J| F phi_1 ... phi_n |I> by direct expansion, no normalization.
 
-        ``rows[k]`` holds the coefficient rows ``(cc, cd)`` of phi_{k+1}
+        ``rows[k]`` holds the coefficient row ``(cc | cd)`` of phi_{k+1}
         (see :meth:`_coeff_rows`), so any linear combination of mode
         operators is one operator.  A forward expansion: the amplitudes of
         the configurations reached from the ket are pushed through the
@@ -187,9 +196,10 @@ class _Engine:
         it stays exact at superselection points.
         """
         level = {self.ket: 1.0}
-        for cc, cd in reversed(rows):
+        L = self.L
+        for row in reversed(rows):
             # by occupation: c_j^dag acts on an empty site, c_j on an occupied one
-            acting = (cd.tolist(), cc.tolist())
+            acting = (row[L:].tolist(), row[:L].tolist())
             nxt: dict = {}
             for bits, amp in level.items():
                 odd = False
@@ -289,10 +299,12 @@ def _extended_value(ctx: CorrelatorContext, ops: tuple) -> complex:
             return ctx._zero()
         bits[op.site - 1] ^= 1
     e = ctx._engine()
-    rows = [e._coeff_rows(op.shifted(1)) for op in ops]
-    if len(ops) % 2:
-        (pc, pd), (mc, md) = e._coeff_rows(ModeOp(1, True)), e._coeff_rows(ModeOp(1, False))
-        rows.insert(0, (pc - mc, pd - md))
+    # row site - 1 of t1 for c_site in the extended space, site + L for its
+    # adjoint; c0^dag - c0 is row L minus row 0
+    lead = [e.L] if len(ops) % 2 else []
+    rows = e.t1[lead + [op.site + e.L * op.dagger for op in ops]]
+    if lead:
+        rows[0] -= e.t1[0]
     return e.n_point(rows)
 
 
@@ -339,9 +351,10 @@ def generalized_expectation(ctx: CorrelatorContext, ops) -> complex:
     The string is mapped into the ancilla-extended space: even strings pass
     through unchanged (substituted operators collapse pairwise), odd strings
     acquire one leftmost ``c0^dag - c0`` factor, taken as one operator.
-    An extended string of 3 or more operators is then one bordered
-    Pfaffian, a shorter one a direct expansion.  Neither normalizes by an
-    overlap, so both survive superselection points (u = v = 0 limits).
+    An extended string of 3 or more operators then reads the pair's
+    contraction matrix, or takes the bordered Pfaffian where the pair's
+    element vanishes, as at superselection points (u = v = 0 limits); a
+    shorter one is a direct expansion.  None normalizes by an overlap.
     """
     return _extended_value(ctx, ctx._checked(ops))
 

@@ -12,8 +12,13 @@ J in the first block and of I in the second block (equivalently, removes
 the empty ones), both in increasing order.  Over a product of factored
 operators F_1 ... F_k it is one Pfaffian of a larger chain matrix (Robledo,
 PRC 79, 021302(R), 2009; Bertsch & Robledo, PRL 108, 042505, 2012);
-:class:`OverlapKernel` evaluates both, and owns the bordered form of that
-matrix which gives the correlators' strings of three or more operators.
+:class:`OverlapKernel` evaluates both.  It also gives the correlators'
+strings of three or more operators: through a configuration pair's
+contraction matrix G = K + B^T M0^-1 B (Balian and Brezin's contraction
+structure, one inversion of the restricted matrix M0 per pair and one
+Pfaffian of the string's order per value), or, where M0 is singular or
+ill-conditioned (:data:`CONTRACTION_RCOND`), through the bordered form of
+M0, which divides by nothing.
 
 When T22 is singular three rescue routes exist.  When the generators
 are known, the factor chain keeps the product unmultiplied: each factor's
@@ -52,6 +57,7 @@ from .linalg import (
     _pfaffian_exact,
     check_skew,
     mat_exp,
+    rcond_estimate,
     remember,
     sqrt_det_continuous,
 )
@@ -78,6 +84,15 @@ EPS_AGREE_TOL = 1e-6
 #: complex entries (1 MB) of one stack of restricted pairing matrices in
 #: :meth:`OverlapKernel.elements`, which bounds its working memory
 STACK_ENTRIES = 1 << 16
+#: rcond of a pair's restricted chain matrix M0 above which
+#: :meth:`OverlapKernel.contracted` reads the pair's contraction matrix; at
+#: or below it, and for a singular M0, it takes the bordered Pfaffian.  On
+#: pairs built near-singular the contraction matrix rounds to about
+#: eps / rcond(M0)^2 of max(1, |value|, |element|): 4e-11 at 1e-3, 8e-13 at
+#: 1e-2.  Random pairs at L 1-8, scales 0.5-3, keep within 1e-13 of the
+#: bordered value above 1e-3, and the correlator benchmark's L = 16 pairs
+#: (rcond 0.0019-0.094) all stay above it.
+CONTRACTION_RCOND = 1e-3
 
 
 class ExtrapolationError(LinalgError):
@@ -127,8 +142,9 @@ class OverlapKernel:
     sigma = (-1)^((k-1) L (L-1)/2 + n_I (n_I-1)/2).  For one factor
     (``k`` = 1) C is its read-only pairing matrix and this is the central
     formula above.  ``element`` evaluates any configuration pair,
-    ``elements`` many pairs at once, and ``bordered`` a pair's element of a
-    string of operators, the restricted C bordered by the string's rows.
+    ``elements`` many pairs at once, and ``contracted`` a pair's element of
+    a string of operators, from the pair's contraction matrix or, as its
+    fallback, ``bordered``: the restricted C bordered by the string's rows.
     The kernel alone knows C's layout and sigma.
 
     The prefactors p_i = det(T22)^(1/2) carry the physical sign, so the
@@ -160,6 +176,7 @@ class OverlapKernel:
                        else "principal")
         self._inner = list(range(L, n - L))
         self._restricted: dict = {}    # (bra bits, ket bits) -> bordered's blocks
+        self._contractions: dict = {}  # (bra bits, ket bits) -> (element, M0^-1), or None
 
     def _keep(self, bra_bits, ket_bits) -> tuple[list[int], int, int]:
         """The rows of ``pairing`` that <J| ... |I> keeps, in increasing
@@ -215,12 +232,27 @@ class OverlapKernel:
                 out[pos] = pf if scale == 1.0 else scale * pf
         return out
 
+    def _blocks(self, bra_bits, ket_bits) -> tuple:
+        """A pair's restricted blocks, built once: n_J, the number h of kept
+        rows ahead of I, I's sites, the kept C in its upper triangle, the
+        Z-block columns of those h rows (the last factor's E on its X-block
+        rows, zero above) and that Z block's columns Z_:I."""
+        key = (bra_bits, ket_bits)
+        if key not in self._restricted:
+            L, c = self.L, self.pairing
+            keep, n_j, n_i = self._keep(bra_bits, ket_bits)
+            h = len(keep) - n_i
+            ii = [i for i, b in enumerate(ket_bits) if b]
+            self._restricted[key] = (n_j, h, ii, np.triu(c[np.ix_(keep, keep)], 1),
+                                     c[keep[:h], -L:], c[-L:, -L:][:, ii])
+        return self._restricted[key]
+
     def bordered(self, rows, bra_bits, ket_bits) -> complex:
         """<J| F_1 ... F_k phi_1 ... phi_n |I> as one Pfaffian, no normalization.
 
-        ``rows[k] = (alpha, beta)`` holds the coefficients of phi_{k+1}
-        over ``(c, c^dag)``.  C restricted as in :meth:`elements` is
-        bordered by one row per operator, in the order [J, inner blocks,
+        ``rows[k]`` holds the coefficients (alpha | beta) of phi_{k+1} over
+        ``(c, c^dag)``, one row of 2L.  C restricted as in :meth:`elements`
+        is bordered by one row per operator, in the order [J, inner blocks,
         phi_1..phi_n, I].  The string stands right of the last factor: with
         E, Z and X that factor's coupling and ket blocks and its X-block
         rows (J's for one factor), the border holds the contractions
@@ -233,35 +265,73 @@ class OverlapKernel:
         minor-summation identity sums the bare-mode expansion into one
         Pfaffian).  The matrix is built from its upper triangle, so it is
         exactly antisymmetric, and the value is sigma (:meth:`_sigma`) times
-        the prefactor times its Pfaffian.  A pair's restricted blocks are
-        built once: n_J, the number h of kept rows ahead of I, I's sites,
-        the kept C in its upper triangle, the Z-block columns of those h
-        rows (the last factor's E on its X-block rows, zero above) and that
-        Z block's columns Z_:I.
+        the prefactor times its Pfaffian.  It divides by nothing, so
+        :meth:`contracted` falls back to it.
         """
-        key = (bra_bits, ket_bits)
-        if key not in self._restricted:
-            L, c = self.L, self.pairing
-            keep, n_j, n_i = self._keep(bra_bits, ket_bits)
-            h = len(keep) - n_i
-            ii = [i for i, b in enumerate(ket_bits) if b]
-            self._restricted[key] = (n_j, h, ii, np.triu(c[np.ix_(keep, keep)], 1),
-                                     c[keep[:h], -L:], c[-L:, -L:][:, ii])
-        n_j, h, ii, inner, e_h, z_i = self._restricted[key]
-        L, n_i, n = self.L, len(ii), len(rows)
-        alpha = np.array([r[0] for r in rows]).reshape(n, L)
-        beta = np.array([r[1] for r in rows]).reshape(n, L)
+        n_j, h, ii, inner, e_h, z_i = self._blocks(bra_bits, ket_bits)
+        n_i, n = len(ii), len(rows)
         mid = slice(h, h + n)
         m = np.zeros((h + n + n_i,) * 2, dtype=complex)
         m[:h, :h] = inner[:h, :h]
         m[:h, h + n:] = inner[:h, h:]
         m[h + n:, h + n:] = inner[h:, h:]
-        m[:h, mid] = e_h @ beta.T
-        m[mid, mid] = np.triu((beta @ self.pairing[-L:, -L:] - alpha) @ beta.T, 1)
-        m[mid, h + n:] = beta @ z_i - alpha[:, ii]
+        m[:h, mid], m[mid, h + n:], among = self._border(rows, e_h, ii, z_i)
+        m[mid, mid] = np.triu(among, 1)
         m -= m.T
         pf = _pfaffian_exact(m)
         return -self.prefactor * pf if self._sigma(n_j, n_i, n) else self.prefactor * pf
+
+    def _border(self, rows, e_h, ii, z_i) -> tuple:
+        """The contractions of :meth:`bordered`'s string with the kept rows
+        ahead of I, with I, and among its rows (all pairs), as blocks."""
+        L = self.L
+        r = np.reshape(rows, (len(rows), 2 * L))
+        alpha, beta = r[:, :L], r[:, L:]
+        return (e_h @ beta.T, beta @ z_i - alpha[:, ii],
+                (beta @ self.pairing[-L:, -L:] - alpha) @ beta.T)
+
+    def _contraction(self, bra_bits, ket_bits):
+        """``(element, M0^-1)`` of a pair, or None when M0, the restricted
+        C that :meth:`elements` takes the Pfaffian of, has an rcond of at
+        most :data:`CONTRACTION_RCOND`."""
+        inner = self._blocks(bra_bits, ket_bits)[3]
+        m0 = inner - inner.T
+        if rcond_estimate(m0) <= CONTRACTION_RCOND:
+            return None
+        return self.elements([(bra_bits, ket_bits)])[0], np.linalg.inv(m0)
+
+    def contracted(self, rows, bra_bits, ket_bits) -> complex:
+        """:meth:`bordered`'s value through the pair's contraction matrix.
+
+        Over the 2L bare modes (c, c^dag), :meth:`bordered` borders M0 by
+        the columns B r_b^T, B = [[0, E_h], [S_I, -Z_:I^T]] (S_I selecting
+        I's sites), and contracts two rows as r_a K r_b^T, K = [[0, -I],
+        [0, Z]].  The Schur complement of M0 gives pf(bordered) =
+        (-1)^(n n_I) pf(M0) pf(W), W_ab = r_a G r_b^T for a < b with the
+        pair's contraction matrix G = K + B^T M0^-1 B, so the value is
+        (-1)^(n(n-1)/2 + n n_I) times the pair's element times pf(W): one
+        Pfaffian of order n, after one inversion of M0 per pair
+        (:meth:`_contraction`).  G is read in that factored form, W = R K
+        R^T + (B R^T)^T M0^-1 (B R^T), with R K R^T and B R^T the blocks of
+        :meth:`bordered` (:meth:`_border`): the formed product B^T M0^-1 B,
+        between large rows, loses up to 1e-10 of max(1, |value|, |element|)
+        at scale 3, where the factored form keeps to 1e-13.  A pair whose M0
+        is singular or ill-conditioned, where G would divide by a vanishing
+        pf(M0), takes :meth:`bordered`, which divides by nothing.
+        """
+        found = remember(self._contractions, (bra_bits, ket_bits),
+                         lambda: self._contraction(bra_bits, ket_bits))
+        if found is None:
+            return self.bordered(rows, bra_bits, ket_bits)
+        element, m0_inv = found
+        _, _, ii, _, e_h, z_i = self._blocks(bra_bits, ket_bits)
+        ahead, with_i, among = self._border(rows, e_h, ii, z_i)
+        b_r = np.concatenate((ahead, -with_i.T))     # B R^T, M0's border columns
+        w = np.triu(among + b_r.T @ (m0_inv @ b_r), 1)
+        w -= w.T
+        pf = _pfaffian_exact(w)
+        n = len(rows)
+        return -element * pf if (n * (n - 1) // 2 + n * len(ii)) % 2 else element * pf
 
 
 class _ProductPath:

@@ -21,7 +21,7 @@ from fermigauss.correlators import (
     parse_mode_string,
     two_point,
 )
-from fermigauss.linalg import LinalgError, pfaffian
+from fermigauss.linalg import LinalgError, pfaffian, remember
 from fermigauss.linearpart import LinearGaussianOp, embed
 from fermigauss.overlaps import generalized_overlap, state_overlap
 from fermigauss.quadratic import QuadraticGenerator, random_generator
@@ -510,6 +510,19 @@ class TestSites:
         with pytest.raises(ValueError, match="mode sites are integers from 1"):
             ModeOp(site, True)
 
+    @pytest.mark.parametrize("dagger", [1, 0, 2, "no", 0.5, None, np.int64(1)])
+    def test_dagger_is_a_bool(self, dagger):
+        # anything else printed as cd1 and counted as a creator, yet the
+        # bare-bra shortcut compared the bra bit with it: 2, "no" and 0.5
+        # gave an exact 0 here, where True gives 1.0004 - 0.0284i
+        with pytest.raises(ValueError, match="dagger is a bool"):
+            ModeOp(1, dagger)
+        ctx = CorrelatorContext(random_generator(3, 1, 0.3), QuadraticGenerator.zero(3),
+                                FockConfig.from_string("100"), FockConfig.from_string("010"))
+        values = [n_point(ctx, (ModeOp(1, d), ModeOp(2, False))) for d in (True, np.True_)]
+        assert values[0] == values[1] and abs(values[0] - (1.0004 - 0.0284j)) < 1e-4
+        assert type(ModeOp(1, np.True_).dagger) is bool and ModeOp(1, np.False_) == ModeOp(1, False)
+
     def test_numpy_integer_sites(self):
         rng = np.random.default_rng(222)
         ctx = quad_ctx(rng, 3, bra=FockConfig((1, 0, 0)), ket=FockConfig((1, 1, 0)))
@@ -612,17 +625,18 @@ class TestGeneralized:
             assert abs(val - n_point(ctx, ops)) < 1e-11
 
     def test_odd_string_is_expanded_once(self, count_calls, oracle):
-        # the leading c0^dag - c0 of an odd string is one bordering row: the
-        # value is one Pfaffian of order n_J + n_I + 4, where the extended
-        # bra 0100 has n_J = 1 and the extended ket 1011 (its ancilla set by
-        # the parity mismatch) has n_I = 3
+        # the leading c0^dag - c0 of an odd string is one row of the string's
+        # contraction matrix W: the value is one Pfaffian of order 4, after
+        # the pair's element, the Pfaffian of order n_J + n_I, where the
+        # extended bra 0100 has n_J = 1 and the extended ket 1011 (its
+        # ancilla set by the parity mismatch) has n_I = 3
         rng = np.random.default_rng(219)
         ctx = CorrelatorContext(random_linear_op(rng, 3, 0.5), random_linear_op(rng, 3, 0.5),
                                 FockConfig((1, 0, 0)), FockConfig((0, 1, 1)))
         ops = parse_mode_string("c1 cd2 c3")
         pfaffians = count_calls("_pfaffian_exact")
         val = generalized_expectation(ctx, ops)
-        assert [m.shape for (m,) in pfaffians] == [(1 + 3 + 4, 1 + 3 + 4)]
+        assert [m.shape for (m,) in pfaffians] == [(1, 1 + 3, 1 + 3), (4, 4)]
         assert abs(val - oracle_value(ctx, ops, oracle(3))) < 1e-10
 
     def test_single_mode_annihilator(self, oracle):
@@ -774,7 +788,7 @@ def recursive_string_element(engine, rows) -> complex:
         if k == 0:
             memo[k, bits] = engine.kern.element(bra, FockConfig(bits))
             return memo[k, bits]
-        cc, cd = rows[k - 1]
+        cc, cd = rows[k - 1][:engine.L], rows[k - 1][engine.L:]
         total = complex(0.0)
         for j in range(engine.L):
             for dag, coeff in ((False, cc[j]), (True, cd[j])):
@@ -943,8 +957,10 @@ class TestBorderedPfaffian:
 
     @pytest.mark.parametrize("kind", ["quadratic", "linear", "zero-overlap"])
     def test_one_pfaffian_per_string(self, kind, count_calls, monkeypatch):
-        # no element, no expansion and so no overlap to divide by: one
-        # Pfaffian per value, whether the context is fresh or warm
+        # no engine element and no expansion: one Pfaffian per value, of
+        # order n on the contraction matrix, after the pair's element once
+        # per context; the zero-overlap pair's singular M0 takes the
+        # bordered Pfaffian, of order n_J + n_I + n, which divides by nothing
         calls = {name: 0 for name in ("element", "string_element")}
         for name in calls:
             orig = getattr(correlators._Engine, name)
@@ -978,8 +994,13 @@ class TestBorderedPfaffian:
                         [(o.site, o.dagger) for o in ops], fock.mode_operators(ctx.L))).any()
                 pfaffians.clear()
                 evaluate(ctx, ops)
-                assert [m.shape[-1] for (m,) in pfaffians] == \
-                    ([] if dead else [sum(bra) + sum(ket) + rows])
+                if dead:
+                    expected = []
+                elif kind == "zero-overlap":
+                    expected = [sum(bra) + sum(ket) + rows]
+                else:
+                    expected = ([] if values else [sum(bra) + sum(ket)]) + [rows]
+                assert [m.shape[-1] for (m,) in pfaffians] == expected
                 values += not dead
         assert values >= 16 and calls == {"element": 0, "string_element": 0}
 
@@ -1006,3 +1027,210 @@ class TestBorderedPfaffian:
         assert type(second.value) is type(first.value)
         assert [(r["route"], r["reason"]) for r in second.value.route] == \
             [("pfaffian", "numerical"), ("factor-chain", "rcond")]
+
+
+def contraction_context(L, kind, scale, seed):
+    """A context and its draw: a random quadratic pair, a random quadratic
+    ket operator under the identity bra operator, or the same two kinds
+    with linear parts.  An even ``seed`` gives the ket the bra's parity: a
+    quadratic pair of opposite parities has a singular M0, and takes the
+    bordered Pfaffian."""
+    rng = np.random.default_rng([L, int(10 * scale), seed])
+    if kind.startswith("linear"):
+        draw, zero = functools.partial(random_linear_op, rng, L, scale), LinearGaussianOp.zero
+    else:
+        draw, zero = functools.partial(random_generator, L, rng, scale), QuadraticGenerator.zero
+    op1 = draw()
+    op2 = zero(L) if kind.endswith("identity") else draw()
+    bra, ket = random_config(rng, L), random_config(rng, L)
+    if seed % 2 == 0 and bra.parity != ket.parity:
+        ket = ket.flipped([1])
+    return CorrelatorContext(op1, op2, bra, ket), rng
+
+
+def surviving_string(rng, bits, n):
+    """n operators that a bare <J| of ``bits`` survives, acting on it left
+    to right: c_a^dag where site a is occupied, c_a where it is empty."""
+    bits, ops = list(bits), []
+    for site in rng.integers(1, len(bits) + 1, size=n):
+        ops.append(ModeOp(int(site), bool(bits[site - 1])))
+        bits[site - 1] ^= 1
+    return tuple(ops)
+
+
+def bordered_value(ctx, ops, monkeypatch):
+    """The value of ``ops`` on a twin of ``ctx``, over the same operators
+    and configurations, whose pair takes the bordered Pfaffian."""
+    twin = remember(ctx.__dict__, "_bordered_twin",
+                    lambda: CorrelatorContext(ctx.op1, ctx.op2, ctx.bra, ctx.ket))
+    with monkeypatch.context() as m:
+        m.setattr(overlaps, "CONTRACTION_RCOND", 2.0)
+        return generalized_expectation(twin, ops)
+
+
+class TestContractionMatrix:
+    """A string of 3 or more extended operators is (-1)^(n(n-1)/2 + n n_I)
+    element pf(W), W_ab = r_a G r_b^T, from the pair's contraction matrix G;
+    a pair whose restricted chain matrix M0 is singular or ill-conditioned
+    takes the bordered Pfaffian."""
+
+    @pytest.mark.parametrize("L", range(1, 9))
+    @pytest.mark.parametrize("kind, scale", [
+        ("quadratic", 0.5), ("quadratic", 1.5), ("quadratic", 3.0),
+        ("quadratic-identity", 0.5), ("quadratic-identity", 1.5), ("quadratic-identity", 3.0),
+        ("linear", 0.5), ("linear", 1.5), ("linear-identity", 0.5), ("linear-identity", 1.5),
+    ])
+    def test_grid_matches_bordered_and_fock(self, L, kind, scale, monkeypatch):
+        # against the bordered Pfaffian to 1e-12 of max(1, |value|,
+        # |element|), and against fock to 1e-10 of the pair's largest
+        # matrix element, the size of the rounding a value carries (at
+        # scale 3 a negated value passes, the sign of ROADMAP item 15).
+        # Linear parts at scale 1.5 meet the bordered Pfaffian only: at
+        # L = 6 and 8 both routes alike miss fock by up to 7e-9 of that size
+        orc = cached_oracle(L)
+        dense = not (kind.startswith("linear") and scale > 1)
+        taken = 0
+        for seed in range(4 if L < 7 else 2):       # a dense exponential at L = 8 takes 0.7 s
+            ctx, rng = contraction_context(L, kind, scale, seed)
+            identity = kind.endswith("identity")
+            draw = (functools.partial(surviving_string, rng, ctx.bra.bits)
+                    if identity else functools.partial(rand_string, rng, L))
+            strings = [draw(n) for n in (3, 4, 4, 5, 6)]
+            strings.append(strings[1][:1] * 2 + strings[1][1:])    # a repeated operator
+            if dense:
+                f1, f2 = orc.gaussian(ctx.op1), orc.eye if identity else orc.gaussian(ctx.op2)
+                size = max(1.0, float(np.abs(f2.conj().T @ f1).max()))
+            for ops in strings:
+                value = generalized_expectation(ctx, ops)
+                if ctx.quadratic:
+                    assert n_point(ctx, ops) == value
+                if not ctx.route:           # a parity zero, or a string that kills <J|
+                    continue
+                e = ctx._engine()
+                element = e.element()
+                taken += e.kern._contractions[e.bra, e.ket] is not None
+                ref = bordered_value(ctx, ops, monkeypatch)
+                assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref), abs(element)), ops
+                if not dense:
+                    continue
+                exact = orc.sandwich(f2, ops, f1, ctx.bra, ctx.ket)
+                tol = 1e-10 * size
+                assert abs(value - exact) <= tol or (scale == 3.0 and abs(value + exact) <= tol)
+        assert taken, "no string read a contraction matrix"
+
+    @pytest.mark.parametrize("string, bra, ket, chain", [
+        ("cd1 cd2 c1 c2", "110", "000", "worked"),
+        ("c1 cd2 c3 cd3", "010", "001", "worked"),
+        ("cd3 c1 cd2 c3 c2 cd1", "011", "011", "worked"),
+        ("cd1 cd2 c1 c2", "110", "000", "rotation"),
+        ("cd3 c1 cd2 c3 c2 cd1", "011", "011", "rotation"),
+    ])
+    def test_factor_chain_contexts(self, string, bra, ket, chain, monkeypatch):
+        # the pi/2 worked example under the identity, and a pi/2 pair
+        # rotation plus a number term under the number term: singular
+        # products, whose values take the factor chain's G
+        if chain == "worked":
+            op1, op2 = QuadraticGenerator(worked_example_m(np.pi / 2)), QuadraticGenerator.zero(3)
+        else:
+            rot, num = np.zeros((6, 6), dtype=complex), np.zeros((6, 6), dtype=complex)
+            rot[0, 4] = rot[3, 1] = np.pi / 2
+            rot[1, 3] = rot[4, 0] = -np.pi / 2
+            num[2, 2], num[5, 5] = 0.3 + 0.2j, -0.3 - 0.2j
+            op1, op2 = QuadraticGenerator(rot + 0.5 * num), QuadraticGenerator(num)
+        ctx = CorrelatorContext(op1, op2, FockConfig.from_string(bra), FockConfig.from_string(ket))
+        ops = parse_mode_string(string)
+        value = n_point(ctx, ops)
+        e = ctx._engine()
+        assert ctx.method == "factor-chain" and e.kern.k > 1
+        assert e.kern._contractions[e.bra, e.ket] is not None
+        exact = oracle_value(ctx, ops, cached_oracle(3))
+        assert abs(exact) > 0.1
+        assert abs(value - exact) <= 1e-12 * abs(exact)
+        assert abs(value - bordered_value(ctx, ops, monkeypatch)) <= 1e-12 * abs(exact)
+
+    def test_identity_pair_falls_back_bit_for_bit(self, count_calls, monkeypatch):
+        # <110| cd1 cd2 c3 cd3 |000> = 1 under the identity pair, whose
+        # element <110|000> is exactly 0: M0 is singular, so the value is the
+        # bordered Pfaffian's, exactly 1, and M0 is not inverted
+        zero = QuadraticGenerator.zero(3)
+        ctx = CorrelatorContext(zero, zero, FockConfig.from_string("110"),
+                                FockConfig.from_string("000"))
+        e = ctx._engine()               # the route choice, outside the counts
+        inversions = []
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inversions.append(a))
+        rconds = count_calls("rcond_estimate")
+        ops = parse_mode_string("cd1 cd2 c3 cd3")
+        value = n_point(ctx, ops)
+        assert e.element() == 0 and value == 1
+        assert e.kern._contractions == {(e.bra, e.ket): None}
+        assert len(rconds) == 1 and inversions == []
+        rows = e.t1[[op.site + e.L * op.dagger for op in ops]]
+        assert value == e.kern.bordered(rows, e.bra, e.ket)
+
+    @staticmethod
+    def near_singular_kernel(rcond):
+        # one factor on 4 sites whose X has singular values 1, 1, rcond,
+        # rcond: between <1111| and |0000>, M0 = X
+        rng = np.random.default_rng(41)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        core = np.zeros((4, 4))
+        core[0, 1], core[2, 3] = 1.0, rcond
+        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        e_y = np.eye(4) + 0.3 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        x = q @ (core - core.T) @ q.T
+        return overlaps.OverlapKernel([quadratic.FactoredGaussian(
+            "normal", x.astype(complex), e_y, 0.5 * (a - a.T), 1.0)]), rng
+
+    @pytest.mark.parametrize("side", [0.5, 2.0])
+    def test_near_singular_pair_on_each_side_of_the_switch(self, side, count_calls, monkeypatch):
+        # just below the switch the value is the bordered Pfaffian's bit for
+        # bit, and M0 is not inverted; just above it G answers after one
+        # inversion, within G's rounding estimate eps / rcond(M0)^2 of
+        # max(1, |value|, |element|) on such a pair (the constant's note)
+        inversions = []
+        orig_inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inversions.append(a) or orig_inv(a))
+        rcond = side * overlaps.CONTRACTION_RCOND
+        kern, rng = self.near_singular_kernel(rcond)
+        bra, ket = (1, 1, 1, 1), (0, 0, 0, 0)
+        element = kern.elements([(bra, ket)])[0]
+        pfaffians = count_calls("_pfaffian_exact")
+        for n in (2, 4, 6):
+            rows = rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8))
+            ref = kern.bordered(rows, bra, ket)
+            pfaffians.clear()
+            value = kern.contracted(rows, bra, ket)
+            if side < 1:
+                assert value == ref
+                assert [m.shape[-1] for (m,) in pfaffians] == [4 + n]
+            else:
+                tol = np.finfo(float).eps / rcond ** 2 * max(1.0, abs(ref), abs(element))
+                assert abs(value - ref) <= tol
+                assert pfaffians[-1][0].shape == (n, n)
+        assert len(inversions) == (side > 1)
+
+    def test_counts_on_a_regular_context(self, count_calls, monkeypatch):
+        # 64 four-point values on one L = 16 context: one rcond estimate and
+        # one inversion of M0 give G, the element is one Pfaffian of order
+        # n_J + n_I, and every value one Pfaffian of order 4; none of order
+        # n_J + n_I + 4, the bordered matrix's
+        rng = np.random.default_rng(1600)
+        L = 16
+        bra = FockConfig(tuple(int(j % 3 == 0) for j in range(L)))
+        ket = FockConfig(tuple(int(j % 4 == 1) for j in range(L)))
+        ctx = CorrelatorContext(random_generator(L, rng, 0.5), random_generator(L, rng, 0.5),
+                                bra, ket)
+        overlap_value(ctx)              # the route choice and the engine, outside the counts
+        inversions = []
+        orig_inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inversions.append(a) or orig_inv(a))
+        rconds, pfaffians = count_calls("rcond_estimate"), count_calls("_pfaffian_exact")
+        strings = [(ModeOp(a, True), ModeOp(b, True), ModeOp(c, False), ModeOp(d, False))
+                   for a, b, c, d in rng.integers(1, L + 1, size=(64, 4))]
+        for ops in strings:
+            n_point(ctx, ops)
+        n_j, n_i = bra.n_occupied, ket.n_occupied    # equal parities: the ancillas stay empty
+        assert len(rconds) == 1 and rconds[0][0].shape == (n_j + n_i,) * 2
+        assert len(inversions) == 1
+        orders = [m.shape for (m,) in pfaffians]
+        assert orders == [(1, n_j + n_i, n_j + n_i)] + [(4, 4)] * 64
