@@ -28,9 +28,8 @@ table = np.array([[overlap(gen, bra, ket).value for ket in configs] for bra in c
 print("all matrix elements <J|F|I> (site 1 varies fastest):")
 print(table.real, "\n")
 
-modes = fock.mode_operators(3)
-dense = fock.dense_gaussian(gen.m, modes=modes)
-ref = np.array([[fock.dense_element(dense, bra, ket, modes=modes)
+dense = fock.dense_gaussian(gen.m)
+ref = np.array([[fock.dense_element(dense, bra, ket)
                  for ket in configs] for bra in configs])
 print("max deviation from the dense brute force:", np.max(np.abs(table - ref)), "\n")
 
@@ -41,7 +40,7 @@ g2 = random_generator(3, rng, 0.5)
 bra, ket = FockConfig((1, 0, 1)), FockConfig((0, 1, 1))
 res = state_overlap(g1, g2, bra, ket)
 print(f"<M2({bra})|M1({ket})> =", res.value, " method:", res.method)
-f1 = fock.dense_gaussian(g1.m, modes=modes)
-f2 = fock.dense_gaussian(g2.m, modes=modes)
-check = fock.dense_expectation(f2, np.eye(8), f1, bra, ket, modes=modes)
+f1 = fock.dense_gaussian(g1.m)
+f2 = fock.dense_gaussian(g2.m)
+check = fock.dense_expectation(f2, np.eye(8), f1, bra, ket)
 print("dense check:             ", check)

@@ -50,10 +50,9 @@ print(np.round(mp, 3), "\n")
 fac = generalized_bbd(op)
 print("five-factor data: q =", np.round(fac.q, 5), " p =", np.round(fac.p, 5))
 prod = np.eye(2 ** L, dtype=complex)
-modes = fock.mode_operators(L)
 for f in factors_as_ops(fac):
-    prod = prod @ fock.dense_gaussian(f.m, f.u, f.v, modes=modes)
-ref = fock.dense_gaussian(op.m, op.u, op.v, modes=modes)
+    prod = prod @ fock.dense_gaussian(f.m, f.u, f.v)
+ref = fock.dense_gaussian(op.m, op.u, op.v)
 print("dense five-factor reassembly error:", np.max(np.abs(prod - ref)), "\n")
 
 # --- conjugation is a *nonlinear* canonical transformation ----------------
@@ -69,13 +68,12 @@ r = np.array([[0, 0.6], [-0.6, 0]], dtype=complex)
 uvec = np.array([0.3, -0.2j])
 r1 = np.array([[0, -0.4 + 0.2j], [0.4 - 0.2j, 0]])
 u1 = np.array([-0.1j, 0.5])
-modes = fock.mode_operators(L)
 
 
 def dense_state(r, u):
     m = np.zeros((2 * L, 2 * L), dtype=complex)
     m[:L, L:] = r
-    return fock.dense_gaussian(m, u, None, modes=modes)[:, 0]
+    return fock.dense_gaussian(m, u, None)[:, 0]
 
 
 psi0, psi1 = dense_state(r, uvec), dense_state(r1, u1)
@@ -86,5 +84,5 @@ for bits in [(0, 0), (1, 0), (0, 1), (1, 1)]:
 print("  <psi0|psi0> =", pair_state_norm(r, uvec), " fock:", (psi0.conj() @ psi0).real)
 print(f"  <psi0|psi1> = {pair_state_overlap(r, uvec, r1, u1):.10f}  fock: {psi0.conj() @ psi1:.10f}")
 f = random_generator(L, 7, 0.5)
-ref = psi0.conj() @ fock.dense_gaussian(f.m, modes=modes) @ psi1
+ref = psi0.conj() @ fock.dense_gaussian(f.m) @ psi1
 print(f"  <psi0|F|psi1> = {pair_state_overlap(r, uvec, r1, u1, op=f):.10f}  fock: {ref:.10f}")

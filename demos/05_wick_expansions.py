@@ -33,12 +33,11 @@ ops = parse_mode_string("c1 cd2 c3 cd3")
 val = n_point(ctx, ops)
 print("quadratic 4-point", " ".join(map(str, ops)), "=", val)
 
-modes = fock.mode_operators(L)
-f1 = fock.dense_gaussian(g1.m, modes=modes)
-f2 = fock.dense_gaussian(g2.m, modes=modes)
-a = fock.mode_string_matrix([(o.site, o.dagger) for o in ops], modes)
+f1 = fock.dense_gaussian(g1.m)
+f2 = fock.dense_gaussian(g2.m)
+a = fock.mode_string_matrix([(o.site, o.dagger) for o in ops], L)
 print("dense check              =",
-      fock.dense_expectation(f2, a, f1, bra, ket, modes=modes), "\n")
+      fock.dense_expectation(f2, a, f1, bra, ket), "\n")
 
 # --- linear sector: the term table -----------------------------------------
 def rand_op():

@@ -286,11 +286,10 @@ def _oracle_value(op1, op2, ops, bra, ket) -> complex:
 
     if op1.L > fock.MAX_SITES_DENSE:
         raise CliError(EXIT_PARSE, f"--verify capped at L={fock.MAX_SITES_DENSE}, got L={op1.L}")
-    modes = fock.mode_operators(op1.L)
-    f1 = fock.dense_gaussian(op1.m, op1.u, op1.v, modes=modes)
-    f2 = fock.dense_gaussian(op2.m, op2.u, op2.v, modes=modes)
-    a = fock.mode_string_matrix([(o.site, o.dagger) for o in ops], modes)
-    return fock.dense_expectation(f2, a, f1, bra, ket, modes=modes)
+    f1 = fock.dense_gaussian(op1.m, op1.u, op1.v)
+    f2 = fock.dense_gaussian(op2.m, op2.u, op2.v)
+    a = fock.mode_string_matrix([(o.site, o.dagger) for o in ops], op1.L)
+    return fock.dense_expectation(f2, a, f1, bra, ket)
 
 
 def cmd_overlap(args) -> int:
@@ -401,9 +400,8 @@ def cmd_verify(args) -> int:
     if L > cap:
         raise CliError(EXIT_PARSE, f"verify capped at L={cap} (--max-sites, dense oracle), got L={L}")
     rng = np.random.default_rng(args.seed)
-    modes = fock.mode_operators(L)
     dim = 2 ** L
-    f_dense = fock.dense_gaussian(op.m, op.u, op.v, modes=modes)
+    f_dense = fock.dense_gaussian(op.m, op.u, op.v)
     checks = []
 
     def record(name: str, dev: float, tol: float, note: str | None = None):
@@ -440,14 +438,14 @@ def cmd_verify(args) -> int:
     for bra in configs:
         for ket in configs:
             val = element(ket_op, zero, bra, ket).value
-            ref = fock.dense_element(f_dense, bra, ket, modes=modes)
+            ref = fock.dense_element(f_dense, bra, ket)
             dev = max(dev, abs(val - ref))
     record(grid_name, dev, 1e-9)
 
     try:
         prod = np.eye(dim, dtype=complex)
         for f in factors_as_ops(generalized_bbd(op)):
-            prod = prod @ fock.dense_gaussian(f.m, f.u, f.v, modes=modes)
+            prod = prod @ fock.dense_gaussian(f.m, f.u, f.v)
         record(reassembly_name, float(np.max(np.abs(prod - f_dense))), 1e-9)
     except (SingularBlockError, LinalgError) as exc:
         record(reassembly_name, 0.0, 1e-9, note=f"skipped: {exc}")
@@ -458,9 +456,8 @@ def cmd_verify(args) -> int:
         ops_s = tuple(ModeOp(int(rng.integers(1, L + 1)), bool(rng.integers(2)))
                       for _ in range(n))
         val = correlator(ctx, ops_s)
-        a = fock.mode_string_matrix([(o.site, o.dagger) for o in ops_s], modes)
-        ref = fock.dense_expectation(np.eye(dim, dtype=complex),
-                                     a, f_dense, ctx.bra, ctx.ket, modes=modes)
+        a = fock.mode_string_matrix([(o.site, o.dagger) for o in ops_s], L)
+        ref = fock.dense_expectation(np.eye(dim, dtype=complex), a, f_dense, ctx.bra, ctx.ket)
         dev = max(dev, abs(val - ref))
     record(correlator_name, dev, 1e-8)
 

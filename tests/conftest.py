@@ -151,15 +151,15 @@ class Oracle:
 
     def gaussian(self, op) -> np.ndarray:
         if isinstance(op, QuadraticGenerator):
-            return fock.dense_gaussian(op.m, modes=self.modes)
-        return fock.dense_gaussian(op.m, op.u, op.v, modes=self.modes)
+            return fock.dense_gaussian(op.m)
+        return fock.dense_gaussian(op.m, op.u, op.v)
 
     def element(self, f, bra: FockConfig, ket: FockConfig) -> complex:
-        return fock.dense_element(f, bra, ket, modes=self.modes)
+        return fock.dense_element(f, bra, ket)
 
     def sandwich(self, f2, ops, f1, bra: FockConfig, ket: FockConfig) -> complex:
-        a = fock.mode_string_matrix([(o.site, o.dagger) for o in ops], self.modes)
-        return fock.dense_expectation(f2, a, f1, bra, ket, modes=self.modes)
+        a = fock.mode_string_matrix([(o.site, o.dagger) for o in ops], self.L)
+        return fock.dense_expectation(f2, a, f1, bra, ket)
 
 
 _ORACLES: dict = {}

@@ -159,9 +159,9 @@ def test_criterion_4_factorization_golden_forms():
             left = np.block([[zero, zero], [fac.x, zero]])
             right = np.block([[zero, fac.z], [zero, zero]])
         middle = np.block([[fac.y, zero], [zero, -fac.y.T]])
-        prod = fock.dense_gaussian(left, modes=o.modes) \
-            @ fock.dense_gaussian(middle, modes=o.modes) \
-            @ fock.dense_gaussian(right, modes=o.modes)
+        prod = fock.dense_gaussian(left) \
+            @ fock.dense_gaussian(middle) \
+            @ fock.dense_gaussian(right)
         dev_re = max(dev_re, float(np.max(np.abs(prod - f_dense))))
     report(4, "dense factor reassembly", dev_re, 1e-9)
 
@@ -283,7 +283,7 @@ def test_criterion_8_linear_property_suite():
             fac = generalized_bbd(op1)
             prod = o.eye.copy()
             for f in factors_as_ops(fac):
-                prod = prod @ fock.dense_gaussian(f.m, f.u, f.v, modes=o.modes)
+                prod = prod @ fock.dense_gaussian(f.m, f.u, f.v)
             dev_bbd = max(dev_bbd, float(np.max(np.abs(prod - f1))))
 
             bra, ket = random_config(rng, L), random_config(rng, L)
@@ -359,17 +359,17 @@ def test_criterion_9_embedding_structure():
                 m = sum(cfg.bits[:j - 1]) % 2
                 sgn = -1.0 if m else 1.0
                 for e in (0, 1):
-                    vec = fock.config_state(cfg.with_ancilla(e), modes)
+                    vec = fock.config_state(cfg.with_ancilla(e))
                     out_low = lower @ vec
                     out_raise = raise_ @ vec
                     if cfg.bits[j - 1] == 1:
                         target = sgn * fock.config_state(
-                            cfg.flipped([j]).with_ancilla(1 - e), modes)
+                            cfg.flipped([j]).with_ancilla(1 - e))
                         exact &= bool(np.array_equal(out_low, target))
                         exact &= not np.any(out_raise)
                     else:
                         target = sgn * fock.config_state(
-                            cfg.flipped([j]).with_ancilla(1 - e), modes)
+                            cfg.flipped([j]).with_ancilla(1 - e))
                         exact &= bool(np.array_equal(out_raise, target))
                         exact &= not np.any(out_low)
     status = "PASS" if exact else "FAIL"

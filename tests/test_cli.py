@@ -678,10 +678,10 @@ def test_verify_site_cap_must_be_positive(cap, capsys):
 def test_verify_above_the_dense_cap_exits_before_the_oracle(tmp_path, capsys, monkeypatch):
     from fermigauss import fock
 
-    def no_modes(L):
-        raise AssertionError(f"oracle modes built at L={L}")
+    def no_table(L):
+        raise AssertionError(f"oracle table built at L={L}")
 
-    monkeypatch.setattr(fock, "mode_operators", no_modes)
+    monkeypatch.setattr(fock, "jordan_wigner", no_table)
     L = fock.MAX_SITES_DENSE + 1
     op = write_operator(tmp_path / "big.json", np.zeros((2 * L, 2 * L)))
     vac = "0" * L

@@ -598,7 +598,7 @@ class TestBareBra:
                 val = (n_point if ctx.quadratic else generalized_expectation)(ctx, ops)
                 ref = orc.sandwich(orc.eye, ops, f1, bra, ket)
                 row = fock.config_state(bra).conj() @ fock.mode_string_matrix(
-                    [(o.site, o.dagger) for o in ops], orc.modes)
+                    [(o.site, o.dagger) for o in ops], orc.L)
                 if not row.any():
                     killed += 1
                     assert val == 0 and ref == 0
@@ -991,7 +991,7 @@ class TestBorderedPfaffian:
                 ops = rand_string(rng, ctx.L, n)
                 dead = kind == "zero-overlap" and not (
                     fock.config_state(ctx.bra).conj() @ fock.mode_string_matrix(
-                        [(o.site, o.dagger) for o in ops], fock.mode_operators(ctx.L))).any()
+                        [(o.site, o.dagger) for o in ops], ctx.L)).any()
                 pfaffians.clear()
                 evaluate(ctx, ops)
                 if dead:

@@ -36,14 +36,10 @@ from conftest import (
 )
 
 
-def dense_op(op: LinearGaussianOp, orc) -> np.ndarray:
-    return fock.dense_gaussian(op.m, op.u, op.v, modes=orc.modes)
-
-
 def five_factor_dense(fac, orc) -> np.ndarray:
     out = orc.eye.copy()
     for f in factors_as_ops(fac):
-        out = out @ fock.dense_gaussian(f.m, f.u, f.v, modes=orc.modes)
+        out = out @ fock.dense_gaussian(f.m, f.u, f.v)
     return out
 
 
@@ -64,7 +60,7 @@ class TestLinearOp:
         orc = oracle(2)
         rng = np.random.default_rng(61)
         op = random_linear_op(rng, 2, 0.5)
-        assert np.max(np.abs(dense_op(dagger(op), orc) - dense_op(op, orc).conj().T)) < 1e-12
+        assert np.max(np.abs(orc.gaussian(dagger(op)) - orc.gaussian(op).conj().T)) < 1e-12
 
 
 class TestEmbedding:
@@ -147,8 +143,8 @@ class TestEmbedding:
         orc = oracle(L)
         orc_ext = oracle(L + 1)
         op = random_linear_op(rng, L, 0.5)
-        f = dense_op(op, orc)
-        fp = fock.dense_gaussian(embed(op).m, modes=orc_ext.modes)
+        f = orc.gaussian(op)
+        fp = fock.dense_gaussian(embed(op).m)
         for bra in all_configs(L):
             for ket in all_configs(L):
                 rhs = sum(
@@ -218,7 +214,7 @@ class TestGeneralizedFactorization:
         for _ in range(4):
             op = random_linear_op(rng, L, 0.5)
             fac = generalized_bbd(op)
-            assert np.max(np.abs(five_factor_dense(fac, orc) - dense_op(op, orc))) < 1e-9
+            assert np.max(np.abs(five_factor_dense(fac, orc) - orc.gaussian(op))) < 1e-9
 
 
 class TestSingleModeOrderings:
@@ -279,7 +275,7 @@ class TestConjugateModes:
         orc = oracle(L)
         rng = np.random.default_rng(82 + L)
         op = random_linear_op(rng, L, 0.5)
-        f = dense_op(op, orc)
+        f = orc.gaussian(op)
         nt = conjugate_modes(op)
         phi = [orc.modes[i][0] for i in range(L)] + [orc.modes[i][1] for i in range(L)]
         row = [orc.modes[i][1] for i in range(L)] + [orc.modes[i][0] for i in range(L)]
@@ -299,7 +295,7 @@ class TestConjugateModes:
     def test_pure_linear_single_mode(self, oracle):
         orc = oracle(1)
         op = LinearGaussianOp(np.zeros((2, 2)), np.array([0.4]), np.array([0.7]))
-        f = dense_op(op, orc)
+        f = orc.gaussian(op)
         nt = conjugate_modes(op)
         c, cd = orc.modes[0]
         img = nt.tp[0, 0] * c + nt.tp[0, 1] * cd + nt.shift[0] * orc.eye
@@ -317,7 +313,7 @@ class TestConjugateModes:
         orc = oracle(L)
         rng = np.random.default_rng(85)
         op = random_linear_op(rng, L, 0.5)
-        f = dense_op(op, orc)
+        f = orc.gaussian(op)
         imgs = [fock.dense_conjugate(f, orc.modes[i][0]) for i in range(L)]
         imgs_d = [fock.dense_conjugate(f, orc.modes[i][1]) for i in range(L)]
         for i in range(L):
@@ -336,8 +332,8 @@ class TestComposeLinear:
         op2 = random_linear_op(rng, 2, 0.4)
         res = compose_linear(op1, op2)
         assert res.op is not None
-        lhs = dense_op(op1, orc) @ dense_op(op2, orc)
-        assert np.max(np.abs(lhs - dense_op(res.op, orc))) < 1e-9
+        lhs = orc.gaussian(op1) @ orc.gaussian(op2)
+        assert np.max(np.abs(lhs - orc.gaussian(res.op))) < 1e-9
 
     def test_site_counts_must_agree(self):
         with pytest.raises(ValueError, match="site counts differ: 2 vs 3"):

@@ -322,7 +322,7 @@ class TestPairStates:
         from fermigauss import fock
         for cfg in all_configs(L):
             amp = pair_state_amplitude(r, u, cfg)
-            ref = fock.config_state(cfg, orc.modes).conj() @ psi
+            ref = fock.config_state(cfg).conj() @ psi
             assert abs(amp - ref) < 1e-10
 
     def test_norm_closed_form_at_zero_linear(self):

@@ -48,11 +48,6 @@ KNOWN_MISSES = {
 
 
 @functools.cache
-def _modes(L: int):
-    return fock.mode_operators(L)
-
-
-@functools.cache
 def _draw(L: int, scale: float, linear: bool, seed: int):
     """(R0, u0), (R1, u1), F, and fock's two state vectors and F."""
     rng = np.random.default_rng([L, int(10 * scale), linear, seed])
@@ -61,14 +56,14 @@ def _draw(L: int, scale: float, linear: bool, seed: int):
               if linear else (None, None))
     g = random_generator(L, rng, scale)
     return ((r0, u0), (r1, u1), g, dense_state(r0, u0), dense_state(r1, u1),
-            fock.dense_gaussian(g.m, modes=_modes(L)))
+            fock.dense_gaussian(g.m))
 
 
 def dense_state(r, u) -> np.ndarray:
     L = len(r)
     m = np.zeros((2 * L, 2 * L), dtype=complex)
     m[:L, L:] = r
-    return fock.dense_gaussian(m, u, None, modes=_modes(L))[:, 0]
+    return fock.dense_gaussian(m, u, None)[:, 0]
 
 
 def close(val, ref) -> bool:
@@ -79,7 +74,7 @@ def close(val, ref) -> bool:
 def test_amplitudes_norm_and_overlap_match_fock(L, scale, linear, seed):
     (r0, u0), (r1, u1), _, psi0, psi1, _ = _draw(L, scale, linear, seed)
     for cfg in all_configs(L):
-        ref = fock.config_state(cfg, _modes(L)) @ psi1
+        ref = fock.config_state(cfg) @ psi1
         assert close(pair_state_amplitude(r1, u1, cfg), ref), cfg
     norm = psi0.conj() @ psi0
     assert close(pair_state_norm(r0, u0), norm.real)

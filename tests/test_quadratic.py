@@ -49,9 +49,9 @@ def factored_dense(fac, oracle_obj):
         left = np.block([[zero, zero], [fac.x, zero]])
         right = np.block([[zero, fac.z], [zero, zero]])
     middle = np.block([[fac.y, zero], [zero, -fac.y.T]])
-    out = fock.dense_gaussian(left, modes=oracle_obj.modes)
-    out = out @ fock.dense_gaussian(middle, modes=oracle_obj.modes)
-    return out @ fock.dense_gaussian(right, modes=oracle_obj.modes)
+    out = fock.dense_gaussian(left)
+    out = out @ fock.dense_gaussian(middle)
+    return out @ fock.dense_gaussian(right)
 
 
 class TestGenerator:
