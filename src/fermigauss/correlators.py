@@ -7,17 +7,18 @@ collapse pairwise: an odd string acquires one leftmost ``c0^dag - c0``
 factor, taken as one operator, so every extended string is even.
 
 Each string operator is first conjugated through the ket-side transfer
-matrix into its coefficient row over the bare modes, a row of that matrix.
-A string of three or more operators then reads the configuration pair's
-contraction matrix G = K + B^T M0^-1 B, the overlap kernel's
-:meth:`~fermigauss.overlaps.OverlapKernel.contracted` (the Balian-Brezin
-contraction structure): M0 is the pair's pairing matrix or, on a singular
-pair, its factor chain, restricted exactly as for an overlap, and the value
-is the pair's element times one Pfaffian of the string's order, with M0
-inverted once per pair.  Where M0 is singular or ill-conditioned, so that
-G would divide by a vanishing element, the value is instead one bordered
-Pfaffian, M0 bordered by one row and column per operator holding its
-contractions, which divides by nothing.  One- and two-operator strings
+matrix into its coefficient row over the bare modes, a row of that matrix
+(``_Engine.rows``).  A string of three or more operators then reads the
+configuration pair's contraction matrix G = K + B^T M0^-1 B, the overlap
+kernel's :meth:`~fermigauss.overlaps.OverlapKernel.contracted` (the
+Balian-Brezin contraction structure): M0 is the pair's pairing matrix or,
+on a singular pair, its factor chain, restricted exactly as for an overlap,
+and the value is the pair's element, evaluated once per context, times one
+Pfaffian of the string's order, with M0 inverted once per pair.  Where M0
+is singular or ill-conditioned, so that G would divide by a vanishing
+element, the value is instead one bordered Pfaffian, M0 bordered by one row
+and column per operator holding its contractions, which divides by
+nothing.  One- and two-operator strings
 take the direct expansion, ``_Engine.string_element``: the amplitudes of
 the configurations reached from the ket are pushed forward through the
 rows (with the usual string signs), and the kernel gives the matrix
@@ -123,16 +124,17 @@ def pairings_with_sign(indices):
 class _Engine:
     """Formula evaluation on one kernel of ``exp(M2')^dag exp(M1')``, the
     product's or the factor chain's, bound to one (bra, ket) pair of
-    configuration bits.
+    configuration bits on the L + 1 sites of the ancilla-extended space.
 
     Holds the kernel, which evaluates strings of three or more operators
     from the pair's contraction matrix (the bordered Pfaffian where its M0
-    is ill-conditioned); the ket-side transfer matrix ``t1``, whose rows
-    are the string operators' coefficient rows; and the matrix elements
-    <bra| F |config> keyed by the configuration bits, on the L + 1 sites of
-    the ancilla-extended space.  Callers pass parity-allowed strings only.
-    ``one_point``, ``two_point`` and ``_odd_reduction`` have no caller in
-    the library; ``bench/tracing.py`` wraps them by name.
+    is ill-conditioned) times the pair's element; the ket-side transfer
+    matrix ``t1``, whose rows are the string operators' coefficient rows
+    (:meth:`rows`); and the matrix elements <bra| F |config> keyed by the
+    configuration bits, that element among them.  Callers pass
+    parity-allowed strings only.  ``one_point``, ``two_point`` and
+    ``_odd_reduction`` have no caller in the library: ``bench/tracing.py``
+    times them by name, and they give the public values bit for bit.
     """
 
     def __init__(self, kern, t1, bra_bits, ket_bits):
@@ -142,17 +144,21 @@ class _Engine:
 
     def element(self) -> complex:
         """<J| F |I> of the engine's pair."""
-        val = self._elements.get(self.ket)
-        if val is None:
-            val = self.kern.element(FockConfig(self.bra), FockConfig(self.ket))
-            self._elements[self.ket] = val
-        return val
+        return remember(self._elements, self.ket,
+                        lambda: self.kern.element(FockConfig(self.bra), FockConfig(self.ket)))
 
-    def _coeff_rows(self, op: ModeOp):
-        """The coefficients of ``op`` conjugated through the ket-side transfer:
+    def rows(self, ops):
+        """The coefficient rows of a mode string in the extended space:
         ``F op = (sum_j cc_j c_j + cd_j c_j^dag) F`` gives the row
-        ``(cc | cd)`` of ``t1``."""
-        return self.t1[op.site - 1 + (self.L if op.dagger else 0)]
+        ``(cc | cd)`` of ``t1``, row site for c_site and site + n for its
+        adjoint (n = L + 1); an odd string is led by ``c0^dag - c0``, row n
+        minus row 0."""
+        n = self.L
+        lead = [n] if len(ops) % 2 else []
+        out = self.t1[lead + [op.site + n * op.dagger for op in ops]]
+        if lead:
+            out[0] -= self.t1[0]
+        return out
 
     def n_point(self, rows) -> complex:
         """<J| F phi_1 ... phi_n |I> for the coefficient rows of the string:
@@ -165,27 +171,27 @@ class _Engine:
         return self._wick_even(rows)
 
     def one_point(self, op: ModeOp) -> complex:
-        return self.string_element((self._coeff_rows(op),))
+        """<J| F phi |I>, led by ``c0^dag - c0``, by :meth:`string_element`."""
+        return self.string_element(self.rows((op,)))
 
     def two_point(self, op_a: ModeOp, op_b: ModeOp) -> complex:
         """<J| F phi_a phi_b |I> by :meth:`string_element`."""
-        return self.string_element((self._coeff_rows(op_a), self._coeff_rows(op_b)))
+        return self.string_element(self.rows((op_a, op_b)))
 
     def _wick_even(self, rows) -> complex:
         """Strings of 3 or more coefficient rows: the kernel's
         :meth:`~fermigauss.overlaps.OverlapKernel.contracted`."""
-        return self.kern.contracted(rows, self.bra, self.ket)
+        return self.kern.contracted(rows, self.bra, self.ket, self.element)
 
     def _odd_reduction(self, rows) -> complex:
-        """Odd strings of 3 or more coefficient rows: the kernel's
-        :meth:`~fermigauss.overlaps.OverlapKernel.contracted`."""
-        return self.kern.contracted(rows, self.bra, self.ket)
+        """Odd strings of 3 or more coefficient rows: :meth:`_wick_even`."""
+        return self._wick_even(rows)
 
     def string_element(self, rows) -> complex:
         """<J| F phi_1 ... phi_n |I> by direct expansion, no normalization.
 
         ``rows[k]`` holds the coefficient row ``(cc | cd)`` of phi_{k+1}
-        (see :meth:`_coeff_rows`), so any linear combination of mode
+        (see :meth:`rows`), so any linear combination of mode
         operators is one operator.  A forward expansion: the amplitudes of
         the configurations reached from the ket are pushed through the
         operators from right to left, each bare mode acting with its
@@ -299,13 +305,7 @@ def _extended_value(ctx: CorrelatorContext, ops: tuple) -> complex:
             return ctx._zero()
         bits[op.site - 1] ^= 1
     e = ctx._engine()
-    # row site - 1 of t1 for c_site in the extended space, site + L for its
-    # adjoint; c0^dag - c0 is row L minus row 0
-    lead = [e.L] if len(ops) % 2 else []
-    rows = e.t1[lead + [op.site + e.L * op.dagger for op in ops]]
-    if lead:
-        rows[0] -= e.t1[0]
-    return e.n_point(rows)
+    return e.n_point(e.rows(ops))
 
 
 # -- quadratic correlators ----------------------------------------------

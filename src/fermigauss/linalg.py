@@ -494,7 +494,7 @@ def sqrt_det_continuous(mat_at, end):
     a path from 0 to 1; when the determinant nearly vanishes on the real
     segment, slight complex detours are tried (zeros of a holomorphic
     function are isolated).  Returns ``(value, True)`` when a path resolves
-    the winding and ``(None, False)`` when none does; the principal-branch
+    the winding and ``(None, det(end))`` when none does; the principal-branch
     value, :func:`sqrt_det_via_log`, is then the caller's fallback to take
     or to refuse.  Each path starts with 12 steps and doubles them, at most
     four times, while some step turns the argument by 1.2 or more.
@@ -509,7 +509,7 @@ def sqrt_det_continuous(mat_at, end):
     target = complex(np.linalg.det(end))
     floor = 1e-13 * max(1.0, abs(target))
     if min(1.0, abs(target)) <= floor:
-        return None, False
+        return None, target
     for bulge in (0.0, 0.03, 0.11, 0.31):
         n = 12
         for _ in range(5):
@@ -528,4 +528,4 @@ def sqrt_det_continuous(mat_at, end):
                 arg = float(np.sum(incs))
                 return complex(np.sqrt(abs(target)) * np.exp(0.5j * arg)), True
             n *= 2
-    return None, False
+    return None, target

@@ -16,9 +16,9 @@ PRC 79, 021302(R), 2009; Bertsch & Robledo, PRL 108, 042505, 2012);
 strings of three or more operators: through a configuration pair's
 contraction matrix G = K + B^T M0^-1 B (Balian and Brezin's contraction
 structure, one inversion of the restricted matrix M0 per pair and one
-Pfaffian of the string's order per value), or, where M0 is singular or
-ill-conditioned (:data:`CONTRACTION_RCOND`), through the bordered form of
-M0, which divides by nothing.
+Pfaffian of the string's order per value, times the element the caller
+keeps), or, where M0 is singular or ill-conditioned
+(:data:`CONTRACTION_RCOND`), through the bordered form of M0.
 
 When T22 is singular three rescue routes exist.  When the generators
 are known, the factor chain keeps the product unmultiplied: each factor's
@@ -176,7 +176,7 @@ class OverlapKernel:
                        else "principal")
         self._inner = list(range(L, n - L))
         self._restricted: dict = {}    # (bra bits, ket bits) -> bordered's blocks
-        self._contractions: dict = {}  # (bra bits, ket bits) -> (element, M0^-1), or None
+        self._contractions: dict = {}  # (bra bits, ket bits) -> M0^-1, or None
 
     def _keep(self, bra_bits, ket_bits) -> tuple[list[int], int, int]:
         """The rows of ``pairing`` that <J| ... |I> keeps, in increasing
@@ -291,16 +291,14 @@ class OverlapKernel:
                 (beta @ self.pairing[-L:, -L:] - alpha) @ beta.T)
 
     def _contraction(self, bra_bits, ket_bits):
-        """``(element, M0^-1)`` of a pair, or None when M0, the restricted
-        C that :meth:`elements` takes the Pfaffian of, has an rcond of at
-        most :data:`CONTRACTION_RCOND`."""
+        """M0^-1 of a pair, or None when M0, the restricted C that
+        :meth:`elements` takes the Pfaffian of, has an rcond of at most
+        :data:`CONTRACTION_RCOND`."""
         inner = self._blocks(bra_bits, ket_bits)[3]
         m0 = inner - inner.T
-        if rcond_estimate(m0) <= CONTRACTION_RCOND:
-            return None
-        return self.elements([(bra_bits, ket_bits)])[0], np.linalg.inv(m0)
+        return None if rcond_estimate(m0) <= CONTRACTION_RCOND else np.linalg.inv(m0)
 
-    def contracted(self, rows, bra_bits, ket_bits) -> complex:
+    def contracted(self, rows, bra_bits, ket_bits, element) -> complex:
         """:meth:`bordered`'s value through the pair's contraction matrix.
 
         Over the 2L bare modes (c, c^dag), :meth:`bordered` borders M0 by
@@ -309,21 +307,22 @@ class OverlapKernel:
         [0, Z]].  The Schur complement of M0 gives pf(bordered) =
         (-1)^(n n_I) pf(M0) pf(W), W_ab = r_a G r_b^T for a < b with the
         pair's contraction matrix G = K + B^T M0^-1 B, so the value is
-        (-1)^(n(n-1)/2 + n n_I) times the pair's element times pf(W): one
-        Pfaffian of order n, after one inversion of M0 per pair
-        (:meth:`_contraction`).  G is read in that factored form, W = R K
-        R^T + (B R^T)^T M0^-1 (B R^T), with R K R^T and B R^T the blocks of
-        :meth:`bordered` (:meth:`_border`): the formed product B^T M0^-1 B,
-        between large rows, loses up to 1e-10 of max(1, |value|, |element|)
-        at scale 3, where the factored form keeps to 1e-13.  A pair whose M0
-        is singular or ill-conditioned, where G would divide by a vanishing
-        pf(M0), takes :meth:`bordered`, which divides by nothing.
+        (-1)^(n(n-1)/2 + n n_I) times the pair's element, ``element()``,
+        which the caller keeps, times pf(W): one Pfaffian of order n, after
+        one inversion of M0 per pair (:meth:`_contraction`).  G is read in
+        that factored form, W = R K R^T + (B R^T)^T M0^-1 (B R^T), with R K
+        R^T and B R^T the blocks of :meth:`bordered` (:meth:`_border`): the
+        formed product B^T M0^-1 B, between large rows, loses up to 1e-10 of
+        max(1, |value|, |element|) at scale 3, where the factored form keeps
+        to 1e-13.  A pair whose M0 is singular or ill-conditioned, where G
+        would divide by a vanishing pf(M0), takes :meth:`bordered`, which
+        divides by nothing and calls no ``element()``.
         """
-        found = remember(self._contractions, (bra_bits, ket_bits),
-                         lambda: self._contraction(bra_bits, ket_bits))
-        if found is None:
+        m0_inv = remember(self._contractions, (bra_bits, ket_bits),
+                          lambda: self._contraction(bra_bits, ket_bits))
+        if m0_inv is None:
             return self.bordered(rows, bra_bits, ket_bits)
-        element, m0_inv = found
+        value = element()
         _, _, ii, _, e_h, z_i = self._blocks(bra_bits, ket_bits)
         ahead, with_i, among = self._border(rows, e_h, ii, z_i)
         b_r = np.concatenate((ahead, -with_i.T))     # B R^T, M0's border columns
@@ -331,7 +330,7 @@ class OverlapKernel:
         w -= w.T
         pf = _pfaffian_exact(w)
         n = len(rows)
-        return -element * pf if (n * (n - 1) // 2 + n * len(ii)) % 2 else element * pf
+        return -value * pf if (n * (n - 1) // 2 + n * len(ii)) % 2 else value * pf
 
 
 class _ProductPath:
@@ -432,7 +431,7 @@ def _path_factors(g: QuadraticGenerator) -> FactoredGaussian:
     def det_root(t22):
         root = sqrt_det_continuous(_ProductPath(g, None), t22)
         if root[0] is None:
-            raise UnfixedBranchError(np.linalg.det(t22))
+            raise UnfixedBranchError(root[1])     # the refusal carries det(T22)
         return root
 
     t = transfer_of(g)

@@ -285,8 +285,8 @@ def _normal_factors(t12: np.ndarray, t21: np.ndarray, t22: np.ndarray,
 
     The one place that inverts the pivot block: X = T12 T22^-1,
     Z = T22^-1 T21, exp(Y) = T22^-T and exp(-tr Y / 2) = det(T22)^(1/2).
-    ``det_root(t22)`` returns that root and its sign certainty, or
-    ``(None, False)`` when it cannot fix the branch, as
+    ``det_root(t22)`` returns that root and its sign certainty, or None
+    and det(T22) when it cannot fix the branch, as
     :func:`~fermigauss.linalg.sqrt_det_continuous` does; the root is then,
     and without ``det_root``, taken on the principal branch,
     :func:`sqrt_det_via_log`, and ``branch`` records which.  It runs after

@@ -116,6 +116,14 @@ def identity_transfer(L: int) -> TransferMatrix:
     return TransferMatrix(np.eye(2 * L, dtype=complex))
 
 
+def bare_rows(t1: np.ndarray, ops) -> np.ndarray:
+    """The coefficient rows of a mode string for a kernel on the bare L
+    sites: row site - 1 of the ket-side transfer ``t1`` for c_site, site -
+    1 + L for its adjoint."""
+    L = len(t1) // 2
+    return t1[[op.site - 1 + L * op.dagger for op in ops]]
+
+
 def pair_kernel(m1: np.ndarray, m2dag: np.ndarray | None = None) -> OverlapKernel:
     """Kernel for <J| exp(M2^dag) exp(M1) |I> from generator matrices.
 

@@ -42,10 +42,11 @@ class TestLazyPath:
     def test_no_path_point_beyond_the_zero_threshold(self, d):
         # det(end) = d^2 with d^2 >= 1e13 or <= 1e-13: the endpoints alone
         # fail the relative zero test on every path, and the principal
-        # branch is left to the caller
+        # branch is left to the caller, with the determinant
         calls = []
         end = np.diag([d, d]).astype(complex)
-        assert sqrt_det_continuous(lambda s: calls.append(s) or end, end) == (None, False)
+        assert sqrt_det_continuous(lambda s: calls.append(s) or end, end) == \
+            (None, np.linalg.det(end))
         assert calls == []
 
     @pytest.mark.parametrize("k", [1, 5, 11])

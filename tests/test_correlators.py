@@ -29,6 +29,7 @@ from fermigauss.quadratic import QuadraticGenerator, random_generator
 from conftest import (
     Oracle,
     all_configs,
+    bare_rows,
     pair_kernel,
     random_config,
     random_linear_op,
@@ -145,13 +146,42 @@ class TestTwoPoint:
                                    - oracle_value(ctx, (a, b), orc)) < 1e-9
 
     def test_is_string_element_of_its_rows(self):
+        # on the extended sites 0..L, row site of t1 for c_site and site +
+        # L + 1 for its adjoint
         rng = np.random.default_rng(220)
         g1, g2 = random_generator(3, rng, 0.6), random_generator(3, rng, 0.6)
-        e = correlators._Engine(overlaps._pair_kernel(g1, g2), quadratic.transfer_of(g1).t,
-                                (1, 0, 1), (0, 1, 1))
+        e = CorrelatorContext(g1, g2, FockConfig((1, 0, 1)), FockConfig((0, 1, 1)))._engine()
         for a, b in ((ModeOp(1, True), ModeOp(3, False)), (ModeOp(2, False), ModeOp(2, True))):
-            rows = (e._coeff_rows(a), e._coeff_rows(b))
+            rows = e.t1[[a.site + e.L * a.dagger, b.site + e.L * b.dagger]]
             assert e.two_point(a, b) == e.string_element(rows)
+
+    @pytest.mark.parametrize("kind, bra, ket", [
+        ("quadratic", "110", "011"), ("quadratic", "110", "010"),
+        ("linear", "110", "011"), ("linear", "110", "010"),
+    ])
+    def test_engine_values_are_the_public_values(self, kind, bra, ket):
+        # the engine's one_point and two_point, which only the benchmark's
+        # tracer calls, give n_point's (quadratic) and generalized_expectation's
+        # (linear) values bit for bit on every site, both daggers and both
+        # string parities; a quadratic pair's parity-forbidden strings are
+        # exact zeros that no engine evaluates
+        if kind == "quadratic":
+            op1, op2 = random_generator(3, 1, 0.8), random_generator(3, 2, 0.8)
+            public = n_point
+        else:
+            rng = np.random.default_rng(223)
+            op1, op2 = random_linear_op(rng, 3, 0.8), random_linear_op(rng, 3, 0.8)
+            public = generalized_expectation
+        ctx = CorrelatorContext(op1, op2, FockConfig.from_string(bra), FockConfig.from_string(ket))
+        e = ctx._engine()
+        ops = [ModeOp(site, dag) for site in range(1, 4) for dag in (False, True)]
+        odd = ctx.bra.parity != ctx.ket.parity      # the quadratic pair's allowed strings
+        for op in ops:
+            if odd or kind == "linear":
+                assert e.one_point(op) == public(ctx, (op,))
+        for a, b in itertools.product(ops, ops):
+            if not odd or kind == "linear":
+                assert e.two_point(a, b) == public(ctx, (a, b))
 
 
 class TestNPoint:
@@ -951,16 +981,17 @@ class TestBorderedPfaffian:
             for n in (3, 4, 5, 6):
                 if (sum(bra) + sum(ket) + n) % 2:
                     continue
-                rows = [e._coeff_rows(op) for op in rand_string(rng, L, n)]
+                rows = bare_rows(e.t1, rand_string(rng, L, n))
                 ref = e.string_element(rows)
                 assert abs(e.kern.bordered(rows, bra, ket) - ref) <= 1e-12 * max(1.0, abs(ref))
 
     @pytest.mark.parametrize("kind", ["quadratic", "linear", "zero-overlap"])
     def test_one_pfaffian_per_string(self, kind, count_calls, monkeypatch):
-        # no engine element and no expansion: one Pfaffian per value, of
-        # order n on the contraction matrix, after the pair's element once
-        # per context; the zero-overlap pair's singular M0 takes the
-        # bordered Pfaffian, of order n_J + n_I + n, which divides by nothing
+        # no expansion: one Pfaffian per value, of order n on the contraction
+        # matrix, times the pair's element, which the engine keeps: every
+        # such value reads it, and it is evaluated once per context.  The
+        # zero-overlap pair's singular M0 takes the bordered Pfaffian, of
+        # order n_J + n_I + n, which divides by nothing and reads no element
         calls = {name: 0 for name in ("element", "string_element")}
         for name in calls:
             orig = getattr(correlators._Engine, name)
@@ -1002,7 +1033,8 @@ class TestBorderedPfaffian:
                     expected = ([] if values else [sum(bra) + sum(ket)]) + [rows]
                 assert [m.shape[-1] for (m,) in pfaffians] == expected
                 values += not dead
-        assert values >= 16 and calls == {"element": 0, "string_element": 0}
+        read = 0 if kind == "zero-overlap" else values
+        assert values >= 16 and calls == {"element": read, "string_element": 0}
 
     def test_failed_engine_build_is_kept(self, monkeypatch):
         # a context whose product overflows the J-check and whose factors'
@@ -1199,7 +1231,7 @@ class TestContractionMatrix:
             rows = rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8))
             ref = kern.bordered(rows, bra, ket)
             pfaffians.clear()
-            value = kern.contracted(rows, bra, ket)
+            value = kern.contracted(rows, bra, ket, lambda: element)
             if side < 1:
                 assert value == ref
                 assert [m.shape[-1] for (m,) in pfaffians] == [4 + n]
@@ -1211,9 +1243,10 @@ class TestContractionMatrix:
 
     def test_counts_on_a_regular_context(self, count_calls, monkeypatch):
         # 64 four-point values on one L = 16 context: one rcond estimate and
-        # one inversion of M0 give G, the element is one Pfaffian of order
-        # n_J + n_I, and every value one Pfaffian of order 4; none of order
-        # n_J + n_I + 4, the bordered matrix's
+        # one inversion of M0 give G, and every value is one Pfaffian of
+        # order 4 times the element that overlap_value evaluated; none of
+        # order n_J + n_I, the element's again, or n_J + n_I + 4, the
+        # bordered matrix's
         rng = np.random.default_rng(1600)
         L = 16
         bra = FockConfig(tuple(int(j % 3 == 0) for j in range(L)))
@@ -1233,4 +1266,4 @@ class TestContractionMatrix:
         assert len(rconds) == 1 and rconds[0][0].shape == (n_j + n_i,) * 2
         assert len(inversions) == 1
         orders = [m.shape for (m,) in pfaffians]
-        assert orders == [(1, n_j + n_i, n_j + n_i)] + [(4, 4)] * 64
+        assert orders == [(4, 4)] * 64

@@ -13,17 +13,18 @@ from hypothesis import strategies as st
 
 from fermigauss import fock
 from fermigauss.configs import FockConfig
-from fermigauss.correlators import CorrelatorContext, ModeOp, _Engine, n_point
+from fermigauss.correlators import CorrelatorContext, ModeOp, n_point
 from fermigauss.linalg import LinalgError, SingularBlockError
 from fermigauss.overlaps import (
     UnfixedBranchError,
+    _chain_factors,
     _chain_kernel,
     overlap,
     state_overlap,
 )
 from fermigauss.quadratic import QuadraticGenerator, random_generator, transfer_of
 
-from conftest import all_configs, worked_example_m
+from conftest import all_configs, bare_rows, worked_example_m
 from test_quadratic import pair_rotation_generator, rotation_plus_sector
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
@@ -159,11 +160,10 @@ class TestBorderedChain:
         # <J| F_1 ... F_k phi_1 ... phi_n |I> as one bordered Pfaffian of the
         # chain matrix: the string stands right of the last factor, so the
         # border couples to that factor's X-block rows, inner rows for k > 1.
-        # The engine gives the coefficient rows; its kernel serves every pair
+        # One kernel serves every pair
         g1, g2 = chain_case(L, ket, bra)
-        vac = (0,) * L
-        engine = _Engine(_chain_kernel(g1, g2), transfer_of(g1).t, vac, vac)
-        assert engine.kern.k == k
+        kern, t1 = _chain_kernel(g1, g2), transfer_of(g1).t
+        assert kern.k == k
         f1 = fock.dense_gaussian(g1.m)
         f2 = np.eye(2 ** L) if g2 is None else fock.dense_gaussian(g2.m)
         rng = np.random.default_rng(60 + L + k)
@@ -174,8 +174,7 @@ class TestBorderedChain:
                 n += (b.n_occupied + c.n_occupied + n) % 2
                 ops = [ModeOp(int(rng.integers(1, L + 1)), bool(rng.integers(0, 2)))
                        for _ in range(n)]
-                val = engine.kern.bordered([engine._coeff_rows(op) for op in ops],
-                                           b.bits, c.bits)
+                val = kern.bordered(bare_rows(t1, ops), b.bits, c.bits)
                 a = fock.mode_string_matrix([(op.site, op.dagger) for op in ops], L)
                 ref = fock.dense_expectation(f2, a, f1, b, c)
                 assert abs(val - ref) <= 1e-12 * max(1.0, abs(ref))
@@ -235,6 +234,17 @@ class TestCounts:
         assert type(again.value) is type(cached)
         assert str(again.value) == str(cached) and again.value.abs_det == cached.abs_det
         assert again.value.__context__ is None and exponentials == []
+
+    def test_refused_factor_takes_one_determinant(self, monkeypatch):
+        # the continuity path's refusal hands back the det(T22) it took,
+        # which the rejection records: one determinant per refused factor
+        dets = []
+        orig = np.linalg.det
+        monkeypatch.setattr(np.linalg, "det", lambda a: dets.append(a) or orig(a))
+        with pytest.raises(UnfixedBranchError) as err:
+            _chain_factors(random_generator(4, 22, scale=10))
+        assert len(dets) == 1
+        assert err.value.abs_det == abs(orig(dets[0]))
 
 
 def fails_on_every_route(call) -> None:
